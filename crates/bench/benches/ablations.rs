@@ -1,4 +1,6 @@
-//! Ablation benches for the design choices DESIGN.md calls out.
+//! Ablation benches for the simulator's modelling choices: k routes and
+//! SCONE depth, relay caching, MAC contention, the τADV factor, the SPIN
+//! baseline variant, and idle-listening accounting.
 //!
 //! Each ablation runs the same workload under configuration variants and
 //! prints the outcome deltas (delivery, energy, delay) before timing one

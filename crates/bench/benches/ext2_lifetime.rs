@@ -3,14 +3,15 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spms_bench::{bench_scale, show};
-use spms_workloads::figures;
+use spms_workloads::{figures, SweepConfig};
 
 fn bench(c: &mut Criterion) {
     let scale = bench_scale();
-    show(&figures::ext2(&scale, 42));
-    show(&figures::ext3(&scale, 42));
+    let sweep = SweepConfig::auto();
+    show(&figures::ext2(&scale, 42, &sweep));
+    show(&figures::ext3(&scale, 42, &sweep));
     c.bench_function("ext2_lifetime", |b| {
-        b.iter(|| std::hint::black_box(figures::ext2(&scale, 42)))
+        b.iter(|| std::hint::black_box(figures::ext2(&scale, 42, &sweep)))
     });
 }
 

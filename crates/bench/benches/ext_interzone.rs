@@ -7,7 +7,7 @@ use spms::{ProtocolKind, SimConfig, Simulation};
 use spms_bench::{bench_scale, show};
 use spms_kernel::SimTime;
 use spms_net::{placement, FailureConfig, NodeId};
-use spms_workloads::{figures, traffic};
+use spms_workloads::{figures, traffic, SweepConfig};
 
 fn pipeline_run(
     ttl: Option<u32>,
@@ -75,7 +75,8 @@ fn ablation_paths() {
 
 fn bench(c: &mut Criterion) {
     let scale = bench_scale();
-    let (a, b) = figures::ext1(&scale, 42);
+    let sweep = SweepConfig::auto();
+    let (a, b) = figures::ext1(&scale, 42, &sweep);
     show(&a);
     show(&b);
     ablation_ttl();

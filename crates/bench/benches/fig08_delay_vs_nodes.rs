@@ -2,14 +2,15 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spms_bench::{bench_scale, show};
-use spms_workloads::figures;
+use spms_workloads::{figures, SweepConfig};
 
 fn bench(c: &mut Criterion) {
     let scale = bench_scale();
-    let (_, f8) = figures::fig6_fig8(&scale, 42);
+    let sweep = SweepConfig::auto();
+    let (_, f8) = figures::fig6_fig8(&scale, 42, &sweep);
     show(&f8);
     c.bench_function("fig08_delay_vs_nodes", |b| {
-        b.iter(|| std::hint::black_box(figures::fig6_fig8(&scale, 42)))
+        b.iter(|| std::hint::black_box(figures::fig6_fig8(&scale, 42, &sweep)))
     });
 }
 

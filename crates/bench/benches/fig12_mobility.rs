@@ -3,13 +3,14 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spms_bench::{bench_scale, show};
-use spms_workloads::figures;
+use spms_workloads::{figures, SweepConfig};
 
 fn bench(c: &mut Criterion) {
     let scale = bench_scale();
-    show(&figures::fig12(&scale, 42));
+    let sweep = SweepConfig::auto();
+    show(&figures::fig12(&scale, 42, &sweep));
     c.bench_function("fig12_mobility", |b| {
-        b.iter(|| std::hint::black_box(figures::fig12(&scale, 42)))
+        b.iter(|| std::hint::black_box(figures::fig12(&scale, 42, &sweep)))
     });
 }
 

@@ -46,63 +46,6 @@ impl std::fmt::Display for ProtocolKind {
     }
 }
 
-/// Which event kernel drives the discrete-event loop.
-///
-/// All three choices are **wall-clock knobs**: the kernels share one
-/// contract — global `(time, insertion seq)` order, FIFO on ties,
-/// zero-delay reschedules delivered in the current pass — so a run's
-/// `RunMetrics` are byte-identical whichever kernel executes it
-/// (differentially proven in `spms-kernel` and re-checked end to end in
-/// `tests/integration_determinism.rs`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum EventKernel {
-    /// Binary-heap [`spms_kernel::EventQueue`] popped one event at a time —
-    /// the trusted reference kernel and the default.
-    #[default]
-    Heap,
-    /// Hierarchical [`spms_kernel::TimerWheel`], O(1) amortized
-    /// schedule/pop, popped one event at a time.
-    Wheel,
-    /// The timer wheel drained one *timestamp* at a time
-    /// ([`spms_kernel::TimerWheel::drain_next`]): all simultaneous events
-    /// are pulled into a reusable buffer and dispatched as one slice,
-    /// amortizing queue bookkeeping across ties.
-    WheelBatched,
-}
-
-impl EventKernel {
-    /// Short label for reports.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            EventKernel::Heap => "heap",
-            EventKernel::Wheel => "wheel",
-            EventKernel::WheelBatched => "wheel-batched",
-        }
-    }
-}
-
-impl std::fmt::Display for EventKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl std::str::FromStr for EventKernel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "heap" => Ok(EventKernel::Heap),
-            "wheel" => Ok(EventKernel::Wheel),
-            "wheel-batched" => Ok(EventKernel::WheelBatched),
-            other => Err(format!(
-                "unknown event kernel '{other}' (expected heap, wheel, or wheel-batched)"
-            )),
-        }
-    }
-}
-
 /// How SPMS routing tables are produced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RoutingMode {
@@ -410,7 +353,7 @@ pub struct SimConfig {
     /// charged this draw for the whole run duration; since a run lasts
     /// until dissemination completes, slower protocols pay more — the
     /// realistic effect that compresses protocol-level energy ratios (see
-    /// the idle-listening ablation and EXPERIMENTS.md).
+    /// the idle-listening ablation in `crates/bench/benches/ablations.rs`).
     pub idle_listening_mw: Option<f64>,
     /// Transient failure injection (None = failure-free).
     pub failures: Option<FailureConfig>,
@@ -419,7 +362,7 @@ pub struct SimConfig {
     /// Adversarial node behaviors (None = everyone honest). The adversary
     /// set is drawn from its own master-seed sub-stream, so it is a
     /// semantic knob like the seed — never affected by shards, workers,
-    /// kernels, or layouts.
+    /// or layouts.
     pub adversary: Option<AdversaryConfig>,
     /// Mass join/leave churn process (None = no churn). Cohorts toggle
     /// liveness per epoch, stressing the incremental zone/DBF paths.
@@ -428,16 +371,13 @@ pub struct SimConfig {
     /// up/down windows fired as timed link flips through the same
     /// delta-batching machinery mobility uses. A semantic knob like
     /// `adversary` — it changes results by design, but never varies with
-    /// shards, workers, kernels, or layouts. Node ids the plan names are
+    /// shards, workers, or layouts. Node ids the plan names are
     /// range-checked against the topology when the simulation is built.
     pub contact_plan: Option<ContactPlan>,
     /// Hard stop for the run.
     pub horizon: SimTime,
     /// Trace buffer capacity (None = tracing disabled).
     pub trace_capacity: Option<usize>,
-    /// Which event kernel drives the run (a wall-clock knob — results are
-    /// byte-identical across all choices; default [`EventKernel::Heap`]).
-    pub event_kernel: EventKernel,
     /// Arena layout for the distributed routing tables (another wall-clock
     /// knob — results are byte-identical across layouts, proven by the
     /// layout-differential suites in `spms-routing` and re-checked end to
@@ -489,7 +429,6 @@ impl SimConfig {
             contact_plan: None,
             horizon: SimTime::from_secs(600),
             trace_capacity: None,
-            event_kernel: EventKernel::Heap,
             table_layout: TableLayout::Soa,
         }
     }
@@ -751,22 +690,5 @@ mod tests {
         assert_eq!(ProtocolKind::Spin.label(), "SPIN");
         assert_eq!(ProtocolKind::Spms.label(), "SPMS");
         assert_eq!(format!("{}", ProtocolKind::Flooding), "FLOOD");
-    }
-
-    #[test]
-    fn event_kernel_labels_round_trip() {
-        for kernel in [
-            EventKernel::Heap,
-            EventKernel::Wheel,
-            EventKernel::WheelBatched,
-        ] {
-            assert_eq!(kernel.label().parse::<EventKernel>(), Ok(kernel));
-        }
-        assert!("calendar".parse::<EventKernel>().is_err());
-        assert_eq!(EventKernel::default(), EventKernel::Heap);
-        assert_eq!(
-            SimConfig::paper_defaults(ProtocolKind::Spms, 1).event_kernel,
-            EventKernel::Heap
-        );
     }
 }

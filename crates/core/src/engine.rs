@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use spms_kernel::stats::Tally;
 use spms_kernel::trace::Trace;
-use spms_kernel::{Scheduler, SchedulerKind, SimRng, SimTime};
+use spms_kernel::{EventQueue, SimRng, SimTime};
 use spms_mac::HalfDuplexQueue;
 use spms_net::{
     ChurnEpoch, ChurnProcess, ContactEpoch, ContactProcess, FailureProcess, LinkGate,
@@ -28,9 +28,9 @@ use spms_phy::{EnergyCategory, EnergyMeter, MicroJoules};
 use spms_routing::{oracle_tables, DbfEngine, DbfWireFormat, RoutingTable};
 
 use crate::{
-    Action, Addressee, AdversaryStats, EventKernel, MessageCounts, MetaId, NodeBehavior,
-    NodeProtocol, NodeView, OutFrame, Packet, PacketKind, Payload, Protocol, ProtocolKind,
-    RoutingCost, RoutingMode, RunMetrics, SimConfig, SpmsParams, TimerKind, TrafficPlan,
+    Action, Addressee, AdversaryStats, MessageCounts, MetaId, NodeBehavior, NodeProtocol, NodeView,
+    OutFrame, Packet, PacketKind, Payload, Protocol, ProtocolKind, RoutingCost, RoutingMode,
+    RunMetrics, SimConfig, SpmsParams, TimerKind, TrafficPlan,
 };
 
 /// Engine events.
@@ -58,8 +58,8 @@ enum Event {
     /// Apply the staged churn epoch (mass join/leave cohort).
     ChurnEpoch,
     /// Apply the staged contact-plan epoch (scheduled link flips). Every
-    /// flip sharing a timestamp rides in one event, so all three event
-    /// kernels dispatch a window boundary identically.
+    /// flip sharing a timestamp rides in one event, so a window boundary
+    /// is applied atomically.
     ContactEpoch,
 }
 
@@ -123,7 +123,7 @@ pub struct Simulation {
     down_gen: Vec<u32>,
     queues: Vec<HalfDuplexQueue>,
     meters: Vec<EnergyMeter>,
-    events: Scheduler<Event>,
+    events: EventQueue<Event>,
     now: SimTime,
     timeouts: crate::Timeouts,
     pause_until: SimTime,
@@ -357,13 +357,7 @@ impl Simulation {
             down_gen: vec![0; n],
             queues: vec![HalfDuplexQueue::new(); n],
             meters: vec![EnergyMeter::new(); n],
-            events: Scheduler::with_capacity(
-                match config.event_kernel {
-                    EventKernel::Heap => SchedulerKind::Heap,
-                    EventKernel::Wheel | EventKernel::WheelBatched => SchedulerKind::Wheel,
-                },
-                1024,
-            ),
+            events: EventQueue::with_capacity(1024),
             now: SimTime::ZERO,
             timeouts,
             pause_until: SimTime::ZERO,
@@ -474,53 +468,28 @@ impl Simulation {
     /// [`SimConfig::trace_capacity`] or the trace comes back empty).
     #[must_use]
     pub fn run_traced(mut self) -> (RunMetrics, Trace) {
-        if self.config.event_kernel == EventKernel::WheelBatched {
-            // Batched dispatch: drain every event sharing the earliest
-            // timestamp into a reusable buffer and dispatch the slice.
-            // Events a handler schedules *at* the timestamp being
-            // dispatched surface on the next drain (same timestamp), so the
-            // per-event `step` sequence — and therefore every metric — is
-            // byte-identical to the pop-one-at-a-time path.
-            let mut batch = Vec::new();
-            while let Some(t) = self.events.drain_next(&mut batch) {
-                if t > self.config.horizon {
-                    break;
-                }
-                for ev in batch.drain(..) {
-                    self.step(t, ev);
-                }
+        while let Some((t, ev)) = self.events.pop() {
+            if t > self.config.horizon {
+                break;
             }
-        } else {
-            while let Some((t, ev)) = self.events.pop() {
-                if t > self.config.horizon {
-                    break;
-                }
-                self.step(t, ev);
+            self.now = t;
+            self.events_processed += 1;
+            if matches!(
+                ev,
+                Event::Generate(_) | Event::Deliver(_) | Event::Timer { .. }
+            ) {
+                self.protocol_pending -= 1;
+            }
+            self.handle(ev);
+            if !self.winding_down
+                && self.generated == self.plan.generations.len() as u64
+                && (self.outstanding == 0 || self.protocol_pending == 0)
+            {
+                self.winding_down = true;
             }
         }
         let trace = std::mem::replace(&mut self.trace, Trace::disabled());
         (self.into_metrics(), trace)
-    }
-
-    /// Dispatches one event: the shared body of the per-event and batched
-    /// run loops (kept identical so the event kernel can never change
-    /// results).
-    fn step(&mut self, t: SimTime, ev: Event) {
-        self.now = t;
-        self.events_processed += 1;
-        if matches!(
-            ev,
-            Event::Generate(_) | Event::Deliver(_) | Event::Timer { .. }
-        ) {
-            self.protocol_pending -= 1;
-        }
-        self.handle(ev);
-        if !self.winding_down
-            && self.generated == self.plan.generations.len() as u64
-            && (self.outstanding == 0 || self.protocol_pending == 0)
-        {
-            self.winding_down = true;
-        }
     }
 
     // ------------------------------------------------------------------
@@ -2077,46 +2046,6 @@ mod tests {
         let reference = Simulation::run_with(config, topo, plan).unwrap();
         assert!(incremental.routing.contact_epochs > 0);
         assert_eq!(incremental, reference);
-    }
-
-    #[test]
-    fn adversary_attack_start_boundary_is_kernel_invariant() {
-        // Regression: an adversary whose `attack_start` equals an event's
-        // timestamp must behave identically whether the kernel pops events
-        // one at a time (heap/wheel) or drains the whole timestamp into a
-        // batch (wheel-batched) — `step` pins `now` per event in all three
-        // loops, so `now >= attack_start` must flip at the same event
-        // either way. Generations land at exact-millisecond timestamps, so
-        // pinning `attack_start` to one of them puts the boundary ON a
-        // dispatched timestamp shared by several events.
-        let topo = placement::grid(4, 4, 5.0).unwrap();
-        let plan = single_source_plan(5, 3);
-        let mut config = SimConfig::paper_defaults(ProtocolKind::Spms, 33);
-        let mut adv = AdversaryConfig::new(NodeBehavior::Flooding, 0.25).unwrap();
-        // The third generation's timestamp: events already in flight from
-        // earlier generations share dispatch instants with this one.
-        adv.attack_start = SimTime::from_millis(2);
-        config.adversary = Some(adv);
-        let mut runs = Vec::new();
-        for kernel in [
-            EventKernel::Heap,
-            EventKernel::Wheel,
-            EventKernel::WheelBatched,
-        ] {
-            let mut c = config.clone();
-            c.event_kernel = kernel;
-            runs.push((
-                kernel,
-                Simulation::run_with(c, topo.clone(), plan.clone()).unwrap(),
-            ));
-        }
-        assert!(
-            runs[0].1.adversary.packets_dropped > 0,
-            "the boundary run must actually exercise the adversary"
-        );
-        for (kernel, m) in &runs[1..] {
-            assert_eq!(&runs[0].1, m, "kernel {kernel} diverges at the boundary");
-        }
     }
 
     #[test]

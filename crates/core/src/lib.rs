@@ -68,9 +68,7 @@ pub mod spms_proto;
 pub mod traffic;
 
 pub use adversary::{AdversaryConfig, NodeBehavior};
-pub use config::{
-    EventKernel, IzConfig, ProtocolKind, RoutingMode, SimConfig, TimeoutPolicy, Timeouts,
-};
+pub use config::{IzConfig, ProtocolKind, RoutingMode, SimConfig, TimeoutPolicy, Timeouts};
 pub use engine::Simulation;
 pub use flooding::FloodingNode;
 pub use interzone::{IzResolved, SpmsIzNode};

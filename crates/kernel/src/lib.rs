@@ -9,9 +9,6 @@
 //!   conversions from the paper's millisecond constants,
 //! * [`EventQueue`] — a priority queue with stable FIFO ordering for events
 //!   scheduled at the same instant, so runs are bit-reproducible,
-//! * [`TimerWheel`] — a hierarchical timer wheel with the identical pop-order
-//!   contract, O(1) amortized, proven byte-identical to the heap by a
-//!   differential suite; [`Scheduler`] selects between the two kernels,
 //! * [`SimRng`] — a seeded xoshiro256\*\* PRNG plus the distributions the
 //!   paper needs (uniform, exponential inter-arrivals, Poisson processes),
 //! * [`stats`] — counters, tallies and histograms used by the measurement
@@ -38,9 +35,7 @@
 mod host;
 mod queue;
 mod rng;
-mod scheduler;
 mod time;
-mod wheel;
 
 pub mod stats;
 pub mod trace;
@@ -48,6 +43,4 @@ pub mod trace;
 pub use host::host_parallelism;
 pub use queue::EventQueue;
 pub use rng::{PoissonProcess, SimRng};
-pub use scheduler::{Scheduler, SchedulerKind};
 pub use time::SimTime;
-pub use wheel::TimerWheel;

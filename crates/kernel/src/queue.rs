@@ -62,11 +62,10 @@ impl<E> Ord for Entry<E> {
 /// # Zero-delay reschedules
 ///
 /// An event handler may schedule a new event at the timestamp currently
-/// being dispatched (a zero-delay self-reschedule). The contract — which
-/// every alternative kernel, notably [`crate::TimerWheel`], must match
-/// bit-for-bit — is that such an event is delivered **in the current
-/// pass** over that timestamp, after every already-pending event of the
-/// same instant, in scheduling order. This falls directly out of the
+/// being dispatched (a zero-delay self-reschedule). The contract is that
+/// such an event is delivered **in the current pass** over that timestamp,
+/// after every already-pending event of the same instant, in scheduling
+/// order. This falls directly out of the
 /// `(time, seq)` total order: the new event carries the same time and a
 /// strictly larger sequence number than everything already queued, so it
 /// sorts after its siblings but before any later instant. It can never be
@@ -129,29 +128,6 @@ impl<E> EventQueue<E> {
         let entry = self.heap.pop()?;
         self.popped += 1;
         Some((entry.time(), entry.event))
-    }
-
-    /// Drains every event sharing the earliest pending timestamp into
-    /// `buf` (cleared first) in FIFO order and returns that timestamp, or
-    /// `None` when the queue is empty.
-    ///
-    /// This is the batched-dispatch entry point: one call per simulated
-    /// instant instead of one pop per event. Events scheduled *at* the
-    /// drained timestamp while the batch is being handled are returned by
-    /// the **next** `drain_next` call (which reports the same timestamp),
-    /// preserving the zero-delay reschedule contract — the dispatch order
-    /// across successive drains is exactly the per-event [`pop`] order.
-    ///
-    /// [`pop`]: EventQueue::pop
-    pub fn drain_next(&mut self, buf: &mut Vec<E>) -> Option<SimTime> {
-        buf.clear();
-        let (time, first) = self.pop()?;
-        buf.push(first);
-        while self.peek_time() == Some(time) {
-            let (_, ev) = self.pop().expect("peeked entry must pop");
-            buf.push(ev);
-        }
-        Some(time)
     }
 
     /// The time of the earliest pending event without removing it.
@@ -286,28 +262,6 @@ mod tests {
         assert_eq!(q.pop(), Some((t, "c")));
         assert_eq!(q.pop(), Some((t, "d")));
         assert_eq!(q.pop(), Some((SimTime::from_millis(9), "later")));
-    }
-
-    #[test]
-    fn drain_next_batches_one_timestamp_and_honors_reschedules() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_millis(2);
-        q.schedule(t, "a");
-        q.schedule(t, "b");
-        q.schedule(SimTime::from_millis(3), "z");
-        let mut buf = Vec::new();
-        assert_eq!(q.drain_next(&mut buf), Some(t));
-        assert_eq!(buf, ["a", "b"]);
-        // Zero-delay reschedule mid-batch: surfaces on the NEXT drain, at
-        // the same timestamp — identical order to per-event pops.
-        q.schedule(t, "c");
-        assert_eq!(q.drain_next(&mut buf), Some(t));
-        assert_eq!(buf, ["c"]);
-        assert_eq!(q.drain_next(&mut buf), Some(SimTime::from_millis(3)));
-        assert_eq!(buf, ["z"]);
-        assert_eq!(q.drain_next(&mut buf), None);
-        assert!(buf.is_empty());
-        assert_eq!(q.popped_total(), 4);
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! Seeded property suite for the binary-heap `EventQueue` — the trusted
-//! oracle at the root of the kernel equivalence chain (heap ← wheel ←
-//! batched dispatch ← whole-run `RunMetrics`). Random interleaved
-//! schedule/pop sequences with duplicate timestamps are checked against the
-//! simplest possible correct scheduler: a flat `Vec` scanned for the minimum
-//! `(time, insertion id)` on every pop. If the heap ever deviated from the
-//! documented global `(time, seq)` order — including FIFO on ties and
-//! zero-delay reschedules — this suite would catch it before the
-//! differential wheel suite inherited the bug as "agreement".
+//! Seeded property suite for the binary-heap `EventQueue`, the simulator's
+//! only event kernel. Random interleaved schedule/pop sequences with
+//! duplicate timestamps are checked against the simplest possible correct
+//! scheduler: a flat `Vec` scanned for the minimum `(time, insertion id)`
+//! on every pop. If the heap ever deviated from the documented global
+//! `(time, seq)` order — including FIFO on ties and zero-delay
+//! reschedules — this suite would catch it.
 
 use proptest::prelude::*;
 use spms_kernel::{EventQueue, SimTime};

@@ -109,9 +109,7 @@ pub struct LinkFlip {
 }
 
 /// Every link flip sharing one timestamp, dispatched as **one** scheduler
-/// event — whatever the event kernel, a timestamp's flips land atomically,
-/// which is what keeps contact runs byte-identical across heap, wheel, and
-/// batched-wheel kernels.
+/// event, so a timestamp's flips land atomically.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ContactEpoch {
     /// The simulation time the flips take effect.

@@ -14,12 +14,8 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-use spms::{
-    AdversaryConfig, EventKernel, NodeBehavior, RunMetrics, SimConfig, Simulation, TableLayout,
-    TrafficPlan,
-};
+use spms::{AdversaryConfig, NodeBehavior, RunMetrics, SimConfig, Simulation, TrafficPlan};
 use spms_kernel::SimTime;
 use spms_net::{ChurnConfig, ContactPlan, Topology};
 
@@ -40,8 +36,8 @@ pub struct Scale {
     pub spacing_m: f64,
     /// Mean network-wide gap between packet births. Chosen so each item's
     /// dissemination largely completes before the next begins — the
-    /// unsaturated regime the paper's measured delays imply (see
-    /// EXPERIMENTS.md). The event-driven kernel makes idle time free.
+    /// unsaturated regime the paper's measured delays imply. The
+    /// event-driven kernel makes idle time free.
     pub mean_gap: SimTime,
 }
 
@@ -132,32 +128,51 @@ pub struct RunSpec {
     pub plan: TrafficPlan,
 }
 
-/// Worker-pool configuration for the sweep executor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Sweep-executor configuration: the worker pool plus the semantic
+/// overrides every spec of the sweep picks up.
+///
+/// Passed by reference to [`try_run_specs`], [`run_specs_with`], and every
+/// seeded figure generator, so two sweeps in one process can run side by
+/// side under different settings.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SweepConfig {
     /// Worker threads claiming specs; `0` resolves to the host's available
     /// parallelism. Purely a wall-clock knob — results are byte-identical
     /// for every value, because each run is a pure function of its spec
     /// and results land in slots keyed by spec index, not completion time.
     pub workers: usize,
+    /// Adversary/churn override (the `repro` bin's `--adversary-*` and
+    /// `--churn-rate` flags). A **semantic** knob: it changes results like
+    /// a seed. It fills only specs whose config left `adversary` / `churn`
+    /// unset, so figures that pin their own (EXT5) are immune.
+    pub adversary: AdversaryOverride,
+    /// Contact-plan override (the `repro` bin's `--contact-plan` flag),
+    /// another **semantic** knob. It fills only specs whose config left
+    /// `contact_plan` unset, so figures that pin their own (EXT6) are
+    /// immune.
+    pub contact_plan: Option<ContactPlan>,
 }
 
 impl SweepConfig {
-    /// Auto-sized pool (`workers = 0`: the host's available parallelism).
+    /// Auto-sized pool (`workers = 0`: the host's available parallelism),
+    /// no overrides.
     #[must_use]
     pub fn auto() -> Self {
-        SweepConfig { workers: 0 }
+        Self::default()
     }
 
     /// A fixed-size pool (`1` = the sequential reference path, inline on
-    /// the calling thread).
+    /// the calling thread), no overrides.
     #[must_use]
     pub fn with_workers(workers: usize) -> Self {
-        SweepConfig { workers }
+        SweepConfig {
+            workers,
+            ..Self::default()
+        }
     }
 
     /// The thread count a `jobs`-spec sweep actually runs with.
-    fn resolved(self, jobs: usize) -> usize {
+    fn resolved(&self, jobs: usize) -> usize {
         let workers = match self.workers {
             0 => spms_kernel::host_parallelism(),
             w => w,
@@ -166,100 +181,8 @@ impl SweepConfig {
     }
 }
 
-impl Default for SweepConfig {
-    fn default() -> Self {
-        Self::auto()
-    }
-}
-
-/// Process-wide default worker count used by [`run_specs`] (`0` = auto).
-static DEFAULT_WORKERS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide default worker count, routing every sweep that
-/// goes through [`run_specs`] — all the `figures` generators, and through
-/// them the `repro` bin's `--workers` flag — onto a pool of that size.
-/// `0` restores auto-sizing. Worker count can never change results, only
-/// wall-clock time.
-pub fn set_default_workers(workers: usize) {
-    DEFAULT_WORKERS.store(workers, Ordering::Relaxed);
-}
-
-/// The process-wide default sweep configuration (see
-/// [`set_default_workers`]).
-#[must_use]
-pub fn default_sweep_config() -> SweepConfig {
-    SweepConfig {
-        workers: DEFAULT_WORKERS.load(Ordering::Relaxed),
-    }
-}
-
-/// Process-wide event-kernel selection applied to every spec the executor
-/// runs (stored as the enum's discriminant; 0 = heap).
-static DEFAULT_EVENT_KERNEL: AtomicUsize = AtomicUsize::new(0);
-
-/// Routes every sweep that goes through [`run_specs`] — all the `figures`
-/// generators, and through them the `repro` bin's `--event-kernel` flag —
-/// onto the given event kernel, overriding each spec's
-/// `SimConfig::event_kernel`. Like the worker pool, the kernel can never
-/// change results, only wall-clock time (proven byte-identical in
-/// `tests/integration_determinism.rs`), which is what lets CI byte-diff
-/// figure JSON across kernels.
-pub fn set_default_event_kernel(kernel: EventKernel) {
-    let code = match kernel {
-        EventKernel::Heap => 0,
-        EventKernel::Wheel => 1,
-        EventKernel::WheelBatched => 2,
-    };
-    DEFAULT_EVENT_KERNEL.store(code, Ordering::Relaxed);
-}
-
-/// The process-wide event kernel (see [`set_default_event_kernel`]).
-#[must_use]
-pub fn default_event_kernel() -> EventKernel {
-    match DEFAULT_EVENT_KERNEL.load(Ordering::Relaxed) {
-        1 => EventKernel::Wheel,
-        2 => EventKernel::WheelBatched,
-        _ => EventKernel::Heap,
-    }
-}
-
-/// Process-wide routing-table layout applied to every spec the executor
-/// runs (stored as the enum's discriminant; 0 = SoA, the default).
-static DEFAULT_TABLE_LAYOUT: AtomicUsize = AtomicUsize::new(0);
-
-/// Routes every sweep that goes through [`run_specs`] — all the `figures`
-/// generators, and through them the `repro` bin's `--table-layout` flag —
-/// onto the given routing-arena layout, overriding each spec's
-/// `SimConfig::table_layout`. Like the event kernel, the layout can never
-/// change results, only wall-clock time (proven bit-identical by the
-/// layout-differential suites in `spms-routing` and re-checked end to end
-/// in `tests/integration_determinism.rs`), which is what lets CI byte-diff
-/// figure JSON across layouts.
-pub fn set_default_table_layout(layout: TableLayout) {
-    let code = match layout {
-        TableLayout::Soa => 0,
-        TableLayout::Aos => 1,
-    };
-    DEFAULT_TABLE_LAYOUT.store(code, Ordering::Relaxed);
-}
-
-/// The process-wide routing-table layout (see
-/// [`set_default_table_layout`]).
-#[must_use]
-pub fn default_table_layout() -> TableLayout {
-    match DEFAULT_TABLE_LAYOUT.load(Ordering::Relaxed) {
-        1 => TableLayout::Aos,
-        _ => TableLayout::Soa,
-    }
-}
-
-/// Process-wide adversary/churn override applied to every spec the
-/// executor runs (the `repro` bin's `--adversary-*` / `--churn-rate`
-/// flags). Unlike the worker pool, event kernel, and table layout — pure
-/// wall-clock knobs — this one is **semantic**: it changes what the
-/// simulation computes, exactly like a seed. It only fills in specs whose
-/// config left `adversary` / `churn` unset, so figure generators that pin
-/// their own adversarial settings (EXT5) are immune.
+/// Adversary/churn override for a sweep ([`SweepConfig::adversary`]).
+/// Every field left `None` keeps the documented default.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct AdversaryOverride {
     /// Adversary fraction; `Some` activates the adversary subsystem for
@@ -281,20 +204,25 @@ impl AdversaryOverride {
     /// Epoch interval used when churn is activated by `churn_rate` alone.
     pub const DEFAULT_CHURN_INTERVAL: SimTime = SimTime::from_millis(400);
 
+    /// The adversary config this override fills in, if it sets a fraction.
+    fn adversary(&self) -> Option<AdversaryConfig> {
+        self.fraction.map(|fraction| AdversaryConfig {
+            fraction,
+            behavior: self.behavior.unwrap_or(NodeBehavior::Flooding),
+            attack_start: self.attack_start.unwrap_or(SimTime::ZERO),
+            attack_factor: self.attack_factor.unwrap_or(2),
+            explicit: None,
+        })
+    }
+
     /// Fills `config`'s unset `adversary` / `churn` slots from this
-    /// override. Values are validated by `Simulation::new`, not here, so a
-    /// bad override fails the spec with a message instead of panicking.
+    /// override. Callers check the values up front with
+    /// [`AdversaryOverride::validate`]; `Simulation::new` checks them
+    /// again, so an unchecked bad override fails its spec with a message
+    /// instead of panicking.
     pub fn apply(&self, config: &mut SimConfig) {
         if config.adversary.is_none() {
-            if let Some(fraction) = self.fraction {
-                config.adversary = Some(AdversaryConfig {
-                    fraction,
-                    behavior: self.behavior.unwrap_or(NodeBehavior::Flooding),
-                    attack_start: self.attack_start.unwrap_or(SimTime::ZERO),
-                    attack_factor: self.attack_factor.unwrap_or(2),
-                    explicit: None,
-                });
-            }
+            config.adversary = self.adversary();
         }
         if config.churn.is_none() {
             if let Some(fraction) = self.churn_rate {
@@ -305,74 +233,35 @@ impl AdversaryOverride {
             }
         }
     }
+
+    /// Checks the values [`AdversaryOverride::apply`] would fill in, with
+    /// the same rules the engine enforces on them.
+    ///
+    /// # Errors
+    ///
+    /// Returns the adversary or churn config's own message: a fraction or
+    /// churn rate outside `[0, 1]` (NaN included), or a zero attack factor.
+    pub fn validate(&self) -> Result<(), String> {
+        if let Some(adversary) = self.adversary() {
+            adversary.validate()?;
+        }
+        if let Some(rate) = self.churn_rate {
+            ChurnConfig::new(Self::DEFAULT_CHURN_INTERVAL, rate)?;
+        }
+        Ok(())
+    }
 }
 
-/// The process-wide [`AdversaryOverride`] (see [`set_default_adversary`]).
-static DEFAULT_ADVERSARY: Mutex<AdversaryOverride> = Mutex::new(AdversaryOverride {
-    fraction: None,
-    behavior: None,
-    attack_start: None,
-    attack_factor: None,
-    churn_rate: None,
-});
-
-/// Sets the process-wide adversary/churn override routed into every sweep
-/// that goes through [`run_specs`] — all the `figures` generators, and
-/// through them the `repro` bin's `--adversary-fraction`,
-/// `--adversary-behavior`, `--attack-start`, `--attack-factor`, and
-/// `--churn-rate` flags. A **semantic** knob: byte-diffing figure JSON
-/// across different overrides is expected to differ; byte-diffing across
-/// worker/kernel/layout knobs under the *same* override must not.
-pub fn set_default_adversary(over: AdversaryOverride) {
-    *DEFAULT_ADVERSARY.lock().expect("override mutex poisoned") = over;
-}
-
-/// The process-wide adversary/churn override (see
-/// [`set_default_adversary`]).
-#[must_use]
-pub fn default_adversary() -> AdversaryOverride {
-    *DEFAULT_ADVERSARY.lock().expect("override mutex poisoned")
-}
-
-/// The process-wide contact-plan override (see
-/// [`set_default_contact_plan`]).
-static DEFAULT_CONTACT_PLAN: Mutex<Option<ContactPlan>> = Mutex::new(None);
-
-/// Sets the process-wide contact-plan override routed into every sweep
-/// that goes through [`run_specs`] — all the `figures` generators, and
-/// through them the `repro` bin's `--contact-plan` flag. Like the
-/// adversary/churn override this is a **semantic** knob: scheduled
-/// connectivity changes what the simulation computes, exactly like a
-/// seed. It only fills in specs whose config left `contact_plan` unset,
-/// so figure generators that pin their own plans (EXT6) are immune.
-/// `None` clears the override.
-pub fn set_default_contact_plan(plan: Option<ContactPlan>) {
-    *DEFAULT_CONTACT_PLAN
-        .lock()
-        .expect("contact-plan mutex poisoned") = plan;
-}
-
-/// The process-wide contact-plan override (see
-/// [`set_default_contact_plan`]).
-#[must_use]
-pub fn default_contact_plan() -> Option<ContactPlan> {
-    DEFAULT_CONTACT_PLAN
-        .lock()
-        .expect("contact-plan mutex poisoned")
-        .clone()
-}
-
-/// Runs one spec, containing failures: an engine error or a panic inside
-/// the run becomes an `Err` carrying the message, so one bad spec can
-/// never poison, reorder, or abort its siblings.
-fn run_one(spec: &RunSpec) -> Result<RunMetrics, String> {
+/// Runs one spec under the sweep's overrides, containing failures: an
+/// engine error or a panic inside the run becomes an `Err` carrying the
+/// message, so one bad spec can never poison, reorder, or abort its
+/// siblings.
+fn run_one(spec: &RunSpec, sweep: &SweepConfig) -> Result<RunMetrics, String> {
     let run = || {
         let mut config = spec.config.clone();
-        config.event_kernel = default_event_kernel();
-        config.table_layout = default_table_layout();
-        default_adversary().apply(&mut config);
+        sweep.adversary.apply(&mut config);
         if config.contact_plan.is_none() {
-            config.contact_plan = default_contact_plan();
+            config.contact_plan = sweep.contact_plan.clone();
         }
         Simulation::run_with(config, spec.topology.clone(), spec.plan.clone())
     };
@@ -405,15 +294,15 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 #[must_use]
 pub fn try_run_specs(
     specs: Vec<RunSpec>,
-    config: SweepConfig,
+    sweep: &SweepConfig,
 ) -> Vec<(String, Result<RunMetrics, String>)> {
-    let workers = config.resolved(specs.len());
+    let workers = sweep.resolved(specs.len());
     let mut outcomes: Vec<Option<Result<RunMetrics, String>>> = Vec::new();
     outcomes.resize_with(specs.len(), || None);
     if workers <= 1 {
         // The sequential reference path every pool size must reproduce.
         for (slot, spec) in specs.iter().enumerate() {
-            outcomes[slot] = Some(run_one(spec));
+            outcomes[slot] = Some(run_one(spec, sweep));
         }
     } else {
         let next = AtomicUsize::new(0);
@@ -428,7 +317,7 @@ pub fn try_run_specs(
                             if slot >= specs_ref.len() {
                                 break;
                             }
-                            claimed.push((slot, run_one(&specs_ref[slot])));
+                            claimed.push((slot, run_one(&specs_ref[slot], sweep)));
                         }
                         claimed
                     })
@@ -465,26 +354,14 @@ pub fn try_run_specs(
 /// every sibling has finished: one bad spec is deterministic to diagnose
 /// and cannot poison the rest of the sweep.
 #[must_use]
-pub fn run_specs_with(specs: Vec<RunSpec>, config: SweepConfig) -> Vec<(String, RunMetrics)> {
-    try_run_specs(specs, config)
+pub fn run_specs_with(specs: Vec<RunSpec>, sweep: &SweepConfig) -> Vec<(String, RunMetrics)> {
+    try_run_specs(specs, sweep)
         .into_iter()
         .map(|(label, outcome)| match outcome {
             Ok(metrics) => (label, metrics),
             Err(e) => panic!("spec '{label}' failed: {e}"),
         })
         .collect()
-}
-
-/// [`run_specs_with`] under the process-wide default pool size (auto,
-/// unless [`set_default_workers`] overrode it) — the entry point every
-/// figure sweep routes through.
-///
-/// # Panics
-///
-/// As [`run_specs_with`].
-#[must_use]
-pub fn run_specs(specs: Vec<RunSpec>) -> Vec<(String, RunMetrics)> {
-    run_specs_with(specs, default_sweep_config())
 }
 
 #[cfg(test)]
@@ -531,7 +408,7 @@ mod tests {
             mk(&topo, &plan, "b", ProtocolKind::Spin),
             mk(&topo, &plan, "c", ProtocolKind::Spms),
         ];
-        let out = run_specs(specs);
+        let out = run_specs_with(specs, &SweepConfig::auto());
         assert_eq!(out.len(), 3);
         assert_eq!(out[0].0, "a");
         assert_eq!(out[1].0, "b");
@@ -579,6 +456,40 @@ mod tests {
     }
 
     #[test]
+    fn bad_adversary_overrides_are_rejected_up_front() {
+        let over = |fraction, attack_factor, churn_rate| AdversaryOverride {
+            fraction,
+            attack_factor,
+            churn_rate,
+            ..AdversaryOverride::default()
+        };
+        assert_eq!(AdversaryOverride::default().validate(), Ok(()));
+        assert_eq!(over(Some(0.2), Some(3), Some(0.25)).validate(), Ok(()));
+        // An attack factor without a fraction activates nothing.
+        assert_eq!(over(None, Some(0), None).validate(), Ok(()));
+        for (bad, want) in [
+            (
+                over(Some(2.0), None, None),
+                "adversary fraction 2 outside [0, 1]",
+            ),
+            (
+                over(Some(f64::NAN), None, None),
+                "adversary fraction NaN outside [0, 1]",
+            ),
+            (
+                over(None, None, Some(-1.0)),
+                "churn fraction -1 outside [0, 1]",
+            ),
+            (
+                over(Some(0.2), Some(0), None),
+                "attack_factor must be at least 1",
+            ),
+        ] {
+            assert_eq!(bad.validate(), Err(want.to_string()), "{bad:?}");
+        }
+    }
+
+    #[test]
     fn worker_counts_resolve_sanely() {
         assert_eq!(SweepConfig::default(), SweepConfig::auto());
         assert_eq!(SweepConfig::with_workers(3).resolved(10), 3);
@@ -603,7 +514,7 @@ mod tests {
             mk(&topo, &plan, "good-2", ProtocolKind::Spms),
         ];
         for workers in [1usize, 2, 4] {
-            let out = try_run_specs(specs.clone(), SweepConfig::with_workers(workers));
+            let out = try_run_specs(specs.clone(), &SweepConfig::with_workers(workers));
             let labels: Vec<&str> = out.iter().map(|(l, _)| l.as_str()).collect();
             assert_eq!(labels, ["good-0", "bad", "good-2"], "{workers} workers");
             assert!(out[1].1.is_err(), "{workers} workers: bad spec must fail");
@@ -627,7 +538,7 @@ mod tests {
             bad("bad-late"),
         ];
         let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_specs_with(specs, SweepConfig::with_workers(2))
+            run_specs_with(specs, &SweepConfig::with_workers(2))
         }))
         .expect_err("a failed spec must fail the sweep");
         let text = panic_text(err.as_ref());

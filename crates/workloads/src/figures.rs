@@ -2,14 +2,14 @@
 //!
 //! Every generator returns a [`FigureResult`] carrying the same series the
 //! paper plots, plus notes comparing the measured shape against the paper's
-//! claims. EXPERIMENTS.md records the paper-vs-measured comparison produced
-//! by these functions.
+//! claims. Every seeded generator runs its specs through the sweep
+//! executor under the caller's [`SweepConfig`].
 
 use spms::{ProtocolKind, RoutingMode, RunMetrics, SimConfig, TrafficPlan};
 use spms_kernel::SimTime;
 use spms_net::{placement, FailureConfig, MobilityConfig, Topology};
 
-use crate::experiment::{run_specs, RunSpec, Scale};
+use crate::experiment::{run_specs_with, RunSpec, Scale, SweepConfig};
 use crate::traffic;
 
 /// One plotted series.
@@ -154,6 +154,7 @@ pub fn fig5(_scale: &Scale) -> FigureResult {
 fn node_sweep(
     scale: &Scale,
     seed: u64,
+    sweep: &SweepConfig,
     failures: Option<FailureConfig>,
 ) -> Vec<(String, RunMetrics)> {
     let mut specs = Vec::new();
@@ -177,13 +178,14 @@ fn node_sweep(
             });
         }
     }
-    run_specs(specs)
+    run_specs_with(specs, sweep)
 }
 
 /// Shared sweep over transmission radii at the scale's default node count.
 fn radius_sweep(
     scale: &Scale,
     seed: u64,
+    sweep: &SweepConfig,
     failures: Option<FailureConfig>,
     mobility: Option<MobilityConfig>,
     cluster: bool,
@@ -230,14 +232,14 @@ fn radius_sweep(
             });
         }
     }
-    run_specs(specs)
+    run_specs_with(specs, sweep)
 }
 
 /// Figures 6 and 8: energy per packet and average delay vs node count
 /// (static failure-free, radius 20 m).
 #[must_use]
-pub fn fig6_fig8(scale: &Scale, seed: u64) -> (FigureResult, FigureResult) {
-    let results = node_sweep(scale, seed, None);
+pub fn fig6_fig8(scale: &Scale, seed: u64, sweep: &SweepConfig) -> (FigureResult, FigureResult) {
+    let results = node_sweep(scale, seed, sweep, None);
     let xs: Vec<f64> = scale.node_counts.iter().map(|&n| n as f64).collect();
     let spms_e = series_of(&results, "SPMS", RunMetrics::energy_per_packet_uj, &xs);
     let spin_e = series_of(&results, "SPIN", RunMetrics::energy_per_packet_uj, &xs);
@@ -281,8 +283,8 @@ pub fn fig6_fig8(scale: &Scale, seed: u64) -> (FigureResult, FigureResult) {
 /// Figures 7 and 9: energy per packet and average delay vs transmission
 /// radius (static failure-free, N = default).
 #[must_use]
-pub fn fig7_fig9(scale: &Scale, seed: u64) -> (FigureResult, FigureResult) {
-    let results = radius_sweep(scale, seed, None, None, false);
+pub fn fig7_fig9(scale: &Scale, seed: u64, sweep: &SweepConfig) -> (FigureResult, FigureResult) {
+    let results = radius_sweep(scale, seed, sweep, None, None, false);
     let xs = scale.radii_m.clone();
     let spms_e = series_of(&results, "SPMS", RunMetrics::energy_per_packet_uj, &xs);
     let spin_e = series_of(&results, "SPIN", RunMetrics::energy_per_packet_uj, &xs);
@@ -326,9 +328,9 @@ pub fn fig7_fig9(scale: &Scale, seed: u64) -> (FigureResult, FigureResult) {
 /// Figure 10: delay vs node count with transient failures — four series
 /// (SPMS, F-SPMS, SPIN, F-SPIN).
 #[must_use]
-pub fn fig10(scale: &Scale, seed: u64) -> FigureResult {
-    let ff = node_sweep(scale, seed, None);
-    let f = node_sweep(scale, seed, Some(FailureConfig::paper_defaults()));
+pub fn fig10(scale: &Scale, seed: u64, sweep: &SweepConfig) -> FigureResult {
+    let ff = node_sweep(scale, seed, sweep, None);
+    let f = node_sweep(scale, seed, sweep, Some(FailureConfig::paper_defaults()));
     let xs: Vec<f64> = scale.node_counts.iter().map(|&n| n as f64).collect();
     let spms = series_of(&ff, "SPMS", RunMetrics::avg_delay_ms, &xs);
     let spin = series_of(&ff, "SPIN", RunMetrics::avg_delay_ms, &xs);
@@ -365,11 +367,12 @@ pub fn fig10(scale: &Scale, seed: u64) -> FigureResult {
 
 /// Figure 11: delay vs transmission radius with transient failures.
 #[must_use]
-pub fn fig11(scale: &Scale, seed: u64) -> FigureResult {
-    let ff = radius_sweep(scale, seed, None, None, false);
+pub fn fig11(scale: &Scale, seed: u64, sweep: &SweepConfig) -> FigureResult {
+    let ff = radius_sweep(scale, seed, sweep, None, None, false);
     let f = radius_sweep(
         scale,
         seed,
+        sweep,
         Some(FailureConfig::paper_defaults()),
         None,
         false,
@@ -412,8 +415,8 @@ pub fn fig12_mobility(scale: &Scale) -> MobilityConfig {
 /// SPMS runs distributed Bellman-Ford and is charged for every
 /// re-convergence.
 #[must_use]
-pub fn fig12(scale: &Scale, seed: u64) -> FigureResult {
-    let results = radius_sweep(scale, seed, None, Some(fig12_mobility(scale)), false);
+pub fn fig12(scale: &Scale, seed: u64, sweep: &SweepConfig) -> FigureResult {
+    let results = radius_sweep(scale, seed, sweep, None, Some(fig12_mobility(scale)), false);
     let xs = scale.radii_m.clone();
     let spms = series_of(&results, "SPMS", RunMetrics::energy_per_packet_uj, &xs);
     let spin = series_of(&results, "SPIN", RunMetrics::energy_per_packet_uj, &xs);
@@ -484,11 +487,12 @@ pub fn fig12(scale: &Scale, seed: u64) -> FigureResult {
 /// Figure 13: energy vs transmission radius for cluster-based hierarchical
 /// communication, failure-free and with failures.
 #[must_use]
-pub fn fig13(scale: &Scale, seed: u64) -> FigureResult {
-    let ff = radius_sweep(scale, seed, None, None, true);
+pub fn fig13(scale: &Scale, seed: u64, sweep: &SweepConfig) -> FigureResult {
+    let ff = radius_sweep(scale, seed, sweep, None, None, true);
     let f = radius_sweep(
         scale,
         seed,
+        sweep,
         Some(FailureConfig::paper_defaults()),
         None,
         true,
@@ -530,7 +534,7 @@ pub fn fig13(scale: &Scale, seed: u64) -> FigureResult {
 /// Returns (delivery-ratio figure, energy-per-delivery figure). The energy
 /// figure omits protocols/points with zero deliveries.
 #[must_use]
-pub fn ext1(scale: &Scale, seed: u64) -> (FigureResult, FigureResult) {
+pub fn ext1(scale: &Scale, seed: u64, sweep: &SweepConfig) -> (FigureResult, FigureResult) {
     let lengths: &[usize] = if scale.node_counts.len() >= 4 {
         &[9, 13, 17, 21, 25]
     } else {
@@ -560,7 +564,7 @@ pub fn ext1(scale: &Scale, seed: u64) -> (FigureResult, FigureResult) {
             });
         }
     }
-    let results = run_specs(specs);
+    let results = run_specs_with(specs, sweep);
     let xs: Vec<f64> = lengths
         .iter()
         .map(|&l| (l as f64 - 1.0) * scale.spacing_m)
@@ -660,8 +664,8 @@ pub fn ext1(scale: &Scale, seed: u64) -> (FigureResult, FigureResult) {
 /// so its hottest node runs away with the radius; SPMS spreads the load
 /// across relays.
 #[must_use]
-pub fn ext2(scale: &Scale, seed: u64) -> FigureResult {
-    let results = radius_sweep(scale, seed, None, None, false);
+pub fn ext2(scale: &Scale, seed: u64, sweep: &SweepConfig) -> FigureResult {
+    let results = radius_sweep(scale, seed, sweep, None, None, false);
     let xs = scale.radii_m.clone();
     let hottest_per_packet = |m: &RunMetrics| {
         if m.packets_generated == 0 {
@@ -714,7 +718,7 @@ pub fn ext2(scale: &Scale, seed: u64) -> FigureResult {
 /// low-power multi-hop spends roughly an order of magnitude less per
 /// delivery, so its curve dominates SPIN's at every capacity.
 #[must_use]
-pub fn ext3(scale: &Scale, seed: u64) -> FigureResult {
+pub fn ext3(scale: &Scale, seed: u64, sweep: &SweepConfig) -> FigureResult {
     let n = 25usize; // 5×5 grid: lifetime runs execute to total exhaustion
     let capacities = [1.0f64, 2.0, 4.0, 8.0, 16.0];
     let packets = scale.packets_per_node.max(6);
@@ -734,7 +738,7 @@ pub fn ext3(scale: &Scale, seed: u64) -> FigureResult {
             });
         }
     }
-    let results = run_specs(specs);
+    let results = run_specs_with(specs, sweep);
     let xs: Vec<f64> = capacities.to_vec();
     let spms = series_of(&results, "SPMS", |m| m.deliveries as f64, &xs);
     let spin = series_of(&results, "SPIN", |m| m.deliveries as f64, &xs);
@@ -775,15 +779,12 @@ pub fn ext3(scale: &Scale, seed: u64) -> FigureResult {
 
 /// EXT4 (no paper figure): the high-rate many-flow regime — every node a
 /// concurrent Poisson source ([`traffic::many_flows`]), arrival gap swept
-/// from relaxed to saturating. This is the event-kernel stress workload:
+/// from relaxed to saturating. This is the event-queue stress workload:
 /// at the tightest gap the engine's pending-event population and
-/// same-instant tie traffic peak, which is the regime the timer-wheel
-/// kernel exists for. The plotted series (deliveries and events processed
-/// per generated packet) are **kernel-independent by construction** —
-/// sweep-smoke CI runs this figure under `--event-kernel heap` and
-/// `--event-kernel wheel` and byte-diffs the JSON.
+/// same-instant tie traffic peak. The plotted series are deliveries and
+/// engine events processed per generated packet.
 #[must_use]
-pub fn ext4(scale: &Scale, seed: u64) -> FigureResult {
+pub fn ext4(scale: &Scale, seed: u64, sweep: &SweepConfig) -> FigureResult {
     let n = 25usize; // 5×5 grid keeps the saturating sweep CI-sized
     let gaps_us = [2000.0f64, 500.0, 100.0, 25.0];
     let packets = scale.packets_per_node.max(4);
@@ -803,7 +804,7 @@ pub fn ext4(scale: &Scale, seed: u64) -> FigureResult {
             });
         }
     }
-    let results = run_specs(specs);
+    let results = run_specs_with(specs, sweep);
     let xs: Vec<f64> = gaps_us.to_vec();
     let deliveries = |m: &RunMetrics| m.deliveries as f64;
     let events_per_packet = |m: &RunMetrics| {
@@ -837,10 +838,7 @@ pub fn ext4(scale: &Scale, seed: u64) -> FigureResult {
         y_label: "deliveries / engine events per packet",
         series: vec![spms_del, spin_del, spms_ev, spin_ev],
         notes: vec![
-            format!(
-                "{total_events} engine events across the sweep (kernel-independent; \
-                 CI byte-diffs this figure across --event-kernel heap/wheel)"
-            ),
+            format!("{total_events} engine events across the sweep (kernel-independent)"),
             format!("peak event amplification: {peak_ev:.0} engine events per generated packet"),
         ],
     }
@@ -855,11 +853,11 @@ pub fn ext4(scale: &Scale, seed: u64) -> FigureResult {
 /// additionally pays REQ/τDAT failovers for requests lured to attackers.
 ///
 /// Every spec pins its own [`spms::AdversaryConfig`], so the figure is
-/// immune to the process-wide `--adversary-*` override — which is what
-/// lets the adversarial-smoke CI step byte-diff its JSON across `--workers`
-/// while still sweeping fractions *inside* the figure.
+/// immune to [`SweepConfig::adversary`] (the `--adversary-*` flags) —
+/// which is what lets the adversarial-smoke CI step byte-diff its JSON
+/// across `--workers` while still sweeping fractions *inside* the figure.
 #[must_use]
-pub fn ext5(scale: &Scale, seed: u64) -> FigureResult {
+pub fn ext5(scale: &Scale, seed: u64, sweep: &SweepConfig) -> FigureResult {
     // A 5×5 grid as EXT3/EXT4. Two fractions at smoke scale (the CI
     // adversarial-smoke sweep), a five-point curve at quick/paper scale.
     let n = 25usize;
@@ -896,7 +894,7 @@ pub fn ext5(scale: &Scale, seed: u64) -> FigureResult {
             });
         }
     }
-    let results = run_specs(specs);
+    let results = run_specs_with(specs, sweep);
     let xs: Vec<f64> = fractions.clone();
     let mut series = Vec::new();
     for protocol in protocols {
@@ -951,12 +949,12 @@ pub fn ext5(scale: &Scale, seed: u64) -> FigureResult {
 /// never cross it, so delivery degrades toward the intra-half ceiling.
 ///
 /// Every spec pins its own [`SimConfig::contact_plan`], so the figure is
-/// immune to the process-wide `--contact-plan` override — which is what
-/// lets the sweep-smoke CI step byte-diff its JSON across `--workers` and
-/// `--event-kernel` while still sweeping duty cycles *inside* the figure.
+/// immune to [`SweepConfig::contact_plan`] (the `--contact-plan` flag) —
+/// which is what lets the sweep-smoke CI step byte-diff its JSON across
+/// `--workers` while still sweeping duty cycles *inside* the figure.
 /// Returns (delivery-ratio figure, energy-per-delivery figure).
 #[must_use]
-pub fn ext6(scale: &Scale, seed: u64) -> (FigureResult, FigureResult) {
+pub fn ext6(scale: &Scale, seed: u64, sweep: &SweepConfig) -> (FigureResult, FigureResult) {
     // A 5×5 grid as EXT3–EXT5. Two duty cycles at smoke scale (the CI
     // sweep-smoke step), a five-point curve at quick/paper scale.
     let side = 5usize;
@@ -993,7 +991,7 @@ pub fn ext6(scale: &Scale, seed: u64) -> (FigureResult, FigureResult) {
             });
         }
     }
-    let results = run_specs(specs);
+    let results = run_specs_with(specs, sweep);
     // Labels are "{name} d={duty}"; match on the full prefix so FLOOD
     // cannot swallow a future FLOOD-variant the way bare prefixes would.
     let pick = |name: &str, f: &dyn Fn(&RunMetrics) -> f64| SeriesData {
@@ -1138,6 +1136,7 @@ pub fn breakeven_report() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::AdversaryOverride;
 
     #[test]
     fn fig3_and_fig5_are_cheap_and_labelled() {
@@ -1152,7 +1151,7 @@ mod tests {
     #[test]
     fn fig6_fig8_shapes_hold_at_smoke_scale() {
         let scale = Scale::smoke();
-        let (f6, f8) = fig6_fig8(&scale, 1);
+        let (f6, f8) = fig6_fig8(&scale, 1, &SweepConfig::auto());
         let spms = f6.series_named("SPMS").unwrap();
         let spin = f6.series_named("SPIN").unwrap();
         // SPMS uses less energy per packet at every network size.
@@ -1168,45 +1167,20 @@ mod tests {
     }
 
     #[test]
-    fn ext4_many_flow_figure_is_kernel_independent() {
-        use crate::experiment::set_default_event_kernel;
-        use spms::EventKernel;
+    fn ext4_many_flow_figure_is_worker_independent() {
         let scale = Scale::smoke();
-        let heap = ext4(&scale, 3);
-        assert_eq!(heap.series.len(), 4);
-        for s in &heap.series {
+        let sequential = ext4(&scale, 3, &SweepConfig::with_workers(1));
+        assert_eq!(sequential.series.len(), 4);
+        for s in &sequential.series {
             assert_eq!(s.points.len(), 4, "one point per arrival gap");
         }
         assert!(
-            heap.notes.iter().any(|n| n.contains("engine events")),
+            sequential.notes.iter().any(|n| n.contains("engine events")),
             "notes must surface the event volume: {:?}",
-            heap.notes
+            sequential.notes
         );
-        // The sweep-smoke CI step byte-diffs this figure's JSON across
-        // kernels; assert the same equality in-process for both wheel
-        // modes (every series point, title, and note identical).
-        for kernel in [EventKernel::Wheel, EventKernel::WheelBatched] {
-            set_default_event_kernel(kernel);
-            let got = ext4(&scale, 3);
-            set_default_event_kernel(EventKernel::Heap);
-            assert_eq!(got, heap, "{kernel} vs heap");
-        }
-    }
-
-    #[test]
-    fn fig12_figure_is_table_layout_independent() {
-        use crate::experiment::set_default_table_layout;
-        use spms::TableLayout;
-        // The sweep-smoke CI step byte-diffs fig12's JSON across
-        // `--table-layout soa|aos`; assert the same equality in-process —
-        // the routing-arena layout is a wall-clock knob only, never a
-        // results knob.
-        let scale = Scale::smoke();
-        let soa = fig12(&scale, 5);
-        set_default_table_layout(TableLayout::Aos);
-        let aos = fig12(&scale, 5);
-        set_default_table_layout(TableLayout::Soa);
-        assert_eq!(aos, soa, "aos vs soa");
+        // Every series point, title, and note is identical on a pool.
+        assert_eq!(ext4(&scale, 3, &SweepConfig::with_workers(2)), sequential);
     }
 
     #[test]
@@ -1225,7 +1199,8 @@ mod tests {
         // zone-patch, shard-planner and epoch-batching counters with the
         // values the runs actually recorded.
         let scale = Scale::smoke();
-        let results = radius_sweep(&scale, 7, None, Some(fig12_mobility(&scale)), false);
+        let sweep = SweepConfig::auto();
+        let results = radius_sweep(&scale, 7, &sweep, None, Some(fig12_mobility(&scale)), false);
         let spms: Vec<&RunMetrics> = results
             .iter()
             .filter(|(l, _)| l.starts_with("SPMS"))
@@ -1242,7 +1217,7 @@ mod tests {
             assert_eq!(m.routing.batch_windows, m.mobility_epochs);
             assert_eq!(m.routing.epochs_coalesced, 0);
         }
-        let fig = fig12(&scale, 7);
+        let fig = fig12(&scale, 7, &sweep);
         let sharded: u64 = spms.iter().map(|m| m.routing.sharded_executions).sum();
         let windows: u64 = spms.iter().map(|m| m.routing.batch_windows).sum();
         let patches: u64 = spms.iter().map(|m| m.routing.zone_patches).sum();
@@ -1266,7 +1241,7 @@ mod tests {
     #[test]
     fn ext1_delivery_and_energy_shapes_hold() {
         let scale = Scale::smoke();
-        let (a, b) = ext1(&scale, 3);
+        let (a, b) = ext1(&scale, 3, &SweepConfig::auto());
         // Delivery: SPMS-IZ and FLOOD full, base SPMS empty beyond a zone.
         let ratio =
             |fig: &FigureResult, name: &str| fig.series_named(name).unwrap().points.to_vec();
@@ -1287,7 +1262,7 @@ mod tests {
     #[test]
     fn ext3_lifetime_curves_dominate() {
         let scale = Scale::smoke();
-        let f = ext3(&scale, 5);
+        let f = ext3(&scale, 5, &SweepConfig::auto());
         let spms = f.series_named("SPMS").unwrap();
         let spin = f.series_named("SPIN").unwrap();
         assert_eq!(spms.points.len(), 5);
@@ -1301,10 +1276,8 @@ mod tests {
 
     #[test]
     fn ext5_adversary_figure_degrades_delivery_and_is_knob_independent() {
-        use crate::experiment::{set_default_event_kernel, set_default_table_layout};
-        use spms::{EventKernel, TableLayout};
         let scale = Scale::smoke();
-        let base = ext5(&scale, 9);
+        let base = ext5(&scale, 9, &SweepConfig::auto());
         assert_eq!(base.series.len(), 6, "delivery + energy per protocol");
         for s in &base.series {
             assert_eq!(s.points.len(), 2, "smoke scale sweeps two fractions");
@@ -1329,28 +1302,25 @@ mod tests {
             "notes must surface the adversary counters: {:?}",
             base.notes
         );
-        // Adversaries and churn are semantic knobs; kernels, layouts, and
-        // worker pools stay wall-clock-only even under attack. The
-        // adversarial-smoke CI step byte-diffs this figure's JSON across
-        // --workers; assert the kernel/layout legs in-process.
-        for kernel in [EventKernel::Wheel, EventKernel::WheelBatched] {
-            set_default_event_kernel(kernel);
-            let got = ext5(&scale, 9);
-            set_default_event_kernel(EventKernel::Heap);
-            assert_eq!(got, base, "{kernel} vs heap");
-        }
-        set_default_table_layout(TableLayout::Aos);
-        let aos = ext5(&scale, 9);
-        set_default_table_layout(TableLayout::Soa);
-        assert_eq!(aos, base, "aos vs soa");
+        // Adversaries and churn are semantic knobs; the worker pool stays
+        // wall-clock-only even under attack. Every spec pins its own
+        // adversary, so a sweep-level override must leave the figure alone.
+        assert_eq!(ext5(&scale, 9, &SweepConfig::with_workers(1)), base);
+        let attacked = SweepConfig {
+            adversary: AdversaryOverride {
+                fraction: Some(0.5),
+                behavior: Some(spms::NodeBehavior::SilentDropper),
+                ..AdversaryOverride::default()
+            },
+            ..SweepConfig::auto()
+        };
+        assert_eq!(ext5(&scale, 9, &attacked), base, "pinned specs are immune");
     }
 
     #[test]
     fn ext6_contact_figure_degrades_delivery_and_is_knob_independent() {
-        use crate::experiment::{set_default_event_kernel, set_default_table_layout};
-        use spms::{EventKernel, TableLayout};
         let scale = Scale::smoke();
-        let (base, energy) = ext6(&scale, 11);
+        let (base, energy) = ext6(&scale, 11, &SweepConfig::auto());
         assert_eq!(base.series.len(), 3, "delivery per protocol");
         for s in &base.series {
             assert_eq!(s.points.len(), 2, "smoke scale sweeps two duty cycles");
@@ -1389,29 +1359,27 @@ mod tests {
             "energy notes must round-trip the schedule: {:?}",
             energy.notes
         );
-        // The contact plan is a semantic knob; kernels, layouts, and
-        // worker pools stay wall-clock-only even under scheduled
-        // connectivity. The sweep-smoke CI step byte-diffs this figure's
-        // JSON across --workers and --event-kernel; assert the
-        // kernel/layout legs in-process.
-        for kernel in [EventKernel::Wheel, EventKernel::WheelBatched] {
-            set_default_event_kernel(kernel);
-            let got = ext6(&scale, 11);
-            set_default_event_kernel(EventKernel::Heap);
-            assert_eq!(got.0, base, "{kernel} vs heap");
-            assert_eq!(got.1, energy, "{kernel} vs heap (energy)");
-        }
-        set_default_table_layout(TableLayout::Aos);
-        let aos = ext6(&scale, 11);
-        set_default_table_layout(TableLayout::Soa);
-        assert_eq!(aos.0, base, "aos vs soa");
-        assert_eq!(aos.1, energy, "aos vs soa (energy)");
+        // The contact plan is a semantic knob; the worker pool stays
+        // wall-clock-only even under scheduled connectivity. Every spec
+        // pins its own plan, so a sweep-level plan that severs a link for
+        // the whole run must leave the figure alone.
+        let sequential = ext6(&scale, 11, &SweepConfig::with_workers(1));
+        assert_eq!(sequential, (base.clone(), energy.clone()));
+        let severed = SweepConfig {
+            contact_plan: Some(spms_net::ContactPlan::parse("0 1 1000000 1000001\n").unwrap()),
+            ..SweepConfig::auto()
+        };
+        assert_eq!(
+            ext6(&scale, 11, &severed),
+            (base, energy),
+            "pinned specs are immune"
+        );
     }
 
     #[test]
     fn ext2_hottest_node_favors_spms() {
         let scale = Scale::smoke();
-        let f = ext2(&scale, 4);
+        let f = ext2(&scale, 4, &SweepConfig::auto());
         let spms = f.series_named("SPMS hottest").unwrap();
         let spin = f.series_named("SPIN hottest").unwrap();
         assert_eq!(spms.points.len(), scale.radii_m.len());

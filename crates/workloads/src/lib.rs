@@ -11,7 +11,8 @@
 //!   `SimConfig::contact_plan`,
 //! * [`experiment`] — run specifications and the deterministic parallel
 //!   sweep executor (a [`SweepConfig`]-sized worker pool whose results are
-//!   byte-identical to the sequential path for any worker count),
+//!   byte-identical to the sequential path for any worker count, plus the
+//!   sweep's adversary and contact-plan overrides),
 //! * [`figures`] — one generator per paper figure (3, 5, 6–13), each
 //!   returning a [`FigureResult`] with the same series the paper plots,
 //!   plus the EXT1 (inter-zone) and EXT2 (network-lifetime) extension
@@ -39,10 +40,7 @@ pub mod traffic;
 
 pub use contact_plans::{interregional, satellite_passes};
 pub use experiment::{
-    default_adversary, default_contact_plan, default_event_kernel, default_sweep_config,
-    default_table_layout, run_specs, run_specs_with, set_default_adversary,
-    set_default_contact_plan, set_default_event_kernel, set_default_table_layout,
-    set_default_workers, try_run_specs, AdversaryOverride, RunSpec, Scale, SweepConfig,
+    run_specs_with, try_run_specs, AdversaryOverride, RunSpec, Scale, SweepConfig,
 };
 pub use figures::{FigureResult, SeriesData};
 pub use replication::{

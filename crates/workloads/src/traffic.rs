@@ -67,11 +67,9 @@ pub fn all_to_all(
 /// Unlike [`all_to_all`] — one network-wide process with round-robin
 /// sources, so the event queue holds one generation at a time — this plan
 /// front-loads `num_nodes` interleaved flows whose arrivals collide within
-/// microseconds of each other. It is the event-kernel stress regime: many
+/// microseconds of each other. It is the event-queue stress regime: many
 /// near-simultaneous timers, deep pending-event populations, and heavy
-/// same-instant FIFO traffic, which is exactly where the timer wheel's
-/// O(1) amortized schedule/pop pays off over the heap's `O(log n)` sifts
-/// (see the `kernel_event_wheel` benches and the EXT4 figure).
+/// same-instant FIFO traffic (see the EXT4 figure).
 ///
 /// Generations are merged across flows into one global `(time, source)`
 /// order, so the plan — and every run of it — is deterministic.

@@ -15,13 +15,18 @@
 //!    its own slot: every sibling still lands in input order with the
 //!    metrics a clean sweep produces, and `run_specs_with` reports the
 //!    first failure in *input* order, not completion order.
+//! 3. **A sweep's overrides stay its own.** Two sweeps with different
+//!    semantic overrides, run at the same time in one process, each match
+//!    their own single-worker run.
+
+use std::sync::Barrier;
 
 use proptest::prelude::*;
-use spms::{ProtocolKind, SimConfig, TrafficPlan};
+use spms::{NodeBehavior, ProtocolKind, SimConfig, TrafficPlan};
 use spms_kernel::SimTime;
-use spms_net::{placement, NodeId, Topology};
+use spms_net::{placement, ContactPlan, NodeId, Topology};
 use spms_workloads::traffic;
-use spms_workloads::{run_specs_with, try_run_specs, RunSpec, SweepConfig};
+use spms_workloads::{run_specs_with, try_run_specs, AdversaryOverride, RunSpec, SweepConfig};
 
 fn spec(
     topo: &Topology,
@@ -82,9 +87,9 @@ proptest! {
                 spec(&topo, &format!("spec-{i}"), protocol, seed, plan)
             })
             .collect();
-        let reference = run_specs_with(specs.clone(), SweepConfig::with_workers(1));
+        let reference = run_specs_with(specs.clone(), &SweepConfig::with_workers(1));
         for workers in [2usize, 0, 16] {
-            let got = run_specs_with(specs.clone(), SweepConfig::with_workers(workers));
+            let got = run_specs_with(specs.clone(), &SweepConfig::with_workers(workers));
             prop_assert_eq!(&got, &reference, "workers = {} diverged", workers);
         }
     }
@@ -99,13 +104,13 @@ fn a_panicking_spec_does_not_poison_or_reorder_its_siblings() {
         spec(&topo, "good-2", ProtocolKind::Spin, 8, plan.clone()),
         spec(&topo, "good-3", ProtocolKind::Spms, 9, plan.clone()),
     ];
-    let reference = run_specs_with(clean.clone(), SweepConfig::with_workers(1));
+    let reference = run_specs_with(clean.clone(), &SweepConfig::with_workers(1));
 
     // The same siblings with a panicking spec spliced in at index 1.
     let mut poisoned = clean;
     poisoned.insert(1, panicking_spec(&topo, "boom", plan));
     for workers in [1usize, 2, 4] {
-        let out = try_run_specs(poisoned.clone(), SweepConfig::with_workers(workers));
+        let out = try_run_specs(poisoned.clone(), &SweepConfig::with_workers(workers));
         let labels: Vec<&str> = out.iter().map(|(l, _)| l.as_str()).collect();
         assert_eq!(
             labels,
@@ -136,7 +141,7 @@ fn run_specs_with_reports_the_first_panicking_spec_in_input_order() {
         panicking_spec(&topo, "boom-late", plan),
     ];
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_specs_with(specs, SweepConfig::with_workers(4))
+        run_specs_with(specs, &SweepConfig::with_workers(4))
     }))
     .expect_err("a sweep with failing specs must fail");
     let text = err
@@ -148,4 +153,58 @@ fn run_specs_with_reports_the_first_panicking_spec_in_input_order() {
         text.contains("boom-early"),
         "the sweep must name the first failed spec in input order: {text}"
     );
+}
+
+#[test]
+fn concurrent_sweeps_keep_their_own_overrides() {
+    let topo = placement::grid(3, 3, 5.0).unwrap();
+    let plan = traffic::single_source(NodeId::new(0), 2, SimTime::from_millis(100)).unwrap();
+    let specs: Vec<RunSpec> = (0..4u64)
+        .map(|i| {
+            let label = format!("spec-{i}");
+            spec(&topo, &label, ProtocolKind::Spms, 20 + i, plan.clone())
+        })
+        .collect();
+    let attacked = SweepConfig {
+        workers: 2,
+        adversary: AdversaryOverride {
+            fraction: Some(0.25),
+            behavior: Some(NodeBehavior::SilentDropper),
+            ..AdversaryOverride::default()
+        },
+        ..SweepConfig::default()
+    };
+    // Every link of the source opens only long after the horizon.
+    let cut: String = (1..9).map(|n| format!("0 {n} 100000 100001\n")).collect();
+    let severed = SweepConfig {
+        workers: 2,
+        contact_plan: Some(ContactPlan::parse(&cut).unwrap()),
+        ..SweepConfig::default()
+    };
+
+    let start = Barrier::new(2);
+    let run = |sweep: &SweepConfig| {
+        start.wait();
+        run_specs_with(specs.clone(), sweep)
+    };
+    let (a, b) = std::thread::scope(|scope| {
+        let a = scope.spawn(|| run(&attacked));
+        let b = scope.spawn(|| run(&severed));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+
+    for (sweep, got) in [(&attacked, &a), (&severed, &b)] {
+        let sequential = SweepConfig {
+            workers: 1,
+            ..sweep.clone()
+        };
+        assert_eq!(got, &run_specs_with(specs.clone(), &sequential));
+    }
+    // Each override took effect in its own sweep and nowhere else.
+    for (_, m) in &a {
+        assert!(m.adversary.adversaries > 0 && m.deliveries > 0, "{m:?}");
+    }
+    for (_, m) in &b {
+        assert!(m.adversary.adversaries == 0 && m.deliveries == 0, "{m:?}");
+    }
 }

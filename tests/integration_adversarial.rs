@@ -1,12 +1,12 @@
 //! Adversarial-behavior and heavy-churn robustness suite.
 //!
-//! Three layers, mirroring the guarantees ISSUE 8 adds to DESIGN.md:
+//! Three layers:
 //!
 //! 1. **Knob matrix** — adversary/churn are *semantic* knobs (they change
 //!    results like a seed does), but under any fixed adversarial setting
-//!    the wall-clock knobs (event kernel, table layout, DBF shards, sweep
-//!    workers) still cannot change a single byte of [`spms::RunMetrics`],
-//!    including the new [`spms::AdversaryStats`] counters.
+//!    the wall-clock knobs (table layout, DBF shards, sweep workers) still
+//!    cannot change a single byte of [`spms::RunMetrics`], including the
+//!    [`spms::AdversaryStats`] counters.
 //! 2. **Seeded proptest fuzzer** — random adversary/churn schedules drive
 //!    the incremental zone engine against the full-rebuild oracle: runs
 //!    with `incremental_zones` on and off must agree on every metric
@@ -19,8 +19,8 @@
 use proptest::prelude::*;
 
 use spms::{
-    AdversaryConfig, EventKernel, NodeBehavior, ProtocolKind, RoutingMode, RunMetrics, SimConfig,
-    Simulation, TableLayout,
+    AdversaryConfig, NodeBehavior, ProtocolKind, RoutingMode, RunMetrics, SimConfig, Simulation,
+    TableLayout,
 };
 use spms_kernel::SimTime;
 use spms_net::{placement, ChurnConfig, FailureConfig, MobilityConfig};
@@ -58,31 +58,21 @@ fn run(config: SimConfig, seed: u64) -> RunMetrics {
 #[test]
 fn wall_clock_knobs_cannot_change_adversarial_results() {
     // The full matrix from the determinism suite, replayed under attack:
-    // 3 event kernels x 2 table layouts x shards {1, auto, 16} must all
-    // produce the reference bytes, AdversaryStats included.
+    // 2 table layouts x shards {1, auto, 16} must all produce the
+    // reference bytes, AdversaryStats included.
     let seed = 61;
     let reference = run(adversarial_config(seed, NodeBehavior::Flooding, 0.25), seed);
     assert!(reference.adversary.adversaries > 0, "roster must be drawn");
     assert!(reference.adversary.packets_dropped > 0, "attack must bite");
     assert!(reference.adversary.bogus_advs > 0, "flooders must flood");
     assert!(reference.adversary.churn_epochs > 0, "churn must fire");
-    for kernel in [
-        EventKernel::Heap,
-        EventKernel::Wheel,
-        EventKernel::WheelBatched,
-    ] {
-        for layout in [TableLayout::Soa, TableLayout::Aos] {
-            for shards in [1usize, 0, 16] {
-                let mut config = adversarial_config(seed, NodeBehavior::Flooding, 0.25);
-                config.event_kernel = kernel;
-                config.table_layout = layout;
-                config.dbf_shards = shards;
-                let got = run(config, seed);
-                assert_eq!(
-                    got, reference,
-                    "kernel={kernel} layout={layout} shards={shards}"
-                );
-            }
+    for layout in [TableLayout::Soa, TableLayout::Aos] {
+        for shards in [1usize, 0, 16] {
+            let mut config = adversarial_config(seed, NodeBehavior::Flooding, 0.25);
+            config.table_layout = layout;
+            config.dbf_shards = shards;
+            let got = run(config, seed);
+            assert_eq!(got, reference, "layout={layout} shards={shards}");
         }
     }
 }
@@ -107,11 +97,11 @@ fn sweep_workers_cannot_change_adversarial_results() {
         spec("drop", NodeBehavior::SilentDropper, 0.2),
         spec("liar", NodeBehavior::MetadataLiar, 0.2),
     ];
-    let reference = run_specs_with(specs.clone(), SweepConfig::with_workers(1));
+    let reference = run_specs_with(specs.clone(), &SweepConfig::with_workers(1));
     assert_eq!(reference[0].1.adversary.adversaries, 0);
     assert!(reference[1].1.adversary.bogus_advs > 0);
     for workers in [0usize, 16] {
-        let got = run_specs_with(specs.clone(), SweepConfig::with_workers(workers));
+        let got = run_specs_with(specs.clone(), &SweepConfig::with_workers(workers));
         assert_eq!(got, reference, "workers = {workers}");
     }
 }
@@ -239,15 +229,14 @@ fn corpus_dormant_then_active_metadata_liars() {
 
 #[test]
 fn corpus_flooding_storm_under_sharded_relaxation() {
-    // The heaviest composite: flooding attackers at factor 3, churn, 16
-    // DBF shards and the batched wheel — the branch where adversarial
-    // traffic, cohort deltas and the sharded relaxation planner all meet.
+    // The heaviest composite: flooding attackers at factor 3, churn, and
+    // 16 DBF shards — the branch where adversarial traffic, cohort deltas
+    // and the sharded relaxation planner all meet.
     let mut config = adversarial_config(41, NodeBehavior::Flooding, 0.3);
     if let Some(adv) = &mut config.adversary {
         adv.attack_factor = 3;
     }
     config.dbf_shards = 16;
-    config.event_kernel = EventKernel::WheelBatched;
     let m = run(config.clone(), 41);
     assert!(m.adversary.bogus_advs > 0);
     assert_eq!(

@@ -11,13 +11,11 @@
 //!    `batch_epochs ∈ {1, 4}`.
 //! 2. **Knob matrix.** A contact-driven run (scheduled flips layered on
 //!    mobility) must be byte-identical between the incremental and
-//!    full-rebuild oracles across every event kernel × table layout ×
-//!    shard count combination — wall-clock knobs stay wall-clock even
-//!    under scheduled connectivity.
+//!    full-rebuild oracles across every table layout × shard count
+//!    combination — wall-clock knobs stay wall-clock even under scheduled
+//!    connectivity.
 
-use spms::{
-    EventKernel, ProtocolKind, RoutingMode, RunMetrics, SimConfig, Simulation, TableLayout,
-};
+use spms::{ProtocolKind, RoutingMode, RunMetrics, SimConfig, Simulation, TableLayout};
 use spms_kernel::SimTime;
 use spms_net::{placement, ContactPlan, MobilityConfig, NodeId};
 use spms_workloads::traffic;
@@ -104,43 +102,36 @@ fn contact_window_edges_match_the_full_rebuild_oracle() {
 }
 
 /// The acceptance matrix: a contact-driven run stays byte-identical
-/// between the incremental and full-rebuild oracles across 3 kernels ×
-/// 2 layouts × shards {1, auto, 16}.
+/// between the incremental and full-rebuild oracles across 2 layouts ×
+/// shards {1, auto, 16}.
 #[test]
 fn contact_runs_survive_the_full_knob_matrix() {
     let text = "5 6 0 0.4\n5 6 0.8 1.2\n9 10 0.3 0.9\n0 1 0.25 0.45\n";
     let mut baseline = None;
-    for kernel in [
-        EventKernel::Heap,
-        EventKernel::Wheel,
-        EventKernel::WheelBatched,
-    ] {
-        for layout in [TableLayout::Soa, TableLayout::Aos] {
-            for shards in [1usize, 0, 16] {
-                let configure = |incremental: bool| {
-                    let mut config = contact_config(23, text);
-                    config.event_kernel = kernel;
-                    config.table_layout = layout;
-                    config.dbf_shards = shards;
-                    run(config, incremental, 1)
-                };
-                let incremental = configure(true);
-                let reference = configure(false);
-                assert_eq!(
-                    scrub_path_accounting(incremental.clone()),
-                    scrub_path_accounting(reference),
-                    "{kernel}/{layout}/shards={shards}: incremental vs full rebuild"
-                );
-                match &baseline {
-                    None => {
-                        assert!(incremental.routing.contact_epochs > 0, "plan must fire");
-                        baseline = Some(incremental);
-                    }
-                    Some(base) => assert_eq!(
-                        &incremental, base,
-                        "{kernel}/{layout}/shards={shards}: knobs must stay wall-clock-only"
-                    ),
+    for layout in [TableLayout::Soa, TableLayout::Aos] {
+        for shards in [1usize, 0, 16] {
+            let configure = |incremental: bool| {
+                let mut config = contact_config(23, text);
+                config.table_layout = layout;
+                config.dbf_shards = shards;
+                run(config, incremental, 1)
+            };
+            let incremental = configure(true);
+            let reference = configure(false);
+            assert_eq!(
+                scrub_path_accounting(incremental.clone()),
+                scrub_path_accounting(reference),
+                "{layout}/shards={shards}: incremental vs full rebuild"
+            );
+            match &baseline {
+                None => {
+                    assert!(incremental.routing.contact_epochs > 0, "plan must fire");
+                    baseline = Some(incremental);
                 }
+                Some(base) => assert_eq!(
+                    &incremental, base,
+                    "{layout}/shards={shards}: knobs must stay wall-clock-only"
+                ),
             }
         }
     }
@@ -186,12 +177,12 @@ fn interregional_contact_gates_the_interzone_pull() {
     );
 }
 
-/// The process-wide `--contact-plan` override fills only specs that left
-/// `SimConfig::contact_plan` unset — run in this separate test process so
-/// the global override cannot race the in-crate unit sweeps.
+/// A sweep's contact-plan override (`SweepConfig::contact_plan`, the
+/// `--contact-plan` flag) fills only specs that left
+/// `SimConfig::contact_plan` unset.
 #[test]
 fn contact_plan_override_fills_only_unset_slots() {
-    use spms_workloads::{default_contact_plan, run_specs, set_default_contact_plan, RunSpec};
+    use spms_workloads::{run_specs_with, RunSpec, SweepConfig};
     let topo = placement::grid(2, 1, 5.0).unwrap();
     let traffic = traffic::single_source(NodeId::new(0), 1, SimTime::ZERO).unwrap();
     let spec = |label: &str, pinned: Option<ContactPlan>| {
@@ -207,18 +198,17 @@ fn contact_plan_override_fills_only_unset_slots() {
     // A plan that severs the only link for the whole run.
     let severed = plan("0 1 500 600\n");
     // Baseline: no override, the 2-node run delivers.
-    assert_eq!(default_contact_plan(), None);
-    let open = run_specs(vec![spec("open", None)]);
+    let open = run_specs_with(vec![spec("open", None)], &SweepConfig::auto());
     assert_eq!(open[0].1.deliveries, 1);
     // The override gates every spec that left the slot unset…
-    set_default_contact_plan(Some(severed.clone()));
-    assert_eq!(default_contact_plan(), Some(severed));
-    let gated = run_specs(vec![spec("gated", None)]);
+    let sweep = SweepConfig {
+        contact_plan: Some(severed),
+        ..SweepConfig::auto()
+    };
+    let gated = run_specs_with(vec![spec("gated", None)], &sweep);
     assert_eq!(gated[0].1.deliveries, 0, "override must gate unset specs");
     assert!(gated[0].1.routing.contact_epochs > 0);
     // …but a spec that pins its own plan is immune (EXT6's guarantee).
-    let pinned = run_specs(vec![spec("pinned", Some(ContactPlan::default()))]);
+    let pinned = run_specs_with(vec![spec("pinned", Some(ContactPlan::default()))], &sweep);
     assert_eq!(pinned[0].1.deliveries, 1, "pinned specs must be immune");
-    set_default_contact_plan(None);
-    assert_eq!(default_contact_plan(), None);
 }

@@ -1,7 +1,9 @@
-//! Reproducibility guarantees: the properties DESIGN.md promises about
-//! seeds and determinism, checked across subsystem combinations.
+//! Reproducibility guarantees: a run is a pure function of its config and
+//! seed, and no wall-clock knob (sweep workers, DBF shards, table layout)
+//! can change a byte of its `RunMetrics`. Checked across subsystem
+//! combinations.
 
-use spms::{EventKernel, ProtocolKind, RoutingMode, SimConfig, Simulation, TableLayout};
+use spms::{ProtocolKind, RoutingMode, SimConfig, Simulation, TableLayout};
 use spms_kernel::SimTime;
 use spms_net::{placement, FailureConfig, MobilityConfig};
 use spms_workloads::traffic;
@@ -45,7 +47,7 @@ fn different_seeds_change_details_not_guarantees() {
 
 #[test]
 fn parallel_sweep_equals_sequential_runs() {
-    use spms_workloads::{run_specs, RunSpec};
+    use spms_workloads::{run_specs_with, RunSpec, SweepConfig};
     let topo = placement::grid(3, 3, 5.0).unwrap();
     let plan = traffic::all_to_all(9, 1, SimTime::from_millis(200), 3).unwrap();
     let spec = |label: &str| RunSpec {
@@ -54,7 +56,7 @@ fn parallel_sweep_equals_sequential_runs() {
         topology: topo.clone(),
         plan: plan.clone(),
     };
-    let parallel = run_specs(vec![spec("x"), spec("y"), spec("z")]);
+    let parallel = run_specs_with(vec![spec("x"), spec("y"), spec("z")], &SweepConfig::auto());
     let sequential =
         Simulation::run_with(SimConfig::paper_defaults(ProtocolKind::Spms, 3), topo, plan).unwrap();
     for (_, m) in parallel {
@@ -88,54 +90,23 @@ fn sweep_worker_count_cannot_change_results() {
         spec("flood", ProtocolKind::Flooding, 23),
         spec("spms-again", ProtocolKind::Spms, 21),
     ];
-    let reference = run_specs_with(specs.clone(), SweepConfig::with_workers(1));
+    let reference = run_specs_with(specs.clone(), &SweepConfig::with_workers(1));
     assert_eq!(reference[0].1, reference[3].1, "same spec, same bytes");
     for workers in [0usize, 16] {
-        let got = run_specs_with(specs.clone(), SweepConfig::with_workers(workers));
+        let got = run_specs_with(specs.clone(), &SweepConfig::with_workers(workers));
         assert_eq!(got, reference, "workers = {workers}");
     }
 }
 
 #[test]
-fn event_kernel_cannot_change_results() {
-    // The heap/wheel/batched-wheel equality matrix across all three
-    // protocols, mirroring the shards-{1,auto,16} pattern: a full-featured
-    // run (failures + mobility + distributed routing + tracing) must
-    // produce byte-identical RunMetrics whichever event kernel executes it
-    // — the kernel is a wall-clock knob, never a semantic one. This is the
-    // end-to-end rung of the oracle chain the differential suites in
-    // `crates/kernel/tests/` establish pop-for-pop.
-    let run = |protocol, kernel| {
-        let topo = placement::grid(4, 4, 5.0).unwrap();
-        let plan = traffic::all_to_all(16, 2, SimTime::from_millis(200), 31).unwrap();
-        let mut config = full_featured_config(31);
-        config.protocol = protocol;
-        config.event_kernel = kernel;
-        Simulation::run_with(config, topo, plan).unwrap()
-    };
-    for protocol in [
-        ProtocolKind::Flooding,
-        ProtocolKind::Spin,
-        ProtocolKind::Spms,
-    ] {
-        let heap = run(protocol, EventKernel::Heap);
-        assert!(heap.events_processed > 0);
-        for kernel in [EventKernel::Wheel, EventKernel::WheelBatched] {
-            let got = run(protocol, kernel);
-            assert_eq!(got, heap, "{protocol} under {kernel} vs heap");
-        }
-    }
-}
-
-#[test]
 fn table_layout_cannot_change_results() {
-    // The SoA/AoS equality matrix across all three protocols, mirroring
-    // the event-kernel matrix above: a full-featured run (failures +
-    // mobility + distributed routing + tracing) must produce
-    // byte-identical RunMetrics whichever arena layout the routing tables
-    // use — the layout is a wall-clock knob, never a semantic one. This is
-    // the end-to-end rung of the oracle chain the layout-differential
-    // suite in `crates/routing/tests/layout.rs` establishes offer-for-offer.
+    // The SoA/AoS equality matrix across all three protocols: a
+    // full-featured run (failures + mobility + distributed routing +
+    // tracing) must produce byte-identical RunMetrics whichever arena
+    // layout the routing tables use — the layout is a wall-clock knob,
+    // never a semantic one. This is the end-to-end rung of the oracle chain
+    // the layout-differential suite in `crates/routing/tests/layout.rs`
+    // establishes offer-for-offer.
     let run = |protocol, layout| {
         let topo = placement::grid(4, 4, 5.0).unwrap();
         let plan = traffic::all_to_all(16, 2, SimTime::from_millis(200), 47).unwrap();
