@@ -75,10 +75,11 @@ enum IzState {
     GivenUp,
 }
 
-/// Per-item inter-zone destination state.
+/// Per-item inter-zone destination state. An entry is only created for an
+/// item the base node has registered as unresolved, and once the item is
+/// held only `paths` is read again.
 #[derive(Clone, Debug)]
 struct IzEntry {
-    interested: bool,
     /// Border paths from the source (each starts with the source id),
     /// shortest first, deduplicated, truncated to `paths_kept`.
     paths: Vec<Vec<NodeId>>,
@@ -93,7 +94,6 @@ struct IzEntry {
 impl IzEntry {
     fn new() -> Self {
         IzEntry {
-            interested: false,
             paths: Vec::new(),
             next_path: 0,
             attempts: 0,
@@ -299,7 +299,6 @@ impl SpmsIzNode {
         self.inner.mark_interested(meta);
         let cap = self.params.paths_kept;
         let entry = self.iz.entry(meta).or_insert_with(IzEntry::new);
-        entry.interested = true;
         entry.record_path(path.to_vec(), cap);
         if self.inner.prone(meta).is_some() {
             return; // local negotiation in progress
@@ -483,7 +482,11 @@ impl Protocol for SpmsIzNode {
 
     fn on_failed(&mut self) {
         self.inner.on_failed();
-        for entry in self.iz.values_mut() {
+        // Inter-zone timers, like base ones, exist only for unresolved items.
+        for meta in self.inner.unresolved() {
+            let Some(entry) = self.iz.get_mut(meta) else {
+                continue;
+            };
             entry.adv_gen += 1;
             entry.dat_gen += 1;
             if matches!(entry.state, IzState::WaitingAdv | IzState::WaitingData) {
@@ -497,16 +500,16 @@ impl Protocol for SpmsIzNode {
         // Resume inter-zone pulls for items the base protocol cannot serve
         // locally (no known originator).
         let pending: Vec<MetaId> = self
-            .iz
+            .inner
+            .unresolved()
             .iter()
-            .filter(|(m, e)| {
-                e.interested
-                    && e.state == IzState::Idle
-                    && !e.paths.is_empty()
-                    && !self.inner.has_data(**m)
-                    && self.inner.prone(**m).is_none()
+            .copied()
+            .filter(|&meta| {
+                self.iz
+                    .get(&meta)
+                    .is_some_and(|e| e.state == IzState::Idle && !e.paths.is_empty())
+                    && self.inner.prone(meta).is_none()
             })
-            .map(|(m, _)| *m)
             .collect();
         for meta in pending {
             {
@@ -534,11 +537,14 @@ impl Protocol for SpmsIzNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::armed_timers;
     use crate::{PacketKind, Timeouts};
+    use proptest::prelude::*;
     use spms_kernel::SimTime;
     use spms_net::{placement, ZoneTable};
     use spms_phy::RadioProfile;
     use spms_routing::{oracle_tables, RoutingTable};
+    use std::collections::BTreeSet;
 
     /// 13-node line, 5 m spacing, 20 m zones: node 0 and node 12 are 60 m
     /// apart — separate zones with several border relays between them.
@@ -1058,5 +1064,117 @@ mod tests {
         assert!(relay.has_relayed(meta()));
         relay.on_routes_rebuilt(&v);
         assert!(!relay.has_relayed(meta()));
+    }
+
+    /// Metas of the repair REQs matching `is_kind`, which must ascend.
+    fn ascending_reqs(actions: &[Action], is_kind: fn(&Payload) -> bool) -> bool {
+        let metas: Vec<MetaId> = sends(actions)
+            .iter()
+            .filter(|f| is_kind(&f.packet.payload))
+            .map(|f| f.packet.meta)
+            .collect();
+        metas.windows(2).all(|w| w[0] < w[1])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 64,
+            rng_seed: 0x5EED_0F41_1ED0_0003,
+            ..ProptestConfig::default()
+        })]
+        /// Random local ADV, direct and remote bordercast query, DATA,
+        /// timer, fail and repair steps at the far end of the line: after
+        /// each, the base node's `unresolved` is "interest heard and not
+        /// held" and covers every base and inter-zone entry of an unheld
+        /// item, repair REQs of each kind leave in `MetaId` order, and no
+        /// timer armed before the last failure fires.
+        #[test]
+        fn failure_hooks_walk_exactly_the_unresolved_items(
+            steps in prop::collection::vec((0u8..7, 0u32..30, 0u32..64), 1..80)
+        ) {
+            let (zones, tables) = fixture();
+            let v = view(&zones, &tables[12], 12);
+            let remote = [
+                vec![NodeId::new(0), NodeId::new(4), NodeId::new(8)],
+                vec![NodeId::new(0), NodeId::new(5), NodeId::new(9)],
+            ];
+            let mut n = node();
+            let (mut wanted, mut held) = (BTreeSet::new(), BTreeSet::new());
+            let mut armed = Vec::<(MetaId, TimerKind, u32)>::new();
+            let (mut ever, mut stale) = (Vec::new(), Vec::new());
+            let mut up = true;
+            for (kind, i, aux) in steps {
+                // Items spread over sources, so `MetaId` order is not `i`
+                // order; every fourth item is unwanted.
+                let meta = MetaId::new(NodeId::new(i % 5), i / 5);
+                let wants = i % 4 != 3;
+                let local = NodeId::new(8 + aux % 4);
+                let packet = |from: NodeId, payload: Payload| Packet { meta, from, payload };
+                let actions = match (kind, up) {
+                    (0..=2, true) => {
+                        if wants {
+                            wanted.insert(meta);
+                        }
+                        let p = match kind {
+                            0 => packet(local, Payload::Adv),
+                            1 => packet(local, Payload::IzAdv { ttl: 2, path: vec![local] }),
+                            _ => {
+                                let path = remote[aux as usize % 2].clone();
+                                packet(*path.last().unwrap(), Payload::IzAdv { ttl: 2, path })
+                            }
+                        };
+                        n.on_packet(&v, &p, wants)
+                    }
+                    (3, true) => {
+                        held.insert(meta);
+                        let data = Payload::Data { dest: NodeId::new(12), route: vec![] };
+                        n.on_packet(&v, &packet(local, data), wants)
+                    }
+                    (4, true) if !armed.is_empty() => {
+                        let (m, k, g) = armed.remove(aux as usize % armed.len());
+                        n.on_timer(&v, m, k, g)
+                    }
+                    (5, true) => {
+                        n.on_failed();
+                        stale.clone_from(&ever);
+                        up = false;
+                        Vec::new()
+                    }
+                    (6, false) => {
+                        let actions = n.on_repaired(&v);
+                        prop_assert!(
+                            ascending_reqs(&actions, |p| matches!(p, Payload::Req { .. })),
+                            "base repair REQs out of MetaId order"
+                        );
+                        prop_assert!(
+                            ascending_reqs(&actions, |p| matches!(p, Payload::IzReq { .. })),
+                            "inter-zone repair REQs out of MetaId order"
+                        );
+                        up = true;
+                        actions
+                    }
+                    // A down node hears nothing; a flip to its current
+                    // state is a no-op in the engine.
+                    _ => continue,
+                };
+                armed.extend(armed_timers(&actions));
+                ever.extend(armed_timers(&actions));
+                let unresolved = n.inner.unresolved();
+                let model: BTreeSet<MetaId> = wanted.difference(&held).copied().collect();
+                prop_assert_eq!(unresolved, &model);
+                prop_assert_eq!(&n.inner.unheld_entries(), unresolved);
+                let unheld_iz: BTreeSet<MetaId> =
+                    n.iz.keys().copied().filter(|&m| !n.has_data(m)).collect();
+                prop_assert!(unheld_iz.is_subset(unresolved), "{unheld_iz:?} ⊄ {unresolved:?}");
+                let mut probe = n.clone();
+                for &(m, k, g) in &stale {
+                    let fired = probe.on_timer(&v, m, k, g);
+                    prop_assert!(
+                        fired.is_empty(),
+                        "pre-failure timer {m} {k:?} gen {g} fired: {fired:?}"
+                    );
+                }
+            }
+        }
     }
 }

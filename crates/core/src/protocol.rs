@@ -164,9 +164,15 @@ pub trait Protocol {
 
     /// The node failed: in-flight negotiation state is invalidated (data
     /// survives — failures are transient).
+    ///
+    /// Cost contract: the work grows with the node's unresolved items (the
+    /// ones it wants but does not hold), not with the items it holds.
     fn on_failed(&mut self);
 
     /// The node recovered; it may resume pending exchanges.
+    ///
+    /// Cost contract: as for [`Protocol::on_failed`], the work grows with
+    /// the node's unresolved items, not with the items it holds.
     fn on_repaired(&mut self, view: &NodeView<'_>) -> Vec<Action>;
 
     /// Routing tables were rebuilt (after mobility). Default: no reaction;
@@ -263,6 +269,19 @@ impl Protocol for NodeProtocol {
             NodeProtocol::Flooding(p) => p.has_data(meta),
         }
     }
+}
+
+/// The timers `actions` arm, as `(meta, kind, generation)`.
+#[cfg(test)]
+pub(crate) fn armed_timers(
+    actions: &[Action],
+) -> impl Iterator<Item = (MetaId, TimerKind, u32)> + '_ {
+    actions.iter().filter_map(|a| match a {
+        Action::SetTimer {
+            meta, kind, gen, ..
+        } => Some((*meta, *kind, *gen)),
+        _ => None,
+    })
 }
 
 #[cfg(test)]

@@ -25,14 +25,14 @@
 //! retry timer re-requests round-robin from known advertisers. The ablation
 //! bench compares the two.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::{Action, DataStore, MetaId, NodeView, Packet, Payload, Protocol, TimerKind};
 
-/// Per-item negotiation state.
+/// Per-item negotiation state. Once the node holds the item only
+/// `advertised` is read again.
 #[derive(Clone, Debug, Default)]
 struct SpinEntry {
-    interested: bool,
     advertised: bool,
     /// Advertisers heard so far, in arrival order (deduplicated).
     advertisers: Vec<spms_net::NodeId>,
@@ -53,6 +53,11 @@ struct SpinEntry {
 pub struct SpinNode {
     store: DataStore,
     entries: BTreeMap<MetaId, SpinEntry>,
+    /// Items this node wants but does not hold: exactly the keys of
+    /// `entries` missing from `store` (an unheld item only gets an entry
+    /// from a wanted ADV). The failure hooks walk this set instead of
+    /// every entry.
+    unresolved: BTreeSet<MetaId>,
     suppression: bool,
     max_attempts: u32,
     /// SPIN-BC mode: answer the first REQ with a zone-wide DATA broadcast
@@ -60,7 +65,7 @@ pub struct SpinNode {
     /// variant), instead of one unicast per REQ.
     broadcast_data: bool,
     /// Items already served by broadcast (BC mode de-duplication).
-    served_broadcast: std::collections::BTreeSet<MetaId>,
+    served_broadcast: BTreeSet<MetaId>,
 }
 
 impl SpinNode {
@@ -73,10 +78,11 @@ impl SpinNode {
         SpinNode {
             store: DataStore::new(),
             entries: BTreeMap::new(),
+            unresolved: BTreeSet::new(),
             suppression,
             max_attempts,
             broadcast_data: false,
-            served_broadcast: std::collections::BTreeSet::new(),
+            served_broadcast: BTreeSet::new(),
         }
     }
 
@@ -111,7 +117,7 @@ impl SpinNode {
         out: &mut Vec<Action>,
     ) {
         let suppression = self.suppression;
-        let entry = self.entries.entry(meta).or_default();
+        let entry = self.entries.get_mut(&meta).expect("entry exists");
         // SPIN transmits everything at the zone power level, including REQs
         // (it has no routing tables to pick anything lower).
         let frame = crate::OutFrame {
@@ -146,6 +152,7 @@ impl Protocol for SpinNode {
     fn on_generate(&mut self, view: &NodeView<'_>, meta: MetaId) -> Vec<Action> {
         let mut out = Vec::new();
         if self.store.insert(meta) {
+            self.unresolved.remove(&meta);
             self.advertise_once(view, meta, &mut out);
         }
         out
@@ -159,8 +166,10 @@ impl Protocol for SpinNode {
                 if self.store.contains(meta) || !interested {
                     return out;
                 }
-                let entry = self.entries.entry(meta).or_default();
-                entry.interested = true;
+                let entry = self.entries.entry(meta).or_insert_with(|| {
+                    self.unresolved.insert(meta);
+                    SpinEntry::default()
+                });
                 // Each holder advertises once, so a repeated ADV from the
                 // same node only occurs after its repair; either way, one
                 // REQ per advertiser suffices in pure SPIN.
@@ -214,9 +223,9 @@ impl Protocol for SpinNode {
             }
             Payload::Data { .. } => {
                 if self.store.insert(meta) {
-                    let entry = self.entries.entry(meta).or_default();
-                    entry.req_outstanding = false;
-                    entry.dat_gen += 1; // cancels the retry timer
+                    // Holding the item settles it; its retry timer is
+                    // ignored from now on.
+                    self.unresolved.remove(&meta);
                     if interested {
                         out.push(Action::Delivered { meta });
                     }
@@ -270,7 +279,9 @@ impl Protocol for SpinNode {
     fn on_failed(&mut self) {
         // Transient failure: the data store survives; in-flight negotiation
         // is invalidated (timers become stale, outstanding REQs forgotten).
-        for entry in self.entries.values_mut() {
+        // Only unresolved items negotiate.
+        for meta in &self.unresolved {
+            let entry = self.entries.get_mut(meta).expect("unresolved entry");
             entry.dat_gen += 1;
             entry.req_outstanding = false;
         }
@@ -280,15 +291,14 @@ impl Protocol for SpinNode {
         let mut out = Vec::new();
         // Resume pending items that already know an advertiser.
         let pending: Vec<(MetaId, spms_net::NodeId)> = self
-            .entries
+            .unresolved
             .iter()
-            .filter(|(m, e)| {
-                e.interested
-                    && !e.abandoned
-                    && !self.store.contains(**m)
-                    && !e.advertisers.is_empty()
+            .filter_map(|&meta| {
+                let entry = &self.entries[&meta];
+                let n = entry.advertisers.len();
+                (!entry.abandoned && n > 0)
+                    .then(|| (meta, entry.advertisers[entry.next_advertiser % n]))
             })
-            .map(|(m, e)| (*m, e.advertisers[e.next_advertiser % e.advertisers.len()]))
             .collect();
         for (meta, to) in pending {
             self.request_from(view, meta, to, &mut out);
@@ -304,7 +314,9 @@ impl Protocol for SpinNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::armed_timers;
     use crate::{Addressee, PacketKind, Timeouts};
+    use proptest::prelude::*;
     use spms_kernel::SimTime;
     use spms_net::{placement, NodeId, ZoneTable};
     use spms_phy::RadioProfile;
@@ -514,5 +526,102 @@ mod tests {
         let actions = n.on_repaired(&v);
         assert!(actions.iter().any(|a| matches!(a, Action::Send(f)
             if f.packet.kind() == PacketKind::Req)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 64,
+            rng_seed: 0x5EED_0F41_1ED0_0002,
+            ..ProptestConfig::default()
+        })]
+        /// Random ADV/DATA/timer/fail/repair steps at the middle node, with
+        /// and without REQ suppression: after each, `unresolved` is
+        /// "interest heard and not held", covers every entry of an unheld
+        /// item, repair REQs leave in `MetaId` order, and no timer armed
+        /// before the last failure fires.
+        #[test]
+        fn failure_hooks_walk_exactly_the_unresolved_items(
+            suppression in any::<bool>(),
+            steps in prop::collection::vec((0u8..6, 0u32..30, 0u32..64), 1..80)
+        ) {
+            let (zones, routing) = fixture();
+            let v = view(&zones, &routing, 1);
+            let mut n = SpinNode::new(suppression, 3);
+            let (mut wanted, mut held) = (BTreeSet::new(), BTreeSet::new());
+            let mut armed = Vec::<(MetaId, TimerKind, u32)>::new();
+            let (mut ever, mut stale) = (Vec::new(), Vec::new());
+            let mut up = true;
+            for (kind, i, aux) in steps {
+                // Items spread over sources, so `MetaId` order is not `i`
+                // order; every fourth item is unwanted.
+                let meta = MetaId::new(NodeId::new(i % 3), i / 3);
+                let wants = i % 4 != 3;
+                let from = NodeId::new(if aux % 2 == 0 { 0 } else { 2 });
+                let actions = match (kind, up) {
+                    (0 | 1, true) => {
+                        if wants {
+                            wanted.insert(meta);
+                        }
+                        let adv = Packet { meta, from, payload: Payload::Adv };
+                        n.on_packet(&v, &adv, wants)
+                    }
+                    (2, true) => {
+                        held.insert(meta);
+                        let data = Packet {
+                            meta,
+                            from,
+                            payload: Payload::Data { dest: NodeId::new(1), route: vec![] },
+                        };
+                        n.on_packet(&v, &data, wants)
+                    }
+                    (3, true) if !armed.is_empty() => {
+                        let (m, k, g) = armed.remove(aux as usize % armed.len());
+                        n.on_timer(&v, m, k, g)
+                    }
+                    (4, true) => {
+                        n.on_failed();
+                        stale.clone_from(&ever);
+                        up = false;
+                        Vec::new()
+                    }
+                    (5, false) => {
+                        let actions = n.on_repaired(&v);
+                        let reqs: Vec<MetaId> = actions
+                            .iter()
+                            .filter_map(|a| match a {
+                                Action::Send(f) if f.packet.kind() == PacketKind::Req => {
+                                    Some(f.packet.meta)
+                                }
+                                _ => None,
+                            })
+                            .collect();
+                        prop_assert!(
+                            reqs.windows(2).all(|w| w[0] < w[1]),
+                            "repair REQs out of MetaId order: {reqs:?}"
+                        );
+                        up = true;
+                        actions
+                    }
+                    // A down node hears nothing; a flip to its current
+                    // state is a no-op in the engine.
+                    _ => continue,
+                };
+                armed.extend(armed_timers(&actions));
+                ever.extend(armed_timers(&actions));
+                let model: BTreeSet<MetaId> = wanted.difference(&held).copied().collect();
+                prop_assert_eq!(&n.unresolved, &model);
+                let unheld: BTreeSet<MetaId> =
+                    n.entries.keys().copied().filter(|&m| !n.store.contains(m)).collect();
+                prop_assert_eq!(&unheld, &n.unresolved);
+                let mut probe = n.clone();
+                for &(m, k, g) in &stale {
+                    let fired = probe.on_timer(&v, m, k, g);
+                    prop_assert!(
+                        fired.is_empty(),
+                        "pre-failure timer {m} {k:?} gen {g} fired: {fired:?}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -32,7 +32,7 @@
 //! the received request"). With `serve_from_cache`, a relay already holding
 //! the data answers instead of forwarding.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use spms_net::NodeId;
 
@@ -57,10 +57,11 @@ enum MetaState {
     GivenUp,
 }
 
-/// Per-item destination state.
+/// Per-item destination state. Once the node holds the item only
+/// `advertised` and `originators` are read again; the negotiation fields
+/// matter while the item is unresolved.
 #[derive(Clone, Debug)]
 struct SpmsEntry {
-    interested: bool,
     advertised: bool,
     state: MetaState,
     /// Originator stack, closest-first: `[0]` is the PRONE, `[1]` the
@@ -79,7 +80,6 @@ struct SpmsEntry {
 impl SpmsEntry {
     fn new() -> Self {
         SpmsEntry {
-            interested: false,
             advertised: false,
             state: MetaState::Fresh,
             originators: Vec::new(),
@@ -121,6 +121,12 @@ impl Default for SpmsParams {
 pub struct SpmsNode {
     store: DataStore,
     entries: BTreeMap<MetaId, SpmsEntry>,
+    /// Items this node wants but does not hold: exactly the keys of
+    /// `entries` missing from `store`, since an entry for an unheld item
+    /// is only ever created once interest in it is known. Timers are only
+    /// armed for these items, so the failure hooks walk this set instead
+    /// of every entry.
+    unresolved: BTreeSet<MetaId>,
     params: SpmsParams,
 }
 
@@ -131,6 +137,7 @@ impl SpmsNode {
         SpmsNode {
             store: DataStore::new(),
             entries: BTreeMap::new(),
+            unresolved: BTreeSet::new(),
             params,
         }
     }
@@ -151,6 +158,21 @@ impl SpmsNode {
     #[must_use]
     pub fn scone(&self, meta: MetaId) -> Option<NodeId> {
         self.entries.get(&meta)?.originators.get(1).copied()
+    }
+
+    /// Items this node wants but does not hold, in `MetaId` order.
+    pub(crate) fn unresolved(&self) -> &BTreeSet<MetaId> {
+        &self.unresolved
+    }
+
+    /// The entry of an item this node wants but does not hold; creating it
+    /// registers the item as unresolved.
+    fn wanted_entry(&mut self, meta: MetaId) -> &mut SpmsEntry {
+        debug_assert!(!self.store.contains(meta), "{meta} is already held");
+        self.entries.entry(meta).or_insert_with(|| {
+            self.unresolved.insert(meta);
+            SpmsEntry::new()
+        })
     }
 
     fn advertise_once(&mut self, view: &NodeView<'_>, meta: MetaId, out: &mut Vec<Action>) {
@@ -256,10 +278,7 @@ impl SpmsNode {
     /// inter-zone extension registers interest when the query arrives via a
     /// bordercast relay that does not itself hold the data.
     pub(crate) fn mark_interested(&mut self, meta: MetaId) {
-        self.entries
-            .entry(meta)
-            .or_insert_with(SpmsEntry::new)
-            .interested = true;
+        self.wanted_entry(meta);
     }
 
     /// Serves `meta` back along the recorded REQ path.
@@ -305,13 +324,10 @@ impl SpmsNode {
             out.push(Action::Duplicate { meta });
             return;
         }
-        let entry = self.entries.entry(meta).or_insert_with(SpmsEntry::new);
-        entry.adv_gen += 1;
-        entry.dat_gen += 1;
-        let was_interested = entry.interested || interested;
-        entry.interested = was_interested;
-        entry.state = MetaState::Fresh;
-        if was_interested {
+        // Holding the item settles it (timers for held items are ignored);
+        // an item that was unresolved here was wanted whatever `interested`
+        // says.
+        if self.unresolved.remove(&meta) || interested {
             out.push(Action::Delivered { meta });
         }
         // "The SPMS protocol requires a node to advertise its own data as
@@ -328,8 +344,7 @@ impl SpmsNode {
         out: &mut Vec<Action>,
     ) {
         let cap = self.params.scones_kept;
-        let entry = self.entries.entry(meta).or_insert_with(SpmsEntry::new);
-        entry.interested = true;
+        let entry = self.wanted_entry(meta);
         let new_prone = Self::update_originators(entry, view, from, cap);
         match entry.state {
             MetaState::Fresh | MetaState::GivenUp => {
@@ -383,6 +398,7 @@ impl Protocol for SpmsNode {
     fn on_generate(&mut self, view: &NodeView<'_>, meta: MetaId) -> Vec<Action> {
         let mut out = Vec::new();
         if self.store.insert(meta) {
+            self.unresolved.remove(&meta);
             self.advertise_once(view, meta, &mut out);
         }
         out
@@ -568,8 +584,10 @@ impl Protocol for SpmsNode {
 
     fn on_failed(&mut self) {
         // Transient failure: cached data survives; every timer and
-        // outstanding exchange is invalidated.
-        for entry in self.entries.values_mut() {
+        // outstanding exchange is invalidated. Timers exist only for
+        // unresolved items.
+        for meta in &self.unresolved {
+            let entry = self.entries.get_mut(meta).expect("unresolved entry");
             entry.adv_gen += 1;
             entry.dat_gen += 1;
             if matches!(entry.state, MetaState::WaitingAdv | MetaState::WaitingData) {
@@ -582,15 +600,15 @@ impl Protocol for SpmsNode {
         let mut out = Vec::new();
         // Resume items with a known originator by re-entering the ladder.
         let pending: Vec<(MetaId, NodeId)> = self
-            .entries
+            .unresolved
             .iter()
-            .filter(|(m, e)| {
-                e.interested
-                    && e.state == MetaState::Fresh
-                    && !e.originators.is_empty()
-                    && !self.store.contains(**m)
+            .filter_map(|&meta| {
+                let entry = &self.entries[&meta];
+                match (entry.state, entry.originators.first()) {
+                    (MetaState::Fresh, Some(&prone)) => Some((meta, prone)),
+                    _ => None,
+                }
             })
-            .map(|(m, e)| (*m, e.originators[0]))
             .collect();
         for (meta, target) in pending {
             {
@@ -616,9 +634,23 @@ impl Protocol for SpmsNode {
 }
 
 #[cfg(test)]
+impl SpmsNode {
+    /// Items with an entry that this node does not hold.
+    pub(crate) fn unheld_entries(&self) -> BTreeSet<MetaId> {
+        self.entries
+            .keys()
+            .copied()
+            .filter(|&m| !self.store.contains(m))
+            .collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::armed_timers;
     use crate::{PacketKind, Timeouts};
+    use proptest::prelude::*;
     use spms_kernel::SimTime;
     use spms_net::{placement, ZoneTable};
     use spms_phy::RadioProfile;
@@ -1036,5 +1068,161 @@ mod tests {
         assert!(sends(&s_own)
             .iter()
             .any(|f| f.packet.kind() == PacketKind::Data));
+    }
+
+    fn data_for(meta: MetaId, from: u32, dest: u32) -> Packet {
+        Packet {
+            meta,
+            from: NodeId::new(from),
+            payload: Payload::Data {
+                dest: NodeId::new(dest),
+                route: vec![],
+            },
+        }
+    }
+
+    fn adv_for(meta: MetaId, from: u32) -> Packet {
+        Packet {
+            meta,
+            from: NodeId::new(from),
+            payload: Payload::Adv,
+        }
+    }
+
+    fn req_metas(actions: &[Action]) -> Vec<MetaId> {
+        sends(actions)
+            .iter()
+            .filter(|f| matches!(f.packet.payload, Payload::Req { .. }))
+            .map(|f| f.packet.meta)
+            .collect()
+    }
+
+    const ITEMS: u32 = 30;
+
+    /// Driver item `i`; spreading items over sources makes `MetaId` order
+    /// differ from `i` order.
+    fn item(i: u32) -> MetaId {
+        MetaId::new(NodeId::new(i % 5), i / 5)
+    }
+
+    /// The fixed interest pattern of the driver (the engine's interest is a
+    /// function of node and item).
+    fn wants(i: u32) -> bool {
+        i % 4 != 3
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 64,
+            rng_seed: 0x5EED_0F41_1ED0_0001,
+            ..ProptestConfig::default()
+        })]
+        /// Random ADV/DATA/timer/fail/repair steps at node 3 of the line:
+        /// after each, `unresolved` is "interest heard and not held", covers
+        /// every entry of an unheld item, repair REQs leave in `MetaId`
+        /// order, and no timer armed before the last failure fires.
+        #[test]
+        fn failure_hooks_walk_exactly_the_unresolved_items(
+            steps in prop::collection::vec((0u8..6, 0u32..ITEMS, 0u32..64), 1..80)
+        ) {
+            let (zones, tables) = fixture();
+            let v = view(&zones, &tables[3], 3);
+            let advertisers = [0u32, 1, 2, 4];
+            let mut n = SpmsNode::new(SpmsParams::default());
+            let (mut wanted, mut held) = (BTreeSet::new(), BTreeSet::new());
+            let mut armed = Vec::<(MetaId, TimerKind, u32)>::new();
+            let (mut ever, mut stale) = (Vec::new(), Vec::new());
+            let mut up = true;
+            for (kind, i, aux) in steps {
+                let meta = item(i);
+                let actions = match (kind, up) {
+                    (0 | 1, true) => {
+                        if wants(i) {
+                            wanted.insert(meta);
+                        }
+                        let from = advertisers[aux as usize % advertisers.len()];
+                        n.on_packet(&v, &adv_for(meta, from), wants(i))
+                    }
+                    (2, true) => {
+                        held.insert(meta);
+                        n.on_packet(&v, &data_for(meta, 2, 3), wants(i))
+                    }
+                    (3, true) if !armed.is_empty() => {
+                        let (m, k, g) = armed.remove(aux as usize % armed.len());
+                        n.on_timer(&v, m, k, g)
+                    }
+                    (4, true) => {
+                        n.on_failed();
+                        stale.clone_from(&ever);
+                        up = false;
+                        Vec::new()
+                    }
+                    (5, false) => {
+                        let actions = n.on_repaired(&v);
+                        let reqs = req_metas(&actions);
+                        prop_assert!(
+                            reqs.windows(2).all(|w| w[0] < w[1]),
+                            "repair REQs out of MetaId order: {reqs:?}"
+                        );
+                        up = true;
+                        actions
+                    }
+                    // A down node hears nothing; a flip to its current
+                    // state is a no-op in the engine.
+                    _ => continue,
+                };
+                armed.extend(armed_timers(&actions));
+                ever.extend(armed_timers(&actions));
+                let model: BTreeSet<MetaId> = wanted.difference(&held).copied().collect();
+                prop_assert_eq!(n.unresolved(), &model);
+                prop_assert_eq!(&n.unheld_entries(), n.unresolved());
+                let mut probe = n.clone();
+                for &(m, k, g) in &stale {
+                    let fired = probe.on_timer(&v, m, k, g);
+                    prop_assert!(
+                        fired.is_empty(),
+                        "pre-failure timer {m} {k:?} gen {g} fired: {fired:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repair_rerequests_only_waiting_items_in_meta_order() {
+        let (zones, tables) = fixture();
+        let v = view(&zones, &tables[3], 3);
+        let mut n = SpmsNode::new(SpmsParams::default());
+        for seq in 0..50 {
+            let m = MetaId::new(NodeId::new(seq % 2 * 4), seq);
+            n.on_packet(&v, &adv_for(m, 2), true);
+            let got = n.on_packet(&v, &data_for(m, 2, 3), true);
+            assert!(got.iter().any(|a| matches!(a, Action::Delivered { .. })));
+        }
+        // Pending items interleave with the held ones in `MetaId` order,
+        // and the WaitingAdv item is both created first and ordered last.
+        let waiting_adv = MetaId::new(NodeId::new(4), 70);
+        let waiting_data = MetaId::new(NodeId::new(1), 0);
+        let given_up = MetaId::new(NodeId::new(0), 99);
+        n.on_packet(&v, &adv_for(waiting_adv, 0), true); // 15 m: τADV
+        n.on_packet(&v, &adv_for(waiting_data, 2), true); // adjacent: REQ
+        n.on_packet(&v, &adv_for(given_up, 2), true);
+        let abandoned = n.on_timer(&v, given_up, TimerKind::DataWait, 1);
+        assert!(abandoned
+            .iter()
+            .any(|a| matches!(a, Action::Abandoned { .. })));
+        assert_eq!(n.items_held(), 50);
+
+        n.on_failed();
+        let actions = n.on_repaired(&v);
+        assert_eq!(req_metas(&actions), [waiting_data, waiting_adv]);
+        let targets: Vec<NodeId> = sends(&actions)
+            .iter()
+            .filter_map(|f| match f.packet.payload {
+                Payload::Req { target, .. } => Some(target),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(targets, [NodeId::new(2), NodeId::new(0)]);
     }
 }

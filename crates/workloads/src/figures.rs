@@ -71,6 +71,17 @@ fn savings_range(a: &SeriesData, b: &SeriesData) -> (f64, f64) {
     (lo, hi)
 }
 
+/// `x` rounded to a whole number as `{:.0}` prints it, except that a
+/// value rounding to zero from below prints as "0", not "-0".
+fn whole(x: f64) -> String {
+    let text = format!("{x:.0}");
+    if text == "-0" {
+        "0".into()
+    } else {
+        text
+    }
+}
+
 fn series_of(
     results: &[(String, RunMetrics)],
     name: &str,
@@ -253,7 +264,7 @@ pub fn fig6_fig8(scale: &Scale, seed: u64, sweep: &SweepConfig) -> (FigureResult
         y_label: "energy per packet (µJ)",
         series: vec![spms_e, spin_e],
         notes: vec![
-            format!("SPMS saves {lo:.0}%–{hi:.0}% (paper: 26%–43%)"),
+            format!("SPMS saves {}%–{}% (paper: 26%–43%)", whole(lo), whole(hi)),
             "gap widens with network size, as in the paper".into(),
         ],
     };
@@ -300,7 +311,9 @@ pub fn fig7_fig9(scale: &Scale, seed: u64, sweep: &SweepConfig) -> (FigureResult
         y_label: "energy per packet (µJ)",
         series: vec![spms_e, spin_e],
         notes: vec![format!(
-            "SPMS advantage grows with radius: savings {lo:.0}%–{hi:.0}% across the sweep"
+            "SPMS advantage grows with radius: savings {}%–{}% across the sweep",
+            whole(lo),
+            whole(hi)
         )],
     };
     let spms_d = series_of(&results, "SPMS", RunMetrics::avg_delay_ms, &xs);
@@ -317,8 +330,7 @@ pub fn fig7_fig9(scale: &Scale, seed: u64, sweep: &SweepConfig) -> (FigureResult
         notes: vec![
             "SPMS below SPIN at every radius".into(),
             "hop-count reduction dominates at small radii; the paper's G·n² \
-             contention model makes delay rise again at large radii (see \
-             EXPERIMENTS.md)"
+             contention model makes delay rise again at large radii"
                 .into(),
         ],
     };
@@ -465,7 +477,11 @@ pub fn fig12(scale: &Scale, seed: u64, sweep: &SweepConfig) -> FigureResult {
         y_label: "energy per packet (µJ)",
         series: vec![spms, spin],
         notes: vec![
-            format!("SPMS saves {lo:.0}%–{hi:.0}% under mobility (paper: 5%–21%)"),
+            format!(
+                "SPMS saves {}%–{}% under mobility (paper: 5%–21%)",
+                whole(lo),
+                whole(hi)
+            ),
             format!("DBF re-execution accounts for up to {max_share:.0}% of SPMS energy"),
             format!(
                 "{delta_execs} of {total_execs} DBF executions were incremental \
@@ -514,7 +530,11 @@ pub fn fig13(scale: &Scale, seed: u64, sweep: &SweepConfig) -> FigureResult {
         y_label: "energy per packet (µJ)",
         series: vec![spms, spin, fspms, fspin],
         notes: vec![
-            format!("SPMS saves {lo:.0}%–{hi:.0}% failure-free (paper: 35%–59%)"),
+            format!(
+                "SPMS saves {}%–{}% failure-free (paper: 35%–59%)",
+                whole(lo),
+                whole(hi)
+            ),
             "failure runs consume more energy than failure-free runs".into(),
         ],
     }
@@ -698,7 +718,11 @@ pub fn ext2(scale: &Scale, seed: u64, sweep: &SweepConfig) -> FigureResult {
         y_label: "hottest node energy per packet (µJ)",
         series: vec![spms_hot, spin_hot],
         notes: vec![
-            format!("hottest-battery savings of SPMS over SPIN: {lo:.0}%–{hi:.0}%"),
+            format!(
+                "hottest-battery savings of SPMS over SPIN: {}%–{}%",
+                whole(lo),
+                whole(hi)
+            ),
             format!(
                 "mean max-to-mean imbalance: SPMS {:.1}×, SPIN {:.1}×",
                 imbalance("SPMS"),
@@ -1137,6 +1161,13 @@ pub fn breakeven_report() -> String {
 mod tests {
     use super::*;
     use crate::experiment::AdversaryOverride;
+
+    #[test]
+    fn whole_numbers_never_print_negative_zero() {
+        assert_eq!(whole(-0.3), "0");
+        assert_eq!(whole(-0.6), "-1");
+        assert_eq!(whole(42.4), "42");
+    }
 
     #[test]
     fn fig3_and_fig5_are_cheap_and_labelled() {
