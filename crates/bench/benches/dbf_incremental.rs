@@ -1,6 +1,6 @@
 //! Steady-state zone re-convergence under mobility at the paper's reference
-//! scale (n = 169, 20 m zones): incremental delta-DBF versus the
-//! full-rebuild reference path.
+//! scale (n = 169, 20 m zones): incremental delta-DBF versus the full
+//! rebuild, both on a one-shard engine.
 //!
 //! The scenario is the routing hot path ROADMAP names: one node moves, the
 //! zone table is rebuilt, and routing must re-converge before data flows.
@@ -40,8 +40,7 @@ fn bench_full_rebuild(c: &mut Criterion) {
         b.iter(|| {
             let zones = if forward { &after } else { &before };
             forward = !forward;
-            dbf.reset(zones, &alive);
-            std::hint::black_box(dbf.run_to_convergence_masked(zones, &alive))
+            std::hint::black_box(dbf.rebuild_sharded(zones, &alive))
         })
     });
 }

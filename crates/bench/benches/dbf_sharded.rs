@@ -2,34 +2,32 @@
 //! n = 225 / 625 / 1024 / 4096 / 10000 (the paper's 13×13 field is only
 //! 169 nodes; the top sizes are the ROADMAP's 10k-node scale target).
 //!
-//! The scenario is the post-PR-3 hot path ROADMAP names: zone maintenance
-//! is down to ~105 µs per epoch, so the delta-DBF exchange itself is the
-//! dominant mobility cost. One epoch relocates eight nodes spread across
-//! the field — enough disjoint dirty zones for the shard planner to have
+//! The scenario is the mobility hot path: zone maintenance is down to
+//! ~105 µs per epoch, so the delta-DBF exchange itself is the dominant
+//! mobility cost. One epoch relocates eight nodes spread across
+//! the field — enough disjoint dirty zones for the range planner to have
 //! real work everywhere — and the engines re-converge it:
 //!
-//! * `dbf_delta_seq_n` — the sequential delta path (the mid-level oracle),
-//! * `dbf_delta_sharded_n` — the zone-shard planner at the host's
-//!   available parallelism (bit-identical tables and stats, proptested;
-//!   only wall-clock may differ),
+//! * `dbf_delta_seq_n` — a one-shard engine (every round inline),
+//! * `dbf_delta_sharded_n` — an engine at the host's available parallelism
+//!   (heavy rounds cut into receiver ranges on the worker pool;
+//!   bit-identical tables and stats, proptested; only wall-clock may
+//!   differ),
 //! * `dbf_batch4_per_epoch_625` / `dbf_batch4_window_625` — four epochs
 //!   re-converged one by one versus coalesced into a single batched
-//!   window (`SimConfig::batch_epochs`-style), sequential engine,
+//!   window (`SimConfig::batch_epochs`-style), one-shard engine,
 //! * `dbf_full_seq_n` / `dbf_full_sharded_n` — the from-scratch rebuild
-//!   (the root oracle every incremental path is tested against), as the
-//!   sequential `reset` + `run_to_convergence_masked` versus
-//!   `DbfEngine::rebuild_sharded` at the host's available parallelism
-//!   (sender-sharded snapshots + receiver-sharded relaxation, bit-identical
-//!   tables and stats).
+//!   (`DbfEngine::rebuild_sharded`) on a one-shard engine versus an engine
+//!   at the host's available parallelism.
 //!
-//! CI's hardware-independent ratio gates pin sharded ≤ 0.7× sequential at
-//! n = 625 for both the delta exchange and the full rebuild, and sharded
-//! strictly below sequential at n = 1024 (see `xtask bench-gate`) —
-//! ≥ ~1.4× from a 2-core runner; wider machines only widen the margin.
-//! `xtask speedup-curve` turns the per-size seq/sharded pairs into the
-//! speedup-curve JSON CI uploads as an artifact. On a single-core host
-//! the engine resolves to one shard and dispatches to the very same
-//! sequential loops, so the ratios are only meaningful where parallelism
+//! CI's hardware-independent ratio gates pin sharded ≤ 0.7× one-shard at
+//! n = 625 for both the delta exchange and the full rebuild, and ≤ 0.8×
+//! at n = 1024 for the delta (see `xtask bench-gate`) — ≥ ~1.4× from a
+//! 2-core runner; wider machines only widen the margin. `xtask
+//! speedup-curve` turns the per-size seq/sharded pairs into the
+//! speedup-curve JSON CI uploads as an artifact. On a single-core host the
+//! engine resolves to one shard, so both sides of each pair run every
+//! round inline and the ratios are only meaningful where parallelism
 //! exists (the CI step reports those gates as explicitly skipped when
 //! `nproc` is 1).
 
@@ -185,10 +183,7 @@ fn bench_full_rebuild(c: &mut Criterion) {
 
         let mut seq = DbfEngine::new(&zones, 2);
         c.bench_function(&format!("routing/dbf_full_seq_{n}"), |b| {
-            b.iter(|| {
-                seq.reset(&zones, &alive);
-                std::hint::black_box(seq.run_to_convergence_masked(&zones, &alive))
-            })
+            b.iter(|| std::hint::black_box(seq.rebuild_sharded(&zones, &alive)))
         });
 
         let mut sharded = DbfEngine::new(&zones, 2).with_shards(shard_count());

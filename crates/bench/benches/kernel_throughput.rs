@@ -65,10 +65,7 @@ fn bench_dbf(c: &mut Criterion) {
     let mut dbf = DbfEngine::new(&zones, 2);
     let alive = vec![true; zones.len()];
     c.bench_function("routing/dbf_convergence_169_nodes", |b| {
-        b.iter(|| {
-            dbf.reset(&zones, &alive);
-            std::hint::black_box(dbf.run_to_convergence_masked(&zones, &alive))
-        })
+        b.iter(|| std::hint::black_box(dbf.rebuild_sharded(&zones, &alive)))
     });
 }
 

@@ -296,14 +296,19 @@ pub struct SimConfig {
     /// epoch cost shrinks from O(n²) to O(k) rows. `false` rebuilds the
     /// table all-pairs every epoch — the reference path.
     pub incremental_zones: bool,
-    /// Shard partitions for the delta re-convergence
-    /// ([`spms_routing::DbfEngine::with_shards`]): each mobility window's
-    /// dirty-destination exchange is cut into contiguous receiver ranges
-    /// of balanced load and run on the engine's persistent worker pool.
+    /// Shard partitions for the DBF rounds
+    /// ([`spms_routing::DbfEngine::with_shards`]): a heavy round of the
+    /// full rebuild or of a mobility window's delta re-convergence is cut
+    /// into contiguous receiver ranges of balanced load and run on the
+    /// engine's persistent worker pool; `1` runs every round inline.
     /// The shard count also sizes that pool — `shards − 1` threads,
     /// created lazily on the first heavy round, parked between rounds,
     /// reused across every epoch of the run, and dropped with the engine.
-    /// `0` (the default) resolves to [`spms_kernel::host_parallelism`].
+    /// `0` (the default) resolves to [`spms_kernel::host_parallelism`]; a
+    /// sweep running several simulations at once fills an unset `0` with
+    /// its per-run share of the host instead (host parallelism divided by
+    /// the sweep's workers, at least 1), so sweep workers and pool threads
+    /// together do not oversubscribe the host.
     /// The shard count can never change results — tables *and* stats are
     /// bit-identical for every value (property-tested in `spms-routing`),
     /// which `tests/integration_determinism.rs` re-checks end to end on

@@ -544,7 +544,7 @@ impl Simulation {
         }
     }
 
-    /// The shard count the delta re-convergence runs with: the configured
+    /// The shard count the DBF rounds run with: the configured
     /// `dbf_shards`, with `0` resolving to
     /// [`spms_kernel::host_parallelism`]. Also sizes the routing engine's
     /// persistent worker pool. Purely a wall-clock knob — results are
@@ -718,8 +718,7 @@ impl Simulation {
         self.routing_cost.incremental_executions += u64::from(incremental);
         // Counts plans, not threads: bit-identical across shard counts, so
         // same-seed metrics compare byte for byte whatever the host offers.
-        let sharded = self.dbf.as_ref().is_some_and(|d| d.shards().is_some());
-        self.routing_cost.sharded_executions += u64::from(incremental && sharded);
+        self.routing_cost.sharded_executions += u64::from(incremental);
         self.routing_cost.rounds += u64::from(stats.rounds);
         self.routing_cost.messages += stats.messages;
         self.routing_cost.bytes += stats.bytes_total;

@@ -14,14 +14,14 @@ pub struct RoutingCost {
     /// (scoped to the zones a mobility or failure event touched) rather
     /// than full from-scratch rebuilds.
     pub incremental_executions: u64,
-    /// Delta re-convergences routed through the zone-shard planner
+    /// Delta re-convergences run through the zone-shard planner
     /// (`SimConfig::dbf_shards`). Deliberately counts *plans*, not
     /// threads, so same-seed runs stay byte-comparable across machines
-    /// and shard counts. In the current engine every delta re-convergence
-    /// is planner-executed, so this equals
-    /// [`RoutingCost::incremental_executions`] by construction (asserted
-    /// in tests); it names the execution mode explicitly and will diverge
-    /// only if a sequential-engine escape hatch is ever added.
+    /// and shard counts. Every DBF execution goes through the one
+    /// range-planned round loop — there is no separate sequential engine —
+    /// so this equals [`RoutingCost::incremental_executions`] by
+    /// construction (asserted in tests). It is kept so that `RunMetrics`
+    /// and fig12's planner note stay byte-identical across versions.
     pub sharded_executions: u64,
     /// Re-convergence windows flushed by the mobility-epoch batcher
     /// (`SimConfig::batch_epochs`). With the default window of 1 this

@@ -7,40 +7,38 @@
 //! `O(n·e)` convergence bound and argues zone sizes (5–50 nodes) keep it
 //! affordable — our stats let experiments verify that claim directly.
 //!
-//! Two execution modes share the table state:
+//! One round loop runs every exchange, in one of two snapshot modes:
 //!
-//! * **Full rebuild** ([`DbfEngine::reset`] +
-//!   [`DbfEngine::run_to_convergence_masked`]) — the paper's "re-execution
-//!   of the DBF": every table is cleared, direct routes are reinstalled, and
-//!   every node broadcasts its whole vector in round one. Kept as the
-//!   reference oracle the incremental mode is property-tested against.
-//! * **Incremental delta rebuild** ([`DbfEngine::update_topology`] /
-//!   [`DbfEngine::invalidate_zone`]) — real distance-vector deployments
-//!   propagate triggered *deltas*, not full vectors. The engine tracks a
-//!   per-node *dirty set* of destinations whose advertised route changed
-//!   since the node's last broadcast; a topology event invalidates only the
-//!   destinations it can actually affect, reseeds their direct routes, and
-//!   re-converges with vectors that carry only the changed entries.
+//! * **Full** ([`DbfEngine::rebuild_sharded`]) — the paper's
+//!   "re-execution of the DBF": every table is cleared, direct routes are
+//!   reinstalled, and every node broadcasts its whole vector in round one;
+//!   after that, every node whose table changed broadcasts its whole vector
+//!   again. [`DbfEngine::run_to_convergence`] runs the same rounds from the
+//!   current tables.
+//! * **Delta** ([`DbfEngine::update_topology`] /
+//!   [`DbfEngine::invalidate_zone`] / [`DbfEngine::apply_zone_delta`]) —
+//!   real distance-vector deployments propagate triggered *deltas*, not
+//!   full vectors. The engine tracks a per-node *dirty set* of destinations
+//!   whose advertised route changed since the node's last broadcast; a
+//!   topology event invalidates only the destinations it can actually
+//!   affect, reseeds their direct routes, and re-converges with vectors
+//!   that carry only the changed entries.
 //!
-//! Both modes additionally come in two executions sharing one semantics:
-//! the **sequential** round loops (the full rebuild is the root oracle of
-//! the equivalence chain, the sequential delta loop the mid-level oracle)
-//! and the **zone-sharded** runners ([`DbfEngine::with_shards`] for the
-//! delta rounds, [`DbfEngine::rebuild_sharded`] for the full rebuild),
-//! which snapshot each round's broadcasts by contiguous **sender** ranges,
-//! scatter them into per-receiver CSR inboxes, partition the receivers
-//! into contiguous id ranges of balanced relaxation load, and run the
-//! ranges on the engine's persistent [`WorkerPool`] (parked between
-//! rounds, woken by a round-barrier handoff; light rounds run inline
-//! without ever starting it). Receivers are the unit of ownership: a
-//! node's table is only ever touched by the shard that owns its id, and
-//! each receiver replays its inbox in exactly the broadcast order the
-//! sequential loop uses, so the merge is a no-op and the tables (and even
-//! the [`DbfStats`]) are bit-identical for *every* shard count — the
-//! property the `sharded` proptest suite pins against both oracles along
-//! the chain sharded-full → sequential-full → sequential-delta →
-//! sharded-delta. Thread count can therefore never change routing
-//! results, only wall-clock time.
+//! Each round relaxes the previous round's snapshot over contiguous
+//! receiver id ranges. There is one range, `0..n`, run inline, unless the
+//! engine has more than one shard ([`DbfEngine::with_shards`]) and the
+//! round is heavy enough to pay the handoff; then the ranges are cut to
+//! balance relaxation load and run on the engine's persistent
+//! [`WorkerPool`]. A range walks the snapshot in sender order, clips each
+//! sender's zone links to its own ids, relaxes, and then flattens its own
+//! changed nodes into its share of the next snapshot; the shares
+//! concatenate in id order. A node's table is only ever touched by the
+//! range that owns its id, and every receiver replays its vectors in sender
+//! order however the ids are cut, so tables and [`DbfStats`] are
+//! bit-identical for every shard count. Thread count can never change
+//! routing results, only wall-clock time. The sequential full rebuild
+//! [`crate::reference_rebuild`] shares no code with this loop and is the
+//! reference both modes are property-tested against.
 //!
 //! The incremental scheme leans on a structural fact of zone routing: a
 //! node only maintains destinations inside its own zone, and every relay on
@@ -59,32 +57,19 @@ use std::sync::Arc;
 use spms_net::{NodeId, ZoneDelta, ZoneTable};
 
 /// Minimum total relaxation load (vector entries addressed this round)
-/// before a sharded round is handed to the persistent worker pool;
+/// before a round is cut into ranges for the persistent worker pool;
 /// lighter rounds run inline. A delta convergence tapers — the last few
 /// rounds carry a handful of entries — and even the pool's handoff (one
-/// mutex/condvar round trip, single-digit microseconds, vs. the tens of
-/// microseconds per thread the old per-round `thread::scope` spawns
-/// cost) is not worth paying to split a few hundred nanoseconds of
-/// relaxation. At ≈ 0.25 µs of relaxation per entry, 256 entries split
-/// two ways save ≈ 30 µs against ≈ 5 µs of handoff — comfortably past
-/// crossover — while the tail rounds of a convergence stay inline and
-/// overhead-free. Purely a scheduling choice: the executed relaxation is
-/// identical either way.
+/// mutex/condvar round trip, single-digit microseconds) is not worth
+/// paying to split a few hundred nanoseconds of relaxation. At ≈ 0.25 µs
+/// of relaxation per entry, 256 entries split two ways save ≈ 30 µs
+/// against ≈ 5 µs of handoff — comfortably past crossover — while the
+/// tail rounds of a convergence stay inline and overhead-free. Purely a
+/// scheduling choice: the executed relaxation is identical either way.
 const SHARD_MIN_LOAD: u64 = 256;
 
 use crate::pool::WorkerPool;
 use crate::{DbfWireFormat, RouteEntry, RoutingTable, TableLayout};
-
-/// A node's broadcast distance vector: its best known cost and hop count to
-/// each destination it maintains (all of them for a full-rebuild round, only
-/// the changed ones for a delta round).
-#[derive(Clone, Debug, PartialEq)]
-pub struct DbfVector {
-    /// The sender.
-    pub from: NodeId,
-    /// `(destination, best cost, best hops)` triples in destination order.
-    pub entries: Vec<(NodeId, f64, u32)>,
-}
 
 /// Cost accounting for one DBF execution.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -95,24 +80,48 @@ pub struct DbfStats {
     pub messages: u64,
     /// Total vector entries across all broadcasts.
     pub entries_sent: u64,
-    /// Total bytes on air, per the configured wire format.
+    /// Total bytes on air, per [`DbfWireFormat::default`].
     pub bytes_total: u64,
     /// Bytes broadcast by each node (for per-node energy charging).
     pub per_node_bytes: Vec<u64>,
 }
 
+/// Round mode of [`DbfEngine::run_rounds`]: every flagged node sends its
+/// whole vector (an empty table still sends an empty one), and a receiver
+/// whose table changes is flagged for the next round. Zone scoping is
+/// [`ZoneTable::in_zone`].
+const FULL: bool = true;
+
+/// Round mode of [`DbfEngine::run_rounds`]: every node sends the drained
+/// entries of its dirty set, and a receiver records each changed
+/// destination in its dirty set. Zone scoping is the affected-destination
+/// bitmap.
+const DELTA: bool = false;
+
 /// Reusable buffers for the synchronous exchange, hoisted out of the round
-/// loop so steady-state re-convergence allocates nothing.
+/// loop so steady-state inline rounds allocate nothing (a pooled round
+/// allocates only its short task list).
 #[derive(Clone, Debug, Default)]
 struct Scratch {
-    /// Broadcast flags for the current round.
-    pending: Vec<bool>,
-    /// Broadcast flags accumulated for the next round.
-    next_pending: Vec<bool>,
-    /// Snapshot arena: every entry broadcast this round, flattened.
+    /// Full rounds: the nodes that broadcast next (every alive node in
+    /// round one, then every node whose table changed).
+    flags: Vec<bool>,
+    /// The round's snapshot: every entry broadcast, flattened.
     snap_entries: Vec<(NodeId, f64, u32)>,
-    /// `(sender, start, end)` ranges into `snap_entries`.
+    /// `(sender, start, end)` ranges into `snap_entries`, in sender order.
     snap_from: Vec<(NodeId, u32, u32)>,
+    /// Pooled rounds: each receiver range's share of the next snapshot's
+    /// entries.
+    range_entries: Vec<Vec<(NodeId, f64, u32)>>,
+    /// Pooled rounds: each receiver range's share of the next snapshot's
+    /// senders (ranges relative to its own entry buffer until
+    /// concatenation rebases them).
+    range_from: Vec<Vec<(NodeId, u32, u32)>>,
+    /// Per-receiver relaxation load (entries addressed to it this round) —
+    /// the range planner's balancing weight.
+    load: Vec<u64>,
+    /// Receiver range boundary node ids (`bounds[i]..bounds[i+1]`).
+    bounds: Vec<usize>,
     /// All-alive mask for [`DbfEngine::run_to_convergence`].
     all_alive: Vec<bool>,
     /// Membership bitmap for the affected destination set.
@@ -131,42 +140,6 @@ struct Scratch {
     touched: Vec<bool>,
     /// Per-maintainer wipe list, reused across maintainers.
     wipe: Vec<NodeId>,
-    /// Sharded rounds: CSR prefix (`n + 1` entries) of each receiver's
-    /// inbox for the current round.
-    inbox_start: Vec<u32>,
-    /// Sharded rounds: `snap_from` index of each inbox vector, grouped by
-    /// receiver, in broadcast (sender-id) order within each group.
-    inbox_msg: Vec<u32>,
-    /// Sharded rounds: the receiver's link weight to each inbox sender.
-    inbox_weight: Vec<f64>,
-    /// Sharded rounds: per-receiver relaxation load (entries addressed to
-    /// it this round) — the shard planner's balancing weight.
-    load: Vec<u64>,
-    /// Sharded rounds: scatter cursors while filling the inbox.
-    fill: Vec<u32>,
-    /// Sharded rounds: shard boundary node ids (`bounds[i]..bounds[i+1]`).
-    bounds: Vec<usize>,
-    /// Sender-sharded snapshots: per-sender snapshot weight (entries the
-    /// sender would flatten this round) — the sender planner's balancing
-    /// weight.
-    snd_load: Vec<u64>,
-    /// Sender-sharded snapshots: sender shard boundary node ids.
-    snd_bounds: Vec<usize>,
-    /// Sender-sharded snapshots: per-shard entry buffers, concatenated in
-    /// shard (= sender id) order after the scope joins.
-    shard_entries: Vec<Vec<(NodeId, f64, u32)>>,
-    /// Sender-sharded snapshots: per-shard `(sender, start, end)` buffers
-    /// (ranges relative to the shard's own entry buffer until
-    /// concatenation rebases them).
-    shard_from: Vec<Vec<(NodeId, u32, u32)>>,
-    /// Fused pooled rounds: per-range "this range still has updates to
-    /// send" flags — the parallelized form of the round loop's global
-    /// quiescence scan.
-    range_had: Vec<bool>,
-    /// Pooled scatter: each sender's `snap_from` index this round
-    /// (`u32::MAX` for nodes that did not broadcast), so receiver-driven
-    /// tasks can look their zone neighbors up in O(1).
-    msg_of: Vec<u32>,
 }
 
 /// The distributed Bellman-Ford engine: one routing table per node.
@@ -191,14 +164,12 @@ pub struct DbfEngine {
     tables: Vec<RoutingTable>,
     /// Per-node destinations whose table entries changed since the node's
     /// last broadcast — the triggered-update ("delta") state. Empty at every
-    /// convergence point.
+    /// public entry and convergence point.
     dirty: Vec<BTreeSet<NodeId>>,
     k: usize,
-    wire: DbfWireFormat,
-    /// `None` runs the delta rounds sequentially (the mid-level oracle);
-    /// `Some(s)` runs them through the zone-shard planner with `s`
-    /// receiver partitions. Bit-identical either way.
-    shards: Option<usize>,
+    /// The most receiver ranges a heavy round is cut into; `1` runs every
+    /// round inline. Bit-identical for every value.
+    shards: usize,
     /// The persistent worker pool (`shards - 1` parked threads; the
     /// dispatching thread is the remaining shard), spun up lazily the
     /// first time a round is heavy enough to split and reused for every
@@ -219,7 +190,6 @@ impl Clone for DbfEngine {
             tables: self.tables.clone(),
             dirty: self.dirty.clone(),
             k: self.k,
-            wire: self.wire,
             shards: self.shards,
             pool: None,
             scratch: self.scratch.clone(),
@@ -228,8 +198,8 @@ impl Clone for DbfEngine {
 }
 
 impl DbfEngine {
-    /// Creates an engine with direct (one-hop) routes installed for every
-    /// zone link, keeping `k` alternatives per destination.
+    /// Creates a one-shard engine with direct (one-hop) routes installed
+    /// for every zone link, keeping `k` alternatives per destination.
     ///
     /// # Panics
     ///
@@ -240,8 +210,7 @@ impl DbfEngine {
             tables: (0..zones.len()).map(|_| RoutingTable::new(k)).collect(),
             dirty: vec![BTreeSet::new(); zones.len()],
             k,
-            wire: DbfWireFormat::default(),
-            shards: None,
+            shards: 1,
             pool: None,
             scratch: Scratch::default(),
         };
@@ -249,22 +218,11 @@ impl DbfEngine {
         engine
     }
 
-    /// Overrides the wire format used for byte accounting.
-    #[must_use]
-    pub fn with_wire_format(mut self, wire: DbfWireFormat) -> Self {
-        self.wire = wire;
-        self
-    }
-
-    /// Routes the delta re-convergence through the zone-shard planner with
-    /// `shards` receiver partitions (shards beyond the round's active
-    /// receivers idle). One partition dispatches straight to the
-    /// sequential round loop — a single-core host pays zero planning
-    /// overhead — while [`DbfEngine::shards`] still reports the
-    /// configuration, so accounting that names the execution mode stays
-    /// byte-comparable with a parallel host. Tables and stats are
-    /// bit-identical to the sequential path for every shard count
-    /// (property-tested).
+    /// Lets a heavy round run on up to `shards` threads: it is cut into at
+    /// most `shards` receiver ranges of balanced relaxation load, run on
+    /// the engine's worker pool. `1` (the default) runs every round inline
+    /// and never starts the pool. Tables and stats are bit-identical for
+    /// every shard count (property-tested).
     ///
     /// # Panics
     ///
@@ -272,13 +230,14 @@ impl DbfEngine {
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
         assert!(shards > 0, "shards must be at least 1");
-        self.shards = Some(shards);
+        self.shards = shards;
+        self.pool = None;
         self
     }
 
-    /// The configured shard count (`None` = sequential delta rounds).
+    /// The configured shard count.
     #[must_use]
-    pub fn shards(&self) -> Option<usize> {
+    pub fn shards(&self) -> usize {
         self.shards
     }
 
@@ -286,7 +245,7 @@ impl DbfEngine {
     /// for the inline-dispatch taper: an engine whose every round stays
     /// under the pool's load threshold must never start worker threads
     /// (pinned by tests), so light workloads on a sharded engine pay
-    /// exactly what a sequential engine pays.
+    /// exactly what a one-shard engine pays.
     #[must_use]
     pub fn pool_started(&self) -> bool {
         self.pool.is_some()
@@ -297,16 +256,16 @@ impl DbfEngine {
     /// a clone of the handle so callers can dispatch while `self`'s
     /// fields are mutably borrowed; the `Arc` is an ownership detail, not
     /// a sharing mechanism — each engine has its own pool.
-    fn pool(&mut self, shards: usize) -> Arc<WorkerPool> {
-        debug_assert!(shards >= 2, "pooled dispatch needs at least two shards");
-        match &self.pool {
-            Some(pool) if pool.workers() == shards - 1 => Arc::clone(pool),
-            _ => {
-                let pool = Arc::new(WorkerPool::new(shards - 1));
-                self.pool = Some(Arc::clone(&pool));
-                pool
-            }
-        }
+    fn pool(&mut self) -> Arc<WorkerPool> {
+        debug_assert!(
+            self.shards >= 2,
+            "pooled dispatch needs at least two shards"
+        );
+        let workers = self.shards - 1;
+        Arc::clone(
+            self.pool
+                .get_or_insert_with(|| Arc::new(WorkerPool::new(workers))),
+        )
     }
 
     /// Stores every routing table in `layout` ([`TableLayout::Soa`] planes
@@ -336,17 +295,12 @@ impl DbfEngine {
         self.k
     }
 
-    /// Reinstalls direct routes from scratch, skipping dead nodes — the
-    /// paper's "re-execution of the DBF" after mobility or failure. This is
-    /// the full-rebuild reference path; [`DbfEngine::update_topology`] is
-    /// the incremental equivalent.
-    pub fn reset(&mut self, zones: &ZoneTable, alive: &[bool]) {
+    /// Clears every table and reinstalls the direct routes between alive
+    /// zone neighbors — the starting point of a full rebuild.
+    fn reset(&mut self, zones: &ZoneTable, alive: &[bool]) {
         assert_eq!(alive.len(), zones.len(), "alive mask length mismatch");
         for table in &mut self.tables {
             table.clear();
-        }
-        for set in &mut self.dirty {
-            set.clear();
         }
         for a in 0..zones.len() {
             if !alive[a] {
@@ -373,42 +327,22 @@ impl DbfEngine {
         }
     }
 
-    /// The full rebuild through the shard planner: [`DbfEngine::reset`]
-    /// plus synchronous full-vector rounds executed across the
-    /// configured shard count on the engine's persistent worker pool —
-    /// the parallel equivalent of `reset` +
-    /// [`DbfEngine::run_to_convergence_masked`], which stays verbatim as
-    /// the root oracle this path is property-tested against (tables
-    /// **and** stats bit-identical for every shard count).
-    ///
-    /// Each round scatters the previous round's broadcasts into
-    /// per-receiver CSR inboxes exactly like the sharded delta rounds,
-    /// then each receiver range relaxes its inboxes and immediately
-    /// flattens its own changed tables into shard-local buffers for the
-    /// next round's snapshot (concatenated in id order — byte-identical
-    /// to the sequential sender-order arena). Light rounds run inline —
-    /// a single-core host (or an unsharded engine) dispatches straight
-    /// to the sequential loop and never starts the pool.
+    /// The full rebuild, skipping dead nodes — the paper's "re-execution of
+    /// the DBF" after mobility or failure: every table is cleared, direct
+    /// routes are reinstalled, and full-vector rounds run to quiescence
+    /// across the configured shard count. Tables **and** stats are
+    /// bit-identical to [`crate::reference_rebuild`] for every shard count
+    /// (property-tested).
     ///
     /// # Panics
     ///
     /// Panics if the alive mask length does not match, or if the exchange
-    /// fails to converge within the same bound as the sequential rebuild.
+    /// fails to converge within a generous bound (which would indicate a
+    /// negative-cost or bookkeeping bug, as positive-weight DBF always
+    /// converges).
     pub fn rebuild_sharded(&mut self, zones: &ZoneTable, alive: &[bool]) -> DbfStats {
         self.reset(zones, alive);
-        match self.shards {
-            // One partition replays the sequential order by construction:
-            // dispatch to the root oracle loop itself.
-            None | Some(1) => self.run_to_convergence_masked(zones, alive),
-            Some(shards) => {
-                let mut stats = DbfStats {
-                    per_node_bytes: vec![0; zones.len()],
-                    ..DbfStats::default()
-                };
-                self.run_full_rounds_sharded(zones, alive, shards, &mut stats);
-                stats
-            }
-        }
+        self.run_rounds::<FULL>(zones, alive)
     }
 
     /// The routing table of `node`.
@@ -430,171 +364,21 @@ impl DbfEngine {
         self.tables
     }
 
-    /// Builds the full distance vector `node` would broadcast now.
-    #[must_use]
-    pub fn vector_of(&self, node: NodeId) -> DbfVector {
-        let mut entries = Vec::new();
-        self.tables[node.index()].append_vector(&mut entries);
-        DbfVector {
-            from: node,
-            entries,
-        }
-    }
-
-    /// Builds the *delta* vector `node` would broadcast now: only the
-    /// destinations whose entries changed since the node's last broadcast.
-    /// Destinations that were invalidated and have no route again yet are
-    /// silently omitted (their maintainers were invalidated by the same
-    /// event, so there is no stale state to withdraw).
-    #[must_use]
-    pub fn delta_vector_of(&self, node: NodeId) -> DbfVector {
-        let table = &self.tables[node.index()];
-        let entries = self.dirty[node.index()]
-            .iter()
-            .filter_map(|&d| table.best(d).map(|e| (d, e.cost, e.hops)))
-            .collect();
-        DbfVector {
-            from: node,
-            entries,
-        }
-    }
-
-    /// Applies a received vector at `at`: relaxes `at`'s table with routes
-    /// via the sender and records any changed destination in `at`'s dirty
-    /// set (the trigger state for its next delta broadcast). Returns `true`
-    /// if the table changed.
-    pub fn receive(&mut self, at: NodeId, vector: &DbfVector, zones: &ZoneTable) -> bool {
-        let Some(link) = zones.link_to(at, vector.from) else {
-            return false; // sender out of zone (stale broadcast after a move)
-        };
-        self.apply_entries(at, vector.from, link.weight, &vector.entries, zones)
-    }
-
-    /// Relaxation inner loop shared by both execution modes. `w` is the
-    /// receiver's link weight to the sender (symmetric for a shared radio
-    /// profile, so the broadcast loop can pass the sender-side weight).
-    fn apply_entries(
-        &mut self,
-        at: NodeId,
-        from: NodeId,
-        w: f64,
-        entries: &[(NodeId, f64, u32)],
-        zones: &ZoneTable,
-    ) -> bool {
-        let table = &mut self.tables[at.index()];
-        let dirty = &mut self.dirty[at.index()];
-        let mut changed = false;
-        for &(dest, cost, hops) in entries {
-            if dest == at {
-                continue;
-            }
-            // Zone scoping: `at` only maintains destinations in its own zone.
-            if !zones.in_zone(at, dest) {
-                continue;
-            }
-            if table.offer(
-                dest,
-                RouteEntry {
-                    via: from,
-                    cost: w + cost,
-                    hops: hops + 1,
-                },
-            ) {
-                dirty.insert(dest);
-                changed = true;
-            }
-        }
-        changed
-    }
-
-    /// Runs synchronous rounds until quiescence with every node alive.
+    /// Runs full-vector rounds until quiescence with every node alive,
+    /// starting from the current tables: round one has every node
+    /// broadcast its whole vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the exchange fails to converge (see
+    /// [`DbfEngine::rebuild_sharded`]).
     pub fn run_to_convergence(&mut self, zones: &ZoneTable) -> DbfStats {
         let mut all_alive = std::mem::take(&mut self.scratch.all_alive);
         all_alive.clear();
         all_alive.resize(zones.len(), true);
-        let stats = self.run_to_convergence_masked(zones, &all_alive);
+        let stats = self.run_rounds::<FULL>(zones, &all_alive);
         self.scratch.all_alive = all_alive;
         stats
-    }
-
-    /// Runs synchronous rounds until quiescence, excluding dead nodes — the
-    /// full-rebuild reference path.
-    ///
-    /// Triggered-update semantics: in round 1 every (alive) node broadcasts;
-    /// thereafter only nodes whose table changed in the previous round do.
-    /// Vectors within a round are snapshotted first, so the exchange is
-    /// order-independent and deterministic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the alive mask length does not match, or if the exchange
-    /// fails to converge within a generous bound (which would indicate a
-    /// negative-cost or bookkeeping bug, as positive-weight DBF always
-    /// converges).
-    pub fn run_to_convergence_masked(&mut self, zones: &ZoneTable, alive: &[bool]) -> DbfStats {
-        assert_eq!(alive.len(), zones.len(), "alive mask length mismatch");
-        let n = zones.len();
-        let mut stats = DbfStats {
-            per_node_bytes: vec![0; n],
-            ..DbfStats::default()
-        };
-        let mut pending = std::mem::take(&mut self.scratch.pending);
-        pending.clear();
-        pending.extend_from_slice(alive);
-        // Positive weights: path costs strictly increase with hops, so
-        // convergence takes at most diameter+2 rounds; n+4 is a safe bound.
-        let max_rounds = (n as u32).max(8) + 4;
-
-        for _round in 0..max_rounds {
-            stats.rounds += 1;
-            if pending.iter().all(|&p| !p) {
-                self.scratch.pending = pending;
-                // A full convergence leaves no triggered updates behind.
-                for set in &mut self.dirty {
-                    set.clear();
-                }
-                return stats; // quiescent: nobody has updates to send
-            }
-            // Snapshot the vectors of every broadcasting node into the flat
-            // arena (reused across rounds — no per-vector allocations).
-            let mut snap_entries = std::mem::take(&mut self.scratch.snap_entries);
-            let mut snap_from = std::mem::take(&mut self.scratch.snap_from);
-            snap_entries.clear();
-            snap_from.clear();
-            for i in 0..n {
-                if !(pending[i] && alive[i]) {
-                    continue;
-                }
-                let start = snap_entries.len() as u32;
-                self.tables[i].append_vector(&mut snap_entries);
-                snap_from.push((NodeId::new(i as u32), start, snap_entries.len() as u32));
-            }
-            let mut next_pending = std::mem::take(&mut self.scratch.next_pending);
-            next_pending.clear();
-            next_pending.resize(n, false);
-            for &(from, start, end) in &snap_from {
-                let entries = &snap_entries[start as usize..end as usize];
-                stats.messages += 1;
-                stats.entries_sent += entries.len() as u64;
-                let bytes = u64::from(self.wire.message_bytes(entries.len()));
-                stats.bytes_total += bytes;
-                stats.per_node_bytes[from.index()] += bytes;
-                for link in zones.links(from) {
-                    let to = link.neighbor;
-                    if !alive[to.index()] {
-                        continue;
-                    }
-                    if self.apply_entries(to, from, link.weight, entries, zones) {
-                        next_pending[to.index()] = true;
-                    }
-                }
-            }
-            self.scratch.snap_entries = snap_entries;
-            self.scratch.snap_from = snap_from;
-            // Retire the drained flags buffer for reuse next round.
-            self.scratch.next_pending = std::mem::replace(&mut pending, next_pending);
-        }
-        panic!("DBF failed to converge within {max_rounds} rounds");
     }
 
     /// Incrementally re-converges after a node liveness event (failure or
@@ -622,8 +406,8 @@ impl DbfEngine {
     /// Those destinations are invalidated at their maintainers, direct
     /// routes are reseeded, and the delta exchange re-converges just that
     /// slice of the network. Tables end bit-identical to a from-scratch
-    /// [`DbfEngine::reset`] + [`DbfEngine::run_to_convergence_masked`]
-    /// rebuild (property-tested), at a fraction of the cost.
+    /// [`crate::reference_rebuild`] (property-tested), at a fraction of the
+    /// cost.
     ///
     /// # Panics
     ///
@@ -640,10 +424,10 @@ impl DbfEngine {
         let n = new_zones.len();
         assert_eq!(old_zones.len(), n, "zone table length mismatch");
         assert_eq!(alive.len(), n, "alive mask length mismatch");
-        let mut stats = DbfStats {
-            per_node_bytes: vec![0; n],
-            ..DbfStats::default()
-        };
+        debug_assert!(
+            self.dirty.iter().all(BTreeSet::is_empty),
+            "every exchange drains the dirty sets"
+        );
 
         // Affected destinations: each changed node and everything adjacent
         // to it before or after the event.
@@ -659,16 +443,6 @@ impl DbfEngine {
                 affected[link.neighbor.index()] = true;
             }
         }
-        // Pending triggered updates (e.g. manual `receive` calls since the
-        // last convergence) are flushed by folding their destinations into
-        // the invalidated set: the wipe-and-reconverge re-derives those
-        // routes from the actual topology, and the delta rounds can assume
-        // every dirty destination has a dense index.
-        for set in &self.dirty {
-            for &d in set {
-                affected[d.index()] = true;
-            }
-        }
         let mut dests = std::mem::take(&mut self.scratch.dests);
         dests.clear();
         dests.extend(
@@ -681,7 +455,6 @@ impl DbfEngine {
         for &c in changed {
             if !alive[c.index()] {
                 self.tables[c.index()].clear();
-                self.dirty[c.index()].clear();
             }
         }
 
@@ -700,8 +473,7 @@ impl DbfEngine {
         self.scratch.affected = affected;
         self.scratch.dests = dests;
 
-        self.reconverge_affected(new_zones, alive, &mut stats);
-        stats
+        self.reconverge_affected(new_zones, alive)
     }
 
     /// Incrementally re-converges after an **in-place** zone patch
@@ -729,16 +501,15 @@ impl DbfEngine {
     ) -> DbfStats {
         let n = zones.len();
         assert_eq!(alive.len(), n, "alive mask length mismatch");
-        let mut stats = DbfStats {
-            per_node_bytes: vec![0; n],
-            ..DbfStats::default()
-        };
+        debug_assert!(
+            self.dirty.iter().all(BTreeSet::is_empty),
+            "every exchange drains the dirty sets"
+        );
 
         // Affected destinations: the patch already rebuilt the rows of
         // every moved node and everyone inside its old or new zone —
         // `changed_nodes` is exactly that set. Liveness flips add their
-        // own (unchanged) zones, and pending triggered updates are flushed
-        // as in `update_topology`.
+        // own (unchanged) zones.
         let mut affected = std::mem::take(&mut self.scratch.affected);
         affected.clear();
         affected.resize(n, false);
@@ -749,11 +520,6 @@ impl DbfEngine {
             affected[c.index()] = true;
             for link in zones.links(c) {
                 affected[link.neighbor.index()] = true;
-            }
-        }
-        for set in &self.dirty {
-            for &d in set {
-                affected[d.index()] = true;
             }
         }
         let mut dests = std::mem::take(&mut self.scratch.dests);
@@ -773,7 +539,6 @@ impl DbfEngine {
         {
             if !alive[c.index()] {
                 self.tables[c.index()].clear();
-                self.dirty[c.index()].clear();
             }
         }
 
@@ -796,8 +561,7 @@ impl DbfEngine {
         self.scratch.affected = affected;
         self.scratch.dests = dests;
 
-        self.reconverge_affected(zones, alive, &mut stats);
-        stats
+        self.reconverge_affected(zones, alive)
     }
 
     /// Shared tail of the incremental paths. Expects the affected
@@ -805,9 +569,8 @@ impl DbfEngine {
     /// old-adjacency wipes already done): wipes every maintainer's routes
     /// to the affected destinations under the **new** adjacency, reseeds
     /// the surviving direct routes, precomputes the delta-round zone
-    /// scoping, and re-converges — sequentially or through the zone-shard
-    /// planner, per [`DbfEngine::with_shards`].
-    fn reconverge_affected(&mut self, zones: &ZoneTable, alive: &[bool], stats: &mut DbfStats) {
+    /// scoping, and re-converges with delta rounds.
+    fn reconverge_affected(&mut self, zones: &ZoneTable, alive: &[bool]) -> DbfStats {
         let n = zones.len();
         let dests = std::mem::take(&mut self.scratch.dests);
         // Precompute the zone scoping first: every entry the delta exchange
@@ -883,1221 +646,332 @@ impl DbfEngine {
         self.scratch.dest_index = dest_index;
         self.scratch.member = member;
 
-        match self.shards {
-            // One partition would replay the sequential order anyway: skip
-            // the planner (inbox scatter, bounds) entirely. `shards()`
-            // still reports the configuration for mode accounting.
-            None | Some(1) => self.run_delta_rounds(zones, alive, stats),
-            Some(shards) => self.run_delta_rounds_sharded(zones, alive, shards, stats),
-        }
+        self.run_rounds::<DELTA>(zones, alive)
     }
 
-    /// Drains every alive node's dirty set into the snapshot arena: the
-    /// round opening shared verbatim by the sequential and sharded delta
-    /// loops, so the two executions can never drift apart on what gets
-    /// broadcast. Dead broadcasters clear silently; an all-withdrawn delta
-    /// has nothing to say (its neighbors were invalidated by the same
-    /// event, so silence is correct).
-    fn snapshot_delta_round(
-        &mut self,
-        alive: &[bool],
-        snap_entries: &mut Vec<(NodeId, f64, u32)>,
-        snap_from: &mut Vec<(NodeId, u32, u32)>,
-    ) {
-        snap_entries.clear();
-        snap_from.clear();
-        for (i, &up) in alive.iter().enumerate() {
-            if self.dirty[i].is_empty() {
-                continue;
-            }
-            if !up {
-                self.dirty[i].clear();
-                continue;
-            }
-            let start = snap_entries.len() as u32;
-            let table = &self.tables[i];
-            snap_entries.extend(
-                self.dirty[i]
-                    .iter()
-                    .filter_map(|&d| table.best(d).map(|e| (d, e.cost, e.hops))),
-            );
-            self.dirty[i].clear();
-            if snap_entries.len() as u32 == start {
-                continue;
-            }
-            snap_from.push((NodeId::new(i as u32), start, snap_entries.len() as u32));
-        }
-    }
-
-    /// [`DbfEngine::snapshot_delta_round`] by **sender shard**: cuts the
-    /// sender id space into contiguous ranges of balanced dirty-entry
-    /// count, lets each range flatten its vectors (and drain its dirty
-    /// sets) into a shard-local buffer on the worker pool, and
-    /// concatenates the buffers in shard (= sender id) order — the exact
-    /// arena the sequential helper builds, byte for byte. Light rounds
-    /// (or a single busy range) fall through to the sequential helper, so
-    /// the snapshot's sequential residue is only ever paid when it is too
-    /// small to matter.
-    fn snapshot_delta_round_sharded(
-        &mut self,
-        alive: &[bool],
-        shards: usize,
-        snap_entries: &mut Vec<(NodeId, f64, u32)>,
-        snap_from: &mut Vec<(NodeId, u32, u32)>,
-    ) {
-        let mut snd_load = std::mem::take(&mut self.scratch.snd_load);
-        snd_load.clear();
-        snd_load.extend(self.dirty.iter().map(|d| d.len() as u64));
-        let mut snd_bounds = std::mem::take(&mut self.scratch.snd_bounds);
-        if !plan_sender_shards(&snd_load, shards, &mut snd_bounds) {
-            self.snapshot_delta_round(alive, snap_entries, snap_from);
-        } else {
-            let pool = self.pool(shards);
-            snap_entries.clear();
-            snap_from.clear();
-            let mut shard_entries = std::mem::take(&mut self.scratch.shard_entries);
-            let mut shard_from = std::mem::take(&mut self.scratch.shard_from);
-            let ranges = snd_bounds.len() - 1;
-            shard_entries.resize_with(ranges.max(shard_entries.len()), Vec::new);
-            shard_from.resize_with(ranges.max(shard_from.len()), Vec::new);
-            let tables = &self.tables;
-            let mut tasks: Vec<DeltaSnapTask<'_>> = Vec::with_capacity(ranges);
-            let mut dirty_rest = self.dirty.as_mut_slice();
-            let mut consumed = 0usize;
-            for ((w, ebuf), fbuf) in snd_bounds
-                .windows(2)
-                .zip(shard_entries.iter_mut())
-                .zip(shard_from.iter_mut())
-            {
-                let (lo, hi) = (w[0], w[1]);
-                let (dirty_mine, dirty_next) = dirty_rest.split_at_mut(hi - consumed);
-                dirty_rest = dirty_next;
-                consumed = hi;
-                ebuf.clear();
-                fbuf.clear();
-                if snd_load[lo..hi].iter().all(|&l| l == 0) {
-                    continue; // nothing to flatten (or clear) here
-                }
-                tasks.push(DeltaSnapTask {
-                    lo,
-                    dirty: dirty_mine,
-                    ebuf,
-                    fbuf,
-                });
-            }
-            pool.run(&mut tasks, |t| {
-                for (off, dirty) in t.dirty.iter_mut().enumerate() {
-                    let i = t.lo + off;
-                    if dirty.is_empty() {
-                        continue;
-                    }
-                    if !alive[i] {
-                        dirty.clear();
-                        continue;
-                    }
-                    let start = t.ebuf.len() as u32;
-                    let table = &tables[i];
-                    t.ebuf.extend(
-                        dirty
-                            .iter()
-                            .filter_map(|&d| table.best(d).map(|e| (d, e.cost, e.hops))),
-                    );
-                    dirty.clear();
-                    if t.ebuf.len() as u32 == start {
-                        continue;
-                    }
-                    t.fbuf
-                        .push((NodeId::new(i as u32), start, t.ebuf.len() as u32));
-                }
-            });
-            concat_snapshots(
-                &shard_entries[..ranges],
-                &shard_from[..ranges],
-                snap_entries,
-                snap_from,
-            );
-            self.scratch.shard_entries = shard_entries;
-            self.scratch.shard_from = shard_from;
-        }
-        self.scratch.snd_load = snd_load;
-        self.scratch.snd_bounds = snd_bounds;
-    }
-
-    /// The full-rebuild round snapshot by sender shard: every `pending`
-    /// alive node flattens its **whole** table (a node with an empty table
-    /// still broadcasts an empty vector, exactly as the sequential loop
-    /// counts it). Same range/concatenate discipline as
-    /// [`DbfEngine::snapshot_delta_round_sharded`]; the sequential
-    /// fallback reproduces the root oracle's snapshot verbatim.
-    fn snapshot_full_round_sharded(
-        &mut self,
-        alive: &[bool],
-        pending: &[bool],
-        shards: usize,
-        snap_entries: &mut Vec<(NodeId, f64, u32)>,
-        snap_from: &mut Vec<(NodeId, u32, u32)>,
-    ) {
-        snap_entries.clear();
-        snap_from.clear();
-        let mut snd_load = std::mem::take(&mut self.scratch.snd_load);
-        snd_load.clear();
-        // +1 keeps empty-table broadcasters visible to the busy-range
-        // check — their (empty) vector still counts a message.
-        snd_load.extend(
-            self.tables
-                .iter()
-                .enumerate()
-                .map(|(i, t)| u64::from(pending[i] && alive[i]) * (t.len() as u64 + 1)),
-        );
-        let mut snd_bounds = std::mem::take(&mut self.scratch.snd_bounds);
-        if !plan_sender_shards(&snd_load, shards, &mut snd_bounds) {
-            // Deliberately a hand-written copy of the root oracle's
-            // snapshot (run_to_convergence_masked), NOT a shared helper:
-            // the oracle stays independent of the sharded machinery so the
-            // differential proptests compare two genuinely separate
-            // constructions. Drift here is pinned by tests/sharded.rs.
-            for i in 0..alive.len() {
-                if !(pending[i] && alive[i]) {
-                    continue;
-                }
-                let start = snap_entries.len() as u32;
-                self.tables[i].append_vector(snap_entries);
-                snap_from.push((NodeId::new(i as u32), start, snap_entries.len() as u32));
-            }
-        } else {
-            let pool = self.pool(shards);
-            let mut shard_entries = std::mem::take(&mut self.scratch.shard_entries);
-            let mut shard_from = std::mem::take(&mut self.scratch.shard_from);
-            let ranges = snd_bounds.len() - 1;
-            shard_entries.resize_with(ranges.max(shard_entries.len()), Vec::new);
-            shard_from.resize_with(ranges.max(shard_from.len()), Vec::new);
-            let tables = &self.tables;
-            let mut tasks: Vec<FullSnapTask<'_>> = Vec::with_capacity(ranges);
-            for ((w, ebuf), fbuf) in snd_bounds
-                .windows(2)
-                .zip(shard_entries.iter_mut())
-                .zip(shard_from.iter_mut())
-            {
-                let (lo, hi) = (w[0], w[1]);
-                ebuf.clear();
-                fbuf.clear();
-                if snd_load[lo..hi].iter().all(|&l| l == 0) {
-                    continue;
-                }
-                tasks.push(FullSnapTask { lo, hi, ebuf, fbuf });
-            }
-            pool.run(&mut tasks, |t| {
-                for i in t.lo..t.hi {
-                    if !(pending[i] && alive[i]) {
-                        continue;
-                    }
-                    let start = t.ebuf.len() as u32;
-                    tables[i].append_vector(t.ebuf);
-                    t.fbuf
-                        .push((NodeId::new(i as u32), start, t.ebuf.len() as u32));
-                }
-            });
-            concat_snapshots(
-                &shard_entries[..ranges],
-                &shard_from[..ranges],
-                snap_entries,
-                snap_from,
-            );
-            self.scratch.shard_entries = shard_entries;
-            self.scratch.shard_from = shard_from;
-        }
-        self.scratch.snd_load = snd_load;
-        self.scratch.snd_bounds = snd_bounds;
-    }
-
-    /// Wire accounting for one round's snapshot, shared by both delta
-    /// loops. All sums are integers, so accumulation order cannot affect
-    /// the totals — the sharded rounds stay byte-identical to the
-    /// sequential ones on every stats field.
-    fn account_delta_round(&self, snap_from: &[(NodeId, u32, u32)], stats: &mut DbfStats) {
-        for &(from, start, end) in snap_from {
-            let len = (end - start) as usize;
-            stats.messages += 1;
-            stats.entries_sent += len as u64;
-            let bytes = u64::from(self.wire.message_bytes(len));
-            stats.bytes_total += bytes;
-            stats.per_node_bytes[from.index()] += bytes;
-        }
-    }
-
-    /// Delta rounds: only nodes with a non-empty dirty set broadcast, and
-    /// their vectors carry only the dirty destinations. Quiesces when every
-    /// dirty set drains.
-    fn run_delta_rounds(&mut self, zones: &ZoneTable, alive: &[bool], stats: &mut DbfStats) {
+    /// The DBF round loop, run to quiescence in mode [`FULL`] or
+    /// [`DELTA`]. Each round relaxes the current snapshot over the planned
+    /// receiver ranges, then flattens each range's changed nodes into the
+    /// next snapshot: inline, straight into the snapshot buffers, for one
+    /// range; on the worker pool, into per-range buffers concatenated in
+    /// id order, for more. It starts from an empty snapshot, so its first
+    /// pass only flattens round one's broadcasters: every alive node in
+    /// full mode (`flags` = `alive`), the reseeded dirty sets in delta
+    /// mode. The exchange quiesces after a round in which no node had
+    /// anything to send (counted: the final silent round).
+    fn run_rounds<const MODE: bool>(&mut self, zones: &ZoneTable, alive: &[bool]) -> DbfStats {
         let n = zones.len();
-        let nd = self.scratch.dests.len();
-        let dest_index = std::mem::take(&mut self.scratch.dest_index);
-        let member = std::mem::take(&mut self.scratch.member);
+        assert_eq!(alive.len(), n, "alive mask length mismatch");
+        let wire = DbfWireFormat::default();
+        let mut stats = DbfStats {
+            per_node_bytes: vec![0; n],
+            ..DbfStats::default()
+        };
+        let mut s = std::mem::take(&mut self.scratch);
+        s.flags.clear();
+        if MODE == FULL {
+            s.flags.extend_from_slice(alive);
+        } else {
+            s.flags.resize(n, false);
+        }
+        s.snap_entries.clear();
+        s.snap_from.clear();
+        // Positive weights: path costs strictly increase with hops, so
+        // convergence takes at most diameter+2 rounds; n+4 is a safe bound.
         let max_rounds = (n as u32).max(8) + 4;
         for _round in 0..max_rounds {
-            stats.rounds += 1;
-            if self.dirty.iter().all(BTreeSet::is_empty) {
-                self.scratch.dest_index = dest_index;
-                self.scratch.member = member;
-                return; // quiescent: no triggered updates left
-            }
-            let mut snap_entries = std::mem::take(&mut self.scratch.snap_entries);
-            let mut snap_from = std::mem::take(&mut self.scratch.snap_from);
-            self.snapshot_delta_round(alive, &mut snap_entries, &mut snap_from);
-            self.account_delta_round(&snap_from, stats);
-            for &(from, start, end) in &snap_from {
-                let entries = &snap_entries[start as usize..end as usize];
-                for link in zones.links(from) {
-                    let to = link.neighbor;
-                    if !alive[to.index()] {
-                        continue;
-                    }
-                    // Scoped relaxation: every delta entry targets an
-                    // affected destination, so zone membership is one
-                    // bitmap load (self-routes are excluded because a node
-                    // never links to itself).
-                    let base = to.index() * nd;
-                    let table = &mut self.tables[to.index()];
-                    let dirty = &mut self.dirty[to.index()];
-                    // Delta vectors are in destination order: one ascending
-                    // offer cursor per (vector, receiver) replay.
-                    let mut cursor = 0usize;
-                    for &(dest, cost, hops) in entries {
-                        let di = dest_index[dest.index()] as usize;
-                        if !member[base + di] {
-                            continue;
-                        }
-                        if table.offer_ascending(
-                            dest,
-                            RouteEntry {
-                                via: from,
-                                cost: link.weight + cost,
-                                hops: hops + 1,
-                            },
-                            &mut cursor,
-                        ) {
-                            dirty.insert(dest);
-                        }
-                    }
-                }
-            }
-            self.scratch.snap_entries = snap_entries;
-            self.scratch.snap_from = snap_from;
-        }
-        panic!("incremental DBF failed to converge within {max_rounds} rounds");
-    }
-
-    /// Delta rounds through the zone-shard planner: same semantics as
-    /// [`DbfEngine::run_delta_rounds`], executed on the engine's
-    /// persistent [`WorkerPool`] (up to `shards` threads counting the
-    /// dispatcher) per round.
-    ///
-    /// Each round scatters the previous snapshot's broadcasts into
-    /// per-receiver *inboxes* (a CSR over receiver ids, each inbox in
-    /// broadcast order — scattered in parallel by receiver range when the
-    /// round is heavy), cuts the receiver id space into contiguous ranges
-    /// of balanced relaxation load, and hands every range its disjoint
-    /// slice of tables and dirty sets. A receiver replays its inbox in
-    /// the same order the sequential loop would deliver it, and no table
-    /// is shared between ranges, so the input-order-preserving reduction
-    /// is simply "the slices land back where they were cut" — results are
-    /// bit-identical for every shard count, including 1 (which never
-    /// touches the pool).
-    ///
-    /// The next round's snapshot is **fused** into the relaxation
-    /// dispatch: as soon as a range finishes relaxing it drains its own
-    /// receivers' dirty sets into shard-local buffers while other ranges
-    /// are still relaxing, and the barrier's only sequential residue is
-    /// concatenating those buffers in id order. The drain is textually
-    /// the same flatten the round-opening snapshot performs, just
-    /// executed one barrier early — the arena it produces is
-    /// byte-identical, which keeps the whole fused loop on the
-    /// sequential oracle's fixpoint (property-tested, tables and stats).
-    fn run_delta_rounds_sharded(
-        &mut self,
-        zones: &ZoneTable,
-        alive: &[bool],
-        shards: usize,
-        stats: &mut DbfStats,
-    ) {
-        let n = zones.len();
-        let nd = self.scratch.dests.len();
-        let max_rounds = (n as u32).max(8) + 4;
-        // Round 1 opening: the same quiescence check and dirty-set drain
-        // the sequential loop's first iteration performs. Every later
-        // round's snapshot is fused into the dispatch below.
-        stats.rounds += 1;
-        if self.dirty.iter().all(BTreeSet::is_empty) {
-            return; // quiescent: no triggered updates left
-        }
-        let mut snap_entries = std::mem::take(&mut self.scratch.snap_entries);
-        let mut snap_from = std::mem::take(&mut self.scratch.snap_from);
-        self.snapshot_delta_round_sharded(alive, shards, &mut snap_entries, &mut snap_from);
-        self.account_delta_round(&snap_from, stats);
-        let dest_index = std::mem::take(&mut self.scratch.dest_index);
-        let member = std::mem::take(&mut self.scratch.member);
-        let mut inbox_start = std::mem::take(&mut self.scratch.inbox_start);
-        let mut inbox_msg = std::mem::take(&mut self.scratch.inbox_msg);
-        let mut inbox_weight = std::mem::take(&mut self.scratch.inbox_weight);
-        let mut load = std::mem::take(&mut self.scratch.load);
-        let mut fill = std::mem::take(&mut self.scratch.fill);
-        let mut bounds = std::mem::take(&mut self.scratch.bounds);
-        let mut msg_of = std::mem::take(&mut self.scratch.msg_of);
-        for _round in 1..max_rounds {
-            // Deliver the current snapshot: scatter it into per-receiver
-            // inboxes (CSR), then cut the receiver id space into
-            // contiguous ranges of ≈ equal relaxation load.
-            if shards >= 2 && snap_entries.len() as u64 >= SHARD_MIN_LOAD {
-                let pool = self.pool(shards);
-                scatter_inboxes_pooled(
-                    &pool,
-                    zones,
-                    alive,
-                    &snap_from,
-                    &mut inbox_start,
-                    &mut inbox_msg,
-                    &mut inbox_weight,
-                    &mut load,
-                    &mut msg_of,
-                    shards,
-                );
+            plan_ranges(
+                zones,
+                alive,
+                &s.snap_from,
+                self.shards,
+                &mut s.load,
+                &mut s.bounds,
+            );
+            let ranges = s.bounds.len() - 1;
+            let round = Round {
+                zones,
+                alive,
+                entries: &s.snap_entries,
+                from: &s.snap_from,
+                member: &s.member,
+                dest_index: &s.dest_index,
+                nd: s.dests.len(),
+            };
+            let had = if ranges == 1 {
+                let mut range = RangeTask {
+                    lo: 0,
+                    tables: &mut self.tables,
+                    dirty: &mut self.dirty,
+                    flags: &mut s.flags,
+                };
+                relax_range::<MODE>(&round, &mut range);
+                // Relaxation has read the snapshot: flatten over it.
+                s.snap_entries.clear();
+                s.snap_from.clear();
+                flatten_range::<MODE>(alive, &mut range, &mut s.snap_entries, &mut s.snap_from)
             } else {
-                scatter_inboxes(
-                    zones,
-                    alive,
-                    &snap_from,
-                    &mut inbox_start,
-                    &mut inbox_msg,
-                    &mut inbox_weight,
-                    &mut load,
-                    &mut fill,
-                );
-            }
-            let total_load = plan_bounds(&load, shards, &mut bounds);
-            let busy = bounds
-                .windows(2)
-                .filter(|w| load[w[0]..w[1]].iter().any(|&l| l > 0))
-                .count();
-            let quiet;
-            if busy <= 1 || total_load < SHARD_MIN_LOAD {
-                // One busy range (or a light round): run inline — the
-                // pool handoff is not worth paying. This is also the
-                // shards = 1 path and the taper at the end of every
-                // convergence, so light engines never start the pool.
-                for to in 0..n {
-                    let slot = inbox_start[to] as usize..inbox_start[to + 1] as usize;
-                    if slot.is_empty() {
-                        continue;
-                    }
-                    relax_inbox(
-                        &mut self.tables[to],
-                        &mut self.dirty[to],
-                        to * nd,
-                        &inbox_msg[slot.clone()],
-                        &inbox_weight[slot],
-                        &snap_entries,
-                        &snap_from,
-                        &member,
-                        &dest_index,
-                    );
+                let pool = self.pool();
+                if s.range_entries.len() < ranges {
+                    s.range_entries.resize_with(ranges, Vec::new);
+                    s.range_from.resize_with(ranges, Vec::new);
                 }
-                quiet = self.dirty.iter().all(BTreeSet::is_empty);
-                if quiet {
-                    snap_entries.clear();
-                    snap_from.clear();
-                } else {
-                    self.snapshot_delta_round_sharded(
-                        alive,
-                        shards,
-                        &mut snap_entries,
-                        &mut snap_from,
-                    );
-                }
-            } else {
-                let pool = self.pool(shards);
-                let ranges = bounds.len() - 1;
-                let mut shard_entries = std::mem::take(&mut self.scratch.shard_entries);
-                let mut shard_from = std::mem::take(&mut self.scratch.shard_from);
-                let mut range_had = std::mem::take(&mut self.scratch.range_had);
-                shard_entries.resize_with(ranges.max(shard_entries.len()), Vec::new);
-                shard_from.resize_with(ranges.max(shard_from.len()), Vec::new);
-                range_had.clear();
-                range_had.resize(ranges, false);
-                let mut tasks: Vec<DeltaRangeTask<'_>> = Vec::with_capacity(ranges);
-                let mut table_rest = self.tables.as_mut_slice();
-                let mut dirty_rest = self.dirty.as_mut_slice();
-                let mut had_rest = range_had.as_mut_slice();
-                let mut consumed = 0usize;
-                for ((w, ebuf), fbuf) in bounds
+                let mut tasks = Vec::with_capacity(ranges);
+                let mut tables = self.tables.as_mut_slice();
+                let mut dirty = self.dirty.as_mut_slice();
+                let mut flags = s.flags.as_mut_slice();
+                for ((w, entries), from) in s
+                    .bounds
                     .windows(2)
-                    .zip(shard_entries.iter_mut())
-                    .zip(shard_from.iter_mut())
+                    .zip(&mut s.range_entries)
+                    .zip(&mut s.range_from)
                 {
-                    let (lo, hi) = (w[0], w[1]);
-                    let (table_mine, table_next) = table_rest.split_at_mut(hi - consumed);
-                    let (dirty_mine, dirty_next) = dirty_rest.split_at_mut(hi - consumed);
-                    let (had_mine, had_next) = had_rest.split_at_mut(1);
-                    table_rest = table_next;
-                    dirty_rest = dirty_next;
-                    had_rest = had_next;
-                    consumed = hi;
-                    ebuf.clear();
-                    fbuf.clear();
-                    if load[lo..hi].iter().all(|&l| l == 0) {
-                        // Nothing addressed to this range. Its relax is a
-                        // no-op, and its dirty sets are empty by
-                        // induction (every round drains the dirty sets it
-                        // populates — only a delivery can repopulate
-                        // one), so there is nothing to drain either.
-                        continue;
-                    }
-                    tasks.push(DeltaRangeTask {
-                        lo,
-                        tables: table_mine,
+                    let len = w[1] - w[0];
+                    let (tables_mine, tables_rest) = std::mem::take(&mut tables).split_at_mut(len);
+                    let (dirty_mine, dirty_rest) = std::mem::take(&mut dirty).split_at_mut(len);
+                    let (flags_mine, flags_rest) = std::mem::take(&mut flags).split_at_mut(len);
+                    tables = tables_rest;
+                    dirty = dirty_rest;
+                    flags = flags_rest;
+                    let range = RangeTask {
+                        lo: w[0],
+                        tables: tables_mine,
                         dirty: dirty_mine,
-                        ebuf,
-                        fbuf,
-                        had: &mut had_mine[0],
-                    });
+                        flags: flags_mine,
+                    };
+                    entries.clear();
+                    from.clear();
+                    tasks.push((range, entries, from, false));
                 }
-                pool.run(&mut tasks, |t| {
-                    for (off, (table, dirty)) in
-                        t.tables.iter_mut().zip(t.dirty.iter_mut()).enumerate()
-                    {
-                        let to = t.lo + off;
-                        let slot = inbox_start[to] as usize..inbox_start[to + 1] as usize;
-                        if slot.is_empty() {
-                            continue;
-                        }
-                        relax_inbox(
-                            table,
-                            dirty,
-                            to * nd,
-                            &inbox_msg[slot.clone()],
-                            &inbox_weight[slot],
-                            &snap_entries,
-                            &snap_from,
-                            &member,
-                            &dest_index,
-                        );
-                    }
-                    // Fused next-round snapshot: drain this range's dirty
-                    // sets into its shard-local buffers while other
-                    // ranges are still relaxing — the same flatten
-                    // `snapshot_delta_round` performs at the top of the
-                    // next round, one barrier early.
-                    for (off, dirty) in t.dirty.iter_mut().enumerate() {
-                        let i = t.lo + off;
-                        if dirty.is_empty() {
-                            continue;
-                        }
-                        *t.had = true;
-                        if !alive[i] {
-                            dirty.clear();
-                            continue;
-                        }
-                        let start = t.ebuf.len() as u32;
-                        let table = &t.tables[off];
-                        t.ebuf.extend(
-                            dirty
-                                .iter()
-                                .filter_map(|&d| table.best(d).map(|e| (d, e.cost, e.hops))),
-                        );
-                        dirty.clear();
-                        if t.ebuf.len() as u32 == start {
-                            continue;
-                        }
-                        t.fbuf
-                            .push((NodeId::new(i as u32), start, t.ebuf.len() as u32));
-                    }
+                // A range flattens as soon as its own relaxation is done,
+                // while other ranges may still be reading the snapshot.
+                pool.run(&mut tasks, |(range, entries, from, had)| {
+                    relax_range::<MODE>(&round, range);
+                    *had = flatten_range::<MODE>(alive, range, entries, from);
                 });
-                quiet = !range_had.iter().any(|&h| h);
-                snap_entries.clear();
-                snap_from.clear();
-                concat_snapshots(
-                    &shard_entries[..ranges],
-                    &shard_from[..ranges],
-                    &mut snap_entries,
-                    &mut snap_from,
-                );
-                self.scratch.shard_entries = shard_entries;
-                self.scratch.shard_from = shard_from;
-                self.scratch.range_had = range_had;
-            }
-            // The loop-top bookkeeping of the sequential formulation,
-            // shifted to the barrier: count the round the snapshot
-            // belongs to, return on the final silent round, account
-            // otherwise.
+                let had = tasks.iter().any(|task| task.3);
+                drop(tasks);
+                s.snap_entries.clear();
+                s.snap_from.clear();
+                for (entries, from) in s.range_entries[..ranges].iter().zip(&s.range_from) {
+                    let base = s.snap_entries.len() as u32;
+                    s.snap_entries.extend_from_slice(entries);
+                    s.snap_from
+                        .extend(from.iter().map(|&(f, a, b)| (f, a + base, b + base)));
+                }
+                had
+            };
             stats.rounds += 1;
-            if quiet {
-                self.scratch.dest_index = dest_index;
-                self.scratch.member = member;
-                self.scratch.inbox_start = inbox_start;
-                self.scratch.inbox_msg = inbox_msg;
-                self.scratch.inbox_weight = inbox_weight;
-                self.scratch.load = load;
-                self.scratch.fill = fill;
-                self.scratch.bounds = bounds;
-                self.scratch.msg_of = msg_of;
-                self.scratch.snap_entries = snap_entries;
-                self.scratch.snap_from = snap_from;
-                return; // quiescent: no triggered updates left
+            if !had {
+                self.scratch = s;
+                return stats; // quiescent: nobody has updates to send
             }
-            self.account_delta_round(&snap_from, stats);
+            // All sums are integers, so the accounting is independent of
+            // how the round was cut.
+            for &(from, start, end) in &s.snap_from {
+                let len = (end - start) as usize;
+                stats.messages += 1;
+                stats.entries_sent += len as u64;
+                let bytes = u64::from(wire.message_bytes(len));
+                stats.bytes_total += bytes;
+                stats.per_node_bytes[from.index()] += bytes;
+            }
         }
-        panic!("sharded incremental DBF failed to converge within {max_rounds} rounds");
-    }
-
-    /// Full-rebuild rounds through the shard planner: the execution body of
-    /// [`DbfEngine::rebuild_sharded`]. Semantics are exactly
-    /// [`DbfEngine::run_to_convergence_masked`] — round 1 every alive node
-    /// broadcasts its whole vector, thereafter only nodes whose table
-    /// changed in the previous round do, and a round's vectors are
-    /// snapshotted before any relaxation — executed on the engine's
-    /// persistent [`WorkerPool`] for the sender-sharded round-1 snapshot,
-    /// the receiver-range inbox scatter, and the receiver-sharded
-    /// relaxation, with each later round's snapshot fused into the
-    /// relaxation dispatch (a range flattens its changed tables as soon
-    /// as its own relax finishes, exactly like the delta loop). Receivers
-    /// replay their CSR inboxes in broadcast order over disjoint table
-    /// slices, so tables, pending flags, and every stats field land
-    /// bit-identical to the sequential rebuild.
-    fn run_full_rounds_sharded(
-        &mut self,
-        zones: &ZoneTable,
-        alive: &[bool],
-        shards: usize,
-        stats: &mut DbfStats,
-    ) {
-        assert_eq!(alive.len(), zones.len(), "alive mask length mismatch");
-        let n = zones.len();
-        let max_rounds = (n as u32).max(8) + 4;
-        // Round 1 opening: every alive node is pending and broadcasts its
-        // whole (direct-routes-only) vector — the sequential rebuild's
-        // first iteration. Later rounds' snapshots are fused below.
-        let mut pending = std::mem::take(&mut self.scratch.pending);
-        pending.clear();
-        pending.extend_from_slice(alive);
-        stats.rounds += 1;
-        if pending.iter().all(|&p| !p) {
-            self.scratch.pending = pending;
-            // A full convergence leaves no triggered updates behind —
-            // the same postcondition the sequential rebuild restores.
-            for set in &mut self.dirty {
-                set.clear();
-            }
-            return; // quiescent: nobody has updates to send
-        }
-        let mut snap_entries = std::mem::take(&mut self.scratch.snap_entries);
-        let mut snap_from = std::mem::take(&mut self.scratch.snap_from);
-        self.snapshot_full_round_sharded(
-            alive,
-            &pending,
-            shards,
-            &mut snap_entries,
-            &mut snap_from,
-        );
-        self.account_delta_round(&snap_from, stats);
-        let mut next_pending = std::mem::take(&mut self.scratch.next_pending);
-        let mut inbox_start = std::mem::take(&mut self.scratch.inbox_start);
-        let mut inbox_msg = std::mem::take(&mut self.scratch.inbox_msg);
-        let mut inbox_weight = std::mem::take(&mut self.scratch.inbox_weight);
-        let mut load = std::mem::take(&mut self.scratch.load);
-        let mut fill = std::mem::take(&mut self.scratch.fill);
-        let mut bounds = std::mem::take(&mut self.scratch.bounds);
-        let mut msg_of = std::mem::take(&mut self.scratch.msg_of);
-        for _round in 1..max_rounds {
-            if shards >= 2 && snap_entries.len() as u64 >= SHARD_MIN_LOAD {
-                let pool = self.pool(shards);
-                scatter_inboxes_pooled(
-                    &pool,
-                    zones,
-                    alive,
-                    &snap_from,
-                    &mut inbox_start,
-                    &mut inbox_msg,
-                    &mut inbox_weight,
-                    &mut load,
-                    &mut msg_of,
-                    shards,
-                );
-            } else {
-                scatter_inboxes(
-                    zones,
-                    alive,
-                    &snap_from,
-                    &mut inbox_start,
-                    &mut inbox_msg,
-                    &mut inbox_weight,
-                    &mut load,
-                    &mut fill,
-                );
-            }
-            let total_load = plan_bounds(&load, shards, &mut bounds);
-            next_pending.clear();
-            next_pending.resize(n, false);
-            let busy = bounds
-                .windows(2)
-                .filter(|w| load[w[0]..w[1]].iter().any(|&l| l > 0))
-                .count();
-            let quiet;
-            if busy <= 1 || total_load < SHARD_MIN_LOAD {
-                for to in 0..n {
-                    let slot = inbox_start[to] as usize..inbox_start[to + 1] as usize;
-                    if slot.is_empty() {
-                        continue;
-                    }
-                    relax_inbox_full(
-                        &mut self.tables[to],
-                        &mut next_pending[to],
-                        NodeId::new(to as u32),
-                        &inbox_msg[slot.clone()],
-                        &inbox_weight[slot],
-                        &snap_entries,
-                        &snap_from,
-                        zones,
-                    );
-                }
-                quiet = next_pending.iter().all(|&p| !p);
-                if quiet {
-                    snap_entries.clear();
-                    snap_from.clear();
-                } else {
-                    self.snapshot_full_round_sharded(
-                        alive,
-                        &next_pending,
-                        shards,
-                        &mut snap_entries,
-                        &mut snap_from,
-                    );
-                }
-            } else {
-                let pool = self.pool(shards);
-                let ranges = bounds.len() - 1;
-                let mut shard_entries = std::mem::take(&mut self.scratch.shard_entries);
-                let mut shard_from = std::mem::take(&mut self.scratch.shard_from);
-                let mut range_had = std::mem::take(&mut self.scratch.range_had);
-                shard_entries.resize_with(ranges.max(shard_entries.len()), Vec::new);
-                shard_from.resize_with(ranges.max(shard_from.len()), Vec::new);
-                range_had.clear();
-                range_had.resize(ranges, false);
-                let mut tasks: Vec<FullRangeTask<'_>> = Vec::with_capacity(ranges);
-                let mut table_rest = self.tables.as_mut_slice();
-                let mut flag_rest = next_pending.as_mut_slice();
-                let mut had_rest = range_had.as_mut_slice();
-                let mut consumed = 0usize;
-                for ((w, ebuf), fbuf) in bounds
-                    .windows(2)
-                    .zip(shard_entries.iter_mut())
-                    .zip(shard_from.iter_mut())
-                {
-                    let (lo, hi) = (w[0], w[1]);
-                    let (table_mine, table_next) = table_rest.split_at_mut(hi - consumed);
-                    let (flag_mine, flag_next) = flag_rest.split_at_mut(hi - consumed);
-                    let (had_mine, had_next) = had_rest.split_at_mut(1);
-                    table_rest = table_next;
-                    flag_rest = flag_next;
-                    had_rest = had_next;
-                    consumed = hi;
-                    ebuf.clear();
-                    fbuf.clear();
-                    if load[lo..hi].iter().all(|&l| l == 0) {
-                        // Nothing addressed to this range: no relax, no
-                        // flags to set, nothing to flatten (flags were
-                        // just cleared for the whole id space).
-                        continue;
-                    }
-                    tasks.push(FullRangeTask {
-                        lo,
-                        tables: table_mine,
-                        flags: flag_mine,
-                        ebuf,
-                        fbuf,
-                        had: &mut had_mine[0],
-                    });
-                }
-                pool.run(&mut tasks, |t| {
-                    for (off, (table, flag)) in
-                        t.tables.iter_mut().zip(t.flags.iter_mut()).enumerate()
-                    {
-                        let to = t.lo + off;
-                        let slot = inbox_start[to] as usize..inbox_start[to + 1] as usize;
-                        if slot.is_empty() {
-                            continue;
-                        }
-                        relax_inbox_full(
-                            table,
-                            flag,
-                            NodeId::new(to as u32),
-                            &inbox_msg[slot.clone()],
-                            &inbox_weight[slot],
-                            &snap_entries,
-                            &snap_from,
-                            zones,
-                        );
-                    }
-                    // Fused next-round snapshot: a changed (= flagged)
-                    // node always broadcasts its whole vector, empty or
-                    // not — the same unconditional push the sequential
-                    // snapshot performs. Flags are only ever set for
-                    // alive receivers (dead nodes get no deliveries), so
-                    // the `alive` guard mirrors the oracle's check
-                    // without changing behavior.
-                    for (off, &flag) in t.flags.iter().enumerate() {
-                        let i = t.lo + off;
-                        if !(flag && alive[i]) {
-                            continue;
-                        }
-                        *t.had = true;
-                        let start = t.ebuf.len() as u32;
-                        t.tables[off].append_vector(t.ebuf);
-                        t.fbuf
-                            .push((NodeId::new(i as u32), start, t.ebuf.len() as u32));
-                    }
-                });
-                quiet = !range_had.iter().any(|&h| h);
-                snap_entries.clear();
-                snap_from.clear();
-                concat_snapshots(
-                    &shard_entries[..ranges],
-                    &shard_from[..ranges],
-                    &mut snap_entries,
-                    &mut snap_from,
-                );
-                self.scratch.shard_entries = shard_entries;
-                self.scratch.shard_from = shard_from;
-                self.scratch.range_had = range_had;
-            }
-            stats.rounds += 1;
-            if quiet {
-                self.scratch.pending = pending;
-                self.scratch.next_pending = next_pending;
-                self.scratch.inbox_start = inbox_start;
-                self.scratch.inbox_msg = inbox_msg;
-                self.scratch.inbox_weight = inbox_weight;
-                self.scratch.load = load;
-                self.scratch.fill = fill;
-                self.scratch.bounds = bounds;
-                self.scratch.msg_of = msg_of;
-                self.scratch.snap_entries = snap_entries;
-                self.scratch.snap_from = snap_from;
-                // A full convergence leaves no triggered updates behind —
-                // the same postcondition the sequential rebuild restores.
-                for set in &mut self.dirty {
-                    set.clear();
-                }
-                return; // quiescent: nobody has updates to send
-            }
-            self.account_delta_round(&snap_from, stats);
-        }
-        panic!("sharded full DBF rebuild failed to converge within {max_rounds} rounds");
+        panic!("DBF failed to converge within {max_rounds} rounds");
     }
 }
 
-/// Cuts `0..load.len()` into at most `shards` contiguous ranges of ≈ equal
-/// total load, writing the boundary ids into `bounds`
-/// (`bounds[i]..bounds[i+1]`; always covers the whole id space). Returns
-/// the total load, the caller's pool-dispatch threshold input. Shared by
-/// the receiver planner of both sharded round loops and the sender planner
-/// of the sharded snapshots.
-fn plan_bounds(load: &[u64], shards: usize, bounds: &mut Vec<usize>) -> u64 {
-    let n = load.len();
-    let total: u64 = load.iter().sum();
+/// Cuts the receiver id space `0..n` for one round into `bounds`
+/// (`bounds[i]..bounds[i+1]`). One range `0..n` unless `shards > 1` and
+/// the round's total relaxation load (entries addressed to alive
+/// receivers) reaches [`SHARD_MIN_LOAD`]; then at most `shards` contiguous
+/// ranges of ≈ equal load.
+fn plan_ranges(
+    zones: &ZoneTable,
+    alive: &[bool],
+    snap_from: &[(NodeId, u32, u32)],
+    shards: usize,
+    load: &mut Vec<u64>,
+    bounds: &mut Vec<usize>,
+) {
+    let n = alive.len();
     bounds.clear();
     bounds.push(0);
-    if shards > 1 && total > 0 {
-        let target = total.div_ceil(shards as u64);
-        let mut acc = 0u64;
-        for (i, &l) in load.iter().enumerate() {
-            acc += l;
-            if acc >= target && bounds.len() < shards && i + 1 < n {
-                bounds.push(i + 1);
-                acc = 0;
+    if shards > 1 {
+        load.clear();
+        load.resize(n, 0);
+        let mut total = 0u64;
+        for &(from, start, end) in snap_from {
+            let len = u64::from(end - start);
+            for link in zones.links(from) {
+                let to = link.neighbor.index();
+                if alive[to] {
+                    load[to] += len;
+                    total += len;
+                }
+            }
+        }
+        if total >= SHARD_MIN_LOAD {
+            let target = total.div_ceil(shards as u64);
+            let mut acc = 0u64;
+            for (i, &l) in load.iter().enumerate() {
+                acc += l;
+                if acc >= target && bounds.len() < shards && i + 1 < n {
+                    bounds.push(i + 1);
+                    acc = 0;
+                }
             }
         }
     }
     bounds.push(n);
-    total
 }
 
-/// Plans a sender-sharded snapshot: cuts the sender id space into ranges
-/// of balanced snapshot weight (via [`plan_bounds`] into `snd_bounds`) and
-/// decides whether shard threads pay off — more than one busy range and a
-/// total weight at or above [`SHARD_MIN_LOAD`]. Returns `false` when the
-/// caller should fall back to its sequential snapshot. Shared by the delta
-/// and full-rebuild snapshot scatters, so the spawn policy cannot drift
-/// between them.
-fn plan_sender_shards(snd_load: &[u64], shards: usize, snd_bounds: &mut Vec<usize>) -> bool {
-    let total = plan_bounds(snd_load, shards, snd_bounds);
-    let busy = snd_bounds
-        .windows(2)
-        .filter(|w| snd_load[w[0]..w[1]].iter().any(|&l| l > 0))
-        .count();
-    busy > 1 && total >= SHARD_MIN_LOAD
+/// The read-only inputs every receiver range of a round shares.
+struct Round<'a> {
+    zones: &'a ZoneTable,
+    alive: &'a [bool],
+    /// The round's snapshot entries.
+    entries: &'a [(NodeId, f64, u32)],
+    /// The round's `(sender, start, end)` ranges, in sender order.
+    from: &'a [(NodeId, u32, u32)],
+    /// Delta rounds: the affected-destination scoping bitmap.
+    member: &'a [bool],
+    /// Delta rounds: each affected destination's column in `member`.
+    dest_index: &'a [u32],
+    /// Delta rounds: the number of affected destinations.
+    nd: usize,
 }
 
-/// Scatters one round's broadcasts into per-receiver CSR inboxes.
-/// Iterating senders in snapshot order makes every inbox replay the exact
-/// delivery order of the sequential loop. Fills `inbox_start` (`n + 1`
-/// prefix entries), `inbox_msg`/`inbox_weight` (one slot per delivery) and
-/// `load` (per-receiver relaxation entries — the shard planner's balancing
-/// weight); `fill` is cursor scratch. Shared by the sharded delta rounds
-/// and the sharded full rebuild.
-#[allow(clippy::too_many_arguments)]
-fn scatter_inboxes(
-    zones: &ZoneTable,
-    alive: &[bool],
-    snap_from: &[(NodeId, u32, u32)],
-    inbox_start: &mut Vec<u32>,
-    inbox_msg: &mut Vec<u32>,
-    inbox_weight: &mut Vec<f64>,
-    load: &mut Vec<u64>,
-    fill: &mut Vec<u32>,
-) {
-    let n = alive.len();
-    inbox_start.clear();
-    inbox_start.resize(n + 1, 0);
-    for &(from, _, _) in snap_from {
-        for link in zones.links(from) {
-            let to = link.neighbor.index();
-            if alive[to] {
-                inbox_start[to + 1] += 1;
-            }
-        }
-    }
-    for i in 0..n {
-        inbox_start[i + 1] += inbox_start[i];
-    }
-    let total = inbox_start[n] as usize;
-    inbox_msg.clear();
-    inbox_msg.resize(total, 0);
-    inbox_weight.clear();
-    inbox_weight.resize(total, 0.0);
-    load.clear();
-    load.resize(n, 0);
-    fill.clear();
-    fill.extend_from_slice(&inbox_start[..n]);
-    for (mi, &(from, start, end)) in snap_from.iter().enumerate() {
-        let entries = u64::from(end - start);
-        for link in zones.links(from) {
-            let to = link.neighbor.index();
-            if !alive[to] {
-                continue;
-            }
-            let at = fill[to] as usize;
-            fill[to] += 1;
-            inbox_msg[at] = mi as u32;
-            inbox_weight[at] = link.weight;
-            load[to] += entries;
-        }
-    }
-}
-
-/// One sender range of a pooled delta snapshot: drain `dirty` (node ids
-/// offset by `lo`) into the range's shard-local buffers.
-struct DeltaSnapTask<'a> {
-    lo: usize,
-    dirty: &'a mut [BTreeSet<NodeId>],
-    ebuf: &'a mut Vec<(NodeId, f64, u32)>,
-    fbuf: &'a mut Vec<(NodeId, u32, u32)>,
-}
-
-/// One sender range of a pooled full-rebuild snapshot: flatten every
-/// pending alive table in `lo..hi` into the range's shard-local buffers.
-struct FullSnapTask<'a> {
-    lo: usize,
-    hi: usize,
-    ebuf: &'a mut Vec<(NodeId, f64, u32)>,
-    fbuf: &'a mut Vec<(NodeId, u32, u32)>,
-}
-
-/// One receiver range of a fused delta round: relax the range's inboxes,
-/// then immediately drain its dirty sets into the next round's
-/// shard-local snapshot buffers (setting `had` if any set was non-empty —
-/// the range's vote in the quiescence check).
-struct DeltaRangeTask<'a> {
+/// One receiver range `lo..lo + tables.len()` of a round: its disjoint
+/// slices of the per-node state.
+struct RangeTask<'a> {
     lo: usize,
     tables: &'a mut [RoutingTable],
     dirty: &'a mut [BTreeSet<NodeId>],
-    ebuf: &'a mut Vec<(NodeId, f64, u32)>,
-    fbuf: &'a mut Vec<(NodeId, u32, u32)>,
-    had: &'a mut bool,
-}
-
-/// One receiver range of a fused full-rebuild round: like
-/// [`DeltaRangeTask`] with change flags in place of dirty sets.
-struct FullRangeTask<'a> {
-    lo: usize,
-    tables: &'a mut [RoutingTable],
     flags: &'a mut [bool],
-    ebuf: &'a mut Vec<(NodeId, f64, u32)>,
-    fbuf: &'a mut Vec<(NodeId, u32, u32)>,
-    had: &'a mut bool,
 }
 
-/// One receiver range of the pooled scatter's count pass: `counts` and
-/// `load` are the range's own slices (`counts[i]` belongs to receiver
-/// `lo + i`).
-struct ScatterCountTask<'a> {
-    lo: usize,
-    counts: &'a mut [u32],
-    load: &'a mut [u64],
-}
-
-/// One receiver range of the pooled scatter's placement pass: `msg` /
-/// `weight` are the range's contiguous CSR segment
-/// (`inbox_start[lo]..inbox_start[hi]`).
-struct ScatterPlaceTask<'a> {
-    lo: usize,
-    hi: usize,
-    msg: &'a mut [u32],
-    weight: &'a mut [f64],
-}
-
-/// [`scatter_inboxes`] by receiver range on the worker pool, producing a
-/// byte-identical CSR. The sequential scatter is sender-driven — each
-/// broadcast pushes into per-receiver cursors, an inherently serial
-/// pointer chase over random receivers. The pooled scatter inverts it:
-/// every receiver range **pulls** from its own zone links. That leans on
-/// two structural facts, both pinned by the scatter differential test:
-/// zone links are symmetric with equal weight (`b ∈ links(a) ⟺ a ∈
-/// links(b)`; both rows are computed from the same Euclidean distance and
-/// radio profile), and links are stored in ascending neighbor id — which
-/// is exactly ascending snapshot order, so a pulled inbox replays the
-/// same broadcast order the sequential scatter delivers. Count and
-/// placement are both range-parallel (a range owns its count slice and
-/// its contiguous CSR segment); the only sequential residue is the O(n)
-/// prefix sum and the O(n + messages) sender index.
-#[allow(clippy::too_many_arguments)]
-fn scatter_inboxes_pooled(
-    pool: &WorkerPool,
-    zones: &ZoneTable,
-    alive: &[bool],
-    snap_from: &[(NodeId, u32, u32)],
-    inbox_start: &mut Vec<u32>,
-    inbox_msg: &mut Vec<u32>,
-    inbox_weight: &mut Vec<f64>,
-    load: &mut Vec<u64>,
-    msg_of: &mut Vec<u32>,
-    ranges: usize,
-) {
-    let n = alive.len();
-    // The sender index: each broadcaster's `snap_from` position,
-    // `u32::MAX` for nodes that are silent this round.
-    msg_of.clear();
-    msg_of.resize(n, u32::MAX);
-    for (mi, &(from, _, _)) in snap_from.iter().enumerate() {
-        msg_of[from.index()] = mi as u32;
-    }
-    if inbox_start.len() != n + 1 {
-        inbox_start.clear();
-        inbox_start.resize(n + 1, 0);
-    }
-    if load.len() != n {
-        load.clear();
-        load.resize(n, 0);
-    }
-    let width = n.div_ceil(ranges.max(1)).max(1);
-    {
-        let msg_of = &*msg_of;
-        let mut tasks: Vec<ScatterCountTask<'_>> = inbox_start[1..=n]
-            .chunks_mut(width)
-            .zip(load.chunks_mut(width))
-            .enumerate()
-            .map(|(j, (counts, load))| ScatterCountTask {
-                lo: j * width,
-                counts,
-                load,
-            })
-            .collect();
-        pool.run(&mut tasks, |t| {
-            t.counts.fill(0);
-            t.load.fill(0);
-            for off in 0..t.counts.len() {
-                let to = t.lo + off;
-                if !alive[to] {
+/// Relaxes every vector of the round's snapshot at the range's receivers.
+/// Senders are walked in snapshot (= id) order and each sender's zone
+/// links, sorted by neighbor id, are clipped to the range, so every
+/// receiver replays its vectors in exactly the order a single range
+/// delivers them. `MODE` ([`FULL`] or [`DELTA`]) is fixed at compile time,
+/// keeping the mode test out of the per-entry loop.
+fn relax_range<const MODE: bool>(round: &Round<'_>, t: &mut RangeTask<'_>) {
+    let lo = t.lo;
+    let hi = lo + t.tables.len();
+    for &(from, start, end) in round.from {
+        let entries = &round.entries[start as usize..end as usize];
+        let links = round.zones.links(from);
+        let first = links.partition_point(|l| l.neighbor.index() < lo);
+        let last = first + links[first..].partition_point(|l| l.neighbor.index() < hi);
+        for link in &links[first..last] {
+            let to = link.neighbor;
+            if !round.alive[to.index()] {
+                continue;
+            }
+            let off = to.index() - lo;
+            let table = &mut t.tables[off];
+            let base = to.index() * round.nd;
+            // Vectors carry their destinations in ascending id order, so
+            // each one replays through one ascending offer cursor.
+            let mut cursor = 0usize;
+            for &(dest, cost, hops) in entries {
+                // Zone scoping: `to` only maintains destinations in its own
+                // zone. Every delta entry targets an affected destination,
+                // so there it is one bitmap load (self-routes are excluded
+                // because a node never links to itself).
+                let in_scope = if MODE == FULL {
+                    dest != to && round.zones.in_zone(to, dest)
+                } else {
+                    round.member[base + round.dest_index[dest.index()] as usize]
+                };
+                if !in_scope {
                     continue;
                 }
-                for link in zones.links(NodeId::new(to as u32)) {
-                    let mi = msg_of[link.neighbor.index()];
-                    if mi == u32::MAX {
-                        continue;
+                let route = RouteEntry {
+                    via: from,
+                    cost: link.weight + cost,
+                    hops: hops + 1,
+                };
+                if table.offer_ascending(dest, route, &mut cursor) {
+                    if MODE == FULL {
+                        t.flags[off] = true;
+                    } else {
+                        t.dirty[off].insert(dest);
                     }
-                    let (_, start, end) = snap_from[mi as usize];
-                    t.counts[off] += 1;
-                    t.load[off] += u64::from(end - start);
                 }
             }
-        });
-    }
-    inbox_start[0] = 0;
-    for i in 0..n {
-        inbox_start[i + 1] += inbox_start[i];
-    }
-    let total = inbox_start[n] as usize;
-    // Grow-only, unlike the sequential scatter's exact resize: every slot
-    // in `..total` is written by exactly one placement task below, and
-    // nothing reads past `inbox_start[n]`, so stale capacity is inert —
-    // and steady-state rounds skip the O(total) zeroing memset entirely.
-    if inbox_msg.len() < total {
-        inbox_msg.resize(total, 0);
-        inbox_weight.resize(total, 0.0);
-    }
-    let msg_of = &*msg_of;
-    let mut tasks: Vec<ScatterPlaceTask<'_>> = Vec::with_capacity(n.div_ceil(width));
-    let mut msg_rest = &mut inbox_msg[..total];
-    let mut weight_rest = &mut inbox_weight[..total];
-    let mut lo = 0usize;
-    while lo < n {
-        let hi = (lo + width).min(n);
-        let seg = (inbox_start[hi] - inbox_start[lo]) as usize;
-        let (msg_mine, msg_next) = msg_rest.split_at_mut(seg);
-        let (weight_mine, weight_next) = weight_rest.split_at_mut(seg);
-        msg_rest = msg_next;
-        weight_rest = weight_next;
-        if seg > 0 {
-            tasks.push(ScatterPlaceTask {
-                lo,
-                hi,
-                msg: msg_mine,
-                weight: weight_mine,
-            });
-        }
-        lo = hi;
-    }
-    pool.run(&mut tasks, |t| {
-        let mut cur = 0usize;
-        for (to, &ok) in alive.iter().enumerate().take(t.hi).skip(t.lo) {
-            if !ok {
-                continue;
-            }
-            for link in zones.links(NodeId::new(to as u32)) {
-                let mi = msg_of[link.neighbor.index()];
-                if mi == u32::MAX {
-                    continue;
-                }
-                t.msg[cur] = mi;
-                t.weight[cur] = link.weight;
-                cur += 1;
-            }
-        }
-        debug_assert_eq!(cur, t.msg.len(), "pooled scatter count/placement drift");
-    });
-}
-
-/// Concatenates shard-local snapshot buffers into the round arena in shard
-/// (= ascending sender id) order, rebasing each shard's `(sender, start,
-/// end)` ranges onto the concatenated entry array — the output is the
-/// byte-identical arena the sequential snapshot builds.
-fn concat_snapshots(
-    shard_entries: &[Vec<(NodeId, f64, u32)>],
-    shard_from: &[Vec<(NodeId, u32, u32)>],
-    snap_entries: &mut Vec<(NodeId, f64, u32)>,
-    snap_from: &mut Vec<(NodeId, u32, u32)>,
-) {
-    for (ebuf, fbuf) in shard_entries.iter().zip(shard_from) {
-        let base = snap_entries.len() as u32;
-        snap_entries.extend_from_slice(ebuf);
-        snap_from.extend(fbuf.iter().map(|&(from, s, e)| (from, s + base, e + base)));
-    }
-}
-
-/// One receiver's relaxation for one sharded round: replays the inbox
-/// (vector indexes + link weights, in broadcast order) against the
-/// receiver's table, recording changed destinations in its dirty set.
-/// `member_base` is the receiver's row offset into the scoping bitmap.
-/// Free-standing so shard threads can run it on their disjoint slices.
-#[allow(clippy::too_many_arguments)]
-fn relax_inbox(
-    table: &mut RoutingTable,
-    dirty: &mut BTreeSet<NodeId>,
-    member_base: usize,
-    msgs: &[u32],
-    weights: &[f64],
-    snap_entries: &[(NodeId, f64, u32)],
-    snap_from: &[(NodeId, u32, u32)],
-    member: &[bool],
-    dest_index: &[u32],
-) {
-    for (&mi, &w) in msgs.iter().zip(weights) {
-        let (from, start, end) = snap_from[mi as usize];
-        let entries = &snap_entries[start as usize..end as usize];
-        // Delta vectors carry their destinations in ascending id order,
-        // so each vector replays through one ascending offer cursor.
-        let mut cursor = 0usize;
-        for &(dest, cost, hops) in entries {
-            let di = dest_index[dest.index()] as usize;
-            if !member[member_base + di] {
-                continue;
-            }
-            if table.offer_ascending(
-                dest,
-                RouteEntry {
-                    via: from,
-                    cost: w + cost,
-                    hops: hops + 1,
-                },
-                &mut cursor,
-            ) {
-                dirty.insert(dest);
-            }
         }
     }
 }
 
-/// One receiver's relaxation for one **full-rebuild** sharded round: like
-/// [`relax_inbox`], but vectors carry whole tables, so zone scoping is the
-/// root oracle's own membership test (`ZoneTable::in_zone`) instead of the
-/// affected-destination bitmap, and a change marks the receiver's
-/// next-round pending flag rather than a dirty set.
-#[allow(clippy::too_many_arguments)]
-fn relax_inbox_full(
-    table: &mut RoutingTable,
-    pending_flag: &mut bool,
-    at: NodeId,
-    msgs: &[u32],
-    weights: &[f64],
-    snap_entries: &[(NodeId, f64, u32)],
-    snap_from: &[(NodeId, u32, u32)],
-    zones: &ZoneTable,
-) {
-    for (&mi, &w) in msgs.iter().zip(weights) {
-        let (from, start, end) = snap_from[mi as usize];
-        let entries = &snap_entries[start as usize..end as usize];
-        let mut cursor = 0usize;
-        for &(dest, cost, hops) in entries {
-            if dest == at {
+/// Appends the broadcasts of the range's changed nodes, in id order, to
+/// `entries` / `from` (the next snapshot or the range's share of it) and
+/// resets their change state. Returns whether any node had something to
+/// send.
+fn flatten_range<const MODE: bool>(
+    alive: &[bool],
+    t: &mut RangeTask<'_>,
+    entries: &mut Vec<(NodeId, f64, u32)>,
+    from: &mut Vec<(NodeId, u32, u32)>,
+) -> bool {
+    let mut had = false;
+    for off in 0..t.tables.len() {
+        let i = t.lo + off;
+        let start = entries.len() as u32;
+        if MODE == FULL {
+            // Only alive nodes are ever flagged; a flagged node sends its
+            // whole vector, empty or not.
+            if !std::mem::take(&mut t.flags[off]) {
                 continue;
             }
-            // Zone scoping: `at` only maintains destinations in its own
-            // zone — the identical check the sequential rebuild applies.
-            if !zones.in_zone(at, dest) {
+            had = true;
+            t.tables[off].append_vector(entries);
+        } else {
+            let dirty = &mut t.dirty[off];
+            if dirty.is_empty() {
                 continue;
             }
-            if table.offer_ascending(
-                dest,
-                RouteEntry {
-                    via: from,
-                    cost: w + cost,
-                    hops: hops + 1,
-                },
-                &mut cursor,
-            ) {
-                *pending_flag = true;
+            had = true;
+            if alive[i] {
+                let table = &t.tables[off];
+                entries.extend(
+                    dirty
+                        .iter()
+                        .filter_map(|&d| table.best(d).map(|e| (d, e.cost, e.hops))),
+                );
+            }
+            dirty.clear();
+            // A dead or all-withdrawn delta has nothing to say: its
+            // neighbors were invalidated by the same event.
+            if entries.len() as u32 == start {
+                continue;
             }
         }
+        from.push((NodeId::new(i as u32), start, entries.len() as u32));
     }
+    had
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference_rebuild;
     use spms_net::placement;
     use spms_phy::RadioProfile;
 
     fn zones(cols: usize, rows: usize) -> ZoneTable {
         let topo = placement::grid(cols, rows, 5.0).unwrap();
         ZoneTable::build(&topo, &RadioProfile::mica2(), 20.0)
+    }
+
+    /// Asserts `dbf`'s tables equal the reference rebuild's, node by node.
+    fn assert_tables_match(dbf: &DbfEngine, want: &[RoutingTable], context: &str) {
+        assert_eq!(dbf.tables.len(), want.len(), "{context}: node count");
+        for (i, want) in want.iter().enumerate() {
+            let node = NodeId::new(i as u32);
+            assert_eq!(dbf.table(node), want, "{context}: node {node}");
+        }
     }
 
     #[test]
@@ -2141,8 +1015,7 @@ mod tests {
         let mut dbf = DbfEngine::new(&z, 2);
         let mut alive = vec![true; 3];
         alive[1] = false;
-        dbf.reset(&z, &alive);
-        dbf.run_to_convergence_masked(&z, &alive);
+        dbf.rebuild_sharded(&z, &alive);
         let t0 = dbf.table(NodeId::new(0));
         // Node 2 is still reachable directly (10 m), never via dead node 1.
         let best = t0.best(NodeId::new(2)).unwrap();
@@ -2172,64 +1045,8 @@ mod tests {
         let mut dbf = DbfEngine::new(&z, 2);
         dbf.run_to_convergence(&z);
         let before = dbf.table(NodeId::new(0)).clone();
-        dbf.reset(&z, &[true; 4]);
-        dbf.run_to_convergence(&z);
+        dbf.rebuild_sharded(&z, &[true; 4]);
         assert_eq!(*dbf.table(NodeId::new(0)), before);
-    }
-
-    #[test]
-    fn receive_from_out_of_zone_sender_is_ignored() {
-        let z = zones(9, 1);
-        let mut dbf = DbfEngine::new(&z, 2);
-        // Node 8 is 40 m from node 0: out of zone.
-        let fake = DbfVector {
-            from: NodeId::new(8),
-            entries: vec![(NodeId::new(1), 0.01, 1)],
-        };
-        assert!(!dbf.receive(NodeId::new(0), &fake, &z));
-    }
-
-    #[test]
-    fn stray_triggered_updates_are_flushed_by_the_next_invalidation() {
-        // A manual receive() perturbs a table (and its dirty set) outside
-        // any invalidation. The next incremental update must flush it —
-        // re-deriving the route from the real topology instead of
-        // panicking on or propagating the stray entry.
-        let z = zones(5, 5);
-        let mut dbf = DbfEngine::new(&z, 2);
-        dbf.run_to_convergence(&z);
-        let fake = DbfVector {
-            from: NodeId::new(1),
-            entries: vec![(NodeId::new(2), 0.0001, 1)],
-        };
-        assert!(dbf.receive(NodeId::new(0), &fake, &z));
-        // Invalidate a far-away node: dest 2 is not adjacent to node 24.
-        let alive = vec![true; z.len()];
-        dbf.invalidate_zone(&z, &[NodeId::new(24)], &alive);
-        let mut reference = DbfEngine::new(&z, 2);
-        reference.run_to_convergence(&z);
-        for i in 0..z.len() {
-            let node = NodeId::new(i as u32);
-            assert_eq!(dbf.table(node), reference.table(node), "node {node}");
-        }
-    }
-
-    #[test]
-    fn receive_tracks_dirty_destinations_for_the_next_delta() {
-        let z = zones(3, 1);
-        let mut dbf = DbfEngine::new(&z, 2);
-        dbf.run_to_convergence(&z);
-        // Converged: nothing to say.
-        assert!(dbf.delta_vector_of(NodeId::new(0)).entries.is_empty());
-        // A (fabricated) cheaper relay route dirties exactly that entry.
-        let v = DbfVector {
-            from: NodeId::new(1),
-            entries: vec![(NodeId::new(2), 0.001, 1)],
-        };
-        assert!(dbf.receive(NodeId::new(0), &v, &z));
-        let delta = dbf.delta_vector_of(NodeId::new(0));
-        assert_eq!(delta.entries.len(), 1);
-        assert_eq!(delta.entries[0].0, NodeId::new(2));
     }
 
     #[test]
@@ -2241,12 +1058,8 @@ mod tests {
         // reseed re-derive the same tables and the exchange stays local.
         let alive = vec![true; z.len()];
         let stats = dbf.invalidate_zone(&z, &[NodeId::new(5)], &alive);
-        let mut reference = DbfEngine::new(&z, 2);
-        reference.run_to_convergence(&z);
-        for i in 0..z.len() {
-            let node = NodeId::new(i as u32);
-            assert_eq!(dbf.table(node), reference.table(node), "node {node}");
-        }
+        let (want, _) = reference_rebuild(&z, 2, &alive);
+        assert_tables_match(&dbf, &want, "no-op invalidation");
         // Far cheaper than the full rebuild's all-nodes rounds.
         assert!(stats.messages < (z.len() as u64) * u64::from(stats.rounds));
     }
@@ -2260,23 +1073,13 @@ mod tests {
 
         alive[12] = false; // kill the center
         dbf.invalidate_zone(&z, &[NodeId::new(12)], &alive);
-        let mut reference = DbfEngine::new(&z, 2);
-        reference.reset(&z, &alive);
-        reference.run_to_convergence_masked(&z, &alive);
-        for i in 0..z.len() {
-            let node = NodeId::new(i as u32);
-            assert_eq!(dbf.table(node), reference.table(node), "dead: node {node}");
-        }
+        let (want, _) = reference_rebuild(&z, 2, &alive);
+        assert_tables_match(&dbf, &want, "dead");
 
         alive[12] = true; // and bring it back
         dbf.invalidate_zone(&z, &[NodeId::new(12)], &alive);
-        let mut reference = DbfEngine::new(&z, 2);
-        reference.reset(&z, &alive);
-        reference.run_to_convergence_masked(&z, &alive);
-        for i in 0..z.len() {
-            let node = NodeId::new(i as u32);
-            assert_eq!(dbf.table(node), reference.table(node), "back: node {node}");
-        }
+        let (want, _) = reference_rebuild(&z, 2, &alive);
+        assert_tables_match(&dbf, &want, "back");
     }
 
     #[test]
@@ -2300,12 +1103,8 @@ mod tests {
             "per-node byte accounting must add up"
         );
 
-        let mut reference = DbfEngine::new(&new_zones, 2);
-        reference.run_to_convergence(&new_zones);
-        for i in 0..new_zones.len() {
-            let node = NodeId::new(i as u32);
-            assert_eq!(dbf.table(node), reference.table(node), "node {node}");
-        }
+        let (want, _) = reference_rebuild(&new_zones, 2, &alive);
+        assert_tables_match(&dbf, &want, "single move");
     }
 
     #[test]
@@ -2330,20 +1129,15 @@ mod tests {
         assert!(stats.messages > 0);
         assert_eq!(stats.per_node_bytes.iter().sum::<u64>(), stats.bytes_total);
 
-        let mut reference = DbfEngine::new(&zones, 2);
-        reference.reset(&zones, &alive);
-        reference.run_to_convergence_masked(&zones, &alive);
-        for i in 0..zones.len() {
-            let node = NodeId::new(i as u32);
-            assert_eq!(dbf.table(node), reference.table(node), "node {node}");
-        }
+        let (want, _) = reference_rebuild(&zones, 2, &alive);
+        assert_tables_match(&dbf, &want, "zone delta");
     }
 
     #[test]
     fn sharded_delta_matches_sequential_tables_and_stats() {
-        // The same move replayed on a sequential engine and on sharded
-        // engines (1, 2 and 8 partitions) must agree on every table AND on
-        // every stats field — thread count can never change results.
+        // The same move replayed on engines with 1, 2 and 8 shards must
+        // agree on every stats field, and every table must equal the
+        // reference rebuild's — thread count can never change results.
         let mut topo = placement::grid(7, 7, 5.0).unwrap();
         let radio = RadioProfile::mica2();
         let old_zones = ZoneTable::build(&topo, &radio, 20.0);
@@ -2351,26 +1145,18 @@ mod tests {
         topo.move_node(moved, spms_net::Point::new(3.0, 29.0));
         let new_zones = ZoneTable::build(&topo, &radio, 20.0);
         let alive = vec![true; new_zones.len()];
+        let (want_tables, _) = reference_rebuild(&new_zones, 2, &alive);
 
-        let mut sequential = DbfEngine::new(&old_zones, 2);
-        sequential.run_to_convergence(&old_zones);
-        let want = sequential.update_topology(&old_zones, &new_zones, &[moved], &alive);
-        assert!(want.messages > 0);
-
+        let mut want = None;
         for shards in [1usize, 2, 8] {
             let mut sharded = DbfEngine::new(&old_zones, 2).with_shards(shards);
-            assert_eq!(sharded.shards(), Some(shards));
+            assert_eq!(sharded.shards(), shards);
             sharded.run_to_convergence(&old_zones);
             let got = sharded.update_topology(&old_zones, &new_zones, &[moved], &alive);
-            assert_eq!(got, want, "stats diverged at {shards} shards");
-            for i in 0..new_zones.len() {
-                let node = NodeId::new(i as u32);
-                assert_eq!(
-                    sharded.table(node),
-                    sequential.table(node),
-                    "{shards} shards: node {node}"
-                );
-            }
+            assert!(got.messages > 0);
+            let want = want.get_or_insert_with(|| got.clone());
+            assert_eq!(&got, want, "stats diverged at {shards} shards");
+            assert_tables_match(&sharded, &want_tables, &format!("{shards} shards"));
         }
     }
 
@@ -2383,13 +1169,8 @@ mod tests {
         for flip in [false, true] {
             alive[14] = flip;
             dbf.invalidate_zone(&z, &[NodeId::new(14)], &alive);
-            let mut reference = DbfEngine::new(&z, 2);
-            reference.reset(&z, &alive);
-            reference.run_to_convergence_masked(&z, &alive);
-            for i in 0..z.len() {
-                let node = NodeId::new(i as u32);
-                assert_eq!(dbf.table(node), reference.table(node), "up={flip} {node}");
-            }
+            let (want, _) = reference_rebuild(&z, 2, &alive);
+            assert_tables_match(&dbf, &want, &format!("up={flip}"));
         }
     }
 
@@ -2402,38 +1183,28 @@ mod tests {
 
     #[test]
     fn sharded_full_rebuild_matches_sequential_tables_and_stats() {
-        // The sharded full rebuild must agree with the root oracle on
-        // every table AND every stats field, dead nodes included, for
-        // shard counts below, at, and above the busy-range count.
+        // The full rebuild must agree with the reference on every table
+        // AND every stats field, dead nodes included, for shard counts
+        // below, at, and above the busy-range count.
         let z = zones(6, 6);
         let mut alive = vec![true; z.len()];
         alive[14] = false;
         alive[15] = false;
-        let mut sequential = DbfEngine::new(&z, 2);
-        sequential.reset(&z, &alive);
-        let want = sequential.run_to_convergence_masked(&z, &alive);
+        let (want_tables, want) = reference_rebuild(&z, 2, &alive);
         for shards in [1usize, 2, 8, 64] {
             let mut sharded = DbfEngine::new(&z, 2).with_shards(shards);
             let got = sharded.rebuild_sharded(&z, &alive);
             assert_eq!(got, want, "stats diverged at {shards} shards");
-            for i in 0..z.len() {
-                let node = NodeId::new(i as u32);
-                assert_eq!(
-                    sharded.table(node),
-                    sequential.table(node),
-                    "{shards} shards: node {node}"
-                );
-            }
+            assert_tables_match(&sharded, &want_tables, &format!("{shards} shards"));
         }
     }
 
     #[test]
     fn sharded_paths_at_paper_scale_match_sequential() {
-        // At the paper's n = 169 the snapshot weight clears the
-        // pool-dispatch threshold, so this differential exercises the
-        // sender-sharded snapshot scatter on both the full rebuild and a
-        // multi-mover delta re-convergence — not just the receiver-sharded
-        // relaxation the small-grid tests reach.
+        // At the paper's n = 169 the round loads clear the pool-dispatch
+        // threshold, so this differential cuts both the full rebuild and a
+        // multi-mover delta re-convergence into pooled receiver ranges —
+        // not just the inline range the small-grid tests reach.
         let mut topo = placement::grid(13, 13, 5.0).unwrap();
         let radio = RadioProfile::mica2();
         let old_zones = ZoneTable::build(&topo, &radio, 20.0);
@@ -2451,15 +1222,19 @@ mod tests {
         let new_zones = ZoneTable::build(&topo, &radio, 20.0);
         let alive = vec![true; new_zones.len()];
 
-        let mut sequential = DbfEngine::new(&old_zones, 2);
-        sequential.reset(&old_zones, &alive);
-        let full_want = sequential.run_to_convergence_masked(&old_zones, &alive);
-        let delta_want = sequential.update_topology(&old_zones, &new_zones, &movers, &alive);
+        let (_, full_want) = reference_rebuild(&old_zones, 2, &alive);
+        let (new_tables, _) = reference_rebuild(&new_zones, 2, &alive);
+        let mut one = DbfEngine::new(&old_zones, 2);
+        one.rebuild_sharded(&old_zones, &alive);
+        let delta_want = one.update_topology(&old_zones, &new_zones, &movers, &alive);
         assert!(
             delta_want.entries_sent > 1024,
-            "the delta must be heavy enough to exercise the sharded snapshot \
-             (sent {})",
+            "the delta must be heavy enough to engage the pool (sent {})",
             delta_want.entries_sent
+        );
+        assert!(
+            !one.pool_started(),
+            "a one-shard engine never starts a pool"
         );
 
         for shards in [2usize, 8] {
@@ -2472,57 +1247,45 @@ mod tests {
                 sharded.pool_started(),
                 "{shards} shards: a paper-scale run must engage the worker pool"
             );
-            for i in 0..new_zones.len() {
-                let node = NodeId::new(i as u32);
-                assert_eq!(
-                    sharded.table(node),
-                    sequential.table(node),
-                    "{shards} shards: node {node}"
-                );
-            }
+            assert_tables_match(&sharded, &new_tables, &format!("{shards} shards"));
         }
     }
 
     #[test]
     fn rebuild_sharded_without_shards_is_the_sequential_rebuild() {
-        // An unsharded engine dispatches to the root oracle loop itself.
+        // A default (one-shard) engine runs every round inline and lands
+        // on the reference rebuild exactly, stats included.
         let z = zones(4, 4);
         let alive = vec![true; z.len()];
-        let mut a = DbfEngine::new(&z, 2);
-        let got = a.rebuild_sharded(&z, &alive);
-        let mut b = DbfEngine::new(&z, 2);
-        b.reset(&z, &alive);
-        let want = b.run_to_convergence_masked(&z, &alive);
+        let mut dbf = DbfEngine::new(&z, 2);
+        let got = dbf.rebuild_sharded(&z, &alive);
+        let (want_tables, want) = reference_rebuild(&z, 2, &alive);
         assert_eq!(got, want);
-        for i in 0..z.len() {
-            let node = NodeId::new(i as u32);
-            assert_eq!(a.table(node), b.table(node), "node {node}");
-        }
+        assert_tables_match(&dbf, &want_tables, "one shard");
     }
 
     #[test]
     fn rebuild_sharded_resets_stale_state_first() {
-        // Rebuilding over a perturbed engine (stray receive + stale
-        // liveness) starts from scratch: the result only depends on the
-        // inputs, exactly like reset + run_to_convergence_masked.
-        let z = zones(5, 5);
-        let mut dbf = DbfEngine::new(&z, 2).with_shards(4);
-        dbf.run_to_convergence(&z);
-        let fake = DbfVector {
-            from: NodeId::new(1),
-            entries: vec![(NodeId::new(2), 0.0001, 1)],
-        };
-        assert!(dbf.receive(NodeId::new(0), &fake, &z));
-        let alive = vec![true; z.len()];
-        dbf.rebuild_sharded(&z, &alive);
-        let mut reference = DbfEngine::new(&z, 2);
-        reference.run_to_convergence(&z);
-        for i in 0..z.len() {
-            let node = NodeId::new(i as u32);
-            assert_eq!(dbf.table(node), reference.table(node), "node {node}");
-        }
+        // Rebuilding over an engine converged on another world (a moved
+        // node, a dead node) starts from scratch: the result only depends
+        // on the inputs, exactly like the reference rebuild.
+        let mut topo = placement::grid(5, 5, 5.0).unwrap();
+        let radio = RadioProfile::mica2();
+        let stale = ZoneTable::build(&topo, &radio, 20.0);
+        let mut dbf = DbfEngine::new(&stale, 2).with_shards(4);
+        let mut alive = vec![true; stale.len()];
+        alive[6] = false;
+        dbf.rebuild_sharded(&stale, &alive);
+
+        topo.move_node(NodeId::new(12), spms_net::Point::new(1.0, 19.0));
+        let zones = ZoneTable::build(&topo, &radio, 20.0);
+        alive[6] = true;
+        let got = dbf.rebuild_sharded(&zones, &alive);
+        let (want_tables, want) = reference_rebuild(&zones, 2, &alive);
+        assert_eq!(got, want);
+        assert_tables_match(&dbf, &want_tables, "stale rebuild");
         // And the engine is cleanly converged: nothing left to say.
-        assert!(dbf.delta_vector_of(NodeId::new(0)).entries.is_empty());
+        assert!(dbf.dirty.iter().all(BTreeSet::is_empty));
     }
 
     #[test]
@@ -2539,9 +1302,7 @@ mod tests {
         let alive = vec![true; new_zones.len()];
         let delta = dbf.update_topology(&old_zones, &new_zones, &[moved], &alive);
 
-        let mut full = DbfEngine::new(&new_zones, 2);
-        full.reset(&new_zones, &alive);
-        let full_stats = full.run_to_convergence_masked(&new_zones, &alive);
+        let (_, full_stats) = reference_rebuild(&new_zones, 2, &alive);
         assert!(
             delta.entries_sent < full_stats.entries_sent / 2,
             "delta {} vs full {}",
@@ -2552,85 +1313,12 @@ mod tests {
     }
 
     #[test]
-    fn pooled_scatter_is_byte_identical_to_sequential_scatter() {
-        // The differential test promised by the `scatter_inboxes_pooled`
-        // doc comment: the receiver-driven pooled scatter leans on zone
-        // links being symmetric and stored in ascending neighbor id, and
-        // this pins the resulting CSR — prefix, message order, weights
-        // and planner loads — against the sender-driven sequential
-        // scatter, with silent senders and dead receivers in the mix.
-        let z = zones(13, 13);
-        let n = z.len();
-        let mut alive = vec![true; n];
-        for i in [7usize, 40, 41, 100] {
-            alive[i] = false;
-        }
-        // A synthetic round snapshot: the scatter only reads the
-        // `(sender, start, end)` spans, never the entry payloads.
-        // Roughly two thirds of the alive nodes broadcast, with vector
-        // lengths 0..5 (zero-length broadcasts still occupy inbox slots).
-        let mut snap_from: Vec<(NodeId, u32, u32)> = Vec::new();
-        let mut acc = 0u32;
-        for (i, &up) in alive.iter().enumerate() {
-            if !up || i % 3 == 0 {
-                continue;
-            }
-            let len = (i % 5) as u32;
-            snap_from.push((NodeId::new(i as u32), acc, acc + len));
-            acc += len;
-        }
-
-        let (mut start_a, mut msg_a, mut w_a, mut load_a, mut fill) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        scatter_inboxes(
-            &z,
-            &alive,
-            &snap_from,
-            &mut start_a,
-            &mut msg_a,
-            &mut w_a,
-            &mut load_a,
-            &mut fill,
-        );
-        let total = start_a[n] as usize;
-        assert!(total > 0, "the differential needs a non-trivial round");
-
-        let pool = WorkerPool::new(3);
-        let (mut start_b, mut msg_b, mut w_b, mut load_b, mut msg_of) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        for ranges in [1usize, 2, 3, 8, 64] {
-            // Reusing the same output buffers across iterations also
-            // exercises the grow-only steady-state reuse path.
-            scatter_inboxes_pooled(
-                &pool,
-                &z,
-                &alive,
-                &snap_from,
-                &mut start_b,
-                &mut msg_b,
-                &mut w_b,
-                &mut load_b,
-                &mut msg_of,
-                ranges,
-            );
-            assert_eq!(start_b, start_a, "{ranges} ranges: CSR prefix");
-            assert_eq!(
-                &msg_b[..total],
-                &msg_a[..],
-                "{ranges} ranges: delivery order"
-            );
-            assert_eq!(&w_b[..total], &w_a[..], "{ranges} ranges: link weights");
-            assert_eq!(load_b, load_a, "{ranges} ranges: planner load");
-        }
-    }
-
-    #[test]
     fn sub_threshold_rounds_stay_inline_and_never_start_the_pool() {
-        // Satellite for the SHARD_MIN_LOAD recalibration: on a 5-node
-        // line every delta and full-rebuild round is far below the
-        // threshold, so even a widely-sharded engine must keep the whole
-        // exchange on the calling thread — no worker threads spawned —
-        // and still land byte-identical to the sequential engine.
+        // On a 5-node line every delta and full-rebuild round is far below
+        // SHARD_MIN_LOAD, so even a widely-sharded engine must keep the
+        // whole exchange on the calling thread — no worker threads
+        // spawned — and still land byte-identical to a one-shard engine
+        // and the reference.
         let mut topo = placement::grid(5, 1, 5.0).unwrap();
         let radio = RadioProfile::mica2();
         let old_zones = ZoneTable::build(&topo, &radio, 20.0);
@@ -2639,10 +1327,11 @@ mod tests {
         let new_zones = ZoneTable::build(&topo, &radio, 20.0);
         let alive = vec![true; new_zones.len()];
 
-        let mut sequential = DbfEngine::new(&old_zones, 2);
-        sequential.reset(&old_zones, &alive);
-        let full_want = sequential.run_to_convergence_masked(&old_zones, &alive);
-        let delta_want = sequential.update_topology(&old_zones, &new_zones, &[moved], &alive);
+        let (_, full_want) = reference_rebuild(&old_zones, 2, &alive);
+        let (new_tables, _) = reference_rebuild(&new_zones, 2, &alive);
+        let mut one = DbfEngine::new(&old_zones, 2);
+        one.rebuild_sharded(&old_zones, &alive);
+        let delta_want = one.update_topology(&old_zones, &new_zones, &[moved], &alive);
 
         let mut sharded = DbfEngine::new(&old_zones, 2).with_shards(8);
         let full_got = sharded.rebuild_sharded(&old_zones, &alive);
@@ -2653,17 +1342,14 @@ mod tests {
             !sharded.pool_started(),
             "sub-threshold rounds must not spin up the worker pool"
         );
-        for i in 0..new_zones.len() {
-            let node = NodeId::new(i as u32);
-            assert_eq!(sharded.table(node), sequential.table(node), "node {node}");
-        }
+        assert_tables_match(&sharded, &new_tables, "8 shards");
     }
 
     #[test]
     fn pool_persists_across_epochs_and_clones_start_fresh() {
         // The pool is created lazily on the first heavy round, then
         // reused for every subsequent epoch (ping-pong re-convergence
-        // below re-enters the delta loop many times on the same engine).
+        // below re-enters the round loop many times on the same engine).
         // A cloned engine shares tables but never threads: it lazily
         // builds its own pool.
         let mut topo = placement::grid(13, 13, 5.0).unwrap();
@@ -2677,22 +1363,21 @@ mod tests {
         let zones_b = ZoneTable::build(&topo, &radio, 20.0);
         let alive = vec![true; zones_a.len()];
 
-        let mut sequential = DbfEngine::new(&zones_a, 2);
-        sequential.reset(&zones_a, &alive);
-        sequential.run_to_convergence_masked(&zones_a, &alive);
+        let mut one = DbfEngine::new(&zones_a, 2);
+        one.rebuild_sharded(&zones_a, &alive);
 
         let mut sharded = DbfEngine::new(&zones_a, 2).with_shards(4);
         sharded.rebuild_sharded(&zones_a, &alive);
         assert!(sharded.pool_started(), "a 169-node rebuild is pool work");
 
         // Ten ping-pong epochs on the same engine: same parked workers,
-        // same fixpoints as the sequential replay at every step.
+        // same fixpoints as the one-shard replay at every step.
         let mut flips = [(&zones_a, &zones_b), (&zones_b, &zones_a)]
             .into_iter()
             .cycle();
         for epoch in 0..10 {
             let (from, to) = flips.next().unwrap();
-            let want = sequential.update_topology(from, to, &movers, &alive);
+            let want = one.update_topology(from, to, &movers, &alive);
             let got = sharded.update_topology(from, to, &movers, &alive);
             assert_eq!(got, want, "epoch {epoch}");
         }
@@ -2702,15 +1387,13 @@ mod tests {
             !clone.pool_started(),
             "a cloned engine must not share or inherit worker threads"
         );
-        for i in 0..zones_a.len() {
-            let node = NodeId::new(i as u32);
-            assert_eq!(clone.table(node), sequential.table(node), "node {node}");
-        }
+        let (want_a, _) = reference_rebuild(&zones_a, 2, &alive);
+        assert_tables_match(&clone, &want_a, "clone");
         // The clone converges independently — spinning up its own pool —
         // while the original keeps working. Drop order between the two
         // pools is then arbitrary, which is the point.
         let mut clone = clone;
-        let want = sequential.update_topology(&zones_a, &zones_b, &movers, &alive);
+        let want = one.update_topology(&zones_a, &zones_b, &movers, &alive);
         let got_clone = clone.update_topology(&zones_a, &zones_b, &movers, &alive);
         let got_orig = sharded.update_topology(&zones_a, &zones_b, &movers, &alive);
         assert_eq!(got_clone, want);

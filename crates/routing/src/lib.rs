@@ -27,6 +27,9 @@
 //!   of the same tables from the Dijkstra oracle, used to cross-check the
 //!   distributed algorithm and as a fast path for static failure-free
 //!   experiments,
+//! * [`reference_rebuild`] — the sequential full DBF rebuild, kept apart
+//!   from the engine as the exact reference (tables and message
+//!   accounting) every engine execution is tested against,
 //! * [`DbfWireFormat`] — the byte-size model for distance-vector packets
 //!   (full and delta messages share the layout: a header plus per-entry
 //!   triples, so delta savings show up directly in the byte accounting).
@@ -61,8 +64,8 @@ mod pool;
 mod table;
 mod wire;
 
-pub use dbf::{DbfEngine, DbfStats, DbfVector};
-pub use oracle::{oracle_tables, oracle_tables_masked};
+pub use dbf::{DbfEngine, DbfStats};
+pub use oracle::{oracle_tables, oracle_tables_masked, reference_rebuild};
 pub use pool::WorkerPool;
 pub use table::{RouteEntry, Routes, RoutesIter, RoutingTable, TableLayout};
 pub use wire::DbfWireFormat;

@@ -1,4 +1,4 @@
-//! Centralized construction of the converged routing tables.
+//! The reference constructions of the converged routing tables.
 //!
 //! For every destination `d`, a converged DBF gives each node `a` one entry
 //! per zone neighbor `j`: cost `w(a,j) + dist(j,d)` where `dist` is the
@@ -6,10 +6,16 @@
 //! Dijkstra oracle provides (a) an independent implementation to test the
 //! distributed exchange against, and (b) a fast path for static failure-free
 //! experiments where simulating the message exchange changes nothing.
+//!
+//! [`reference_rebuild`] is the other reference: the sequential full DBF
+//! rebuild, round by round, with its message accounting. It shares no code
+//! with [`crate::DbfEngine`]'s round loop beyond [`RoutingTable`], so every
+//! engine execution — full or delta, at any shard count — is
+//! property-tested against it exactly, tables and [`DbfStats`] alike.
 
 use spms_net::{dijkstra_masked, NodeId, ZoneTable};
 
-use crate::{RouteEntry, RoutingTable};
+use crate::{DbfStats, DbfWireFormat, RouteEntry, RoutingTable};
 
 /// Builds the routing table of every node directly from the shortest-path
 /// oracle, keeping `k` alternatives per destination.
@@ -98,6 +104,165 @@ pub fn oracle_tables_masked(zones: &ZoneTable, k: usize, alive: &[bool]) -> Vec<
     tables
 }
 
+/// The sequential full DBF rebuild — the paper's "re-execution of the DBF"
+/// over the alive nodes, simulated round by round: every table starts with
+/// its direct routes, every alive node broadcasts its whole vector in round
+/// one, and after that every node whose table changed in the previous round
+/// does. Vectors within a round are snapshotted first, so the exchange is
+/// order-independent and deterministic. Returns the converged tables
+/// (indexed by node) and the exchange's cost, priced with
+/// [`DbfWireFormat::default`].
+///
+/// This is the reference [`crate::DbfEngine::rebuild_sharded`] must equal
+/// bit for bit, stats included, and the fixpoint every incremental
+/// re-convergence must reach.
+///
+/// # Panics
+///
+/// Panics if `k == 0`, if the alive mask length does not match, or if the
+/// exchange fails to converge within a generous bound (which would indicate
+/// a negative-cost or bookkeeping bug, as positive-weight DBF always
+/// converges).
+///
+/// # Example
+///
+/// ```
+/// use spms_net::{placement, ZoneTable};
+/// use spms_phy::RadioProfile;
+/// use spms_routing::{reference_rebuild, DbfEngine};
+///
+/// let topo = placement::grid(4, 4, 5.0).unwrap();
+/// let zones = ZoneTable::build(&topo, &RadioProfile::mica2(), 20.0);
+/// let alive = vec![true; zones.len()];
+/// let (tables, stats) = reference_rebuild(&zones, 2, &alive);
+/// let mut dbf = DbfEngine::new(&zones, 2).with_shards(2);
+/// assert_eq!(dbf.rebuild_sharded(&zones, &alive), stats);
+/// assert_eq!(dbf.into_tables(), tables);
+/// ```
+#[must_use]
+pub fn reference_rebuild(
+    zones: &ZoneTable,
+    k: usize,
+    alive: &[bool],
+) -> (Vec<RoutingTable>, DbfStats) {
+    assert!(k > 0, "k must be at least 1");
+    let n = zones.len();
+    assert_eq!(alive.len(), n, "alive mask length mismatch");
+    let mut tables: Vec<RoutingTable> = (0..n).map(|_| RoutingTable::new(k)).collect();
+    for a in 0..n {
+        if !alive[a] {
+            continue;
+        }
+        let node = NodeId::new(a as u32);
+        // Zone links arrive in neighbor-id order, so the direct seeds
+        // replay through one ascending cursor per table.
+        let mut cursor = 0usize;
+        for link in zones.links(node) {
+            if !alive[link.neighbor.index()] {
+                continue;
+            }
+            tables[a].offer_ascending(
+                link.neighbor,
+                RouteEntry {
+                    via: link.neighbor,
+                    cost: link.weight,
+                    hops: 1,
+                },
+                &mut cursor,
+            );
+        }
+    }
+
+    let wire = DbfWireFormat::default();
+    let mut stats = DbfStats {
+        per_node_bytes: vec![0; n],
+        ..DbfStats::default()
+    };
+    let mut pending = alive.to_vec();
+    let mut snap_entries: Vec<(NodeId, f64, u32)> = Vec::new();
+    let mut snap_from: Vec<(NodeId, u32, u32)> = Vec::new();
+    // Positive weights: path costs strictly increase with hops, so
+    // convergence takes at most diameter+2 rounds; n+4 is a safe bound.
+    let max_rounds = (n as u32).max(8) + 4;
+
+    for _round in 0..max_rounds {
+        stats.rounds += 1;
+        if pending.iter().all(|&p| !p) {
+            return (tables, stats); // quiescent: nobody has updates to send
+        }
+        // Snapshot the vectors of every broadcasting node into a flat arena.
+        snap_entries.clear();
+        snap_from.clear();
+        for i in 0..n {
+            if !(pending[i] && alive[i]) {
+                continue;
+            }
+            let start = snap_entries.len() as u32;
+            tables[i].append_vector(&mut snap_entries);
+            snap_from.push((NodeId::new(i as u32), start, snap_entries.len() as u32));
+        }
+        let mut next_pending = vec![false; n];
+        for &(from, start, end) in &snap_from {
+            let entries = &snap_entries[start as usize..end as usize];
+            stats.messages += 1;
+            stats.entries_sent += entries.len() as u64;
+            let bytes = u64::from(wire.message_bytes(entries.len()));
+            stats.bytes_total += bytes;
+            stats.per_node_bytes[from.index()] += bytes;
+            for link in zones.links(from) {
+                let to = link.neighbor;
+                if !alive[to.index()] {
+                    continue;
+                }
+                if apply_entries(
+                    &mut tables[to.index()],
+                    to,
+                    from,
+                    link.weight,
+                    entries,
+                    zones,
+                ) {
+                    next_pending[to.index()] = true;
+                }
+            }
+        }
+        pending = next_pending;
+    }
+    panic!("DBF failed to converge within {max_rounds} rounds");
+}
+
+/// Relaxes the table of `at` with one received vector: routes via the
+/// sender `from` at link weight `w`, scoped to `at`'s own zone. Returns
+/// `true` if the table changed.
+fn apply_entries(
+    table: &mut RoutingTable,
+    at: NodeId,
+    from: NodeId,
+    w: f64,
+    entries: &[(NodeId, f64, u32)],
+    zones: &ZoneTable,
+) -> bool {
+    let mut changed = false;
+    for &(dest, cost, hops) in entries {
+        if dest == at {
+            continue;
+        }
+        // Zone scoping: `at` only maintains destinations in its own zone.
+        if !zones.in_zone(at, dest) {
+            continue;
+        }
+        changed |= table.offer(
+            dest,
+            RouteEntry {
+                via: from,
+                cost: w + cost,
+                hops: hops + 1,
+            },
+        );
+    }
+    changed
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,8 +333,7 @@ mod tests {
         alive[3] = false;
         let oracle = oracle_tables_masked(&z, 2, &alive);
         let mut dbf = DbfEngine::new(&z, 2);
-        dbf.reset(&z, &alive);
-        dbf.run_to_convergence_masked(&z, &alive);
+        dbf.rebuild_sharded(&z, &alive);
         for (i, want) in oracle.iter().enumerate() {
             let node = NodeId::new(i as u32);
             let got = dbf.table(node);

@@ -5,8 +5,9 @@
 /// The paper does not specify its DBF packet layout; we use a compact
 /// encoding consistent with its 2-byte ADV/REQ packets: a 2-byte header plus
 /// 4 bytes per entry (2-byte destination id, 1-byte quantized cost, 1-byte
-/// hop count). The sizes are configurable so the sensitivity can be explored
-/// in the ablation benches.
+/// hop count). Every DBF execution prices its messages with
+/// [`DbfWireFormat::default`], and so does the convergence-pause model, so
+/// the energy charged and the pause can never disagree.
 ///
 /// # Example
 ///
@@ -25,21 +26,6 @@ pub struct DbfWireFormat {
 }
 
 impl DbfWireFormat {
-    /// Creates a format.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if `entry_bytes` is zero.
-    pub fn new(header_bytes: u32, entry_bytes: u32) -> Result<Self, String> {
-        if entry_bytes == 0 {
-            return Err("entry_bytes must be positive".into());
-        }
-        Ok(DbfWireFormat {
-            header_bytes,
-            entry_bytes,
-        })
-    }
-
     /// Total bytes for a message carrying `entries` vector entries.
     #[must_use]
     pub fn message_bytes(&self, entries: usize) -> u32 {
@@ -67,11 +53,5 @@ mod tests {
         assert_eq!(w.entry_bytes, 4);
         assert_eq!(w.message_bytes(0), 2);
         assert_eq!(w.message_bytes(45), 182);
-    }
-
-    #[test]
-    fn validation() {
-        assert!(DbfWireFormat::new(0, 1).is_ok());
-        assert!(DbfWireFormat::new(2, 0).is_err());
     }
 }

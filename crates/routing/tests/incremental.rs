@@ -4,16 +4,16 @@
 //! An incremental engine survives an arbitrary sequence of topology events
 //! (node moves, failures, repairs), re-converging only the affected zones
 //! after each one. After every event its tables must be **exactly** equal
-//! to a from-scratch `reset` + `run_to_convergence_masked` rebuild — the
-//! delta exchange restricted to the invalidated destinations replays the
-//! same relaxation the full rebuild would, so even the floating-point sums
-//! agree bit for bit. A centralized Dijkstra cross-check (with tolerance)
+//! to the from-scratch [`reference_rebuild`] — the delta exchange
+//! restricted to the invalidated destinations replays the same relaxation
+//! the full rebuild would, so even the floating-point sums agree bit for
+//! bit. A centralized Dijkstra cross-check (with tolerance)
 //! guards against both distributed paths drifting together.
 
 use proptest::prelude::*;
 use spms_net::{placement, NodeId, Point, SpatialGrid, Topology, ZoneTable};
 use spms_phy::RadioProfile;
-use spms_routing::{oracle_tables_masked, DbfEngine};
+use spms_routing::{oracle_tables_masked, reference_rebuild, DbfEngine};
 
 /// One topology event, decoded from raw proptest draws.
 #[derive(Clone, Copy, Debug)]
@@ -48,15 +48,13 @@ fn assert_matches_reference(
     alive: &[bool],
     context: &str,
 ) -> Result<(), TestCaseError> {
-    let mut reference = DbfEngine::new(zones, dbf.k());
-    reference.reset(zones, alive);
-    reference.run_to_convergence_masked(zones, alive);
+    let (reference, _) = reference_rebuild(zones, dbf.k(), alive);
     let oracle = oracle_tables_masked(zones, dbf.k(), alive);
     for (i, want) in oracle.iter().enumerate() {
         let node = NodeId::new(i as u32);
         prop_assert_eq!(
             dbf.table(node),
-            reference.table(node),
+            &reference[i],
             "{}: node {} diverged from the full rebuild",
             context,
             node

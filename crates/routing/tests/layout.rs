@@ -17,15 +17,15 @@
 //!    where the replace-arm and insert-arm rank rules disagree and a
 //!    kernel shortcut would diverge.
 //! 2. **Engine-level end-to-end differential** — a 169-node field driven
-//!    through all four DBF replay loops (sequential full re-convergence,
-//!    sequential delta re-convergence, sharded full rebuild, sharded +
-//!    batched delta) under both layouts, asserting byte-identical
-//!    [`DbfStats`] and bit-identical tables at every checkpoint.
+//!    through the DBF round loop in both snapshot modes (full rebuild,
+//!    batched delta) at one shard and at four, under both layouts,
+//!    asserting byte-identical [`DbfStats`] and bit-identical tables at
+//!    every checkpoint, anchored to [`reference_rebuild`].
 
 use proptest::prelude::*;
 use spms_net::{placement, NodeId, Point, SpatialGrid, ZoneTable};
 use spms_phy::RadioProfile;
-use spms_routing::{DbfEngine, DbfStats, RouteEntry, RoutingTable, TableLayout};
+use spms_routing::{reference_rebuild, DbfEngine, DbfStats, RouteEntry, RoutingTable, TableLayout};
 
 /// One table operation, decoded from raw proptest draws.
 #[derive(Clone, Debug)]
@@ -182,10 +182,23 @@ fn step_both(
     assert_eq!(got, want, "{context}: stats diverged");
 }
 
-/// The end-to-end differential at the paper's 169-node scale: every DBF
-/// replay loop — sequential full, sequential delta, sharded full, sharded
-/// batched delta — produces byte-identical stats and bit-identical tables
-/// under both arena layouts.
+/// Asserts an engine holds the reference rebuild's tables at every node.
+fn assert_matches_reference(engine: &DbfEngine, want: &[RoutingTable], context: &str) {
+    for (i, want) in want.iter().enumerate() {
+        let node = NodeId::new(i as u32);
+        assert_eq!(
+            engine.table(node),
+            want,
+            "{context}: diverged from the reference at node {node}"
+        );
+    }
+}
+
+/// The end-to-end differential at the paper's 169-node scale: the DBF
+/// round loop, in full and delta mode, at one shard (every round inline)
+/// and at four (heavy rounds on the pool), produces byte-identical stats
+/// and bit-identical tables under both arena layouts — equal to the
+/// reference rebuild's.
 #[test]
 fn dbf_loops_are_bit_identical_across_layouts_169_nodes() {
     let mut topo = placement::grid(13, 13, 5.0).unwrap();
@@ -197,8 +210,8 @@ fn dbf_loops_are_bit_identical_across_layouts_169_nodes() {
     let mut alive = vec![true; n];
 
     let k = 2;
-    let mut seq_soa = DbfEngine::new(&zones, k).with_table_layout(TableLayout::Soa);
-    let mut seq_aos = DbfEngine::new(&zones, k).with_table_layout(TableLayout::Aos);
+    let mut one_soa = DbfEngine::new(&zones, k).with_table_layout(TableLayout::Soa);
+    let mut one_aos = DbfEngine::new(&zones, k).with_table_layout(TableLayout::Aos);
     let mut sh_soa = DbfEngine::new(&zones, k)
         .with_shards(4)
         .with_table_layout(TableLayout::Soa);
@@ -206,21 +219,23 @@ fn dbf_loops_are_bit_identical_across_layouts_169_nodes() {
         .with_shards(4)
         .with_table_layout(TableLayout::Aos);
 
-    // Loop 1: sequential full re-convergence.
-    step_both(&mut seq_soa, &mut seq_aos, "sequential full", |e| {
-        e.reset(&zones, &alive);
-        e.run_to_convergence_masked(&zones, &alive)
-    });
-    assert_tables_match(&seq_soa, &seq_aos, n, "sequential full");
-
-    // Loop 2: sharded full rebuild.
-    step_both(&mut sh_soa, &mut sh_aos, "sharded full", |e| {
-        e.rebuild_sharded(&zones, &alive)
-    });
-    assert_tables_match(&sh_soa, &sh_aos, n, "sharded full");
+    // Full mode, one shard and four, against the reference.
+    let (want_tables, want) = reference_rebuild(&zones, k, &alive);
+    for (label, soa, aos) in [
+        ("one-shard full", &mut one_soa, &mut one_aos),
+        ("sharded full", &mut sh_soa, &mut sh_aos),
+    ] {
+        step_both(soa, aos, label, |e| {
+            let got = e.rebuild_sharded(&zones, &alive);
+            assert_eq!(got, want, "{label}: stats diverged from the reference");
+            got
+        });
+        assert_tables_match(soa, aos, n, label);
+        assert_matches_reference(soa, &want_tables, label);
+    }
 
     // A batched topology window: three moves merged into one delta plus
-    // two silent liveness flips — the workload of the delta loops.
+    // two silent liveness flips — the workload of delta mode.
     let mut delta = zones.apply_moves(&topo, &radio, &grid, &[]);
     for (i, node) in [5u32, 84, 130].into_iter().enumerate() {
         let node = NodeId::new(node);
@@ -237,19 +252,21 @@ fn dbf_loops_are_bit_identical_across_layouts_169_nodes() {
     alive[77] = false;
     let silent = vec![NodeId::new(40), NodeId::new(77)];
 
-    // Loop 3: sequential delta re-convergence.
-    step_both(&mut seq_soa, &mut seq_aos, "sequential delta", |e| {
-        e.apply_zone_delta(&zones, &delta, &silent, &alive)
-    });
-    assert_tables_match(&seq_soa, &seq_aos, n, "sequential delta");
-
-    // Loop 4: sharded + batched delta.
-    step_both(&mut sh_soa, &mut sh_aos, "sharded delta", |e| {
-        e.apply_zone_delta(&zones, &delta, &silent, &alive)
-    });
-    assert_tables_match(&sh_soa, &sh_aos, n, "sharded delta");
-
-    // And the chain stays anchored: the sharded SoA tables equal the
-    // sequential AoS oracle's, node for node.
-    assert_tables_match(&sh_soa, &seq_aos, n, "sharded soa vs sequential aos");
+    // Delta mode, one shard and four: identical stats everywhere, and the
+    // reference's tables under the patched zones.
+    let (want_tables, _) = reference_rebuild(&zones, k, &alive);
+    let mut delta_want: Option<DbfStats> = None;
+    for (label, soa, aos) in [
+        ("one-shard delta", &mut one_soa, &mut one_aos),
+        ("sharded delta", &mut sh_soa, &mut sh_aos),
+    ] {
+        step_both(soa, aos, label, |e| {
+            let got = e.apply_zone_delta(&zones, &delta, &silent, &alive);
+            let want = delta_want.get_or_insert_with(|| got.clone());
+            assert_eq!(&got, want, "{label}: stats diverged from one shard");
+            got
+        });
+        assert_tables_match(soa, aos, n, label);
+        assert_matches_reference(soa, &want_tables, label);
+    }
 }

@@ -1,33 +1,25 @@
-//! Differential-oracle harness for the zone-sharded executions: the
-//! epoch-batched delta re-convergence and the sharded full rebuild.
+//! Differential harness for the DBF round loop across shard counts.
 //!
-//! The equivalence chain has four rungs, each property-tested against the
-//! one below it over random move/kill/revive sequences (with silent
-//! liveness flips and multi-epoch batching windows):
+//! Every property drives engines at 1, 2, 8 and 16 shards — every round
+//! inline, the smallest real pool, and two beyond-the-host widths — through
+//! random move/kill/revive sequences (with silent liveness flips and
+//! multi-epoch batching windows), in both snapshot modes:
 //!
-//! 1. **Root oracle** — sequential full rebuild (`reset` +
-//!    `run_to_convergence_masked`), the paper's "re-execution of the DBF",
-//!    kept verbatim.
-//! 2. **Sharded full rebuild** — [`DbfEngine::rebuild_sharded`] at 1, 2,
-//!    8 and 16 partitions, proven bit-identical (tables *and* stats) to
-//!    the root.
-//! 3. **Mid-level oracle** — the sequential delta path (`DbfEngine`
-//!    without shards), itself proven against the root in
-//!    `crates/routing/tests/incremental.rs`.
-//! 4. **Sharded + batched delta** — the shard planner at 1, 2, 8 and 16
-//!    partitions (the pool-size matrix: inline, the smallest real pool,
-//!    and two beyond-the-host widths), fed merged [`ZoneDelta`]s
-//!    covering whole batching windows.
+//! * **full** — [`DbfEngine::rebuild_sharded`] must equal the sequential
+//!   [`reference_rebuild`] bit for bit, tables *and* [`DbfStats`];
+//! * **delta** — every re-convergence must land on the reference's tables
+//!   exactly, and every shard count must report byte-identical stats.
 //!
-//! Every flush must leave all rungs with bit-identical tables, and the
-//! sharded runners must also report byte-identical [`DbfStats`] to their
-//! sequential counterparts — the planner may only change wall-clock time,
-//! never results or accounting.
+//! The range planner may only change wall-clock time, never results or
+//! accounting.
 
 use proptest::prelude::*;
 use spms_net::{placement, NodeId, Point, SpatialGrid, ZoneDelta, ZoneTable};
 use spms_phy::RadioProfile;
-use spms_routing::DbfEngine;
+use spms_routing::{reference_rebuild, DbfEngine, DbfStats};
+
+/// The shard counts every property runs.
+const SHARDS: [usize; 4] = [1, 2, 8, 16];
 
 /// One topology event, decoded from raw proptest draws.
 #[derive(Clone, Copy, Debug)]
@@ -58,26 +50,58 @@ fn empty_delta() -> ZoneDelta {
     }
 }
 
-/// Asserts every engine equals the from-scratch root oracle bit for bit.
-fn assert_all_match_root(
-    engines: &[(&'static str, &DbfEngine)],
+/// One engine per shard count, each entering through a full rebuild that
+/// must already equal the reference byte for byte.
+fn rebuilt_engines(
+    zones: &ZoneTable,
+    k: usize,
+    alive: &[bool],
+) -> Result<Vec<(usize, DbfEngine)>, TestCaseError> {
+    let (_, want) = reference_rebuild(zones, k, alive);
+    SHARDS
+        .iter()
+        .map(|&shards| {
+            let mut engine = DbfEngine::new(zones, k).with_shards(shards);
+            let got = engine.rebuild_sharded(zones, alive);
+            prop_assert_eq!(&got, &want, "initial rebuild stats at {} shards", shards);
+            Ok((shards, engine))
+        })
+        .collect()
+}
+
+/// Asserts every shard count reported the same delta stats.
+fn assert_same_stats(got: &[(usize, DbfStats)], context: &str) -> Result<(), TestCaseError> {
+    let (_, want) = &got[0];
+    for (shards, stats) in &got[1..] {
+        prop_assert_eq!(
+            stats,
+            want,
+            "{}: {} shards reported different stats",
+            context,
+            shards
+        );
+    }
+    Ok(())
+}
+
+/// Asserts every engine equals the from-scratch reference bit for bit.
+fn assert_all_match_reference(
+    engines: &[(usize, DbfEngine)],
     zones: &ZoneTable,
     alive: &[bool],
     context: &str,
 ) -> Result<(), TestCaseError> {
     let k = engines[0].1.k();
-    let mut root = DbfEngine::new(zones, k);
-    root.reset(zones, alive);
-    root.run_to_convergence_masked(zones, alive);
-    for &(label, engine) in engines {
-        for i in 0..zones.len() {
+    let (want, _) = reference_rebuild(zones, k, alive);
+    for (shards, engine) in engines {
+        for (i, want) in want.iter().enumerate() {
             let node = NodeId::new(i as u32);
             prop_assert_eq!(
                 engine.table(node),
-                root.table(node),
-                "{}: {} diverged from the root oracle at node {}",
+                want,
+                "{}: {} shards diverged from the reference at node {}",
                 context,
-                label,
+                shards,
                 node
             );
         }
@@ -95,11 +119,10 @@ proptest! {
 
     /// Random event sequences grouped into batching windows: moves patch
     /// the zone table in place and merge into one `ZoneDelta`; kills and
-    /// revives stay silent until the window flushes. At every flush the
-    /// sequential-delta and sharded engines (1/2/8/16 partitions — the
-    /// persistent worker pool parked and rewoken across every window)
-    /// must agree with the root oracle exactly, and the sharded stats
-    /// must equal the sequential stats byte for byte.
+    /// revives stay silent until the window flushes. At every flush every
+    /// shard count — the persistent worker pool parked and rewoken across
+    /// every window — must land on the reference exactly and report the
+    /// same stats.
     #[test]
     fn batched_windows_reach_bit_identical_tables_across_shard_counts(
         cols in 3usize..7,
@@ -116,26 +139,7 @@ proptest! {
         let mut grid = SpatialGrid::for_radius(&topo, radius);
         let mut zones = ZoneTable::build_indexed(&topo, &radio, &grid, radius);
         let mut alive = vec![true; n];
-
-        let mut seq = DbfEngine::new(&zones, k);
-        seq.reset(&zones, &alive);
-        let init_want = seq.run_to_convergence_masked(&zones, &alive);
-        // The sharded engines enter the chain through the sharded full
-        // rebuild, which must already agree with the root byte for byte.
-        let mut sharded: Vec<(usize, DbfEngine)> = [1usize, 2, 8, 16]
-            .iter()
-            .map(|&s| {
-                let mut engine = DbfEngine::new(&zones, k).with_shards(s);
-                let init_got = engine.rebuild_sharded(&zones, &alive);
-                prop_assert_eq!(
-                    &init_got,
-                    &init_want,
-                    "initial rebuild stats diverged at {} shards",
-                    s
-                );
-                Ok((s, engine))
-            })
-            .collect::<Result<_, TestCaseError>>()?;
+        let mut engines = rebuilt_engines(&zones, k, &alive)?;
 
         // The batching window: moves merge into one delta, liveness flips
         // wait in `silent`, and everything re-converges at the flush.
@@ -174,35 +178,14 @@ proptest! {
             silent.dedup();
             let delta = std::mem::replace(&mut pending, empty_delta());
             pending_moves = 0;
-            let want = seq.apply_zone_delta(&zones, &delta, &silent, &alive);
-            for (s, engine) in &mut sharded {
-                let got = engine.apply_zone_delta(&zones, &delta, &silent, &alive);
-                prop_assert_eq!(
-                    &got,
-                    &want,
-                    "step {}: {} shards reported different stats",
-                    step,
-                    s
-                );
-            }
-            silent.clear();
-            let engines: Vec<(&'static str, &DbfEngine)> = std::iter::once(("sequential", &seq))
-                .chain(sharded.iter().map(|(s, e)| {
-                    let label: &'static str = match s {
-                        1 => "sharded ×1",
-                        2 => "sharded ×2",
-                        8 => "sharded ×8",
-                        _ => "sharded ×16",
-                    };
-                    (label, e)
-                }))
+            let stats: Vec<(usize, DbfStats)> = engines
+                .iter_mut()
+                .map(|(s, e)| (*s, e.apply_zone_delta(&zones, &delta, &silent, &alive)))
                 .collect();
-            assert_all_match_root(
-                &engines,
-                &zones,
-                &alive,
-                &format!("flush after step {step} ({op:?})"),
-            )?;
+            silent.clear();
+            let context = format!("flush after step {step} ({op:?})");
+            assert_same_stats(&stats, &context)?;
+            assert_all_match_reference(&engines, &zones, &alive, &context)?;
         }
     }
 
@@ -211,8 +194,8 @@ proptest! {
     /// `old_zones` is the table from the *window start* — several epochs
     /// stale — with the deduped union of every mover since. Out-and-back
     /// moves and movers-meeting-movers are all in range of the random
-    /// walk; every flush must land on the root oracle exactly, sequential
-    /// and sharded alike.
+    /// walk; every flush must land on the reference exactly at every shard
+    /// count.
     #[test]
     fn window_stale_old_tables_flush_to_the_root_oracle(
         cols in 3usize..7,
@@ -227,10 +210,7 @@ proptest! {
         let radio = RadioProfile::mica2();
         let mut zones = ZoneTable::build(&topo, &radio, radius);
         let mut alive = vec![true; n];
-        let mut seq = DbfEngine::new(&zones, 2);
-        seq.run_to_convergence(&zones);
-        let mut sharded = DbfEngine::new(&zones, 2).with_shards(8);
-        sharded.run_to_convergence(&zones);
+        let mut engines = rebuilt_engines(&zones, 2, &alive)?;
 
         // Window state: the zone table as of the window start plus the
         // union of everything that changed since.
@@ -262,22 +242,20 @@ proptest! {
             }
             changed.sort_unstable();
             changed.dedup();
-            let want = seq.update_topology(&window_start, &zones, &changed, &alive);
-            let got = sharded.update_topology(&window_start, &zones, &changed, &alive);
-            prop_assert_eq!(&got, &want, "step {}: sharded stats diverged", step);
+            let stats: Vec<(usize, DbfStats)> = engines
+                .iter_mut()
+                .map(|(s, e)| (*s, e.update_topology(&window_start, &zones, &changed, &alive)))
+                .collect();
             changed.clear();
             window_start = zones.clone();
-            assert_all_match_root(
-                &[("sequential", &seq), ("sharded ×8", &sharded)],
-                &zones,
-                &alive,
-                &format!("stale-window flush after step {step} ({op:?})"),
-            )?;
+            let context = format!("stale-window flush after step {step} ({op:?})");
+            assert_same_stats(&stats, &context)?;
+            assert_all_match_reference(&engines, &zones, &alive, &context)?;
         }
     }
 
     /// A window that is pure silence (only kills/revives, no moves) flushes
-    /// through an empty merged delta and still lands on the root oracle —
+    /// through an empty merged delta and still lands on the reference —
     /// the degenerate batch every mobility-free failure window produces.
     #[test]
     fn silent_windows_flush_through_an_empty_delta(
@@ -292,10 +270,7 @@ proptest! {
         let grid = SpatialGrid::for_radius(&topo, radius);
         let zones = ZoneTable::build_indexed(&topo, &radio, &grid, radius);
         let mut alive = vec![true; n];
-        let mut seq = DbfEngine::new(&zones, 2);
-        seq.run_to_convergence(&zones);
-        let mut sharded = DbfEngine::new(&zones, 2).with_shards(8);
-        sharded.run_to_convergence(&zones);
+        let mut engines = rebuilt_engines(&zones, 2, &alive)?;
 
         let mut silent: Vec<NodeId> = Vec::new();
         for &(kind, node) in &flips {
@@ -306,23 +281,19 @@ proptest! {
         silent.sort_unstable();
         silent.dedup();
         let delta = empty_delta();
-        let want = seq.apply_zone_delta(&zones, &delta, &silent, &alive);
-        let got = sharded.apply_zone_delta(&zones, &delta, &silent, &alive);
-        prop_assert_eq!(&got, &want, "stats must match on silent windows");
-        assert_all_match_root(
-            &[("sequential", &seq), ("sharded ×8", &sharded)],
-            &zones,
-            &alive,
-            "silent flush",
-        )?;
+        let stats: Vec<(usize, DbfStats)> = engines
+            .iter_mut()
+            .map(|(s, e)| (*s, e.apply_zone_delta(&zones, &delta, &silent, &alive)))
+            .collect();
+        assert_same_stats(&stats, "silent flush")?;
+        assert_all_match_reference(&engines, &zones, &alive, "silent flush")?;
     }
 
-    /// The sharded full rebuild against the root oracle directly: random
-    /// fields, radii, k and liveness masks, rebuilt at 1, 2, 8 and 16
-    /// partitions. Tables and stats must be bit-identical to the
-    /// sequential `reset` + `run_to_convergence_masked` — and a rebuild
-    /// over a dirty engine (post-event, pre-flush) must scrub every trace
-    /// of the stale state.
+    /// The full rebuild against the reference directly: random fields,
+    /// radii, k and liveness masks, rebuilt at every shard count. Tables
+    /// and stats must be bit-identical to [`reference_rebuild`] — and a
+    /// rebuild over an engine converged on another world must scrub every
+    /// trace of the stale state.
     #[test]
     fn sharded_full_rebuild_matches_the_root_oracle(
         cols in 3usize..8,
@@ -343,101 +314,64 @@ proptest! {
         }
 
         let zones = ZoneTable::build(&topo, &radio, radius);
-        let mut root = DbfEngine::new(&zones, k);
-        root.reset(&zones, &alive);
-        let want = root.run_to_convergence_masked(&zones, &alive);
-        for shards in [1usize, 2, 8, 16] {
-            let mut engine = DbfEngine::new(&zones, k).with_shards(shards);
-            let got = engine.rebuild_sharded(&zones, &alive);
-            prop_assert_eq!(&got, &want, "fresh rebuild stats at {} shards", shards);
-            for i in 0..n {
-                let node = NodeId::new(i as u32);
-                prop_assert_eq!(
-                    engine.table(node),
-                    root.table(node),
-                    "{} shards: node {} diverged on the fresh rebuild",
-                    shards,
-                    node
-                );
-            }
+        let mut engines = rebuilt_engines(&zones, k, &alive)?;
+        assert_all_match_reference(&engines, &zones, &alive, "fresh rebuild")?;
 
-            // Perturb the world, then rebuild from scratch over the now
-            // stale engine: the rebuild must depend only on its inputs.
-            let moved = NodeId::new(mover as u32 % n as u32);
-            let field = topo.field();
-            topo.move_node(moved, Point::new(fx * field.width, fy * field.height));
-            let new_zones = ZoneTable::build(&topo, &radio, radius);
-            let mut new_root = DbfEngine::new(&new_zones, k);
-            new_root.reset(&new_zones, &alive);
-            let new_want = new_root.run_to_convergence_masked(&new_zones, &alive);
-            let new_got = engine.rebuild_sharded(&new_zones, &alive);
-            prop_assert_eq!(&new_got, &new_want, "stale rebuild stats at {} shards", shards);
-            for i in 0..n {
-                let node = NodeId::new(i as u32);
-                prop_assert_eq!(
-                    engine.table(node),
-                    new_root.table(node),
-                    "{} shards: node {} diverged on the post-move rebuild",
-                    shards,
-                    node
-                );
-            }
-            // Undo the move so every shard count sees the same start state.
-            topo = placement::grid(cols, rows, 5.0).unwrap();
+        // Perturb the world, then rebuild from scratch over the now stale
+        // engines: the rebuild must depend only on its inputs.
+        let moved = NodeId::new(mover as u32 % n as u32);
+        let field = topo.field();
+        topo.move_node(moved, Point::new(fx * field.width, fy * field.height));
+        let new_zones = ZoneTable::build(&topo, &radio, radius);
+        let (_, want) = reference_rebuild(&new_zones, k, &alive);
+        for (shards, engine) in &mut engines {
+            let got = engine.rebuild_sharded(&new_zones, &alive);
+            prop_assert_eq!(&got, &want, "stale rebuild stats at {} shards", shards);
         }
+        assert_all_match_reference(&engines, &new_zones, &alive, "post-move rebuild")?;
     }
 
     /// Dropping a pool-bearing engine mid-sequence and rebuilding a fresh
     /// one must neither deadlock (the dropped pool joins its parked
     /// workers) nor leak stale round data into the replacement: at every
-    /// step the sequential and sharded engines agree with the root
-    /// oracle, whether the sharded engine survived from the previous step
-    /// or was just recreated.
+    /// step every engine agrees with the reference, whether it survived
+    /// from the previous step or was just recreated.
     #[test]
     fn engine_drop_and_rebuild_mid_sequence_keeps_the_chain_exact(
         cols in 4usize..8,
         rows in 3usize..6,
-        shards_idx in 0usize..3,
         steps in prop::collection::vec((0u16..64, 0.0f64..1.0, 0.0f64..1.0, any::<bool>()), 3..8),
     ) {
-        let shards = [2usize, 8, 16][shards_idx];
         let mut topo = placement::grid(cols, rows, 5.0).unwrap();
         let n = topo.len();
         let radio = RadioProfile::mica2();
         let mut zones = ZoneTable::build(&topo, &radio, 20.0);
         let alive = vec![true; n];
-
-        let mut seq = DbfEngine::new(&zones, 2);
-        seq.run_to_convergence(&zones);
-        let mut sharded = DbfEngine::new(&zones, 2).with_shards(shards);
-        sharded.run_to_convergence(&zones);
+        let mut engines = rebuilt_engines(&zones, 2, &alive)?;
 
         for (step, &(node, fx, fy, recycle)) in steps.iter().enumerate() {
             let moved = NodeId::new(node as u32 % n as u32);
             let field = topo.field();
             topo.move_node(moved, Point::new(fx * field.width, fy * field.height));
             let new_zones = ZoneTable::build(&topo, &radio, 20.0);
-            let want = seq.update_topology(&zones, &new_zones, &[moved], &alive);
-            let got = sharded.update_topology(&zones, &new_zones, &[moved], &alive);
-            prop_assert_eq!(&got, &want, "step {}: stats diverged", step);
+            let stats: Vec<(usize, DbfStats)> = engines
+                .iter_mut()
+                .map(|(s, e)| (*s, e.update_topology(&zones, &new_zones, &[moved], &alive)))
+                .collect();
             zones = new_zones;
-            assert_all_match_root(
-                &[("sequential", &seq), ("sharded", &sharded)],
-                &zones,
-                &alive,
-                &format!("step {step} (shards {shards})"),
-            )?;
+            let context = format!("step {step}");
+            assert_same_stats(&stats, &context)?;
+            assert_all_match_reference(&engines, &zones, &alive, &context)?;
             if recycle {
-                // Mid-simulation engine teardown: the old pool's workers
-                // join here, and the replacement starts cold from a
-                // sharded full rebuild of the current world.
-                sharded = DbfEngine::new(&zones, 2).with_shards(shards);
-                sharded.rebuild_sharded(&zones, &alive);
-                assert_all_match_root(
-                    &[("rebuilt sharded", &sharded)],
+                // Mid-simulation engine teardown: the old pools' workers
+                // join here, and the replacements start cold from a full
+                // rebuild of the current world.
+                engines = rebuilt_engines(&zones, 2, &alive)?;
+                assert_all_match_reference(
+                    &engines,
                     &zones,
                     &alive,
-                    &format!("post-recycle at step {step} (shards {shards})"),
+                    &format!("post-recycle at step {step}"),
                 )?;
             }
         }

@@ -252,16 +252,27 @@ impl AdversaryOverride {
     }
 }
 
+/// The DBF shard count each of `workers` concurrent simulations gets on a
+/// host with `host` hardware threads: an even share, at least one, so
+/// sweep workers times pool threads stay within the host.
+fn dbf_shards_per_run(host: usize, workers: usize) -> usize {
+    (host / workers.max(1)).max(1)
+}
+
 /// Runs one spec under the sweep's overrides, containing failures: an
 /// engine error or a panic inside the run becomes an `Err` carrying the
 /// message, so one bad spec can never poison, reorder, or abort its
-/// siblings.
-fn run_one(spec: &RunSpec, sweep: &SweepConfig) -> Result<RunMetrics, String> {
+/// siblings. A spec that left `dbf_shards` unset (`0`) gets `dbf_shards`,
+/// the sweep's per-run share of the host.
+fn run_one(spec: &RunSpec, sweep: &SweepConfig, dbf_shards: usize) -> Result<RunMetrics, String> {
     let run = || {
         let mut config = spec.config.clone();
         sweep.adversary.apply(&mut config);
         if config.contact_plan.is_none() {
             config.contact_plan = sweep.contact_plan.clone();
+        }
+        if config.dbf_shards == 0 {
+            config.dbf_shards = dbf_shards;
         }
         Simulation::run_with(config, spec.topology.clone(), spec.plan.clone())
     };
@@ -297,12 +308,13 @@ pub fn try_run_specs(
     sweep: &SweepConfig,
 ) -> Vec<(String, Result<RunMetrics, String>)> {
     let workers = sweep.resolved(specs.len());
+    let dbf_shards = dbf_shards_per_run(spms_kernel::host_parallelism(), workers);
     let mut outcomes: Vec<Option<Result<RunMetrics, String>>> = Vec::new();
     outcomes.resize_with(specs.len(), || None);
     if workers <= 1 {
         // The sequential reference path every pool size must reproduce.
         for (slot, spec) in specs.iter().enumerate() {
-            outcomes[slot] = Some(run_one(spec, sweep));
+            outcomes[slot] = Some(run_one(spec, sweep, dbf_shards));
         }
     } else {
         let next = AtomicUsize::new(0);
@@ -317,7 +329,7 @@ pub fn try_run_specs(
                             if slot >= specs_ref.len() {
                                 break;
                             }
-                            claimed.push((slot, run_one(&specs_ref[slot], sweep)));
+                            claimed.push((slot, run_one(&specs_ref[slot], sweep, dbf_shards)));
                         }
                         claimed
                     })
@@ -497,6 +509,29 @@ mod tests {
         assert_eq!(SweepConfig::with_workers(8).resolved(2), 2);
         assert_eq!(SweepConfig::with_workers(5).resolved(0), 1);
         assert!(SweepConfig::auto().resolved(64) >= 1);
+    }
+
+    #[test]
+    fn dbf_shards_split_the_host_between_sweep_workers() {
+        // One simulation keeps the whole host; concurrent ones share it.
+        assert_eq!(dbf_shards_per_run(2, 1), 2);
+        assert_eq!(dbf_shards_per_run(2, 2), 1);
+        assert_eq!(dbf_shards_per_run(8, 2), 4);
+        assert_eq!(dbf_shards_per_run(8, 3), 2);
+        // Never zero shards: more workers than threads still get one each.
+        assert_eq!(dbf_shards_per_run(2, 4), 1);
+        assert_eq!(dbf_shards_per_run(1, 1), 1);
+        assert_eq!(dbf_shards_per_run(4, 0), 4);
+        for host in 1..=16 {
+            for workers in 1..=16 {
+                let shards = dbf_shards_per_run(host, workers);
+                assert!(shards >= 1);
+                assert!(
+                    workers * shards <= host.max(workers),
+                    "{workers} workers × {shards} shards on {host} threads"
+                );
+            }
+        }
     }
 
     #[test]

@@ -109,8 +109,7 @@ fn masked_reruns_reflect_failed_relays() {
     let mut alive = vec![true; 5];
     alive[2] = false; // the middle relay is down
     let mut dbf = DbfEngine::new(&zones, 2);
-    dbf.reset(&zones, &alive);
-    dbf.run_to_convergence_masked(&zones, &alive);
+    dbf.rebuild_sharded(&zones, &alive);
     // Node 0 still reaches node 4 (20 m apart: direct at max level) but no
     // route may pass through the dead node 2.
     let best = dbf.table(NodeId::new(0)).best(NodeId::new(4)).unwrap();
