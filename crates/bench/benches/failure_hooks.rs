@@ -56,10 +56,10 @@ fn node_holding(view: &NodeView<'_>, held: u32) -> SpmsNode {
     let stride = held / PENDING;
     for seq in 0..held + PENDING {
         let meta = MetaId::new(NodeId::new(seq % 5), seq);
-        node.on_packet(view, &packet(meta, 2, Payload::Adv), true);
+        node.on_packet(view, &packet(meta, 2, Payload::Adv), true, &mut Vec::new());
         let pending = seq % (stride + 1) == stride;
         if !pending {
-            node.on_packet(view, &packet(meta, 2, data.clone()), true);
+            node.on_packet(view, &packet(meta, 2, data.clone()), true, &mut Vec::new());
         }
     }
     assert_eq!(node.items_held(), held as usize);
@@ -73,12 +73,15 @@ fn bench_failure_flip(c: &mut Criterion) {
     let view = view(&zones, &tables[3], 3);
     for held in [400, 1690] {
         let mut node = node_holding(&view, held);
+        // One sink reused across flips, as the engine reuses its own.
+        let mut actions = Vec::new();
         c.bench_function(&format!("core/failure_flip_{held}"), |b| {
             b.iter(|| {
                 let mut reqs = 0;
                 for _ in 0..FLIPS_PER_SAMPLE {
                     node.on_failed();
-                    let actions = node.on_repaired(&view);
+                    actions.clear();
+                    node.on_repaired(&view, &mut actions);
                     reqs += actions
                         .iter()
                         .filter(|a| matches!(a, Action::Send(_)))

@@ -3,18 +3,19 @@
 //! The engine owns the network state (topology, zones, routing tables,
 //! per-node protocol machines, energy meters, radio queues) and drives it
 //! from a single deterministic event queue. Protocol code never touches
-//! energy, queues or randomness — it returns [`Action`]s and the engine
-//! performs them — so SPIN, SPMS and flooding are measured by exactly the
-//! same rules.
+//! energy, queues or randomness — it appends [`Action`]s to a sink and the
+//! engine performs them — so SPIN, SPMS and flooding are measured by
+//! exactly the same rules.
 //!
-//! Event flow for one transmission: a protocol returns `Action::Send`; the
-//! engine computes the MAC access delay (`G·n²` + backoff at the frame's
-//! power level), reserves the node's half-duplex radio, charges transmit
-//! energy, and schedules a `Deliver` event at the end of the on-air time;
-//! at delivery, recipients are charged receive energy and their protocol
-//! handlers run (after `Tproc`), possibly producing more sends.
+//! Event flow for one transmission: a protocol appends `Action::Send` to
+//! the engine's action buffer; the engine computes the MAC access delay
+//! (`G·n²` + backoff at the frame's power level), reserves the node's
+//! half-duplex radio, charges transmit energy, and schedules a `Deliver`
+//! event at the end of the on-air time; at delivery, recipients are charged
+//! receive energy and their protocol handlers run (after `Tproc`), possibly
+//! producing more sends.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use spms_kernel::stats::Tally;
 use spms_kernel::trace::Trace;
@@ -28,9 +29,9 @@ use spms_phy::{EnergyCategory, EnergyMeter, MicroJoules};
 use spms_routing::{oracle_tables, DbfEngine, DbfWireFormat, RoutingTable};
 
 use crate::{
-    Action, Addressee, AdversaryStats, MessageCounts, MetaId, NodeBehavior, NodeProtocol, NodeView,
-    OutFrame, Packet, PacketKind, Payload, Protocol, ProtocolKind, RoutingCost, RoutingMode,
-    RunMetrics, SimConfig, SpmsParams, TimerKind, TrafficPlan,
+    Action, Addressee, AdversaryStats, DataStore, MessageCounts, MetaId, NodeBehavior,
+    NodeProtocol, NodeView, OutFrame, Packet, PacketKind, Payload, Protocol, ProtocolKind,
+    RoutingCost, RoutingMode, RunMetrics, SimConfig, SpmsParams, TimerKind, TrafficPlan,
 };
 
 /// Engine events.
@@ -119,6 +120,12 @@ pub struct Simulation {
     /// Epochs queued in the current batching window.
     pending_epochs: u32,
     protocols: Vec<NodeProtocol>,
+    /// The sink protocol hooks append to. `run_hook` takes it out of
+    /// `self` for one call and puts it back emptied, so its allocation is
+    /// reused and a hook run while actions are performed gets its own.
+    actions: Vec<Action>,
+    /// Reused buffer of a broadcast's recipients (`handle_deliver`).
+    recipients: Vec<NodeId>,
     alive: Vec<bool>,
     down_gen: Vec<u32>,
     queues: Vec<HalfDuplexQueue>,
@@ -149,7 +156,7 @@ pub struct Simulation {
     /// Per-adversary first-seen metadata — bounds bogus-ADV storms to
     /// `attack_factor` per (adversary, item) and keeps attack traffic from
     /// echoing off other adversaries forever.
-    adversary_seen: Vec<BTreeSet<MetaId>>,
+    adversary_seen: Vec<DataStore>,
     winding_down: bool,
     /// Pending Generate/Deliver/Timer events — the protocol's own activity.
     /// When it hits zero with all generations processed, nothing can revive
@@ -160,7 +167,8 @@ pub struct Simulation {
     // Measurement state.
     meta_adv_at: BTreeMap<MetaId, SimTime>,
     meta_birth: BTreeMap<MetaId, SimTime>,
-    settled: Vec<BTreeSet<MetaId>>,
+    /// Per node, the items whose delivery or abandonment was recorded.
+    settled: Vec<DataStore>,
     outstanding: u64,
     generated: u64,
     expected: u64,
@@ -353,6 +361,8 @@ impl Simulation {
             pending_flipped: Vec::new(),
             pending_epochs: 0,
             protocols,
+            actions: Vec::new(),
+            recipients: Vec::new(),
             alive: vec![true; n],
             down_gen: vec![0; n],
             queues: vec![HalfDuplexQueue::new(); n],
@@ -371,12 +381,12 @@ impl Simulation {
             contact_proc,
             staged_contact: None,
             behaviors,
-            adversary_seen: vec![BTreeSet::new(); n],
+            adversary_seen: vec![DataStore::new(); n],
             winding_down: false,
             protocol_pending: 0,
             meta_adv_at: BTreeMap::new(),
             meta_birth: BTreeMap::new(),
-            settled: vec![BTreeSet::new(); n],
+            settled: vec![DataStore::new(); n],
             outstanding: 0,
             generated: 0,
             expected: 0,
@@ -772,8 +782,9 @@ impl Simulation {
         let want = self.plan.interest.count(g.meta, self.topology.len());
         self.outstanding += want;
         self.expected += want;
-        let actions = self.call_protocol(g.source, |p, v| p.on_generate(v, g.meta));
-        self.process_actions(g.source, actions, SimTime::ZERO);
+        self.run_hook(g.source, SimTime::ZERO, |p, v, out| {
+            p.on_generate(v, g.meta, out);
+        });
     }
 
     fn handle_deliver(&mut self, frame: OutFrame) {
@@ -793,21 +804,24 @@ impl Simulation {
             Addressee::Broadcast => {
                 // All alive zone neighbors within the frame's power range
                 // participate (ADV is how they learn about data).
-                let recipients: Vec<NodeId> = self
-                    .zones
-                    .links(from)
-                    .iter()
-                    .filter(|l| frame.level.index() <= l.level.index())
-                    .map(|l| l.neighbor)
-                    .filter(|nb| self.alive[nb.index()])
-                    .collect();
-                for nb in recipients {
+                let mut recipients = std::mem::take(&mut self.recipients);
+                recipients.clear();
+                recipients.extend(
+                    self.zones
+                        .links(from)
+                        .iter()
+                        .filter(|l| frame.level.index() <= l.level.index())
+                        .map(|l| l.neighbor)
+                        .filter(|nb| self.alive[nb.index()]),
+                );
+                for &nb in &recipients {
                     self.meters[nb.index()].charge(EnergyCategory::Receive, rx_energy);
                     self.check_battery(nb);
                     if self.alive[nb.index()] {
                         self.dispatch_packet(nb, &frame.packet);
                     }
                 }
+                self.recipients = recipients;
             }
             Addressee::Unicast(dest) => {
                 let reachable = self
@@ -834,8 +848,9 @@ impl Simulation {
             return;
         }
         let interested = self.plan.interest.interested(receiver, packet.meta);
-        let actions = self.call_protocol(receiver, |p, v| p.on_packet(v, packet, interested));
-        self.process_actions(receiver, actions, self.config.proc_delay);
+        self.run_hook(receiver, self.config.proc_delay, |p, v, out| {
+            p.on_packet(v, packet, interested, out);
+        });
     }
 
     /// `true` when `node` runs an adversarial policy whose attack window
@@ -908,8 +923,9 @@ impl Simulation {
         if self.adversary_active(node) {
             return; // adversaries let their honest-era timers rot
         }
-        let actions = self.call_protocol(node, |p, v| p.on_timer(v, meta, kind, gen));
-        self.process_actions(node, actions, SimTime::ZERO);
+        self.run_hook(node, SimTime::ZERO, |p, v, out| {
+            p.on_timer(v, meta, kind, gen, out);
+        });
     }
 
     fn handle_fail(&mut self, node: NodeId, down_for: SimTime) {
@@ -992,8 +1008,7 @@ impl Simulation {
         self.trace
             .record_with(self.now, "fail", || format!("{node} repaired"));
         self.reconverge_after_liveness_flips(&[node]);
-        let actions = self.call_protocol(node, |p, v| p.on_repaired(v));
-        self.process_actions(node, actions, SimTime::ZERO);
+        self.run_hook(node, SimTime::ZERO, |p, v, out| p.on_repaired(v, out));
     }
 
     fn handle_draw_failure(&mut self) {
@@ -1101,8 +1116,7 @@ impl Simulation {
                 continue;
             }
             let node = NodeId::new(i as u32);
-            let actions = self.call_protocol(node, |p, v| p.on_routes_rebuilt(v));
-            self.process_actions(node, actions, SimTime::ZERO);
+            self.run_hook(node, SimTime::ZERO, |p, v, out| p.on_routes_rebuilt(v, out));
         }
         self.stage_next_epoch();
     }
@@ -1165,8 +1179,7 @@ impl Simulation {
             self.adversary_stats.churn_coalesced += 1;
         }
         for node in joiners {
-            let actions = self.call_protocol(node, |p, v| p.on_repaired(v));
-            self.process_actions(node, actions, SimTime::ZERO);
+            self.run_hook(node, SimTime::ZERO, |p, v, out| p.on_repaired(v, out));
         }
         self.stage_next_churn();
     }
@@ -1265,8 +1278,7 @@ impl Simulation {
                 continue;
             }
             let node = NodeId::new(i as u32);
-            let actions = self.call_protocol(node, |p, v| p.on_routes_rebuilt(v));
-            self.process_actions(node, actions, SimTime::ZERO);
+            self.run_hook(node, SimTime::ZERO, |p, v, out| p.on_routes_rebuilt(v, out));
         }
         self.stage_next_contact();
     }
@@ -1293,10 +1305,13 @@ impl Simulation {
         }
     }
 
-    fn call_protocol<F>(&mut self, node: NodeId, f: F) -> Vec<Action>
+    /// Runs one protocol hook on `node` and performs the actions it
+    /// appended, in push order, `extra` after now.
+    fn run_hook<F>(&mut self, node: NodeId, extra: SimTime, hook: F)
     where
-        F: FnOnce(&mut NodeProtocol, &NodeView<'_>) -> Vec<Action>,
+        F: FnOnce(&mut NodeProtocol, &NodeView<'_>, &mut Vec<Action>),
     {
+        let mut out = std::mem::take(&mut self.actions);
         let view = NodeView {
             node,
             now: self.now,
@@ -1309,7 +1324,9 @@ impl Simulation {
             battery_frac: self.battery_frac(node),
             low_battery_threshold: self.config.low_battery_threshold,
         };
-        f(&mut self.protocols[node.index()], &view)
+        hook(&mut self.protocols[node.index()], &view, &mut out);
+        self.process_actions(node, &mut out, extra);
+        self.actions = out;
     }
 
     /// Checks `node` against its battery budget after an energy charge;
@@ -1338,8 +1355,9 @@ impl Simulation {
         self.reconverge_after_liveness_flips(&[node]);
     }
 
-    fn process_actions(&mut self, node: NodeId, actions: Vec<Action>, extra: SimTime) {
-        for action in actions {
+    /// Performs and drains `actions` in push order.
+    fn process_actions(&mut self, node: NodeId, actions: &mut Vec<Action>, extra: SimTime) {
+        for action in actions.drain(..) {
             match action {
                 Action::Send(frame) => self.transmit(node, frame, extra),
                 Action::SetTimer {

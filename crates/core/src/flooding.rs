@@ -7,17 +7,15 @@
 //! multiple data packets from multiple paths." There is no negotiation:
 //! full DATA packets are broadcast zone-wide and rebroadcast once per node.
 
-use std::collections::BTreeSet;
-
 use crate::{
     Action, Addressee, DataStore, MetaId, NodeView, OutFrame, Packet, Payload, Protocol, TimerKind,
 };
 
-/// Flooding protocol state for one node.
+/// Flooding protocol state for one node: a node rebroadcasts exactly the
+/// items it stores, once, when it first stores them.
 #[derive(Clone, Debug, Default)]
 pub struct FloodingNode {
     store: DataStore,
-    rebroadcast_done: BTreeSet<MetaId>,
 }
 
 impl FloodingNode {
@@ -33,11 +31,8 @@ impl FloodingNode {
         self.store.len()
     }
 
-    fn broadcast_data(&mut self, view: &NodeView<'_>, meta: MetaId) -> Option<Action> {
-        if !self.rebroadcast_done.insert(meta) {
-            return None;
-        }
-        Some(Action::Send(OutFrame {
+    fn broadcast_data(view: &NodeView<'_>, meta: MetaId) -> Action {
+        Action::Send(OutFrame {
             to: Addressee::Broadcast,
             level: view.zones.adv_level(),
             packet: Packet {
@@ -48,35 +43,37 @@ impl FloodingNode {
                     route: vec![],
                 },
             },
-        }))
+        })
     }
 }
 
 impl Protocol for FloodingNode {
-    fn on_generate(&mut self, view: &NodeView<'_>, meta: MetaId) -> Vec<Action> {
-        let mut out = Vec::new();
+    fn on_generate(&mut self, view: &NodeView<'_>, meta: MetaId, out: &mut Vec<Action>) {
         if self.store.insert(meta) {
-            out.extend(self.broadcast_data(view, meta));
+            out.push(Self::broadcast_data(view, meta));
         }
-        out
     }
 
-    fn on_packet(&mut self, view: &NodeView<'_>, packet: &Packet, interested: bool) -> Vec<Action> {
-        let mut out = Vec::new();
+    fn on_packet(
+        &mut self,
+        view: &NodeView<'_>,
+        packet: &Packet,
+        interested: bool,
+        out: &mut Vec<Action>,
+    ) {
         if !matches!(packet.payload, Payload::Data { .. }) {
-            return out; // flooding has no ADV/REQ
+            return; // flooding has no ADV/REQ
         }
         let meta = packet.meta;
         if self.store.insert(meta) {
             if interested {
                 out.push(Action::Delivered { meta });
             }
-            out.extend(self.broadcast_data(view, meta));
+            out.push(Self::broadcast_data(view, meta));
         } else {
             // The implosion the paper's introduction describes.
             out.push(Action::Duplicate { meta });
         }
-        out
     }
 
     fn on_timer(
@@ -85,15 +82,14 @@ impl Protocol for FloodingNode {
         _meta: MetaId,
         _kind: TimerKind,
         _gen: u32,
-    ) -> Vec<Action> {
-        Vec::new() // flooding uses no timers
+        _out: &mut Vec<Action>,
+    ) {
+        // Flooding uses no timers.
     }
 
     fn on_failed(&mut self) {}
 
-    fn on_repaired(&mut self, _view: &NodeView<'_>) -> Vec<Action> {
-        Vec::new()
-    }
+    fn on_repaired(&mut self, _view: &NodeView<'_>, _out: &mut Vec<Action>) {}
 
     fn has_data(&self, meta: MetaId) -> bool {
         self.store.contains(meta)
@@ -103,6 +99,7 @@ impl Protocol for FloodingNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{assert_appends_only, collect, sink_prefix};
     use crate::{PacketKind, Timeouts};
     use spms_kernel::SimTime;
     use spms_net::{placement, NodeId, ZoneTable};
@@ -141,7 +138,7 @@ mod tests {
         let (zones, routing) = fixture();
         let mut n = FloodingNode::new();
         let v = view(&zones, &routing, 0);
-        let actions = n.on_generate(&v, meta());
+        let actions = collect(|out| n.on_generate(&v, meta(), out));
         assert_eq!(actions.len(), 1);
         assert!(matches!(&actions[0], Action::Send(f)
             if f.packet.kind() == PacketKind::Data && f.to == Addressee::Broadcast));
@@ -160,13 +157,13 @@ mod tests {
                 route: vec![],
             },
         };
-        let actions = n.on_packet(&v, &data, true);
+        let actions = collect(|out| n.on_packet(&v, &data, true, out));
         assert!(actions
             .iter()
             .any(|a| matches!(a, Action::Delivered { .. })));
         assert!(actions.iter().any(|a| matches!(a, Action::Send(_))));
         // Second copy: duplicate, no rebroadcast.
-        let again = n.on_packet(&v, &data, true);
+        let again = collect(|out| n.on_packet(&v, &data, true, out));
         assert_eq!(again.len(), 1);
         assert!(matches!(again[0], Action::Duplicate { .. }));
     }
@@ -181,8 +178,37 @@ mod tests {
             from: NodeId::new(0),
             payload: Payload::Adv,
         };
-        assert!(n.on_packet(&v, &adv, true).is_empty());
-        assert!(n.on_timer(&v, meta(), TimerKind::AdvWait, 1).is_empty());
-        assert!(n.on_repaired(&v).is_empty());
+        assert!(collect(|out| n.on_packet(&v, &adv, true, out)).is_empty());
+        assert!(collect(|out| n.on_timer(&v, meta(), TimerKind::AdvWait, 1, out)).is_empty());
+        assert!(collect(|out| n.on_repaired(&v, out)).is_empty());
+    }
+
+    #[test]
+    fn hooks_only_append_to_the_sink() {
+        let (zones, routing) = fixture();
+        let v = view(&zones, &routing, 1);
+        let prefix = sink_prefix(&v);
+        let data = Packet {
+            meta: meta(),
+            from: NodeId::new(0),
+            payload: Payload::Data {
+                dest: NodeId::new(0),
+                route: vec![],
+            },
+        };
+        let mut n = FloodingNode::new();
+        let own = MetaId::new(NodeId::new(1), 0);
+        let appended = [
+            assert_appends_only(&mut n, &prefix, |n, out| n.on_generate(&v, own, out)),
+            assert_appends_only(&mut n, &prefix, |n, out| n.on_packet(&v, &data, true, out)),
+            assert_appends_only(&mut n, &prefix, |n, out| n.on_packet(&v, &data, true, out)),
+            assert_appends_only(&mut n, &prefix, |n, out| {
+                n.on_timer(&v, meta(), TimerKind::AdvWait, 1, out);
+            }),
+            assert_appends_only(&mut n, &prefix, |n, out| n.on_repaired(&v, out)),
+            assert_appends_only(&mut n, &prefix, |n, out| n.on_routes_rebuilt(&v, out)),
+        ];
+        let lens: Vec<usize> = appended.iter().map(Vec::len).collect();
+        assert_eq!(lens, [1, 2, 1, 0, 0, 0]);
     }
 }

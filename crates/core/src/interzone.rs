@@ -291,7 +291,7 @@ impl SpmsIzNode {
                 from,
                 payload: Payload::Adv,
             };
-            out.extend(self.inner.on_packet(view, &as_adv, true));
+            self.inner.on_packet(view, &as_adv, true, out);
             return;
         }
         // Remote query: remember the border path and engage (unless the
@@ -357,7 +357,8 @@ impl SpmsIzNode {
         } else {
             route.via
         };
-        let mut new_path = path.to_vec();
+        let mut new_path = Vec::with_capacity(path.len() + 1);
+        new_path.extend_from_slice(path);
         new_path.push(view.node);
         if let Some(frame) = view.unicast(
             via,
@@ -379,25 +380,25 @@ impl SpmsIzNode {
         meta: MetaId,
         kind: TimerKind,
         raw_gen: u32,
-    ) -> Vec<Action> {
-        let mut out = Vec::new();
+        out: &mut Vec<Action>,
+    ) {
         if self.inner.has_data(meta) {
-            return out;
+            return;
         }
         let Some(entry) = self.iz.get_mut(&meta) else {
-            return out;
+            return;
         };
         match kind {
             TimerKind::AdvWait => {
                 if entry.adv_gen != raw_gen || entry.state != IzState::WaitingAdv {
-                    return out;
+                    return;
                 }
                 if self.inner.prone(meta).is_some() {
                     // A local advertiser appeared; let base SPMS finish.
                     entry.state = IzState::Idle;
-                    return out;
+                    return;
                 }
-                if !self.send_iz_req(view, meta, &mut out) {
+                if !self.send_iz_req(view, meta, out) {
                     let entry = self.iz.get_mut(&meta).expect("entry");
                     entry.state = IzState::GivenUp;
                     out.push(Action::Abandoned { meta });
@@ -405,65 +406,65 @@ impl SpmsIzNode {
             }
             TimerKind::DataWait => {
                 if entry.dat_gen != raw_gen || entry.state != IzState::WaitingData {
-                    return out;
+                    return;
                 }
                 if entry.attempts >= self.params.max_attempts {
                     entry.state = IzState::GivenUp;
                     out.push(Action::Abandoned { meta });
-                    return out;
+                    return;
                 }
                 entry.next_path += 1; // rotate to the next border path
-                if !self.send_iz_req(view, meta, &mut out) {
+                if !self.send_iz_req(view, meta, out) {
                     let entry = self.iz.get_mut(&meta).expect("entry");
                     entry.state = IzState::GivenUp;
                     out.push(Action::Abandoned { meta });
                 }
             }
         }
-        out
     }
 }
 
 impl Protocol for SpmsIzNode {
-    fn on_generate(&mut self, view: &NodeView<'_>, meta: MetaId) -> Vec<Action> {
+    fn on_generate(&mut self, view: &NodeView<'_>, meta: MetaId, out: &mut Vec<Action>) {
         // The base protocol stores the item and advertises once; upgrade
         // that advertisement into the bordercast query so it can cross
         // zones. Re-advertisements by later holders stay zone-local.
-        let ttl = self.params.ttl;
-        self.inner
-            .on_generate(view, meta)
-            .into_iter()
-            .map(|a| match a {
-                Action::Send(mut frame) if frame.packet.payload == Payload::Adv => {
+        let start = out.len();
+        self.inner.on_generate(view, meta, out);
+        for action in &mut out[start..] {
+            if let Action::Send(frame) = action {
+                if frame.packet.payload == Payload::Adv {
                     frame.packet.payload = Payload::IzAdv {
-                        ttl,
+                        ttl: self.params.ttl,
                         path: vec![view.node],
                     };
-                    Action::Send(frame)
                 }
-                other => other,
-            })
-            .collect()
+            }
+        }
     }
 
-    fn on_packet(&mut self, view: &NodeView<'_>, packet: &Packet, interested: bool) -> Vec<Action> {
+    fn on_packet(
+        &mut self,
+        view: &NodeView<'_>,
+        packet: &Packet,
+        interested: bool,
+        out: &mut Vec<Action>,
+    ) {
         let meta = packet.meta;
-        let mut out = Vec::new();
         match &packet.payload {
             Payload::IzAdv { ttl, path } => {
-                self.handle_iz_adv(view, meta, packet.from, *ttl, path, interested, &mut out);
+                self.handle_iz_adv(view, meta, packet.from, *ttl, path, interested, out);
             }
             Payload::IzReq { origin, legs, path } => {
-                self.handle_iz_req(view, meta, *origin, legs, path, &mut out);
+                self.handle_iz_req(view, meta, *origin, legs, path, out);
             }
             _ => {
                 // Plain ADV/REQ/DATA: the unmodified base protocol. DATA
                 // acceptance also satisfies any pending inter-zone wait
                 // (checked lazily when its timers fire).
-                out = self.inner.on_packet(view, packet, interested);
+                self.inner.on_packet(view, packet, interested, out);
             }
         }
-        out
     }
 
     fn on_timer(
@@ -472,11 +473,12 @@ impl Protocol for SpmsIzNode {
         meta: MetaId,
         kind: TimerKind,
         gen: u32,
-    ) -> Vec<Action> {
+        out: &mut Vec<Action>,
+    ) {
         if gen >= IZ_GEN_BASE {
-            self.on_iz_timer(view, meta, kind, gen - IZ_GEN_BASE)
+            self.on_iz_timer(view, meta, kind, gen - IZ_GEN_BASE, out);
         } else {
-            self.inner.on_timer(view, meta, kind, gen)
+            self.inner.on_timer(view, meta, kind, gen, out);
         }
     }
 
@@ -495,8 +497,8 @@ impl Protocol for SpmsIzNode {
         }
     }
 
-    fn on_repaired(&mut self, view: &NodeView<'_>) -> Vec<Action> {
-        let mut out = self.inner.on_repaired(view);
+    fn on_repaired(&mut self, view: &NodeView<'_>, out: &mut Vec<Action>) {
+        self.inner.on_repaired(view, out);
         // Resume inter-zone pulls for items the base protocol cannot serve
         // locally (no known originator).
         let pending: Vec<MetaId> = self
@@ -516,17 +518,16 @@ impl Protocol for SpmsIzNode {
                 let entry = self.iz.get_mut(&meta).expect("entry");
                 entry.attempts = 0;
             }
-            self.send_iz_req(view, meta, &mut out);
+            self.send_iz_req(view, meta, out);
         }
-        out
     }
 
-    fn on_routes_rebuilt(&mut self, view: &NodeView<'_>) -> Vec<Action> {
+    fn on_routes_rebuilt(&mut self, view: &NodeView<'_>, out: &mut Vec<Action>) {
         // Stored border paths may have broken; retries rotate through the
         // survivors. Allow queries to be relayed again under the new
         // topology so fresh paths can form.
         self.relayed.clear();
-        self.inner.on_routes_rebuilt(view)
+        self.inner.on_routes_rebuilt(view, out);
     }
 
     fn has_data(&self, meta: MetaId) -> bool {
@@ -537,7 +538,7 @@ impl Protocol for SpmsIzNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::armed_timers;
+    use crate::protocol::{armed_timers, assert_appends_only, collect, sink_prefix};
     use crate::{PacketKind, Timeouts};
     use proptest::prelude::*;
     use spms_kernel::SimTime;
@@ -601,7 +602,7 @@ mod tests {
         let (zones, tables) = fixture();
         let mut src = node();
         let v = view(&zones, &tables[0], 0);
-        let actions = src.on_generate(&v, meta());
+        let actions = collect(|out| src.on_generate(&v, meta(), out));
         let s = sends(&actions);
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].to, Addressee::Broadcast);
@@ -630,7 +631,7 @@ mod tests {
                 path: vec![NodeId::new(0)],
             },
         };
-        let actions = relay.on_packet(&v, &q, false);
+        let actions = collect(|out| relay.on_packet(&v, &q, false, out));
         let s = sends(&actions);
         assert_eq!(s.len(), 1, "uninterested border node still relays");
         match &s[0].packet.payload {
@@ -642,7 +643,7 @@ mod tests {
         }
         assert!(relay.has_relayed(meta()));
         // Dedup: the same query heard again is not relayed twice.
-        let again = relay.on_packet(&v, &q, false);
+        let again = collect(|out| relay.on_packet(&v, &q, false, out));
         assert!(sends(&again).is_empty());
     }
 
@@ -662,7 +663,7 @@ mod tests {
                 path: vec![NodeId::new(0), NodeId::new(3)],
             },
         };
-        let first = relay.on_packet(&v, &stale, false);
+        let first = collect(|out| relay.on_packet(&v, &stale, false, out));
         assert_eq!(sends(&first).len(), 1, "stale copy still relays once");
         let fresh = Packet {
             meta: meta(),
@@ -672,7 +673,7 @@ mod tests {
                 path: vec![NodeId::new(0)],
             },
         };
-        let second = relay.on_packet(&v, &fresh, false);
+        let second = collect(|out| relay.on_packet(&v, &fresh, false, out));
         let s = sends(&second);
         assert_eq!(s.len(), 1, "fresher TTL must re-relay");
         match &s[0].packet.payload {
@@ -680,7 +681,7 @@ mod tests {
             other => panic!("expected IzAdv, got {other:?}"),
         }
         // Equal-or-worse TTL afterwards: silent.
-        let worse = relay.on_packet(&v, &fresh, false);
+        let worse = collect(|out| relay.on_packet(&v, &fresh, false, out));
         assert!(sends(&worse).is_empty());
     }
 
@@ -697,7 +698,7 @@ mod tests {
                 path: vec![NodeId::new(0)],
             },
         };
-        assert!(sends(&relay.on_packet(&v, &q, false)).is_empty());
+        assert!(sends(&collect(|out| relay.on_packet(&v, &q, false, out))).is_empty());
         assert!(!relay.has_relayed(meta()));
     }
 
@@ -718,7 +719,7 @@ mod tests {
                 path: vec![NodeId::new(0), NodeId::new(4)],
             },
         };
-        let actions = n2.on_packet(&v, &q, false);
+        let actions = collect(|out| n2.on_packet(&v, &q, false, out));
         assert!(
             sends(&actions).is_empty(),
             "node 2 adds no coverage beyond node 4"
@@ -740,7 +741,7 @@ mod tests {
                 path: vec![NodeId::new(0)],
             },
         };
-        let actions = n1.on_packet(&v, &q, true);
+        let actions = collect(|out| n1.on_packet(&v, &q, true, out));
         let s = sends(&actions);
         assert!(s
             .iter()
@@ -762,7 +763,7 @@ mod tests {
                 path: vec![NodeId::new(0), NodeId::new(4), NodeId::new(8)],
             },
         };
-        let actions = dest.on_packet(&v, &q, true);
+        let actions = collect(|out| dest.on_packet(&v, &q, true, out));
         // It waits τADV first (a local holder may advertise).
         assert!(sends(&actions)
             .iter()
@@ -774,7 +775,8 @@ mod tests {
         assert_eq!(dest.paths(meta()).len(), 1);
 
         // τADV expires with no local ADV: the inter-zone REQ launches.
-        let actions = dest.on_timer(&v, meta(), TimerKind::AdvWait, IZ_GEN_BASE + 1);
+        let actions =
+            collect(|out| dest.on_timer(&v, meta(), TimerKind::AdvWait, IZ_GEN_BASE + 1, out));
         let s = sends(&actions);
         assert_eq!(s.len(), 1);
         match &s[0].packet.payload {
@@ -818,7 +820,7 @@ mod tests {
                 path: vec![NodeId::new(12), NodeId::new(9)],
             },
         };
-        let actions = w.on_packet(&v8, &req, false);
+        let actions = collect(|out| w.on_packet(&v8, &req, false, out));
         let s = sends(&actions);
         assert_eq!(s.len(), 1);
         match &s[0].packet.payload {
@@ -835,7 +837,7 @@ mod tests {
         // The source holds the data and serves the full reverse route.
         let mut src = node();
         let v0 = view(&zones, &tables[0], 0);
-        src.on_generate(&v0, m);
+        src.on_generate(&v0, m, &mut Vec::new());
         let full_path: Vec<NodeId> = [12u32, 9, 8, 6, 4, 2]
             .iter()
             .map(|&i| NodeId::new(i))
@@ -849,7 +851,7 @@ mod tests {
                 path: full_path.clone(),
             },
         };
-        let actions = src.on_packet(&v0, &req_at_src, false);
+        let actions = collect(|out| src.on_packet(&v0, &req_at_src, false, out));
         let s = sends(&actions);
         assert_eq!(s.len(), 1);
         match &s[0].packet.payload {
@@ -884,7 +886,7 @@ mod tests {
                 route: vec![NodeId::new(5)],
             },
         };
-        holder.on_packet(&v4, &data, false);
+        holder.on_packet(&v4, &data, false, &mut Vec::new());
         assert!(holder.has_data(m));
         // A later inter-zone REQ passing through is served immediately.
         let req = Packet {
@@ -896,7 +898,7 @@ mod tests {
                 path: vec![NodeId::new(12), NodeId::new(8), NodeId::new(6)],
             },
         };
-        let actions = holder.on_packet(&v4, &req, false);
+        let actions = collect(|out| holder.on_packet(&v4, &req, false, out));
         let s = sends(&actions);
         assert!(
             s.iter().any(|f| f.packet.kind() == PacketKind::Data),
@@ -932,24 +934,24 @@ mod tests {
                 from: NodeId::new(from),
                 payload: Payload::IzAdv { ttl: 2, path },
             };
-            dest.on_packet(&v, &q, true);
+            dest.on_packet(&v, &q, true, &mut Vec::new());
         }
         assert_eq!(dest.paths(m).len(), 2);
         // Engage: τADV expiry → REQ along path 1 (attempt 1).
-        let a1 = dest.on_timer(&v, m, TimerKind::AdvWait, IZ_GEN_BASE + 1);
+        let a1 = collect(|out| dest.on_timer(&v, m, TimerKind::AdvWait, IZ_GEN_BASE + 1, out));
         let first_legs = match &sends(&a1)[0].packet.payload {
             Payload::IzReq { legs, .. } => legs.clone(),
             other => panic!("{other:?}"),
         };
         // τDAT expiry → rotate to the second path (attempt 2).
-        let a2 = dest.on_timer(&v, m, TimerKind::DataWait, IZ_GEN_BASE + 1);
+        let a2 = collect(|out| dest.on_timer(&v, m, TimerKind::DataWait, IZ_GEN_BASE + 1, out));
         let second_legs = match &sends(&a2)[0].packet.payload {
             Payload::IzReq { legs, .. } => legs.clone(),
             other => panic!("{other:?}"),
         };
         assert_ne!(first_legs, second_legs, "retry must try the other path");
         // Third expiry: retry budget exhausted → abandoned.
-        let a3 = dest.on_timer(&v, m, TimerKind::DataWait, IZ_GEN_BASE + 2);
+        let a3 = collect(|out| dest.on_timer(&v, m, TimerKind::DataWait, IZ_GEN_BASE + 2, out));
         assert!(a3.iter().any(|a| matches!(a, Action::Abandoned { .. })));
         // A fresh query revives the machinery.
         let q = Packet {
@@ -960,7 +962,7 @@ mod tests {
                 path: vec![NodeId::new(0), NodeId::new(4), NodeId::new(8)],
             },
         };
-        let revived = dest.on_packet(&v, &q, true);
+        let revived = collect(|out| dest.on_packet(&v, &q, true, out));
         assert!(revived.iter().any(|a| matches!(
             a,
             Action::SetTimer {
@@ -984,7 +986,7 @@ mod tests {
                 path: vec![NodeId::new(0), NodeId::new(4), NodeId::new(8)],
             },
         };
-        dest.on_packet(&v, &q, true);
+        dest.on_packet(&v, &q, true, &mut Vec::new());
         // A plain ADV from an adjacent holder (node 11, cached) arrives
         // before τADV expires.
         let adv = Packet {
@@ -992,12 +994,12 @@ mod tests {
             from: NodeId::new(11),
             payload: Payload::Adv,
         };
-        let actions = dest.on_packet(&v, &adv, true);
+        let actions = collect(|out| dest.on_packet(&v, &adv, true, out));
         assert!(sends(&actions)
             .iter()
             .any(|f| matches!(f.packet.payload, Payload::Req { .. })));
         // The inter-zone τADV expiry now stands down.
-        let after = dest.on_timer(&v, m, TimerKind::AdvWait, IZ_GEN_BASE + 1);
+        let after = collect(|out| dest.on_timer(&v, m, TimerKind::AdvWait, IZ_GEN_BASE + 1, out));
         assert!(sends(&after).is_empty(), "base negotiation owns the item");
     }
 
@@ -1015,15 +1017,16 @@ mod tests {
                 path: vec![NodeId::new(0), NodeId::new(4), NodeId::new(8)],
             },
         };
-        dest.on_packet(&v, &q, true);
-        dest.on_timer(&v, m, TimerKind::AdvWait, IZ_GEN_BASE + 1); // REQ out
+        dest.on_packet(&v, &q, true, &mut Vec::new());
+        dest.on_timer(&v, m, TimerKind::AdvWait, IZ_GEN_BASE + 1, &mut Vec::new()); // REQ out
         dest.on_failed();
         // Stale τDAT is ignored.
-        assert!(dest
-            .on_timer(&v, m, TimerKind::DataWait, IZ_GEN_BASE + 1)
-            .is_empty());
+        assert!(
+            collect(|out| dest.on_timer(&v, m, TimerKind::DataWait, IZ_GEN_BASE + 1, out))
+                .is_empty()
+        );
         // Repair relaunches the pull.
-        let actions = dest.on_repaired(&v);
+        let actions = collect(|out| dest.on_repaired(&v, out));
         assert!(sends(&actions)
             .iter()
             .any(|f| matches!(f.packet.payload, Payload::IzReq { .. })));
@@ -1044,7 +1047,7 @@ mod tests {
                 path: vec![NodeId::new(0), NodeId::new(4), NodeId::new(8)],
             },
         };
-        assert!(sends(&relay.on_packet(&v, &q, false)).is_empty());
+        assert!(sends(&collect(|out| relay.on_packet(&v, &q, false, out))).is_empty());
     }
 
     #[test]
@@ -1060,9 +1063,9 @@ mod tests {
                 path: vec![NodeId::new(0)],
             },
         };
-        relay.on_packet(&v, &q, false);
+        relay.on_packet(&v, &q, false, &mut Vec::new());
         assert!(relay.has_relayed(meta()));
-        relay.on_routes_rebuilt(&v);
+        relay.on_routes_rebuilt(&v, &mut Vec::new());
         assert!(!relay.has_relayed(meta()));
     }
 
@@ -1123,16 +1126,16 @@ mod tests {
                                 packet(*path.last().unwrap(), Payload::IzAdv { ttl: 2, path })
                             }
                         };
-                        n.on_packet(&v, &p, wants)
+                        collect(|out| n.on_packet(&v, &p, wants, out))
                     }
                     (3, true) => {
                         held.insert(meta);
                         let data = Payload::Data { dest: NodeId::new(12), route: vec![] };
-                        n.on_packet(&v, &packet(local, data), wants)
+                        collect(|out| n.on_packet(&v, &packet(local, data), wants, out))
                     }
                     (4, true) if !armed.is_empty() => {
                         let (m, k, g) = armed.remove(aux as usize % armed.len());
-                        n.on_timer(&v, m, k, g)
+                        collect(|out| n.on_timer(&v, m, k, g, out))
                     }
                     (5, true) => {
                         n.on_failed();
@@ -1141,7 +1144,7 @@ mod tests {
                         Vec::new()
                     }
                     (6, false) => {
-                        let actions = n.on_repaired(&v);
+                        let actions = collect(|out| n.on_repaired(&v, out));
                         prop_assert!(
                             ascending_reqs(&actions, |p| matches!(p, Payload::Req { .. })),
                             "base repair REQs out of MetaId order"
@@ -1168,7 +1171,7 @@ mod tests {
                 prop_assert!(unheld_iz.is_subset(unresolved), "{unheld_iz:?} ⊄ {unresolved:?}");
                 let mut probe = n.clone();
                 for &(m, k, g) in &stale {
-                    let fired = probe.on_timer(&v, m, k, g);
+                    let fired = collect(|out| probe.on_timer(&v, m, k, g, out));
                     prop_assert!(
                         fired.is_empty(),
                         "pre-failure timer {m} {k:?} gen {g} fired: {fired:?}"
@@ -1176,5 +1179,66 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn hooks_only_append_to_the_sink() {
+        let (zones, tables) = fixture();
+        let v = view(&zones, &tables[12], 12);
+        // Its ADV must come through `on_generate` unrewritten.
+        let prefix = sink_prefix(&v);
+        assert!(matches!(&prefix[0], Action::Send(f) if f.packet.payload == Payload::Adv));
+        let (m, own) = (meta(), MetaId::new(NodeId::new(12), 0));
+        let query = Packet {
+            meta: m,
+            from: NodeId::new(8),
+            payload: Payload::IzAdv {
+                ttl: 2,
+                path: vec![NodeId::new(0), NodeId::new(4), NodeId::new(8)],
+            },
+        };
+        let pull = Packet {
+            meta: own,
+            from: NodeId::new(11),
+            payload: Payload::IzReq {
+                origin: NodeId::new(0),
+                legs: vec![NodeId::new(12)],
+                path: vec![
+                    NodeId::new(0),
+                    NodeId::new(4),
+                    NodeId::new(8),
+                    NodeId::new(11),
+                ],
+            },
+        };
+        let adv = Packet {
+            meta: m,
+            from: NodeId::new(11),
+            payload: Payload::Adv,
+        };
+        let mut n = node();
+        let generated = assert_appends_only(&mut n, &prefix, |n, out| n.on_generate(&v, own, out));
+        assert!(matches!(&generated[..], [Action::Send(f)]
+            if matches!(f.packet.payload, Payload::IzAdv { .. })));
+        let mut appended = vec![
+            assert_appends_only(&mut n, &prefix, |n, out| n.on_packet(&v, &query, true, out)),
+            assert_appends_only(&mut n, &prefix, |n, out| {
+                n.on_timer(&v, m, TimerKind::AdvWait, IZ_GEN_BASE + 1, out);
+            }),
+            assert_appends_only(&mut n, &prefix, |n, out| {
+                n.on_timer(&v, m, TimerKind::DataWait, IZ_GEN_BASE + 1, out);
+            }),
+            assert_appends_only(&mut n, &prefix, |n, out| n.on_packet(&v, &pull, false, out)),
+        ];
+        n.on_failed();
+        appended.extend([
+            assert_appends_only(&mut n, &prefix, |n, out| n.on_repaired(&v, out)),
+            assert_appends_only(&mut n, &prefix, |n, out| n.on_routes_rebuilt(&v, out)),
+            assert_appends_only(&mut n, &prefix, |n, out| n.on_packet(&v, &adv, true, out)),
+        ]);
+        let quiet: Vec<usize> = (0..appended.len())
+            .filter(|&i| appended[i].is_empty())
+            .collect();
+        assert_eq!(quiet, [5], "only the reroute appends nothing");
     }
 }

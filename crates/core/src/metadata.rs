@@ -11,7 +11,6 @@
 use std::fmt;
 
 use spms_net::NodeId;
-use std::collections::BTreeSet;
 
 /// A metadata descriptor: identifies one data item network-wide.
 ///
@@ -66,7 +65,97 @@ impl fmt::Display for MetaId {
     }
 }
 
-/// The set of data items a node holds.
+/// The dense layout of a node's per-item state, shared by [`DataStore`]
+/// and `ItemMap`: source-major rows of `stride` slots, one row per source
+/// the node has touched, allocated on first touch. Slot `i` of a row is
+/// found with two loads and no search.
+#[derive(Clone, Default)]
+struct Rows<S> {
+    /// `row_of[s]` is one plus the row of source `s`, or zero when the
+    /// node has not touched `s`. It reaches only as far as the highest
+    /// source touched.
+    row_of: Vec<u32>,
+    /// Rows allocated so far.
+    count: usize,
+    /// Slots per row. It covers the largest slot index used and at least
+    /// doubles when it grows (a relayout), so relayouts stay amortised and
+    /// a row holds at most twice the slots that index needs.
+    stride: usize,
+    /// `count × stride` slots, row after row.
+    slots: Vec<S>,
+}
+
+impl<S: Default> Rows<S> {
+    fn slot(&self, source: NodeId, i: usize) -> Option<usize> {
+        let row = *self.row_of.get(source.index())? as usize;
+        (row != 0 && i < self.stride).then(|| (row - 1) * self.stride + i)
+    }
+
+    /// Slot `i` of `source`'s row, if the node touched `source`.
+    fn get(&self, source: NodeId, i: usize) -> Option<&S> {
+        self.slot(source, i).map(|k| &self.slots[k])
+    }
+
+    /// As [`Rows::get`], for update.
+    fn get_mut(&mut self, source: NodeId, i: usize) -> Option<&mut S> {
+        self.slot(source, i).map(|k| &mut self.slots[k])
+    }
+
+    /// Slot `i` of `source`'s row, allocating the row on first touch and
+    /// relaying every row out when `i` is past the stride.
+    fn get_or_alloc(&mut self, source: NodeId, i: usize) -> &mut S {
+        if i >= self.stride {
+            let stride = (i + 1).max(2 * self.stride);
+            let mut wide = Vec::with_capacity(self.count * stride);
+            let mut narrow = std::mem::take(&mut self.slots).into_iter();
+            for _ in 0..self.count {
+                wide.extend(narrow.by_ref().take(self.stride));
+                wide.resize_with(wide.len() + stride - self.stride, S::default);
+            }
+            self.slots = wide;
+            self.stride = stride;
+        }
+        let s = source.index();
+        if s >= self.row_of.len() {
+            self.row_of.resize(s + 1, 0);
+        }
+        if self.row_of[s] == 0 {
+            self.count += 1;
+            self.row_of[s] = u32::try_from(self.count).expect("one row per source id");
+            self.slots.resize_with(self.count * self.stride, S::default);
+        }
+        let row = self.row_of[s] as usize - 1;
+        &mut self.slots[row * self.stride + i]
+    }
+
+    /// The rows with their source, in source order.
+    fn iter(&self) -> impl Iterator<Item = (NodeId, &[S])> + '_ {
+        let stride = self.stride;
+        self.row_of
+            .iter()
+            .enumerate()
+            .filter(|&(_, &row)| row != 0)
+            .map(move |(s, &row)| {
+                let start = (row as usize - 1) * stride;
+                (NodeId::new(s as u32), &self.slots[start..start + stride])
+            })
+    }
+}
+
+/// A set of data items: the items a node holds, or any other per-node
+/// set of items.
+///
+/// Layout: source-major rows, one per source the node has touched,
+/// allocated on first touch. A row holds one bit per sequence number in
+/// 64-bit words; the words per row cover the largest sequence number
+/// inserted and at least double when they no longer do (a relayout).
+/// Memory is one `u32` per source id up to the highest source touched,
+/// plus one row per touched source of at most twice the words its largest
+/// sequence number needs: proportional to the sources and items a node
+/// touches, as sequence numbers count up from zero per source.
+///
+/// Iteration is in `MetaId` order, and equality is set equality whatever
+/// order the rows were allocated in.
 ///
 /// # Example
 ///
@@ -80,9 +169,12 @@ impl fmt::Display for MetaId {
 /// assert!(!store.insert(m)); // duplicate
 /// assert!(store.contains(m));
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 pub struct DataStore {
-    items: BTreeSet<MetaId>,
+    /// Bit `seq % 64` of word `seq / 64` of a row is set when the store
+    /// holds item `seq` of the row's source.
+    rows: Rows<u64>,
+    len: usize,
 }
 
 impl DataStore {
@@ -94,36 +186,123 @@ impl DataStore {
 
     /// Adds an item; returns `false` if it was already present.
     pub fn insert(&mut self, meta: MetaId) -> bool {
-        self.items.insert(meta)
+        let seq = meta.seq() as usize;
+        let word = self.rows.get_or_alloc(meta.source(), seq / 64);
+        let bit = 1u64 << (seq % 64);
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        self.len += usize::from(fresh);
+        fresh
     }
 
     /// `true` if the node holds the item.
     #[must_use]
     pub fn contains(&self, meta: MetaId) -> bool {
-        self.items.contains(&meta)
+        let seq = meta.seq() as usize;
+        self.rows
+            .get(meta.source(), seq / 64)
+            .is_some_and(|word| word >> (seq % 64) & 1 == 1)
     }
 
     /// Number of items held.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.len
     }
 
     /// `true` when the store holds nothing.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.len == 0
     }
 
     /// Iterates over held items in id order.
     pub fn iter(&self) -> impl Iterator<Item = MetaId> + '_ {
-        self.items.iter().copied()
+        self.rows.iter().flat_map(|(source, words)| {
+            (0..words.len() * 64)
+                .filter(move |&seq| words[seq / 64] >> (seq % 64) & 1 == 1)
+                .map(move |seq| MetaId::new(source, seq as u32))
+        })
+    }
+}
+
+impl PartialEq for DataStore {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for DataStore {}
+
+impl fmt::Debug for DataStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+/// Per-item state of one node, keyed by `MetaId`.
+///
+/// Layout: source-major rows as in [`DataStore`], of `Option<T>` slots
+/// indexed by sequence number; the slots per row cover the largest
+/// sequence number inserted and at least double when they no longer do.
+/// Memory is one `u32` per source id up to the highest source touched,
+/// plus one row per touched source of at most twice the slots the largest
+/// sequence number of any source needs. Entries are never removed, and
+/// iteration is in `MetaId` order.
+#[derive(Clone)]
+pub(crate) struct ItemMap<T> {
+    rows: Rows<Option<T>>,
+}
+
+impl<T> Default for ItemMap<T> {
+    fn default() -> Self {
+        ItemMap {
+            rows: Rows::default(),
+        }
+    }
+}
+
+impl<T> ItemMap<T> {
+    /// The entry of `meta`, if any.
+    pub(crate) fn get(&self, meta: MetaId) -> Option<&T> {
+        self.rows.get(meta.source(), meta.seq() as usize)?.as_ref()
+    }
+
+    /// The entry of `meta`, if any, for update.
+    pub(crate) fn get_mut(&mut self, meta: MetaId) -> Option<&mut T> {
+        self.rows
+            .get_mut(meta.source(), meta.seq() as usize)?
+            .as_mut()
+    }
+
+    /// The entry of `meta`, created by `make` if it has none.
+    pub(crate) fn get_or_insert_with(&mut self, meta: MetaId, make: impl FnOnce() -> T) -> &mut T {
+        self.rows
+            .get_or_alloc(meta.source(), meta.seq() as usize)
+            .get_or_insert_with(make)
+    }
+
+    /// Iterates over the entries in `MetaId` order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (MetaId, &T)> + '_ {
+        self.rows.iter().flat_map(|(source, slots)| {
+            slots.iter().enumerate().filter_map(move |(seq, slot)| {
+                Some((MetaId::new(source, seq as u32), slot.as_ref()?))
+            })
+        })
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for ItemMap<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn meta_id_roundtrips() {
@@ -162,5 +341,101 @@ mod tests {
         assert!(s.contains(m1) && s.contains(m2));
         let all: Vec<MetaId> = s.iter().collect();
         assert_eq!(all, vec![m1, m2]);
+    }
+
+    #[test]
+    fn one_source_allocates_one_row() {
+        // The items `single_source(NodeId::new(224), 1_000, …)` generates.
+        let items = (0..1_000).map(|seq| MetaId::new(NodeId::new(224), seq));
+        let mut store = DataStore::new();
+        let mut entries = ItemMap::default();
+        for meta in items {
+            assert!(store.insert(meta));
+            entries.get_or_insert_with(meta, || meta.seq());
+        }
+        assert_eq!((store.rows.count, entries.rows.count), (1, 1));
+        assert_eq!(store.len(), 1_000);
+        assert_eq!(entries.iter().count(), 1_000);
+        // Each row has at most twice the slots the largest seq needs.
+        assert_eq!(store.rows.slots.len(), store.rows.stride);
+        assert!(store.rows.stride < 2 * 1_000_usize.div_ceil(64));
+        assert_eq!(entries.rows.slots.len(), entries.rows.stride);
+        assert!(entries.rows.stride < 2 * 1_000);
+    }
+
+    #[test]
+    fn store_equality_is_set_equality() {
+        let m = |source, seq| MetaId::new(NodeId::new(source), seq);
+        let mut a = DataStore::new();
+        for meta in [m(7, 130), m(2, 200), m(2, 5)] {
+            a.insert(meta);
+        }
+        let mut b = DataStore::new();
+        for meta in [m(2, 5), m(2, 200), m(7, 130)] {
+            b.insert(meta);
+        }
+        // Rows were allocated in opposite orders, and the strides differ.
+        assert_ne!(a.rows.row_of[2], b.rows.row_of[2]);
+        assert_ne!(a.rows.stride, b.rows.stride);
+        assert_eq!(a, b);
+        b.insert(m(0, 0));
+        assert_ne!(a, b);
+        a.insert(m(0, 1));
+        assert_eq!(a.len(), b.len());
+        assert_ne!(a, b);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 64,
+            rng_seed: 0x5EED_0F41_1ED0_0004,
+            ..ProptestConfig::default()
+        })]
+        /// Random inserts and lookups over sources 0..300 and sequence
+        /// numbers 0..200 (those past 64 force stride relayouts) agree with
+        /// `BTreeSet`/`BTreeMap`: length, membership, values, and iteration
+        /// in `MetaId` order. A third of the operations pick an item
+        /// already inserted, and a third another item of its source.
+        #[test]
+        fn dense_layout_matches_ordered_models(
+            ops in prop::collection::vec((0u8..3, 0u32..300, 0u32..200, any::<u32>()), 1..300)
+        ) {
+            let mut store = DataStore::new();
+            let mut map = ItemMap::default();
+            let (mut set_model, mut map_model) = (BTreeSet::<MetaId>::new(), BTreeMap::new());
+            for (op, source, seq, value) in ops {
+                let held = set_model.iter().nth(value as usize % (set_model.len() + 1));
+                let meta = match (value % 3, held) {
+                    (0, Some(&held)) => held,
+                    (1, Some(&held)) => MetaId::new(held.source(), seq),
+                    _ => MetaId::new(NodeId::new(source), seq),
+                };
+                match op {
+                    0 => {
+                        prop_assert_eq!(store.insert(meta), set_model.insert(meta));
+                        let got = *map.get_or_insert_with(meta, || value);
+                        prop_assert_eq!(got, *map_model.entry(meta).or_insert(value));
+                    }
+                    1 => {
+                        prop_assert_eq!(store.contains(meta), set_model.contains(&meta));
+                        prop_assert_eq!(map.get(meta), map_model.get(&meta));
+                    }
+                    _ => {
+                        let got = map.get_mut(meta).map(|v| {
+                            *v ^= value;
+                            *v
+                        });
+                        let want = map_model.get_mut(&meta).map(|v| {
+                            *v ^= value;
+                            *v
+                        });
+                        prop_assert_eq!(got, want);
+                    }
+                }
+                prop_assert_eq!(store.len(), set_model.len());
+                prop_assert!(store.iter().eq(set_model.iter().copied()));
+                prop_assert!(map.iter().map(|(m, &v)| (m, v)).eq(map_model.iter().map(|(&m, &v)| (m, v))));
+            }
+        }
     }
 }

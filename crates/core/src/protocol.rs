@@ -1,11 +1,11 @@
 //! The protocol abstraction the simulation engine drives.
 //!
 //! A protocol implementation is a pure state machine: handlers receive a
-//! read-only [`NodeView`] of the node's environment and return a list of
-//! [`Action`]s. The engine performs the actions (transmissions, timers,
-//! delivery bookkeeping), which keeps energy and delay accounting uniform
-//! across SPIN, SPMS and flooding, and keeps protocol code deterministic and
-//! unit-testable without an engine.
+//! read-only [`NodeView`] of the node's environment and append [`Action`]s
+//! to a caller-owned sink. The engine performs the actions (transmissions,
+//! timers, delivery bookkeeping), which keeps energy and delay accounting
+//! uniform across SPIN, SPMS and flooding, and keeps protocol code
+//! deterministic and unit-testable without an engine.
 
 use spms_kernel::SimTime;
 use spms_net::{NodeId, ZoneTable};
@@ -145,13 +145,24 @@ impl<'a> NodeView<'a> {
 }
 
 /// A dissemination protocol as a deterministic state machine.
+///
+/// Sink contract: every hook that produces actions appends them to `out`,
+/// a buffer its caller owns and may pass in non-empty. A hook only
+/// appends: it never clears, reorders or reads the actions already in
+/// `out`. The engine performs the actions in push order.
 pub trait Protocol {
     /// The node generated a new data item (it becomes the source).
-    fn on_generate(&mut self, view: &NodeView<'_>, meta: MetaId) -> Vec<Action>;
+    fn on_generate(&mut self, view: &NodeView<'_>, meta: MetaId, out: &mut Vec<Action>);
 
     /// A packet arrived. `interested` says whether this node wants the
     /// packet's item (computed by the engine from the traffic plan).
-    fn on_packet(&mut self, view: &NodeView<'_>, packet: &Packet, interested: bool) -> Vec<Action>;
+    fn on_packet(
+        &mut self,
+        view: &NodeView<'_>,
+        packet: &Packet,
+        interested: bool,
+        out: &mut Vec<Action>,
+    );
 
     /// A timer fired. Stale generations must be ignored.
     fn on_timer(
@@ -160,7 +171,8 @@ pub trait Protocol {
         meta: MetaId,
         kind: TimerKind,
         gen: u32,
-    ) -> Vec<Action>;
+        out: &mut Vec<Action>,
+    );
 
     /// The node failed: in-flight negotiation state is invalidated (data
     /// survives — failures are transient).
@@ -173,13 +185,12 @@ pub trait Protocol {
     ///
     /// Cost contract: as for [`Protocol::on_failed`], the work grows with
     /// the node's unresolved items, not with the items it holds.
-    fn on_repaired(&mut self, view: &NodeView<'_>) -> Vec<Action>;
+    fn on_repaired(&mut self, view: &NodeView<'_>, out: &mut Vec<Action>);
 
     /// Routing tables were rebuilt (after mobility). Default: no reaction;
     /// pending timers pick up the new routes when they fire.
-    fn on_routes_rebuilt(&mut self, view: &NodeView<'_>) -> Vec<Action> {
-        let _ = view;
-        Vec::new()
+    fn on_routes_rebuilt(&mut self, view: &NodeView<'_>, out: &mut Vec<Action>) {
+        let _ = (view, out);
     }
 
     /// `true` if the node holds the item (used by tests and the engine's
@@ -201,21 +212,27 @@ pub enum NodeProtocol {
 }
 
 impl Protocol for NodeProtocol {
-    fn on_generate(&mut self, view: &NodeView<'_>, meta: MetaId) -> Vec<Action> {
+    fn on_generate(&mut self, view: &NodeView<'_>, meta: MetaId, out: &mut Vec<Action>) {
         match self {
-            NodeProtocol::Spin(p) => p.on_generate(view, meta),
-            NodeProtocol::Spms(p) => p.on_generate(view, meta),
-            NodeProtocol::SpmsIz(p) => p.on_generate(view, meta),
-            NodeProtocol::Flooding(p) => p.on_generate(view, meta),
+            NodeProtocol::Spin(p) => p.on_generate(view, meta, out),
+            NodeProtocol::Spms(p) => p.on_generate(view, meta, out),
+            NodeProtocol::SpmsIz(p) => p.on_generate(view, meta, out),
+            NodeProtocol::Flooding(p) => p.on_generate(view, meta, out),
         }
     }
 
-    fn on_packet(&mut self, view: &NodeView<'_>, packet: &Packet, interested: bool) -> Vec<Action> {
+    fn on_packet(
+        &mut self,
+        view: &NodeView<'_>,
+        packet: &Packet,
+        interested: bool,
+        out: &mut Vec<Action>,
+    ) {
         match self {
-            NodeProtocol::Spin(p) => p.on_packet(view, packet, interested),
-            NodeProtocol::Spms(p) => p.on_packet(view, packet, interested),
-            NodeProtocol::SpmsIz(p) => p.on_packet(view, packet, interested),
-            NodeProtocol::Flooding(p) => p.on_packet(view, packet, interested),
+            NodeProtocol::Spin(p) => p.on_packet(view, packet, interested, out),
+            NodeProtocol::Spms(p) => p.on_packet(view, packet, interested, out),
+            NodeProtocol::SpmsIz(p) => p.on_packet(view, packet, interested, out),
+            NodeProtocol::Flooding(p) => p.on_packet(view, packet, interested, out),
         }
     }
 
@@ -225,12 +242,13 @@ impl Protocol for NodeProtocol {
         meta: MetaId,
         kind: TimerKind,
         gen: u32,
-    ) -> Vec<Action> {
+        out: &mut Vec<Action>,
+    ) {
         match self {
-            NodeProtocol::Spin(p) => p.on_timer(view, meta, kind, gen),
-            NodeProtocol::Spms(p) => p.on_timer(view, meta, kind, gen),
-            NodeProtocol::SpmsIz(p) => p.on_timer(view, meta, kind, gen),
-            NodeProtocol::Flooding(p) => p.on_timer(view, meta, kind, gen),
+            NodeProtocol::Spin(p) => p.on_timer(view, meta, kind, gen, out),
+            NodeProtocol::Spms(p) => p.on_timer(view, meta, kind, gen, out),
+            NodeProtocol::SpmsIz(p) => p.on_timer(view, meta, kind, gen, out),
+            NodeProtocol::Flooding(p) => p.on_timer(view, meta, kind, gen, out),
         }
     }
 
@@ -243,21 +261,21 @@ impl Protocol for NodeProtocol {
         }
     }
 
-    fn on_repaired(&mut self, view: &NodeView<'_>) -> Vec<Action> {
+    fn on_repaired(&mut self, view: &NodeView<'_>, out: &mut Vec<Action>) {
         match self {
-            NodeProtocol::Spin(p) => p.on_repaired(view),
-            NodeProtocol::Spms(p) => p.on_repaired(view),
-            NodeProtocol::SpmsIz(p) => p.on_repaired(view),
-            NodeProtocol::Flooding(p) => p.on_repaired(view),
+            NodeProtocol::Spin(p) => p.on_repaired(view, out),
+            NodeProtocol::Spms(p) => p.on_repaired(view, out),
+            NodeProtocol::SpmsIz(p) => p.on_repaired(view, out),
+            NodeProtocol::Flooding(p) => p.on_repaired(view, out),
         }
     }
 
-    fn on_routes_rebuilt(&mut self, view: &NodeView<'_>) -> Vec<Action> {
+    fn on_routes_rebuilt(&mut self, view: &NodeView<'_>, out: &mut Vec<Action>) {
         match self {
-            NodeProtocol::Spin(p) => p.on_routes_rebuilt(view),
-            NodeProtocol::Spms(p) => p.on_routes_rebuilt(view),
-            NodeProtocol::SpmsIz(p) => p.on_routes_rebuilt(view),
-            NodeProtocol::Flooding(p) => p.on_routes_rebuilt(view),
+            NodeProtocol::Spin(p) => p.on_routes_rebuilt(view, out),
+            NodeProtocol::Spms(p) => p.on_routes_rebuilt(view, out),
+            NodeProtocol::SpmsIz(p) => p.on_routes_rebuilt(view, out),
+            NodeProtocol::Flooding(p) => p.on_routes_rebuilt(view, out),
         }
     }
 
@@ -269,6 +287,58 @@ impl Protocol for NodeProtocol {
             NodeProtocol::Flooding(p) => p.has_data(meta),
         }
     }
+}
+
+/// Runs `hook` on an empty sink and returns the actions it appended.
+#[cfg(test)]
+pub(crate) fn collect(hook: impl FnOnce(&mut Vec<Action>)) -> Vec<Action> {
+    let mut out = Vec::new();
+    hook(&mut out);
+    out
+}
+
+/// Actions a sink already holds when a sink-contract check calls a hook:
+/// an ADV (which SPMS-IZ's `on_generate` must not rewrite), a timer and a
+/// delivery of an item no test node touches.
+#[cfg(test)]
+pub(crate) fn sink_prefix(view: &NodeView<'_>) -> Vec<Action> {
+    let meta = MetaId::new(view.node, 999);
+    vec![
+        Action::Send(view.adv_frame(meta)),
+        Action::SetTimer {
+            meta,
+            kind: TimerKind::DataWait,
+            gen: 7,
+            after: SimTime::from_millis(3),
+        },
+        Action::Delivered { meta },
+    ]
+}
+
+/// Calls `hook` on `node` with a sink holding `prefix`, and on a clone of
+/// `node` with an empty sink; asserts that the hook left `prefix` as it
+/// was and appended exactly what it appended to the empty sink. Returns
+/// the appended actions.
+#[cfg(test)]
+pub(crate) fn assert_appends_only<P: Protocol + Clone>(
+    node: &mut P,
+    prefix: &[Action],
+    hook: impl Fn(&mut P, &mut Vec<Action>),
+) -> Vec<Action> {
+    let fresh = collect(|out| hook(&mut node.clone(), out));
+    let mut out = prefix.to_vec();
+    hook(node, &mut out);
+    assert_eq!(
+        &out[..prefix.len()],
+        prefix,
+        "the hook changed earlier actions"
+    );
+    assert_eq!(
+        &out[prefix.len()..],
+        fresh.as_slice(),
+        "the hook appended other actions"
+    );
+    fresh
 }
 
 /// The timers `actions` arm, as `(meta, kind, generation)`.

@@ -25,8 +25,9 @@
 //! retry timer re-requests round-robin from known advertisers. The ablation
 //! bench compares the two.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
+use crate::metadata::ItemMap;
 use crate::{Action, DataStore, MetaId, NodeView, Packet, Payload, Protocol, TimerKind};
 
 /// Per-item negotiation state. Once the node holds the item only
@@ -52,7 +53,7 @@ struct SpinEntry {
 #[derive(Clone, Debug)]
 pub struct SpinNode {
     store: DataStore,
-    entries: BTreeMap<MetaId, SpinEntry>,
+    entries: ItemMap<SpinEntry>,
     /// Items this node wants but does not hold: exactly the keys of
     /// `entries` missing from `store` (an unheld item only gets an entry
     /// from a wanted ADV). The failure hooks walk this set instead of
@@ -65,7 +66,7 @@ pub struct SpinNode {
     /// variant), instead of one unicast per REQ.
     broadcast_data: bool,
     /// Items already served by broadcast (BC mode de-duplication).
-    served_broadcast: BTreeSet<MetaId>,
+    served_broadcast: DataStore,
 }
 
 impl SpinNode {
@@ -77,12 +78,12 @@ impl SpinNode {
     pub fn new(suppression: bool, max_attempts: u32) -> Self {
         SpinNode {
             store: DataStore::new(),
-            entries: BTreeMap::new(),
+            entries: ItemMap::default(),
             unresolved: BTreeSet::new(),
             suppression,
             max_attempts,
             broadcast_data: false,
-            served_broadcast: BTreeSet::new(),
+            served_broadcast: DataStore::new(),
         }
     }
 
@@ -100,7 +101,7 @@ impl SpinNode {
     }
 
     fn advertise_once(&mut self, view: &NodeView<'_>, meta: MetaId, out: &mut Vec<Action>) {
-        let entry = self.entries.entry(meta).or_default();
+        let entry = self.entries.get_or_insert_with(meta, SpinEntry::default);
         if !entry.advertised {
             entry.advertised = true;
             out.push(Action::Send(view.adv_frame(meta)));
@@ -117,7 +118,7 @@ impl SpinNode {
         out: &mut Vec<Action>,
     ) {
         let suppression = self.suppression;
-        let entry = self.entries.get_mut(&meta).expect("entry exists");
+        let entry = self.entries.get_mut(meta).expect("entry exists");
         // SPIN transmits everything at the zone power level, including REQs
         // (it has no routing tables to pick anything lower).
         let frame = crate::OutFrame {
@@ -149,24 +150,27 @@ impl SpinNode {
 }
 
 impl Protocol for SpinNode {
-    fn on_generate(&mut self, view: &NodeView<'_>, meta: MetaId) -> Vec<Action> {
-        let mut out = Vec::new();
+    fn on_generate(&mut self, view: &NodeView<'_>, meta: MetaId, out: &mut Vec<Action>) {
         if self.store.insert(meta) {
             self.unresolved.remove(&meta);
-            self.advertise_once(view, meta, &mut out);
+            self.advertise_once(view, meta, out);
         }
-        out
     }
 
-    fn on_packet(&mut self, view: &NodeView<'_>, packet: &Packet, interested: bool) -> Vec<Action> {
+    fn on_packet(
+        &mut self,
+        view: &NodeView<'_>,
+        packet: &Packet,
+        interested: bool,
+        out: &mut Vec<Action>,
+    ) {
         let meta = packet.meta;
-        let mut out = Vec::new();
         match &packet.payload {
             Payload::Adv => {
                 if self.store.contains(meta) || !interested {
-                    return out;
+                    return;
                 }
-                let entry = self.entries.entry(meta).or_insert_with(|| {
+                let entry = self.entries.get_or_insert_with(meta, || {
                     self.unresolved.insert(meta);
                     SpinEntry::default()
                 });
@@ -174,7 +178,7 @@ impl Protocol for SpinNode {
                 // same node only occurs after its repair; either way, one
                 // REQ per advertiser suffices in pure SPIN.
                 if entry.advertisers.contains(&packet.from) {
-                    return out;
+                    return;
                 }
                 entry.advertisers.push(packet.from);
                 let suppressed = self.suppression && entry.req_outstanding;
@@ -182,7 +186,7 @@ impl Protocol for SpinNode {
                     // A fresh ADV revives an abandoned item.
                     entry.abandoned = false;
                     entry.attempts = entry.attempts.min(self.max_attempts - 1);
-                    self.request_from(view, meta, packet.from, &mut out);
+                    self.request_from(view, meta, packet.from, out);
                 }
             }
             Payload::Req { origin, .. } => {
@@ -204,7 +208,7 @@ impl Protocol for SpinNode {
                                 },
                             }));
                         }
-                        return out;
+                        return;
                     }
                     let frame = crate::OutFrame {
                         to: crate::Addressee::Unicast(*origin),
@@ -229,7 +233,7 @@ impl Protocol for SpinNode {
                     if interested {
                         out.push(Action::Delivered { meta });
                     }
-                    self.advertise_once(view, meta, &mut out);
+                    self.advertise_once(view, meta, out);
                 } else {
                     out.push(Action::Duplicate { meta });
                 }
@@ -238,7 +242,6 @@ impl Protocol for SpinNode {
             // participates in one.
             Payload::IzAdv { .. } | Payload::IzReq { .. } => {}
         }
-        out
     }
 
     fn on_timer(
@@ -247,16 +250,16 @@ impl Protocol for SpinNode {
         meta: MetaId,
         kind: TimerKind,
         gen: u32,
-    ) -> Vec<Action> {
-        let mut out = Vec::new();
+        out: &mut Vec<Action>,
+    ) {
         if kind != TimerKind::DataWait {
-            return out;
+            return;
         }
-        let Some(entry) = self.entries.get_mut(&meta) else {
-            return out;
+        let Some(entry) = self.entries.get_mut(meta) else {
+            return;
         };
         if entry.dat_gen != gen || self.store.contains(meta) {
-            return out; // stale or already satisfied
+            return; // stale or already satisfied
         }
         entry.req_outstanding = false;
         if entry.attempts >= self.max_attempts {
@@ -264,16 +267,15 @@ impl Protocol for SpinNode {
                 entry.abandoned = true;
                 out.push(Action::Abandoned { meta });
             }
-            return out;
+            return;
         }
         // Retry from the next known advertiser (round robin).
         if entry.advertisers.is_empty() {
-            return out;
+            return;
         }
         entry.next_advertiser = (entry.next_advertiser + 1) % entry.advertisers.len();
         let to = entry.advertisers[entry.next_advertiser];
-        self.request_from(view, meta, to, &mut out);
-        out
+        self.request_from(view, meta, to, out);
     }
 
     fn on_failed(&mut self) {
@@ -281,29 +283,27 @@ impl Protocol for SpinNode {
         // is invalidated (timers become stale, outstanding REQs forgotten).
         // Only unresolved items negotiate.
         for meta in &self.unresolved {
-            let entry = self.entries.get_mut(meta).expect("unresolved entry");
+            let entry = self.entries.get_mut(*meta).expect("unresolved entry");
             entry.dat_gen += 1;
             entry.req_outstanding = false;
         }
     }
 
-    fn on_repaired(&mut self, view: &NodeView<'_>) -> Vec<Action> {
-        let mut out = Vec::new();
+    fn on_repaired(&mut self, view: &NodeView<'_>, out: &mut Vec<Action>) {
         // Resume pending items that already know an advertiser.
         let pending: Vec<(MetaId, spms_net::NodeId)> = self
             .unresolved
             .iter()
             .filter_map(|&meta| {
-                let entry = &self.entries[&meta];
+                let entry = self.entries.get(meta).expect("unresolved entry");
                 let n = entry.advertisers.len();
                 (!entry.abandoned && n > 0)
                     .then(|| (meta, entry.advertisers[entry.next_advertiser % n]))
             })
             .collect();
         for (meta, to) in pending {
-            self.request_from(view, meta, to, &mut out);
+            self.request_from(view, meta, to, out);
         }
-        out
     }
 
     fn has_data(&self, meta: MetaId) -> bool {
@@ -314,7 +314,7 @@ impl Protocol for SpinNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::armed_timers;
+    use crate::protocol::{armed_timers, assert_appends_only, collect, sink_prefix};
     use crate::{Addressee, PacketKind, Timeouts};
     use proptest::prelude::*;
     use spms_kernel::SimTime;
@@ -373,12 +373,12 @@ mod tests {
         let (zones, routing) = fixture();
         let mut n = SpinNode::new(true, 4);
         let v = view(&zones, &routing, 0);
-        let actions = n.on_generate(&v, meta());
+        let actions = collect(|out| n.on_generate(&v, meta(), out));
         assert_eq!(actions.len(), 1);
         assert!(matches!(&actions[0], Action::Send(f) if f.packet.kind() == PacketKind::Adv));
         assert!(n.has_data(meta()));
         // Regenerating the same item does not re-advertise.
-        assert!(n.on_generate(&v, meta()).is_empty());
+        assert!(collect(|out| n.on_generate(&v, meta(), out)).is_empty());
     }
 
     #[test]
@@ -386,7 +386,7 @@ mod tests {
         let (zones, routing) = fixture();
         let mut n = SpinNode::new(true, 4);
         let v = view(&zones, &routing, 1);
-        let actions = n.on_packet(&v, &adv_from(0), true);
+        let actions = collect(|out| n.on_packet(&v, &adv_from(0), true, out));
         let send = actions.iter().find_map(|a| match a {
             Action::Send(f) => Some(f),
             _ => None,
@@ -410,9 +410,9 @@ mod tests {
         let (zones, routing) = fixture();
         let mut n = SpinNode::new(true, 4);
         let v = view(&zones, &routing, 1);
-        assert!(n.on_packet(&v, &adv_from(0), false).is_empty());
-        n.on_generate(&v, meta());
-        assert!(n.on_packet(&v, &adv_from(0), true).is_empty());
+        assert!(collect(|out| n.on_packet(&v, &adv_from(0), false, out)).is_empty());
+        n.on_generate(&v, meta(), &mut Vec::new());
+        assert!(collect(|out| n.on_packet(&v, &adv_from(0), true, out)).is_empty());
     }
 
     #[test]
@@ -420,13 +420,13 @@ mod tests {
         let (zones, routing) = fixture();
         let mut n = SpinNode::new(true, 4);
         let v = view(&zones, &routing, 1);
-        assert!(!n.on_packet(&v, &adv_from(0), true).is_empty());
+        assert!(!collect(|out| n.on_packet(&v, &adv_from(0), true, out)).is_empty());
         // Second ADV while REQ outstanding: suppressed.
-        assert!(n.on_packet(&v, &adv_from(2), true).is_empty());
+        assert!(collect(|out| n.on_packet(&v, &adv_from(2), true, out)).is_empty());
         // Without suppression, each ADV triggers a REQ (implosion).
         let mut loud = SpinNode::new(false, 4);
-        assert!(!loud.on_packet(&v, &adv_from(0), true).is_empty());
-        assert!(!loud.on_packet(&v, &adv_from(2), true).is_empty());
+        assert!(!collect(|out| loud.on_packet(&v, &adv_from(0), true, out)).is_empty());
+        assert!(!collect(|out| loud.on_packet(&v, &adv_from(2), true, out)).is_empty());
     }
 
     #[test]
@@ -443,9 +443,9 @@ mod tests {
                 path: vec![NodeId::new(1)],
             },
         };
-        assert!(n.on_packet(&v, &req, false).is_empty());
-        n.on_generate(&v, meta());
-        let actions = n.on_packet(&v, &req, false);
+        assert!(collect(|out| n.on_packet(&v, &req, false, out)).is_empty());
+        n.on_generate(&v, meta(), &mut Vec::new());
+        let actions = collect(|out| n.on_packet(&v, &req, false, out));
         assert!(matches!(&actions[0], Action::Send(f)
             if f.packet.kind() == PacketKind::Data && f.to == Addressee::Unicast(NodeId::new(1))));
     }
@@ -455,15 +455,15 @@ mod tests {
         let (zones, routing) = fixture();
         let mut n = SpinNode::new(true, 4);
         let v = view(&zones, &routing, 1);
-        n.on_packet(&v, &adv_from(0), true);
-        let actions = n.on_packet(&v, &data_from(0, 1), true);
+        n.on_packet(&v, &adv_from(0), true, &mut Vec::new());
+        let actions = collect(|out| n.on_packet(&v, &data_from(0, 1), true, out));
         assert!(actions
             .iter()
             .any(|a| matches!(a, Action::Delivered { .. })));
         assert!(actions.iter().any(|a| matches!(a, Action::Send(f)
             if f.packet.kind() == PacketKind::Adv)));
         // A second copy counts as a duplicate.
-        let dup = n.on_packet(&v, &data_from(2, 1), true);
+        let dup = collect(|out| n.on_packet(&v, &data_from(2, 1), true, out));
         assert!(matches!(dup[0], Action::Duplicate { .. }));
     }
 
@@ -472,10 +472,10 @@ mod tests {
         let (zones, routing) = fixture();
         let mut n = SpinNode::new(true, 2);
         let v = view(&zones, &routing, 1);
-        n.on_packet(&v, &adv_from(0), true); // attempt 1, advertisers=[0]
-        n.on_packet(&v, &adv_from(2), true); // suppressed, advertisers=[0,2]
+        n.on_packet(&v, &adv_from(0), true, &mut Vec::new()); // attempt 1, advertisers=[0]
+        n.on_packet(&v, &adv_from(2), true, &mut Vec::new()); // suppressed, advertisers=[0,2]
         let gen1 = 1;
-        let actions = n.on_timer(&v, meta(), TimerKind::DataWait, gen1);
+        let actions = collect(|out| n.on_timer(&v, meta(), TimerKind::DataWait, gen1, out));
         // attempt 2: retry to the other advertiser (round robin).
         let f = actions
             .iter()
@@ -486,10 +486,10 @@ mod tests {
             .expect("retry REQ");
         assert_eq!(f.to, Addressee::Unicast(NodeId::new(2)));
         // Next expiry exceeds max_attempts → abandoned.
-        let actions = n.on_timer(&v, meta(), TimerKind::DataWait, 2);
+        let actions = collect(|out| n.on_timer(&v, meta(), TimerKind::DataWait, 2, out));
         assert!(matches!(actions[0], Action::Abandoned { .. }));
         // Stale timer generations are ignored.
-        assert!(n.on_timer(&v, meta(), TimerKind::DataWait, 1).is_empty());
+        assert!(collect(|out| n.on_timer(&v, meta(), TimerKind::DataWait, 1, out)).is_empty());
     }
 
     #[test]
@@ -497,7 +497,7 @@ mod tests {
         let (zones, routing) = fixture();
         let mut n = SpinNode::new(true, 4).with_broadcast_data();
         let v = view(&zones, &routing, 0);
-        n.on_generate(&v, meta());
+        n.on_generate(&v, meta(), &mut Vec::new());
         let req = |from: u32| Packet {
             meta: meta(),
             from: NodeId::new(from),
@@ -507,11 +507,11 @@ mod tests {
                 path: vec![NodeId::new(from)],
             },
         };
-        let first = n.on_packet(&v, &req(1), false);
+        let first = collect(|out| n.on_packet(&v, &req(1), false, out));
         assert!(matches!(&first[0], Action::Send(f)
             if f.packet.kind() == PacketKind::Data && f.to == Addressee::Broadcast));
         // The second REQ is already covered by the broadcast.
-        assert!(n.on_packet(&v, &req(2), false).is_empty());
+        assert!(collect(|out| n.on_packet(&v, &req(2), false, out)).is_empty());
     }
 
     #[test]
@@ -519,11 +519,11 @@ mod tests {
         let (zones, routing) = fixture();
         let mut n = SpinNode::new(true, 4);
         let v = view(&zones, &routing, 1);
-        n.on_packet(&v, &adv_from(0), true);
+        n.on_packet(&v, &adv_from(0), true, &mut Vec::new());
         n.on_failed();
         // The pre-failure timer generation is now stale.
-        assert!(n.on_timer(&v, meta(), TimerKind::DataWait, 1).is_empty());
-        let actions = n.on_repaired(&v);
+        assert!(collect(|out| n.on_timer(&v, meta(), TimerKind::DataWait, 1, out)).is_empty());
+        let actions = collect(|out| n.on_repaired(&v, out));
         assert!(actions.iter().any(|a| matches!(a, Action::Send(f)
             if f.packet.kind() == PacketKind::Req)));
     }
@@ -563,7 +563,7 @@ mod tests {
                             wanted.insert(meta);
                         }
                         let adv = Packet { meta, from, payload: Payload::Adv };
-                        n.on_packet(&v, &adv, wants)
+                        collect(|out| n.on_packet(&v, &adv, wants, out))
                     }
                     (2, true) => {
                         held.insert(meta);
@@ -572,11 +572,11 @@ mod tests {
                             from,
                             payload: Payload::Data { dest: NodeId::new(1), route: vec![] },
                         };
-                        n.on_packet(&v, &data, wants)
+                        collect(|out| n.on_packet(&v, &data, wants, out))
                     }
                     (3, true) if !armed.is_empty() => {
                         let (m, k, g) = armed.remove(aux as usize % armed.len());
-                        n.on_timer(&v, m, k, g)
+                        collect(|out| n.on_timer(&v, m, k, g, out))
                     }
                     (4, true) => {
                         n.on_failed();
@@ -585,7 +585,7 @@ mod tests {
                         Vec::new()
                     }
                     (5, false) => {
-                        let actions = n.on_repaired(&v);
+                        let actions = collect(|out| n.on_repaired(&v, out));
                         let reqs: Vec<MetaId> = actions
                             .iter()
                             .filter_map(|a| match a {
@@ -611,11 +611,11 @@ mod tests {
                 let model: BTreeSet<MetaId> = wanted.difference(&held).copied().collect();
                 prop_assert_eq!(&n.unresolved, &model);
                 let unheld: BTreeSet<MetaId> =
-                    n.entries.keys().copied().filter(|&m| !n.store.contains(m)).collect();
+                    n.entries.iter().map(|(m, _)| m).filter(|&m| !n.store.contains(m)).collect();
                 prop_assert_eq!(&unheld, &n.unresolved);
                 let mut probe = n.clone();
                 for &(m, k, g) in &stale {
-                    let fired = probe.on_timer(&v, m, k, g);
+                    let fired = collect(|out| probe.on_timer(&v, m, k, g, out));
                     prop_assert!(
                         fired.is_empty(),
                         "pre-failure timer {m} {k:?} gen {g} fired: {fired:?}"
@@ -623,5 +623,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn hooks_only_append_to_the_sink() {
+        let (zones, routing) = fixture();
+        let v = view(&zones, &routing, 1);
+        let prefix = sink_prefix(&v);
+        let own = MetaId::new(NodeId::new(1), 0);
+        let req = |meta| Packet {
+            meta,
+            from: NodeId::new(0),
+            payload: Payload::Req {
+                origin: NodeId::new(0),
+                target: NodeId::new(1),
+                path: vec![NodeId::new(0)],
+            },
+        };
+        let mut n = SpinNode::new(true, 4);
+        let mut appended = vec![
+            assert_appends_only(&mut n, &prefix, |n, out| n.on_generate(&v, own, out)),
+            assert_appends_only(&mut n, &prefix, |n, out| {
+                n.on_packet(&v, &adv_from(0), true, out);
+            }),
+            assert_appends_only(&mut n, &prefix, |n, out| {
+                n.on_packet(&v, &adv_from(2), true, out);
+            }),
+            assert_appends_only(&mut n, &prefix, |n, out| {
+                n.on_timer(&v, meta(), TimerKind::DataWait, 1, out);
+            }),
+            assert_appends_only(&mut n, &prefix, |n, out| {
+                n.on_packet(&v, &req(own), false, out);
+            }),
+        ];
+        n.on_failed();
+        appended.extend([
+            assert_appends_only(&mut n, &prefix, |n, out| n.on_repaired(&v, out)),
+            assert_appends_only(&mut n, &prefix, |n, out| n.on_routes_rebuilt(&v, out)),
+            assert_appends_only(&mut n, &prefix, |n, out| {
+                n.on_packet(&v, &data_from(0, 1), true, out);
+            }),
+            assert_appends_only(&mut n, &prefix, |n, out| {
+                n.on_packet(&v, &data_from(2, 1), true, out);
+            }),
+        ]);
+        let mut bc = SpinNode::new(false, 4).with_broadcast_data();
+        bc.on_generate(&v, own, &mut Vec::new());
+        appended.push(assert_appends_only(&mut bc, &prefix, |n, out| {
+            n.on_packet(&v, &req(own), false, out);
+        }));
+        let quiet: Vec<usize> = (0..appended.len())
+            .filter(|&i| appended[i].is_empty())
+            .collect();
+        // The suppressed second ADV and the reroute append nothing.
+        assert_eq!(quiet, [2, 6]);
     }
 }

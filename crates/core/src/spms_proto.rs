@@ -32,10 +32,11 @@
 //! the received request"). With `serve_from_cache`, a relay already holding
 //! the data answers instead of forwarding.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use spms_net::NodeId;
 
+use crate::metadata::ItemMap;
 use crate::{
     Action, Addressee, DataStore, MetaId, NodeView, OutFrame, Packet, Payload, Protocol, TimerKind,
 };
@@ -120,7 +121,7 @@ impl Default for SpmsParams {
 #[derive(Clone, Debug)]
 pub struct SpmsNode {
     store: DataStore,
-    entries: BTreeMap<MetaId, SpmsEntry>,
+    entries: ItemMap<SpmsEntry>,
     /// Items this node wants but does not hold: exactly the keys of
     /// `entries` missing from `store`, since an entry for an unheld item
     /// is only ever created once interest in it is known. Timers are only
@@ -136,7 +137,7 @@ impl SpmsNode {
     pub fn new(params: SpmsParams) -> Self {
         SpmsNode {
             store: DataStore::new(),
-            entries: BTreeMap::new(),
+            entries: ItemMap::default(),
             unresolved: BTreeSet::new(),
             params,
         }
@@ -151,13 +152,13 @@ impl SpmsNode {
     /// The current PRONE for `meta`, if any (visible for tests/examples).
     #[must_use]
     pub fn prone(&self, meta: MetaId) -> Option<NodeId> {
-        self.entries.get(&meta)?.originators.first().copied()
+        self.entries.get(meta)?.originators.first().copied()
     }
 
     /// The current SCONE for `meta`, if any.
     #[must_use]
     pub fn scone(&self, meta: MetaId) -> Option<NodeId> {
-        self.entries.get(&meta)?.originators.get(1).copied()
+        self.entries.get(meta)?.originators.get(1).copied()
     }
 
     /// Items this node wants but does not hold, in `MetaId` order.
@@ -169,14 +170,14 @@ impl SpmsNode {
     /// registers the item as unresolved.
     fn wanted_entry(&mut self, meta: MetaId) -> &mut SpmsEntry {
         debug_assert!(!self.store.contains(meta), "{meta} is already held");
-        self.entries.entry(meta).or_insert_with(|| {
+        self.entries.get_or_insert_with(meta, || {
             self.unresolved.insert(meta);
             SpmsEntry::new()
         })
     }
 
     fn advertise_once(&mut self, view: &NodeView<'_>, meta: MetaId, out: &mut Vec<Action>) {
-        let entry = self.entries.entry(meta).or_insert_with(SpmsEntry::new);
+        let entry = self.entries.get_or_insert_with(meta, SpmsEntry::new);
         if !entry.advertised {
             entry.advertised = true;
             out.push(Action::Send(view.adv_frame(meta)));
@@ -259,7 +260,7 @@ impl SpmsNode {
                 },
             }
         };
-        let entry = self.entries.get_mut(&meta).expect("entry exists");
+        let entry = self.entries.get_mut(meta).expect("entry exists");
         entry.state = MetaState::WaitingData;
         entry.last_was_multihop = multihop;
         entry.attempts += 1;
@@ -289,13 +290,11 @@ impl SpmsNode {
         path: &[NodeId],
         out: &mut Vec<Action>,
     ) {
-        let Some((&origin, _)) = path.split_first() else {
+        let (Some(&origin), Some((&next, before))) = (path.first(), path.split_last()) else {
             return;
         };
-        let mut reverse: Vec<NodeId> = path.to_vec();
-        reverse.reverse(); // [last relay, …, origin]
-        let next = reverse[0];
-        let route = reverse[1..].to_vec();
+        // The hops after `next`, back to the origin.
+        let route: Vec<NodeId> = before.iter().rev().copied().collect();
         if let Some(frame) = view.unicast(
             next,
             meta,
@@ -395,24 +394,27 @@ impl SpmsNode {
 }
 
 impl Protocol for SpmsNode {
-    fn on_generate(&mut self, view: &NodeView<'_>, meta: MetaId) -> Vec<Action> {
-        let mut out = Vec::new();
+    fn on_generate(&mut self, view: &NodeView<'_>, meta: MetaId, out: &mut Vec<Action>) {
         if self.store.insert(meta) {
             self.unresolved.remove(&meta);
-            self.advertise_once(view, meta, &mut out);
+            self.advertise_once(view, meta, out);
         }
-        out
     }
 
-    fn on_packet(&mut self, view: &NodeView<'_>, packet: &Packet, interested: bool) -> Vec<Action> {
+    fn on_packet(
+        &mut self,
+        view: &NodeView<'_>,
+        packet: &Packet,
+        interested: bool,
+        out: &mut Vec<Action>,
+    ) {
         let meta = packet.meta;
-        let mut out = Vec::new();
         match &packet.payload {
             Payload::Adv => {
                 if self.store.contains(meta) || !interested {
-                    return out;
+                    return;
                 }
-                self.handle_wanted_adv(view, meta, packet.from, &mut out);
+                self.handle_wanted_adv(view, meta, packet.from, out);
             }
             Payload::Req {
                 origin,
@@ -421,32 +423,30 @@ impl Protocol for SpmsNode {
             } => {
                 if *target == view.node {
                     if self.store.contains(meta) {
-                        self.serve_path(view, meta, path, &mut out);
+                        self.serve_path(view, meta, path, out);
                     }
                     // A target without the data stays silent; the
                     // requester's τDAT escalates to its SCONE.
-                    return out;
+                    return;
                 }
                 // Relay duty. §3.1 resource adaptation: a low-battery
                 // node declines third-party forwarding; the requester's
                 // τDAT ladder routes around it (direct REQ at higher
                 // power).
                 if view.declines_forwarding() {
-                    return out;
+                    return;
                 }
                 if self.params.serve_from_cache && self.store.contains(meta) {
-                    let mut full = path.clone();
-                    full.push(view.node);
                     // Serve as if we were the target; the route back starts
                     // at the previous hop.
-                    self.serve_path(view, meta, &full[..full.len() - 1], &mut out);
-                    return out;
+                    self.serve_path(view, meta, path, out);
+                    return;
                 }
                 if path.len() >= MAX_PATH {
-                    return out; // drop: pathological route
+                    return; // drop: pathological route
                 }
                 let Some(route) = view.routing.best(*target) else {
-                    return out; // no route (topology changed): drop
+                    return; // no route (topology changed): drop
                 };
                 // Avoid bouncing straight back to the previous hop when an
                 // alternative exists.
@@ -458,7 +458,8 @@ impl Protocol for SpmsNode {
                 } else {
                     route.via
                 };
-                let mut new_path = path.clone();
+                let mut new_path = Vec::with_capacity(path.len() + 1);
+                new_path.extend_from_slice(path);
                 new_path.push(view.node);
                 if let Some(frame) = view.unicast(
                     via,
@@ -474,8 +475,8 @@ impl Protocol for SpmsNode {
             }
             Payload::Data { dest, route } => {
                 if route.is_empty() || *dest == view.node {
-                    self.accept_data(view, meta, interested, &mut out);
-                    return out;
+                    self.accept_data(view, meta, interested, out);
+                    return;
                 }
                 // Relay: forward along the recorded route.
                 let next = route[0];
@@ -494,7 +495,7 @@ impl Protocol for SpmsNode {
                     // §6 future work: cache at routing relays and advertise,
                     // improving fault tolerance. An interested relay counts
                     // as delivered — the data reached it, however it came.
-                    self.accept_data(view, meta, interested, &mut out);
+                    self.accept_data(view, meta, interested, out);
                 }
             }
             // Inter-zone packets are handled by the SPMS-IZ wrapper
@@ -502,7 +503,6 @@ impl Protocol for SpmsNode {
             // them.
             Payload::IzAdv { .. } | Payload::IzReq { .. } => {}
         }
-        out
     }
 
     fn on_timer(
@@ -511,41 +511,41 @@ impl Protocol for SpmsNode {
         meta: MetaId,
         kind: TimerKind,
         gen: u32,
-    ) -> Vec<Action> {
-        let mut out = Vec::new();
+        out: &mut Vec<Action>,
+    ) {
         if self.store.contains(meta) {
-            return out;
+            return;
         }
-        let Some(entry) = self.entries.get_mut(&meta) else {
-            return out;
+        let Some(entry) = self.entries.get_mut(meta) else {
+            return;
         };
         match kind {
             TimerKind::AdvWait => {
                 if entry.adv_gen != gen || entry.state != MetaState::WaitingAdv {
-                    return out;
+                    return;
                 }
                 // §3.2: on τADV expiry the destination requests from the
                 // PRONE through the shortest route.
                 let Some(&target) = entry.originators.first() else {
                     entry.state = MetaState::Fresh;
-                    return out;
+                    return;
                 };
                 entry.ladder_idx = 0;
-                if !self.send_req(view, meta, target, true, &mut out) {
+                if !self.send_req(view, meta, target, true, out) {
                     // No route at all: give up until the next ADV.
-                    let entry = self.entries.get_mut(&meta).expect("entry");
+                    let entry = self.entries.get_mut(meta).expect("entry");
                     entry.state = MetaState::GivenUp;
                     out.push(Action::Abandoned { meta });
                 }
             }
             TimerKind::DataWait => {
                 if entry.dat_gen != gen || entry.state != MetaState::WaitingData {
-                    return out;
+                    return;
                 }
                 if entry.attempts >= self.params.max_attempts {
                     entry.state = MetaState::GivenUp;
                     out.push(Action::Abandoned { meta });
-                    return out;
+                    return;
                 }
                 // Failover ladder.
                 let (target, multihop) = if entry.last_was_multihop {
@@ -556,7 +556,7 @@ impl Protocol for SpmsNode {
                         None => {
                             entry.state = MetaState::GivenUp;
                             out.push(Action::Abandoned { meta });
-                            return out;
+                            return;
                         }
                     }
                 } else {
@@ -568,18 +568,17 @@ impl Protocol for SpmsNode {
                         None => {
                             entry.state = MetaState::GivenUp;
                             out.push(Action::Abandoned { meta });
-                            return out;
+                            return;
                         }
                     }
                 };
-                if !self.send_req(view, meta, target, multihop, &mut out) {
-                    let entry = self.entries.get_mut(&meta).expect("entry");
+                if !self.send_req(view, meta, target, multihop, out) {
+                    let entry = self.entries.get_mut(meta).expect("entry");
                     entry.state = MetaState::GivenUp;
                     out.push(Action::Abandoned { meta });
                 }
             }
         }
-        out
     }
 
     fn on_failed(&mut self) {
@@ -587,7 +586,7 @@ impl Protocol for SpmsNode {
         // outstanding exchange is invalidated. Timers exist only for
         // unresolved items.
         for meta in &self.unresolved {
-            let entry = self.entries.get_mut(meta).expect("unresolved entry");
+            let entry = self.entries.get_mut(*meta).expect("unresolved entry");
             entry.adv_gen += 1;
             entry.dat_gen += 1;
             if matches!(entry.state, MetaState::WaitingAdv | MetaState::WaitingData) {
@@ -596,14 +595,13 @@ impl Protocol for SpmsNode {
         }
     }
 
-    fn on_repaired(&mut self, view: &NodeView<'_>) -> Vec<Action> {
-        let mut out = Vec::new();
+    fn on_repaired(&mut self, view: &NodeView<'_>, out: &mut Vec<Action>) {
         // Resume items with a known originator by re-entering the ladder.
         let pending: Vec<(MetaId, NodeId)> = self
             .unresolved
             .iter()
             .filter_map(|&meta| {
-                let entry = &self.entries[&meta];
+                let entry = self.entries.get(meta).expect("unresolved entry");
                 match (entry.state, entry.originators.first()) {
                     (MetaState::Fresh, Some(&prone)) => Some((meta, prone)),
                     _ => None,
@@ -612,21 +610,17 @@ impl Protocol for SpmsNode {
             .collect();
         for (meta, target) in pending {
             {
-                let entry = self.entries.get_mut(&meta).expect("entry");
+                let entry = self.entries.get_mut(meta).expect("entry");
                 entry.attempts = 0;
                 entry.ladder_idx = 0;
             }
             let multihop = !view.is_next_hop_neighbor(target);
-            self.send_req(view, meta, target, multihop, &mut out);
+            self.send_req(view, meta, target, multihop, out);
         }
-        out
     }
 
-    fn on_routes_rebuilt(&mut self, _view: &NodeView<'_>) -> Vec<Action> {
-        // Pending exchanges keep their timers; expiries will re-route with
-        // the new tables. Nothing to do eagerly.
-        Vec::new()
-    }
+    // `on_routes_rebuilt` keeps the default: pending exchanges keep their
+    // timers, and expiries re-route with the new tables.
 
     fn has_data(&self, meta: MetaId) -> bool {
         self.store.contains(meta)
@@ -638,8 +632,8 @@ impl SpmsNode {
     /// Items with an entry that this node does not hold.
     pub(crate) fn unheld_entries(&self) -> BTreeSet<MetaId> {
         self.entries
-            .keys()
-            .copied()
+            .iter()
+            .map(|(m, _)| m)
             .filter(|&m| !self.store.contains(m))
             .collect()
     }
@@ -648,7 +642,7 @@ impl SpmsNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::armed_timers;
+    use crate::protocol::{armed_timers, assert_appends_only, collect, sink_prefix};
     use crate::{PacketKind, Timeouts};
     use proptest::prelude::*;
     use spms_kernel::SimTime;
@@ -707,7 +701,7 @@ mod tests {
         let (zones, tables) = fixture();
         let mut n = SpmsNode::new(SpmsParams::default());
         let v = view(&zones, &tables[1], 1);
-        let actions = n.on_packet(&v, &adv_from(0), true);
+        let actions = collect(|out| n.on_packet(&v, &adv_from(0), true, out));
         let s = sends(&actions);
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].packet.kind(), PacketKind::Req);
@@ -723,7 +717,7 @@ mod tests {
         let mut n = SpmsNode::new(SpmsParams::default());
         // Node 3 hears the source (node 0) 15 m away: not adjacent.
         let v = view(&zones, &tables[3], 3);
-        let actions = n.on_packet(&v, &adv_from(0), true);
+        let actions = collect(|out| n.on_packet(&v, &adv_from(0), true, out));
         assert!(sends(&actions).is_empty(), "must not request yet");
         assert!(actions.iter().any(|a| matches!(
             a,
@@ -740,8 +734,8 @@ mod tests {
         let (zones, tables) = fixture();
         let mut n = SpmsNode::new(SpmsParams::default());
         let v = view(&zones, &tables[3], 3);
-        n.on_packet(&v, &adv_from(0), true); // 15 m away
-        let actions = n.on_packet(&v, &adv_from(1), true); // 10 m: closer, not adjacent
+        n.on_packet(&v, &adv_from(0), true, &mut Vec::new()); // 15 m away
+        let actions = collect(|out| n.on_packet(&v, &adv_from(1), true, out)); // 10 m: closer, not adjacent
         assert_eq!(n.prone(meta()), Some(NodeId::new(1)));
         assert_eq!(n.scone(meta()), Some(NodeId::new(0)));
         // τADV restarted.
@@ -754,7 +748,7 @@ mod tests {
             }
         )));
         // Adjacent ADV triggers the REQ and cancels the wait.
-        let actions = n.on_packet(&v, &adv_from(2), true);
+        let actions = collect(|out| n.on_packet(&v, &adv_from(2), true, out));
         let s = sends(&actions);
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].to, Addressee::Unicast(NodeId::new(2)));
@@ -766,8 +760,8 @@ mod tests {
         let (zones, tables) = fixture();
         let mut n = SpmsNode::new(SpmsParams::default());
         let v = view(&zones, &tables[3], 3);
-        n.on_packet(&v, &adv_from(0), true);
-        let actions = n.on_timer(&v, meta(), TimerKind::AdvWait, 1);
+        n.on_packet(&v, &adv_from(0), true, &mut Vec::new());
+        let actions = collect(|out| n.on_timer(&v, meta(), TimerKind::AdvWait, 1, out));
         let s = sends(&actions);
         assert_eq!(s.len(), 1);
         // REQ to PRONE (node 0) goes to the next hop (node 2), destined 0.
@@ -802,7 +796,7 @@ mod tests {
                 path: vec![NodeId::new(3)],
             },
         };
-        let actions = relay.on_packet(&v2, &req, false);
+        let actions = collect(|out| relay.on_packet(&v2, &req, false, out));
         let s = sends(&actions);
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].to, Addressee::Unicast(NodeId::new(1)));
@@ -815,7 +809,7 @@ mod tests {
         // The source serves along the reverse of the recorded path.
         let mut src = SpmsNode::new(SpmsParams::default());
         let v0 = view(&zones, &tables[0], 0);
-        src.on_generate(&v0, m);
+        src.on_generate(&v0, m, &mut Vec::new());
         let req_at_src = Packet {
             meta: m,
             from: NodeId::new(1),
@@ -825,7 +819,7 @@ mod tests {
                 path: vec![NodeId::new(3), NodeId::new(2), NodeId::new(1)],
             },
         };
-        let actions = src.on_packet(&v0, &req_at_src, false);
+        let actions = collect(|out| src.on_packet(&v0, &req_at_src, false, out));
         let s = sends(&actions);
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].packet.kind(), PacketKind::Data);
@@ -855,7 +849,7 @@ mod tests {
         };
         // Wait: route[0] is the next hop from the perspective of the
         // *transmitter*. Node 2 receives with route = [3]: forwards to 3.
-        let actions = relay.on_packet(&v2, &data, false);
+        let actions = collect(|out| relay.on_packet(&v2, &data, false, out));
         let s = sends(&actions);
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].to, Addressee::Unicast(NodeId::new(3)));
@@ -864,7 +858,7 @@ mod tests {
         // Final consumer.
         let mut dest = SpmsNode::new(SpmsParams::default());
         let v3 = view(&zones, &tables[3], 3);
-        dest.on_packet(&v3, &adv_from(0), true); // register interest
+        dest.on_packet(&v3, &adv_from(0), true, &mut Vec::new()); // register interest
         let final_data = Packet {
             meta: m,
             from: NodeId::new(2),
@@ -873,7 +867,7 @@ mod tests {
                 route: vec![],
             },
         };
-        let actions = dest.on_packet(&v3, &final_data, true);
+        let actions = collect(|out| dest.on_packet(&v3, &final_data, true, out));
         assert!(actions
             .iter()
             .any(|a| matches!(a, Action::Delivered { .. })));
@@ -899,7 +893,7 @@ mod tests {
                 route: vec![NodeId::new(3)],
             },
         };
-        let actions = relay.on_packet(&v2, &data, false);
+        let actions = collect(|out| relay.on_packet(&v2, &data, false, out));
         assert!(relay.has_data(meta()));
         let kinds: Vec<PacketKind> = sends(&actions).iter().map(|f| f.packet.kind()).collect();
         assert!(kinds.contains(&PacketKind::Data));
@@ -914,9 +908,9 @@ mod tests {
         let (zones, tables) = fixture();
         let mut n = SpmsNode::new(SpmsParams::default());
         let v = view(&zones, &tables[3], 3);
-        n.on_packet(&v, &adv_from(1), true); // PRONE = 1 (10 m, not adjacent)
-        n.on_timer(&v, meta(), TimerKind::AdvWait, 1); // multi-hop REQ sent
-        let actions = n.on_timer(&v, meta(), TimerKind::DataWait, 1);
+        n.on_packet(&v, &adv_from(1), true, &mut Vec::new()); // PRONE = 1 (10 m, not adjacent)
+        n.on_timer(&v, meta(), TimerKind::AdvWait, 1, &mut Vec::new()); // multi-hop REQ sent
+        let actions = collect(|out| n.on_timer(&v, meta(), TimerKind::DataWait, 1, out));
         let s = sends(&actions);
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].to, Addressee::Unicast(NodeId::new(1)));
@@ -932,11 +926,11 @@ mod tests {
         let (zones, tables) = fixture();
         let mut n = SpmsNode::new(SpmsParams::default());
         let v = view(&zones, &tables[3], 3);
-        n.on_packet(&v, &adv_from(1), true); // originators: [1]
-        n.on_packet(&v, &adv_from(2), true); // adjacent → direct REQ to 2; stack [2, 1]
+        n.on_packet(&v, &adv_from(1), true, &mut Vec::new()); // originators: [1]
+        n.on_packet(&v, &adv_from(2), true, &mut Vec::new()); // adjacent → direct REQ to 2; stack [2, 1]
         assert_eq!(n.prone(meta()), Some(NodeId::new(2)));
         assert_eq!(n.scone(meta()), Some(NodeId::new(1)));
-        let actions = n.on_timer(&v, meta(), TimerKind::DataWait, 1);
+        let actions = collect(|out| n.on_timer(&v, meta(), TimerKind::DataWait, 1, out));
         let s = sends(&actions);
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].to, Addressee::Unicast(NodeId::new(1)), "SCONE next");
@@ -951,12 +945,12 @@ mod tests {
             ..SpmsParams::default()
         });
         let v = view(&zones, &tables[1], 1);
-        n.on_packet(&v, &adv_from(0), true); // direct REQ (attempt 1)
-        let a2 = n.on_timer(&v, meta(), TimerKind::DataWait, 1); // attempt 2? stack exhausted
-                                                                 // Stack is [0] only; direct REQ failed; no SCONE → abandoned.
+        n.on_packet(&v, &adv_from(0), true, &mut Vec::new()); // direct REQ (attempt 1)
+        let a2 = collect(|out| n.on_timer(&v, meta(), TimerKind::DataWait, 1, out)); // attempt 2? stack exhausted
+                                                                                     // Stack is [0] only; direct REQ failed; no SCONE → abandoned.
         assert!(a2.iter().any(|a| matches!(a, Action::Abandoned { .. })));
         // A new ADV revives the item.
-        let a3 = n.on_packet(&v, &adv_from(2), true);
+        let a3 = collect(|out| n.on_packet(&v, &adv_from(2), true, out));
         assert!(!sends(&a3).is_empty());
     }
 
@@ -969,8 +963,8 @@ mod tests {
             ..SpmsParams::default()
         });
         let v2 = view(&zones, &tables[2], 2);
-        relay.on_generate(&v2, MetaId::new(NodeId::new(2), 0)); // unrelated
-                                                                // Give the relay the data via relay-path consumption.
+        relay.on_generate(&v2, MetaId::new(NodeId::new(2), 0), &mut Vec::new()); // unrelated
+                                                                                 // Give the relay the data via relay-path consumption.
         let own = Packet {
             meta: m,
             from: NodeId::new(1),
@@ -979,7 +973,7 @@ mod tests {
                 route: vec![],
             },
         };
-        relay.on_packet(&v2, &own, false);
+        relay.on_packet(&v2, &own, false, &mut Vec::new());
         assert!(relay.has_data(m));
         let req = Packet {
             meta: m,
@@ -990,7 +984,7 @@ mod tests {
                 path: vec![NodeId::new(3)],
             },
         };
-        let actions = relay.on_packet(&v2, &req, false);
+        let actions = collect(|out| relay.on_packet(&v2, &req, false, out));
         let s = sends(&actions);
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].packet.kind(), PacketKind::Data);
@@ -1003,12 +997,12 @@ mod tests {
         let m = meta();
         let mut n = SpmsNode::new(SpmsParams::default());
         let v = view(&zones, &tables[1], 1);
-        n.on_generate(&v, m);
-        n.on_packet(&v, &adv_from(0), true);
+        n.on_generate(&v, m, &mut Vec::new());
+        n.on_packet(&v, &adv_from(0), true, &mut Vec::new());
         n.on_failed();
         assert!(n.has_data(m), "transient failures keep the store");
         // Old timer generations are stale after failure.
-        assert!(n.on_timer(&v, m, TimerKind::DataWait, 1).is_empty());
+        assert!(collect(|out| n.on_timer(&v, m, TimerKind::DataWait, 1, out)).is_empty());
     }
 
     #[test]
@@ -1016,9 +1010,9 @@ mod tests {
         let (zones, tables) = fixture();
         let mut n = SpmsNode::new(SpmsParams::default());
         let v = view(&zones, &tables[3], 3);
-        n.on_packet(&v, &adv_from(1), true); // waiting, PRONE=1
+        n.on_packet(&v, &adv_from(1), true, &mut Vec::new()); // waiting, PRONE=1
         n.on_failed();
-        let actions = n.on_repaired(&v);
+        let actions = collect(|out| n.on_repaired(&v, out));
         let s = sends(&actions);
         assert_eq!(s.len(), 1);
         assert!(matches!(s[0].packet.payload, Payload::Req { .. }));
@@ -1029,7 +1023,7 @@ mod tests {
         let (zones, tables) = fixture();
         let mut n = SpmsNode::new(SpmsParams::default());
         let v = view(&zones, &tables[1], 1);
-        assert!(n.on_packet(&v, &adv_from(0), false).is_empty());
+        assert!(collect(|out| n.on_packet(&v, &adv_from(0), false, out)).is_empty());
         assert_eq!(n.prone(meta()), None);
     }
 
@@ -1052,9 +1046,9 @@ mod tests {
                 path: vec![NodeId::new(3)],
             },
         };
-        assert!(sends(&n.on_packet(&low, &relay_req, false)).is_empty());
+        assert!(sends(&collect(|out| n.on_packet(&low, &relay_req, false, out))).is_empty());
         // A REQ addressed to this node is first-party duty: served.
-        n.on_generate(&low, m);
+        n.on_generate(&low, m, &mut Vec::new());
         let own_req = Packet {
             meta: m,
             from: NodeId::new(3),
@@ -1064,7 +1058,7 @@ mod tests {
                 path: vec![NodeId::new(3)],
             },
         };
-        let s_own = n.on_packet(&low, &own_req, false);
+        let s_own = collect(|out| n.on_packet(&low, &own_req, false, out));
         assert!(sends(&s_own)
             .iter()
             .any(|f| f.packet.kind() == PacketKind::Data));
@@ -1141,15 +1135,15 @@ mod tests {
                             wanted.insert(meta);
                         }
                         let from = advertisers[aux as usize % advertisers.len()];
-                        n.on_packet(&v, &adv_for(meta, from), wants(i))
+                        collect(|out| n.on_packet(&v, &adv_for(meta, from), wants(i), out))
                     }
                     (2, true) => {
                         held.insert(meta);
-                        n.on_packet(&v, &data_for(meta, 2, 3), wants(i))
+                        collect(|out| n.on_packet(&v, &data_for(meta, 2, 3), wants(i), out))
                     }
                     (3, true) if !armed.is_empty() => {
                         let (m, k, g) = armed.remove(aux as usize % armed.len());
-                        n.on_timer(&v, m, k, g)
+                        collect(|out| n.on_timer(&v, m, k, g, out))
                     }
                     (4, true) => {
                         n.on_failed();
@@ -1158,7 +1152,7 @@ mod tests {
                         Vec::new()
                     }
                     (5, false) => {
-                        let actions = n.on_repaired(&v);
+                        let actions = collect(|out| n.on_repaired(&v, out));
                         let reqs = req_metas(&actions);
                         prop_assert!(
                             reqs.windows(2).all(|w| w[0] < w[1]),
@@ -1178,7 +1172,7 @@ mod tests {
                 prop_assert_eq!(&n.unheld_entries(), n.unresolved());
                 let mut probe = n.clone();
                 for &(m, k, g) in &stale {
-                    let fired = probe.on_timer(&v, m, k, g);
+                    let fired = collect(|out| probe.on_timer(&v, m, k, g, out));
                     prop_assert!(
                         fired.is_empty(),
                         "pre-failure timer {m} {k:?} gen {g} fired: {fired:?}"
@@ -1195,8 +1189,8 @@ mod tests {
         let mut n = SpmsNode::new(SpmsParams::default());
         for seq in 0..50 {
             let m = MetaId::new(NodeId::new(seq % 2 * 4), seq);
-            n.on_packet(&v, &adv_for(m, 2), true);
-            let got = n.on_packet(&v, &data_for(m, 2, 3), true);
+            n.on_packet(&v, &adv_for(m, 2), true, &mut Vec::new());
+            let got = collect(|out| n.on_packet(&v, &data_for(m, 2, 3), true, out));
             assert!(got.iter().any(|a| matches!(a, Action::Delivered { .. })));
         }
         // Pending items interleave with the held ones in `MetaId` order,
@@ -1204,17 +1198,17 @@ mod tests {
         let waiting_adv = MetaId::new(NodeId::new(4), 70);
         let waiting_data = MetaId::new(NodeId::new(1), 0);
         let given_up = MetaId::new(NodeId::new(0), 99);
-        n.on_packet(&v, &adv_for(waiting_adv, 0), true); // 15 m: τADV
-        n.on_packet(&v, &adv_for(waiting_data, 2), true); // adjacent: REQ
-        n.on_packet(&v, &adv_for(given_up, 2), true);
-        let abandoned = n.on_timer(&v, given_up, TimerKind::DataWait, 1);
+        n.on_packet(&v, &adv_for(waiting_adv, 0), true, &mut Vec::new()); // 15 m: τADV
+        n.on_packet(&v, &adv_for(waiting_data, 2), true, &mut Vec::new()); // adjacent: REQ
+        n.on_packet(&v, &adv_for(given_up, 2), true, &mut Vec::new());
+        let abandoned = collect(|out| n.on_timer(&v, given_up, TimerKind::DataWait, 1, out));
         assert!(abandoned
             .iter()
             .any(|a| matches!(a, Action::Abandoned { .. })));
         assert_eq!(n.items_held(), 50);
 
         n.on_failed();
-        let actions = n.on_repaired(&v);
+        let actions = collect(|out| n.on_repaired(&v, out));
         assert_eq!(req_metas(&actions), [waiting_data, waiting_adv]);
         let targets: Vec<NodeId> = sends(&actions)
             .iter()
@@ -1224,5 +1218,60 @@ mod tests {
             })
             .collect();
         assert_eq!(targets, [NodeId::new(2), NodeId::new(0)]);
+    }
+
+    #[test]
+    fn hooks_only_append_to_the_sink() {
+        let (zones, tables) = fixture();
+        let v = view(&zones, &tables[3], 3);
+        let prefix = sink_prefix(&v);
+        let mut n = SpmsNode::new(SpmsParams {
+            serve_from_cache: true,
+            ..SpmsParams::default()
+        });
+        let (m, own, other) = (meta(), MetaId::new(NodeId::new(3), 0), item(1));
+        let req = |meta, target| Packet {
+            meta,
+            from: NodeId::new(4),
+            payload: Payload::Req {
+                origin: NodeId::new(4),
+                target: NodeId::new(target),
+                path: vec![NodeId::new(4)],
+            },
+        };
+        let mut appended = vec![
+            assert_appends_only(&mut n, &prefix, |n, out| n.on_generate(&v, own, out)),
+            assert_appends_only(&mut n, &prefix, |n, out| {
+                n.on_packet(&v, &adv_from(0), true, out);
+            }),
+            assert_appends_only(&mut n, &prefix, |n, out| {
+                n.on_packet(&v, &adv_from(2), true, out);
+            }),
+            assert_appends_only(&mut n, &prefix, |n, out| {
+                n.on_timer(&v, m, TimerKind::DataWait, 1, out);
+            }),
+            assert_appends_only(&mut n, &prefix, |n, out| {
+                n.on_packet(&v, &req(own, 3), false, out);
+            }),
+            assert_appends_only(&mut n, &prefix, |n, out| {
+                n.on_packet(&v, &req(other, 0), false, out);
+            }),
+            assert_appends_only(&mut n, &prefix, |n, out| {
+                n.on_packet(&v, &adv_for(other, 2), true, out);
+            }),
+        ];
+        n.on_failed();
+        appended.extend([
+            assert_appends_only(&mut n, &prefix, |n, out| n.on_repaired(&v, out)),
+            assert_appends_only(&mut n, &prefix, |n, out| n.on_routes_rebuilt(&v, out)),
+            assert_appends_only(&mut n, &prefix, |n, out| {
+                n.on_packet(&v, &data_for(m, 2, 3), true, out);
+            }),
+            assert_appends_only(&mut n, &prefix, |n, out| {
+                n.on_packet(&v, &req(m, 0), false, out);
+            }),
+        ]);
+        let busy = appended.iter().filter(|a| !a.is_empty()).count();
+        assert_eq!(busy, appended.len() - 1, "every hook but the reroute acts");
     }
 }

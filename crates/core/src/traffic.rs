@@ -72,10 +72,12 @@ impl TrafficPlan {
     /// # Errors
     ///
     /// Returns a message if generations are unsorted, contain duplicate
-    /// descriptors, or a descriptor's source does not match the generating
-    /// node.
+    /// descriptors, a descriptor's source does not match the generating
+    /// node, or a source does not number its items 0, 1, 2, … (per-node
+    /// item state is sized by the largest sequence number).
     pub fn new(generations: Vec<Generation>, interest: Interest) -> Result<Self, String> {
         let mut seen = BTreeSet::new();
+        let mut items = BTreeMap::<NodeId, u32>::new();
         for pair in generations.windows(2) {
             if pair[0].at > pair[1].at {
                 return Err("generations must be sorted by time".into());
@@ -90,6 +92,18 @@ impl TrafficPlan {
             }
             if !seen.insert(g.meta) {
                 return Err(format!("duplicate meta {}", g.meta));
+            }
+            *items.entry(g.source).or_default() += 1;
+        }
+        // With no duplicates, every seq below its source's item count
+        // means each source numbers its items 0, 1, 2, … without gaps.
+        for g in &generations {
+            let count = items[&g.source];
+            if g.meta.seq() >= count {
+                return Err(format!(
+                    "meta {}: node {} generates {count} items, numbered from 0",
+                    g.meta, g.source
+                ));
             }
         }
         Ok(TrafficPlan {
@@ -171,6 +185,11 @@ mod tests {
             meta: MetaId::new(NodeId::new(1), 0),
         };
         assert!(TrafficPlan::new(vec![bad], Interest::AllNodes).is_err());
+        // Sequence numbers count up from zero per source, in any order.
+        assert!(TrafficPlan::new(vec![gen(0, 1, 1), gen(1, 1, 0)], Interest::AllNodes).is_ok());
+        assert!(TrafficPlan::new(vec![gen(0, 1, 1)], Interest::AllNodes).is_err());
+        let gap = vec![gen(0, 1, 0), gen(1, 1, u32::MAX)];
+        assert!(TrafficPlan::new(gap, Interest::AllNodes).is_err());
     }
 
     #[test]

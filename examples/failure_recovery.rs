@@ -17,8 +17,9 @@ use spms_net::{placement, NodeId, ZoneTable};
 use spms_phy::RadioProfile;
 use spms_routing::{oracle_tables, RoutingTable};
 
-fn show(actions: &[Action]) {
-    for a in actions {
+/// Prints the actions a hook appended, emptying the sink for the next one.
+fn show(actions: &mut Vec<Action>) {
+    for a in actions.drain(..) {
         match a {
             Action::Send(f) => println!(
                 "      -> sends {:?} to {:?} at {}",
@@ -63,6 +64,7 @@ fn main() -> Result<(), String> {
         from,
         payload: Payload::Adv,
     };
+    let mut out = Vec::new();
 
     println!("Figure 2 topology: A(n0) — r1(n1) — r2(n2) — C(n3), 5 m hops\n");
 
@@ -71,7 +73,8 @@ fn main() -> Result<(), String> {
     let mut node_c = SpmsNode::new(SpmsParams::default());
 
     println!("  C hears A's ADV (15 m away, not a next-hop neighbor):");
-    show(&node_c.on_packet(&view_c, &adv_from(a), true));
+    node_c.on_packet(&view_c, &adv_from(a), true, &mut out);
+    show(&mut out);
     println!(
         "      PRONE = {:?}, SCONE = {:?}",
         node_c.prone(meta),
@@ -79,7 +82,8 @@ fn main() -> Result<(), String> {
     );
 
     println!("  C hears r1's ADV (closer, still not adjacent → τADV restarts):");
-    show(&node_c.on_packet(&view_c, &adv_from(r1), true));
+    node_c.on_packet(&view_c, &adv_from(r1), true, &mut out);
+    show(&mut out);
     println!(
         "      PRONE = {:?}, SCONE = {:?}",
         node_c.prone(meta),
@@ -87,7 +91,8 @@ fn main() -> Result<(), String> {
     );
 
     println!("  C hears r2's ADV (adjacent → request immediately):");
-    show(&node_c.on_packet(&view_c, &adv_from(r2), true));
+    node_c.on_packet(&view_c, &adv_from(r2), true, &mut out);
+    show(&mut out);
     println!(
         "      PRONE = {:?}, SCONE = {:?}",
         node_c.prone(meta),
@@ -95,20 +100,24 @@ fn main() -> Result<(), String> {
     );
 
     println!("  r2 has failed; C's τDAT expires → fail over to the SCONE (r1), direct:");
-    show(&node_c.on_timer(&view_c, meta, TimerKind::DataWait, 1));
+    node_c.on_timer(&view_c, meta, TimerKind::DataWait, 1, &mut out);
+    show(&mut out);
 
     // ---------------------------------------------------------------
     println!("\nCase 1 of §3.5: r2 fails before advertising");
     let mut node_c = SpmsNode::new(SpmsParams::default());
 
     println!("  C hears r1's ADV only (r2 is down):");
-    show(&node_c.on_packet(&view_c, &adv_from(r1), true));
+    node_c.on_packet(&view_c, &adv_from(r1), true, &mut out);
+    show(&mut out);
 
     println!("  τADV expires → REQ to PRONE r1 along the shortest path (via r2, dead):");
-    show(&node_c.on_timer(&view_c, meta, TimerKind::AdvWait, 1));
+    node_c.on_timer(&view_c, meta, TimerKind::AdvWait, 1, &mut out);
+    show(&mut out);
 
     println!("  τDAT expires → REQ directly to PRONE r1 at higher power:");
-    show(&node_c.on_timer(&view_c, meta, TimerKind::DataWait, 1));
+    node_c.on_timer(&view_c, meta, TimerKind::DataWait, 1, &mut out);
+    show(&mut out);
 
     println!("  r1 serves; C receives the data:");
     let data = Packet {
@@ -119,7 +128,8 @@ fn main() -> Result<(), String> {
             route: vec![],
         },
     };
-    show(&node_c.on_packet(&view_c, &data, true));
+    node_c.on_packet(&view_c, &data, true, &mut out);
+    show(&mut out);
     println!("\nC holds the data: {}", node_c.has_data(meta));
     Ok(())
 }
