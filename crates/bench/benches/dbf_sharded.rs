@@ -1,4 +1,4 @@
-//! Zone-sharded, epoch-batched delta re-convergence at growing scale:
+//! Zone-sharded delta re-convergence at growing scale:
 //! n = 225 / 625 / 1024 / 4096 / 10000 (the paper's 13×13 field is only
 //! 169 nodes; the top sizes are the ROADMAP's 10k-node scale target).
 //!
@@ -13,9 +13,6 @@
 //!   (heavy rounds cut into receiver ranges on the worker pool;
 //!   bit-identical tables and stats, proptested; only wall-clock may
 //!   differ),
-//! * `dbf_batch4_per_epoch_625` / `dbf_batch4_window_625` — four epochs
-//!   re-converged one by one versus coalesced into a single batched
-//!   window (`SimConfig::batch_epochs`-style), one-shard engine,
 //! * `dbf_full_seq_n` / `dbf_full_sharded_n` — the from-scratch rebuild
 //!   (`DbfEngine::rebuild_sharded`) on a one-shard engine versus an engine
 //!   at the host's available parallelism.
@@ -117,59 +114,6 @@ fn bench_delta_paths(c: &mut Criterion) {
     }
 }
 
-fn bench_batched_window(c: &mut Criterion) {
-    // Four single-mover epochs at n = 625: re-converged one by one versus
-    // coalesced into one batched window. The zone tables are prebuilt
-    // cumulatively (Z0 = all home … Z4 = all moved), so each iteration
-    // measures pure re-convergence, not zone maintenance.
-    let side = 25usize;
-    let n = side * side;
-    let mut topo: Topology = placement::grid(side, side, SPACING_M).unwrap();
-    let radio = RadioProfile::mica2();
-    let moved = &movers(side)[..4];
-    let mut tables = vec![ZoneTable::build(&topo, &radio, RADIUS_M)];
-    for &m in moved {
-        let p = topo.position(m);
-        topo.move_node(m, Point::new(p.x + 7.5, p.y + 12.5));
-        tables.push(ZoneTable::build(&topo, &radio, RADIUS_M));
-    }
-    let alive = vec![true; n];
-
-    let mut per_epoch = DbfEngine::new(&tables[0], 2);
-    per_epoch.run_to_convergence(&tables[0]);
-    let mut forward = true;
-    c.bench_function(&format!("routing/dbf_batch4_per_epoch_{n}"), |b| {
-        b.iter(|| {
-            if forward {
-                for (i, &m) in moved.iter().enumerate() {
-                    per_epoch.update_topology(&tables[i], &tables[i + 1], &[m], &alive);
-                }
-            } else {
-                for (i, &m) in moved.iter().enumerate().rev() {
-                    per_epoch.update_topology(&tables[i + 1], &tables[i], &[m], &alive);
-                }
-            }
-            forward = !forward;
-        })
-    });
-
-    let mut batched = DbfEngine::new(&tables[0], 2);
-    batched.run_to_convergence(&tables[0]);
-    let mut forward = true;
-    let last = tables.len() - 1;
-    c.bench_function(&format!("routing/dbf_batch4_window_{n}"), |b| {
-        b.iter(|| {
-            let (old, new) = if forward {
-                (&tables[0], &tables[last])
-            } else {
-                (&tables[last], &tables[0])
-            };
-            forward = !forward;
-            std::hint::black_box(batched.update_topology(old, new, moved, &alive))
-        })
-    });
-}
-
 fn bench_full_rebuild(c: &mut Criterion) {
     // The from-scratch rebuild at the gated sizes. Engines persist across
     // iterations (warm arenas), exactly like the `dbf_convergence` bench:
@@ -193,10 +137,5 @@ fn bench_full_rebuild(c: &mut Criterion) {
     }
 }
 
-criterion_group!(
-    benches,
-    bench_delta_paths,
-    bench_batched_window,
-    bench_full_rebuild
-);
+criterion_group!(benches, bench_delta_paths, bench_full_rebuild);
 criterion_main!(benches);

@@ -277,13 +277,16 @@ pub struct SimConfig {
     pub spin_broadcast_data: bool,
     /// How SPMS routing tables are formed.
     pub routing_mode: RoutingMode,
-    /// In [`RoutingMode::Distributed`], rebuild routing state after a
-    /// mobility epoch *incrementally*: only the zones the moved nodes
-    /// actually touched are invalidated and re-converged via delta vectors,
-    /// instead of re-executing the DBF from scratch. The resulting tables
-    /// are identical (property-tested in `spms-routing`); only the
-    /// message/byte/pause accounting shrinks to the triggered-update cost.
-    /// Ignored in [`RoutingMode::Oracle`].
+    /// In [`RoutingMode::Distributed`], rebuild routing state
+    /// *incrementally*, at once, after every mobility or contact epoch and
+    /// every liveness flip (failure, repair, battery death, churn cohort):
+    /// only the zones the event touched are invalidated and re-converged
+    /// via delta vectors, instead of re-executing the DBF from scratch.
+    /// The resulting tables are identical (property-tested in
+    /// `spms-routing`); only the message/byte/pause accounting shrinks to
+    /// the triggered-update cost. `false` re-executes the DBF after each
+    /// epoch and rides liveness flips out on alternative routes until the
+    /// next epoch's rebuild. Ignored in [`RoutingMode::Oracle`].
     pub incremental_routing: bool,
     /// Maintain the zone table **incrementally** across mobility epochs:
     /// the engine keeps a spatial-hash grid (`spms_net::SpatialGrid`, cell
@@ -298,7 +301,7 @@ pub struct SimConfig {
     pub incremental_zones: bool,
     /// Shard partitions for the DBF rounds
     /// ([`spms_routing::DbfEngine::with_shards`]): a heavy round of the
-    /// full rebuild or of a mobility window's delta re-convergence is cut
+    /// full rebuild or of an epoch's delta re-convergence is cut
     /// into contiguous receiver ranges of balanced load and run on the
     /// engine's persistent worker pool; `1` runs every round inline.
     /// The shard count also sizes that pool — `shards − 1` threads,
@@ -314,35 +317,6 @@ pub struct SimConfig {
     /// which `tests/integration_determinism.rs` re-checks end to end on
     /// whole `RunMetrics`.
     pub dbf_shards: usize,
-    /// Mobility-epoch batching window: epochs accumulate their zone deltas
-    /// (and any silent liveness flips) and re-converge routing **once** per
-    /// `batch_epochs` epochs instead of per epoch. `1` (the default)
-    /// re-converges every epoch — the paper's model. Larger windows trade
-    /// bounded routing staleness inside the window (frames to stale links
-    /// drop and protocols fail over, exactly as with
-    /// `reconverge_on_failure = false`) for proportionally fewer delta
-    /// exchanges; the flushed tables are bit-identical to per-epoch
-    /// re-convergence under the final topology (property-tested). Only
-    /// consulted with `incremental_routing` in
-    /// [`RoutingMode::Distributed`].
-    pub batch_epochs: u32,
-    /// In [`RoutingMode::Distributed`] with `incremental_routing`, also
-    /// re-converge the affected zone when a node fails, repairs, or dies of
-    /// battery depletion. The paper's protocol instead rides out failures
-    /// on its k alternative routes, so this defaults to `false`; enabling
-    /// it models deployments that pay for routing repair instead of
-    /// detouring.
-    pub reconverge_on_failure: bool,
-    /// With `reconverge_on_failure` **off** (the paper's detour model),
-    /// still emit a pure-liveness [`spms_net::ZoneDelta`] for every
-    /// failure, repair, battery death, and churn flip into the
-    /// `batch_epochs` batching window, so the next flush retires the dead
-    /// node's routes instead of letting stale next-hops linger until an
-    /// unrelated rebuild. Default `true` (the silent-failure fix); `false`
-    /// restores the legacy fold-into-next-rebuild behavior for ablations.
-    /// Only consulted with `incremental_routing` in
-    /// [`RoutingMode::Distributed`].
-    pub queue_liveness_flips: bool,
     /// Per-node battery capacity in µJ (`None` = unlimited, the paper's
     /// measurement mode). When set, a node whose cumulative energy spend
     /// reaches the capacity **dies permanently** — the network-lifetime
@@ -373,8 +347,8 @@ pub struct SimConfig {
     /// liveness per epoch, stressing the incremental zone/DBF paths.
     pub churn: Option<ChurnConfig>,
     /// Scheduled connectivity (None = every link always up): per-link
-    /// up/down windows fired as timed link flips through the same
-    /// delta-batching machinery mobility uses. A semantic knob like
+    /// up/down windows fired as timed link flips through the same zone
+    /// patch and re-route step mobility uses. A semantic knob like
     /// `adversary` — it changes results by design, but never varies with
     /// shards, workers, or layouts. Node ids the plan names are
     /// range-checked against the topology when the simulation is built.
@@ -423,9 +397,6 @@ impl SimConfig {
             incremental_routing: true,
             incremental_zones: true,
             dbf_shards: 0,
-            batch_epochs: 1,
-            reconverge_on_failure: false,
-            queue_liveness_flips: true,
             idle_listening_mw: None,
             failures: None,
             mobility: None,
@@ -456,12 +427,6 @@ impl SimConfig {
             return Err("max_attempts must be at least 1".into());
         }
         self.interzone.validate()?;
-        if self.reconverge_on_failure && !self.incremental_routing {
-            return Err("reconverge_on_failure requires incremental_routing".into());
-        }
-        if self.batch_epochs == 0 {
-            return Err("batch_epochs must be at least 1".into());
-        }
         if self.horizon == SimTime::ZERO {
             return Err("horizon must be positive".into());
         }
@@ -489,8 +454,12 @@ impl SimConfig {
         if let Some(a) = &self.adversary {
             a.validate()?;
         }
+        // Re-validate the pub fields against the constructors' rules: a
+        // zero interval would stage epoch after epoch at one instant.
+        if let Some(m) = &self.mobility {
+            MobilityConfig::new(m.interval, m.fraction)?;
+        }
         if let Some(ch) = &self.churn {
-            // Re-validate the pub fields against the constructor's rules.
             ChurnConfig::new(ch.interval, ch.fraction)?;
         }
         if let TimeoutPolicy::Adaptive {
@@ -536,9 +505,6 @@ mod tests {
         };
         assert!(c.validate().is_err());
         let mut c = SimConfig::paper_defaults(ProtocolKind::Spms, 1);
-        c.batch_epochs = 0;
-        assert!(c.validate().is_err());
-        c.batch_epochs = 4;
         c.dbf_shards = 16;
         assert!(c.validate().is_ok(), "any shard count is valid (0 = auto)");
     }
@@ -548,7 +514,6 @@ mod tests {
         use crate::adversary::{AdversaryConfig, NodeBehavior};
         let mut c = SimConfig::paper_defaults(ProtocolKind::Spms, 1);
         assert!(c.adversary.is_none() && c.churn.is_none());
-        assert!(c.queue_liveness_flips, "the silent-failure fix defaults on");
         c.adversary = Some(AdversaryConfig::new(NodeBehavior::Flooding, 0.25).unwrap());
         c.churn = Some(ChurnConfig::new(SimTime::from_millis(200), 0.3).unwrap());
         assert!(c.validate().is_ok());
@@ -565,6 +530,46 @@ mod tests {
             c.validate().is_ok(),
             "a full-cohort churn fraction is legal"
         );
+    }
+
+    #[test]
+    fn mobility_settings_are_validated() {
+        // `MobilityConfig`'s fields are public, so a literal can bypass its
+        // constructor; a zero interval would stage every epoch at t = 0
+        // and never end the run.
+        let topo = placement::grid(4, 4, 5.0).unwrap();
+        let source = spms_net::NodeId::new(5);
+        let plan = crate::TrafficPlan::new(
+            vec![crate::Generation {
+                at: SimTime::ZERO,
+                source,
+                meta: crate::MetaId::new(source, 0),
+            }],
+            crate::Interest::AllNodes,
+        )
+        .unwrap();
+        for (interval, fraction) in [
+            (SimTime::ZERO, 0.1),
+            (SimTime::from_millis(40), -0.1),
+            (SimTime::from_millis(40), 1.5),
+            (SimTime::from_millis(40), f64::NAN),
+        ] {
+            let mut c = SimConfig::paper_defaults(ProtocolKind::Spms, 1);
+            c.routing_mode = RoutingMode::Distributed;
+            c.horizon = SimTime::from_secs(2);
+            c.mobility = Some(MobilityConfig { interval, fraction });
+            assert!(c.validate().is_err(), "{interval} / {fraction}");
+            assert!(
+                crate::Simulation::new(c, topo.clone(), plan.clone()).is_err(),
+                "{interval} / {fraction}"
+            );
+        }
+        let mut c = SimConfig::paper_defaults(ProtocolKind::Spms, 1);
+        c.mobility = Some(MobilityConfig {
+            interval: SimTime::from_millis(40),
+            fraction: 1.0,
+        });
+        assert!(c.validate().is_ok(), "every node may move");
     }
 
     #[test]

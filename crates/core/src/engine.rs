@@ -64,6 +64,20 @@ enum Event {
     ContactEpoch,
 }
 
+/// How a mobility or contact epoch changed the zone table — what
+/// [`Simulation::reroute`] hands the routing layer.
+enum ZoneChange {
+    /// Patched in place (`incremental_zones`): the patch's delta names the
+    /// rebuilt rows and each relocated node's pre-move adjacency.
+    Patched(ZoneDelta),
+    /// Rebuilt all-pairs (the reference path): the table it replaced and
+    /// the nodes whose links changed.
+    Rebuilt {
+        old: ZoneTable,
+        changed: Vec<NodeId>,
+    },
+}
+
 /// A configured, runnable simulation.
 ///
 /// # Example
@@ -98,27 +112,6 @@ pub struct Simulation {
     /// possible: its tables and triggered-update state survive mobility
     /// epochs instead of being rebuilt from scratch.
     dbf: Option<DbfEngine>,
-    /// The alive mask as of the last DBF convergence. Nodes whose liveness
-    /// flipped since then without a re-convergence (failures ridden out on
-    /// alternative routes) are invalidated at the next incremental rebuild.
-    dbf_alive: Vec<bool>,
-    /// The epoch batcher (`SimConfig::batch_epochs`): zone deltas of epochs
-    /// that have not re-converged yet, merged into one. `None` when the
-    /// window is empty or the run maintains zones all-pairs.
-    pending_delta: Option<ZoneDelta>,
-    /// Reference-zone (`incremental_zones = false`) counterpart of
-    /// `pending_delta`: the zone table as of the window start — the
-    /// adjacency the engine's stale routes were converged under.
-    pending_old_zones: Option<ZoneTable>,
-    /// Movers accumulated since the window started (reference-zone path).
-    pending_changed: Vec<NodeId>,
-    /// Liveness flips queued on the window (`queue_liveness_flips`). The
-    /// flush must invalidate their zone neighborhoods explicitly: a node
-    /// that failed *and* repaired inside one window is invisible to the
-    /// `dbf_alive` diff, yet its neighbors' routes through it went stale.
-    pending_flipped: Vec<NodeId>,
-    /// Epochs queued in the current batching window.
-    pending_epochs: u32,
     protocols: Vec<NodeProtocol>,
     /// The sink protocol hooks append to. `run_hook` takes it out of
     /// `self` for one call and puts it back emptied, so its allocation is
@@ -354,12 +347,6 @@ impl Simulation {
         let mut sim = Simulation {
             tables: (0..n).map(|_| RoutingTable::new(config.k_routes)).collect(),
             dbf: None,
-            dbf_alive: vec![true; n],
-            pending_delta: None,
-            pending_old_zones: None,
-            pending_changed: Vec::new(),
-            pending_flipped: Vec::new(),
-            pending_epochs: 0,
             protocols,
             actions: Vec::new(),
             recipients: Vec::new(),
@@ -509,8 +496,8 @@ impl Simulation {
     /// tables; SPMS uses the configured mode. In Distributed mode the
     /// persistent [`DbfEngine`] is reset and fully re-converged through
     /// the shard planner ([`DbfEngine::rebuild_sharded`], bit-identical
-    /// to the sequential reference rebuild) — the path that mobility
-    /// epochs replace with [`Simulation::reconverge_incrementally`] when
+    /// to the sequential reference rebuild) — the path that
+    /// [`Simulation::reroute`] replaces with a delta re-convergence when
     /// `config.incremental_routing` is set.
     fn build_routing(&mut self) {
         if !matches!(
@@ -548,7 +535,6 @@ impl Simulation {
                 // stay byte-comparable whatever the host's core count.
                 let stats = dbf.rebuild_sharded(&self.zones, &self.alive);
                 self.dbf = Some(dbf);
-                self.dbf_alive = self.alive.clone();
                 self.charge_dbf_run(&stats, false);
             }
         }
@@ -566,127 +552,48 @@ impl Simulation {
         }
     }
 
-    /// Queues one re-convergence trigger (a mobility epoch or a liveness
-    /// delta) on the batching window and flushes the window once
-    /// `batch_epochs` have accumulated. Deferred triggers ride out their
-    /// staleness exactly like unreported failures do: frames to stale links
-    /// drop at delivery and protocols fail over. Returns `true` when the
-    /// window flushed.
-    fn note_epoch_queued(&mut self) -> bool {
-        self.pending_epochs += 1;
-        if self.pending_epochs >= self.config.batch_epochs {
-            self.flush_pending_reconvergence();
-            true
-        } else {
-            self.routing_cost.epochs_coalesced += 1;
-            false
+    /// The routing reaction to a mobility or contact epoch, after the zone
+    /// table has absorbed it: with `incremental_routing` the persistent
+    /// engine re-converges only what `change` disturbed, otherwise routing
+    /// is rebuilt from scratch; then every alive protocol sees its new
+    /// routes. "As nodes move, the routing tables have to be modified and
+    /// no packet transfer can take place until the routing tables
+    /// converge" — both DBF paths charge the convergence pause.
+    fn reroute(&mut self, change: ZoneChange) {
+        match self.dbf.as_mut() {
+            Some(dbf) if self.config.incremental_routing => {
+                let stats = match &change {
+                    ZoneChange::Patched(delta) => {
+                        dbf.apply_zone_delta(&self.zones, delta, &[], &self.alive)
+                    }
+                    ZoneChange::Rebuilt { old, changed } => {
+                        dbf.update_topology(old, &self.zones, changed, &self.alive)
+                    }
+                };
+                self.charge_dbf_run(&stats, true);
+            }
+            _ => self.build_routing(),
+        }
+        for i in 0..self.protocols.len() {
+            if !self.alive[i] {
+                continue;
+            }
+            let node = NodeId::new(i as u32);
+            self.run_hook(node, SimTime::ZERO, |p, v, out| p.on_routes_rebuilt(v, out));
         }
     }
 
-    /// Flushes the epoch-batching window: one delta re-convergence covering
-    /// every queued epoch (and every silent liveness flip folded in by the
-    /// incremental paths). A no-op on an empty window. Also invoked before
-    /// any out-of-band re-convergence (`reconverge_on_failure`), so the
-    /// engine never mixes a liveness invalidation with stale pending moves.
-    fn flush_pending_reconvergence(&mut self) {
-        if self.pending_epochs == 0 {
-            return;
-        }
-        self.pending_epochs = 0;
-        self.routing_cost.batch_windows += 1;
-        let queued_flips = std::mem::take(&mut self.pending_flipped);
-        if let Some(delta) = self.pending_delta.take() {
-            self.reconverge_from_zone_delta(&delta, &queued_flips);
-        } else if let Some(old_zones) = self.pending_old_zones.take() {
-            let mut changed = std::mem::take(&mut self.pending_changed);
-            changed.sort_unstable();
-            changed.dedup();
-            self.reconverge_incrementally(Some(&old_zones), &changed);
-        }
-    }
-
-    /// Re-converges only the zones that `changed` (moved, failed, or
-    /// repaired nodes) can have disturbed, using the delta exchange on the
-    /// persistent engine. `old_zones` is the zone table before the event
-    /// (identical to the current one for pure liveness flips).
-    ///
-    /// Liveness flips the engine was *not* told about at the time (failures
-    /// and battery deaths ride on alternative routes unless
-    /// `reconverge_on_failure` is set) are folded into `changed` here, so
-    /// the delta rebuild invalidates their zones too and the tables stay
-    /// what a full rebuild under the current mask would produce.
-    /// `old_zones` is `None` for pure liveness flips (zones unchanged).
-    fn reconverge_incrementally(&mut self, old_zones: Option<&ZoneTable>, changed: &[NodeId]) {
-        if self.dbf.is_none() {
-            return;
-        }
-        let mut changed: Vec<NodeId> = changed.to_vec();
-        let mut in_changed = vec![false; self.alive.len()];
-        for &c in &changed {
-            in_changed[c.index()] = true;
-        }
-        changed.extend(
-            self.flipped_since_last_run()
-                .filter(|f| !in_changed[f.index()]),
+    /// Rebuilds the zone table all-pairs under the current gate (the
+    /// reference path, `incremental_zones = false`) and returns the table
+    /// it replaced.
+    fn rebuild_zones(&mut self) -> ZoneTable {
+        let new_zones = ZoneTable::build_gated(
+            &self.topology,
+            &self.config.radio,
+            self.config.zone_radius_m,
+            self.contact_gate.as_ref(),
         );
-        let dbf = self.dbf.as_mut().expect("checked above");
-        let stats = dbf.update_topology(
-            old_zones.unwrap_or(&self.zones),
-            &self.zones,
-            &changed,
-            &self.alive,
-        );
-        self.dbf_alive = self.alive.clone();
-        self.charge_dbf_run(&stats, true);
-    }
-
-    /// Delta re-convergence after an **in-place** zone patch: the old zone
-    /// table no longer exists, so the pre-move adjacency the engine needs
-    /// to retire stale routes rides in the [`ZoneDelta`]. Liveness flips
-    /// the engine was not told about at the time are folded in exactly as
-    /// in [`Simulation::reconverge_incrementally`] (no dedup against the
-    /// delta needed — `apply_zone_delta`'s affected marking is idempotent).
-    ///
-    /// `queued_flips` are the liveness flips explicitly queued on the
-    /// window. They must travel as `also_changed` (whose zone neighborhood
-    /// gets invalidated), not merely inside the delta's `changed_nodes`
-    /// (which `apply_zone_delta` treats as already-expanded move fallout):
-    /// a node that failed and repaired within one window cancels out of
-    /// the `dbf_alive` diff, but its neighbors' routes through it still
-    /// need retiring — the full-rebuild oracle does so via
-    /// `update_topology`'s neighbor expansion, and the delta path must
-    /// match it bit for bit.
-    fn reconverge_from_zone_delta(&mut self, delta: &ZoneDelta, queued_flips: &[NodeId]) {
-        if self.dbf.is_none() {
-            return;
-        }
-        let mut flipped: Vec<NodeId> = self.flipped_since_last_run().collect();
-        let mut in_flipped = vec![false; self.alive.len()];
-        for &f in &flipped {
-            in_flipped[f.index()] = true;
-        }
-        flipped.extend(
-            queued_flips
-                .iter()
-                .copied()
-                .filter(|f| !in_flipped[f.index()]),
-        );
-        let dbf = self.dbf.as_mut().expect("checked above");
-        let stats = dbf.apply_zone_delta(&self.zones, delta, &flipped, &self.alive);
-        self.dbf_alive = self.alive.clone();
-        self.charge_dbf_run(&stats, true);
-    }
-
-    /// Nodes whose liveness flipped since the last DBF convergence
-    /// (`dbf_alive` snapshot) — the silent failures/repairs/battery deaths
-    /// both incremental paths must fold into their changed sets.
-    fn flipped_since_last_run(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.alive
-            .iter()
-            .zip(self.dbf_alive.iter())
-            .enumerate()
-            .filter(|(_, (&now_up, &at_last_run))| now_up != at_last_run)
-            .map(|(i, _)| NodeId::new(i as u32))
+        std::mem::replace(&mut self.zones, new_zones)
     }
 
     /// Charges a DBF execution's per-node broadcast energy (at the zone/ADV
@@ -729,6 +636,7 @@ impl Simulation {
         // Counts plans, not threads: bit-identical across shard counts, so
         // same-seed metrics compare byte for byte whatever the host offers.
         self.routing_cost.sharded_executions += u64::from(incremental);
+        self.routing_cost.batch_windows += u64::from(incremental);
         self.routing_cost.rounds += u64::from(stats.rounds);
         self.routing_cost.messages += stats.messages;
         self.routing_cost.bytes += stats.bytes_total;
@@ -950,54 +858,22 @@ impl Simulation {
     }
 
     /// Routing reaction to liveness flips (failures, repairs, battery
-    /// deaths, churn cohorts).
-    ///
-    /// With `reconverge_on_failure` the affected zones re-converge
-    /// immediately (out of band, after flushing any queued window).
-    /// Otherwise — the paper's ride-it-out model — `queue_liveness_flips`
-    /// (default on) emits a pure-liveness [`ZoneDelta`] into the
-    /// epoch-batching window, so the next flush retires the dead nodes'
-    /// routes instead of letting stale next-hops linger until an unrelated
-    /// mobility rebuild happens by; at the default `batch_epochs = 1` the
-    /// flush happens right here. Ablating the fix off
-    /// (`queue_liveness_flips = false`) restores the legacy
-    /// fold-into-the-next-rebuild behavior.
-    ///
-    /// Returns `true` when the flip was queued but the window did *not*
-    /// flush (the event was coalesced into a later window).
-    fn reconverge_after_liveness_flips(&mut self, nodes: &[NodeId]) -> bool {
-        if self.config.reconverge_on_failure {
-            // Any queued mobility window flushes first: the liveness
-            // invalidation below assumes routing state and zone table agree.
-            self.flush_pending_reconvergence();
-            self.reconverge_incrementally(None, nodes);
-            return false;
+    /// deaths, churn cohorts). A flip changes no zone row, so with
+    /// `incremental_routing` the persistent engine invalidates just the
+    /// flipped nodes' zones and re-converges them at once; the protocols
+    /// meanwhile fail over on their alternative routes, the paper's model.
+    /// Without incremental routing the flip is ridden out until the next
+    /// full rebuild.
+    fn reconverge_after_liveness_flips(&mut self, nodes: &[NodeId]) {
+        if !self.config.incremental_routing {
+            return;
         }
-        if !self.config.queue_liveness_flips
-            || !self.config.incremental_routing
-            || self.dbf.is_none()
-        {
-            // Legacy/out-of-scope: ride the flip out on alternative routes
-            // until the next rebuild folds it in (`flipped_since_last_run`).
-            return false;
-        }
+        let Some(dbf) = self.dbf.as_mut() else {
+            return;
+        };
+        let stats = dbf.invalidate_zone(&self.zones, nodes, &self.alive);
         self.routing_cost.liveness_deltas += 1;
-        if self.config.incremental_zones {
-            // Zones are unchanged by a pure liveness flip — the delta only
-            // names the nodes whose rows routing must invalidate.
-            let delta = ZoneDelta::liveness(nodes);
-            match &mut self.pending_delta {
-                Some(pending) => pending.merge(delta),
-                None => self.pending_delta = Some(delta),
-            }
-            self.pending_flipped.extend(nodes.iter().copied());
-        } else {
-            if self.pending_old_zones.is_none() {
-                self.pending_old_zones = Some(self.zones.clone());
-            }
-            self.pending_changed.extend(nodes.iter().copied());
-        }
-        !self.note_epoch_queued()
+        self.charge_dbf_run(&stats, true);
     }
 
     fn handle_repair(&mut self, node: NodeId, gen: u32) {
@@ -1058,12 +934,9 @@ impl Simulation {
             format!("mobility epoch: {} nodes moved", epoch.moves.len())
         });
         let moved: Vec<NodeId> = epoch.moves.iter().map(|&(node, _)| node).collect();
-        // "As nodes move, the routing tables have to be modified and no
-        // packet transfer can take place until the routing tables converge."
-        // Zone state always updates immediately (MAC densities and delivery
-        // reachability must track real positions); routing re-convergence
-        // queues on the batching window and flushes every `batch_epochs`.
-        if self.config.incremental_zones {
+        // Zone state always updates first: MAC densities and delivery
+        // reachability must track real positions.
+        let change = if self.config.incremental_zones {
             // Patch only the zone rows the epoch perturbed; the returned
             // delta names exactly the nodes routing must re-converge for.
             let delta = self.zones.apply_moves_gated(
@@ -1082,42 +955,14 @@ impl Simulation {
                     self.topology.len()
                 )
             });
-            if self.config.incremental_routing && self.dbf.is_some() {
-                match &mut self.pending_delta {
-                    Some(pending) => pending.merge(delta),
-                    None => self.pending_delta = Some(delta),
-                }
-                self.note_epoch_queued();
-            } else {
-                self.build_routing();
-            }
+            ZoneChange::Patched(delta)
         } else {
-            // Reference path: rebuild the whole table all-pairs.
-            let new_zones = ZoneTable::build_gated(
-                &self.topology,
-                &self.config.radio,
-                self.config.zone_radius_m,
-                self.contact_gate.as_ref(),
-            );
-            let old_zones = std::mem::replace(&mut self.zones, new_zones);
-            if self.config.incremental_routing && self.dbf.is_some() {
-                // The window keeps the *first* pre-epoch table: stale
-                // routes were last converged under it, and interior
-                // epochs' tables never made it into any routing state.
-                self.pending_old_zones.get_or_insert(old_zones);
-                self.pending_changed.extend(moved.iter().copied());
-                self.note_epoch_queued();
-            } else {
-                self.build_routing();
+            ZoneChange::Rebuilt {
+                old: self.rebuild_zones(),
+                changed: moved,
             }
-        }
-        for i in 0..self.protocols.len() {
-            if !self.alive[i] {
-                continue;
-            }
-            let node = NodeId::new(i as u32);
-            self.run_hook(node, SimTime::ZERO, |p, v, out| p.on_routes_rebuilt(v, out));
-        }
+        };
+        self.reroute(change);
         self.stage_next_epoch();
     }
 
@@ -1140,9 +985,8 @@ impl Simulation {
     /// Applies the staged churn epoch: every cohort member toggles liveness
     /// — alive nodes leave (exactly like a failure, but with no scheduled
     /// repair), departed nodes rejoin. Battery-depleted nodes are skipped:
-    /// those deaths are permanent. The whole cohort's liveness flip lands
-    /// as **one** delta on the batching window, the heavy-churn stress case
-    /// for the incremental zone/DBF paths.
+    /// those deaths are permanent. The whole cohort re-converges as **one**
+    /// liveness flip, the heavy-churn stress case for the incremental DBF.
     fn handle_churn_epoch(&mut self) {
         let Some(epoch) = self.staged_churn.take() else {
             return;
@@ -1175,8 +1019,8 @@ impl Simulation {
         self.trace.record_with(self.now, "churn", || {
             format!("churn epoch: {left} left, {joined} rejoined")
         });
-        if !flips.is_empty() && self.reconverge_after_liveness_flips(&flips) {
-            self.adversary_stats.churn_coalesced += 1;
+        if !flips.is_empty() {
+            self.reconverge_after_liveness_flips(&flips);
         }
         for node in joiners {
             self.run_hook(node, SimTime::ZERO, |p, v, out| p.on_repaired(v, out));
@@ -1203,9 +1047,9 @@ impl Simulation {
 
     /// Applies the staged contact-plan epoch: every link flip at this
     /// timestamp lands on the gate, the affected zone rows are patched (or
-    /// the table rebuilt, on the reference path), and re-convergence is
-    /// queued on the same batching window mobility epochs use — so
-    /// sharding, batching, the worker pool, and the oracle chain treat a
+    /// the table rebuilt, on the reference path), and routing re-converges
+    /// through the same [`Simulation::reroute`] step mobility epochs use —
+    /// so sharding, the worker pool, and the oracle chain treat a
     /// scheduled window boundary exactly like a mobility epoch.
     fn handle_contact_epoch(&mut self) {
         let Some(epoch) = self.staged_contact.take() else {
@@ -1235,51 +1079,25 @@ impl Simulation {
         self.trace.record_with(self.now, "contact", || {
             format!("contact epoch: {ups} links up, {downs} links down")
         });
-        if self.config.incremental_zones {
+        let change = if self.config.incremental_zones {
             // Patch only the endpoint rows; the delta mirrors a mobility
             // patch (pre-flip adjacency as move records, changed rows
             // pre-expanded), so the DBF delta path retires the stale
             // pairings exactly as the full-rebuild oracle would.
-            let delta = self.zones.apply_link_flips(
+            ZoneChange::Patched(self.zones.apply_link_flips(
                 &self.topology,
                 &self.config.radio,
                 &self.grid,
                 self.contact_gate.as_ref().expect("gate installed above"),
                 &endpoints,
-            );
-            if self.config.incremental_routing && self.dbf.is_some() {
-                match &mut self.pending_delta {
-                    Some(pending) => pending.merge(delta),
-                    None => self.pending_delta = Some(delta),
-                }
-                self.note_epoch_queued();
-            } else {
-                self.build_routing();
-            }
+            ))
         } else {
-            // Reference path: rebuild the whole table under the new gate.
-            let new_zones = ZoneTable::build_gated(
-                &self.topology,
-                &self.config.radio,
-                self.config.zone_radius_m,
-                self.contact_gate.as_ref(),
-            );
-            let old_zones = std::mem::replace(&mut self.zones, new_zones);
-            if self.config.incremental_routing && self.dbf.is_some() {
-                self.pending_old_zones.get_or_insert(old_zones);
-                self.pending_changed.extend(endpoints.iter().copied());
-                self.note_epoch_queued();
-            } else {
-                self.build_routing();
+            ZoneChange::Rebuilt {
+                old: self.rebuild_zones(),
+                changed: endpoints,
             }
-        }
-        for i in 0..self.protocols.len() {
-            if !self.alive[i] {
-                continue;
-            }
-            let node = NodeId::new(i as u32);
-            self.run_hook(node, SimTime::ZERO, |p, v, out| p.on_routes_rebuilt(v, out));
-        }
+        };
+        self.reroute(change);
         self.stage_next_contact();
     }
 
@@ -1599,6 +1417,17 @@ mod tests {
             incremental.routing.incremental_executions, incremental.mobility_epochs,
             "every epoch re-converges incrementally"
         );
+        // The planner and window counters stay in `RunMetrics` at fixed
+        // relations to the re-convergence count.
+        assert_eq!(
+            incremental.routing.sharded_executions,
+            incremental.routing.incremental_executions
+        );
+        assert_eq!(
+            incremental.routing.batch_windows,
+            incremental.routing.incremental_executions
+        );
+        assert_eq!(incremental.routing.epochs_coalesced, 0);
         assert_eq!(
             incremental.routing.executions,
             1 + incremental.mobility_epochs
@@ -1646,72 +1475,6 @@ mod tests {
         assert_eq!(patched, want);
     }
 
-    #[test]
-    fn batched_epochs_reconverge_once_per_window() {
-        let topo = placement::grid(5, 5, 5.0).unwrap();
-        let plan = single_source_plan(12, 3);
-        let mut config = SimConfig::paper_defaults(ProtocolKind::Spms, 11);
-        config.routing_mode = RoutingMode::Distributed;
-        config.mobility =
-            Some(spms_net::MobilityConfig::new(SimTime::from_millis(30), 0.1).unwrap());
-        let per_epoch = Simulation::run_with(config.clone(), topo.clone(), plan.clone()).unwrap();
-        config.batch_epochs = 3;
-        let batched = Simulation::run_with(config, topo, plan).unwrap();
-
-        assert!(per_epoch.mobility_epochs > 1, "epochs must fire");
-        assert_eq!(per_epoch.routing.batch_windows, per_epoch.mobility_epochs);
-        assert_eq!(per_epoch.routing.epochs_coalesced, 0);
-        assert_eq!(
-            per_epoch.routing.sharded_executions,
-            per_epoch.routing.incremental_executions
-        );
-        // Batching changes convergence pauses and therefore run pacing, so
-        // epoch counts need not match across runs — the invariants are per
-        // run: one flush per full 3-epoch window, everything else deferred.
-        assert!(batched.mobility_epochs > 1);
-        assert_eq!(
-            batched.routing.batch_windows,
-            batched.mobility_epochs / 3,
-            "one flush per full window"
-        );
-        assert_eq!(
-            batched.routing.incremental_executions,
-            batched.routing.batch_windows
-        );
-        // Every epoch either fills its window (flushes) or is coalesced;
-        // a trailing partial window stays coalesced to the end of the run.
-        assert_eq!(
-            batched.routing.epochs_coalesced,
-            batched.mobility_epochs - batched.routing.batch_windows
-        );
-        assert!(
-            batched.routing.bytes < per_epoch.routing.bytes,
-            "coalesced windows must shrink the wire cost: {} vs {}",
-            batched.routing.bytes,
-            per_epoch.routing.bytes
-        );
-        assert_eq!(batched.deliveries, batched.deliveries_expected);
-    }
-
-    #[test]
-    fn batching_applies_to_the_reference_zone_path_too() {
-        // incremental_zones = false still batches: the window keeps the
-        // zone table from its start and flushes one update_topology call.
-        let topo = placement::grid(5, 5, 5.0).unwrap();
-        let plan = single_source_plan(12, 3);
-        let mut config = SimConfig::paper_defaults(ProtocolKind::Spms, 21);
-        config.routing_mode = RoutingMode::Distributed;
-        config.incremental_zones = false;
-        config.batch_epochs = 2;
-        config.mobility =
-            Some(spms_net::MobilityConfig::new(SimTime::from_millis(30), 0.1).unwrap());
-        let m = Simulation::run_with(config, topo, plan).unwrap();
-        assert!(m.mobility_epochs > 1);
-        assert_eq!(m.routing.batch_windows, m.mobility_epochs / 2);
-        assert_eq!(m.routing.incremental_executions, m.routing.batch_windows);
-        assert_eq!(m.deliveries, m.deliveries_expected);
-    }
-
     fn silent_failure_config(seed: u64) -> SimConfig {
         let mut config = SimConfig::paper_defaults(ProtocolKind::Spms, seed);
         config.routing_mode = RoutingMode::Distributed;
@@ -1728,13 +1491,9 @@ mod tests {
 
     #[test]
     fn silent_failures_queue_liveness_deltas_into_the_window() {
-        // reconverge_on_failure = false (default): a failure used to ride
-        // out on alternative routes until the *next mobility epoch* folded
-        // it in — stale next-hops survived arbitrarily long on quiet
-        // fields. With `queue_liveness_flips` (default on) every flip emits
-        // a pure-liveness delta into the batching window, and with the
-        // default batch_epochs = 1 the window flushes immediately: no stale
-        // next-hop survives past the flip itself.
+        // Every failure and repair re-converges its zones at once, so no
+        // stale next-hop survives past the flip itself — on a quiet field
+        // it would otherwise linger until the next mobility epoch.
         let topo = placement::grid(4, 4, 5.0).unwrap();
         let config = silent_failure_config(17);
         let m = Simulation::run_with(config, topo, single_source_plan(5, 3)).unwrap();
@@ -1744,25 +1503,10 @@ mod tests {
         assert_eq!(
             m.routing.incremental_executions,
             m.mobility_epochs + m.routing.liveness_deltas,
-            "at batch_epochs = 1 every epoch and every flip flushes its own window"
+            "every epoch and every flip re-converges on its own"
         );
+        assert_eq!(m.routing.batch_windows, m.routing.incremental_executions);
         assert_eq!(m.routing.executions, 1 + m.routing.incremental_executions);
-    }
-
-    #[test]
-    fn ablating_the_liveness_queue_restores_fold_in_behavior() {
-        // queue_liveness_flips = false: the legacy model — flips ride out
-        // until the next mobility rebuild folds them in, and only mobility
-        // epochs trigger incremental executions.
-        let topo = placement::grid(4, 4, 5.0).unwrap();
-        let mut config = silent_failure_config(17);
-        config.queue_liveness_flips = false;
-        let m = Simulation::run_with(config, topo, single_source_plan(5, 3)).unwrap();
-        assert!(m.mobility_epochs > 0);
-        assert!(m.failures_injected > 0);
-        assert_eq!(m.routing.liveness_deltas, 0);
-        assert_eq!(m.routing.incremental_executions, m.mobility_epochs);
-        assert_eq!(m.routing.executions, 1 + m.mobility_epochs);
     }
 
     #[test]
@@ -1770,7 +1514,6 @@ mod tests {
         let topo = placement::grid(3, 3, 5.0).unwrap();
         let mut config = SimConfig::paper_defaults(ProtocolKind::Spms, 13);
         config.routing_mode = RoutingMode::Distributed;
-        config.reconverge_on_failure = true;
         config.failures = Some(spms_net::FailureConfig {
             mean_interarrival: SimTime::from_millis(5),
             repair_min: SimTime::from_millis(5),
@@ -1784,14 +1527,6 @@ mod tests {
             "liveness flips must trigger delta re-convergence"
         );
         assert!(m.energy.get(EnergyCategory::Routing).value() > 0.0);
-    }
-
-    #[test]
-    fn reconverge_on_failure_requires_incremental_routing() {
-        let mut config = SimConfig::paper_defaults(ProtocolKind::Spms, 1);
-        config.reconverge_on_failure = true;
-        config.incremental_routing = false;
-        assert!(config.validate().is_err());
     }
 
     #[test]
@@ -1962,7 +1697,7 @@ mod tests {
         config.churn = Some(spms_net::ChurnConfig::new(SimTime::from_millis(40), 0.25).unwrap());
         config.horizon = SimTime::from_secs(2);
         let a = Simulation::run_with(config.clone(), topo.clone(), plan.clone()).unwrap();
-        let b = Simulation::run_with(config.clone(), topo.clone(), plan.clone()).unwrap();
+        let b = Simulation::run_with(config, topo, plan).unwrap();
         assert_eq!(a, b, "churn is seeded from the master seed");
         assert!(a.adversary.churn_epochs > 0);
         assert!(
@@ -1974,15 +1709,7 @@ mod tests {
             a.routing.liveness_deltas, a.adversary.churn_epochs,
             "each cohort lands as one liveness delta"
         );
-        assert_eq!(
-            a.adversary.churn_coalesced, 0,
-            "batch_epochs = 1 always flushes"
-        );
-        // A wider batching window defers some cohorts into later flushes.
-        config.batch_epochs = 2;
-        let batched = Simulation::run_with(config, topo, plan).unwrap();
-        assert!(batched.adversary.churn_epochs > 1);
-        assert!(batched.adversary.churn_coalesced > 0);
+        assert_eq!(a.adversary.churn_coalesced, 0, "no cohort is deferred");
     }
 
     fn contact_plan(text: &str) -> spms_net::ContactPlan {

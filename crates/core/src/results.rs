@@ -23,14 +23,15 @@ pub struct RoutingCost {
     /// construction (asserted in tests). It is kept so that `RunMetrics`
     /// and fig12's planner note stay byte-identical across versions.
     pub sharded_executions: u64,
-    /// Re-convergence windows flushed by the mobility-epoch batcher
-    /// (`SimConfig::batch_epochs`). With the default window of 1 this
-    /// equals the incremental mobility re-convergences; larger windows
-    /// make it the count of *windows*, each covering several epochs.
+    /// Re-convergence windows. Every epoch and every liveness flip
+    /// re-converges on its own, so this always equals
+    /// [`RoutingCost::incremental_executions`]. It is kept so that
+    /// `RunMetrics` and fig12's planner note stay byte-identical across
+    /// versions.
     pub batch_windows: u64,
     /// Mobility epochs whose re-convergence was deferred into a later
-    /// window flush — the per-epoch exchanges the batcher saved. Zero with
-    /// the default `batch_epochs = 1`.
+    /// window. Always 0, since no epoch is deferred; kept so that
+    /// `RunMetrics` and fig12's note stay byte-identical across versions.
     pub epochs_coalesced: u64,
     /// Mobility epochs whose zone table was patched in place
     /// (`ZoneTable::apply_moves` over the spatial grid) instead of rebuilt
@@ -40,11 +41,12 @@ pub struct RoutingCost {
     /// O(k) work actually done where a full build touches all `n` rows per
     /// epoch.
     pub zone_rows_patched: u64,
-    /// Pure-liveness deltas (failures, repairs, battery deaths, churn
-    /// flips) queued into the batching window by the silent-failure fix
-    /// (`SimConfig::queue_liveness_flips`). Zero when
-    /// `reconverge_on_failure` handles flips eagerly or the fix is
-    /// ablated off.
+    /// Liveness flips (failures, repairs, battery deaths, churn cohorts)
+    /// re-converged incrementally, one delta re-convergence each. Zero
+    /// without `SimConfig::incremental_routing` in distributed mode, where
+    /// flips ride out on alternative routes until the next rebuild; the
+    /// field keeps its name so that `RunMetrics` stays byte-identical
+    /// across versions.
     pub liveness_deltas: u64,
     /// Contact-plan epochs applied (scheduled window boundaries reached).
     /// Counts *plan events*, not rows or threads: byte-identical across
@@ -106,8 +108,9 @@ pub struct AdversaryStats {
     pub churn_joins: u64,
     /// Alive nodes that left at a churn epoch.
     pub churn_leaves: u64,
-    /// Churn epochs whose liveness delta was coalesced into a later
-    /// batching-window flush instead of re-converging immediately.
+    /// Churn epochs whose re-convergence was deferred into a later
+    /// window. Always 0, since every cohort re-converges at once; kept so
+    /// that `RunMetrics` stays byte-identical across versions.
     pub churn_coalesced: u64,
 }
 

@@ -7,9 +7,9 @@
 //! a `.cp`-style text file), a [`LinkGate`] answers "is this link up right
 //! now", and a [`ContactProcess`] walks the plan's window boundaries as a
 //! precomputed timeline of [`ContactEpoch`]s for the simulation scheduler
-//! to fire — each epoch feeding the same zone-patch/delta-batching
-//! machinery mobility epochs use, so sharding, batching, and the oracle
-//! chain apply unchanged.
+//! to fire — each epoch feeding the same zone patch and routing
+//! re-convergence mobility epochs use, so sharding and the oracle chain
+//! apply unchanged.
 //!
 //! # Window semantics
 //!
@@ -200,7 +200,8 @@ impl ContactPlan {
     /// # Errors
     ///
     /// Returns a message naming the offending line on malformed records,
-    /// non-finite or negative times, self-links, or backwards windows.
+    /// non-finite or negative times, times beyond [`SimTime`]'s range
+    /// (about 1.8e10 s), self-links, or backwards windows.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut windows = Vec::new();
         for (idx, raw) in text.lines().enumerate() {
@@ -231,7 +232,17 @@ impl ContactPlan {
                         idx + 1
                     ));
                 }
-                Ok(SimTime::from_millis_f64(secs * 1e3))
+                // Past the clock's range the conversion saturates to
+                // `SimTime::MAX`, which would silently collapse the window.
+                let ms = secs * 1e3;
+                if ms * 1e6 >= SimTime::MAX.as_nanos() as f64 {
+                    return Err(format!(
+                        "line {}: {what} time {s:?} is beyond the simulation clock's \
+                         range (about 1.8e10 s)",
+                        idx + 1
+                    ));
+                }
+                Ok(SimTime::from_millis_f64(ms))
             };
             windows.push(ContactWindow {
                 a: node(fields[0], "first")?,
@@ -417,10 +428,20 @@ mod tests {
             ("0 1 -1 5\n", "non-negative"),
             ("4 4 0 5\n", "self-link"),
             ("0 1 9 5\n", "backwards"),
+            // Beyond the clock's range both ends would saturate to
+            // `SimTime::MAX` and the window would vanish, ungating the link.
+            ("0 1 2 3\n0 1 2e10 3e10\n", "line 2: start time"),
+            ("0 1 0 3e10\n", "line 1: end time"),
         ] {
             let err = ContactPlan::parse(text).unwrap_err();
             assert!(err.contains(needle), "{text:?}: {err}");
         }
+    }
+
+    #[test]
+    fn parse_keeps_far_times_within_the_clock_range() {
+        let plan = ContactPlan::parse("0 1 0 1e9\n").unwrap();
+        assert_eq!(plan.windows_for(n(0), n(1)), &[(secs(0.0), secs(1e9))]);
     }
 
     #[test]

@@ -82,53 +82,10 @@ pub struct ZoneDelta {
 }
 
 impl ZoneDelta {
-    /// A pure-liveness delta: no rows changed, but the given nodes failed,
-    /// repaired, joined, or left, so the routing layer must retire and
-    /// re-derive any state that ran through them. Merges into a batching
-    /// window like any mobility delta ([`ZoneDelta::merge`]); the engine
-    /// uses it to flush silent failures into the next re-convergence
-    /// instead of letting stale next-hops linger until a rebuild.
-    #[must_use]
-    pub fn liveness(nodes: &[NodeId]) -> Self {
-        let mut changed_nodes = nodes.to_vec();
-        changed_nodes.sort_unstable();
-        changed_nodes.dedup();
-        ZoneDelta {
-            moves: Vec::new(),
-            changed_nodes,
-        }
-    }
-
     /// Number of zone rows the patch rebuilt (out of `n` in the table).
     #[must_use]
     pub fn rows_patched(&self) -> usize {
         self.changed_nodes.len()
-    }
-
-    /// Folds a later patch's delta into this one, so several mobility
-    /// epochs can share a single routing re-convergence (the engine's
-    /// `batch_epochs` window). Move records append in event order — a node
-    /// that moved twice appears twice, each with the pre-move adjacency of
-    /// *its* move, which is exactly the stale-pair set routing must retire
-    /// — and the changed-row sets union (kept sorted and distinct).
-    pub fn merge(&mut self, later: ZoneDelta) {
-        self.moves.extend(later.moves);
-        let earlier = std::mem::take(&mut self.changed_nodes);
-        let mut a = earlier.into_iter().peekable();
-        let mut b = later.changed_nodes.into_iter().peekable();
-        while let (Some(&x), Some(&y)) = (a.peek(), b.peek()) {
-            let next = match x.cmp(&y) {
-                std::cmp::Ordering::Less => a.next(),
-                std::cmp::Ordering::Greater => b.next(),
-                std::cmp::Ordering::Equal => {
-                    b.next();
-                    a.next()
-                }
-            };
-            self.changed_nodes.extend(next);
-        }
-        self.changed_nodes.extend(a);
-        self.changed_nodes.extend(b);
     }
 }
 
@@ -720,35 +677,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_deltas_union_rows_and_keep_move_order() {
-        let mut topo = placement::grid(7, 7, 5.0).unwrap();
-        let radio = RadioProfile::mica2();
-        let mut grid = SpatialGrid::build(&topo, 20.0);
-        let mut zones = ZoneTable::build_indexed(&topo, &radio, &grid, 20.0);
-        let first = NodeId::new(24);
-        let second = NodeId::new(3);
-        topo.move_node(first, crate::Point::new(2.5, 2.5));
-        grid.move_node(first, topo.position(first));
-        let mut merged = zones.apply_moves(&topo, &radio, &grid, &[first]);
-        topo.move_node(second, crate::Point::new(27.5, 27.5));
-        grid.move_node(second, topo.position(second));
-        let later = zones.apply_moves(&topo, &radio, &grid, &[second]);
-        let union: Vec<NodeId> = {
-            let mut u = merged.changed_nodes.clone();
-            u.extend(later.changed_nodes.iter().copied());
-            u.sort_unstable();
-            u.dedup();
-            u
-        };
-        merged.merge(later);
-        assert_eq!(merged.changed_nodes, union);
-        assert!(merged.changed_nodes.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(merged.moves.len(), 2);
-        assert_eq!(merged.moves[0].node, first, "event order preserved");
-        assert_eq!(merged.moves[1].node, second);
-    }
-
-    #[test]
     fn indexed_build_over_adaptive_grids_matches_at_the_crossover_sizes() {
         // The sizes around the old n ≈ 400 crossover where the fixed-cell
         // grid lost to the all-pairs build: the adaptive grid must stay
@@ -793,32 +721,6 @@ mod tests {
         assert_eq!(zones, before);
         assert_eq!(delta.rows_patched(), 0);
         assert!(delta.moves.is_empty());
-    }
-
-    #[test]
-    fn liveness_deltas_sort_dedup_and_merge_like_moves() {
-        let d = ZoneDelta::liveness(&[NodeId::new(7), NodeId::new(2), NodeId::new(7)]);
-        assert!(d.moves.is_empty());
-        assert_eq!(d.changed_nodes, vec![NodeId::new(2), NodeId::new(7)]);
-        assert_eq!(d.rows_patched(), 2);
-        // Merging a liveness delta into a mobility delta unions rows and
-        // leaves the move records untouched.
-        let mut topo = placement::grid(7, 7, 5.0).unwrap();
-        let radio = RadioProfile::mica2();
-        let mut grid = SpatialGrid::build(&topo, 20.0);
-        let mut zones = ZoneTable::build_indexed(&topo, &radio, &grid, 20.0);
-        let moved = NodeId::new(24);
-        topo.move_node(moved, crate::Point::new(2.5, 2.5));
-        grid.move_node(moved, topo.position(moved));
-        let mut merged = zones.apply_moves(&topo, &radio, &grid, &[moved]);
-        let moves_before = merged.moves.clone();
-        let mut expect = merged.changed_nodes.clone();
-        expect.extend([NodeId::new(2), NodeId::new(48)]);
-        expect.sort_unstable();
-        expect.dedup();
-        merged.merge(ZoneDelta::liveness(&[NodeId::new(48), NodeId::new(2)]));
-        assert_eq!(merged.moves, moves_before);
-        assert_eq!(merged.changed_nodes, expect);
     }
 
     #[test]

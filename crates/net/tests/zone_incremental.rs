@@ -19,10 +19,7 @@
 //! three constantly); targeted deterministic tests below pin each case.
 
 use proptest::prelude::*;
-use spms_net::{
-    placement, MobilityEpoch, MobilityProcess, MovedZone, NodeId, Point, SpatialGrid, ZoneDelta,
-    ZoneTable,
-};
+use spms_net::{placement, MobilityEpoch, MobilityProcess, NodeId, Point, SpatialGrid, ZoneTable};
 use spms_phy::RadioProfile;
 
 /// Applies one epoch of `moves` to topology + grid and patches `zones`,
@@ -129,137 +126,6 @@ proptest! {
         }
     }
 
-    /// `ZoneDelta::merge` is associative: folding a window's epochs left
-    /// to right, or pre-merging a suffix and folding it in, produces the
-    /// same accumulated delta — so the engine may flush a batching window
-    /// at any internal boundary without changing what routing sees.
-    /// Deltas are synthesized directly (sorted changed rows, arbitrary
-    /// move records): associativity is a property of the merge itself,
-    /// not of how a patch produced its operands.
-    #[test]
-    fn merge_is_associative(
-        raw in prop::collection::vec(
-            (
-                prop::collection::vec(0u16..48, 0..6),          // changed rows
-                prop::collection::vec((0u16..48, 0u16..48), 0..3), // moves
-            ),
-            3..7,
-        ),
-    ) {
-        let deltas: Vec<ZoneDelta> = raw
-            .iter()
-            .map(|(rows, moves)| {
-                let mut changed_nodes: Vec<NodeId> =
-                    rows.iter().map(|&r| NodeId::new(u32::from(r))).collect();
-                changed_nodes.sort_unstable();
-                changed_nodes.dedup();
-                ZoneDelta {
-                    moves: moves
-                        .iter()
-                        .map(|&(node, nb)| MovedZone {
-                            node: NodeId::new(u32::from(node)),
-                            old_neighbors: if nb == node {
-                                vec![]
-                            } else {
-                                vec![NodeId::new(u32::from(nb))]
-                            },
-                        })
-                        .collect(),
-                    changed_nodes,
-                }
-            })
-            .collect();
-        for split in 1..deltas.len() {
-            // Left-fold everything one epoch at a time…
-            let mut left_to_right = deltas[0].clone();
-            for d in &deltas[1..] {
-                left_to_right.merge(d.clone());
-            }
-            // …vs pre-merging the suffix starting at `split`.
-            let mut prefix = deltas[0].clone();
-            for d in &deltas[1..split] {
-                prefix.merge(d.clone());
-            }
-            let mut suffix = deltas[split].clone();
-            for d in &deltas[split + 1..] {
-                suffix.merge(d.clone());
-            }
-            prefix.merge(suffix);
-            prop_assert_eq!(
-                &prefix,
-                &left_to_right,
-                "associativity broke at split {}",
-                split
-            );
-        }
-    }
-
-    /// Churn cohorts ride the same batching window as mobility epochs:
-    /// merging a cohort-sized liveness delta with a move delta — in either
-    /// order — unions the changed rows, preserves the move records
-    /// verbatim (a liveness flip has no pre-move adjacency to retire), and
-    /// never perturbs the patched zone table itself.
-    #[test]
-    fn liveness_cohorts_merge_into_move_windows(
-        cols in 2usize..8,
-        rows in 2usize..5,
-        radius in 8.0f64..26.0,
-        cohort_raw in prop::collection::vec(0u16..64, 0..16),
-        raw_moves in prop::collection::vec((0u16..64, 0.0f64..1.0, 0.0f64..1.0), 1..4),
-        cohort_first in any::<bool>(),
-    ) {
-        let mut topo = placement::grid(cols, rows, 5.0).unwrap();
-        let n = topo.len();
-        let radio = RadioProfile::mica2();
-        let mut grid = SpatialGrid::build(&topo, radius);
-        let mut zones = ZoneTable::build_indexed(&topo, &radio, &grid, radius);
-        let field = topo.field();
-
-        let cohort: Vec<NodeId> = cohort_raw
-            .iter()
-            .map(|&r| NodeId::new(u32::from(r) % n as u32))
-            .collect();
-        let liveness = ZoneDelta::liveness(&cohort);
-        prop_assert!(liveness.moves.is_empty());
-
-        let mut moves: Vec<(NodeId, Point)> = raw_moves
-            .iter()
-            .map(|&(node, fx, fy)| {
-                (
-                    NodeId::new(node as u32 % n as u32),
-                    Point::new(fx * field.width, fy * field.height),
-                )
-            })
-            .collect();
-        moves.sort_by_key(|&(node, _)| node);
-        moves.dedup_by_key(|&mut (node, _)| node);
-        let epoch = MobilityEpoch {
-            at: spms_kernel::SimTime::ZERO,
-            moves: moves.clone(),
-        };
-        MobilityProcess::apply_indexed(&epoch, &mut topo, &mut grid);
-        let moved: Vec<NodeId> = moves.iter().map(|&(m, _)| m).collect();
-        let move_delta = zones.apply_moves(&topo, &radio, &grid, &moved);
-        prop_assert_eq!(&zones, &ZoneTable::build(&topo, &radio, radius));
-
-        let (mut window, other) = if cohort_first {
-            (liveness.clone(), move_delta.clone())
-        } else {
-            (move_delta.clone(), liveness.clone())
-        };
-        window.merge(other);
-        prop_assert_eq!(&window.moves, &move_delta.moves, "moves must survive");
-        let mut want: Vec<NodeId> = liveness
-            .changed_nodes
-            .iter()
-            .chain(move_delta.changed_nodes.iter())
-            .copied()
-            .collect();
-        want.sort_unstable();
-        want.dedup();
-        prop_assert_eq!(&window.changed_nodes, &want, "changed rows must union");
-    }
-
     /// The same node moved over and over (the paper's ping-ponging mobile
     /// mote) never accumulates drift: each patch still lands exactly on
     /// the reference build.
@@ -278,119 +144,6 @@ proptest! {
             let dest = Point::new(fx * field.width, fy * field.height);
             apply_epoch(&mut topo, &mut grid, &mut zones, &radio, &[(m, dest)]);
             prop_assert_eq!(&zones, &ZoneTable::build(&topo, &radio, 10.0));
-        }
-    }
-}
-
-#[test]
-fn empty_and_full_cohort_liveness_deltas() {
-    // The two edge cases of the cohort path: an empty field (nobody
-    // flipped) yields the identity delta, and a full-cohort flip marks
-    // every row exactly once even when the caller reports duplicates.
-    let empty = ZoneDelta::liveness(&[]);
-    assert!(empty.moves.is_empty());
-    assert!(empty.changed_nodes.is_empty());
-    assert_eq!(empty.rows_patched(), 0);
-
-    let everyone: Vec<NodeId> = (0..16u32).map(NodeId::new).collect();
-    let twice: Vec<NodeId> = everyone.iter().chain(everyone.iter()).copied().collect();
-    let full = ZoneDelta::liveness(&twice);
-    assert_eq!(full.changed_nodes, everyone, "sorted, deduped, complete");
-    assert_eq!(full.rows_patched(), 16);
-    assert!(full.moves.is_empty(), "liveness never fabricates adjacency");
-
-    // A full-cohort flip merged over a move window keeps the move records.
-    let mut window = ZoneDelta {
-        moves: vec![MovedZone {
-            node: NodeId::new(3),
-            old_neighbors: vec![NodeId::new(2)],
-        }],
-        changed_nodes: vec![NodeId::new(2), NodeId::new(3)],
-    };
-    window.merge(full);
-    assert_eq!(window.moves.len(), 1);
-    assert_eq!(window.changed_nodes, everyone);
-}
-
-#[test]
-fn merging_empty_windows_is_the_identity() {
-    // A batching window that flushes before any move lands holds an empty
-    // delta; merging one in (from either side) must change nothing, and
-    // empty ⊕ empty stays empty.
-    let empty = || ZoneDelta {
-        moves: Vec::new(),
-        changed_nodes: Vec::new(),
-    };
-    let populated = || ZoneDelta {
-        moves: vec![MovedZone {
-            node: NodeId::new(7),
-            old_neighbors: vec![NodeId::new(2), NodeId::new(8)],
-        }],
-        changed_nodes: vec![NodeId::new(2), NodeId::new(7), NodeId::new(8)],
-    };
-    let mut left = empty();
-    left.merge(populated());
-    assert_eq!(left, populated(), "empty ⊕ d must be d");
-    let mut right = populated();
-    right.merge(empty());
-    assert_eq!(right, populated(), "d ⊕ empty must be d");
-    let mut both = empty();
-    both.merge(empty());
-    assert_eq!(both, empty(), "empty ⊕ empty must stay empty");
-}
-
-#[test]
-fn out_and_back_mover_merges_both_legs_within_one_window() {
-    // A mover that leaves its cell and returns to its origin within one
-    // batching window: the merged delta must carry BOTH move records in
-    // event order — each leg with the pre-move adjacency of *its* move,
-    // which is exactly the stale-pair set routing retires — while the
-    // patched table lands back on the original build bit for bit.
-    let mut topo = placement::grid(5, 5, 5.0).unwrap();
-    let radio = RadioProfile::mica2();
-    let mut grid = SpatialGrid::build(&topo, 10.0);
-    let mut zones = ZoneTable::build_indexed(&topo, &radio, &grid, 10.0);
-    let reference = zones.clone();
-    let m = NodeId::new(12);
-    let home = topo.position(m);
-    let away = Point::new(1.0, 1.0);
-
-    let mut window = ZoneDelta {
-        moves: Vec::new(),
-        changed_nodes: Vec::new(),
-    };
-    for dest in [away, home] {
-        let epoch = MobilityEpoch {
-            at: spms_kernel::SimTime::ZERO,
-            moves: vec![(m, dest)],
-        };
-        MobilityProcess::apply_indexed(&epoch, &mut topo, &mut grid);
-        window.merge(zones.apply_moves(&topo, &radio, &grid, &[m]));
-    }
-
-    assert_eq!(zones, reference, "out-and-back must restore the table");
-    assert_eq!(window.moves.len(), 2, "both legs must be recorded");
-    assert_eq!(window.moves[0].node, m);
-    assert_eq!(window.moves[1].node, m);
-    // Leg 1 retires the home neighbors, leg 2 the away neighbors.
-    assert_eq!(
-        window.moves[0].old_neighbors,
-        reference
-            .links(m)
-            .iter()
-            .map(|l| l.neighbor)
-            .collect::<Vec<_>>()
-    );
-    assert_ne!(
-        window.moves[0].old_neighbors, window.moves[1].old_neighbors,
-        "the two legs saw different pre-move zones"
-    );
-    // The union covers everyone either leg perturbed, sorted and distinct.
-    assert!(window.changed_nodes.windows(2).all(|w| w[0] < w[1]));
-    assert!(window.changed_nodes.contains(&m));
-    for mv in &window.moves {
-        for nb in &mv.old_neighbors {
-            assert!(window.changed_nodes.contains(nb), "missing row {nb}");
         }
     }
 }

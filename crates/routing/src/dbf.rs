@@ -598,8 +598,8 @@ impl DbfEngine {
         }
         // Batched invalidation: each touched maintainer drops its whole
         // affected-destination slice in one arena compaction instead of one
-        // shift per destination — the wipe lists grow with the batching
-        // window, the compaction cost does not.
+        // shift per destination — the wipe lists grow with the event's
+        // reach (many movers, a churn cohort), the compaction cost does not.
         let mut wipe = std::mem::take(&mut self.scratch.wipe);
         for (a, &hit) in touched.iter().enumerate() {
             if !hit || !alive[a] {

@@ -922,8 +922,9 @@ impl RoutingTable {
     /// arena; returns how many destinations were actually present. The
     /// incremental DBF's invalidation wipes whole affected-destination
     /// sets per table, where repeated [`RoutingTable::remove_dest`] calls
-    /// would shift the arena once per destination; batched windows make
-    /// those sets large enough for the difference to matter. All planes
+    /// would shift the arena once per destination; multi-node epochs and
+    /// churn cohorts make those sets large enough for the difference to
+    /// matter. All planes
     /// compact in lockstep in the SoA layout.
     pub fn remove_dests(&mut self, dests: &[NodeId]) -> usize {
         debug_assert!(

@@ -234,11 +234,10 @@ fn dbf_loops_are_bit_identical_across_layouts_169_nodes() {
         assert_matches_reference(soa, &want_tables, label);
     }
 
-    // A batched topology window: three moves merged into one delta plus
-    // two silent liveness flips — the workload of delta mode.
-    let mut delta = zones.apply_moves(&topo, &radio, &grid, &[]);
-    for (i, node) in [5u32, 84, 130].into_iter().enumerate() {
-        let node = NodeId::new(node);
+    // A multi-node topology change: three movers patched through one
+    // delta plus two silent liveness flips — the workload of delta mode.
+    let movers: Vec<NodeId> = [5u32, 84, 130].into_iter().map(NodeId::new).collect();
+    for (i, &node) in movers.iter().enumerate() {
         let field = topo.field();
         let to = Point::new(
             field.width * (0.2 + 0.3 * i as f64),
@@ -246,8 +245,8 @@ fn dbf_loops_are_bit_identical_across_layouts_169_nodes() {
         );
         topo.move_node(node, to);
         grid.move_node(node, topo.position(node));
-        delta.merge(zones.apply_moves(&topo, &radio, &grid, &[node]));
     }
+    let delta = zones.apply_moves(&topo, &radio, &grid, &movers);
     alive[40] = false;
     alive[77] = false;
     let silent = vec![NodeId::new(40), NodeId::new(77)];

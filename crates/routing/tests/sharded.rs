@@ -2,8 +2,8 @@
 //!
 //! Every property drives engines at 1, 2, 8 and 16 shards — every round
 //! inline, the smallest real pool, and two beyond-the-host widths — through
-//! random move/kill/revive sequences (with silent liveness flips and
-//! multi-epoch batching windows), in both snapshot modes:
+//! random move/kill/revive sequences (with liveness flips reported late and
+//! several events re-converged at once), in both snapshot modes:
 //!
 //! * **full** — [`DbfEngine::rebuild_sharded`] must equal the sequential
 //!   [`reference_rebuild`] bit for bit, tables *and* [`DbfStats`];
@@ -42,7 +42,7 @@ fn decode_ops(raw: &[(u8, u16, f64, f64)], n: usize) -> Vec<Op> {
         .collect()
 }
 
-/// An empty delta: what a batching window holds before any move lands.
+/// An empty delta: a re-convergence that moved nobody.
 fn empty_delta() -> ZoneDelta {
     ZoneDelta {
         moves: Vec::new(),
@@ -117,12 +117,11 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Random event sequences grouped into batching windows: moves patch
-    /// the zone table in place and merge into one `ZoneDelta`; kills and
-    /// revives stay silent until the window flushes. At every flush every
-    /// shard count — the persistent worker pool parked and rewoken across
-    /// every window — must land on the reference exactly and report the
-    /// same stats.
+    /// Random event sequences grouped into windows: movers relocate as
+    /// they come and patch the zone table through one `apply_moves` at the
+    /// window's end; kills and revives stay silent until then. At every re-convergence every shard count — the
+    /// persistent worker pool parked and rewoken across every window —
+    /// must land on the reference exactly and report the same stats.
     #[test]
     fn batched_windows_reach_bit_identical_tables_across_shard_counts(
         cols in 3usize..7,
@@ -141,10 +140,10 @@ proptest! {
         let mut alive = vec![true; n];
         let mut engines = rebuilt_engines(&zones, k, &alive)?;
 
-        // The batching window: moves merge into one delta, liveness flips
-        // wait in `silent`, and everything re-converges at the flush.
-        let mut pending = empty_delta();
-        let mut pending_moves = 0usize;
+        // The window: movers relocate now and patch the zones at the
+        // flush, liveness flips wait in `silent`, and everything
+        // re-converges at once.
+        let mut movers: Vec<NodeId> = Vec::new();
         let mut silent: Vec<NodeId> = Vec::new();
 
         for (step, op) in ops.iter().enumerate() {
@@ -154,8 +153,7 @@ proptest! {
                     let moved = NodeId::new(node as u32);
                     topo.move_node(moved, Point::new(fx * field.width, fy * field.height));
                     grid.move_node(moved, topo.position(moved));
-                    pending.merge(zones.apply_moves(&topo, &radio, &grid, &[moved]));
-                    pending_moves += 1;
+                    movers.push(moved);
                 }
                 Op::Kill(node) => {
                     alive[node] = false;
@@ -171,13 +169,15 @@ proptest! {
             if !(window_full || last) {
                 continue;
             }
-            if pending_moves == 0 && silent.is_empty() {
+            if movers.is_empty() && silent.is_empty() {
                 continue; // nothing happened since the last flush
             }
+            movers.sort_unstable();
+            movers.dedup();
             silent.sort_unstable();
             silent.dedup();
-            let delta = std::mem::replace(&mut pending, empty_delta());
-            pending_moves = 0;
+            let delta = zones.apply_moves(&topo, &radio, &grid, &movers);
+            movers.clear();
             let stats: Vec<(usize, DbfStats)> = engines
                 .iter_mut()
                 .map(|(s, e)| (*s, e.apply_zone_delta(&zones, &delta, &silent, &alive)))
@@ -189,10 +189,9 @@ proptest! {
         }
     }
 
-    /// The reference-zone batching path (`incremental_zones = false` in the
-    /// engine): the window flushes one `update_topology` call whose
-    /// `old_zones` is the table from the *window start* — several epochs
-    /// stale — with the deduped union of every mover since. Out-and-back
+    /// `update_topology` across several events at once: one call whose
+    /// `old_zones` is the table from the *window start* — several moves
+    /// stale — with the deduped union of every changed node since. Out-and-back
     /// moves and movers-meeting-movers are all in range of the random
     /// walk; every flush must land on the reference exactly at every shard
     /// count.
@@ -254,9 +253,9 @@ proptest! {
         }
     }
 
-    /// A window that is pure silence (only kills/revives, no moves) flushes
-    /// through an empty merged delta and still lands on the reference —
-    /// the degenerate batch every mobility-free failure window produces.
+    /// Liveness flips alone (only kills/revives, no moves) re-converge
+    /// through an empty delta and `also_changed`, and still land on the
+    /// reference — the degenerate delta of a mobility-free window.
     #[test]
     fn silent_windows_flush_through_an_empty_delta(
         cols in 3usize..7,

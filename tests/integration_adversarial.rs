@@ -7,14 +7,15 @@
 //!    the wall-clock knobs (table layout, DBF shards, sweep workers) still
 //!    cannot change a single byte of [`spms::RunMetrics`], including the
 //!    [`spms::AdversaryStats`] counters.
-//! 2. **Seeded proptest fuzzer** — random adversary/churn schedules drive
-//!    the incremental zone engine against the full-rebuild oracle: runs
-//!    with `incremental_zones` on and off must agree on every metric
-//!    except the zone-patch accounting itself.
+//! 2. **Seeded proptest fuzzer** — random schedules of all five semantic
+//!    knobs at once (mobility, failures, churn, adversaries, and a contact
+//!    plan) drive the incremental zone engine against the full-rebuild
+//!    oracle: runs with `incremental_zones` on and off must agree on every
+//!    metric except the zone-patch accounting itself.
 //! 3. **Minimized fuzz corpus** — fixed schedules distilled from the
-//!    fuzzer, each pinned to a distinct delta-path branch (coalesced
-//!    windows, full-cohort leave/rejoin, dormant-then-active liars,
-//!    flooding storms under sharded relaxation).
+//!    fuzzer, each pinned to a distinct delta-path branch (all five knobs
+//!    firing in one run, full-cohort leave/rejoin, dormant-then-active
+//!    liars, flooding storms under sharded relaxation).
 
 use proptest::prelude::*;
 
@@ -23,7 +24,9 @@ use spms::{
     TableLayout,
 };
 use spms_kernel::SimTime;
-use spms_net::{placement, ChurnConfig, FailureConfig, MobilityConfig};
+use spms_net::{
+    placement, ChurnConfig, ContactPlan, ContactWindow, FailureConfig, MobilityConfig, NodeId,
+};
 use spms_workloads::traffic;
 
 /// A full-featured adversarial run: distributed routing, mobility,
@@ -47,6 +50,28 @@ fn adversarial_config(seed: u64, behavior: NodeBehavior, fraction: f64) -> SimCo
     });
     config.horizon = SimTime::from_secs(2);
     config
+}
+
+/// A contact plan on the 4×4 grid `run` builds. Each `(node, down,
+/// start_ms, len_ms)` draw gates the link from `node` to its right
+/// neighbor (its lower one when `down`), wrapping around the edge, and
+/// holds it up over `[start_ms, start_ms + len_ms)`.
+fn grid_contact_plan(windows: &[(u32, bool, u64, u64)]) -> ContactPlan {
+    ContactPlan::from_windows(windows.iter().map(|&(node, down, start_ms, len_ms)| {
+        let (row, col) = (node / 4, node % 4);
+        let other = if down {
+            (row + 1) % 4 * 4 + col
+        } else {
+            row * 4 + (col + 1) % 4
+        };
+        ContactWindow {
+            a: NodeId::new(node),
+            b: NodeId::new(other),
+            start: SimTime::from_millis(start_ms),
+            end: SimTime::from_millis(start_ms + len_ms),
+        }
+    }))
+    .expect("grid links are never self-links and never run backwards")
 }
 
 fn run(config: SimConfig, seed: u64) -> RunMetrics {
@@ -129,7 +154,8 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// The robustness fuzzer: random adversary/churn schedules keep the
+    /// The robustness fuzzer: random adversary/churn schedules, layered
+    /// on mobility, failures and a random contact plan, keep the
     /// incremental zone engine bit-identical to the full-rebuild oracle,
     /// and every schedule replays byte-for-byte from its seed.
     #[test]
@@ -141,7 +167,10 @@ proptest! {
         churn_interval_ms in 30u64..120,
         attack_start_ms in 0u64..500,
         attack_factor in 1u32..4,
-        batch_epochs in 1u32..3,
+        contact_windows in prop::collection::vec(
+            (0u32..16, any::<bool>(), 0u64..1_500, 50u64..500),
+            1..4,
+        ),
     ) {
         let behavior = [
             NodeBehavior::Honest,
@@ -160,7 +189,7 @@ proptest! {
         config.churn =
             Some(ChurnConfig::new(SimTime::from_millis(churn_interval_ms), churn_fraction)
                 .unwrap());
-        config.batch_epochs = batch_epochs;
+        config.contact_plan = Some(grid_contact_plan(&contact_windows));
         let a = run(config.clone(), seed);
         let b = run(config.clone(), seed);
         prop_assert_eq!(&a, &b, "same schedule, same bytes");
@@ -176,16 +205,26 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn corpus_coalesced_windows_with_silent_droppers() {
-    // batch_epochs = 2: churn deltas land in a half-full batching window
-    // and coalesce with mobility epochs instead of flushing immediately.
+fn corpus_five_semantic_knobs_with_silent_droppers() {
+    // Every semantic knob in one schedule: mobility epochs, failures,
+    // churn cohorts, silent droppers and contact-plan flips all re-converge
+    // routing through the same engine paths within one run.
     let mut config = adversarial_config(17, NodeBehavior::SilentDropper, 0.25);
-    config.batch_epochs = 2;
+    config.contact_plan = Some(grid_contact_plan(&[
+        (5, false, 100, 400),
+        (9, true, 300, 900),
+        (2, false, 0, 250),
+    ]));
     let m = run(config.clone(), 17);
-    assert!(m.adversary.packets_dropped > 0);
+    assert!(m.mobility_epochs > 0, "mobility must fire");
+    assert!(m.failures_injected > 0, "failures must fire");
+    assert!(m.adversary.churn_epochs > 0, "churn must fire");
+    assert!(m.adversary.packets_dropped > 0, "droppers must bite");
+    assert!(m.routing.contact_epochs > 0, "the contact plan must fire");
     assert_eq!(m.adversary.bogus_advs, 0, "droppers never advertise");
-    assert!(m.adversary.churn_coalesced > 0, "windows must coalesce");
-    assert!(m.routing.epochs_coalesced > 0);
+    assert_eq!(m.adversary.churn_coalesced, 0);
+    assert_eq!(m.routing.epochs_coalesced, 0);
+    assert_eq!(m.routing.batch_windows, m.routing.incremental_executions);
     assert_matches_full_rebuild_oracle(&config, 17);
 }
 

@@ -4,11 +4,10 @@
 //! Two layers, mirroring the mobility/churn suites:
 //!
 //! 1. **Window-edge invariance.** Zero-length windows, boundaries landing
-//!    on the same timestamp as a mobility epoch flush, overlapping windows
-//!    on one link, and plans whose first window opens at `t = 0` must all
+//!    on the same timestamp as a mobility epoch, overlapping windows on
+//!    one link, and plans whose first window opens at `t = 0` must all
 //!    produce byte-identical `RunMetrics` between the incremental
-//!    zone/DBF patch path and the all-pairs full-rebuild oracle, at
-//!    `batch_epochs ∈ {1, 4}`.
+//!    zone/DBF patch path and the all-pairs full-rebuild oracle.
 //! 2. **Knob matrix.** A contact-driven run (scheduled flips layered on
 //!    mobility) must be byte-identical between the incremental and
 //!    full-rebuild oracles across every table layout × shard count
@@ -25,7 +24,7 @@ fn plan(text: &str) -> ContactPlan {
 }
 
 /// A distributed-routing config with mobility epochs every 400 ms — the
-/// flush cadence the window-edge plans below deliberately collide with.
+/// epoch cadence the window-edge plans below deliberately collide with.
 fn contact_config(seed: u64, text: &str) -> SimConfig {
     let mut config = SimConfig::paper_defaults(ProtocolKind::Spms, seed);
     config.routing_mode = RoutingMode::Distributed;
@@ -34,13 +33,12 @@ fn contact_config(seed: u64, text: &str) -> SimConfig {
     config
 }
 
-fn run(mut config: SimConfig, incremental: bool, batch_epochs: u32) -> RunMetrics {
+fn run(mut config: SimConfig, incremental: bool) -> RunMetrics {
     // `incremental_zones = false` is the all-pairs reference path; it must
     // be byte-inert. (`incremental_routing` is *not* flipped here — full
     // DBF rebuilds legitimately cost more routing bytes and pauses, which
     // feeds back into MAC contention; that knob is semantic by design.)
     config.incremental_zones = incremental;
-    config.batch_epochs = batch_epochs;
     let topo = placement::grid(4, 4, 5.0).unwrap();
     let plan = traffic::all_to_all(16, 2, SimTime::from_millis(200), config.seed).unwrap();
     Simulation::run_with(config, topo, plan).unwrap()
@@ -57,7 +55,7 @@ fn scrub_path_accounting(mut m: RunMetrics) -> RunMetrics {
 }
 
 /// The four window-edge plans the incremental path must survive, each
-/// byte-identical to the full-rebuild oracle at batch_epochs ∈ {1, 4}.
+/// byte-identical to the full-rebuild oracle.
 #[test]
 fn contact_window_edges_match_the_full_rebuild_oracle() {
     let cases: &[(&str, &str)] = &[
@@ -66,7 +64,7 @@ fn contact_window_edges_match_the_full_rebuild_oracle() {
             "0 1 0.2 0.2\n2 3 0.1 0.3\n5 6 0.45 0.45\n5 6 0.5 0.8\n",
         ),
         (
-            "window boundaries on the mobility flush timestamp",
+            "window boundaries on the mobility epoch timestamp",
             // Mobility epochs fire at 0.4 s, 0.8 s, 1.2 s, …: one link
             // closes and another opens at exactly those instants.
             "5 6 0 0.4\n5 6 0.8 1.2\n9 10 0.4 0.9\n",
@@ -81,23 +79,21 @@ fn contact_window_edges_match_the_full_rebuild_oracle() {
         ),
     ];
     for (what, text) in cases {
-        for batch_epochs in [1u32, 4] {
-            let incremental = run(contact_config(19, text), true, batch_epochs);
-            let reference = run(contact_config(19, text), false, batch_epochs);
-            assert!(
-                incremental.mobility_epochs > 0,
-                "{what}: mobility must flush during the run"
-            );
-            assert!(
-                incremental.routing.zone_patches > 0,
-                "{what}: the incremental path must actually patch"
-            );
-            assert_eq!(
-                scrub_path_accounting(incremental),
-                scrub_path_accounting(reference),
-                "{what} @ batch_epochs={batch_epochs}: incremental vs full rebuild"
-            );
-        }
+        let incremental = run(contact_config(19, text), true);
+        let reference = run(contact_config(19, text), false);
+        assert!(
+            incremental.mobility_epochs > 0,
+            "{what}: mobility must fire during the run"
+        );
+        assert!(
+            incremental.routing.zone_patches > 0,
+            "{what}: the incremental path must actually patch"
+        );
+        assert_eq!(
+            scrub_path_accounting(incremental),
+            scrub_path_accounting(reference),
+            "{what}: incremental vs full rebuild"
+        );
     }
 }
 
@@ -114,7 +110,7 @@ fn contact_runs_survive_the_full_knob_matrix() {
                 let mut config = contact_config(23, text);
                 config.table_layout = layout;
                 config.dbf_shards = shards;
-                run(config, incremental, 1)
+                run(config, incremental)
             };
             let incremental = configure(true);
             let reference = configure(false);

@@ -193,24 +193,6 @@ fn shard_count_cannot_change_full_rebuild_results() {
 }
 
 #[test]
-fn batched_windows_are_reproducible() {
-    let run = || {
-        let topo = placement::grid(5, 5, 5.0).unwrap();
-        let plan = traffic::all_to_all(25, 2, SimTime::from_millis(200), 15).unwrap();
-        let mut config = SimConfig::paper_defaults(ProtocolKind::Spms, 15);
-        config.routing_mode = RoutingMode::Distributed;
-        config.mobility = Some(MobilityConfig::new(SimTime::from_millis(150), 0.1).unwrap());
-        config.batch_epochs = 2;
-        Simulation::run_with(config, topo, plan).unwrap()
-    };
-    let a = run();
-    let b = run();
-    assert!(a.routing.batch_windows > 0);
-    assert!(a.routing.epochs_coalesced > 0);
-    assert_eq!(a, b);
-}
-
-#[test]
 fn seed_controls_every_stochastic_subsystem() {
     // Two configs differing ONLY in seed must diverge in MAC backoffs
     // (reflected in queue-wait statistics) even with no failures/mobility.

@@ -148,7 +148,7 @@ fn churn_epochs_match_all_pairs_zone_rebuilds() {
     assert!(incremental.adversary.churn_epochs > 0, "churn must fire");
     assert!(
         incremental.routing.liveness_deltas > 0,
-        "cohorts must queue"
+        "cohorts must re-converge"
     );
     let mut reference = run(false);
     reference.routing.zone_patches = incremental.routing.zone_patches;
