@@ -70,8 +70,9 @@ fn bench_dbf(c: &mut Criterion) {
 }
 
 /// The offer/lookup churn at a typical zone size (45 destinations, k = 2,
-/// repeated replace/improve offers) — the inner loop every DBF round is
-/// made of. Shared verbatim by the AoS and SoA benches so their ratio
+/// repeated replace/improve offers) — the per-offer path of full DBF
+/// rounds (delta rounds run the same block kernel on their route plane,
+/// without the table lookup). Shared verbatim by the AoS and SoA benches so their ratio
 /// isolates the arena layout.
 fn churn(table: &mut RoutingTable) -> usize {
     table.clear();

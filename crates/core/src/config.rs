@@ -467,8 +467,11 @@ impl SimConfig {
             dat_factor,
         } = self.timeout_policy
         {
-            if adv_factor <= 0.0 || dat_factor <= 0.0 {
-                return Err("timeout factors must be positive".into());
+            // A NaN or infinite factor would map τADV/τDAT to zero in
+            // `SimTime::from_millis_f64` and run at the 100 µs floor.
+            let valid = |factor: f64| factor.is_finite() && factor > 0.0;
+            if !(valid(adv_factor) && valid(dat_factor)) {
+                return Err("timeout factors must be positive and finite".into());
             }
         }
         Ok(())
@@ -498,12 +501,16 @@ mod tests {
         let mut c = SimConfig::paper_defaults(ProtocolKind::Spin, 1);
         c.k_routes = 0;
         assert!(c.validate().is_err());
-        let mut c = SimConfig::paper_defaults(ProtocolKind::Spin, 1);
-        c.timeout_policy = TimeoutPolicy::Adaptive {
-            adv_factor: 0.0,
-            dat_factor: 1.0,
-        };
-        assert!(c.validate().is_err());
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            for (adv_factor, dat_factor) in [(bad, 1.0), (1.0, bad)] {
+                let mut c = SimConfig::paper_defaults(ProtocolKind::Spin, 1);
+                c.timeout_policy = TimeoutPolicy::Adaptive {
+                    adv_factor,
+                    dat_factor,
+                };
+                assert!(c.validate().is_err(), "{adv_factor} / {dat_factor}");
+            }
+        }
         let mut c = SimConfig::paper_defaults(ProtocolKind::Spms, 1);
         c.dbf_shards = 16;
         assert!(c.validate().is_ok(), "any shard count is valid (0 = auto)");

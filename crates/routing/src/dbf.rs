@@ -18,11 +18,18 @@
 //! * **Delta** ([`DbfEngine::update_topology`] /
 //!   [`DbfEngine::invalidate_zone`] / [`DbfEngine::apply_zone_delta`]) —
 //!   real distance-vector deployments propagate triggered *deltas*, not
-//!   full vectors. The engine tracks a per-node *dirty set* of destinations
-//!   whose advertised route changed since the node's last broadcast; a
-//!   topology event invalidates only the destinations it can actually
-//!   affect, reseeds their direct routes, and re-converges with vectors
-//!   that carry only the changed entries.
+//!   full vectors. A topology event invalidates only the destinations it
+//!   can actually affect, reseeds their direct routes, and re-converges
+//!   with vectors that carry only the changed entries. While the exchange
+//!   runs, the routes to those destinations live in a dense *route plane*
+//!   rather than in the tables: one `k`-slot block per (maintainer,
+//!   affected destination) pair, numbered node-major with destinations in
+//!   ascending order. The zone scoping map holds each pair's slot id, so
+//!   one load both checks scope and finds the block. A block that changes
+//!   sets its slot's *dirty bit*: the destinations its node advertises in
+//!   the next round. After quiescence each maintainer's table drops its
+//!   affected destinations and takes the converged blocks in one in-place
+//!   merge.
 //!
 //! Each round relaxes the previous round's snapshot over contiguous
 //! receiver id ranges. There is one range, `0..n`, run inline, unless the
@@ -32,13 +39,14 @@
 //! [`WorkerPool`]. A range walks the snapshot in sender order, clips each
 //! sender's zone links to its own ids, relaxes, and then flattens its own
 //! changed nodes into its share of the next snapshot; the shares
-//! concatenate in id order. A node's table is only ever touched by the
-//! range that owns its id, and every receiver replays its vectors in sender
-//! order however the ids are cut, so tables and [`DbfStats`] are
-//! bit-identical for every shard count. Thread count can never change
-//! routing results, only wall-clock time. The sequential full rebuild
-//! [`crate::reference_rebuild`] shares no code with this loop and is the
-//! reference both modes are property-tested against.
+//! concatenate in id order. A node's table (full mode) or plane slots
+//! (delta mode) are only ever touched by the range that owns its id, and
+//! every receiver replays its vectors in sender order however the ids are
+//! cut, so tables and [`DbfStats`] are bit-identical for every shard count.
+//! Thread count can never change routing results, only wall-clock time.
+//! The sequential full rebuild [`crate::reference_rebuild`] shares no code
+//! with this loop and is the reference both modes are property-tested
+//! against.
 //!
 //! The incremental scheme leans on a structural fact of zone routing: a
 //! node only maintains destinations inside its own zone, and every relay on
@@ -51,24 +59,25 @@
 //! reaches the same fixpoint as a from-scratch rebuild — bit-for-bit, which
 //! the `incremental` proptest suite asserts.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use spms_net::{NodeId, ZoneDelta, ZoneTable};
 
-/// Minimum total relaxation load (vector entries addressed this round)
-/// before a round is cut into ranges for the persistent worker pool;
-/// lighter rounds run inline. A delta convergence tapers — the last few
-/// rounds carry a handful of entries — and even the pool's handoff (one
-/// mutex/condvar round trip, single-digit microseconds) is not worth
-/// paying to split a few hundred nanoseconds of relaxation. At ≈ 0.25 µs
-/// of relaxation per entry, 256 entries split two ways save ≈ 30 µs
-/// against ≈ 5 µs of handoff — comfortably past crossover — while the
-/// tail rounds of a convergence stay inline and overhead-free. Purely a
-/// scheduling choice: the executed relaxation is identical either way.
+/// Minimum total relaxation load (vector entries addressed to alive
+/// receivers this round, counted once per receiver) before a round is cut
+/// into ranges for the persistent worker pool; lighter rounds run inline.
+/// A delta convergence tapers — the last few rounds carry a handful of
+/// entries — and those stay inline, away from the pool's handoff (one
+/// mutex/condvar round trip, ≈ 5 µs). Replaying perfbench `mobility`'s
+/// delta exchanges (seed 42, 3 fields × 40 epochs, 2-vCPU Xeon VM) costs
+/// ≈ 0.01 µs per (entry, receiver) pair, so 256 pairs are a few µs of
+/// work, about one handoff: where splitting starts to pay is unmeasured.
+/// Purely a scheduling choice: the executed relaxation is identical
+/// either way.
 const SHARD_MIN_LOAD: u64 = 256;
 
 use crate::pool::WorkerPool;
+use crate::table::{offer_block_soa, offer_block_soa2, VACANT};
 use crate::{DbfWireFormat, RouteEntry, RoutingTable, TableLayout};
 
 /// Cost accounting for one DBF execution.
@@ -92,27 +101,228 @@ pub struct DbfStats {
 /// [`ZoneTable::in_zone`].
 const FULL: bool = true;
 
-/// Round mode of [`DbfEngine::run_rounds`]: every node sends the drained
-/// entries of its dirty set, and a receiver records each changed
-/// destination in its dirty set. Zone scoping is the affected-destination
-/// bitmap.
+/// Round mode of [`DbfEngine::run_rounds`]: every flagged node sends the
+/// best routes of its dirty plane slots, and a receiver block that changes
+/// sets its dirty bit and flags its node. Zone scoping is the scope's slot
+/// map.
 const DELTA: bool = false;
+
+/// One snapshot entry, `(key, best cost, best hops)`: the key is the
+/// destination's id in full rounds and its affected-destination index in
+/// delta rounds.
+type Entry = (u32, f64, u32);
+
+/// [`Scope::slot_of`] for a node that does not maintain the destination.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Vector entries per branch-free scope gather in a delta relaxation (a
+/// chunk's entry offsets fit a `u8`).
+const GATHER: usize = 64;
+
+/// A delta exchange's affected destinations and route-plane layout, fixed
+/// for the exchange.
+#[derive(Clone, Debug, Default)]
+struct Scope {
+    /// The affected destinations, in id order.
+    dests: Vec<NodeId>,
+    /// `slot_of[a * dests.len() + di]` — node `a`'s plane slot for affected
+    /// destination `di`, or [`NO_SLOT`] when `a` does not maintain it under
+    /// the new zones. Precomputing the zone scoping once per event turns
+    /// the per-entry check on the delta hot path into one load, which also
+    /// locates the block.
+    slot_of: Vec<u32>,
+    /// Node `a`'s slots are `row[a]..row[a + 1]`, destinations ascending.
+    row: Vec<u32>,
+    /// The affected-destination index of each slot.
+    slot_dest: Vec<u32>,
+}
+
+impl Scope {
+    /// Collects the destinations of the `affected` mask and numbers one
+    /// slot per (maintainer, affected destination) pair — the maintainers
+    /// of `d` are exactly `d`'s zone neighbors under `zones` — node-major,
+    /// destinations ascending.
+    fn lay_out(&mut self, zones: &ZoneTable, affected: &[bool]) {
+        let n = zones.len();
+        self.dests.clear();
+        self.dests.extend(
+            (0..n)
+                .filter(|&i| affected[i])
+                .map(|i| NodeId::new(i as u32)),
+        );
+        let nd = self.dests.len();
+        self.slot_of.clear();
+        self.slot_of.resize(n * nd, NO_SLOT);
+        // Count each node's slots and turn the counts into row ends ...
+        self.row.clear();
+        self.row.resize(n + 1, 0);
+        for &d in &self.dests {
+            for link in zones.links(d) {
+                self.row[link.neighbor.index()] += 1;
+            }
+        }
+        let mut end = 0;
+        for r in &mut self.row[..n] {
+            end += *r;
+            *r = end;
+        }
+        self.row[n] = end;
+        // ... then fill every row from its end, destinations descending,
+        // which leaves `row[a]` at the row's start.
+        self.slot_dest.clear();
+        self.slot_dest.resize(end as usize, 0);
+        for (di, &d) in self.dests.iter().enumerate().rev() {
+            for link in zones.links(d) {
+                let a = link.neighbor.index();
+                self.row[a] -= 1;
+                let slot = self.row[a];
+                self.slot_of[a * nd + di] = slot;
+                self.slot_dest[slot as usize] = di as u32;
+            }
+        }
+    }
+
+    /// Whether node `a` maintains `d` as an affected destination, which
+    /// makes the write-back replace its routes to `d`.
+    fn maintains(&self, a: usize, d: NodeId) -> bool {
+        self.dests
+            .binary_search(&d)
+            .is_ok_and(|di| self.slot_of[a * self.dests.len() + di] != NO_SLOT)
+    }
+}
+
+/// The delta exchange's route plane: one `k`-slot block per scope slot,
+/// best first, in the tables' SoA layout.
+#[derive(Clone, Debug, Default)]
+struct Plane {
+    /// Live routes per slot (`<= k`).
+    lens: Vec<u32>,
+    /// Per-slot change since its node's last broadcast.
+    dirty: Vec<bool>,
+    via: Vec<NodeId>,
+    cost: Vec<f64>,
+    hops: Vec<u32>,
+}
+
+impl Plane {
+    /// Empties `slots` blocks of `k` slots. Route slots past a block's
+    /// live prefix are never read, so they keep whatever they held.
+    fn reset(&mut self, slots: usize, k: usize) {
+        self.lens.clear();
+        self.lens.resize(slots, 0);
+        self.dirty.clear();
+        self.dirty.resize(slots, false);
+        self.via.resize(slots * k, VACANT.via);
+        self.cost.resize(slots * k, VACANT.cost);
+        self.hops.resize(slots * k, VACANT.hops);
+    }
+}
+
+/// The plane slots `base..base + lens.len()`, borrowed by one receiver
+/// range.
+struct PlaneMut<'a> {
+    base: usize,
+    k: usize,
+    lens: &'a mut [u32],
+    dirty: &'a mut [bool],
+    via: &'a mut [NodeId],
+    cost: &'a mut [f64],
+    hops: &'a mut [u32],
+}
+
+impl<'a> PlaneMut<'a> {
+    fn new(plane: &'a mut Plane, k: usize) -> Self {
+        PlaneMut {
+            base: 0,
+            k,
+            lens: &mut plane.lens,
+            dirty: &mut plane.dirty,
+            via: &mut plane.via,
+            cost: &mut plane.cost,
+            hops: &mut plane.hops,
+        }
+    }
+
+    /// Splits off the first `slots` slots.
+    fn split_at(self, slots: usize) -> (Self, Self) {
+        let k = self.k;
+        let (lens, lens_rest) = self.lens.split_at_mut(slots);
+        let (dirty, dirty_rest) = self.dirty.split_at_mut(slots);
+        let (via, via_rest) = self.via.split_at_mut(slots * k);
+        let (cost, cost_rest) = self.cost.split_at_mut(slots * k);
+        let (hops, hops_rest) = self.hops.split_at_mut(slots * k);
+        (
+            PlaneMut {
+                base: self.base,
+                k,
+                lens,
+                dirty,
+                via,
+                cost,
+                hops,
+            },
+            PlaneMut {
+                base: self.base + slots,
+                k,
+                lens: lens_rest,
+                dirty: dirty_rest,
+                via: via_rest,
+                cost: cost_rest,
+                hops: hops_rest,
+            },
+        )
+    }
+
+    /// Offers `route` to global slot `slot` with the tables' block kernel;
+    /// a change sets the slot's dirty bit. Returns whether the block
+    /// changed.
+    #[inline]
+    fn offer(&mut self, slot: usize, route: RouteEntry) -> bool {
+        let s = slot - self.base;
+        let k = self.k;
+        let len = self.lens[s] as usize;
+        let (changed, len) = if k == 2 {
+            let b = s * 2;
+            offer_block_soa2(
+                &mut self.via[b..b + 2],
+                &mut self.cost[b..b + 2],
+                &mut self.hops[b..b + 2],
+                len,
+                route,
+            )
+        } else {
+            let b = s * k;
+            offer_block_soa(
+                &mut self.via[b..b + k],
+                &mut self.cost[b..b + k],
+                &mut self.hops[b..b + k],
+                len,
+                route,
+            )
+        };
+        self.lens[s] = len as u32;
+        self.dirty[s] |= changed;
+        changed
+    }
+}
 
 /// Reusable buffers for the synchronous exchange, hoisted out of the round
 /// loop so steady-state inline rounds allocate nothing (a pooled round
 /// allocates only its short task list).
 #[derive(Clone, Debug, Default)]
 struct Scratch {
-    /// Full rounds: the nodes that broadcast next (every alive node in
-    /// round one, then every node whose table changed).
+    /// The nodes that broadcast next: every alive node in a full
+    /// exchange's first round, the reseeded maintainers in a delta
+    /// exchange's, then every node whose table (full) or plane slots
+    /// (delta) changed.
     flags: Vec<bool>,
     /// The round's snapshot: every entry broadcast, flattened.
-    snap_entries: Vec<(NodeId, f64, u32)>,
+    snap_entries: Vec<Entry>,
     /// `(sender, start, end)` ranges into `snap_entries`, in sender order.
     snap_from: Vec<(NodeId, u32, u32)>,
     /// Pooled rounds: each receiver range's share of the next snapshot's
     /// entries.
-    range_entries: Vec<Vec<(NodeId, f64, u32)>>,
+    range_entries: Vec<Vec<Entry>>,
     /// Pooled rounds: each receiver range's share of the next snapshot's
     /// senders (ranges relative to its own entry buffer until
     /// concatenation rebases them).
@@ -126,20 +336,12 @@ struct Scratch {
     all_alive: Vec<bool>,
     /// Membership bitmap for the affected destination set.
     affected: Vec<bool>,
-    /// The affected destinations, in id order.
-    dests: Vec<NodeId>,
-    /// Dense index of each affected destination (`u32::MAX` elsewhere).
-    dest_index: Vec<u32>,
-    /// `member[a * dests.len() + di]` — does node `a` maintain affected
-    /// destination `di` under the new zones? Precomputing the zone scoping
-    /// once per event turns the per-entry membership check on the delta
-    /// hot path into one array load instead of a binary search.
-    member: Vec<bool>,
-    /// Nodes with at least one `member` bit — the maintainers whose tables
-    /// the invalidation wipe must visit.
-    touched: Vec<bool>,
-    /// Per-maintainer wipe list, reused across maintainers.
-    wipe: Vec<NodeId>,
+    /// Delta exchanges: the affected destinations and plane layout.
+    scope: Scope,
+    /// Delta exchanges: the routes to the affected destinations.
+    plane: Plane,
+    /// Write-back destination list, reused across maintainers.
+    row_dests: Vec<NodeId>,
 }
 
 /// The distributed Bellman-Ford engine: one routing table per node.
@@ -162,10 +364,6 @@ struct Scratch {
 #[derive(Debug)]
 pub struct DbfEngine {
     tables: Vec<RoutingTable>,
-    /// Per-node destinations whose table entries changed since the node's
-    /// last broadcast — the triggered-update ("delta") state. Empty at every
-    /// public entry and convergence point.
-    dirty: Vec<BTreeSet<NodeId>>,
     k: usize,
     /// The most receiver ranges a heavy round is cut into; `1` runs every
     /// round inline. Bit-identical for every value.
@@ -188,7 +386,6 @@ impl Clone for DbfEngine {
     fn clone(&self) -> Self {
         DbfEngine {
             tables: self.tables.clone(),
-            dirty: self.dirty.clone(),
             k: self.k,
             shards: self.shards,
             pool: None,
@@ -208,7 +405,6 @@ impl DbfEngine {
     pub fn new(zones: &ZoneTable, k: usize) -> Self {
         let mut engine = DbfEngine {
             tables: (0..zones.len()).map(|_| RoutingTable::new(k)).collect(),
-            dirty: vec![BTreeSet::new(); zones.len()],
             k,
             shards: 1,
             pool: None,
@@ -357,8 +553,8 @@ impl DbfEngine {
 
     /// Consumes the engine, yielding all tables indexed by node — a final
     /// snapshot for analysis. This ends the engine's life on purpose: the
-    /// tables leave the incremental machinery (dirty sets, scratch) behind,
-    /// so they must not be fed back into another exchange.
+    /// tables leave the incremental machinery (route plane, scratch)
+    /// behind, so they must not be fed back into another exchange.
     #[must_use]
     pub fn into_tables(self) -> Vec<RoutingTable> {
         self.tables
@@ -424,10 +620,6 @@ impl DbfEngine {
         let n = new_zones.len();
         assert_eq!(old_zones.len(), n, "zone table length mismatch");
         assert_eq!(alive.len(), n, "alive mask length mismatch");
-        debug_assert!(
-            self.dirty.iter().all(BTreeSet::is_empty),
-            "every exchange drains the dirty sets"
-        );
 
         // Affected destinations: each changed node and everything adjacent
         // to it before or after the event.
@@ -443,13 +635,8 @@ impl DbfEngine {
                 affected[link.neighbor.index()] = true;
             }
         }
-        let mut dests = std::mem::take(&mut self.scratch.dests);
-        dests.clear();
-        dests.extend(
-            (0..n)
-                .filter(|&i| affected[i])
-                .map(|i| NodeId::new(i as u32)),
-        );
+        self.scratch.scope.lay_out(new_zones, &affected);
+        self.scratch.affected = affected;
 
         // A changed node that is down holds no routes at all.
         for &c in changed {
@@ -460,18 +647,16 @@ impl DbfEngine {
 
         // Old maintainers may hold routes the new adjacency no longer
         // justifies: wipe the affected destinations at their *old* zone
-        // neighbors first; the shared tail handles the new-adjacency wipe
-        // and reseed.
-        for &d in &dests {
+        // neighbors, unless the write-back replaces those routes anyway.
+        let scope = &self.scratch.scope;
+        for &d in &scope.dests {
             for link in old_zones.links(d) {
                 let a = link.neighbor.index();
-                if alive[a] {
+                if alive[a] && !scope.maintains(a, d) {
                     self.tables[a].remove_dest(d);
                 }
             }
         }
-        self.scratch.affected = affected;
-        self.scratch.dests = dests;
 
         self.reconverge_affected(new_zones, alive)
     }
@@ -501,10 +686,6 @@ impl DbfEngine {
     ) -> DbfStats {
         let n = zones.len();
         assert_eq!(alive.len(), n, "alive mask length mismatch");
-        debug_assert!(
-            self.dirty.iter().all(BTreeSet::is_empty),
-            "every exchange drains the dirty sets"
-        );
 
         // Affected destinations: the patch already rebuilt the rows of
         // every moved node and everyone inside its old or new zone —
@@ -522,13 +703,8 @@ impl DbfEngine {
                 affected[link.neighbor.index()] = true;
             }
         }
-        let mut dests = std::mem::take(&mut self.scratch.dests);
-        dests.clear();
-        dests.extend(
-            (0..n)
-                .filter(|&i| affected[i])
-                .map(|i| NodeId::new(i as u32)),
-        );
+        self.scratch.scope.lay_out(zones, &affected);
+        self.scratch.affected = affected;
 
         // A changed node that is down holds no routes at all.
         for c in delta
@@ -546,82 +722,45 @@ impl DbfEngine {
         // for non-moved pairs the old and new maintainer sets coincide
         // (their mutual distances did not change), so the only stale state
         // the new table cannot name is between a moved node and its
-        // pre-move neighbors — exactly what the delta recorded.
+        // pre-move neighbors — exactly what the delta recorded. Pairs the
+        // write-back replaces are skipped.
+        let scope = &self.scratch.scope;
         for mv in &delta.moves {
             let m = mv.node.index();
             for &a in &mv.old_neighbors {
-                if alive[a.index()] {
+                if alive[a.index()] && !scope.maintains(a.index(), mv.node) {
                     self.tables[a.index()].remove_dest(mv.node);
                 }
-                if alive[m] {
+                if alive[m] && !scope.maintains(m, a) {
                     self.tables[m].remove_dest(a);
                 }
             }
         }
-        self.scratch.affected = affected;
-        self.scratch.dests = dests;
 
         self.reconverge_affected(zones, alive)
     }
 
-    /// Shared tail of the incremental paths. Expects the affected
-    /// destination set in `scratch.affected`/`scratch.dests` (and any
-    /// old-adjacency wipes already done): wipes every maintainer's routes
-    /// to the affected destinations under the **new** adjacency, reseeds
-    /// the surviving direct routes, precomputes the delta-round zone
-    /// scoping, and re-converges with delta rounds.
+    /// Shared tail of the incremental paths. Expects `scratch.scope` laid
+    /// out under the **new** zones (and any old-adjacency wipes already
+    /// done): empties every plane block, reseeds the surviving direct
+    /// routes into the plane, re-converges with delta rounds, and writes
+    /// the converged blocks back. The write-back replaces each alive
+    /// maintainer's routes to its affected destinations in one merge, so
+    /// the tables are never wiped separately; no exchange step reads those
+    /// routes from the tables.
     fn reconverge_affected(&mut self, zones: &ZoneTable, alive: &[bool]) -> DbfStats {
         let n = zones.len();
-        let dests = std::mem::take(&mut self.scratch.dests);
-        // Precompute the zone scoping first: every entry the delta exchange
-        // carries targets an affected destination, so one dense
-        // (node × affected-dest) bitmap replaces the per-entry `in_zone`
-        // lookup; self-links are absent by construction, which also
-        // subsumes the `dest == at` skip. The same bitmap doubles as the
-        // wipe plan — maintainers of `d` are exactly `d`'s zone neighbors.
-        let nd = dests.len();
-        let mut dest_index = std::mem::take(&mut self.scratch.dest_index);
-        dest_index.clear();
-        dest_index.resize(n, u32::MAX);
-        let mut member = std::mem::take(&mut self.scratch.member);
-        member.clear();
-        member.resize(n * nd, false);
-        let mut touched = std::mem::take(&mut self.scratch.touched);
-        touched.clear();
-        touched.resize(n, false);
-        for (di, &d) in dests.iter().enumerate() {
-            dest_index[d.index()] = di as u32;
-            for link in zones.links(d) {
-                member[link.neighbor.index() * nd + di] = true;
-                touched[link.neighbor.index()] = true;
-            }
-        }
-        // Batched invalidation: each touched maintainer drops its whole
-        // affected-destination slice in one arena compaction instead of one
-        // shift per destination — the wipe lists grow with the event's
-        // reach (many movers, a churn cohort), the compaction cost does not.
-        let mut wipe = std::mem::take(&mut self.scratch.wipe);
-        for (a, &hit) in touched.iter().enumerate() {
-            if !hit || !alive[a] {
-                continue;
-            }
-            wipe.clear();
-            let base = a * nd;
-            wipe.extend(
-                dests
-                    .iter()
-                    .enumerate()
-                    .filter(|&(di, _)| member[base + di])
-                    .map(|(_, &d)| d),
-            );
-            self.tables[a].remove_dests(&wipe);
-        }
-        self.scratch.wipe = wipe;
-        self.scratch.touched = touched;
+        let k = self.k;
+        let s = &mut self.scratch;
+        s.plane.reset(s.scope.slot_dest.len(), k);
+        s.flags.clear();
+        s.flags.resize(n, false);
         // Reseed the surviving direct routes. Link weights are symmetric
         // (shared radio profile), so the d→a weight doubles as a's direct
         // cost to d.
-        for &d in &dests {
+        let nd = s.scope.dests.len();
+        let mut plane = PlaneMut::new(&mut s.plane, k);
+        for (di, &d) in s.scope.dests.iter().enumerate() {
             if !alive[d.index()] {
                 continue; // nobody routes to a dead destination
             }
@@ -630,35 +769,55 @@ impl DbfEngine {
                 if !alive[a] {
                     continue;
                 }
-                if self.tables[a].offer(
-                    d,
-                    RouteEntry {
-                        via: d,
-                        cost: link.weight,
-                        hops: 1,
-                    },
-                ) {
-                    self.dirty[a].insert(d);
+                let direct = RouteEntry {
+                    via: d,
+                    cost: link.weight,
+                    hops: 1,
+                };
+                if plane.offer(s.scope.slot_of[a * nd + di] as usize, direct) {
+                    s.flags[a] = true;
                 }
             }
         }
-        self.scratch.dests = dests;
-        self.scratch.dest_index = dest_index;
-        self.scratch.member = member;
 
-        self.run_rounds::<DELTA>(zones, alive)
+        let stats = self.run_rounds::<DELTA>(zones, alive);
+
+        // Write back: every alive maintainer trades its routes to its
+        // affected destinations for the converged blocks.
+        let s = &mut self.scratch;
+        for (a, row) in s.scope.row.windows(2).enumerate() {
+            let (lo, hi) = (row[0] as usize, row[1] as usize);
+            if lo == hi || !alive[a] {
+                continue;
+            }
+            s.row_dests.clear();
+            s.row_dests.extend(
+                s.scope.slot_dest[lo..hi]
+                    .iter()
+                    .map(|&di| s.scope.dests[di as usize]),
+            );
+            self.tables[a].splice(
+                &s.row_dests,
+                &s.plane.lens[lo..hi],
+                &s.plane.via[lo * k..hi * k],
+                &s.plane.cost[lo * k..hi * k],
+                &s.plane.hops[lo * k..hi * k],
+            );
+        }
+        stats
     }
 
     /// The DBF round loop, run to quiescence in mode [`FULL`] or
     /// [`DELTA`]. Each round relaxes the current snapshot over the planned
-    /// receiver ranges, then flattens each range's changed nodes into the
+    /// receiver ranges, then flattens each range's flagged nodes into the
     /// next snapshot: inline, straight into the snapshot buffers, for one
     /// range; on the worker pool, into per-range buffers concatenated in
     /// id order, for more. It starts from an empty snapshot, so its first
     /// pass only flattens round one's broadcasters: every alive node in
-    /// full mode (`flags` = `alive`), the reseeded dirty sets in delta
-    /// mode. The exchange quiesces after a round in which no node had
-    /// anything to send (counted: the final silent round).
+    /// full mode (`flags` = `alive`), the maintainers
+    /// [`DbfEngine::reconverge_affected`] reseeded in delta mode. The
+    /// exchange quiesces after a round in which no node had anything to
+    /// send (counted: the final silent round).
     fn run_rounds<const MODE: bool>(&mut self, zones: &ZoneTable, alive: &[bool]) -> DbfStats {
         let n = zones.len();
         assert_eq!(alive.len(), n, "alive mask length mismatch");
@@ -668,11 +827,9 @@ impl DbfEngine {
             ..DbfStats::default()
         };
         let mut s = std::mem::take(&mut self.scratch);
-        s.flags.clear();
         if MODE == FULL {
+            s.flags.clear();
             s.flags.extend_from_slice(alive);
-        } else {
-            s.flags.resize(n, false);
         }
         s.snap_entries.clear();
         s.snap_from.clear();
@@ -694,22 +851,21 @@ impl DbfEngine {
                 alive,
                 entries: &s.snap_entries,
                 from: &s.snap_from,
-                member: &s.member,
-                dest_index: &s.dest_index,
-                nd: s.dests.len(),
+                scope: &s.scope,
             };
+            let mut plane = PlaneMut::new(&mut s.plane, self.k);
             let had = if ranges == 1 {
                 let mut range = RangeTask {
                     lo: 0,
-                    tables: &mut self.tables,
-                    dirty: &mut self.dirty,
                     flags: &mut s.flags,
+                    tables: &mut self.tables,
+                    plane,
                 };
                 relax_range::<MODE>(&round, &mut range);
                 // Relaxation has read the snapshot: flatten over it.
                 s.snap_entries.clear();
                 s.snap_from.clear();
-                flatten_range::<MODE>(alive, &mut range, &mut s.snap_entries, &mut s.snap_from)
+                flatten_range::<MODE>(&s.scope, &mut range, &mut s.snap_entries, &mut s.snap_from)
             } else {
                 let pool = self.pool();
                 if s.range_entries.len() < ranges {
@@ -718,7 +874,6 @@ impl DbfEngine {
                 }
                 let mut tasks = Vec::with_capacity(ranges);
                 let mut tables = self.tables.as_mut_slice();
-                let mut dirty = self.dirty.as_mut_slice();
                 let mut flags = s.flags.as_mut_slice();
                 for ((w, entries), from) in s
                     .bounds
@@ -728,16 +883,22 @@ impl DbfEngine {
                 {
                     let len = w[1] - w[0];
                     let (tables_mine, tables_rest) = std::mem::take(&mut tables).split_at_mut(len);
-                    let (dirty_mine, dirty_rest) = std::mem::take(&mut dirty).split_at_mut(len);
                     let (flags_mine, flags_rest) = std::mem::take(&mut flags).split_at_mut(len);
                     tables = tables_rest;
-                    dirty = dirty_rest;
                     flags = flags_rest;
+                    // Full rounds leave the plane alone.
+                    let slots = if MODE == FULL {
+                        0
+                    } else {
+                        (s.scope.row[w[1]] - s.scope.row[w[0]]) as usize
+                    };
+                    let (plane_mine, plane_rest) = plane.split_at(slots);
+                    plane = plane_rest;
                     let range = RangeTask {
                         lo: w[0],
-                        tables: tables_mine,
-                        dirty: dirty_mine,
                         flags: flags_mine,
+                        tables: tables_mine,
+                        plane: plane_mine,
                     };
                     entries.clear();
                     from.clear();
@@ -745,9 +906,10 @@ impl DbfEngine {
                 }
                 // A range flattens as soon as its own relaxation is done,
                 // while other ranges may still be reading the snapshot.
+                let scope = &s.scope;
                 pool.run(&mut tasks, |(range, entries, from, had)| {
                     relax_range::<MODE>(&round, range);
-                    *had = flatten_range::<MODE>(alive, range, entries, from);
+                    *had = flatten_range::<MODE>(scope, range, entries, from);
                 });
                 let had = tasks.iter().any(|task| task.3);
                 drop(tasks);
@@ -831,24 +993,22 @@ struct Round<'a> {
     zones: &'a ZoneTable,
     alive: &'a [bool],
     /// The round's snapshot entries.
-    entries: &'a [(NodeId, f64, u32)],
+    entries: &'a [Entry],
     /// The round's `(sender, start, end)` ranges, in sender order.
     from: &'a [(NodeId, u32, u32)],
-    /// Delta rounds: the affected-destination scoping bitmap.
-    member: &'a [bool],
-    /// Delta rounds: each affected destination's column in `member`.
-    dest_index: &'a [u32],
-    /// Delta rounds: the number of affected destinations.
-    nd: usize,
+    /// Delta rounds: the exchange's scoping and plane layout.
+    scope: &'a Scope,
 }
 
-/// One receiver range `lo..lo + tables.len()` of a round: its disjoint
+/// One receiver range `lo..lo + flags.len()` of a round: its disjoint
 /// slices of the per-node state.
 struct RangeTask<'a> {
     lo: usize,
-    tables: &'a mut [RoutingTable],
-    dirty: &'a mut [BTreeSet<NodeId>],
     flags: &'a mut [bool],
+    /// Full rounds relax into the range's tables.
+    tables: &'a mut [RoutingTable],
+    /// Delta rounds relax into the range's plane slots.
+    plane: PlaneMut<'a>,
 }
 
 /// Relaxes every vector of the round's snapshot at the range's receivers.
@@ -859,7 +1019,8 @@ struct RangeTask<'a> {
 /// keeping the mode test out of the per-entry loop.
 fn relax_range<const MODE: bool>(round: &Round<'_>, t: &mut RangeTask<'_>) {
     let lo = t.lo;
-    let hi = lo + t.tables.len();
+    let hi = lo + t.flags.len();
+    let nd = round.scope.dests.len();
     for &(from, start, end) in round.from {
         let entries = &round.entries[start as usize..end as usize];
         let links = round.zones.links(from);
@@ -871,34 +1032,52 @@ fn relax_range<const MODE: bool>(round: &Round<'_>, t: &mut RangeTask<'_>) {
                 continue;
             }
             let off = to.index() - lo;
-            let table = &mut t.tables[off];
-            let base = to.index() * round.nd;
-            // Vectors carry their destinations in ascending id order, so
-            // each one replays through one ascending offer cursor.
-            let mut cursor = 0usize;
-            for &(dest, cost, hops) in entries {
-                // Zone scoping: `to` only maintains destinations in its own
-                // zone. Every delta entry targets an affected destination,
-                // so there it is one bitmap load (self-routes are excluded
-                // because a node never links to itself).
-                let in_scope = if MODE == FULL {
-                    dest != to && round.zones.in_zone(to, dest)
-                } else {
-                    round.member[base + round.dest_index[dest.index()] as usize]
-                };
-                if !in_scope {
-                    continue;
-                }
-                let route = RouteEntry {
-                    via: from,
-                    cost: link.weight + cost,
-                    hops: hops + 1,
-                };
-                if table.offer_ascending(dest, route, &mut cursor) {
-                    if MODE == FULL {
+            if MODE == FULL {
+                let table = &mut t.tables[off];
+                // Vectors carry their destinations in ascending id order,
+                // so each one replays through one ascending offer cursor.
+                let mut cursor = 0usize;
+                for &(dest, cost, hops) in entries {
+                    let dest = NodeId::new(dest);
+                    // Zone scoping: `to` only maintains destinations in
+                    // its own zone.
+                    if dest == to || !round.zones.in_zone(to, dest) {
+                        continue;
+                    }
+                    let route = RouteEntry {
+                        via: from,
+                        cost: link.weight + cost,
+                        hops: hops + 1,
+                    };
+                    if table.offer_ascending(dest, route, &mut cursor) {
                         t.flags[off] = true;
-                    } else {
-                        t.dirty[off].insert(dest);
+                    }
+                }
+            } else {
+                // Zone scoping and block lookup in one load from `to`'s row
+                // of the slot map (a node never links to itself, so
+                // self-routes have no slot). About a third of the entries
+                // fall outside `to`'s zone in no pattern a branch predictor
+                // learns, so each chunk first gathers its in-scope entries
+                // without branching and then offers only those.
+                let slots = &round.scope.slot_of[to.index() * nd..(to.index() + 1) * nd];
+                for chunk in entries.chunks(GATHER) {
+                    let mut hits = [0u8; GATHER];
+                    let mut len = 0;
+                    for (i, &(di, _, _)) in chunk.iter().enumerate() {
+                        hits[len] = i as u8;
+                        len += usize::from(slots[di as usize] != NO_SLOT);
+                    }
+                    for &i in &hits[..len] {
+                        let (di, cost, hops) = chunk[usize::from(i)];
+                        let route = RouteEntry {
+                            via: from,
+                            cost: link.weight + cost,
+                            hops: hops + 1,
+                        };
+                        if t.plane.offer(slots[di as usize] as usize, route) {
+                            t.flags[off] = true;
+                        }
                     }
                 }
             }
@@ -906,47 +1085,37 @@ fn relax_range<const MODE: bool>(round: &Round<'_>, t: &mut RangeTask<'_>) {
     }
 }
 
-/// Appends the broadcasts of the range's changed nodes, in id order, to
+/// Appends the broadcasts of the range's flagged nodes, in id order, to
 /// `entries` / `from` (the next snapshot or the range's share of it) and
 /// resets their change state. Returns whether any node had something to
 /// send.
 fn flatten_range<const MODE: bool>(
-    alive: &[bool],
+    scope: &Scope,
     t: &mut RangeTask<'_>,
-    entries: &mut Vec<(NodeId, f64, u32)>,
+    entries: &mut Vec<Entry>,
     from: &mut Vec<(NodeId, u32, u32)>,
 ) -> bool {
     let mut had = false;
-    for off in 0..t.tables.len() {
+    for off in 0..t.flags.len() {
+        // Only alive nodes are ever flagged. A flagged node sends its whole
+        // vector, empty or not, in full mode, and its dirty slots' best
+        // routes in delta mode — at least one, as plane blocks only gain
+        // routes during an exchange.
+        if !std::mem::take(&mut t.flags[off]) {
+            continue;
+        }
+        had = true;
         let i = t.lo + off;
         let start = entries.len() as u32;
         if MODE == FULL {
-            // Only alive nodes are ever flagged; a flagged node sends its
-            // whole vector, empty or not.
-            if !std::mem::take(&mut t.flags[off]) {
-                continue;
-            }
-            had = true;
             t.tables[off].append_vector(entries);
         } else {
-            let dirty = &mut t.dirty[off];
-            if dirty.is_empty() {
-                continue;
-            }
-            had = true;
-            if alive[i] {
-                let table = &t.tables[off];
-                entries.extend(
-                    dirty
-                        .iter()
-                        .filter_map(|&d| table.best(d).map(|e| (d, e.cost, e.hops))),
-                );
-            }
-            dirty.clear();
-            // A dead or all-withdrawn delta has nothing to say: its
-            // neighbors were invalidated by the same event.
-            if entries.len() as u32 == start {
-                continue;
+            let p = &mut t.plane;
+            for slot in scope.row[i] as usize..scope.row[i + 1] as usize {
+                let s = slot - p.base;
+                if std::mem::take(&mut p.dirty[s]) {
+                    entries.push((scope.slot_dest[slot], p.cost[s * p.k], p.hops[s * p.k]));
+                }
             }
         }
         from.push((NodeId::new(i as u32), start, entries.len() as u32));
@@ -1285,7 +1454,7 @@ mod tests {
         assert_eq!(got, want);
         assert_tables_match(&dbf, &want_tables, "stale rebuild");
         // And the engine is cleanly converged: nothing left to say.
-        assert!(dbf.dirty.iter().all(BTreeSet::is_empty));
+        assert!(dbf.scratch.flags.iter().all(|&flag| !flag));
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub struct RouteEntry {
 
 /// Unoccupied arena slot. Never observable through the public API: only the
 /// first `lens[i]` slots of a destination's `k`-slot block are live.
-const VACANT: RouteEntry = RouteEntry {
+pub(crate) const VACANT: RouteEntry = RouteEntry {
     via: NodeId::new(u32::MAX),
     cost: f64::INFINITY,
     hops: u32::MAX,
@@ -251,15 +251,16 @@ impl Arena {
         }
     }
 
-    fn truncate(&mut self, n: usize) {
+    /// Truncates or extends (with vacant slots) to `n` slots.
+    fn resize(&mut self, n: usize) {
         match self {
-            Arena::Aos { slots } => slots.truncate(n),
+            Arena::Aos { slots } => slots.resize(n, VACANT),
             Arena::Soa {
                 via, cost, hops, ..
             } => {
-                via.truncate(n);
-                cost.truncate(n);
-                hops.truncate(n);
+                via.resize(n, VACANT.via);
+                cost.resize(n, VACANT.cost);
+                hops.resize(n, VACANT.hops);
             }
         }
     }
@@ -346,8 +347,9 @@ fn offer_block_aos(block: &mut [RouteEntry], len: usize, entry: RouteEntry) -> (
 /// reads only the `u32` next-hop plane; the rank pass compares against the
 /// contiguous `f64` cost strip. Each arm mirrors its AoS counterpart's
 /// exact rank semantics (full count vs first-non-less early exit) so the
-/// two layouts stay bit-identical.
-fn offer_block_soa(
+/// two layouts stay bit-identical. The delta DBF exchange runs it on its
+/// own route plane, too.
+pub(crate) fn offer_block_soa(
     via: &mut [NodeId],
     cost: &mut [f64],
     hops: &mut [u32],
@@ -419,7 +421,7 @@ fn offer_block_soa(
 /// — same existing-via scan, same asymmetric rank rules, same rotations —
 /// which the layout differential suite pins against the AoS oracle.
 #[inline(always)]
-fn offer_block_soa2(
+pub(crate) fn offer_block_soa2(
     via: &mut [NodeId],
     cost: &mut [f64],
     hops: &mut [u32],
@@ -625,7 +627,7 @@ impl RoutingTable {
             }
         }
         self.arena = next;
-        self.rebuild_slot_index();
+        self.reindex(&[]);
     }
 
     /// Index of `dest` in the arena, if present. The SoA arena answers from
@@ -835,21 +837,23 @@ impl RoutingTable {
 
     /// Appends `(dest, best_cost, best_hops)` for every destination to
     /// `out` — the whole-table flattening the DBF snapshot loops use to
-    /// build full distance vectors. In the SoA layout this walks the cost
-    /// and hops planes directly (stride `k`) without materializing
-    /// `RouteEntry` values; in AoS it reads the first slot per block.
-    pub fn append_vector(&self, out: &mut Vec<(NodeId, f64, u32)>) {
+    /// build full distance vectors. The destination is stored as any type
+    /// built from its raw id (`NodeId` or a bare `u32`). In the SoA layout
+    /// this walks the cost and hops planes directly (stride `k`) without
+    /// materializing `RouteEntry` values; in AoS it reads the first slot
+    /// per block.
+    pub fn append_vector<D: From<u32>>(&self, out: &mut Vec<(D, f64, u32)>) {
         let k = self.k;
         match &self.arena {
             Arena::Aos { slots } => out.extend(self.dests.iter().enumerate().map(|(p, &d)| {
                 let e = slots[p * k];
-                (d, e.cost, e.hops)
+                (D::from(d.raw()), e.cost, e.hops)
             })),
             Arena::Soa { cost, hops, .. } => out.extend(
                 self.dests
                     .iter()
                     .enumerate()
-                    .map(|(p, &d)| (d, cost[p * k], hops[p * k])),
+                    .map(|(p, &d)| (D::from(d.raw()), cost[p * k], hops[p * k])),
             ),
         }
     }
@@ -919,17 +923,89 @@ impl RoutingTable {
 
     /// Removes every route to each destination in `dests` — which must be
     /// sorted ascending and distinct — in **one** compaction pass over the
-    /// arena; returns how many destinations were actually present. The
-    /// incremental DBF's invalidation wipes whole affected-destination
-    /// sets per table, where repeated [`RoutingTable::remove_dest`] calls
-    /// would shift the arena once per destination; multi-node epochs and
-    /// churn cohorts make those sets large enough for the difference to
-    /// matter. All planes
-    /// compact in lockstep in the SoA layout.
+    /// arena; returns how many destinations were actually present.
+    /// Repeated [`RoutingTable::remove_dest`] calls would shift the arena
+    /// once per destination. All planes compact in lockstep in the SoA
+    /// layout. The incremental DBF's write-back runs the same compaction
+    /// before merging in its converged routes.
     pub fn remove_dests(&mut self, dests: &[NodeId]) -> usize {
+        let kept = self.compact_out(dests);
+        let removed = self.dests.len() - kept;
+        self.resize_rows(kept);
+        if removed > 0 {
+            self.reindex(dests);
+        }
+        removed
+    }
+
+    /// Replaces the routes to each destination in `dests` — sorted
+    /// ascending and distinct — with the matching block of the given
+    /// planes: destination `dests[i]` gets the `lens[i]` live routes at
+    /// `via`/`cost`/`hops[i * k..]`, best first, and ends absent when
+    /// `lens[i]` is zero. Equivalent to [`RoutingTable::remove_dests`]
+    /// followed by offering each block's routes, in one in-place merge:
+    /// the surviving rows compact down, then the merge runs from the back.
+    /// Allocates nothing once the table has held as many rows.
+    pub(crate) fn splice(
+        &mut self,
+        dests: &[NodeId],
+        lens: &[u32],
+        via: &[NodeId],
+        cost: &[f64],
+        hops: &[u32],
+    ) {
+        let k = self.k;
+        debug_assert!(
+            lens.len() == dests.len()
+                && [via.len(), cost.len(), hops.len()] == [dests.len() * k; 3],
+            "one k-slot block per destination"
+        );
+        let kept = self.compact_out(dests);
+        let added = lens.iter().filter(|&&l| l > 0).count();
+        self.resize_rows(kept + added);
+        // Merge from the back: a surviving row only ever moves up, into a
+        // row the merge has already passed.
+        let mut old = kept;
+        let mut new = dests.len();
+        for w in (0..kept + added).rev() {
+            while new > 0 && lens[new - 1] == 0 {
+                new -= 1;
+            }
+            if new > 0 && (old == 0 || dests[new - 1] > self.dests[old - 1]) {
+                new -= 1;
+                let len = lens[new] as usize;
+                self.dests[w] = dests[new];
+                self.lens[w] = len as u32;
+                for i in 0..len {
+                    let at = new * k + i;
+                    self.arena.write(
+                        w * k + i,
+                        RouteEntry {
+                            via: via[at],
+                            cost: cost[at],
+                            hops: hops[at],
+                        },
+                    );
+                }
+            } else {
+                old -= 1;
+                if old != w {
+                    self.dests[w] = self.dests[old];
+                    self.lens[w] = self.lens[old];
+                    self.arena.copy_block(old * k, w * k, k);
+                }
+            }
+        }
+        self.reindex(dests);
+    }
+
+    /// Compacts the rows of every destination not in `dests` (sorted
+    /// ascending, distinct) to the front, in order, and returns how many
+    /// there are. Rows past that count are stale until resized away.
+    fn compact_out(&mut self, dests: &[NodeId]) -> usize {
         debug_assert!(
             dests.windows(2).all(|w| w[0] < w[1]),
-            "remove_dests needs a sorted, distinct destination set"
+            "the destination set must be sorted and distinct"
         );
         let k = self.k;
         let mut kept = 0usize;
@@ -949,28 +1025,36 @@ impl RoutingTable {
             }
             kept += 1;
         }
-        let removed = self.dests.len() - kept;
-        self.dests.truncate(kept);
-        self.lens.truncate(kept);
-        self.arena.truncate(kept * k);
-        if removed > 0 {
-            self.rebuild_slot_index();
-        }
-        removed
+        kept
     }
 
-    /// Rebuilds the SoA destination index plane from the destination vector
-    /// (no-op in AoS). Used after batch compactions, where per-row index
-    /// maintenance would cost more than one rebuild.
-    fn rebuild_slot_index(&mut self) {
+    /// Truncates or extends (with vacant rows) the table to `rows`
+    /// destination rows, without touching the index plane.
+    fn resize_rows(&mut self, rows: usize) {
+        self.dests.resize(rows, VACANT.via);
+        self.lens.resize(rows, 0);
+        self.arena.resize(rows * self.k);
+    }
+
+    /// Rewrites the SoA destination index plane after a batch change of
+    /// rows (no-op in AoS): clears the entries of `dropped`, every
+    /// destination that may have lost its row, and re-points every current
+    /// row. Costs O(rows), not O(max id), and allocates nothing once the
+    /// plane has grown.
+    fn reindex(&mut self, dropped: &[NodeId]) {
         if let Arena::Soa { slot_of, .. } = &mut self.arena {
-            slot_of.clear();
-            for (p, d) in self.dests.iter().enumerate() {
-                let i = d.index();
-                if slot_of.len() <= i {
-                    slot_of.resize(i + 1, 0);
+            for d in dropped {
+                if let Some(s) = slot_of.get_mut(d.index()) {
+                    *s = 0;
                 }
-                slot_of[i] = (p + 1) as u32;
+            }
+            if let Some(last) = self.dests.last() {
+                if slot_of.len() <= last.index() {
+                    slot_of.resize(last.index() + 1, 0);
+                }
+            }
+            for (p, d) in self.dests.iter().enumerate() {
+                slot_of[d.index()] = (p + 1) as u32;
             }
         }
     }
@@ -1294,6 +1378,55 @@ mod tests {
             assert_eq!(t, one_by_one);
             assert_eq!(t.remove_dests(&[]), 0);
             assert_eq!(t.len(), 3);
+        }
+    }
+
+    #[test]
+    fn splice_equals_remove_then_offer() {
+        // Blocks for 2 (new, before every row), 3 (present, emptied), 4
+        // (new, mid-table), 7 (present, replaced) and 11 (new, past the
+        // end): the merge must land on what a wipe and fresh offers build.
+        let dests: Vec<NodeId> = [2u32, 3, 4, 7, 11].map(NodeId::new).to_vec();
+        let lens = [1u32, 0, 2, 1, 2];
+        let blocks = [
+            [e(6, 0.5, 1), VACANT],
+            [VACANT, VACANT],
+            [e(1, 1.5, 2), e(8, 2.5, 3)],
+            [e(2, 0.25, 1), VACANT],
+            [e(3, 3.0, 2), e(4, 3.0, 3)],
+        ];
+        let via: Vec<NodeId> = blocks.iter().flatten().map(|r| r.via).collect();
+        let cost: Vec<f64> = blocks.iter().flatten().map(|r| r.cost).collect();
+        let hops: Vec<u32> = blocks.iter().flatten().map(|r| r.hops).collect();
+        for layout in BOTH {
+            for present in [&[][..], &[1u32, 3, 5, 7, 9][..], &[3u32, 7][..]] {
+                let mut spliced = RoutingTable::with_layout(2, layout);
+                for &d in present {
+                    spliced.offer(NodeId::new(d), e(2, f64::from(d), 1));
+                    spliced.offer(NodeId::new(d), e(4, f64::from(d) + 1.0, 2));
+                }
+                let mut want = spliced.clone();
+                want.remove_dests(&dests);
+                for (i, &d) in dests.iter().enumerate() {
+                    for route in &blocks[i][..lens[i] as usize] {
+                        want.offer(d, *route);
+                    }
+                }
+                spliced.splice(&dests, &lens, &via, &cost, &hops);
+                assert_eq!(spliced, want, "{layout} over {present:?}");
+                // The index plane follows the moved rows: lookups and
+                // later offers behave alike.
+                for d in 0..12u32 {
+                    let d = NodeId::new(d);
+                    assert_eq!(spliced.best(d), want.best(d), "{layout}: best {d}");
+                    assert_eq!(
+                        spliced.offer(d, e(5, 0.1, 1)),
+                        want.offer(d, e(5, 0.1, 1)),
+                        "{layout}: offer {d}"
+                    );
+                }
+                assert_eq!(spliced, want);
+            }
         }
     }
 

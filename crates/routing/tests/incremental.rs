@@ -100,7 +100,7 @@ proptest! {
         cols in 3usize..7,
         rows in 2usize..5,
         radius in 12.0f64..24.0,
-        k in 2usize..4,
+        k in 1usize..4,
         raw_ops in prop::collection::vec((0u8..6, 0u16..64, 0.0f64..1.0, 0.0f64..1.0), 1..8),
     ) {
         let mut topo = placement::grid(cols, rows, 5.0).unwrap();
@@ -212,7 +212,7 @@ proptest! {
         cols in 3usize..7,
         rows in 2usize..5,
         radius in 12.0f64..24.0,
-        k in 2usize..4,
+        k in 1usize..4,
         raw_ops in prop::collection::vec((0u8..6, 0u16..64, 0.0f64..1.0, 0.0f64..1.0), 1..8),
     ) {
         let mut topo = placement::grid(cols, rows, 5.0).unwrap();
@@ -280,7 +280,7 @@ proptest! {
         cols in 3usize..7,
         rows in 2usize..5,
         radius in 12.0f64..24.0,
-        k in 2usize..4,
+        k in 1usize..4,
         epochs in prop::collection::vec(
             (prop::collection::vec(0u16..64, 1..12), any::<bool>()),
             1..6,

@@ -127,7 +127,7 @@ proptest! {
         cols in 3usize..7,
         rows in 2usize..5,
         radius in 12.0f64..24.0,
-        k in 2usize..4,
+        k in 1usize..4,
         window in 1usize..4,
         raw_ops in prop::collection::vec((0u8..6, 0u16..64, 0.0f64..1.0, 0.0f64..1.0), 2..10),
     ) {
@@ -298,7 +298,7 @@ proptest! {
         cols in 3usize..8,
         rows in 2usize..6,
         radius in 12.0f64..24.0,
-        k in 2usize..4,
+        k in 1usize..4,
         dead in prop::collection::vec(0u16..64, 0..5),
         mover in 0u16..64,
         fx in 0.0f64..1.0,
