@@ -5,14 +5,14 @@
 //! The scenario is the mobility hot path: zone maintenance is down to
 //! ~105 µs per epoch, so the delta-DBF exchange itself is the dominant
 //! mobility cost. One epoch relocates eight nodes spread across
-//! the field — enough disjoint dirty zones for the range planner to have
+//! the field — enough disjoint dirty zones for the run planner to have
 //! real work everywhere — and the engines re-converge it:
 //!
-//! * `dbf_delta_seq_n` — a one-shard engine (every round inline),
+//! * `dbf_delta_seq_n` — a one-shard engine (every exchange inline),
 //! * `dbf_delta_sharded_n` — an engine at the host's available parallelism
-//!   (heavy rounds cut into receiver ranges on the worker pool;
-//!   bit-identical tables and stats, proptested; only wall-clock may
-//!   differ),
+//!   (a heavy exchange cut into contiguous runs of destinations, handed
+//!   to the worker pool once per exchange; bit-identical tables and stats,
+//!   proptested; only wall-clock may differ),
 //! * `dbf_full_seq_n` / `dbf_full_sharded_n` — the from-scratch rebuild
 //!   (`DbfEngine::rebuild_sharded`) on a one-shard engine versus an engine
 //!   at the host's available parallelism.
@@ -23,8 +23,8 @@
 //! 2-core runner; wider machines only widen the margin. `xtask
 //! speedup-curve` turns the per-size seq/sharded pairs into the
 //! speedup-curve JSON CI uploads as an artifact. On a single-core host the
-//! engine resolves to one shard, so both sides of each pair run every
-//! round inline and the ratios are only meaningful where parallelism
+//! engine resolves to one shard, so both sides of each pair run all
+//! their work inline and the ratios are only meaningful where parallelism
 //! exists (the CI step reports those gates as explicitly skipped when
 //! `nproc` is 1).
 

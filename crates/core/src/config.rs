@@ -299,14 +299,15 @@ pub struct SimConfig {
     /// epoch cost shrinks from O(n²) to O(k) rows. `false` rebuilds the
     /// table all-pairs every epoch — the reference path.
     pub incremental_zones: bool,
-    /// Shard partitions for the DBF rounds
+    /// Shard partitions for the DBF exchanges
     /// ([`spms_routing::DbfEngine::with_shards`]): a heavy round of the
-    /// full rebuild or of an epoch's delta re-convergence is cut
-    /// into contiguous receiver ranges of balanced load and run on the
-    /// engine's persistent worker pool; `1` runs every round inline.
-    /// The shard count also sizes that pool — `shards − 1` threads,
-    /// created lazily on the first heavy round, parked between rounds,
-    /// reused across every epoch of the run, and dropped with the engine.
+    /// full rebuild is cut into contiguous receiver ranges of balanced
+    /// load, a heavy epoch's delta re-convergence into contiguous runs of
+    /// destinations, and the pieces run on the engine's persistent worker
+    /// pool; `1` runs everything inline. The shard count also sizes that
+    /// pool — `shards − 1` threads, created lazily on the first heavy
+    /// piece of work, parked in between, reused across every epoch of the
+    /// run, and dropped with the engine.
     /// `0` (the default) resolves to [`spms_kernel::host_parallelism`]; a
     /// sweep running several simulations at once fills an unset `0` with
     /// its per-run share of the host instead (host parallelism divided by

@@ -7,45 +7,57 @@
 //! `O(n·e)` convergence bound and argues zone sizes (5–50 nodes) keep it
 //! affordable — our stats let experiments verify that claim directly.
 //!
-//! One round loop runs every exchange, in one of two snapshot modes:
+//! Exchanges come in two kinds:
 //!
 //! * **Full** ([`DbfEngine::rebuild_sharded`]) — the paper's
 //!   "re-execution of the DBF": every table is cleared, direct routes are
 //!   reinstalled, and every node broadcasts its whole vector in round one;
 //!   after that, every node whose table changed broadcasts its whole vector
 //!   again. [`DbfEngine::run_to_convergence`] runs the same rounds from the
-//!   current tables.
+//!   current tables. A whole vector couples every destination its sender
+//!   knows, so each round relaxes the previous round's snapshot over
+//!   contiguous receiver id ranges: one range, `0..n`, run inline, unless
+//!   the engine has more than one shard ([`DbfEngine::with_shards`]) and
+//!   the round is heavy enough to pay the handoff; then the ranges are cut
+//!   to balance relaxation load and run on the engine's persistent
+//!   [`WorkerPool`]. A range walks the snapshot in sender order, clips each
+//!   sender's zone links to its own ids, relaxes, and flattens its own
+//!   changed nodes into its share of the next snapshot; the shares
+//!   concatenate in id order.
 //! * **Delta** ([`DbfEngine::update_topology`] /
 //!   [`DbfEngine::invalidate_zone`] / [`DbfEngine::apply_zone_delta`]) —
 //!   real distance-vector deployments propagate triggered *deltas*, not
 //!   full vectors. A topology event invalidates only the destinations it
 //!   can actually affect, reseeds their direct routes, and re-converges
-//!   with vectors that carry only the changed entries. While the exchange
-//!   runs, the routes to those destinations live in a dense *route plane*
-//!   rather than in the tables: one `k`-slot block per (maintainer,
-//!   affected destination) pair, numbered node-major with destinations in
-//!   ascending order. The zone scoping map holds each pair's slot id, so
-//!   one load both checks scope and finds the block. A block that changes
-//!   sets its slot's *dirty bit*: the destinations its node advertises in
-//!   the next round. After quiescence each maintainer's table drops its
-//!   affected destinations and takes the converged blocks in one in-place
-//!   merge.
+//!   with vectors that carry only the changed entries. A delta entry for
+//!   destination `d` only ever lands in a route to `d`, so destinations
+//!   never interact, and the exchange converges them one at a time. While
+//!   it runs, the routes to the affected destinations live in a dense
+//!   *route plane* rather than in the tables: each destination owns a
+//!   contiguous run of `k`-slot blocks, one per zone link of it in link
+//!   order, destinations in id order. A destination's rounds run over a
+//!   local adjacency built once per exchange — each alive maintainer's
+//!   alive zone neighbors that maintain the destination too — so no offer
+//!   leaves its scope. A round snapshots the destination's changed blocks
+//!   (its *dirty* slots) in ascending maintainer id and offers their best
+//!   routes along that adjacency; an inlined test turns away the offers
+//!   the block kernel would reject before calling it. A sharded engine
+//!   cuts a heavy exchange into contiguous runs of destinations and runs
+//!   them on the pool, one handoff per exchange. After quiescence each
+//!   maintainer's table drops its affected destinations and takes the
+//!   converged blocks in one in-place merge — on the pool, inside the run
+//!   that holds all of the maintainer's affected destinations, if one
+//!   does. [`DbfStats`] are integer sums over per-(round, node) entry
+//!   counts: a node's round-`r` message carries its changed routes to
+//!   every destination still converging in round `r`.
 //!
-//! Each round relaxes the previous round's snapshot over contiguous
-//! receiver id ranges. There is one range, `0..n`, run inline, unless the
-//! engine has more than one shard ([`DbfEngine::with_shards`]) and the
-//! round is heavy enough to pay the handoff; then the ranges are cut to
-//! balance relaxation load and run on the engine's persistent
-//! [`WorkerPool`]. A range walks the snapshot in sender order, clips each
-//! sender's zone links to its own ids, relaxes, and then flattens its own
-//! changed nodes into its share of the next snapshot; the shares
-//! concatenate in id order. A node's table (full mode) or plane slots
-//! (delta mode) are only ever touched by the range that owns its id, and
-//! every receiver replays its vectors in sender order however the ids are
-//! cut, so tables and [`DbfStats`] are bit-identical for every shard count.
+//! Every receiver relaxes its vectors (full) or offers (delta) in
+//! ascending sender order however the work is cut, and a node's table or
+//! plane slots are only ever touched by the range or run that owns them,
+//! so tables and [`DbfStats`] are bit-identical for every shard count.
 //! Thread count can never change routing results, only wall-clock time.
 //! The sequential full rebuild [`crate::reference_rebuild`] shares no code
-//! with this loop and is the reference both modes are property-tested
+//! with either kind and is the reference both are property-tested
 //! against.
 //!
 //! The incremental scheme leans on a structural fact of zone routing: a
@@ -63,21 +75,25 @@ use std::sync::Arc;
 
 use spms_net::{NodeId, ZoneDelta, ZoneTable};
 
-/// Minimum total relaxation load (vector entries addressed to alive
-/// receivers this round, counted once per receiver) before a round is cut
-/// into ranges for the persistent worker pool; lighter rounds run inline.
-/// A delta convergence tapers — the last few rounds carry a handful of
-/// entries — and those stay inline, away from the pool's handoff (one
-/// mutex/condvar round trip, ≈ 5 µs). Replaying perfbench `mobility`'s
-/// delta exchanges (seed 42, 3 fields × 40 epochs, 2-vCPU Xeon VM) costs
-/// ≈ 0.01 µs per (entry, receiver) pair, so 256 pairs are a few µs of
-/// work, about one handoff: where splitting starts to pay is unmeasured.
-/// Purely a scheduling choice: the executed relaxation is identical
-/// either way.
-const SHARD_MIN_LOAD: u64 = 256;
+/// Minimum load before work is cut for the persistent worker pool;
+/// lighter work runs inline, away from the pool's handoff. The unit is
+/// (entry, receiver) pairs. A full round's load is its own: the vector
+/// entries addressed to alive receivers, counted once per receiver. A
+/// delta exchange's is Σ `m²` over its alive affected destinations, `m`
+/// being a destination's maintainer count: the pairs of one round in
+/// which every maintainer of every destination speaks. Measured on a
+/// 2-vCPU Xeon VM over perfbench `mobility`'s delta exchanges (seed 42) and
+/// single moves on 3×3 to 13×13 grids: an inline delta exchange costs
+/// 20–60 ns per unit, and a two-shard engine made to pool every exchange
+/// took 1.02–1.40× the inline time below 4,000 units but 0.64–0.75× above
+/// it — the handoff plus the slower run cost tens of µs there. A full
+/// round costs 8–10 ns per pair, so 4,096 pairs are ≈ 35 µs of work, the
+/// same order. Purely a scheduling choice: the executed relaxation is
+/// identical either way.
+const SHARD_MIN_LOAD: u64 = 4096;
 
 use crate::pool::WorkerPool;
-use crate::table::{offer_block_soa, offer_block_soa2, VACANT};
+use crate::table::{offer_block_soa, offer_block_soa2, offer_rejected, VACANT};
 use crate::{DbfWireFormat, RouteEntry, RoutingTable, TableLayout};
 
 /// Cost accounting for one DBF execution.
@@ -95,29 +111,37 @@ pub struct DbfStats {
     pub per_node_bytes: Vec<u64>,
 }
 
-/// Round mode of [`DbfEngine::run_rounds`]: every flagged node sends its
-/// whole vector (an empty table still sends an empty one), and a receiver
-/// whose table changes is flagged for the next round. Zone scoping is
-/// [`ZoneTable::in_zone`].
-const FULL: bool = true;
+impl DbfStats {
+    /// Empty stats for an `n`-node exchange.
+    fn new(n: usize) -> Self {
+        DbfStats {
+            per_node_bytes: vec![0; n],
+            ..DbfStats::default()
+        }
+    }
 
-/// Round mode of [`DbfEngine::run_rounds`]: every flagged node sends the
-/// best routes of its dirty plane slots, and a receiver block that changes
-/// sets its dirty bit and flags its node. Zone scoping is the scope's slot
-/// map.
-const DELTA: bool = false;
+    /// Accounts one broadcast of `entries` vector entries by `from`.
+    fn count(&mut self, from: NodeId, entries: usize) {
+        let bytes = u64::from(DbfWireFormat::default().message_bytes(entries));
+        self.messages += 1;
+        self.entries_sent += entries as u64;
+        self.bytes_total += bytes;
+        self.per_node_bytes[from.index()] += bytes;
+    }
+}
 
-/// One snapshot entry, `(key, best cost, best hops)`: the key is the
-/// destination's id in full rounds and its affected-destination index in
-/// delta rounds.
+/// One full-round snapshot entry: `(destination id, best cost, best hops)`.
 type Entry = (u32, f64, u32);
 
-/// [`Scope::slot_of`] for a node that does not maintain the destination.
-const NO_SLOT: u32 = u32::MAX;
+/// The local id of a node outside the set being numbered.
+const NONE: u32 = u32::MAX;
 
-/// Vector entries per branch-free scope gather in a delta relaxation (a
-/// chunk's entry offsets fit a `u8`).
-const GATHER: usize = 64;
+/// The convergence bound for an `n`-node exchange. Positive weights: path
+/// costs strictly increase with hops, so convergence takes at most
+/// diameter + 2 rounds; `n + 4` is a safe bound.
+fn max_rounds(n: usize) -> u32 {
+    (n as u32).max(8) + 4
+}
 
 /// A delta exchange's affected destinations and route-plane layout, fixed
 /// for the exchange.
@@ -125,69 +149,84 @@ const GATHER: usize = 64;
 struct Scope {
     /// The affected destinations, in id order.
     dests: Vec<NodeId>,
-    /// `slot_of[a * dests.len() + di]` — node `a`'s plane slot for affected
-    /// destination `di`, or [`NO_SLOT`] when `a` does not maintain it under
-    /// the new zones. Precomputing the zone scoping once per event turns
-    /// the per-entry check on the delta hot path into one load, which also
-    /// locates the block.
-    slot_of: Vec<u32>,
-    /// Node `a`'s slots are `row[a]..row[a + 1]`, destinations ascending.
+    /// `dests[di]` owns the plane slots `first[di]..first[di + 1]`: one
+    /// per zone link of it, in link (= neighbor id) order.
+    first: Vec<u32>,
+    /// The maintainers — every node with a slot — in order of first
+    /// appearance; a maintainer's index here is its *exchange id*.
+    nodes: Vec<NodeId>,
+    /// The exchange id of each slot's maintainer.
+    slot_node: Vec<u32>,
+    /// Maintainer `nodes[x]` holds `row_slots[row[x]..row[x + 1]]`, as
+    /// `(slot, affected-destination index)` pairs, destinations ascending.
     row: Vec<u32>,
-    /// The affected-destination index of each slot.
-    slot_dest: Vec<u32>,
+    row_slots: Vec<(u32, u32)>,
+    /// `local[a]`: node `a`'s exchange id while [`Scope::lay_out`] runs,
+    /// [`NONE`] otherwise.
+    local: Vec<u32>,
 }
 
 impl Scope {
     /// Collects the destinations of the `affected` mask and numbers one
-    /// slot per (maintainer, affected destination) pair — the maintainers
-    /// of `d` are exactly `d`'s zone neighbors under `zones` — node-major,
-    /// destinations ascending.
+    /// slot per (affected destination, maintainer) pair — the maintainers
+    /// of `d` are exactly `d`'s zone neighbors under `zones` —
+    /// destination-major, then indexes the slots by maintainer.
     fn lay_out(&mut self, zones: &ZoneTable, affected: &[bool]) {
         let n = zones.len();
+        self.local.resize(n, NONE);
         self.dests.clear();
         self.dests.extend(
             (0..n)
                 .filter(|&i| affected[i])
                 .map(|i| NodeId::new(i as u32)),
         );
-        let nd = self.dests.len();
-        self.slot_of.clear();
-        self.slot_of.resize(n * nd, NO_SLOT);
-        // Count each node's slots and turn the counts into row ends ...
+        // Number the slots and count each maintainer's ...
+        self.first.clear();
+        self.nodes.clear();
+        self.slot_node.clear();
         self.row.clear();
-        self.row.resize(n + 1, 0);
         for &d in &self.dests {
+            self.first.push(self.slot_node.len() as u32);
             for link in zones.links(d) {
-                self.row[link.neighbor.index()] += 1;
+                let a = link.neighbor;
+                if self.local[a.index()] == NONE {
+                    self.local[a.index()] = self.nodes.len() as u32;
+                    self.nodes.push(a);
+                    self.row.push(0);
+                }
+                let x = self.local[a.index()];
+                self.row[x as usize] += 1;
+                self.slot_node.push(x);
             }
         }
+        let slots = self.slot_node.len() as u32;
+        self.first.push(slots);
+        for &a in &self.nodes {
+            self.local[a.index()] = NONE;
+        }
+        // ... turn the counts into row ends, then fill every row from its
+        // end, destinations descending, which leaves `row[x]` at the row's
+        // start.
         let mut end = 0;
-        for r in &mut self.row[..n] {
+        for r in &mut self.row {
             end += *r;
             *r = end;
         }
-        self.row[n] = end;
-        // ... then fill every row from its end, destinations descending,
-        // which leaves `row[a]` at the row's start.
-        self.slot_dest.clear();
-        self.slot_dest.resize(end as usize, 0);
-        for (di, &d) in self.dests.iter().enumerate().rev() {
-            for link in zones.links(d) {
-                let a = link.neighbor.index();
-                self.row[a] -= 1;
-                let slot = self.row[a];
-                self.slot_of[a * nd + di] = slot;
-                self.slot_dest[slot as usize] = di as u32;
+        self.row.push(end);
+        self.row_slots.clear();
+        self.row_slots.resize(slots as usize, (0, 0));
+        for di in (0..self.dests.len()).rev() {
+            for slot in self.first[di]..self.first[di + 1] {
+                let x = self.slot_node[slot as usize] as usize;
+                self.row[x] -= 1;
+                self.row_slots[self.row[x] as usize] = (slot, di as u32);
             }
         }
     }
 
-    /// Whether node `a` maintains `d` as an affected destination, which
-    /// makes the write-back replace its routes to `d`.
-    fn maintains(&self, a: usize, d: NodeId) -> bool {
-        self.dests
-            .binary_search(&d)
-            .is_ok_and(|di| self.slot_of[a * self.dests.len() + di] != NO_SLOT)
+    /// The plane slots of `dests[lo..hi]`.
+    fn slots(&self, lo: usize, hi: usize) -> std::ops::Range<usize> {
+        self.first[lo] as usize..self.first[hi] as usize
     }
 }
 
@@ -197,7 +236,7 @@ impl Scope {
 struct Plane {
     /// Live routes per slot (`<= k`).
     lens: Vec<u32>,
-    /// Per-slot change since its node's last broadcast.
+    /// Per-slot change since its maintainer's last broadcast.
     dirty: Vec<bool>,
     via: Vec<NodeId>,
     cost: Vec<f64>,
@@ -218,8 +257,8 @@ impl Plane {
     }
 }
 
-/// The plane slots `base..base + lens.len()`, borrowed by one receiver
-/// range.
+/// The plane slots `base..base + lens.len()`, borrowed by one destination
+/// run.
 struct PlaneMut<'a> {
     base: usize,
     k: usize,
@@ -273,16 +312,18 @@ impl<'a> PlaneMut<'a> {
         )
     }
 
-    /// Offers `route` to global slot `slot` with the tables' block kernel;
-    /// a change sets the slot's dirty bit. Returns whether the block
-    /// changed.
-    #[inline]
-    fn offer(&mut self, slot: usize, route: RouteEntry) -> bool {
-        let s = slot - self.base;
+    /// Offers `route` to the block at `s` (relative to `base`) with the
+    /// tables' block kernel, behind [`offer_rejected`]; a change sets the
+    /// slot's dirty bit.
+    #[inline(always)]
+    fn offer(&mut self, s: usize, route: RouteEntry) {
         let k = self.k;
         let len = self.lens[s] as usize;
         let (changed, len) = if k == 2 {
             let b = s * 2;
+            if offer_rejected(&self.via[b..b + 2], &self.cost[b..b + 2], len, &route) {
+                return;
+            }
             offer_block_soa2(
                 &mut self.via[b..b + 2],
                 &mut self.cost[b..b + 2],
@@ -292,6 +333,9 @@ impl<'a> PlaneMut<'a> {
             )
         } else {
             let b = s * k;
+            if offer_rejected(&self.via[b..b + k], &self.cost[b..b + k], len, &route) {
+                return;
+            }
             offer_block_soa(
                 &mut self.via[b..b + k],
                 &mut self.cost[b..b + k],
@@ -302,7 +346,72 @@ impl<'a> PlaneMut<'a> {
         };
         self.lens[s] = len as u32;
         self.dirty[s] |= changed;
-        changed
+    }
+}
+
+/// One destination run's reusable buffers. The adjacency and snapshot
+/// are rebuilt for each destination; the counts accumulate over the run.
+#[derive(Clone, Debug, Default)]
+struct DestRun {
+    /// `local[a]`: alive node `a`'s block index among the current
+    /// destination's zone links, or [`NONE`]. All [`NONE`] between
+    /// destinations.
+    local: Vec<u32>,
+    /// The current destination's adjacency: the maintainer of block `i`
+    /// offers to `adj[adj_start[i]..adj_start[i + 1]]`, as (receiver
+    /// block, sender's link weight) pairs in receiver id order. Entries
+    /// past the last end are scratch.
+    adj_start: Vec<u32>,
+    adj: Vec<(u32, f64)>,
+    /// A round's snapshot: (sender block, best cost, best hops), senders
+    /// ascending.
+    snap: Vec<(u32, f64, u32)>,
+    /// Entries each maintainer sent per round over the run's
+    /// destinations: `counts[r * nodes + x]` for exchange id `x`.
+    counts: Vec<u32>,
+    /// The tables, by exchange id, of the maintainers whose affected
+    /// destinations all lie in this run, borrowed for a pooled exchange.
+    owned: Vec<(u32, RoutingTable)>,
+    /// Write-back buffers.
+    row: RowBlocks,
+}
+
+/// One maintainer's affected destinations and converged blocks, gathered
+/// from the plane for [`RoutingTable::splice`].
+#[derive(Clone, Debug, Default)]
+struct RowBlocks {
+    dests: Vec<NodeId>,
+    lens: Vec<u32>,
+    via: Vec<NodeId>,
+    cost: Vec<f64>,
+    hops: Vec<u32>,
+}
+
+impl RowBlocks {
+    /// Trades `table`'s routes to maintainer `x`'s affected destinations
+    /// for their converged blocks in `plane`, in one merge.
+    fn write_back(
+        &mut self,
+        scope: &Scope,
+        x: usize,
+        plane: &PlaneMut<'_>,
+        table: &mut RoutingTable,
+    ) {
+        let k = plane.k;
+        self.dests.clear();
+        self.lens.clear();
+        self.via.clear();
+        self.cost.clear();
+        self.hops.clear();
+        for &(slot, di) in &scope.row_slots[scope.row[x] as usize..scope.row[x + 1] as usize] {
+            let s = slot as usize - plane.base;
+            self.dests.push(scope.dests[di as usize]);
+            self.lens.push(plane.lens[s]);
+            self.via.extend_from_slice(&plane.via[s * k..(s + 1) * k]);
+            self.cost.extend_from_slice(&plane.cost[s * k..(s + 1) * k]);
+            self.hops.extend_from_slice(&plane.hops[s * k..(s + 1) * k]);
+        }
+        table.splice(&self.dests, &self.lens, &self.via, &self.cost, &self.hops);
     }
 }
 
@@ -311,26 +420,28 @@ impl<'a> PlaneMut<'a> {
 /// allocates only its short task list).
 #[derive(Clone, Debug, Default)]
 struct Scratch {
-    /// The nodes that broadcast next: every alive node in a full
-    /// exchange's first round, the reseeded maintainers in a delta
-    /// exchange's, then every node whose table (full) or plane slots
-    /// (delta) changed.
+    /// Full rounds: the nodes that broadcast next — every alive node in
+    /// the first round, then every node whose table changed.
     flags: Vec<bool>,
-    /// The round's snapshot: every entry broadcast, flattened.
+    /// Full rounds: the round's snapshot, every entry broadcast, flattened.
     snap_entries: Vec<Entry>,
-    /// `(sender, start, end)` ranges into `snap_entries`, in sender order.
+    /// Full rounds: `(sender, start, end)` ranges into `snap_entries`, in
+    /// sender order.
     snap_from: Vec<(NodeId, u32, u32)>,
-    /// Pooled rounds: each receiver range's share of the next snapshot's
-    /// entries.
+    /// Pooled full rounds: each receiver range's share of the next
+    /// snapshot's entries.
     range_entries: Vec<Vec<Entry>>,
-    /// Pooled rounds: each receiver range's share of the next snapshot's
-    /// senders (ranges relative to its own entry buffer until
+    /// Pooled full rounds: each receiver range's share of the next
+    /// snapshot's senders (ranges relative to its own entry buffer until
     /// concatenation rebases them).
     range_from: Vec<Vec<(NodeId, u32, u32)>>,
-    /// Per-receiver relaxation load (entries addressed to it this round) —
-    /// the range planner's balancing weight.
+    /// The planners' balancing weights: per receiver in a full round (the
+    /// entries addressed to it), per affected destination in a delta
+    /// exchange.
     load: Vec<u64>,
-    /// Receiver range boundary node ids (`bounds[i]..bounds[i+1]`).
+    /// Receiver range boundary node ids of a full round, or destination
+    /// run boundary indices into the scope's destinations of a delta
+    /// exchange (`bounds[i]..bounds[i+1]`).
     bounds: Vec<usize>,
     /// All-alive mask for [`DbfEngine::run_to_convergence`].
     all_alive: Vec<bool>,
@@ -340,8 +451,8 @@ struct Scratch {
     scope: Scope,
     /// Delta exchanges: the routes to the affected destinations.
     plane: Plane,
-    /// Write-back destination list, reused across maintainers.
-    row_dests: Vec<NodeId>,
+    /// Delta exchanges: one scratch per destination run.
+    runs: Vec<DestRun>,
 }
 
 /// The distributed Bellman-Ford engine: one routing table per node.
@@ -365,12 +476,13 @@ struct Scratch {
 pub struct DbfEngine {
     tables: Vec<RoutingTable>,
     k: usize,
-    /// The most receiver ranges a heavy round is cut into; `1` runs every
-    /// round inline. Bit-identical for every value.
+    /// The most pieces heavy work is cut into — receiver ranges of a full
+    /// round, destination runs of a delta exchange; `1` runs everything
+    /// inline. Bit-identical for every value.
     shards: usize,
     /// The persistent worker pool (`shards - 1` parked threads; the
     /// dispatching thread is the remaining shard), spun up lazily the
-    /// first time a round is heavy enough to split and reused for every
+    /// first time work is heavy enough to split and reused for every
     /// round, epoch, and rebuild after that. Dropped with the engine,
     /// which joins the workers.
     pool: Option<Arc<WorkerPool>>,
@@ -414,11 +526,13 @@ impl DbfEngine {
         engine
     }
 
-    /// Lets a heavy round run on up to `shards` threads: it is cut into at
-    /// most `shards` receiver ranges of balanced relaxation load, run on
-    /// the engine's worker pool. `1` (the default) runs every round inline
-    /// and never starts the pool. Tables and stats are bit-identical for
-    /// every shard count (property-tested).
+    /// Lets heavy work run on up to `shards` threads: a heavy full round is
+    /// cut into at most `shards` receiver ranges of balanced relaxation
+    /// load, a heavy delta exchange into at most `shards` runs of
+    /// destinations, and the pieces run on the engine's worker pool. `1`
+    /// (the default) runs everything inline and never starts the pool.
+    /// Tables and stats are bit-identical for every shard count
+    /// (property-tested).
     ///
     /// # Panics
     ///
@@ -438,10 +552,10 @@ impl DbfEngine {
     }
 
     /// Whether the persistent worker pool has been spun up. Observability
-    /// for the inline-dispatch taper: an engine whose every round stays
-    /// under the pool's load threshold must never start worker threads
-    /// (pinned by tests), so light workloads on a sharded engine pay
-    /// exactly what a one-shard engine pays.
+    /// for the inline-dispatch taper: an engine whose every round and
+    /// exchange stays under the pool's load threshold must never start
+    /// worker threads (pinned by tests), so light workloads on a sharded
+    /// engine pay exactly what a one-shard engine pays.
     #[must_use]
     pub fn pool_started(&self) -> bool {
         self.pool.is_some()
@@ -538,7 +652,7 @@ impl DbfEngine {
     /// converges).
     pub fn rebuild_sharded(&mut self, zones: &ZoneTable, alive: &[bool]) -> DbfStats {
         self.reset(zones, alive);
-        self.run_rounds::<FULL>(zones, alive)
+        self.run_rounds(zones, alive)
     }
 
     /// The routing table of `node`.
@@ -572,7 +686,7 @@ impl DbfEngine {
         let mut all_alive = std::mem::take(&mut self.scratch.all_alive);
         all_alive.clear();
         all_alive.resize(zones.len(), true);
-        let stats = self.run_rounds::<FULL>(zones, &all_alive);
+        let stats = self.run_rounds(zones, &all_alive);
         self.scratch.all_alive = all_alive;
         stats
     }
@@ -636,7 +750,6 @@ impl DbfEngine {
             }
         }
         self.scratch.scope.lay_out(new_zones, &affected);
-        self.scratch.affected = affected;
 
         // A changed node that is down holds no routes at all.
         for &c in changed {
@@ -647,16 +760,24 @@ impl DbfEngine {
 
         // Old maintainers may hold routes the new adjacency no longer
         // justifies: wipe the affected destinations at their *old* zone
-        // neighbors, unless the write-back replaces those routes anyway.
-        let scope = &self.scratch.scope;
-        for &d in &scope.dests {
+        // neighbors, unless the write-back replaces those routes anyway —
+        // that is, unless they are new zone neighbors too (both link lists
+        // ascend by neighbor id, so one cursor walks them together).
+        for &d in &self.scratch.scope.dests {
+            let new_links = new_zones.links(d);
+            let mut j = 0;
             for link in old_zones.links(d) {
-                let a = link.neighbor.index();
-                if alive[a] && !scope.maintains(a, d) {
-                    self.tables[a].remove_dest(d);
+                let a = link.neighbor;
+                while j < new_links.len() && new_links[j].neighbor < a {
+                    j += 1;
+                }
+                let maintains = new_links.get(j).is_some_and(|l| l.neighbor == a);
+                if alive[a.index()] && !maintains {
+                    self.tables[a.index()].remove_dest(d);
                 }
             }
         }
+        self.scratch.affected = affected;
 
         self.reconverge_affected(new_zones, alive)
     }
@@ -704,7 +825,6 @@ impl DbfEngine {
             }
         }
         self.scratch.scope.lay_out(zones, &affected);
-        self.scratch.affected = affected;
 
         // A changed node that is down holds no routes at all.
         for c in delta
@@ -724,118 +844,148 @@ impl DbfEngine {
         // the new table cannot name is between a moved node and its
         // pre-move neighbors — exactly what the delta recorded. Pairs the
         // write-back replaces are skipped.
-        let scope = &self.scratch.scope;
         for mv in &delta.moves {
-            let m = mv.node.index();
+            let m = mv.node;
             for &a in &mv.old_neighbors {
-                if alive[a.index()] && !scope.maintains(a.index(), mv.node) {
-                    self.tables[a.index()].remove_dest(mv.node);
+                if alive[a.index()] && !maintains(zones, &affected, a, m) {
+                    self.tables[a.index()].remove_dest(m);
                 }
-                if alive[m] && !scope.maintains(m, a) {
-                    self.tables[m].remove_dest(a);
+                if alive[m.index()] && !maintains(zones, &affected, m, a) {
+                    self.tables[m.index()].remove_dest(a);
                 }
             }
         }
+        self.scratch.affected = affected;
 
         self.reconverge_affected(zones, alive)
     }
 
     /// Shared tail of the incremental paths. Expects `scratch.scope` laid
     /// out under the **new** zones (and any old-adjacency wipes already
-    /// done): empties every plane block, reseeds the surviving direct
-    /// routes into the plane, re-converges with delta rounds, and writes
-    /// the converged blocks back. The write-back replaces each alive
+    /// done): empties every plane block, converges the routes to every
+    /// affected destination on its own plane slots (in destination runs on
+    /// the pool when the exchange is heavy and the engine sharded), writes
+    /// the converged blocks back, and sums the runs' per-(round, node)
+    /// entry counts into the stats. The write-back replaces each alive
     /// maintainer's routes to its affected destinations in one merge, so
     /// the tables are never wiped separately; no exchange step reads those
-    /// routes from the tables.
+    /// routes from the tables. On the pool, a run merges the maintainers
+    /// whose affected destinations all lie in it; the rest merge after the
+    /// handoff.
     fn reconverge_affected(&mut self, zones: &ZoneTable, alive: &[bool]) -> DbfStats {
         let n = zones.len();
         let k = self.k;
-        let s = &mut self.scratch;
-        s.plane.reset(s.scope.slot_dest.len(), k);
-        s.flags.clear();
-        s.flags.resize(n, false);
-        // Reseed the surviving direct routes. Link weights are symmetric
-        // (shared radio profile), so the d→a weight doubles as a's direct
-        // cost to d.
-        let nd = s.scope.dests.len();
+        let mut s = std::mem::take(&mut self.scratch);
+        s.plane.reset(s.scope.slot_node.len(), k);
+        plan_runs(alive, &s.scope, self.shards, &mut s.load, &mut s.bounds);
+        let runs = s.bounds.len() - 1;
+        if s.runs.len() < runs {
+            s.runs.resize_with(runs, DestRun::default);
+        }
+        for run in &mut s.runs[..runs] {
+            run.local.resize(n, NONE);
+            run.counts.clear();
+        }
+        let exchange = Exchange {
+            zones,
+            alive,
+            scope: &s.scope,
+            max_rounds: max_rounds(n),
+        };
         let mut plane = PlaneMut::new(&mut s.plane, k);
-        for (di, &d) in s.scope.dests.iter().enumerate() {
-            if !alive[d.index()] {
-                continue; // nobody routes to a dead destination
-            }
-            for link in zones.links(d) {
-                let a = link.neighbor.index();
-                if !alive[a] {
-                    continue;
+        if runs == 1 {
+            converge_run(
+                &exchange,
+                0..s.scope.dests.len(),
+                &mut plane,
+                &mut s.runs[0],
+            );
+        } else {
+            // A maintainer whose affected destinations all lie in one run
+            // is written back by that run as soon as it has converged: the
+            // run borrows the table for the handoff.
+            for (x, &a) in s.scope.nodes.iter().enumerate() {
+                if let Some(r) = owner(&s.scope, &s.bounds, x).filter(|_| alive[a.index()]) {
+                    let table =
+                        std::mem::replace(&mut self.tables[a.index()], RoutingTable::new(k));
+                    s.runs[r].owned.push((x as u32, table));
                 }
-                let direct = RouteEntry {
-                    via: d,
-                    cost: link.weight,
-                    hops: 1,
-                };
-                if plane.offer(s.scope.slot_of[a * nd + di] as usize, direct) {
-                    s.flags[a] = true;
+            }
+            let pool = self.pool();
+            let mut tasks = Vec::with_capacity(runs);
+            for (w, run) in s.bounds.windows(2).zip(&mut s.runs) {
+                let (mine, rest) = plane.split_at(s.scope.slots(w[0], w[1]).len());
+                plane = rest;
+                tasks.push((w[0]..w[1], mine, run));
+            }
+            pool.run(&mut tasks, |(dests, plane, run)| {
+                converge_run(&exchange, dests.clone(), plane, run);
+                for (x, table) in &mut run.owned {
+                    run.row
+                        .write_back(exchange.scope, *x as usize, plane, table);
+                }
+            });
+            drop(tasks);
+            for run in &mut s.runs[..runs] {
+                for (x, table) in run.owned.drain(..) {
+                    self.tables[s.scope.nodes[x as usize].index()] = table;
                 }
             }
         }
-
-        let stats = self.run_rounds::<DELTA>(zones, alive);
-
-        // Write back: every alive maintainer trades its routes to its
-        // affected destinations for the converged blocks.
-        let s = &mut self.scratch;
-        for (a, row) in s.scope.row.windows(2).enumerate() {
-            let (lo, hi) = (row[0] as usize, row[1] as usize);
-            if lo == hi || !alive[a] {
-                continue;
+        // Write back the rest: every other alive maintainer trades its
+        // routes to its affected destinations for the converged blocks.
+        let plane = PlaneMut::new(&mut s.plane, k);
+        for (x, &a) in s.scope.nodes.iter().enumerate() {
+            if alive[a.index()] && (runs == 1 || owner(&s.scope, &s.bounds, x).is_none()) {
+                let table = &mut self.tables[a.index()];
+                s.runs[0].row.write_back(&s.scope, x, &plane, table);
             }
-            s.row_dests.clear();
-            s.row_dests.extend(
-                s.scope.slot_dest[lo..hi]
-                    .iter()
-                    .map(|&di| s.scope.dests[di as usize]),
-            );
-            self.tables[a].splice(
-                &s.row_dests,
-                &s.plane.lens[lo..hi],
-                &s.plane.via[lo * k..hi * k],
-                &s.plane.cost[lo * k..hi * k],
-                &s.plane.hops[lo * k..hi * k],
-            );
         }
+
+        // Sum the runs' counts: a node's round-`r` message carries its
+        // entries for every destination, whichever run converged it.
+        let (head, tail) = s.runs[..runs].split_first_mut().expect("one run");
+        for run in tail {
+            if head.counts.len() < run.counts.len() {
+                head.counts.resize(run.counts.len(), 0);
+            }
+            for (sum, &c) in head.counts.iter_mut().zip(&run.counts) {
+                *sum += c;
+            }
+        }
+        let nodes = s.scope.nodes.len();
+        let mut stats = DbfStats::new(n);
+        // Rounds: one per non-empty snapshot of the longest destination,
+        // plus the final silent one.
+        stats.rounds = 1 + head.counts.len().checked_div(nodes).unwrap_or(0) as u32;
+        for (i, &c) in head.counts.iter().enumerate() {
+            if c > 0 {
+                stats.count(s.scope.nodes[i % nodes], c as usize);
+            }
+        }
+        self.scratch = s;
         stats
     }
 
-    /// The DBF round loop, run to quiescence in mode [`FULL`] or
-    /// [`DELTA`]. Each round relaxes the current snapshot over the planned
-    /// receiver ranges, then flattens each range's flagged nodes into the
-    /// next snapshot: inline, straight into the snapshot buffers, for one
-    /// range; on the worker pool, into per-range buffers concatenated in
-    /// id order, for more. It starts from an empty snapshot, so its first
-    /// pass only flattens round one's broadcasters: every alive node in
-    /// full mode (`flags` = `alive`), the maintainers
-    /// [`DbfEngine::reconverge_affected`] reseeded in delta mode. The
-    /// exchange quiesces after a round in which no node had anything to
-    /// send (counted: the final silent round).
-    fn run_rounds<const MODE: bool>(&mut self, zones: &ZoneTable, alive: &[bool]) -> DbfStats {
+    /// The full round loop, run to quiescence. Each round relaxes the
+    /// current snapshot over the planned receiver ranges, then flattens
+    /// each range's flagged nodes into the next snapshot: inline, straight
+    /// into the snapshot buffers, for one range; on the worker pool, into
+    /// per-range buffers concatenated in id order, for more. It starts
+    /// from an empty snapshot with every alive node flagged, so its first
+    /// pass only flattens round one's broadcasters. The exchange quiesces
+    /// after a round in which no node had anything to send (counted: the
+    /// final silent round).
+    fn run_rounds(&mut self, zones: &ZoneTable, alive: &[bool]) -> DbfStats {
         let n = zones.len();
         assert_eq!(alive.len(), n, "alive mask length mismatch");
-        let wire = DbfWireFormat::default();
-        let mut stats = DbfStats {
-            per_node_bytes: vec![0; n],
-            ..DbfStats::default()
-        };
+        let mut stats = DbfStats::new(n);
         let mut s = std::mem::take(&mut self.scratch);
-        if MODE == FULL {
-            s.flags.clear();
-            s.flags.extend_from_slice(alive);
-        }
+        s.flags.clear();
+        s.flags.extend_from_slice(alive);
         s.snap_entries.clear();
         s.snap_from.clear();
-        // Positive weights: path costs strictly increase with hops, so
-        // convergence takes at most diameter+2 rounds; n+4 is a safe bound.
-        let max_rounds = (n as u32).max(8) + 4;
+        let max_rounds = max_rounds(n);
         for _round in 0..max_rounds {
             plan_ranges(
                 zones,
@@ -851,21 +1001,18 @@ impl DbfEngine {
                 alive,
                 entries: &s.snap_entries,
                 from: &s.snap_from,
-                scope: &s.scope,
             };
-            let mut plane = PlaneMut::new(&mut s.plane, self.k);
             let had = if ranges == 1 {
                 let mut range = RangeTask {
                     lo: 0,
                     flags: &mut s.flags,
                     tables: &mut self.tables,
-                    plane,
                 };
-                relax_range::<MODE>(&round, &mut range);
+                relax_range(&round, &mut range);
                 // Relaxation has read the snapshot: flatten over it.
                 s.snap_entries.clear();
                 s.snap_from.clear();
-                flatten_range::<MODE>(&s.scope, &mut range, &mut s.snap_entries, &mut s.snap_from)
+                flatten_range(&mut range, &mut s.snap_entries, &mut s.snap_from)
             } else {
                 let pool = self.pool();
                 if s.range_entries.len() < ranges {
@@ -886,19 +1033,10 @@ impl DbfEngine {
                     let (flags_mine, flags_rest) = std::mem::take(&mut flags).split_at_mut(len);
                     tables = tables_rest;
                     flags = flags_rest;
-                    // Full rounds leave the plane alone.
-                    let slots = if MODE == FULL {
-                        0
-                    } else {
-                        (s.scope.row[w[1]] - s.scope.row[w[0]]) as usize
-                    };
-                    let (plane_mine, plane_rest) = plane.split_at(slots);
-                    plane = plane_rest;
                     let range = RangeTask {
                         lo: w[0],
                         flags: flags_mine,
                         tables: tables_mine,
-                        plane: plane_mine,
                     };
                     entries.clear();
                     from.clear();
@@ -906,10 +1044,9 @@ impl DbfEngine {
                 }
                 // A range flattens as soon as its own relaxation is done,
                 // while other ranges may still be reading the snapshot.
-                let scope = &s.scope;
                 pool.run(&mut tasks, |(range, entries, from, had)| {
-                    relax_range::<MODE>(&round, range);
-                    *had = flatten_range::<MODE>(scope, range, entries, from);
+                    relax_range(&round, range);
+                    *had = flatten_range(range, entries, from);
                 });
                 let had = tasks.iter().any(|task| task.3);
                 drop(tasks);
@@ -931,23 +1068,31 @@ impl DbfEngine {
             // All sums are integers, so the accounting is independent of
             // how the round was cut.
             for &(from, start, end) in &s.snap_from {
-                let len = (end - start) as usize;
-                stats.messages += 1;
-                stats.entries_sent += len as u64;
-                let bytes = u64::from(wire.message_bytes(len));
-                stats.bytes_total += bytes;
-                stats.per_node_bytes[from.index()] += bytes;
+                stats.count(from, (end - start) as usize);
             }
         }
         panic!("DBF failed to converge within {max_rounds} rounds");
     }
 }
 
-/// Cuts the receiver id space `0..n` for one round into `bounds`
-/// (`bounds[i]..bounds[i+1]`). One range `0..n` unless `shards > 1` and
-/// the round's total relaxation load (entries addressed to alive
-/// receivers) reaches [`SHARD_MIN_LOAD`]; then at most `shards` contiguous
-/// ranges of ≈ equal load.
+/// Whether `a` maintains the affected destination `d` under `zones` (the
+/// new zones), which makes the write-back replace its routes to `d`.
+fn maintains(zones: &ZoneTable, affected: &[bool], a: NodeId, d: NodeId) -> bool {
+    affected[d.index()] && zones.link_to(d, a).is_some()
+}
+
+/// The destination run (`bounds[r]..bounds[r + 1]`) holding every affected
+/// destination of maintainer `x`, if one run holds them all.
+fn owner(scope: &Scope, bounds: &[usize], x: usize) -> Option<usize> {
+    let row = &scope.row_slots[scope.row[x] as usize..scope.row[x + 1] as usize];
+    let run = |di: u32| bounds.partition_point(|&b| b <= di as usize) - 1;
+    let first = run(row.first()?.1);
+    (run(row.last()?.1) == first).then_some(first)
+}
+
+/// Cuts the receiver id space `0..n` for one full round into `bounds`,
+/// weighing each receiver by its relaxation load (the entries addressed to
+/// it) when the engine is sharded.
 fn plan_ranges(
     zones: &ZoneTable,
     alive: &[bool],
@@ -957,38 +1102,196 @@ fn plan_ranges(
     bounds: &mut Vec<usize>,
 ) {
     let n = alive.len();
-    bounds.clear();
-    bounds.push(0);
+    load.clear();
     if shards > 1 {
-        load.clear();
         load.resize(n, 0);
-        let mut total = 0u64;
         for &(from, start, end) in snap_from {
             let len = u64::from(end - start);
             for link in zones.links(from) {
                 let to = link.neighbor.index();
                 if alive[to] {
                     load[to] += len;
-                    total += len;
-                }
-            }
-        }
-        if total >= SHARD_MIN_LOAD {
-            let target = total.div_ceil(shards as u64);
-            let mut acc = 0u64;
-            for (i, &l) in load.iter().enumerate() {
-                acc += l;
-                if acc >= target && bounds.len() < shards && i + 1 < n {
-                    bounds.push(i + 1);
-                    acc = 0;
                 }
             }
         }
     }
-    bounds.push(n);
+    cut(load, n, shards, bounds);
 }
 
-/// The read-only inputs every receiver range of a round shares.
+/// Cuts a delta exchange's destinations `0..scope.dests.len()` into
+/// destination runs in `bounds`, weighing each alive destination by `m²`
+/// for its `m` maintainers when the engine is sharded.
+fn plan_runs(
+    alive: &[bool],
+    scope: &Scope,
+    shards: usize,
+    load: &mut Vec<u64>,
+    bounds: &mut Vec<usize>,
+) {
+    load.clear();
+    if shards > 1 {
+        load.extend(scope.dests.iter().enumerate().map(|(di, d)| {
+            let m = scope.slots(di, di + 1).len() as u64;
+            if alive[d.index()] {
+                m * m
+            } else {
+                0
+            }
+        }));
+    }
+    cut(load, scope.dests.len(), shards, bounds);
+}
+
+/// Cuts `0..len` into `bounds` (`bounds[i]..bounds[i + 1]`): one piece,
+/// unless the per-index `load` (empty on a one-shard engine) totals at
+/// least [`SHARD_MIN_LOAD`]; then at most `shards` contiguous pieces of
+/// ≈ equal load.
+fn cut(load: &[u64], len: usize, shards: usize, bounds: &mut Vec<usize>) {
+    bounds.clear();
+    bounds.push(0);
+    let total: u64 = load.iter().sum();
+    if total >= SHARD_MIN_LOAD {
+        let target = total.div_ceil(shards as u64);
+        let mut acc = 0u64;
+        for (i, &l) in load.iter().enumerate() {
+            acc += l;
+            if acc >= target && bounds.len() < shards && i + 1 < len {
+                bounds.push(i + 1);
+                acc = 0;
+            }
+        }
+    }
+    bounds.push(len);
+}
+
+/// The read-only inputs every destination run of a delta exchange shares.
+struct Exchange<'a> {
+    zones: &'a ZoneTable,
+    alive: &'a [bool],
+    scope: &'a Scope,
+    max_rounds: u32,
+}
+
+/// Converges the routes to the alive destinations among
+/// `scope.dests[dests]`, one destination at a time, on the run's plane
+/// slots, counting the entries each maintainer sends per round into
+/// `run.counts`.
+fn converge_run(
+    x: &Exchange<'_>,
+    dests: std::ops::Range<usize>,
+    plane: &mut PlaneMut<'_>,
+    run: &mut DestRun,
+) {
+    for di in dests {
+        if x.alive[x.scope.dests[di].index()] {
+            converge_dest(x, di, plane, run); // nobody routes to a dead destination
+        }
+    }
+}
+
+/// Converges the routes to `d = scope.dests[di]` on its plane blocks —
+/// block `i` holds the routes of `d`'s `i`-th zone neighbor — from empty
+/// blocks: reseeds the surviving direct routes, then runs synchronous
+/// rounds until no block changes.
+fn converge_dest(x: &Exchange<'_>, di: usize, plane: &mut PlaneMut<'_>, run: &mut DestRun) {
+    let d = x.scope.dests[di];
+    let links = x.zones.links(d);
+    let slots = x.scope.slots(di, di + 1);
+    let b = slots.start - plane.base;
+    // The local adjacency: each alive maintainer's alive zone neighbors
+    // that maintain `d` too, in neighbor id order. Only alive maintainers
+    // get a local id, so one load answers both questions. Whether a zone
+    // neighbor maintains `d` follows no pattern a branch predictor learns,
+    // so every candidate is written and only the hits advance the end.
+    for (i, link) in links.iter().enumerate() {
+        if x.alive[link.neighbor.index()] {
+            run.local[link.neighbor.index()] = i as u32;
+        }
+    }
+    run.adj_start.clear();
+    run.adj_start.push(0);
+    let mut end = 0usize;
+    for link in links {
+        if run.local[link.neighbor.index()] != NONE {
+            let hops = x.zones.links(link.neighbor);
+            if run.adj.len() < end + hops.len() {
+                run.adj.resize(end + hops.len(), (NONE, 0.0));
+            }
+            for hop in hops {
+                let j = run.local[hop.neighbor.index()];
+                run.adj[end] = (j, hop.weight);
+                end += usize::from(j != NONE);
+            }
+        }
+        run.adj_start.push(end as u32);
+    }
+    for link in links {
+        run.local[link.neighbor.index()] = NONE;
+    }
+
+    // Reseed the surviving direct routes. Link weights are symmetric
+    // (shared radio profile), so the d→a weight doubles as a's direct cost
+    // to d.
+    for (i, link) in links.iter().enumerate() {
+        if x.alive[link.neighbor.index()] {
+            let direct = RouteEntry {
+                via: d,
+                cost: link.weight,
+                hops: 1,
+            };
+            plane.offer(b + i, direct);
+        }
+    }
+
+    let nodes = x.scope.nodes.len();
+    let k = plane.k;
+    let mut round = 0usize;
+    loop {
+        // Snapshot the dirty blocks' best routes and clear their bits, so
+        // this round's offers are next round's news.
+        run.snap.clear();
+        for i in 0..links.len() {
+            if std::mem::take(&mut plane.dirty[b + i]) {
+                let best = (b + i) * k;
+                run.snap
+                    .push((i as u32, plane.cost[best], plane.hops[best]));
+            }
+        }
+        if run.snap.is_empty() {
+            return;
+        }
+        let row = round * nodes;
+        if run.counts.len() < row + nodes {
+            run.counts.resize(row + nodes, 0);
+        }
+        for &(i, _, _) in &run.snap {
+            run.counts[row + x.scope.slot_node[slots.start + i as usize] as usize] += 1;
+        }
+        round += 1;
+        assert!(
+            round < x.max_rounds as usize,
+            "DBF failed to converge within {} rounds",
+            x.max_rounds
+        );
+        // Offers reach each block in ascending sender id, the snapshot's
+        // order.
+        for &(i, cost, hops) in &run.snap {
+            let via = links[i as usize].neighbor;
+            let adj = &run.adj
+                [run.adj_start[i as usize] as usize..run.adj_start[i as usize + 1] as usize];
+            for &(j, weight) in adj {
+                let route = RouteEntry {
+                    via,
+                    cost: weight + cost,
+                    hops: hops + 1,
+                };
+                plane.offer(b + j as usize, route);
+            }
+        }
+    }
+}
+
+/// The read-only inputs every receiver range of a full round shares.
 struct Round<'a> {
     zones: &'a ZoneTable,
     alive: &'a [bool],
@@ -996,31 +1299,24 @@ struct Round<'a> {
     entries: &'a [Entry],
     /// The round's `(sender, start, end)` ranges, in sender order.
     from: &'a [(NodeId, u32, u32)],
-    /// Delta rounds: the exchange's scoping and plane layout.
-    scope: &'a Scope,
 }
 
-/// One receiver range `lo..lo + flags.len()` of a round: its disjoint
-/// slices of the per-node state.
+/// One receiver range `lo..lo + flags.len()` of a full round: its
+/// disjoint slices of the per-node state.
 struct RangeTask<'a> {
     lo: usize,
     flags: &'a mut [bool],
-    /// Full rounds relax into the range's tables.
     tables: &'a mut [RoutingTable],
-    /// Delta rounds relax into the range's plane slots.
-    plane: PlaneMut<'a>,
 }
 
 /// Relaxes every vector of the round's snapshot at the range's receivers.
 /// Senders are walked in snapshot (= id) order and each sender's zone
 /// links, sorted by neighbor id, are clipped to the range, so every
 /// receiver replays its vectors in exactly the order a single range
-/// delivers them. `MODE` ([`FULL`] or [`DELTA`]) is fixed at compile time,
-/// keeping the mode test out of the per-entry loop.
-fn relax_range<const MODE: bool>(round: &Round<'_>, t: &mut RangeTask<'_>) {
+/// delivers them.
+fn relax_range(round: &Round<'_>, t: &mut RangeTask<'_>) {
     let lo = t.lo;
     let hi = lo + t.flags.len();
-    let nd = round.scope.dests.len();
     for &(from, start, end) in round.from {
         let entries = &round.entries[start as usize..end as usize];
         let links = round.zones.links(from);
@@ -1032,96 +1328,66 @@ fn relax_range<const MODE: bool>(round: &Round<'_>, t: &mut RangeTask<'_>) {
                 continue;
             }
             let off = to.index() - lo;
-            if MODE == FULL {
-                let table = &mut t.tables[off];
-                // Vectors carry their destinations in ascending id order,
-                // so each one replays through one ascending offer cursor.
-                let mut cursor = 0usize;
-                for &(dest, cost, hops) in entries {
-                    let dest = NodeId::new(dest);
-                    // Zone scoping: `to` only maintains destinations in
-                    // its own zone.
-                    if dest == to || !round.zones.in_zone(to, dest) {
-                        continue;
-                    }
-                    let route = RouteEntry {
-                        via: from,
-                        cost: link.weight + cost,
-                        hops: hops + 1,
-                    };
-                    if table.offer_ascending(dest, route, &mut cursor) {
-                        t.flags[off] = true;
-                    }
+            let table = &mut t.tables[off];
+            // Zone scoping: `to` only maintains destinations in its own
+            // zone. Vectors carry their destinations in ascending id
+            // order, and `to`'s zone links ascend by neighbor id, so one
+            // merge cursor finds each entry's link (`to` is never its own
+            // neighbor, so self-routes find none); an ascending offer
+            // cursor replays them into the table.
+            let zone = round.zones.links(to);
+            let mut z = 0usize;
+            let mut cursor = 0usize;
+            for &(dest, cost, hops) in entries {
+                while z < zone.len() && zone[z].neighbor.raw() < dest {
+                    z += 1;
                 }
-            } else {
-                // Zone scoping and block lookup in one load from `to`'s row
-                // of the slot map (a node never links to itself, so
-                // self-routes have no slot). About a third of the entries
-                // fall outside `to`'s zone in no pattern a branch predictor
-                // learns, so each chunk first gathers its in-scope entries
-                // without branching and then offers only those.
-                let slots = &round.scope.slot_of[to.index() * nd..(to.index() + 1) * nd];
-                for chunk in entries.chunks(GATHER) {
-                    let mut hits = [0u8; GATHER];
-                    let mut len = 0;
-                    for (i, &(di, _, _)) in chunk.iter().enumerate() {
-                        hits[len] = i as u8;
-                        len += usize::from(slots[di as usize] != NO_SLOT);
-                    }
-                    for &i in &hits[..len] {
-                        let (di, cost, hops) = chunk[usize::from(i)];
-                        let route = RouteEntry {
-                            via: from,
-                            cost: link.weight + cost,
-                            hops: hops + 1,
-                        };
-                        if t.plane.offer(slots[di as usize] as usize, route) {
-                            t.flags[off] = true;
-                        }
-                    }
+                if z == zone.len() {
+                    break; // past `to`'s last zone neighbor
+                }
+                if zone[z].neighbor.raw() != dest {
+                    continue;
+                }
+                let route = RouteEntry {
+                    via: from,
+                    cost: link.weight + cost,
+                    hops: hops + 1,
+                };
+                if table.offer_ascending(zone[z].neighbor, route, &mut cursor) {
+                    t.flags[off] = true;
                 }
             }
         }
     }
 }
 
-/// Appends the broadcasts of the range's flagged nodes, in id order, to
+/// Appends the whole vectors of the range's flagged nodes, in id order, to
 /// `entries` / `from` (the next snapshot or the range's share of it) and
-/// resets their change state. Returns whether any node had something to
-/// send.
-fn flatten_range<const MODE: bool>(
-    scope: &Scope,
+/// clears their flags. Returns whether any node had something to send.
+fn flatten_range(
     t: &mut RangeTask<'_>,
     entries: &mut Vec<Entry>,
     from: &mut Vec<(NodeId, u32, u32)>,
 ) -> bool {
     let mut had = false;
     for off in 0..t.flags.len() {
-        // Only alive nodes are ever flagged. A flagged node sends its whole
-        // vector, empty or not, in full mode, and its dirty slots' best
-        // routes in delta mode — at least one, as plane blocks only gain
-        // routes during an exchange.
+        // Only alive nodes are ever flagged. A flagged node sends its
+        // whole vector, empty or not.
         if !std::mem::take(&mut t.flags[off]) {
             continue;
         }
         had = true;
-        let i = t.lo + off;
         let start = entries.len() as u32;
-        if MODE == FULL {
-            t.tables[off].append_vector(entries);
-        } else {
-            let p = &mut t.plane;
-            for slot in scope.row[i] as usize..scope.row[i + 1] as usize {
-                let s = slot - p.base;
-                if std::mem::take(&mut p.dirty[s]) {
-                    entries.push((scope.slot_dest[slot], p.cost[s * p.k], p.hops[s * p.k]));
-                }
-            }
-        }
-        from.push((NodeId::new(i as u32), start, entries.len() as u32));
+        t.tables[off].append_vector(entries);
+        from.push((
+            NodeId::new((t.lo + off) as u32),
+            start,
+            entries.len() as u32,
+        ));
     }
     had
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1370,10 +1636,11 @@ mod tests {
 
     #[test]
     fn sharded_paths_at_paper_scale_match_sequential() {
-        // At the paper's n = 169 the round loads clear the pool-dispatch
-        // threshold, so this differential cuts both the full rebuild and a
-        // multi-mover delta re-convergence into pooled receiver ranges —
-        // not just the inline range the small-grid tests reach.
+        // At the paper's n = 169 the loads clear the pool-dispatch
+        // threshold, so this differential cuts the full rebuild into pooled
+        // receiver ranges and a multi-mover delta re-convergence into
+        // pooled destination runs — not just the inline piece the
+        // small-grid tests reach.
         let mut topo = placement::grid(13, 13, 5.0).unwrap();
         let radio = RadioProfile::mica2();
         let old_zones = ZoneTable::build(&topo, &radio, 20.0);
@@ -1481,13 +1748,97 @@ mod tests {
         assert!(delta.bytes_total < full_stats.bytes_total);
     }
 
+    /// `(rounds, messages, entries_sent, bytes_total, Σ i·per_node_bytes[i])`.
+    fn accounting(stats: &DbfStats) -> (u32, u64, u64, u64, u64) {
+        let weighted = stats
+            .per_node_bytes
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| i as u64 * b)
+            .sum();
+        (
+            stats.rounds,
+            stats.messages,
+            stats.entries_sent,
+            stats.bytes_total,
+            weighted,
+        )
+    }
+
+    #[test]
+    fn delta_accounting_matches_recorded_values() {
+        // Absolute delta stats of a scripted 13×13, k = 2 sequence: the
+        // five-mover move below, a kill and revive of node 84, and a
+        // three-mover in-place zone patch. The values were recorded from
+        // an independent, node-major implementation of the exchange, so
+        // they pin the accounting itself, not just its agreement across
+        // shard counts; the 4-shard engine runs them in pooled
+        // destination runs.
+        let want = [
+            (7, 860, 18_021, 73_804, 6_239_820),
+            (7, 720, 6_502, 27_448, 2_642_956),
+            (7, 729, 6_839, 28_814, 2_767_864),
+            (7, 860, 15_087, 62_068, 5_437_910),
+        ];
+        for shards in [1usize, 4] {
+            let mut topo = placement::grid(13, 13, 5.0).unwrap();
+            let radio = RadioProfile::mica2();
+            let old_zones = ZoneTable::build(&topo, &radio, 20.0);
+            let movers: Vec<NodeId> = [15u32, 60, 84, 120, 150]
+                .iter()
+                .map(|&i| NodeId::new(i))
+                .collect();
+            for (j, &m) in movers.iter().enumerate() {
+                let p = topo.position(m);
+                topo.move_node(
+                    m,
+                    spms_net::Point::new(p.x + 7.5, (j as f64).mul_add(2.5, p.y)),
+                );
+            }
+            let new_zones = ZoneTable::build(&topo, &radio, 20.0);
+            let mut alive = vec![true; new_zones.len()];
+            let mut dbf = DbfEngine::new(&old_zones, 2).with_shards(shards);
+            dbf.rebuild_sharded(&old_zones, &alive);
+            let mut got = vec![accounting(
+                &dbf.update_topology(&old_zones, &new_zones, &movers, &alive),
+            )];
+            for up in [false, true] {
+                alive[84] = up;
+                got.push(accounting(&dbf.invalidate_zone(
+                    &new_zones,
+                    &[NodeId::new(84)],
+                    &alive,
+                )));
+            }
+            let mut grid = spms_net::SpatialGrid::build(&topo, 20.0);
+            let mut zones = ZoneTable::build_indexed(&topo, &radio, &grid, 20.0);
+            let trio = [NodeId::new(30), NodeId::new(97), NodeId::new(140)];
+            for (j, &m) in trio.iter().enumerate() {
+                let p = topo.position(m);
+                topo.move_node(m, spms_net::Point::new(p.x - 6.0, p.y + 4.0 + j as f64));
+                grid.move_node(m, topo.position(m));
+            }
+            let delta = zones.apply_moves(&topo, &radio, &grid, &trio);
+            got.push(accounting(&dbf.apply_zone_delta(
+                &zones,
+                &delta,
+                &[],
+                &alive,
+            )));
+            assert_eq!(got, want, "{shards} shards");
+            assert_eq!(dbf.pool_started(), shards > 1, "{shards} shards");
+            let (want_tables, _) = reference_rebuild(&zones, 2, &alive);
+            assert_tables_match(&dbf, &want_tables, &format!("{shards} shards"));
+        }
+    }
+
     #[test]
     fn sub_threshold_rounds_stay_inline_and_never_start_the_pool() {
-        // On a 5-node line every delta and full-rebuild round is far below
-        // SHARD_MIN_LOAD, so even a widely-sharded engine must keep the
-        // whole exchange on the calling thread — no worker threads
-        // spawned — and still land byte-identical to a one-shard engine
-        // and the reference.
+        // On a 5-node line every full-rebuild round and the delta exchange
+        // are far below SHARD_MIN_LOAD, so even a widely-sharded engine
+        // must keep the whole exchange on the calling thread — no worker
+        // threads spawned — and still land byte-identical to a one-shard
+        // engine and the reference.
         let mut topo = placement::grid(5, 1, 5.0).unwrap();
         let radio = RadioProfile::mica2();
         let old_zones = ZoneTable::build(&topo, &radio, 20.0);

@@ -517,6 +517,24 @@ pub(crate) fn offer_block_soa2(
     }
 }
 
+/// Whether [`offer_block_soa`] (or [`offer_block_soa2`]) would turn
+/// `entry` away untouched for the simplest reason: the block is full, no
+/// slot holds `entry.via`, and every slot orders strictly before it on
+/// cost alone (`cost[u] - entry.cost < -COST_EPS`, the comparison
+/// `plane_less` itself evaluates). `via`/`cost` are the whole `k`-slot
+/// block and `len` its live prefix. Every condition is evaluated (`&`, not
+/// `&&`) over all `k` slots, so slots past a short block's live prefix are
+/// read but cannot matter. A NaN cost makes its comparison false, so such
+/// an offer is never rejected here and falls through to the kernel.
+#[inline(always)]
+pub(crate) fn offer_rejected(via: &[NodeId], cost: &[f64], len: usize, entry: &RouteEntry) -> bool {
+    let mut rejected = len == via.len();
+    for (&v, &c) in via.iter().zip(cost) {
+        rejected &= (v != entry.via) & (c - entry.cost < -COST_EPS);
+    }
+    rejected
+}
+
 /// A node's routing table: for each in-zone destination, up to `k` route
 /// alternatives sorted best-first.
 ///
@@ -1591,6 +1609,72 @@ mod tests {
             let b = aos.offer(NodeId::new(d), entry);
             assert_eq!(a, b, "changed flags diverged on {entry:?}");
             assert_eq!(soa, aos, "tables diverged after {entry:?}");
+        }
+    }
+
+    /// Slot cost offsets from an offer's cost: well clear of, just beyond,
+    /// at and within the `COST_EPS` tie window on either side, and NaN.
+    const OFFSETS: [f64; 11] = [
+        -1.0,
+        -2.0 * COST_EPS,
+        -1.5 * COST_EPS,
+        -COST_EPS,
+        -0.5 * COST_EPS,
+        0.0,
+        0.5 * COST_EPS,
+        COST_EPS,
+        1.5 * COST_EPS,
+        1.0,
+        f64::NAN,
+    ];
+
+    proptest::proptest! {
+        // Cases are microseconds each; enough of them that every pairing
+        // of a matched next hop with each offset bucket comes up.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// Whenever the reject test turns an offer away, both SoA block
+        /// kernels agree: they report no change and leave the block bit for
+        /// bit as it was.
+        #[test]
+        fn offer_rejected_never_disagrees_with_the_kernels(
+            k in 1usize..5,
+            len in 0usize..5,
+            slots in proptest::prop::collection::vec((0u32..6, 0..OFFSETS.len(), 1u32..4), 4),
+            offer_via in 0u32..6,
+            offer_cost in 0usize..4,
+            offer_hops in 1u32..4,
+        ) {
+            let len = len.min(k);
+            let offer_cost = [0.0, 0.05, 1.0, f64::NAN][offer_cost];
+            let entry = e(offer_via, offer_cost, offer_hops);
+            // At `0.0` the offsets are exact; elsewhere they round.
+            let anchor = if offer_cost.is_nan() { 1.0 } else { offer_cost };
+            let (mut via, mut cost, mut hops) = (Vec::new(), Vec::new(), Vec::new());
+            for (u, &(v, off, h)) in slots[..k].iter().enumerate() {
+                // A block holds at most one route per next hop.
+                let v = NodeId::new(v);
+                via.push(if via.contains(&v) { NodeId::new(100 + u as u32) } else { v });
+                cost.push(anchor + OFFSETS[off]);
+                hops.push(h);
+            }
+            if offer_rejected(&via, &cost, len, &entry) {
+                let bits = |c: &[f64]| c.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                let (mut v, mut c, mut h) = (via.clone(), cost.clone(), hops.clone());
+                let mut runs = vec![offer_block_soa(&mut v, &mut c, &mut h, len, entry)];
+                let mut blocks = vec![(v, c, h)];
+                if k == 2 {
+                    let (mut v, mut c, mut h) = (via.clone(), cost.clone(), hops.clone());
+                    runs.push(offer_block_soa2(&mut v, &mut c, &mut h, len, entry));
+                    blocks.push((v, c, h));
+                }
+                for (got, (v, c, h)) in runs.into_iter().zip(blocks) {
+                    proptest::prop_assert_eq!(got, (false, len));
+                    proptest::prop_assert_eq!(&v, &via);
+                    proptest::prop_assert_eq!(bits(&c), bits(&cost));
+                    proptest::prop_assert_eq!(&h, &hops);
+                }
+            }
         }
     }
 
