@@ -10,12 +10,14 @@
 //!
 //! * `dbf_delta_seq_n` — a one-shard engine (every exchange inline),
 //! * `dbf_delta_sharded_n` — an engine at the host's available parallelism
-//!   (a heavy exchange cut into contiguous runs of destinations, handed
-//!   to the worker pool once per exchange; bit-identical tables and stats,
-//!   proptested; only wall-clock may differ),
+//!   (a heavy exchange cut into contiguous runs of destinations, the first
+//!   on the calling thread and each other on a scoped thread spawned once
+//!   per exchange; bit-identical tables and stats, proptested; only
+//!   wall-clock may differ),
 //! * `dbf_full_seq_n` / `dbf_full_sharded_n` — the from-scratch rebuild
 //!   (`DbfEngine::rebuild_sharded`) on a one-shard engine versus an engine
-//!   at the host's available parallelism.
+//!   at the host's available parallelism (a heavy round's receiver
+//!   ranges run the same way, on threads spawned for that round).
 //!
 //! CI's hardware-independent ratio gates pin sharded ≤ 0.7× one-shard at
 //! n = 625 for both the delta exchange and the full rebuild, and ≤ 0.8×

@@ -303,15 +303,13 @@ pub struct SimConfig {
     /// ([`spms_routing::DbfEngine::with_shards`]): a heavy round of the
     /// full rebuild is cut into contiguous receiver ranges of balanced
     /// load, a heavy epoch's delta re-convergence into contiguous runs of
-    /// destinations, and the pieces run on the engine's persistent worker
-    /// pool; `1` runs everything inline. The shard count also sizes that
-    /// pool — `shards − 1` threads, created lazily on the first heavy
-    /// piece of work, parked in between, reused across every epoch of the
-    /// run, and dropped with the engine.
+    /// destinations; the first piece runs on the simulation's own thread
+    /// and each other piece on a scoped thread spawned for that round or
+    /// exchange and joined before it ends. `1` runs everything inline.
     /// `0` (the default) resolves to [`spms_kernel::host_parallelism`]; a
     /// sweep running several simulations at once fills an unset `0` with
     /// its per-run share of the host instead (host parallelism divided by
-    /// the sweep's workers, at least 1), so sweep workers and pool threads
+    /// the sweep's workers, at least 1), so sweep workers and DBF threads
     /// together do not oversubscribe the host.
     /// The shard count can never change results — tables *and* stats are
     /// bit-identical for every value (property-tested in `spms-routing`),

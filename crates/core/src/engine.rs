@@ -542,8 +542,8 @@ impl Simulation {
 
     /// The shard count the DBF rounds run with: the configured
     /// `dbf_shards`, with `0` resolving to
-    /// [`spms_kernel::host_parallelism`]. Also sizes the routing engine's
-    /// persistent worker pool. Purely a wall-clock knob — results are
+    /// [`spms_kernel::host_parallelism`]: the most threads one DBF round
+    /// or exchange runs on. Purely a wall-clock knob — results are
     /// bit-identical for every value.
     fn resolved_shards(&self) -> usize {
         match self.config.dbf_shards {
@@ -1049,8 +1049,8 @@ impl Simulation {
     /// timestamp lands on the gate, the affected zone rows are patched (or
     /// the table rebuilt, on the reference path), and routing re-converges
     /// through the same [`Simulation::reroute`] step mobility epochs use —
-    /// so sharding, the worker pool, and the oracle chain treat a
-    /// scheduled window boundary exactly like a mobility epoch.
+    /// so DBF sharding and the oracle chain treat a scheduled window
+    /// boundary exactly like a mobility epoch.
     fn handle_contact_epoch(&mut self) {
         let Some(epoch) = self.staged_contact.take() else {
             return;

@@ -18,9 +18,10 @@
 //!   knows, so each round relaxes the previous round's snapshot over
 //!   contiguous receiver id ranges: one range, `0..n`, run inline, unless
 //!   the engine has more than one shard ([`DbfEngine::with_shards`]) and
-//!   the round is heavy enough to pay the handoff; then the ranges are cut
-//!   to balance relaxation load and run on the engine's persistent
-//!   [`WorkerPool`]. A range walks the snapshot in sender order, clips each
+//!   the round is heavy enough to pay for threads; then the ranges are cut
+//!   to balance relaxation load, the first runs on the calling thread and
+//!   each other on a scoped thread of its own, all joined before the round
+//!   ends. A range walks the snapshot in sender order, clips each
 //!   sender's zone links to its own ids, relaxes, and flattens its own
 //!   changed nodes into its share of the next snapshot; the shares
 //!   concatenate in id order.
@@ -43,11 +44,11 @@
 //!   routes along that adjacency; an inlined test turns away the offers
 //!   the block kernel would reject before calling it. A sharded engine
 //!   cuts a heavy exchange into contiguous runs of destinations and runs
-//!   them on the pool, one handoff per exchange. After quiescence each
-//!   maintainer's table drops its affected destinations and takes the
-//!   converged blocks in one in-place merge — on the pool, inside the run
-//!   that holds all of the maintainer's affected destinations, if one
-//!   does. [`DbfStats`] are integer sums over per-(round, node) entry
+//!   them the same way, one set of threads per exchange. After quiescence
+//!   each maintainer's table drops its affected destinations and takes the
+//!   converged blocks in one in-place merge — on the run's thread, inside
+//!   the run that holds all of the maintainer's affected destinations, if
+//!   one does. [`DbfStats`] are integer sums over per-(round, node) entry
 //!   counts: a node's round-`r` message carries its changed routes to
 //!   every destination still converging in round `r`.
 //!
@@ -71,28 +72,24 @@
 //! reaches the same fixpoint as a from-scratch rebuild — bit-for-bit, which
 //! the `incremental` proptest suite asserts.
 
-use std::sync::Arc;
-
 use spms_net::{NodeId, ZoneDelta, ZoneTable};
 
-/// Minimum load before work is cut for the persistent worker pool;
-/// lighter work runs inline, away from the pool's handoff. The unit is
-/// (entry, receiver) pairs. A full round's load is its own: the vector
+/// Minimum load before work is cut into pieces that run on threads of
+/// their own; lighter work runs inline, away from a thread spawn. The unit
+/// is (entry, receiver) pairs. A full round's load is its own: the vector
 /// entries addressed to alive receivers, counted once per receiver. A
 /// delta exchange's is Σ `m²` over its alive affected destinations, `m`
-/// being a destination's maintainer count: the pairs of one round in
-/// which every maintainer of every destination speaks. Measured on a
-/// 2-vCPU Xeon VM over perfbench `mobility`'s delta exchanges (seed 42) and
-/// single moves on 3×3 to 13×13 grids: an inline delta exchange costs
-/// 20–60 ns per unit, and a two-shard engine made to pool every exchange
-/// took 1.02–1.40× the inline time below 4,000 units but 0.64–0.75× above
-/// it — the handoff plus the slower run cost tens of µs there. A full
-/// round costs 8–10 ns per pair, so 4,096 pairs are ≈ 35 µs of work, the
-/// same order. Purely a scheduling choice: the executed relaxation is
-/// identical either way.
-const SHARD_MIN_LOAD: u64 = 4096;
+/// being a destination's maintainer count: the pairs of one round in which
+/// every maintainer of every destination speaks. Measured on a 2-vCPU Xeon
+/// VM, a two-shard engine that threads every piece against one that never
+/// does, alternated per exchange over ten sessions (delta exchanges of
+/// 1–24 movers and full rebuilds, 4×4 to 25×25 grids at 7.5–20 m radius):
+/// between 8,000 and 10,000 units the threaded engine took 1.04× the
+/// inline time on delta exchanges and 1.21× on full rounds, between
+/// 10,000 and 12,000 units 0.95× and 0.71×. Purely a scheduling choice:
+/// the executed relaxation is identical either way.
+const SHARD_MIN_LOAD: u64 = 10_000;
 
-use crate::pool::WorkerPool;
 use crate::table::{offer_block_soa, offer_block_soa2, offer_rejected, VACANT};
 use crate::{DbfWireFormat, RouteEntry, RoutingTable, TableLayout};
 
@@ -370,7 +367,7 @@ struct DestRun {
     /// destinations: `counts[r * nodes + x]` for exchange id `x`.
     counts: Vec<u32>,
     /// The tables, by exchange id, of the maintainers whose affected
-    /// destinations all lie in this run, borrowed for a pooled exchange.
+    /// destinations all lie in this run, borrowed for a threaded exchange.
     owned: Vec<(u32, RoutingTable)>,
     /// Write-back buffers.
     row: RowBlocks,
@@ -416,8 +413,8 @@ impl RowBlocks {
 }
 
 /// Reusable buffers for the synchronous exchange, hoisted out of the round
-/// loop so steady-state inline rounds allocate nothing (a pooled round
-/// allocates only its short task list).
+/// loop so steady-state inline rounds allocate nothing (a threaded round
+/// allocates only its short task list and its threads).
 #[derive(Clone, Debug, Default)]
 struct Scratch {
     /// Full rounds: the nodes that broadcast next — every alive node in
@@ -428,10 +425,10 @@ struct Scratch {
     /// Full rounds: `(sender, start, end)` ranges into `snap_entries`, in
     /// sender order.
     snap_from: Vec<(NodeId, u32, u32)>,
-    /// Pooled full rounds: each receiver range's share of the next
+    /// Threaded full rounds: each receiver range's share of the next
     /// snapshot's entries.
     range_entries: Vec<Vec<Entry>>,
-    /// Pooled full rounds: each receiver range's share of the next
+    /// Threaded full rounds: each receiver range's share of the next
     /// snapshot's senders (ranges relative to its own entry buffer until
     /// concatenation rebases them).
     range_from: Vec<Vec<(NodeId, u32, u32)>>,
@@ -453,6 +450,9 @@ struct Scratch {
     plane: Plane,
     /// Delta exchanges: one scratch per destination run.
     runs: Vec<DestRun>,
+    /// Rounds and exchanges handed to [`run_split`] so far; the unit
+    /// tests read it to tell threaded work from inline work.
+    threaded: u64,
 }
 
 /// The distributed Bellman-Ford engine: one routing table per node.
@@ -472,7 +472,7 @@ struct Scratch {
 /// let best = dbf.table(NodeId::new(0)).best(NodeId::new(8)).unwrap();
 /// assert!(best.hops >= 2);
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct DbfEngine {
     tables: Vec<RoutingTable>,
     k: usize,
@@ -480,30 +480,7 @@ pub struct DbfEngine {
     /// round, destination runs of a delta exchange; `1` runs everything
     /// inline. Bit-identical for every value.
     shards: usize,
-    /// The persistent worker pool (`shards - 1` parked threads; the
-    /// dispatching thread is the remaining shard), spun up lazily the
-    /// first time work is heavy enough to split and reused for every
-    /// round, epoch, and rebuild after that. Dropped with the engine,
-    /// which joins the workers.
-    pool: Option<Arc<WorkerPool>>,
     scratch: Scratch,
-}
-
-impl Clone for DbfEngine {
-    /// Clones the routing state; the clone gets no pool and spins up its
-    /// own on first use. Worker threads are wall-clock machinery, not
-    /// routing state — sharing them would serialize two engines against
-    /// each other, and cloning them would leak idle threads for clones
-    /// that never re-converge.
-    fn clone(&self) -> Self {
-        DbfEngine {
-            tables: self.tables.clone(),
-            k: self.k,
-            shards: self.shards,
-            pool: None,
-            scratch: self.scratch.clone(),
-        }
-    }
 }
 
 impl DbfEngine {
@@ -519,7 +496,6 @@ impl DbfEngine {
             tables: (0..zones.len()).map(|_| RoutingTable::new(k)).collect(),
             k,
             shards: 1,
-            pool: None,
             scratch: Scratch::default(),
         };
         engine.reset(zones, &vec![true; zones.len()]);
@@ -529,10 +505,10 @@ impl DbfEngine {
     /// Lets heavy work run on up to `shards` threads: a heavy full round is
     /// cut into at most `shards` receiver ranges of balanced relaxation
     /// load, a heavy delta exchange into at most `shards` runs of
-    /// destinations, and the pieces run on the engine's worker pool. `1`
-    /// (the default) runs everything inline and never starts the pool.
-    /// Tables and stats are bit-identical for every shard count
-    /// (property-tested).
+    /// destinations; the first piece runs on the calling thread and each
+    /// other piece on a scoped thread spawned for it. `1` (the default)
+    /// runs everything inline and never spawns a thread. Tables and stats
+    /// are bit-identical for every shard count (property-tested).
     ///
     /// # Panics
     ///
@@ -541,7 +517,6 @@ impl DbfEngine {
     pub fn with_shards(mut self, shards: usize) -> Self {
         assert!(shards > 0, "shards must be at least 1");
         self.shards = shards;
-        self.pool = None;
         self
     }
 
@@ -549,33 +524,6 @@ impl DbfEngine {
     #[must_use]
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// Whether the persistent worker pool has been spun up. Observability
-    /// for the inline-dispatch taper: an engine whose every round and
-    /// exchange stays under the pool's load threshold must never start
-    /// worker threads (pinned by tests), so light workloads on a sharded
-    /// engine pay exactly what a one-shard engine pays.
-    #[must_use]
-    pub fn pool_started(&self) -> bool {
-        self.pool.is_some()
-    }
-
-    /// The persistent pool, spun up on first use with `shards - 1` worker
-    /// threads (the dispatching thread acts as the final shard). Returns
-    /// a clone of the handle so callers can dispatch while `self`'s
-    /// fields are mutably borrowed; the `Arc` is an ownership detail, not
-    /// a sharing mechanism — each engine has its own pool.
-    fn pool(&mut self) -> Arc<WorkerPool> {
-        debug_assert!(
-            self.shards >= 2,
-            "pooled dispatch needs at least two shards"
-        );
-        let workers = self.shards - 1;
-        Arc::clone(
-            self.pool
-                .get_or_insert_with(|| Arc::new(WorkerPool::new(workers))),
-        )
     }
 
     /// Stores every routing table in `layout` ([`TableLayout::Soa`] planes
@@ -864,14 +812,14 @@ impl DbfEngine {
     /// out under the **new** zones (and any old-adjacency wipes already
     /// done): empties every plane block, converges the routes to every
     /// affected destination on its own plane slots (in destination runs on
-    /// the pool when the exchange is heavy and the engine sharded), writes
-    /// the converged blocks back, and sums the runs' per-(round, node)
-    /// entry counts into the stats. The write-back replaces each alive
-    /// maintainer's routes to its affected destinations in one merge, so
-    /// the tables are never wiped separately; no exchange step reads those
-    /// routes from the tables. On the pool, a run merges the maintainers
-    /// whose affected destinations all lie in it; the rest merge after the
-    /// handoff.
+    /// threads of their own when the exchange is heavy and the engine
+    /// sharded), writes the converged blocks back, and sums the runs'
+    /// per-(round, node) entry counts into the stats. The write-back
+    /// replaces each alive maintainer's routes to its affected destinations
+    /// in one merge, so the tables are never wiped separately; no exchange
+    /// step reads those routes from the tables. When runs are threaded, a
+    /// run merges the maintainers whose affected destinations all lie in
+    /// it; the rest merge after the runs are joined.
     fn reconverge_affected(&mut self, zones: &ZoneTable, alive: &[bool]) -> DbfStats {
         let n = zones.len();
         let k = self.k;
@@ -903,7 +851,7 @@ impl DbfEngine {
         } else {
             // A maintainer whose affected destinations all lie in one run
             // is written back by that run as soon as it has converged: the
-            // run borrows the table for the handoff.
+            // run borrows the table until the runs are joined.
             for (x, &a) in s.scope.nodes.iter().enumerate() {
                 if let Some(r) = owner(&s.scope, &s.bounds, x).filter(|_| alive[a.index()]) {
                     let table =
@@ -911,14 +859,14 @@ impl DbfEngine {
                     s.runs[r].owned.push((x as u32, table));
                 }
             }
-            let pool = self.pool();
+            s.threaded += 1;
             let mut tasks = Vec::with_capacity(runs);
             for (w, run) in s.bounds.windows(2).zip(&mut s.runs) {
                 let (mine, rest) = plane.split_at(s.scope.slots(w[0], w[1]).len());
                 plane = rest;
                 tasks.push((w[0]..w[1], mine, run));
             }
-            pool.run(&mut tasks, |(dests, plane, run)| {
+            run_split(&mut tasks, |(dests, plane, run)| {
                 converge_run(&exchange, dests.clone(), plane, run);
                 for (x, table) in &mut run.owned {
                     run.row
@@ -970,8 +918,8 @@ impl DbfEngine {
     /// The full round loop, run to quiescence. Each round relaxes the
     /// current snapshot over the planned receiver ranges, then flattens
     /// each range's flagged nodes into the next snapshot: inline, straight
-    /// into the snapshot buffers, for one range; on the worker pool, into
-    /// per-range buffers concatenated in id order, for more. It starts
+    /// into the snapshot buffers, for one range; on threads of their own,
+    /// into per-range buffers concatenated in id order, for more. It starts
     /// from an empty snapshot with every alive node flagged, so its first
     /// pass only flattens round one's broadcasters. The exchange quiesces
     /// after a round in which no node had anything to send (counted: the
@@ -1014,7 +962,7 @@ impl DbfEngine {
                 s.snap_from.clear();
                 flatten_range(&mut range, &mut s.snap_entries, &mut s.snap_from)
             } else {
-                let pool = self.pool();
+                s.threaded += 1;
                 if s.range_entries.len() < ranges {
                     s.range_entries.resize_with(ranges, Vec::new);
                     s.range_from.resize_with(ranges, Vec::new);
@@ -1044,7 +992,7 @@ impl DbfEngine {
                 }
                 // A range flattens as soon as its own relaxation is done,
                 // while other ranges may still be reading the snapshot.
-                pool.run(&mut tasks, |(range, entries, from, had)| {
+                run_split(&mut tasks, |(range, entries, from, had)| {
                     relax_range(&round, range);
                     *had = flatten_range(range, entries, from);
                 });
@@ -1162,6 +1110,22 @@ fn cut(load: &[u64], len: usize, shards: usize, bounds: &mut Vec<usize>) {
         }
     }
     bounds.push(len);
+}
+
+/// Runs `f` once on every task: the first on the calling thread, each
+/// other on a scoped thread spawned for it. Returns once every task has
+/// finished; a panicking task then panics the caller.
+fn run_split<T: Send>(tasks: &mut [T], f: impl Fn(&mut T) + Sync) {
+    let Some((first, rest)) = tasks.split_first_mut() else {
+        return;
+    };
+    std::thread::scope(|scope| {
+        for task in rest {
+            let f = &f;
+            scope.spawn(move || f(task));
+        }
+        f(first);
+    });
 }
 
 /// The read-only inputs every destination run of a delta exchange shares.
@@ -1636,11 +1600,10 @@ mod tests {
 
     #[test]
     fn sharded_paths_at_paper_scale_match_sequential() {
-        // At the paper's n = 169 the loads clear the pool-dispatch
-        // threshold, so this differential cuts the full rebuild into pooled
-        // receiver ranges and a multi-mover delta re-convergence into
-        // pooled destination runs — not just the inline piece the
-        // small-grid tests reach.
+        // At the paper's n = 169 the loads clear SHARD_MIN_LOAD, so this
+        // differential cuts the full rebuild into threaded receiver ranges
+        // and a multi-mover delta re-convergence into threaded destination
+        // runs — not just the inline piece the small-grid tests reach.
         let mut topo = placement::grid(13, 13, 5.0).unwrap();
         let radio = RadioProfile::mica2();
         let old_zones = ZoneTable::build(&topo, &radio, 20.0);
@@ -1663,25 +1626,23 @@ mod tests {
         let mut one = DbfEngine::new(&old_zones, 2);
         one.rebuild_sharded(&old_zones, &alive);
         let delta_want = one.update_topology(&old_zones, &new_zones, &movers, &alive);
-        assert!(
-            delta_want.entries_sent > 1024,
-            "the delta must be heavy enough to engage the pool (sent {})",
-            delta_want.entries_sent
-        );
-        assert!(
-            !one.pool_started(),
-            "a one-shard engine never starts a pool"
-        );
+        assert_eq!(one.scratch.threaded, 0, "a one-shard engine never threads");
 
         for shards in [2usize, 8] {
             let mut sharded = DbfEngine::new(&old_zones, 2).with_shards(shards);
             let full_got = sharded.rebuild_sharded(&old_zones, &alive);
             assert_eq!(full_got, full_want, "full stats diverged at {shards}");
+            let full_threaded = sharded.scratch.threaded;
+            assert!(
+                full_threaded > 0,
+                "{shards} shards: the full rebuild must thread its heavy rounds"
+            );
             let delta_got = sharded.update_topology(&old_zones, &new_zones, &movers, &alive);
             assert_eq!(delta_got, delta_want, "delta stats diverged at {shards}");
-            assert!(
-                sharded.pool_started(),
-                "{shards} shards: a paper-scale run must engage the worker pool"
+            assert_eq!(
+                sharded.scratch.threaded,
+                full_threaded + 1,
+                "{shards} shards: the delta exchange must thread its runs"
             );
             assert_tables_match(&sharded, &new_tables, &format!("{shards} shards"));
         }
@@ -1772,7 +1733,7 @@ mod tests {
         // three-mover in-place zone patch. The values were recorded from
         // an independent, node-major implementation of the exchange, so
         // they pin the accounting itself, not just its agreement across
-        // shard counts; the 4-shard engine runs them in pooled
+        // shard counts; the 4-shard engine runs every exchange in threaded
         // destination runs.
         let want = [
             (7, 860, 18_021, 73_804, 6_239_820),
@@ -1799,6 +1760,7 @@ mod tests {
             let mut alive = vec![true; new_zones.len()];
             let mut dbf = DbfEngine::new(&old_zones, 2).with_shards(shards);
             dbf.rebuild_sharded(&old_zones, &alive);
+            let rebuild_threaded = dbf.scratch.threaded;
             let mut got = vec![accounting(
                 &dbf.update_topology(&old_zones, &new_zones, &movers, &alive),
             )];
@@ -1826,7 +1788,9 @@ mod tests {
                 &alive,
             )));
             assert_eq!(got, want, "{shards} shards");
-            assert_eq!(dbf.pool_started(), shards > 1, "{shards} shards");
+            let delta_threaded = dbf.scratch.threaded - rebuild_threaded;
+            let expected = if shards > 1 { want.len() as u64 } else { 0 };
+            assert_eq!(delta_threaded, expected, "{shards} shards");
             let (want_tables, _) = reference_rebuild(&zones, 2, &alive);
             assert_tables_match(&dbf, &want_tables, &format!("{shards} shards"));
         }
@@ -1836,9 +1800,9 @@ mod tests {
     fn sub_threshold_rounds_stay_inline_and_never_start_the_pool() {
         // On a 5-node line every full-rebuild round and the delta exchange
         // are far below SHARD_MIN_LOAD, so even a widely-sharded engine
-        // must keep the whole exchange on the calling thread — no worker
-        // threads spawned — and still land byte-identical to a one-shard
-        // engine and the reference.
+        // must keep the whole exchange on the calling thread — no thread
+        // spawned — and still land byte-identical to a one-shard engine
+        // and the reference.
         let mut topo = placement::grid(5, 1, 5.0).unwrap();
         let radio = RadioProfile::mica2();
         let old_zones = ZoneTable::build(&topo, &radio, 20.0);
@@ -1858,20 +1822,18 @@ mod tests {
         assert_eq!(full_got, full_want);
         let delta_got = sharded.update_topology(&old_zones, &new_zones, &[moved], &alive);
         assert_eq!(delta_got, delta_want);
-        assert!(
-            !sharded.pool_started(),
-            "sub-threshold rounds must not spin up the worker pool"
+        assert_eq!(
+            sharded.scratch.threaded, 0,
+            "sub-threshold rounds must not spawn threads"
         );
         assert_tables_match(&sharded, &new_tables, "8 shards");
     }
 
     #[test]
-    fn pool_persists_across_epochs_and_clones_start_fresh() {
-        // The pool is created lazily on the first heavy round, then
-        // reused for every subsequent epoch (ping-pong re-convergence
-        // below re-enters the round loop many times on the same engine).
-        // A cloned engine shares tables but never threads: it lazily
-        // builds its own pool.
+    fn sharded_epochs_and_clones_match_the_one_shard_replay() {
+        // Ping-pong re-convergence re-enters the exchange many times on
+        // one threaded engine, and a clone carries on from its state: every
+        // step lands where the one-shard replay does.
         let mut topo = placement::grid(13, 13, 5.0).unwrap();
         let radio = RadioProfile::mica2();
         let zones_a = ZoneTable::build(&topo, &radio, 20.0);
@@ -1885,13 +1847,9 @@ mod tests {
 
         let mut one = DbfEngine::new(&zones_a, 2);
         one.rebuild_sharded(&zones_a, &alive);
-
         let mut sharded = DbfEngine::new(&zones_a, 2).with_shards(4);
         sharded.rebuild_sharded(&zones_a, &alive);
-        assert!(sharded.pool_started(), "a 169-node rebuild is pool work");
 
-        // Ten ping-pong epochs on the same engine: same parked workers,
-        // same fixpoints as the one-shard replay at every step.
         let mut flips = [(&zones_a, &zones_b), (&zones_b, &zones_a)]
             .into_iter()
             .cycle();
@@ -1902,35 +1860,114 @@ mod tests {
             assert_eq!(got, want, "epoch {epoch}");
         }
 
-        let clone = sharded.clone();
-        assert!(
-            !clone.pool_started(),
-            "a cloned engine must not share or inherit worker threads"
-        );
+        let mut clone = sharded.clone();
         let (want_a, _) = reference_rebuild(&zones_a, 2, &alive);
         assert_tables_match(&clone, &want_a, "clone");
-        // The clone converges independently — spinning up its own pool —
-        // while the original keeps working. Drop order between the two
-        // pools is then arbitrary, which is the point.
-        let mut clone = clone;
+        let before = clone.scratch.threaded;
         let want = one.update_topology(&zones_a, &zones_b, &movers, &alive);
         let got_clone = clone.update_topology(&zones_a, &zones_b, &movers, &alive);
         let got_orig = sharded.update_topology(&zones_a, &zones_b, &movers, &alive);
         assert_eq!(got_clone, want);
         assert_eq!(got_orig, want);
-        assert!(clone.pool_started());
+        assert!(
+            clone.scratch.threaded > before,
+            "the clone's exchange threads"
+        );
     }
 
     #[test]
-    fn engine_with_live_pool_is_send_and_sync() {
-        // The workload sweeps move engines across threads; the pool
-        // handle must not cost the engine its auto traits.
+    fn threaded_engine_is_send_and_sync() {
+        // The workload sweeps move engines across threads.
         fn check<T: Send + Sync>(_: &T) {}
         let z = zones(13, 13);
         let alive = vec![true; z.len()];
         let mut dbf = DbfEngine::new(&z, 2).with_shards(4);
         dbf.rebuild_sharded(&z, &alive);
-        assert!(dbf.pool_started());
+        assert!(dbf.scratch.threaded > 0);
         check(&dbf);
+    }
+
+    #[test]
+    fn run_split_runs_every_task_exactly_once() {
+        for tasks in [0usize, 1, 2, 5] {
+            let mut hits = vec![(0u32, None); tasks];
+            run_split(&mut hits, |(hit, thread)| {
+                *hit += 1;
+                *thread = Some(std::thread::current().id());
+            });
+            assert!(hits.iter().all(|&(hit, _)| hit == 1), "{tasks} tasks");
+            // The first task runs on the caller, each other on its own
+            // thread.
+            if let Some(&(_, first)) = hits.first() {
+                assert_eq!(first, Some(std::thread::current().id()));
+            }
+            let threads: std::collections::HashSet<_> =
+                hits.iter().map(|&(_, thread)| thread).collect();
+            assert_eq!(threads.len(), tasks, "{tasks} tasks");
+        }
+    }
+
+    #[test]
+    fn run_split_panics_only_after_every_task_finished() {
+        // Spawned task 1 panics; tasks 2 and 3 only finish once it has
+        // started to, so they are still running when it panics. Both must
+        // be done when the panic reaches the caller.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let panicking = AtomicBool::new(false);
+        let mut tasks: Vec<(usize, bool)> = (0..4).map(|i| (i, false)).collect();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_split(&mut tasks, |(i, done)| {
+                if *i == 1 {
+                    panicking.store(true, Ordering::SeqCst);
+                    panic!("task 1");
+                }
+                while *i > 1 && !panicking.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                *done = true;
+            });
+        }));
+        assert!(caught.is_err(), "a task's panic reaches the caller");
+        for &(i, done) in &tasks {
+            assert_eq!(done, i != 1, "task {i}");
+        }
+    }
+
+    #[test]
+    fn cut_is_one_piece_below_the_threshold_and_at_most_shards_above() {
+        let mut bounds = Vec::new();
+        // A one-shard engine's planners leave the load empty.
+        cut(&[], 40, 8, &mut bounds);
+        assert_eq!(bounds, [0, 40]);
+        let below = vec![(SHARD_MIN_LOAD - 1) / 10; 10];
+        cut(&below, below.len(), 4, &mut bounds);
+        assert_eq!(bounds, [0, 10]);
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+        for case in 0..500 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let len = 1 + (rng % 40) as usize;
+            let shards = 1 + (rng >> 8) as usize % 8;
+            let load: Vec<u64> = (0..len)
+                .map(|i| (rng >> (i % 48)) % (2 * SHARD_MIN_LOAD / len as u64))
+                .collect();
+            cut(&load, len, shards, &mut bounds);
+            let context = format!("case {case}: {load:?} at {shards} shards");
+            assert_eq!((bounds[0], bounds[bounds.len() - 1]), (0, len), "{context}");
+            assert!(bounds.windows(2).all(|w| w[0] < w[1]), "{context}");
+            let total: u64 = load.iter().sum();
+            if total < SHARD_MIN_LOAD {
+                assert_eq!(bounds.len(), 2, "{context}");
+            } else {
+                assert!(bounds.len() - 1 <= shards, "{context}");
+                // A piece closes once it holds its share, unless it would
+                // take the last index.
+                let share = total.div_ceil(shards as u64);
+                if shards > 1 && load[..len - 1].iter().sum::<u64>() >= share {
+                    assert!(bounds.len() > 2, "{context}");
+                }
+            }
+        }
     }
 }

@@ -51,21 +51,15 @@
 //! assert_eq!(best.via, NodeId::new(3));
 //! ```
 
-// `deny` rather than `forbid`: the `pool` module is the crate's single,
-// documented `unsafe` island (lifetime-erased job handoff to persistent
-// worker threads) and opts back in with a scoped `allow`. Everything
-// else in the crate still refuses `unsafe` at compile time.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod dbf;
 mod oracle;
-mod pool;
 mod table;
 mod wire;
 
 pub use dbf::{DbfEngine, DbfStats};
 pub use oracle::{oracle_tables, oracle_tables_masked, reference_rebuild};
-pub use pool::WorkerPool;
 pub use table::{RouteEntry, Routes, RoutesIter, RoutingTable, TableLayout};
 pub use wire::DbfWireFormat;

@@ -104,35 +104,6 @@ pub enum TableLayout {
     Aos,
 }
 
-impl TableLayout {
-    /// Stable lowercase label (CLI flag values, bench ids, logs).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            TableLayout::Soa => "soa",
-            TableLayout::Aos => "aos",
-        }
-    }
-}
-
-impl std::fmt::Display for TableLayout {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl std::str::FromStr for TableLayout {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "soa" => Ok(TableLayout::Soa),
-            "aos" => Ok(TableLayout::Aos),
-            other => Err(format!("unknown table layout `{other}` (soa|aos)")),
-        }
-    }
-}
-
 /// The slot storage behind a [`RoutingTable`]: `k` slots per destination,
 /// best-first, in one of the two [`TableLayout`]s.
 #[derive(Clone)]
@@ -1243,13 +1214,8 @@ mod tests {
     }
 
     #[test]
-    fn layout_labels_round_trip() {
+    fn soa_is_the_default_layout() {
         assert_eq!(TableLayout::default(), TableLayout::Soa);
-        for layout in BOTH {
-            assert_eq!(layout.label().parse::<TableLayout>().unwrap(), layout);
-            assert_eq!(layout.to_string(), layout.label());
-        }
-        assert!("rowmajor".parse::<TableLayout>().is_err());
         assert_eq!(RoutingTable::new(2).layout(), TableLayout::Soa);
         assert_eq!(
             RoutingTable::with_layout(2, TableLayout::Aos).layout(),
@@ -1431,16 +1397,16 @@ mod tests {
                     }
                 }
                 spliced.splice(&dests, &lens, &via, &cost, &hops);
-                assert_eq!(spliced, want, "{layout} over {present:?}");
+                assert_eq!(spliced, want, "{layout:?} over {present:?}");
                 // The index plane follows the moved rows: lookups and
                 // later offers behave alike.
                 for d in 0..12u32 {
                     let d = NodeId::new(d);
-                    assert_eq!(spliced.best(d), want.best(d), "{layout}: best {d}");
+                    assert_eq!(spliced.best(d), want.best(d), "{layout:?}: best {d}");
                     assert_eq!(
                         spliced.offer(d, e(5, 0.1, 1)),
                         want.offer(d, e(5, 0.1, 1)),
-                        "{layout}: offer {d}"
+                        "{layout:?}: offer {d}"
                     );
                 }
                 assert_eq!(spliced, want);

@@ -196,7 +196,7 @@ fn assert_matches_reference(engine: &DbfEngine, want: &[RoutingTable], context: 
 
 /// The end-to-end differential at the paper's 169-node scale: the DBF
 /// round loop, in full and delta mode, at one shard (every round inline)
-/// and at four (heavy rounds on the pool), produces byte-identical stats
+/// and at four (heavy rounds on threads), produces byte-identical stats
 /// and bit-identical tables under both arena layouts — equal to the
 /// reference rebuild's.
 #[test]

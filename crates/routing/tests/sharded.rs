@@ -1,9 +1,10 @@
 //! Differential harness for the DBF round loop across shard counts.
 //!
 //! Every property drives engines at 1, 2, 8 and 16 shards — every round
-//! inline, the smallest real pool, and two beyond-the-host widths — through
-//! random move/kill/revive sequences (with liveness flips reported late and
-//! several events re-converged at once), in both snapshot modes:
+//! inline, one thread spawned beside the caller, and two beyond-the-host
+//! widths — through random move/kill/revive sequences (with liveness
+//! flips reported late and several events re-converged at once), in both
+//! snapshot modes:
 //!
 //! * **full** — [`DbfEngine::rebuild_sharded`] must equal the sequential
 //!   [`reference_rebuild`] bit for bit, tables *and* [`DbfStats`];
@@ -119,9 +120,9 @@ proptest! {
 
     /// Random event sequences grouped into windows: movers relocate as
     /// they come and patch the zone table through one `apply_moves` at the
-    /// window's end; kills and revives stay silent until then. At every re-convergence every shard count — the
-    /// persistent worker pool parked and rewoken across every window —
-    /// must land on the reference exactly and report the same stats.
+    /// window's end; kills and revives stay silent until then. At every
+    /// re-convergence every shard count must land on the reference exactly
+    /// and report the same stats.
     #[test]
     fn batched_windows_reach_bit_identical_tables_across_shard_counts(
         cols in 3usize..7,
@@ -330,11 +331,10 @@ proptest! {
         assert_all_match_reference(&engines, &new_zones, &alive, "post-move rebuild")?;
     }
 
-    /// Dropping a pool-bearing engine mid-sequence and rebuilding a fresh
-    /// one must neither deadlock (the dropped pool joins its parked
-    /// workers) nor leak stale round data into the replacement: at every
-    /// step every engine agrees with the reference, whether it survived
-    /// from the previous step or was just recreated.
+    /// Dropping a sharded engine mid-sequence and rebuilding a fresh one
+    /// must not leak stale round data into the replacement: at every step
+    /// every engine agrees with the reference, whether it survived from
+    /// the previous step or was just recreated.
     #[test]
     fn engine_drop_and_rebuild_mid_sequence_keeps_the_chain_exact(
         cols in 4usize..8,
@@ -362,9 +362,8 @@ proptest! {
             assert_same_stats(&stats, &context)?;
             assert_all_match_reference(&engines, &zones, &alive, &context)?;
             if recycle {
-                // Mid-simulation engine teardown: the old pools' workers
-                // join here, and the replacements start cold from a full
-                // rebuild of the current world.
+                // Mid-simulation engine teardown: the replacements start
+                // cold from a full rebuild of the current world.
                 engines = rebuilt_engines(&zones, 2, &alive)?;
                 assert_all_match_reference(
                     &engines,

@@ -97,7 +97,7 @@ fn wall_clock_knobs_cannot_change_adversarial_results() {
             config.table_layout = layout;
             config.dbf_shards = shards;
             let got = run(config, seed);
-            assert_eq!(got, reference, "layout={layout} shards={shards}");
+            assert_eq!(got, reference, "layout={layout:?} shards={shards}");
         }
     }
 }

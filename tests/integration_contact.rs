@@ -117,7 +117,7 @@ fn contact_runs_survive_the_full_knob_matrix() {
             assert_eq!(
                 scrub_path_accounting(incremental.clone()),
                 scrub_path_accounting(reference),
-                "{layout}/shards={shards}: incremental vs full rebuild"
+                "{layout:?}/shards={shards}: incremental vs full rebuild"
             );
             match &baseline {
                 None => {
@@ -126,7 +126,7 @@ fn contact_runs_survive_the_full_knob_matrix() {
                 }
                 Some(base) => assert_eq!(
                     &incremental, base,
-                    "{layout}/shards={shards}: knobs must stay wall-clock-only"
+                    "{layout:?}/shards={shards}: knobs must stay wall-clock-only"
                 ),
             }
         }

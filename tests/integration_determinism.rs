@@ -130,12 +130,13 @@ fn table_layout_cannot_change_results() {
 #[test]
 fn shard_count_cannot_change_results() {
     // A fig12-style mobility run (distributed routing, incremental zones
-    // and routing, every epoch re-converging through the shard planner
-    // and its persistent worker pool, which is reused across all the
-    // run's epochs): pinning the delta exchange to one shard, two shards,
-    // the host's available parallelism, and a deliberately excessive
-    // count must produce byte-identical RunMetrics — the shard planner
-    // and pool are wall-clock knobs, never semantic ones.
+    // and routing, every epoch re-converging through the shard planner;
+    // at 20 m on this 5×5 field its heavy exchanges and rounds, 10,508 to
+    // 14,214 (entry, receiver) pairs, cross SHARD_MIN_LOAD and run on
+    // threads): pinning the delta exchange to one shard, two shards, the
+    // host's available parallelism, and a deliberately excessive count
+    // must produce byte-identical RunMetrics — the shard planner and its
+    // threads are wall-clock knobs, never semantic ones.
     let run = |shards: usize| {
         let topo = placement::grid(5, 5, 5.0).unwrap();
         let plan = traffic::all_to_all(25, 2, SimTime::from_millis(200), 8).unwrap();
@@ -151,7 +152,7 @@ fn shard_count_cannot_change_results() {
         single.routing.sharded_executions,
         single.routing.incremental_executions
     );
-    let two = run(2); // the smallest pool with real workers
+    let two = run(2); // the smallest count that spawns a thread
     let auto = run(0); // resolves to host_parallelism
     let wide = run(16); // more shards than the host has cores
     assert_eq!(single, two, "1 shard vs 2 shards");
@@ -164,7 +165,8 @@ fn shard_count_cannot_change_full_rebuild_results() {
     // The non-incremental twin of `shard_count_cannot_change_results`:
     // with incremental routing off, every mobility epoch re-executes the
     // FULL rebuild, which now routes through `DbfEngine::rebuild_sharded`
-    // on the same persistent pool. Same-seed runs at 1 shard, 2 shards,
+    // and threads its heavy rounds (10,054 to 14,214 pairs on this field,
+    // above SHARD_MIN_LOAD). Same-seed runs at 1 shard, 2 shards,
     // the host's available parallelism, and a deliberately excessive
     // count must still produce byte-identical RunMetrics — the sharded
     // full rebuild is bit-identical to the sequential reference rebuild,

@@ -475,7 +475,7 @@ struct SpeedupPoint {
 }
 
 impl SpeedupPoint {
-    /// Sequential time over sharded time (> 1 means the pool wins), or
+    /// Sequential time over sharded time (> 1 means the threads win), or
     /// `None` when either twin is missing.
     fn speedup(&self) -> Option<f64> {
         match (self.seq_min_ns, self.sharded_min_ns) {
