@@ -10,10 +10,22 @@
 //! Event flow for one transmission: a protocol appends `Action::Send` to
 //! the engine's action buffer; the engine computes the MAC access delay
 //! (`G·n²` + backoff at the frame's power level), reserves the node's
-//! half-duplex radio, charges transmit energy, and schedules a `Deliver`
-//! event at the end of the on-air time; at delivery, recipients are charged
-//! receive energy and their protocol handlers run (after `Tproc`), possibly
-//! producing more sends.
+//! half-duplex radio, charges transmit energy, parks the frame in a slab
+//! of in-flight frames and schedules a `Deliver` event carrying only its
+//! slot, at the end of the on-air time; at delivery, the frame leaves the
+//! slab, and each recipient is charged receive energy, checked against
+//! its battery and offered to its adversary policy, and then its protocol
+//! handler runs (after `Tproc`), possibly producing more sends.
+//!
+//! A plain ADV skips the handler at a recipient that does not want its
+//! item or has already reported it delivered, since the handler would
+//! change nothing there (the [`Protocol::on_packet`] contract). The
+//! engine keeps one bit row per generated item over the nodes that still
+//! want it: filled when the item is created, a node's bit cleared when it
+//! reports the delivery. Rows are item-major, so the bits of every node a
+//! broadcast reaches for one item share a few cache lines. Skipped calls
+//! are the ones that append nothing, and no event's time or order
+//! changes, so results are the same as with every handler run.
 
 use std::collections::BTreeMap;
 
@@ -28,8 +40,9 @@ use spms_net::{
 use spms_phy::{EnergyCategory, EnergyMeter, MicroJoules};
 use spms_routing::{oracle_tables, DbfEngine, DbfWireFormat, RoutingTable};
 
+use crate::metadata::Wanting;
 use crate::{
-    Action, Addressee, AdversaryStats, DataStore, MessageCounts, MetaId, NodeBehavior,
+    Action, Addressee, AdversaryStats, DataStore, Interest, MessageCounts, MetaId, NodeBehavior,
     NodeProtocol, NodeView, OutFrame, Packet, PacketKind, Payload, Protocol, ProtocolKind,
     RoutingCost, RoutingMode, RunMetrics, SimConfig, SpmsParams, TimerKind, TrafficPlan,
 };
@@ -39,8 +52,9 @@ use crate::{
 enum Event {
     /// Process generation `i` of the traffic plan.
     Generate(usize),
-    /// A frame finishes transmission and reaches its recipients.
-    Deliver(OutFrame),
+    /// A frame finishes transmission and reaches its recipients. The
+    /// frame waits in `Simulation::in_flight` at this slot.
+    Deliver(u32),
     /// A protocol timer fires.
     Timer {
         node: NodeId,
@@ -119,6 +133,14 @@ pub struct Simulation {
     actions: Vec<Action>,
     /// Reused buffer of a broadcast's recipients (`handle_deliver`).
     recipients: Vec<NodeId>,
+    /// Frames on the air, each parked at the slot its `Deliver` event
+    /// carries, so heap entries stay small.
+    in_flight: Vec<Option<OutFrame>>,
+    /// Free `in_flight` slots, the last freed reused first.
+    free_slots: Vec<u32>,
+    /// Per generated item, the nodes that want it and have not reported
+    /// it delivered. A plain ADV runs the protocol hook only there.
+    wanting: Wanting,
     alive: Vec<bool>,
     down_gen: Vec<u32>,
     queues: Vec<HalfDuplexQueue>,
@@ -194,6 +216,17 @@ impl Simulation {
         for g in &plan.generations {
             if g.source.index() >= n {
                 return Err(format!("generation source {} out of range", g.source));
+            }
+        }
+        if let Interest::PerMeta(map) = &plan.interest {
+            for (meta, nodes) in map {
+                if let Some(&max) = nodes.last() {
+                    if max.index() >= n {
+                        return Err(format!(
+                            "interest in {meta} names node {max}, topology has {n} nodes"
+                        ));
+                    }
+                }
             }
         }
         // Scheduled connectivity: the plan's gate filters every zone build
@@ -350,6 +383,9 @@ impl Simulation {
             protocols,
             actions: Vec::new(),
             recipients: Vec::new(),
+            in_flight: Vec::new(),
+            free_slots: Vec::new(),
+            wanting: Wanting::new(n, plan.generations.iter().map(|g| g.source)),
             alive: vec![true; n],
             down_gen: vec![0; n],
             queues: vec![HalfDuplexQueue::new(); n],
@@ -659,7 +695,13 @@ impl Simulation {
     fn handle(&mut self, ev: Event) {
         match ev {
             Event::Generate(i) => self.handle_generate(i),
-            Event::Deliver(frame) => self.handle_deliver(frame),
+            Event::Deliver(slot) => {
+                let frame = self.in_flight[slot as usize]
+                    .take()
+                    .expect("a delivered frame is parked");
+                self.free_slots.push(slot);
+                self.handle_deliver(frame);
+            }
             Event::Timer {
                 node,
                 meta,
@@ -687,6 +729,17 @@ impl Simulation {
             return;
         }
         self.meta_birth.insert(g.meta, self.now);
+        if let Some(item) = self.wanting.item(g.meta) {
+            match &self.plan.interest {
+                Interest::AllNodes => self.wanting.insert_all(item),
+                Interest::PerMeta(map) => {
+                    for &node in map.get(&g.meta).into_iter().flatten() {
+                        self.wanting.insert(item, node);
+                    }
+                }
+            }
+            self.wanting.remove(item, g.source);
+        }
         let want = self.plan.interest.count(g.meta, self.topology.len());
         self.outstanding += want;
         self.expected += want;
@@ -708,6 +761,11 @@ impl Simulation {
             self.config.radio.rx_power_mw(),
             self.config.mac.tx_duration(bytes),
         );
+        // A plain ADV's wanting row, looked up once per frame.
+        let row = match frame.packet.payload {
+            Payload::Adv => self.wanting.item(frame.packet.meta),
+            _ => None,
+        };
         match frame.to {
             Addressee::Broadcast => {
                 // All alive zone neighbors within the frame's power range
@@ -726,7 +784,7 @@ impl Simulation {
                     self.meters[nb.index()].charge(EnergyCategory::Receive, rx_energy);
                     self.check_battery(nb);
                     if self.alive[nb.index()] {
-                        self.dispatch_packet(nb, &frame.packet);
+                        self.dispatch_packet(nb, &frame.packet, row);
                     }
                 }
                 self.recipients = recipients;
@@ -740,7 +798,7 @@ impl Simulation {
                     self.meters[dest.index()].charge(EnergyCategory::Receive, rx_energy);
                     self.check_battery(dest);
                     if self.alive[dest.index()] {
-                        self.dispatch_packet(dest, &frame.packet);
+                        self.dispatch_packet(dest, &frame.packet, row);
                     }
                 } else {
                     // Dead receiver ("any received message is dropped") or
@@ -751,11 +809,21 @@ impl Simulation {
         }
     }
 
-    fn dispatch_packet(&mut self, receiver: NodeId, packet: &Packet) {
+    /// Offers `packet` to the receiver's adversary policy, then to its
+    /// protocol. `row` is the wanting row of a plain ADV's item: a plain
+    /// ADV changes nothing at a node that does not want the item or has
+    /// reported it delivered (the `Protocol::on_packet` contract), so the
+    /// hook runs only where the node's bit is set, and the bit implies
+    /// interest. Any other packet runs the hook with the plan's interest.
+    fn dispatch_packet(&mut self, receiver: NodeId, packet: &Packet, row: Option<usize>) {
         if self.adversary_intercepts(receiver, packet) {
             return;
         }
-        let interested = self.plan.interest.interested(receiver, packet.meta);
+        let interested = match row {
+            Some(item) if !self.wanting.contains(item, receiver) => return,
+            Some(_) => true,
+            None => self.plan.interest.interested(receiver, packet.meta),
+        };
         self.run_hook(receiver, self.config.proc_delay, |p, v, out| {
             p.on_packet(v, packet, interested, out);
         });
@@ -1240,7 +1308,17 @@ impl Simulation {
                 frame.packet.meta, kind, node, frame.to, frame.level, res.starts, res.ends
             )
         });
-        self.events.schedule(res.ends, Event::Deliver(frame));
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.in_flight[slot as usize] = Some(frame);
+                slot
+            }
+            None => {
+                self.in_flight.push(Some(frame));
+                u32::try_from(self.in_flight.len() - 1).expect("in-flight frames fit u32 slots")
+            }
+        };
+        self.events.schedule(res.ends, Event::Deliver(slot));
         self.protocol_pending += 1;
     }
 
@@ -1254,6 +1332,9 @@ impl Simulation {
         self.delay
             .record(self.now.saturating_sub(reference).as_millis_f64());
         self.deliveries += 1;
+        if let Some(item) = self.wanting.item(meta) {
+            self.wanting.remove(item, node);
+        }
         if self.settled[node.index()].insert(meta) {
             self.outstanding = self.outstanding.saturating_sub(1);
         }
@@ -1771,6 +1852,43 @@ mod tests {
             Ok(_) => panic!("out-of-range contact plan must fail"),
         };
         assert!(err.contains("contact plan names node n7"), "{err}");
+    }
+
+    #[test]
+    fn interest_plans_are_range_checked() {
+        let topo = placement::grid(3, 3, 5.0).unwrap();
+        let source = NodeId::new(4);
+        let meta = MetaId::new(source, 0);
+        let plan = |nodes: [u32; 2]| {
+            let wanted = nodes.into_iter().map(NodeId::new).collect();
+            TrafficPlan::new(
+                vec![Generation {
+                    at: SimTime::ZERO,
+                    source,
+                    meta,
+                }],
+                Interest::PerMeta(BTreeMap::from([(meta, wanted)])),
+            )
+            .unwrap()
+        };
+        let config = SimConfig::paper_defaults(ProtocolKind::Spms, 3);
+        let err = match Simulation::new(config.clone(), topo.clone(), plan([0, 999])) {
+            Err(e) => e,
+            Ok(_) => panic!("out-of-range interest must fail"),
+        };
+        assert_eq!(
+            err,
+            "interest in m4.0 names node n999, topology has 9 nodes"
+        );
+        let m = Simulation::run_with(config, topo, plan([0, 8])).unwrap();
+        assert_eq!((m.deliveries, m.deliveries_expected), (2, 2));
+    }
+
+    #[test]
+    fn events_stay_small() {
+        // In-flight frames wait in the engine's slab, so the largest event
+        // is a timer and a heap sift moves few bytes.
+        assert!(std::mem::size_of::<Event>() <= 24);
     }
 
     #[test]

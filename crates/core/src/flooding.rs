@@ -99,7 +99,10 @@ impl Protocol for FloodingNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{assert_appends_only, collect, sink_prefix};
+    use crate::protocol::{
+        assert_appends_only, assert_delivered_items_held, assert_plain_advs_change_nothing,
+        collect, sink_prefix,
+    };
     use crate::{PacketKind, Timeouts};
     use spms_kernel::SimTime;
     use spms_net::{placement, NodeId, ZoneTable};
@@ -181,6 +184,28 @@ mod tests {
         assert!(collect(|out| n.on_packet(&v, &adv, true, out)).is_empty());
         assert!(collect(|out| n.on_timer(&v, meta(), TimerKind::AdvWait, 1, out)).is_empty());
         assert!(collect(|out| n.on_repaired(&v, out)).is_empty());
+    }
+
+    #[test]
+    fn plain_advs_change_nothing_where_the_engine_skips_them() {
+        let (zones, routing) = fixture();
+        let v = view(&zones, &routing, 1);
+        let advertisers = [0, 2].map(NodeId::new);
+        let mut n = FloodingNode::new();
+        assert_plain_advs_change_nothing(&mut n, &v, meta(), &advertisers, false);
+        let data = Packet {
+            meta: meta(),
+            from: NodeId::new(0),
+            payload: Payload::Data {
+                dest: NodeId::new(0),
+                route: vec![],
+            },
+        };
+        let got = assert_delivered_items_held(&mut n, |n, out| n.on_packet(&v, &data, true, out));
+        assert!(got.contains(&Action::Delivered { meta: meta() }));
+        for interested in [true, false] {
+            assert_plain_advs_change_nothing(&mut n, &v, meta(), &advertisers, interested);
+        }
     }
 
     #[test]

@@ -538,7 +538,10 @@ impl Protocol for SpmsIzNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{armed_timers, assert_appends_only, collect, sink_prefix};
+    use crate::protocol::{
+        armed_timers, assert_appends_only, assert_delivered_items_held,
+        assert_plain_advs_change_nothing, collect, sink_prefix,
+    };
     use crate::{PacketKind, Timeouts};
     use proptest::prelude::*;
     use spms_kernel::SimTime;
@@ -1030,6 +1033,39 @@ mod tests {
         assert!(sends(&actions)
             .iter()
             .any(|f| matches!(f.packet.payload, Payload::IzReq { .. })));
+    }
+
+    #[test]
+    fn plain_advs_change_nothing_where_the_engine_skips_them() {
+        let (zones, tables) = fixture();
+        let v = view(&zones, &tables[1], 1);
+        let advertisers = [0, 2, 3].map(NodeId::new);
+        let mut n = node();
+        assert_plain_advs_change_nothing(&mut n, &v, meta(), &advertisers, false);
+        // The source's query, heard directly, runs the base negotiation;
+        // the DATA that answers the REQ reports the item delivered.
+        let query = Packet {
+            meta: meta(),
+            from: NodeId::new(0),
+            payload: Payload::IzAdv {
+                ttl: 4,
+                path: vec![NodeId::new(0)],
+            },
+        };
+        n.on_packet(&v, &query, true, &mut Vec::new());
+        let data = Packet {
+            meta: meta(),
+            from: NodeId::new(0),
+            payload: Payload::Data {
+                dest: NodeId::new(1),
+                route: vec![],
+            },
+        };
+        let got = assert_delivered_items_held(&mut n, |n, out| n.on_packet(&v, &data, true, out));
+        assert!(got.contains(&Action::Delivered { meta: meta() }));
+        for interested in [true, false] {
+            assert_plain_advs_change_nothing(&mut n, &v, meta(), &advertisers, interested);
+        }
     }
 
     #[test]

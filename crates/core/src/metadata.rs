@@ -298,6 +298,87 @@ impl<T: fmt::Debug> fmt::Debug for ItemMap<T> {
     }
 }
 
+/// Which nodes still want each item of a traffic plan: one bit row per
+/// item, item-major, so the bits of all the nodes one broadcast reaches
+/// for its item share a few cache lines.
+///
+/// Items are numbered densely by source: source `s` owns ids
+/// `first[s]..first[s + 1]`, and item `(s, seq)` has id `first[s] + seq`.
+/// A `MetaId` whose `seq` is past its source's item count has no id. Rows
+/// start empty. Memory is `items × ⌈nodes / 64⌉` words.
+#[derive(Debug)]
+pub(crate) struct Wanting {
+    /// `first[s]` is the first id of source `s`; `first[nodes]` is the
+    /// item count.
+    first: Vec<usize>,
+    nodes: usize,
+    /// Words per row.
+    words: usize,
+    /// `items × words` words, row after row; bit `v % 64` of word
+    /// `v / 64` of a row is node `v`'s.
+    bits: Vec<u64>,
+}
+
+impl Wanting {
+    /// Empty rows for `nodes` nodes and one item per entry of `sources`
+    /// (every source below `nodes`).
+    pub(crate) fn new(nodes: usize, sources: impl IntoIterator<Item = NodeId>) -> Self {
+        let mut first = vec![0; nodes + 1];
+        for source in sources {
+            first[source.index() + 1] += 1;
+        }
+        for s in 0..nodes {
+            first[s + 1] += first[s];
+        }
+        let words = nodes.div_ceil(64);
+        Wanting {
+            bits: vec![0; first[nodes] * words],
+            first,
+            nodes,
+            words,
+        }
+    }
+
+    /// The id of `meta`, if it has one.
+    pub(crate) fn item(&self, meta: MetaId) -> Option<usize> {
+        let s = meta.source().index();
+        let (&start, &end) = (self.first.get(s)?, self.first.get(s + 1)?);
+        let id = start.checked_add(meta.seq() as usize)?;
+        (id < end).then_some(id)
+    }
+
+    /// Marks every node as wanting `item`.
+    pub(crate) fn insert_all(&mut self, item: usize) {
+        let row = &mut self.bits[item * self.words..(item + 1) * self.words];
+        row.fill(u64::MAX);
+        if self.nodes % 64 != 0 {
+            row[self.words - 1] = (1u64 << (self.nodes % 64)) - 1;
+        }
+    }
+
+    /// Marks `node` as wanting `item`.
+    pub(crate) fn insert(&mut self, item: usize, node: NodeId) {
+        let word = self.word(item, node);
+        self.bits[word] |= 1u64 << (node.index() % 64);
+    }
+
+    /// `node` no longer wants `item`.
+    pub(crate) fn remove(&mut self, item: usize, node: NodeId) {
+        let word = self.word(item, node);
+        self.bits[word] &= !(1u64 << (node.index() % 64));
+    }
+
+    /// `true` while `node` wants `item`.
+    pub(crate) fn contains(&self, item: usize, node: NodeId) -> bool {
+        self.bits[self.word(item, node)] >> (node.index() % 64) & 1 == 1
+    }
+
+    fn word(&self, item: usize, node: NodeId) -> usize {
+        debug_assert!(node.index() < self.nodes, "{node} is past the rows");
+        item * self.words + node.index() / 64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,6 +464,47 @@ mod tests {
         a.insert(m(0, 1));
         assert_eq!(a.len(), b.len());
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn wanting_ids_are_dense_per_source() {
+        // Sources 2, 0, 2, 3, 2 in generation order over 5 nodes: source 0
+        // owns id 0, source 2 ids 1..4, source 3 id 4.
+        let sources = [2, 0, 2, 3, 2].map(NodeId::new);
+        let wanting = Wanting::new(5, sources);
+        let id = |s, seq| wanting.item(MetaId::new(NodeId::new(s), seq));
+        assert_eq!(id(0, 0), Some(0));
+        assert_eq!((id(2, 0), id(2, 1), id(2, 2)), (Some(1), Some(2), Some(3)));
+        assert_eq!(id(3, 0), Some(4));
+        // Past a source's count, at a source with no items, past the
+        // topology, and at the largest sequence number: no id.
+        assert_eq!(id(0, 1), None);
+        assert_eq!(id(1, 0), None);
+        assert_eq!(id(2, 3), None);
+        assert_eq!(id(4, 0), None);
+        assert_eq!(id(99, 0), None);
+        assert_eq!(id(3, u32::MAX), None);
+        assert_eq!(wanting.bits.len(), 5);
+    }
+
+    #[test]
+    fn wanting_rows_track_nodes_per_item() {
+        // 130 nodes: three words per row, the last one partial.
+        let mut wanting = Wanting::new(130, [0, 0, 7].map(NodeId::new));
+        let node = NodeId::new;
+        assert!((0..3).all(|item| (0..130).all(|v| !wanting.contains(item, node(v)))));
+        wanting.insert_all(1);
+        wanting.remove(1, node(0));
+        wanting.insert(2, node(129));
+        wanting.insert(2, node(64));
+        wanting.remove(2, node(64));
+        for v in 0..130 {
+            assert!(!wanting.contains(0, node(v)), "item 0 stays empty");
+            assert_eq!(wanting.contains(1, node(v)), v != 0, "item 1, node {v}");
+            assert_eq!(wanting.contains(2, node(v)), v == 129, "item 2, node {v}");
+        }
+        // No bit past the last node is set.
+        assert_eq!(wanting.bits[5], 0b11);
     }
 
     proptest! {

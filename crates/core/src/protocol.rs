@@ -44,6 +44,11 @@ pub enum Action {
     },
     /// The node obtained a data item it was interested in (records the
     /// delivery and its latency).
+    ///
+    /// Contract: a protocol pushes it only once it holds the item
+    /// ([`Protocol::has_data`] is `true` from then on, as stores never
+    /// shrink), so the engine may stop offering the node plain ADVs for
+    /// the item (see [`Protocol::on_packet`]).
     Delivered {
         /// The delivered item.
         meta: MetaId,
@@ -156,6 +161,12 @@ pub trait Protocol {
 
     /// A packet arrived. `interested` says whether this node wants the
     /// packet's item (computed by the engine from the traffic plan).
+    ///
+    /// Skip contract: a plain ADV ([`Payload::Adv`]) appends
+    /// nothing and changes no state when `interested` is `false` or the
+    /// node holds the item. The engine relies on it: it offers a plain ADV
+    /// only to nodes that want the item and have not pushed
+    /// [`Action::Delivered`] for it, and passes `interested = true` there.
     fn on_packet(
         &mut self,
         view: &NodeView<'_>,
@@ -339,6 +350,54 @@ pub(crate) fn assert_appends_only<P: Protocol + Clone>(
         "the hook appended other actions"
     );
     fresh
+}
+
+/// Offers `node` a plain ADV for `meta` from each of `advertisers` in turn
+/// and asserts that none appends an action or changes the node's `Debug`
+/// rendering: the ADVs the engine does not deliver to a protocol at all.
+#[cfg(test)]
+pub(crate) fn assert_plain_advs_change_nothing<P: Protocol + std::fmt::Debug>(
+    node: &mut P,
+    view: &NodeView<'_>,
+    meta: MetaId,
+    advertisers: &[NodeId],
+    interested: bool,
+) {
+    let before = format!("{node:?}");
+    for &from in advertisers {
+        let adv = Packet {
+            meta,
+            from,
+            payload: Payload::Adv,
+        };
+        let appended = collect(|out| node.on_packet(view, &adv, interested, out));
+        assert!(
+            appended.is_empty(),
+            "an ADV from {from} appended {appended:?}"
+        );
+        assert_eq!(
+            format!("{node:?}"),
+            before,
+            "an ADV from {from} changed the node"
+        );
+    }
+}
+
+/// Runs `hook` on `node` with an empty sink and asserts that the node
+/// holds every item the hook reported `Delivered`. Returns the appended
+/// actions.
+#[cfg(test)]
+pub(crate) fn assert_delivered_items_held<P: Protocol>(
+    node: &mut P,
+    hook: impl FnOnce(&mut P, &mut Vec<Action>),
+) -> Vec<Action> {
+    let appended = collect(|out| hook(node, out));
+    for action in &appended {
+        if let Action::Delivered { meta } = action {
+            assert!(node.has_data(*meta), "{meta} delivered but not held");
+        }
+    }
+    appended
 }
 
 /// The timers `actions` arm, as `(meta, kind, generation)`.

@@ -314,7 +314,10 @@ impl Protocol for SpinNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{armed_timers, assert_appends_only, collect, sink_prefix};
+    use crate::protocol::{
+        armed_timers, assert_appends_only, assert_delivered_items_held,
+        assert_plain_advs_change_nothing, collect, sink_prefix,
+    };
     use crate::{Addressee, PacketKind, Timeouts};
     use proptest::prelude::*;
     use spms_kernel::SimTime;
@@ -413,6 +416,36 @@ mod tests {
         assert!(collect(|out| n.on_packet(&v, &adv_from(0), false, out)).is_empty());
         n.on_generate(&v, meta(), &mut Vec::new());
         assert!(collect(|out| n.on_packet(&v, &adv_from(0), true, out)).is_empty());
+    }
+
+    /// The engine's skip contract on one SPIN node: plain ADVs from
+    /// several advertisers change nothing while the node is uninterested,
+    /// the DATA that reports the item delivered leaves it held, and from
+    /// then on plain ADVs change nothing either.
+    fn check_skip_contract(mut n: SpinNode) {
+        let (zones, routing) = fixture();
+        let v = view(&zones, &routing, 1);
+        let advertisers = [0, 2, 0].map(NodeId::new);
+        assert_plain_advs_change_nothing(&mut n, &v, meta(), &advertisers, false);
+        n.on_packet(&v, &adv_from(0), true, &mut Vec::new());
+        let got = assert_delivered_items_held(&mut n, |n, out| {
+            n.on_packet(&v, &data_from(0, 1), true, out);
+        });
+        assert!(got.contains(&Action::Delivered { meta: meta() }));
+        for interested in [true, false] {
+            assert_plain_advs_change_nothing(&mut n, &v, meta(), &advertisers, interested);
+        }
+    }
+
+    #[test]
+    fn spin_plain_advs_change_nothing_where_the_engine_skips_them() {
+        check_skip_contract(SpinNode::new(true, 4));
+        check_skip_contract(SpinNode::new(false, 4));
+    }
+
+    #[test]
+    fn spin_bc_plain_advs_change_nothing_where_the_engine_skips_them() {
+        check_skip_contract(SpinNode::new(true, 4).with_broadcast_data());
     }
 
     #[test]

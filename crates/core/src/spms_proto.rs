@@ -642,7 +642,10 @@ impl SpmsNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{armed_timers, assert_appends_only, collect, sink_prefix};
+    use crate::protocol::{
+        armed_timers, assert_appends_only, assert_delivered_items_held,
+        assert_plain_advs_change_nothing, collect, sink_prefix,
+    };
     use crate::{PacketKind, Timeouts};
     use proptest::prelude::*;
     use spms_kernel::SimTime;
@@ -1025,6 +1028,48 @@ mod tests {
         let v = view(&zones, &tables[1], 1);
         assert!(collect(|out| n.on_packet(&v, &adv_from(0), false, out)).is_empty());
         assert_eq!(n.prone(meta()), None);
+    }
+
+    #[test]
+    fn plain_advs_change_nothing_where_the_engine_skips_them() {
+        let (zones, tables) = fixture();
+        let advertisers = [0, 2, 3, 4].map(NodeId::new);
+        for relay_caching in [false, true] {
+            let mut n = SpmsNode::new(SpmsParams {
+                relay_caching,
+                ..SpmsParams::default()
+            });
+            let v = view(&zones, &tables[1], 1);
+            assert_plain_advs_change_nothing(&mut n, &v, meta(), &advertisers, false);
+            n.on_packet(&v, &adv_from(0), true, &mut Vec::new());
+            let got = assert_delivered_items_held(&mut n, |n, out| {
+                n.on_packet(&v, &data_for(meta(), 0, 1), true, out);
+            });
+            assert!(got.contains(&Action::Delivered { meta: meta() }));
+            for interested in [true, false] {
+                assert_plain_advs_change_nothing(&mut n, &v, meta(), &advertisers, interested);
+            }
+        }
+        // A caching relay that wanted the item reports it delivered as it
+        // forwards it, and holds it from then on.
+        let mut relay = SpmsNode::new(SpmsParams {
+            relay_caching: true,
+            ..SpmsParams::default()
+        });
+        let v = view(&zones, &tables[2], 2);
+        let through = Packet {
+            meta: meta(),
+            from: NodeId::new(1),
+            payload: Payload::Data {
+                dest: NodeId::new(4),
+                route: vec![NodeId::new(3), NodeId::new(4)],
+            },
+        };
+        let got = assert_delivered_items_held(&mut relay, |n, out| {
+            n.on_packet(&v, &through, true, out);
+        });
+        assert!(got.contains(&Action::Delivered { meta: meta() }));
+        assert_plain_advs_change_nothing(&mut relay, &v, meta(), &advertisers, true);
     }
 
     #[test]
