@@ -10,7 +10,7 @@
 use spms_kernel::SimTime;
 use spms_net::{NodeId, ZoneTable};
 use spms_phy::PowerLevel;
-use spms_routing::RoutingTable;
+use spms_routing::{RouteEntry, RoutingTable};
 
 use crate::{Addressee, MetaId, OutFrame, Packet, Payload, Timeouts};
 
@@ -67,6 +67,12 @@ pub enum Action {
     },
 }
 
+/// Whether `best`, the best route to `to`, makes `to` a next-hop
+/// neighbor: a direct single hop.
+pub(crate) fn is_next_hop(best: Option<RouteEntry>, to: NodeId) -> bool {
+    best.is_some_and(|r| r.hops == 1 && r.via == to)
+}
+
 /// Read-only view of a node's environment during a handler call.
 pub struct NodeView<'a> {
     /// The node the handler runs on.
@@ -107,9 +113,7 @@ impl<'a> NodeView<'a> {
     /// immediately and waiting τADV.
     #[must_use]
     pub fn is_next_hop_neighbor(&self, to: NodeId) -> bool {
-        self.routing
-            .best(to)
-            .is_some_and(|r| r.hops == 1 && r.via == to)
+        is_next_hop(self.routing.best(to), to)
     }
 
     /// Cost of the best route to `to` (`None` when unknown).

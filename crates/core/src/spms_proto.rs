@@ -35,8 +35,10 @@
 use std::collections::BTreeSet;
 
 use spms_net::NodeId;
+use spms_routing::RouteEntry;
 
 use crate::metadata::ItemMap;
+use crate::protocol::is_next_hop;
 use crate::{
     Action, Addressee, DataStore, MetaId, NodeView, OutFrame, Packet, Payload, Protocol, TimerKind,
 };
@@ -184,24 +186,23 @@ impl SpmsNode {
         }
     }
 
-    /// Updates the originator stack with advertiser `from`; returns `true`
-    /// if `from` became the new PRONE.
+    /// Stacks advertiser `from`, not on the originator stack yet, whose
+    /// best route is `from_route`; returns `true` if `from` became the new
+    /// PRONE.
     ///
     /// §3.4: "If the destination node receives an ADV packet from a closer
     /// node, then it sets the PRONE to be the closer node and the SCONE to
     /// be the PRONE from the earlier stage." Keeping the stack sorted by
     /// route cost generalizes that rule to deeper stacks.
-    fn update_originators(
+    fn stack_originator(
         entry: &mut SpmsEntry,
         view: &NodeView<'_>,
         from: NodeId,
+        from_route: Option<RouteEntry>,
         cap: usize,
     ) -> bool {
-        if entry.originators.contains(&from) {
-            return entry.originators.first() == Some(&from);
-        }
         let cost = |n: NodeId| view.route_cost(n).unwrap_or(f64::INFINITY);
-        let c_new = cost(from);
+        let c_new = from_route.map_or(f64::INFINITY, |r| r.cost);
         let pos = entry
             .originators
             .iter()
@@ -344,12 +345,24 @@ impl SpmsNode {
     ) {
         let cap = self.params.scones_kept;
         let entry = self.wanted_entry(meta);
-        let new_prone = Self::update_originators(entry, view, from, cap);
+        // One lookup of the advertiser's route serves both the stack's cost
+        // ranking and the next-hop test below. Neither needs it for an
+        // advertiser already stacked while a REQ is outstanding.
+        let stacked = entry.originators.contains(&from);
+        let from_route = (!stacked || entry.state != MetaState::WaitingData)
+            .then(|| view.routing.best(from))
+            .flatten();
+        let new_prone = if stacked {
+            entry.originators.first() == Some(&from)
+        } else {
+            Self::stack_originator(entry, view, from, from_route, cap)
+        };
+        let next_hop = is_next_hop(from_route, from);
         match entry.state {
             MetaState::Fresh | MetaState::GivenUp => {
                 entry.attempts = 0;
                 entry.ladder_idx = 0;
-                if view.is_next_hop_neighbor(from) {
+                if next_hop {
                     // Adjacent advertiser: request immediately (§3.3 case I,
                     // node B; and node C once B re-advertises).
                     self.send_req(view, meta, from, false, out);
@@ -366,7 +379,7 @@ impl SpmsNode {
                 }
             }
             MetaState::WaitingAdv => {
-                if view.is_next_hop_neighbor(from) {
+                if next_hop {
                     // The closer ADV arrived: cancel τADV, request directly
                     // (§3.3 case I, node C).
                     entry.adv_gen += 1;

@@ -13,8 +13,8 @@
 //!   "re-execution of the DBF": every table is cleared, direct routes are
 //!   reinstalled, and every node broadcasts its whole vector in round one;
 //!   after that, every node whose table changed broadcasts its whole vector
-//!   again. [`DbfEngine::run_to_convergence`] runs the same rounds from the
-//!   current tables. A whole vector couples every destination its sender
+//!   again. [`DbfEngine::run_to_convergence`] is the same rebuild with
+//!   every node alive. A whole vector couples every destination its sender
 //!   knows, so each round relaxes the previous round's snapshot over
 //!   contiguous receiver id ranges: one range, `0..n`, run inline, unless
 //!   the engine has more than one shard ([`DbfEngine::with_shards`]) and
@@ -39,18 +39,37 @@
 //!   order, destinations in id order. A destination's rounds run over a
 //!   local adjacency built once per exchange — each alive maintainer's
 //!   alive zone neighbors that maintain the destination too — so no offer
-//!   leaves its scope. A round snapshots the destination's changed blocks
-//!   (its *dirty* slots) in ascending maintainer id and offers their best
-//!   routes along that adjacency; an inlined test turns away the offers
-//!   the block kernel would reject before calling it. A sharded engine
-//!   cuts a heavy exchange into contiguous runs of destinations and runs
-//!   them the same way, one set of threads per exchange. After quiescence
-//!   each maintainer's table drops its affected destinations and takes the
-//!   converged blocks in one in-place merge — on the run's thread, inside
-//!   the run that holds all of the maintainer's affected destinations, if
-//!   one does. [`DbfStats`] are integer sums over per-(round, node) entry
-//!   counts: a node's round-`r` message carries its changed routes to
-//!   every destination still converging in round `r`.
+//!   leaves its scope. A round counts the destination's changed blocks
+//!   (its *dirty* slots), snapshots in ascending maintainer id those whose
+//!   best route is news, and offers them along that adjacency; an inlined
+//!   test turns away the offers the block kernel would reject before
+//!   calling it. A sharded engine cuts a heavy exchange into contiguous
+//!   runs of destinations and runs them the same way, one set of threads
+//!   per exchange. After quiescence each maintainer's table drops its
+//!   affected destinations and takes the converged blocks in one in-place
+//!   merge — on the run's thread, inside the run that holds all of the
+//!   maintainer's affected destinations, if one does. [`DbfStats`] are
+//!   integer sums over per-(round, node) entry counts: a node's round-`r`
+//!   message carries its changed routes to every destination still
+//!   converging in round `r`.
+//!
+//! Both kinds relax only *news*. A broadcast is counted whole, so
+//! [`DbfStats`] tally every entry it carries, but receivers are offered
+//! only the entries whose best `(cost, hops)` differs from what that
+//! sender broadcast earlier in the same exchange: a flagged node of a full
+//! round puts only its changed entries into the snapshot, and a dirty
+//! block of a delta round whose best is unchanged since its last snapshot
+//! offers nothing. RIP's triggered updates skip the same waste, carrying
+//! only the routes whose route-change flag is set (RFC 2453, §3.10.1).
+//! This is exact because every exchange starts from reset tables or from
+//! empty plane blocks: each sender's best only improves, so each offer a
+//! receiver gets from one sender improves on the previous one, and an
+//! offer the receiver has already relaxed can neither enter its block nor
+//! move it. That needs a transitive route order: every two route costs
+//! either within the tables' tie window (`COST_EPS`) of each other or
+//! more than twice the window apart. The Dijkstra oracle and DBF already
+//! rely on the same precondition to agree; the `table` module's proptests
+//! pin the kernel side of it.
 //!
 //! Every receiver relaxes its vectors (full) or offers (delta) in
 //! ascending sender order however the work is cut, and a node's table or
@@ -76,8 +95,9 @@ use spms_net::{NodeId, ZoneDelta, ZoneTable};
 
 /// Minimum load before work is cut into pieces that run on threads of
 /// their own; lighter work runs inline, away from a thread spawn. The unit
-/// is (entry, receiver) pairs. A full round's load is its own: the vector
-/// entries addressed to alive receivers, counted once per receiver. A
+/// is (entry, receiver) pairs. A full round's load is its own: each
+/// broadcaster's news entries times its zone links (dead receivers
+/// included, which only a failure-masked rebuild has). A
 /// delta exchange's is Σ `m²` over its alive affected destinations, `m`
 /// being a destination's maintainer count: the pairs of one round in which
 /// every maintainer of every destination speaks. Measured on a 2-vCPU Xeon
@@ -90,7 +110,7 @@ use spms_net::{NodeId, ZoneDelta, ZoneTable};
 /// the executed relaxation is identical either way.
 const SHARD_MIN_LOAD: u64 = 10_000;
 
-use crate::table::{offer_block_soa, offer_block_soa2, offer_rejected, VACANT};
+use crate::table::{is_news, offer_block_soa, offer_block_soa2, offer_rejected, UNSENT, VACANT};
 use crate::{DbfWireFormat, RouteEntry, RoutingTable, TableLayout};
 
 /// Cost accounting for one DBF execution.
@@ -360,12 +380,18 @@ struct DestRun {
     /// past the last end are scratch.
     adj_start: Vec<u32>,
     adj: Vec<(u32, f64)>,
-    /// A round's snapshot: (sender block, best cost, best hops), senders
+    /// The best `(cost, hops)` each block of the current destination last
+    /// offered, or [`UNSENT`].
+    sent: Vec<(f64, u32)>,
+    /// A round's news: (sender block, best cost, best hops) of the dirty
+    /// blocks whose best changed since their last offer, senders
     /// ascending.
     snap: Vec<(u32, f64, u32)>,
     /// Entries each maintainer sent per round over the run's
     /// destinations: `counts[r * nodes + x]` for exchange id `x`.
     counts: Vec<u32>,
+    /// Snapshot entries offered to receivers (see [`Scratch::relaxed`]).
+    relaxed: u64,
     /// The tables, by exchange id, of the maintainers whose affected
     /// destinations all lie in this run, borrowed for a threaded exchange.
     owned: Vec<(u32, RoutingTable)>,
@@ -420,11 +446,20 @@ struct Scratch {
     /// Full rounds: the nodes that broadcast next — every alive node in
     /// the first round, then every node whose table changed.
     flags: Vec<bool>,
-    /// Full rounds: the round's snapshot, every entry broadcast, flattened.
+    /// Full rounds: the round's snapshot, every broadcast entry that is
+    /// news, flattened.
     snap_entries: Vec<Entry>,
-    /// Full rounds: `(sender, start, end)` ranges into `snap_entries`, in
-    /// sender order.
+    /// Full rounds: `(sender, start, end)` ranges into `snap_entries`, one
+    /// per broadcaster (empty when it had no news), in sender order.
     snap_from: Vec<(NodeId, u32, u32)>,
+    /// Full rounds: the best `(cost, hops)` each node last broadcast per
+    /// destination, [`UNSENT`] before its first broadcast; node `a`'s
+    /// entries are `sent[sent_start[a]..sent_start[a + 1]]`, aligned with
+    /// its table's positions (fixed from the reset to quiescence). As
+    /// large as all tables together, so it is released after each full
+    /// exchange rather than kept between them.
+    sent: Vec<(f64, u32)>,
+    sent_start: Vec<u32>,
     /// Threaded full rounds: each receiver range's share of the next
     /// snapshot's entries.
     range_entries: Vec<Vec<Entry>>,
@@ -453,6 +488,10 @@ struct Scratch {
     /// Rounds and exchanges handed to [`run_split`] so far; the unit
     /// tests read it to tell threaded work from inline work.
     threaded: u64,
+    /// Snapshot entries offered to receivers so far, full rounds and delta
+    /// exchanges alike; the unit tests compare it with
+    /// [`DbfStats::entries_sent`] to see that only news is relaxed.
+    relaxed: u64,
 }
 
 /// The distributed Bellman-Ford engine: one routing table per node.
@@ -622,9 +661,11 @@ impl DbfEngine {
         self.tables
     }
 
-    /// Runs full-vector rounds until quiescence with every node alive,
-    /// starting from the current tables: round one has every node
-    /// broadcast its whole vector.
+    /// The full rebuild with every node alive: resets every table to its
+    /// direct routes first, whatever it held, then runs full-vector rounds
+    /// until quiescence, round one having every node broadcast its whole
+    /// vector. The reset is what makes news-only relaxation exact (see the
+    /// module docs).
     ///
     /// # Panics
     ///
@@ -634,7 +675,7 @@ impl DbfEngine {
         let mut all_alive = std::mem::take(&mut self.scratch.all_alive);
         all_alive.clear();
         all_alive.resize(zones.len(), true);
-        let stats = self.run_rounds(zones, &all_alive);
+        let stats = self.rebuild_sharded(zones, &all_alive);
         self.scratch.all_alive = all_alive;
         stats
     }
@@ -890,6 +931,9 @@ impl DbfEngine {
             }
         }
 
+        for run in &mut s.runs[..runs] {
+            s.relaxed += std::mem::take(&mut run.relaxed);
+        }
         // Sum the runs' counts: a node's round-`r` message carries its
         // entries for every destination, whichever run converged it.
         let (head, tail) = s.runs[..runs].split_first_mut().expect("one run");
@@ -915,15 +959,17 @@ impl DbfEngine {
         stats
     }
 
-    /// The full round loop, run to quiescence. Each round relaxes the
-    /// current snapshot over the planned receiver ranges, then flattens
-    /// each range's flagged nodes into the next snapshot: inline, straight
-    /// into the snapshot buffers, for one range; on threads of their own,
-    /// into per-range buffers concatenated in id order, for more. It starts
-    /// from an empty snapshot with every alive node flagged, so its first
-    /// pass only flattens round one's broadcasters. The exchange quiesces
-    /// after a round in which no node had anything to send (counted: the
-    /// final silent round).
+    /// The full round loop, run to quiescence from freshly reset tables.
+    /// Each round relaxes the current snapshot over the planned receiver
+    /// ranges, then flattens each range's flagged nodes into the next
+    /// snapshot: inline, straight into the snapshot buffers, for one range;
+    /// on threads of their own, into per-range buffers concatenated in id
+    /// order, for more. A flagged node broadcasts its whole vector, but only
+    /// the entries that are news against its previous broadcast enter the
+    /// snapshot. It starts from an empty snapshot with every alive node
+    /// flagged, so its first pass only flattens round one's broadcasters.
+    /// The exchange quiesces after a round in which no node had anything to
+    /// send (counted: the final silent round).
     fn run_rounds(&mut self, zones: &ZoneTable, alive: &[bool]) -> DbfStats {
         let n = zones.len();
         assert_eq!(alive.len(), n, "alive mask length mismatch");
@@ -933,16 +979,20 @@ impl DbfEngine {
         s.flags.extend_from_slice(alive);
         s.snap_entries.clear();
         s.snap_from.clear();
+        // Relaxation never adds a destination to a reset table, so every
+        // table keeps its positions until quiescence.
+        s.sent_start.clear();
+        s.sent_start.push(0);
+        let mut total = 0u32;
+        for table in &self.tables {
+            total += table.len() as u32;
+            s.sent_start.push(total);
+        }
+        s.sent.clear();
+        s.sent.resize(total as usize, UNSENT);
         let max_rounds = max_rounds(n);
         for _round in 0..max_rounds {
-            plan_ranges(
-                zones,
-                alive,
-                &s.snap_from,
-                self.shards,
-                &mut s.load,
-                &mut s.bounds,
-            );
+            plan_ranges(zones, &s.snap_from, self.shards, &mut s.load, &mut s.bounds);
             let ranges = s.bounds.len() - 1;
             let round = Round {
                 zones,
@@ -950,11 +1000,14 @@ impl DbfEngine {
                 entries: &s.snap_entries,
                 from: &s.snap_from,
             };
+            s.relaxed += s.snap_entries.len() as u64;
             let had = if ranges == 1 {
                 let mut range = RangeTask {
                     lo: 0,
                     flags: &mut s.flags,
                     tables: &mut self.tables,
+                    sent_start: &s.sent_start,
+                    sent: &mut s.sent,
                 };
                 relax_range(&round, &mut range);
                 // Relaxation has read the snapshot: flatten over it.
@@ -970,6 +1023,7 @@ impl DbfEngine {
                 let mut tasks = Vec::with_capacity(ranges);
                 let mut tables = self.tables.as_mut_slice();
                 let mut flags = s.flags.as_mut_slice();
+                let mut sent = s.sent.as_mut_slice();
                 for ((w, entries), from) in s
                     .bounds
                     .windows(2)
@@ -977,14 +1031,19 @@ impl DbfEngine {
                     .zip(&mut s.range_from)
                 {
                     let len = w[1] - w[0];
+                    let sent_len = (s.sent_start[w[1]] - s.sent_start[w[0]]) as usize;
                     let (tables_mine, tables_rest) = std::mem::take(&mut tables).split_at_mut(len);
                     let (flags_mine, flags_rest) = std::mem::take(&mut flags).split_at_mut(len);
+                    let (sent_mine, sent_rest) = std::mem::take(&mut sent).split_at_mut(sent_len);
                     tables = tables_rest;
                     flags = flags_rest;
+                    sent = sent_rest;
                     let range = RangeTask {
                         lo: w[0],
                         flags: flags_mine,
                         tables: tables_mine,
+                        sent_start: &s.sent_start[w[0]..=w[1]],
+                        sent: sent_mine,
                     };
                     entries.clear();
                     from.clear();
@@ -1010,13 +1069,15 @@ impl DbfEngine {
             };
             stats.rounds += 1;
             if !had {
+                s.sent = Vec::new();
                 self.scratch = s;
                 return stats; // quiescent: nobody has updates to send
             }
-            // All sums are integers, so the accounting is independent of
-            // how the round was cut.
-            for &(from, start, end) in &s.snap_from {
-                stats.count(from, (end - start) as usize);
+            // Every broadcaster sent its whole vector, news or not. All
+            // sums are integers, so the accounting is independent of how
+            // the round was cut.
+            for &(from, _, _) in &s.snap_from {
+                stats.count(from, self.tables[from.index()].len());
             }
         }
         panic!("DBF failed to converge within {max_rounds} rounds");
@@ -1038,29 +1099,27 @@ fn owner(scope: &Scope, bounds: &[usize], x: usize) -> Option<usize> {
     (run(row.last()?.1) == first).then_some(first)
 }
 
-/// Cuts the receiver id space `0..n` for one full round into `bounds`,
-/// weighing each receiver by its relaxation load (the entries addressed to
-/// it) when the engine is sharded.
+/// Cuts the receiver id space `0..n` for one full round into `bounds`
+/// when the engine is sharded. Each sender's id carries the pairs its
+/// broadcast offers, its news entries times its zone links, in place of
+/// the receivers that relax them: that keeps this serial step O(senders)
+/// rather than O(links). A sender's receivers lie near it in id order on a
+/// grid, and anywhere on a field whose ids ignore position; either way a
+/// cut that balances senders balances receivers closely. The weights only
+/// steer the cut: each range relaxes its own receivers exactly.
 fn plan_ranges(
     zones: &ZoneTable,
-    alive: &[bool],
     snap_from: &[(NodeId, u32, u32)],
     shards: usize,
     load: &mut Vec<u64>,
     bounds: &mut Vec<usize>,
 ) {
-    let n = alive.len();
+    let n = zones.len();
     load.clear();
     if shards > 1 {
         load.resize(n, 0);
         for &(from, start, end) in snap_from {
-            let len = u64::from(end - start);
-            for link in zones.links(from) {
-                let to = link.neighbor.index();
-                if alive[to] {
-                    load[to] += len;
-                }
-            }
+            load[from.index()] = u64::from(end - start) * zones.links(from).len() as u64;
         }
     }
     cut(load, n, shards, bounds);
@@ -1112,19 +1171,34 @@ fn cut(load: &[u64], len: usize, shards: usize, bounds: &mut Vec<usize>) {
     bounds.push(len);
 }
 
-/// Runs `f` once on every task: the first on the calling thread, each
-/// other on a scoped thread spawned for it. Returns once every task has
-/// finished; a panicking task then panics the caller.
+/// Runs `f` once on every task: the first on the calling thread, the
+/// others on whichever thread takes them first from a shared queue, the
+/// caller or one of the scoped threads spawned for them (one per task
+/// past the first). A caller whose spawned threads are slow to start,
+/// say on a busy core, takes their pieces over instead of waiting.
+/// Returns once every task has finished; a panicking task then panics the
+/// caller.
 fn run_split<T: Send>(tasks: &mut [T], f: impl Fn(&mut T) + Sync) {
-    let Some((first, rest)) = tasks.split_first_mut() else {
+    let spawned = tasks.len().saturating_sub(1);
+    let mut queue = tasks.iter_mut();
+    let Some(first) = queue.next() else {
         return;
     };
+    // The lock is held only to take a task, never while one runs, so a
+    // panicking task cannot poison it.
+    let queue = std::sync::Mutex::new(queue);
+    let take = || queue.lock().expect("never held by a task").next();
+    let drain = || {
+        while let Some(task) = take() {
+            f(task);
+        }
+    };
     std::thread::scope(|scope| {
-        for task in rest {
-            let f = &f;
-            scope.spawn(move || f(task));
+        for _ in 0..spawned {
+            scope.spawn(drain);
         }
         f(first);
+        drain();
     });
 }
 
@@ -1209,28 +1283,38 @@ fn converge_dest(x: &Exchange<'_>, di: usize, plane: &mut PlaneMut<'_>, run: &mu
 
     let nodes = x.scope.nodes.len();
     let k = plane.k;
+    run.sent.clear();
+    run.sent.resize(links.len(), UNSENT);
     let mut round = 0usize;
     loop {
-        // Snapshot the dirty blocks' best routes and clear their bits, so
-        // this round's offers are next round's news.
+        // Every dirty block broadcasts its best route and is counted; its
+        // bit is cleared, so this round's offers are next round's news.
+        // Only a best that differs from the block's previous offer enters
+        // the snapshot: the neighbors have already relaxed that one.
+        let row = round * nodes;
+        let mut spoke = false;
         run.snap.clear();
         for i in 0..links.len() {
-            if std::mem::take(&mut plane.dirty[b + i]) {
-                let best = (b + i) * k;
-                run.snap
-                    .push((i as u32, plane.cost[best], plane.hops[best]));
+            let s = b + i;
+            if std::mem::take(&mut plane.dirty[s]) {
+                if !spoke {
+                    spoke = true;
+                    if run.counts.len() < row + nodes {
+                        run.counts.resize(row + nodes, 0);
+                    }
+                }
+                run.counts[row + x.scope.slot_node[slots.start + i] as usize] += 1;
+                let best = (plane.cost[s * k], plane.hops[s * k]);
+                if is_news(best, run.sent[i]) {
+                    run.sent[i] = best;
+                    run.snap.push((i as u32, best.0, best.1));
+                }
             }
         }
-        if run.snap.is_empty() {
+        if !spoke {
             return;
         }
-        let row = round * nodes;
-        if run.counts.len() < row + nodes {
-            run.counts.resize(row + nodes, 0);
-        }
-        for &(i, _, _) in &run.snap {
-            run.counts[row + x.scope.slot_node[slots.start + i as usize] as usize] += 1;
-        }
+        run.relaxed += run.snap.len() as u64;
         round += 1;
         assert!(
             round < x.max_rounds as usize,
@@ -1271,6 +1355,11 @@ struct RangeTask<'a> {
     lo: usize,
     flags: &'a mut [bool],
     tables: &'a mut [RoutingTable],
+    /// The range's [`Scratch::sent_start`] entries, one past its last node
+    /// included: node `lo + off` owns
+    /// `sent[sent_start[off] - sent_start[0]..sent_start[off + 1] - sent_start[0]]`.
+    sent_start: &'a [u32],
+    sent: &'a mut [(f64, u32)],
 }
 
 /// Relaxes every vector of the round's snapshot at the range's receivers.
@@ -1282,6 +1371,9 @@ fn relax_range(round: &Round<'_>, t: &mut RangeTask<'_>) {
     let lo = t.lo;
     let hi = lo + t.flags.len();
     for &(from, start, end) in round.from {
+        if start == end {
+            continue; // a broadcast with no news
+        }
         let entries = &round.entries[start as usize..end as usize];
         let links = round.zones.links(from);
         let first = links.partition_point(|l| l.neighbor.index() < lo);
@@ -1325,24 +1417,27 @@ fn relax_range(round: &Round<'_>, t: &mut RangeTask<'_>) {
     }
 }
 
-/// Appends the whole vectors of the range's flagged nodes, in id order, to
-/// `entries` / `from` (the next snapshot or the range's share of it) and
-/// clears their flags. Returns whether any node had something to send.
+/// Appends the news in the vectors of the range's flagged nodes, in id
+/// order, to `entries` / `from` (the next snapshot or the range's share of
+/// it), records it as sent, and clears their flags. Returns whether any
+/// node had something to send.
 fn flatten_range(
     t: &mut RangeTask<'_>,
     entries: &mut Vec<Entry>,
     from: &mut Vec<(NodeId, u32, u32)>,
 ) -> bool {
     let mut had = false;
+    let base = t.sent_start[0];
     for off in 0..t.flags.len() {
         // Only alive nodes are ever flagged. A flagged node sends its
-        // whole vector, empty or not.
+        // whole vector, empty or not, and gets a range even without news.
         if !std::mem::take(&mut t.flags[off]) {
             continue;
         }
         had = true;
         let start = entries.len() as u32;
-        t.tables[off].append_vector(entries);
+        let sent = (t.sent_start[off] - base) as usize..(t.sent_start[off + 1] - base) as usize;
+        t.tables[off].append_news(entries, &mut t.sent[sent]);
         from.push((
             NodeId::new((t.lo + off) as u32),
             start,
@@ -1726,15 +1821,81 @@ mod tests {
         )
     }
 
+    /// One exchange of [`scripted_13x13`]: its stats, the snapshot entries
+    /// it relaxed, and the rounds or exchanges it handed to [`run_split`].
+    struct Scripted {
+        stats: DbfStats,
+        relaxed: u64,
+        threaded: u64,
+    }
+
+    /// Runs a scripted 13×13, k = 2 sequence on an engine with `shards`
+    /// shards: the full rebuild, the five-mover move below, a kill and
+    /// revive of node 84, and a three-mover in-place zone patch. Returns
+    /// every exchange, then the engine with the final zones and alive
+    /// mask.
+    fn scripted_13x13(shards: usize) -> (Vec<Scripted>, DbfEngine, ZoneTable, Vec<bool>) {
+        fn step(dbf: &mut DbfEngine, run: impl FnOnce(&mut DbfEngine) -> DbfStats) -> Scripted {
+            let (relaxed, threaded) = (dbf.scratch.relaxed, dbf.scratch.threaded);
+            let stats = run(dbf);
+            Scripted {
+                stats,
+                relaxed: dbf.scratch.relaxed - relaxed,
+                threaded: dbf.scratch.threaded - threaded,
+            }
+        }
+        let mut topo = placement::grid(13, 13, 5.0).unwrap();
+        let radio = RadioProfile::mica2();
+        let old_zones = ZoneTable::build(&topo, &radio, 20.0);
+        let movers: Vec<NodeId> = [15u32, 60, 84, 120, 150]
+            .iter()
+            .map(|&i| NodeId::new(i))
+            .collect();
+        for (j, &m) in movers.iter().enumerate() {
+            let p = topo.position(m);
+            topo.move_node(
+                m,
+                spms_net::Point::new(p.x + 7.5, (j as f64).mul_add(2.5, p.y)),
+            );
+        }
+        let new_zones = ZoneTable::build(&topo, &radio, 20.0);
+        let mut alive = vec![true; new_zones.len()];
+        let mut dbf = DbfEngine::new(&old_zones, 2).with_shards(shards);
+        let mut got = vec![step(&mut dbf, |dbf| {
+            dbf.rebuild_sharded(&old_zones, &alive)
+        })];
+        got.push(step(&mut dbf, |dbf| {
+            dbf.update_topology(&old_zones, &new_zones, &movers, &alive)
+        }));
+        for up in [false, true] {
+            alive[84] = up;
+            got.push(step(&mut dbf, |dbf| {
+                dbf.invalidate_zone(&new_zones, &[NodeId::new(84)], &alive)
+            }));
+        }
+        let mut grid = spms_net::SpatialGrid::build(&topo, 20.0);
+        let mut zones = ZoneTable::build_indexed(&topo, &radio, &grid, 20.0);
+        let trio = [NodeId::new(30), NodeId::new(97), NodeId::new(140)];
+        for (j, &m) in trio.iter().enumerate() {
+            let p = topo.position(m);
+            topo.move_node(m, spms_net::Point::new(p.x - 6.0, p.y + 4.0 + j as f64));
+            grid.move_node(m, topo.position(m));
+        }
+        let delta = zones.apply_moves(&topo, &radio, &grid, &trio);
+        got.push(step(&mut dbf, |dbf| {
+            dbf.apply_zone_delta(&zones, &delta, &[], &alive)
+        }));
+        (got, dbf, zones, alive)
+    }
+
     #[test]
     fn delta_accounting_matches_recorded_values() {
-        // Absolute delta stats of a scripted 13×13, k = 2 sequence: the
-        // five-mover move below, a kill and revive of node 84, and a
-        // three-mover in-place zone patch. The values were recorded from
-        // an independent, node-major implementation of the exchange, so
-        // they pin the accounting itself, not just its agreement across
-        // shard counts; the 4-shard engine runs every exchange in threaded
-        // destination runs.
+        // Absolute delta stats of the scripted 13×13 sequence's delta
+        // exchanges. The values were recorded from an independent,
+        // node-major implementation of the exchange, so they pin the
+        // accounting itself, not just its agreement across shard counts;
+        // the 4-shard engine runs every exchange in threaded destination
+        // runs.
         let want = [
             (7, 860, 18_021, 73_804, 6_239_820),
             (7, 720, 6_502, 27_448, 2_642_956),
@@ -1742,57 +1903,34 @@ mod tests {
             (7, 860, 15_087, 62_068, 5_437_910),
         ];
         for shards in [1usize, 4] {
-            let mut topo = placement::grid(13, 13, 5.0).unwrap();
-            let radio = RadioProfile::mica2();
-            let old_zones = ZoneTable::build(&topo, &radio, 20.0);
-            let movers: Vec<NodeId> = [15u32, 60, 84, 120, 150]
-                .iter()
-                .map(|&i| NodeId::new(i))
-                .collect();
-            for (j, &m) in movers.iter().enumerate() {
-                let p = topo.position(m);
-                topo.move_node(
-                    m,
-                    spms_net::Point::new(p.x + 7.5, (j as f64).mul_add(2.5, p.y)),
-                );
-            }
-            let new_zones = ZoneTable::build(&topo, &radio, 20.0);
-            let mut alive = vec![true; new_zones.len()];
-            let mut dbf = DbfEngine::new(&old_zones, 2).with_shards(shards);
-            dbf.rebuild_sharded(&old_zones, &alive);
-            let rebuild_threaded = dbf.scratch.threaded;
-            let mut got = vec![accounting(
-                &dbf.update_topology(&old_zones, &new_zones, &movers, &alive),
-            )];
-            for up in [false, true] {
-                alive[84] = up;
-                got.push(accounting(&dbf.invalidate_zone(
-                    &new_zones,
-                    &[NodeId::new(84)],
-                    &alive,
-                )));
-            }
-            let mut grid = spms_net::SpatialGrid::build(&topo, 20.0);
-            let mut zones = ZoneTable::build_indexed(&topo, &radio, &grid, 20.0);
-            let trio = [NodeId::new(30), NodeId::new(97), NodeId::new(140)];
-            for (j, &m) in trio.iter().enumerate() {
-                let p = topo.position(m);
-                topo.move_node(m, spms_net::Point::new(p.x - 6.0, p.y + 4.0 + j as f64));
-                grid.move_node(m, topo.position(m));
-            }
-            let delta = zones.apply_moves(&topo, &radio, &grid, &trio);
-            got.push(accounting(&dbf.apply_zone_delta(
-                &zones,
-                &delta,
-                &[],
-                &alive,
-            )));
+            let (exchanges, dbf, zones, alive) = scripted_13x13(shards);
+            let deltas = &exchanges[1..];
+            let got: Vec<_> = deltas.iter().map(|x| accounting(&x.stats)).collect();
             assert_eq!(got, want, "{shards} shards");
-            let delta_threaded = dbf.scratch.threaded - rebuild_threaded;
+            let delta_threaded: u64 = deltas.iter().map(|x| x.threaded).sum();
             let expected = if shards > 1 { want.len() as u64 } else { 0 };
             assert_eq!(delta_threaded, expected, "{shards} shards");
             let (want_tables, _) = reference_rebuild(&zones, 2, &alive);
             assert_tables_match(&dbf, &want_tables, &format!("{shards} shards"));
+        }
+    }
+
+    #[test]
+    fn exchanges_relax_fewer_entries_than_they_send() {
+        // A re-broadcast best route is counted in the stats but not offered
+        // again: in the full rebuild and in every delta exchange of the
+        // scripted sequence, fewer entries reach relaxation than the
+        // broadcasts carry, inline and threaded alike.
+        for shards in [1usize, 4] {
+            let (exchanges, ..) = scripted_13x13(shards);
+            for (i, x) in exchanges.iter().enumerate() {
+                assert!(
+                    0 < x.relaxed && x.relaxed < x.stats.entries_sent,
+                    "{shards} shards, exchange {i}: relaxed {} of {} sent",
+                    x.relaxed,
+                    x.stats.entries_sent
+                );
+            }
         }
     }
 
@@ -1896,14 +2034,11 @@ mod tests {
                 *thread = Some(std::thread::current().id());
             });
             assert!(hits.iter().all(|&(hit, _)| hit == 1), "{tasks} tasks");
-            // The first task runs on the caller, each other on its own
-            // thread.
+            // The first task runs on the caller; the others on whichever
+            // thread takes them first.
             if let Some(&(_, first)) = hits.first() {
                 assert_eq!(first, Some(std::thread::current().id()));
             }
-            let threads: std::collections::HashSet<_> =
-                hits.iter().map(|&(_, thread)| thread).collect();
-            assert_eq!(threads.len(), tasks, "{tasks} tasks");
         }
     }
 

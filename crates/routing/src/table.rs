@@ -49,8 +49,29 @@ pub(crate) const VACANT: RouteEntry = RouteEntry {
 /// Costs within this distance are ties (floating-point sums of identical
 /// link weights can differ by an ULP depending on the path); ties break
 /// toward fewer hops, then the smaller neighbor id — the same rule as the
-/// Dijkstra oracle, so the two constructions agree exactly.
+/// Dijkstra oracle.
+///
+/// The tie window makes route order transitive only when near-tie costs
+/// cluster: every two route costs are either within `COST_EPS` of each
+/// other or more than `2·COST_EPS` apart. Costs chained in smaller steps
+/// can tie `a` with `b` and `b` with `c` while `a` beats `c`. Two results
+/// rely on that precondition: the Dijkstra oracle and DBF agree exactly,
+/// and a DBF exchange may skip re-offering a route it already offered
+/// (the news-only rule, stated in the `dbf` module docs).
 const COST_EPS: f64 = 1e-12;
+
+/// The best `(cost, hops)` a DBF sender has not broadcast yet: no real
+/// route carries it, so [`is_news`] holds for every first broadcast.
+pub(crate) const UNSENT: (f64, u32) = (VACANT.cost, VACANT.hops);
+
+/// Whether a best route `(cost, hops)` is news against the one its sender
+/// last broadcast, `sent`: anything not bit-identical is. Re-offering a
+/// bit-identical route repeats an offer its receivers have already
+/// relaxed.
+#[inline(always)]
+pub(crate) fn is_news(best: (f64, u32), sent: (f64, u32)) -> bool {
+    best.0.to_bits() != sent.0.to_bits() || best.1 != sent.1
+}
 
 /// Strict route order: cost (with the epsilon tie window), then hops, then
 /// neighbor id. Total on distinct-via entries.
@@ -847,6 +868,42 @@ impl RoutingTable {
         }
     }
 
+    /// [`RoutingTable::append_vector`] restricted to news: appends
+    /// `(dest, best_cost, best_hops)` only for the destinations whose best
+    /// [`is_news`] against `sent[p]`, the best last broadcast for table
+    /// position `p`, and records it there.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `sent` has one entry per destination.
+    pub(crate) fn append_news(&self, out: &mut Vec<(u32, f64, u32)>, sent: &mut [(f64, u32)]) {
+        assert_eq!(
+            sent.len(),
+            self.dests.len(),
+            "one sent route per destination"
+        );
+        let k = self.k;
+        let mut push = |p: usize, best: (f64, u32)| {
+            if is_news(best, sent[p]) {
+                sent[p] = best;
+                out.push((self.dests[p].raw(), best.0, best.1));
+            }
+        };
+        match &self.arena {
+            Arena::Aos { slots } => {
+                for p in 0..self.dests.len() {
+                    let e = slots[p * k];
+                    push(p, (e.cost, e.hops));
+                }
+            }
+            Arena::Soa { cost, hops, .. } => {
+                for p in 0..self.dests.len() {
+                    push(p, (cost[p * k], hops[p * k]));
+                }
+            }
+        }
+    }
+
     /// Number of destinations.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -1640,6 +1697,91 @@ mod tests {
                     proptest::prop_assert_eq!(bits(&c), bits(&cost));
                     proptest::prop_assert_eq!(&h, &hops);
                 }
+            }
+        }
+    }
+
+    /// Cost offsets inside one tie level: every two within `COST_EPS`.
+    const JITTER: [f64; 3] = [0.0, 0.25 * COST_EPS, -0.25 * COST_EPS];
+
+    /// A block kernel's signature: `offer_block_soa` or `offer_block_soa2`.
+    type Kernel = fn(&mut [NodeId], &mut [f64], &mut [u32], usize, RouteEntry) -> (bool, usize);
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// The premise of DBF's news-only rule. Costs sit on levels
+        /// `3·COST_EPS` apart, each jittered by at most `COST_EPS / 4`, so
+        /// two costs are tied or more than `2·COST_EPS` apart. Each via's
+        /// successive offers to one block only improve: a lower level, or
+        /// the same level with fewer hops. Then re-offering each via's last
+        /// entry reports no change and leaves the block as it was, in the
+        /// generic SoA kernel, the `k = 2` kernel and both table layouts.
+        #[test]
+        fn re_offers_after_improving_offers_change_nothing(
+            k in 1usize..5,
+            draws in proptest::prop::collection::vec(
+                (0u32..5, 0u32..6, 0..JITTER.len(), 1u32..5),
+                1..24,
+            ),
+        ) {
+            // Each via's routes, worst first (level, then hops, descending),
+            // one per (level, hops); the draws' via order interleaves them.
+            let mut routes: Vec<Vec<RouteEntry>> = vec![Vec::new(); 5];
+            for (via, list) in routes.iter_mut().enumerate() {
+                let mut mine: Vec<_> = draws
+                    .iter()
+                    .filter(|d| d.0 as usize == via)
+                    .map(|&(_, level, jitter, hops)| (level, hops, jitter))
+                    .collect();
+                mine.sort_by_key(|r| std::cmp::Reverse((r.0, r.1)));
+                mine.dedup_by_key(|r| (r.0, r.1));
+                list.extend(mine.into_iter().map(|(level, hops, jitter)| {
+                    let cost = f64::from(level).mul_add(3.0 * COST_EPS, 1.0) + JITTER[jitter];
+                    e(via as u32, cost, hops)
+                }));
+            }
+            let mut next = [0usize; 5];
+            let mut offers = Vec::new();
+            for &(via, ..) in &draws {
+                let v = via as usize;
+                if let Some(&route) = routes[v].get(next[v]) {
+                    offers.push(route);
+                    next[v] += 1;
+                }
+            }
+            let last: Vec<RouteEntry> = routes.iter().filter_map(|r| r.last().copied()).collect();
+
+            let d = NodeId::new(9);
+            for layout in BOTH {
+                let mut table = RoutingTable::with_layout(k, layout);
+                for &route in &offers {
+                    table.offer(d, route);
+                }
+                let before = table.clone();
+                for &route in &last {
+                    proptest::prop_assert!(!table.offer(d, route), "{layout:?} k={k}: {route:?}");
+                }
+                proptest::prop_assert_eq!(&table, &before);
+            }
+            let mut kernels: Vec<Kernel> = vec![offer_block_soa];
+            if k == 2 {
+                kernels.push(offer_block_soa2);
+            }
+            for kernel in kernels {
+                let mut via = vec![VACANT.via; k];
+                let mut cost = vec![VACANT.cost; k];
+                let mut hops = vec![VACANT.hops; k];
+                let mut len = 0;
+                for &route in &offers {
+                    len = kernel(&mut via, &mut cost, &mut hops, len, route).1;
+                }
+                let block = (via.clone(), cost.clone(), hops.clone());
+                for &route in &last {
+                    let got = kernel(&mut via, &mut cost, &mut hops, len, route);
+                    proptest::prop_assert_eq!(got, (false, len));
+                }
+                proptest::prop_assert_eq!((via, cost, hops), block);
             }
         }
     }
