@@ -4,10 +4,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spms::{ProtocolKind, SimConfig, Simulation};
-use spms_bench::{bench_scale, show};
+use spms_bench::{render, show};
 use spms_kernel::SimTime;
 use spms_net::{placement, FailureConfig, NodeId};
-use spms_workloads::{figures, traffic, SweepConfig};
+use spms_workloads::{traffic, SweepConfig};
 
 fn pipeline_run(
     ttl: Option<u32>,
@@ -74,11 +74,7 @@ fn ablation_paths() {
 }
 
 fn bench(c: &mut Criterion) {
-    let scale = bench_scale();
-    let sweep = SweepConfig::auto();
-    let (a, b) = figures::ext1(&scale, 42, &sweep);
-    show(&a);
-    show(&b);
+    render("ext1", &SweepConfig::auto()).iter().for_each(show);
     ablation_ttl();
     ablation_paths();
     c.bench_function("ext1_interzone_pipeline", |bch| {

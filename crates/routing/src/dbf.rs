@@ -523,22 +523,23 @@ pub struct DbfEngine {
 }
 
 impl DbfEngine {
-    /// Creates a one-shard engine with direct (one-hop) routes installed
-    /// for every zone link, keeping `k` alternatives per destination.
+    /// Creates a one-shard engine with one empty routing table per zone
+    /// node, keeping `k` alternatives per destination. It holds no routes
+    /// until the first rebuild ([`DbfEngine::rebuild_sharded`] or
+    /// [`DbfEngine::run_to_convergence`]), which installs the direct
+    /// routes and runs the rounds.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0`.
     #[must_use]
     pub fn new(zones: &ZoneTable, k: usize) -> Self {
-        let mut engine = DbfEngine {
+        DbfEngine {
             tables: (0..zones.len()).map(|_| RoutingTable::new(k)).collect(),
             k,
             shards: 1,
             scratch: Scratch::default(),
-        };
-        engine.reset(zones, &vec![true; zones.len()]);
-        engine
+        }
     }
 
     /// Lets heavy work run on up to `shards` threads: a heavy full round is
@@ -1482,12 +1483,24 @@ mod tests {
     }
 
     #[test]
-    fn direct_routes_exist_before_any_exchange() {
+    fn new_engine_holds_no_routes_until_the_first_rebuild() {
         let z = zones(3, 1);
-        let dbf = DbfEngine::new(&z, 2);
+        let mut dbf = DbfEngine::new(&z, 2);
+        for node in 0..3 {
+            assert!(dbf.table(NodeId::new(node)).is_empty(), "n{node}");
+        }
+        // The first rebuild installs the direct route to every zone
+        // neighbor.
+        dbf.run_to_convergence(&z);
         let t0 = dbf.table(NodeId::new(0));
-        assert_eq!(t0.best(NodeId::new(1)).unwrap().hops, 1);
-        assert_eq!(t0.best(NodeId::new(2)).unwrap().hops, 1);
+        for dest in [NodeId::new(1), NodeId::new(2)] {
+            assert!(
+                t0.routes_to(dest)
+                    .into_iter()
+                    .any(|r| r.via == dest && r.hops == 1),
+                "direct route to {dest}"
+            );
+        }
     }
 
     #[test]

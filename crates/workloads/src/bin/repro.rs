@@ -30,36 +30,37 @@
 //! (`node_a node_b t_start t_end` per line, seconds) and overlays it on
 //! every figure whose specs did not pin their own — another semantic
 //! knob. EXT6 pins its own duty-cycle sweep and is immune. All of these
-//! travel to the figure generators in one [`SweepConfig`]; bad override
+//! travel to the sweep executor in one [`SweepConfig`]; bad override
 //! values are rejected before any figure runs.
 //!
+//! The targets and seeds make one [`Plan`]: every distinct simulation runs
+//! once, in one worker pool, and `repro` prints how many after its header.
+//!
 //! Unknown targets, unknown flags, and bad flag values exit 2. A failed
-//! output write or replication is reported as it happens, and the run
-//! then exits 1. Run with `--release`; the paper scale sweeps take
-//! minutes.
+//! simulation gets one stderr line with its label and error, and the
+//! targets that read it are not emitted; the others are. A failed
+//! simulation or output write is reported as it happens, and the run then
+//! exits 1. Run with `--release`; the paper scale sweeps take minutes.
 
 use std::cell::Cell;
 use std::collections::BTreeSet;
+use std::fmt::Display;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 use spms_kernel::SimTime;
 use spms_net::ContactPlan;
-use spms_workloads::figures;
 use spms_workloads::{
     render_ascii_chart, render_csv, render_json, render_markdown, render_replicated_csv,
-    render_replicated_markdown, replicate, AdversaryOverride, FigureResult, Scale, SweepConfig,
+    render_replicated_markdown, replicate, AdversaryOverride, FigureResult, Plan, Rendered, Scale,
+    SweepConfig,
 };
-
-/// Every target `repro` accepts, space-separated.
-const TARGETS: &str = "fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 \
-                       ext1 ext2 ext3 ext4 ext5 ext6 table1 breakeven all";
 
 struct Args {
     targets: BTreeSet<String>,
-    scale: Scale,
+    plan: Plan,
     scale_name: String,
     seed: u64,
-    seeds: usize,
     out: PathBuf,
     sweep: SweepConfig,
 }
@@ -74,74 +75,30 @@ fn parse_args() -> Result<Args, String> {
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--scale" => {
-                scale_name = argv.next().ok_or("--scale needs a value")?;
-            }
-            "--workers" => {
-                sweep.workers = argv
-                    .next()
-                    .ok_or("--workers needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad worker count: {e}"))?;
-            }
-            "--seed" => {
-                seed = argv
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--seeds" => {
-                seeds = argv
-                    .next()
-                    .ok_or("--seeds needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad replication count: {e}"))?;
-                if seeds == 0 {
-                    return Err("--seeds must be at least 1".into());
-                }
-            }
-            "--out" => {
-                out = PathBuf::from(argv.next().ok_or("--out needs a value")?);
-            }
+            "--scale" => scale_name = value(&mut argv, &arg, "scale")?,
+            "--workers" => sweep.workers = value(&mut argv, &arg, "worker count")?,
+            "--seed" => seed = value(&mut argv, &arg, "seed")?,
+            "--seeds" => seeds = value(&mut argv, &arg, "replication count")?,
+            "--out" => out = value(&mut argv, &arg, "output directory")?,
             "--adversary-fraction" => {
-                let v: f64 = argv
-                    .next()
-                    .ok_or("--adversary-fraction needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad adversary fraction: {e}"))?;
-                sweep.adversary.fraction = Some(v);
+                sweep.adversary.fraction = Some(value(&mut argv, &arg, "adversary fraction")?);
             }
             "--adversary-behavior" => {
-                sweep.adversary.behavior = Some(
-                    argv.next()
-                        .ok_or("--adversary-behavior needs a value")?
-                        .parse()?,
-                );
+                sweep.adversary.behavior = Some(value(&mut argv, &arg, "adversary behavior")?);
             }
             "--attack-start" => {
-                let ms = argv.next().ok_or("--attack-start needs a value (ms)")?;
+                let ms: String = value(&mut argv, &arg, "attack start")?;
                 sweep.adversary.attack_start = Some(parse_attack_start(&ms)?);
             }
             "--attack-factor" => {
-                let k: u32 = argv
-                    .next()
-                    .ok_or("--attack-factor needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad attack factor: {e}"))?;
-                sweep.adversary.attack_factor = Some(k);
+                sweep.adversary.attack_factor = Some(value(&mut argv, &arg, "attack factor")?);
             }
             "--contact-plan" => {
-                let path = PathBuf::from(argv.next().ok_or("--contact-plan needs a file")?);
+                let path: PathBuf = value(&mut argv, &arg, "contact plan path")?;
                 sweep.contact_plan = Some(ContactPlan::load(&path)?);
             }
             "--churn-rate" => {
-                let v: f64 = argv
-                    .next()
-                    .ok_or("--churn-rate needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad churn rate: {e}"))?;
-                sweep.adversary.churn_rate = Some(v);
+                sweep.adversary.churn_rate = Some(value(&mut argv, &arg, "churn rate")?);
             }
             "--help" | "-h" => {
                 return Err("usage: repro [FIGURES|all] [--scale smoke|quick|paper] \
@@ -155,11 +112,8 @@ fn parse_args() -> Result<Args, String> {
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag {other}"));
             }
-            other if TARGETS.split_whitespace().any(|t| t == other) => {
-                targets.insert(other.to_string());
-            }
             other => {
-                return Err(format!("unknown target {other} (valid targets: {TARGETS})"));
+                targets.insert(other.to_string());
             }
         }
     }
@@ -176,15 +130,38 @@ fn parse_args() -> Result<Args, String> {
         .adversary
         .validate()
         .map_err(|e| format!("bad override: {e}"))?;
+    if seeds == 0 {
+        return Err("--seeds must be at least 1".into());
+    }
+    let last = seed.checked_add(seeds as u64 - 1).ok_or_else(|| {
+        format!(
+            "--seed {seed} with --seeds {seeds} runs past the largest seed {}",
+            u64::MAX
+        )
+    })?;
+    let ids: Vec<&str> = targets.iter().map(String::as_str).collect();
+    let plan = Plan::new(&ids, &scale, &(seed..=last).collect::<Vec<u64>>())?;
     Ok(Args {
         targets,
-        scale,
+        plan,
         scale_name,
         seed,
-        seeds,
         out,
         sweep,
     })
+}
+
+/// The value following `flag` on the command line, parsed as a `what`.
+fn value<T: FromStr>(
+    argv: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let text = argv.next().ok_or(format!("{flag} needs a value"))?;
+    text.parse().map_err(|e| format!("bad {what}: {e}"))
 }
 
 /// Parses `--attack-start` milliseconds. Negative and non-finite values
@@ -199,11 +176,7 @@ fn parse_attack_start(ms: &str) -> Result<SimTime, String> {
     Ok(SimTime::from_millis_f64(ms))
 }
 
-fn wants(targets: &BTreeSet<String>, id: &str) -> bool {
-    targets.contains("all") || targets.contains(id)
-}
-
-/// The output directory, plus whether any write or replication failed.
+/// The output directory, plus whether any simulation or write failed.
 struct Output {
     dir: PathBuf,
     failed: Cell<bool>,
@@ -216,6 +189,17 @@ impl Output {
         self.write(&format!("{}.csv", fig.id), &render_csv(fig));
         // The machine-readable twin CI diffs across sweep worker counts.
         self.write(&format!("{}.json", fig.id), &render_json(fig));
+    }
+
+    /// Emits one figure from its renders in seed order: as it is for a
+    /// single render, aggregated over the seeds otherwise.
+    fn emit_renders(&self, renders: &[FigureResult]) {
+        if let [fig] = renders {
+            return self.emit(fig);
+        }
+        let rep = replicate(renders).expect("every seed renders the same figure");
+        print!("{}", render_replicated_markdown(&rep));
+        self.write(&format!("{}_ci.csv", rep.id), &render_replicated_csv(&rep));
     }
 
     fn write(&self, name: &str, contents: &str) {
@@ -234,26 +218,6 @@ impl Output {
     }
 }
 
-/// Emits a simulation figure, replicated over `args.seeds` seeds when more
-/// than one was requested.
-fn emit_sim(args: &Args, out: &Output, generate: impl Fn(u64) -> FigureResult) {
-    if args.seeds <= 1 {
-        out.emit(&generate(args.seed));
-        return;
-    }
-    let seeds: Vec<u64> = (0..args.seeds as u64).map(|i| args.seed + i).collect();
-    match replicate(&seeds, generate) {
-        Ok(rep) => {
-            print!("{}", render_replicated_markdown(&rep));
-            out.write(&format!("{}_ci.csv", rep.id), &render_replicated_csv(&rep));
-        }
-        Err(e) => {
-            eprintln!("replication failed: {e}");
-            out.failed.set(true);
-        }
-    }
-}
-
 fn main() {
     let args = match parse_args() {
         Ok(a) => a,
@@ -267,7 +231,6 @@ fn main() {
         failed: Cell::new(false),
     };
     let sweep = &args.sweep;
-    let t = &args.targets;
     eprintln!(
         "repro: scale={} seed={} workers={} targets={:?}",
         args.scale_name,
@@ -277,7 +240,7 @@ fn main() {
         } else {
             sweep.workers.to_string()
         },
-        t
+        args.targets
     );
     if let Some(plan) = &sweep.contact_plan {
         eprintln!(
@@ -298,100 +261,23 @@ fn main() {
             sweep.adversary.churn_rate,
         );
     }
+    eprintln!("repro: {} simulations", args.plan.simulations());
 
-    if wants(t, "table1") {
-        println!("{}", figures::table1());
+    let outcome = args.plan.run(sweep);
+    for (run, error) in &outcome.failed {
+        eprintln!("repro: simulation {run} failed: {error}");
+        out.failed.set(true);
     }
-    if wants(t, "fig3") {
-        out.emit(&figures::fig3(&args.scale));
-    }
-    if wants(t, "fig5") {
-        out.emit(&figures::fig5(&args.scale));
-    }
-    // Paired generators share one sweep per call; under replication each
-    // member re-runs the sweep, trading CPU for generator reuse.
-    if wants(t, "fig6") || wants(t, "fig8") {
-        if args.seeds <= 1 {
-            let (f6, f8) = figures::fig6_fig8(&args.scale, args.seed, sweep);
-            if wants(t, "fig6") {
-                out.emit(&f6);
+    for (id, rendered) in &outcome.targets {
+        match rendered {
+            Some(Rendered::Text(text)) => println!("{text}"),
+            Some(Rendered::Figures(figures)) => {
+                for renders in figures {
+                    out.emit_renders(renders);
+                }
             }
-            if wants(t, "fig8") {
-                out.emit(&f8);
-            }
-        } else {
-            if wants(t, "fig6") {
-                emit_sim(&args, &out, |s| figures::fig6_fig8(&args.scale, s, sweep).0);
-            }
-            if wants(t, "fig8") {
-                emit_sim(&args, &out, |s| figures::fig6_fig8(&args.scale, s, sweep).1);
-            }
+            None => eprintln!("repro: {id} not emitted: it reads a failed simulation"),
         }
-    }
-    if wants(t, "fig7") || wants(t, "fig9") {
-        if args.seeds <= 1 {
-            let (f7, f9) = figures::fig7_fig9(&args.scale, args.seed, sweep);
-            if wants(t, "fig7") {
-                out.emit(&f7);
-            }
-            if wants(t, "fig9") {
-                out.emit(&f9);
-            }
-        } else {
-            if wants(t, "fig7") {
-                emit_sim(&args, &out, |s| figures::fig7_fig9(&args.scale, s, sweep).0);
-            }
-            if wants(t, "fig9") {
-                emit_sim(&args, &out, |s| figures::fig7_fig9(&args.scale, s, sweep).1);
-            }
-        }
-    }
-    if wants(t, "fig10") {
-        emit_sim(&args, &out, |s| figures::fig10(&args.scale, s, sweep));
-    }
-    if wants(t, "fig11") {
-        emit_sim(&args, &out, |s| figures::fig11(&args.scale, s, sweep));
-    }
-    if wants(t, "fig12") {
-        emit_sim(&args, &out, |s| figures::fig12(&args.scale, s, sweep));
-    }
-    if wants(t, "fig13") {
-        emit_sim(&args, &out, |s| figures::fig13(&args.scale, s, sweep));
-    }
-    if wants(t, "ext1") {
-        if args.seeds <= 1 {
-            let (a, b) = figures::ext1(&args.scale, args.seed, sweep);
-            out.emit(&a);
-            out.emit(&b);
-        } else {
-            emit_sim(&args, &out, |s| figures::ext1(&args.scale, s, sweep).0);
-            emit_sim(&args, &out, |s| figures::ext1(&args.scale, s, sweep).1);
-        }
-    }
-    if wants(t, "ext2") {
-        emit_sim(&args, &out, |s| figures::ext2(&args.scale, s, sweep));
-    }
-    if wants(t, "ext3") {
-        emit_sim(&args, &out, |s| figures::ext3(&args.scale, s, sweep));
-    }
-    if wants(t, "ext4") {
-        emit_sim(&args, &out, |s| figures::ext4(&args.scale, s, sweep));
-    }
-    if wants(t, "ext5") {
-        emit_sim(&args, &out, |s| figures::ext5(&args.scale, s, sweep));
-    }
-    if wants(t, "ext6") {
-        if args.seeds <= 1 {
-            let (a, b) = figures::ext6(&args.scale, args.seed, sweep);
-            out.emit(&a);
-            out.emit(&b);
-        } else {
-            emit_sim(&args, &out, |s| figures::ext6(&args.scale, s, sweep).0);
-            emit_sim(&args, &out, |s| figures::ext6(&args.scale, s, sweep).1);
-        }
-    }
-    if wants(t, "breakeven") {
-        println!("{}", figures::breakeven_report());
     }
     if out.failed.get() {
         std::process::exit(1);

@@ -109,14 +109,14 @@ pub fn satellite_passes(
 }
 
 /// Inter-regional pipeline contact: a line of `len` nodes (ids `0..len`,
-/// as [`ext1`]'s pipeline) cut at `cut` — every link between a node
+/// as EXT1's pipeline, [`Sweep::PipelineLengths`]) cut at `cut` — every link between a node
 /// `< cut` and a node `>= cut` shares one pass schedule (up for the first
 /// `duty × period` of every period until `horizon`). The regions on
 /// either side stay internally connected; only the inter-regional contact
 /// is scheduled. Drives the `crates/interzone` bordercast machinery:
 /// SPMS-IZ's pull must land while the contact is up.
 ///
-/// [`ext1`]: crate::figures::ext1
+/// [`Sweep::PipelineLengths`]: crate::figures::Sweep::PipelineLengths
 ///
 /// # Errors
 ///

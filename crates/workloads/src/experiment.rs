@@ -1,16 +1,16 @@
 //! Experiment specifications and the deterministic parallel sweep
 //! executor.
 //!
-//! Every paper figure is a parameter sweep: a vector of [`RunSpec`]s, each
+//! Every paper figure reads parameter sweeps: vectors of [`RunSpec`]s, each
 //! an independently deterministic simulation (all randomness comes from the
-//! spec's config seed). [`run_specs_with`] executes them on a scoped-thread
+//! spec's config seed). [`try_run_specs`] executes them on a scoped-thread
 //! worker pool ([`SweepConfig`]): workers claim specs from a shared index
 //! and scatter results back **by spec index**, so the output order and
 //! every [`RunMetrics`] byte are identical to the sequential path for any
 //! worker count — thread count is a wall-clock knob, never a semantic one
 //! (property-tested in `tests/sweep.rs`). A spec that fails (engine error
-//! or panic) is contained to its own slot and can neither poison nor
-//! reorder its siblings.
+//! or panic) gets its own error in its own slot and can neither poison nor
+//! reorder its siblings. A figure [`crate::figures::Plan`] is one call.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -131,9 +131,9 @@ pub struct RunSpec {
 /// Sweep-executor configuration: the worker pool plus the semantic
 /// overrides every spec of the sweep picks up.
 ///
-/// Passed by reference to [`try_run_specs`], [`run_specs_with`], and every
-/// seeded figure generator, so two sweeps in one process can run side by
-/// side under different settings.
+/// Passed by reference to [`try_run_specs`] and
+/// [`crate::figures::Plan::run`], so two sweeps in one process can run side
+/// by side under different settings.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SweepConfig {
     /// Worker threads claiming specs; `0` resolves to the host's available
@@ -355,27 +355,6 @@ pub fn try_run_specs(
         .collect()
 }
 
-/// Runs every spec on a [`SweepConfig`]-sized worker pool, preserving
-/// input order.
-///
-/// # Panics
-///
-/// Panics if a spec fails — specs are produced by this crate's figure
-/// generators, so a failure is a bug, not an input error. The panic names
-/// the **first failed spec in input order** (not completion order), after
-/// every sibling has finished: one bad spec is deterministic to diagnose
-/// and cannot poison the rest of the sweep.
-#[must_use]
-pub fn run_specs_with(specs: Vec<RunSpec>, sweep: &SweepConfig) -> Vec<(String, RunMetrics)> {
-    try_run_specs(specs, sweep)
-        .into_iter()
-        .map(|(label, outcome)| match outcome {
-            Ok(metrics) => (label, metrics),
-            Err(e) => panic!("spec '{label}' failed: {e}"),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,14 +399,14 @@ mod tests {
             mk(&topo, &plan, "b", ProtocolKind::Spin),
             mk(&topo, &plan, "c", ProtocolKind::Spms),
         ];
-        let out = run_specs_with(specs, &SweepConfig::auto());
+        let out = try_run_specs(specs, &SweepConfig::auto());
         assert_eq!(out.len(), 3);
         assert_eq!(out[0].0, "a");
         assert_eq!(out[1].0, "b");
         assert_eq!(out[2].0, "c");
         // Identical specs give identical metrics regardless of scheduling.
         assert_eq!(out[0].1, out[2].1);
-        assert_eq!(out[0].1.deliveries, 8);
+        assert_eq!(out[0].1.as_ref().unwrap().deliveries, 8);
     }
 
     #[test]
@@ -560,26 +539,27 @@ mod tests {
     }
 
     #[test]
-    fn run_specs_with_panics_on_the_first_failed_spec_in_input_order() {
+    fn every_failed_spec_reports_its_own_error() {
         let topo = placement::grid(3, 3, 5.0).unwrap();
         let plan = single_source(NodeId::new(4), 1, SimTime::ZERO).unwrap();
-        let bad = |label: &str| RunSpec {
-            plan: single_source(NodeId::new(99), 1, SimTime::ZERO).unwrap(),
+        let bad = |label: &str, source: u32| RunSpec {
+            plan: single_source(NodeId::new(source), 1, SimTime::ZERO).unwrap(),
             ..mk(&topo, &plan, label, ProtocolKind::Spms)
         };
         let specs = vec![
             mk(&topo, &plan, "good", ProtocolKind::Spms),
-            bad("bad-early"),
-            bad("bad-late"),
+            bad("bad-early", 97),
+            bad("bad-late", 99),
         ];
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_specs_with(specs, &SweepConfig::with_workers(2))
-        }))
-        .expect_err("a failed spec must fail the sweep");
-        let text = panic_text(err.as_ref());
-        assert!(
-            text.contains("bad-early"),
-            "panic must name the first failed spec in input order: {text}"
-        );
+        for workers in [1usize, 2] {
+            let out = try_run_specs(specs.clone(), &SweepConfig::with_workers(workers));
+            assert!(out[0].1.is_ok(), "{workers} workers");
+            // Each failure names its own out-of-range source, not the
+            // first failure's.
+            for (slot, node) in [(1, "n97"), (2, "n99")] {
+                let err = out[slot].1.as_ref().expect_err("bad spec must fail");
+                assert!(err.contains(node), "{workers} workers, slot {slot}: {err}");
+            }
+        }
     }
 }

@@ -13,10 +13,12 @@
 //!   sweep executor (a [`SweepConfig`]-sized worker pool whose results are
 //!   byte-identical to the sequential path for any worker count, plus the
 //!   sweep's adversary and contact-plan overrides),
-//! * [`figures`] — one generator per paper figure (3, 5, 6–13), each
-//!   returning a [`FigureResult`] with the same series the paper plots,
-//!   plus the EXT1 (inter-zone) and EXT2 (network-lifetime) extension
-//!   experiments,
+//! * [`figures`] — the figure plan: named sweeps that expand to run specs,
+//!   one renderer per paper figure (3, 5, 6–13) and extension experiment
+//!   (EXT1–EXT6), each returning a [`FigureResult`] with the same series
+//!   the paper plots, and [`Plan`], which runs every distinct simulation
+//!   of an invocation once and renders the requested targets from the
+//!   results,
 //! * [`replication`] — multi-seed aggregation with Student-t 95%
 //!   confidence intervals,
 //! * [`report`] — markdown and CSV rendering for those results.
@@ -39,10 +41,8 @@ pub mod report;
 pub mod traffic;
 
 pub use contact_plans::{interregional, satellite_passes};
-pub use experiment::{
-    run_specs_with, try_run_specs, AdversaryOverride, RunSpec, Scale, SweepConfig,
-};
-pub use figures::{FigureResult, SeriesData};
+pub use experiment::{try_run_specs, AdversaryOverride, RunSpec, Scale, SweepConfig};
+pub use figures::{FigureResult, Plan, Rendered, SeriesData};
 pub use replication::{
     render_replicated_csv, render_replicated_markdown, replicate, ReplicatedFigure,
     ReplicatedSeries,

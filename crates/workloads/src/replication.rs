@@ -1,11 +1,11 @@
-//! Multi-seed replication: run a figure generator across independent seeds
-//! and report per-point means with 95% confidence intervals.
+//! Multi-seed replication: aggregate a figure rendered at independent seeds
+//! into per-point means with 95% confidence intervals.
 //!
 //! The paper plots single-run curves; a reproduction should show how much
-//! of each gap is signal. Replication reuses the existing generators
-//! unchanged — each seed produces a complete [`FigureResult`], and the
-//! aggregator folds matching series/points across seeds with Student-t
-//! intervals from [`spms_kernel::stats`].
+//! of each gap is signal. The figure plan ([`crate::figures::Plan`])
+//! renders each figure once per seed, and [`replicate`] folds matching
+//! series/points across those renders with Student-t intervals from
+//! [`spms_kernel::stats`].
 
 use std::fmt::Write as _;
 
@@ -47,7 +47,8 @@ impl ReplicatedFigure {
     }
 }
 
-/// Runs `generate` once per seed and aggregates the results.
+/// Aggregates one figure rendered at several seeds (`runs`, one render
+/// per seed).
 ///
 /// Series are matched by name and points by position; a series or point
 /// absent from some replication is aggregated over the seeds that produced
@@ -55,23 +56,18 @@ impl ReplicatedFigure {
 ///
 /// # Errors
 ///
-/// Returns a message if `seeds` is empty or the replications disagree on
+/// Returns a message if `runs` is empty or the replications disagree on
 /// figure identity (different `id`).
-pub fn replicate<F>(seeds: &[u64], generate: F) -> Result<ReplicatedFigure, String>
-where
-    F: Fn(u64) -> FigureResult,
-{
-    if seeds.is_empty() {
+pub fn replicate(runs: &[FigureResult]) -> Result<ReplicatedFigure, String> {
+    let Some(first) = runs.first() else {
         return Err("need at least one seed".into());
-    }
-    let runs: Vec<FigureResult> = seeds.iter().map(|&s| generate(s)).collect();
-    let first = &runs[0];
+    };
     if runs.iter().any(|r| r.id != first.id) {
         return Err("replications produced different figures".into());
     }
     // Collect series names in first-seen order.
     let mut names: Vec<String> = Vec::new();
-    for r in &runs {
+    for r in runs {
         for s in &r.series {
             if !names.contains(&s.name) {
                 names.push(s.name.clone());
@@ -106,7 +102,7 @@ where
         title: first.title.clone(),
         x_label: first.x_label,
         y_label: first.y_label,
-        replications: seeds.len(),
+        replications: runs.len(),
         series,
     })
 }
@@ -203,7 +199,11 @@ mod tests {
     #[test]
     fn aggregation_means_and_cis_are_correct() {
         // Three "seeds" producing y = seed at every x.
-        let rep = replicate(&[1, 2, 3], |s| fig_with("f", &[s as f64, 2.0 * s as f64])).unwrap();
+        let runs: Vec<FigureResult> = [1.0, 2.0, 3.0]
+            .iter()
+            .map(|&s| fig_with("f", &[s, 2.0 * s]))
+            .collect();
+        let rep = replicate(&runs).unwrap();
         assert_eq!(rep.replications, 3);
         let a = rep.series_named("A").unwrap();
         assert_eq!(a.points.len(), 2);
@@ -218,43 +218,39 @@ mod tests {
 
     #[test]
     fn single_seed_has_zero_interval() {
-        let rep = replicate(&[7], |_| fig_with("f", &[5.0])).unwrap();
+        let rep = replicate(&[fig_with("f", &[5.0])]).unwrap();
         assert_eq!(rep.series[0].points[0], (0.0, 5.0, 0.0));
     }
 
     #[test]
     fn empty_seed_list_is_an_error() {
-        assert!(replicate(&[], |_| fig_with("f", &[1.0])).is_err());
+        assert!(replicate(&[]).is_err());
     }
 
     #[test]
     fn mismatched_ids_are_rejected() {
-        let result = replicate(&[1, 2], |s| {
-            fig_with(if s == 1 { "a" } else { "b" }, &[1.0])
-        });
+        let result = replicate(&[fig_with("a", &[1.0]), fig_with("b", &[1.0])]);
         assert!(result.is_err());
     }
 
     #[test]
     fn missing_series_aggregates_over_present_seeds() {
-        let rep = replicate(&[1, 2, 3], |s| {
-            let mut f = fig_with("f", &[s as f64]);
-            if s == 2 {
-                f.series.push(SeriesData {
-                    name: "B".into(),
-                    points: vec![(0.0, 9.0)],
-                });
-            }
-            f
-        })
-        .unwrap();
+        let mut runs: Vec<FigureResult> = [1.0, 2.0, 3.0]
+            .iter()
+            .map(|&s| fig_with("f", &[s]))
+            .collect();
+        runs[1].series.push(SeriesData {
+            name: "B".into(),
+            points: vec![(0.0, 9.0)],
+        });
+        let rep = replicate(&runs).unwrap();
         let b = rep.series_named("B").unwrap();
         assert_eq!(b.points, vec![(0.0, 9.0, 0.0)]);
     }
 
     #[test]
     fn renderers_include_means_and_cis() {
-        let rep = replicate(&[1, 2], |s| fig_with("f", &[s as f64])).unwrap();
+        let rep = replicate(&[fig_with("f", &[1.0]), fig_with("f", &[2.0])]).unwrap();
         let md = render_replicated_markdown(&rep);
         assert!(md.contains("2 seeds"));
         assert!(md.contains("±"));

@@ -1,20 +1,19 @@
 //! Differential sweep-equivalence suite for the parallel experiment
 //! executor.
 //!
-//! Two claims, mirroring the style of the routing layer's
+//! Three claims, mirroring the style of the routing layer's
 //! differential-oracle harness:
 //!
 //! 1. **Worker count cannot change results.** For random `RunSpec`
 //!    vectors, running the sweep at 1 worker (the sequential reference
 //!    path, inline on the calling thread), 2 workers, the host's
 //!    available parallelism (`0`), and a deliberately excessive 16
-//!    workers produces byte-identical `Vec<(String, RunMetrics)>` —
-//!    labels, order, and every metrics field.
+//!    workers produces byte-identical `(label, outcome)` vectors — labels,
+//!    order, and every metrics field.
 //! 2. **A failed spec cannot poison or reorder its siblings.** A spec the
 //!    engine rejects — or one that panics outright mid-run — fails only
-//!    its own slot: every sibling still lands in input order with the
-//!    metrics a clean sweep produces, and `run_specs_with` reports the
-//!    first failure in *input* order, not completion order.
+//!    its own slot, with its own message: every sibling still lands in
+//!    input order with the metrics a clean sweep produces.
 //! 3. **A sweep's overrides stay its own.** Two sweeps with different
 //!    semantic overrides, run at the same time in one process, each match
 //!    their own single-worker run.
@@ -26,7 +25,7 @@ use spms::{NodeBehavior, ProtocolKind, SimConfig, TrafficPlan};
 use spms_kernel::SimTime;
 use spms_net::{placement, ContactPlan, NodeId, Topology};
 use spms_workloads::traffic;
-use spms_workloads::{run_specs_with, try_run_specs, AdversaryOverride, RunSpec, SweepConfig};
+use spms_workloads::{try_run_specs, AdversaryOverride, RunSpec, SweepConfig};
 
 fn spec(
     topo: &Topology,
@@ -87,9 +86,10 @@ proptest! {
                 spec(&topo, &format!("spec-{i}"), protocol, seed, plan)
             })
             .collect();
-        let reference = run_specs_with(specs.clone(), &SweepConfig::with_workers(1));
+        let reference = try_run_specs(specs.clone(), &SweepConfig::with_workers(1));
+        prop_assert!(reference.iter().all(|(_, outcome)| outcome.is_ok()));
         for workers in [2usize, 0, 16] {
-            let got = run_specs_with(specs.clone(), &SweepConfig::with_workers(workers));
+            let got = try_run_specs(specs.clone(), &SweepConfig::with_workers(workers));
             prop_assert_eq!(&got, &reference, "workers = {} diverged", workers);
         }
     }
@@ -104,7 +104,7 @@ fn a_panicking_spec_does_not_poison_or_reorder_its_siblings() {
         spec(&topo, "good-2", ProtocolKind::Spin, 8, plan.clone()),
         spec(&topo, "good-3", ProtocolKind::Spms, 9, plan.clone()),
     ];
-    let reference = run_specs_with(clean.clone(), &SweepConfig::with_workers(1));
+    let reference = try_run_specs(clean.clone(), &SweepConfig::with_workers(1));
 
     // The same siblings with a panicking spec spliced in at index 1.
     let mut poisoned = clean;
@@ -124,7 +124,11 @@ fn a_panicking_spec_does_not_poison_or_reorder_its_siblings() {
         for (slot, reference_slot) in [(0usize, 0usize), (2, 1), (3, 2)] {
             let got = out[slot].1.as_ref().expect("sibling must succeed");
             assert_eq!(
-                got, &reference[reference_slot].1,
+                got,
+                reference[reference_slot]
+                    .1
+                    .as_ref()
+                    .expect("clean spec runs"),
                 "{workers} workers: sibling {slot} diverged from the clean sweep"
             );
         }
@@ -132,27 +136,30 @@ fn a_panicking_spec_does_not_poison_or_reorder_its_siblings() {
 }
 
 #[test]
-fn run_specs_with_reports_the_first_panicking_spec_in_input_order() {
+fn every_panicking_spec_reports_its_own_panic_message() {
     let topo = placement::grid(3, 3, 5.0).unwrap();
     let plan = traffic::single_source(NodeId::new(4), 1, SimTime::ZERO).unwrap();
+    // An engine error and a panic side by side: each slot carries its
+    // own message, the panic's payload text included.
+    let rejected = RunSpec {
+        plan: traffic::single_source(NodeId::new(99), 1, SimTime::ZERO).unwrap(),
+        ..spec(&topo, "rejected", ProtocolKind::Spms, 7, plan.clone())
+    };
     let specs = vec![
         spec(&topo, "good", ProtocolKind::Spms, 7, plan.clone()),
         panicking_spec(&topo, "boom-early", plan.clone()),
+        rejected,
         panicking_spec(&topo, "boom-late", plan),
     ];
-    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_specs_with(specs, &SweepConfig::with_workers(4))
-    }))
-    .expect_err("a sweep with failing specs must fail");
-    let text = err
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_string()))
-        .unwrap_or_default();
-    assert!(
-        text.contains("boom-early"),
-        "the sweep must name the first failed spec in input order: {text}"
-    );
+    let out = try_run_specs(specs, &SweepConfig::with_workers(4));
+    assert!(out[0].1.is_ok());
+    let error = |slot: usize| out[slot].1.clone().expect_err("the spec must fail");
+    assert!(error(2).contains("n99"), "{}", error(2));
+    for slot in [1, 3] {
+        let text = error(slot);
+        assert!(!text.is_empty() && text != error(2), "slot {slot}: {text}");
+        assert_eq!(text, error(1), "both panics trip the same assertion");
+    }
 }
 
 #[test]
@@ -185,7 +192,7 @@ fn concurrent_sweeps_keep_their_own_overrides() {
     let start = Barrier::new(2);
     let run = |sweep: &SweepConfig| {
         start.wait();
-        run_specs_with(specs.clone(), sweep)
+        try_run_specs(specs.clone(), sweep)
     };
     let (a, b) = std::thread::scope(|scope| {
         let a = scope.spawn(|| run(&attacked));
@@ -198,13 +205,15 @@ fn concurrent_sweeps_keep_their_own_overrides() {
             workers: 1,
             ..sweep.clone()
         };
-        assert_eq!(got, &run_specs_with(specs.clone(), &sequential));
+        assert_eq!(got, &try_run_specs(specs.clone(), &sequential));
     }
     // Each override took effect in its own sweep and nowhere else.
     for (_, m) in &a {
+        let m = m.as_ref().expect("attacked spec runs");
         assert!(m.adversary.adversaries > 0 && m.deliveries > 0, "{m:?}");
     }
     for (_, m) in &b {
+        let m = m.as_ref().expect("severed spec runs");
         assert!(m.adversary.adversaries == 0 && m.deliveries == 0, "{m:?}");
     }
 }

@@ -107,7 +107,7 @@ fn sweep_workers_cannot_change_adversarial_results() {
     // The sweep executor processes adversarial specs too: 1 worker (the
     // sequential reference), auto, and a deliberately excessive pool must
     // emit byte-identical label/metrics pairs.
-    use spms_workloads::{run_specs_with, RunSpec, SweepConfig};
+    use spms_workloads::{try_run_specs, RunSpec, SweepConfig};
     let topo = placement::grid(4, 4, 5.0).unwrap();
     let plan = traffic::all_to_all(16, 1, SimTime::from_millis(200), 71).unwrap();
     let spec = |label: &str, behavior, fraction| RunSpec {
@@ -122,11 +122,12 @@ fn sweep_workers_cannot_change_adversarial_results() {
         spec("drop", NodeBehavior::SilentDropper, 0.2),
         spec("liar", NodeBehavior::MetadataLiar, 0.2),
     ];
-    let reference = run_specs_with(specs.clone(), &SweepConfig::with_workers(1));
-    assert_eq!(reference[0].1.adversary.adversaries, 0);
-    assert!(reference[1].1.adversary.bogus_advs > 0);
+    let reference = try_run_specs(specs.clone(), &SweepConfig::with_workers(1));
+    let metrics = |slot: usize| reference[slot].1.as_ref().expect("adversarial spec runs");
+    assert_eq!(metrics(0).adversary.adversaries, 0);
+    assert!(metrics(1).adversary.bogus_advs > 0);
     for workers in [0usize, 16] {
-        let got = run_specs_with(specs.clone(), &SweepConfig::with_workers(workers));
+        let got = try_run_specs(specs.clone(), &SweepConfig::with_workers(workers));
         assert_eq!(got, reference, "workers = {workers}");
     }
 }

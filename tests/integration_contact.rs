@@ -178,7 +178,7 @@ fn interregional_contact_gates_the_interzone_pull() {
 /// `SimConfig::contact_plan` unset.
 #[test]
 fn contact_plan_override_fills_only_unset_slots() {
-    use spms_workloads::{run_specs_with, RunSpec, SweepConfig};
+    use spms_workloads::{try_run_specs, RunSpec, SweepConfig};
     let topo = placement::grid(2, 1, 5.0).unwrap();
     let traffic = traffic::single_source(NodeId::new(0), 1, SimTime::ZERO).unwrap();
     let spec = |label: &str, pinned: Option<ContactPlan>| {
@@ -193,18 +193,22 @@ fn contact_plan_override_fills_only_unset_slots() {
     };
     // A plan that severs the only link for the whole run.
     let severed = plan("0 1 500 600\n");
+    let run = |label: &str, pinned: Option<ContactPlan>, sweep: &SweepConfig| {
+        let mut out = try_run_specs(vec![spec(label, pinned)], sweep);
+        out.remove(0).1.expect("the 2-node run succeeds")
+    };
     // Baseline: no override, the 2-node run delivers.
-    let open = run_specs_with(vec![spec("open", None)], &SweepConfig::auto());
-    assert_eq!(open[0].1.deliveries, 1);
+    let open = run("open", None, &SweepConfig::auto());
+    assert_eq!(open.deliveries, 1);
     // The override gates every spec that left the slot unset…
     let sweep = SweepConfig {
         contact_plan: Some(severed),
         ..SweepConfig::auto()
     };
-    let gated = run_specs_with(vec![spec("gated", None)], &sweep);
-    assert_eq!(gated[0].1.deliveries, 0, "override must gate unset specs");
-    assert!(gated[0].1.routing.contact_epochs > 0);
+    let gated = run("gated", None, &sweep);
+    assert_eq!(gated.deliveries, 0, "override must gate unset specs");
+    assert!(gated.routing.contact_epochs > 0);
     // …but a spec that pins its own plan is immune (EXT6's guarantee).
-    let pinned = run_specs_with(vec![spec("pinned", Some(ContactPlan::default()))], &sweep);
-    assert_eq!(pinned[0].1.deliveries, 1, "pinned specs must be immune");
+    let pinned = run("pinned", Some(ContactPlan::default()), &sweep);
+    assert_eq!(pinned.deliveries, 1, "pinned specs must be immune");
 }

@@ -47,7 +47,7 @@ fn different_seeds_change_details_not_guarantees() {
 
 #[test]
 fn parallel_sweep_equals_sequential_runs() {
-    use spms_workloads::{run_specs_with, RunSpec, SweepConfig};
+    use spms_workloads::{try_run_specs, RunSpec, SweepConfig};
     let topo = placement::grid(3, 3, 5.0).unwrap();
     let plan = traffic::all_to_all(9, 1, SimTime::from_millis(200), 3).unwrap();
     let spec = |label: &str| RunSpec {
@@ -56,11 +56,11 @@ fn parallel_sweep_equals_sequential_runs() {
         topology: topo.clone(),
         plan: plan.clone(),
     };
-    let parallel = run_specs_with(vec![spec("x"), spec("y"), spec("z")], &SweepConfig::auto());
+    let parallel = try_run_specs(vec![spec("x"), spec("y"), spec("z")], &SweepConfig::auto());
     let sequential =
         Simulation::run_with(SimConfig::paper_defaults(ProtocolKind::Spms, 3), topo, plan).unwrap();
     for (_, m) in parallel {
-        assert_eq!(m, sequential);
+        assert_eq!(m, Ok(sequential.clone()));
     }
 }
 
@@ -71,7 +71,7 @@ fn sweep_worker_count_cannot_change_results() {
     // deliberately excessive pool: labels, order, and every RunMetrics
     // byte must be identical — the worker pool is a wall-clock knob, never
     // a semantic one.
-    use spms_workloads::{run_specs_with, RunSpec, SweepConfig};
+    use spms_workloads::{try_run_specs, RunSpec, SweepConfig};
     let topo = placement::grid(4, 4, 5.0).unwrap();
     let plan = traffic::all_to_all(16, 1, SimTime::from_millis(200), 5).unwrap();
     let spec = |label: &str, protocol, seed| {
@@ -90,10 +90,11 @@ fn sweep_worker_count_cannot_change_results() {
         spec("flood", ProtocolKind::Flooding, 23),
         spec("spms-again", ProtocolKind::Spms, 21),
     ];
-    let reference = run_specs_with(specs.clone(), &SweepConfig::with_workers(1));
+    let reference = try_run_specs(specs.clone(), &SweepConfig::with_workers(1));
+    assert!(reference[0].1.is_ok());
     assert_eq!(reference[0].1, reference[3].1, "same spec, same bytes");
     for workers in [0usize, 16] {
-        let got = run_specs_with(specs.clone(), &SweepConfig::with_workers(workers));
+        let got = try_run_specs(specs.clone(), &SweepConfig::with_workers(workers));
         assert_eq!(got, reference, "workers = {workers}");
     }
 }
