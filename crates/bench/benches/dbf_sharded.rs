@@ -22,13 +22,11 @@
 //! CI's hardware-independent ratio gates pin sharded ≤ 0.7× one-shard at
 //! n = 625 for both the delta exchange and the full rebuild, and ≤ 0.8×
 //! at n = 1024 for the delta (see `xtask bench-gate`) — ≥ ~1.4× from a
-//! 2-core runner; wider machines only widen the margin. `xtask
-//! speedup-curve` turns the per-size seq/sharded pairs into the
-//! speedup-curve JSON CI uploads as an artifact. On a single-core host the
-//! engine resolves to one shard, so both sides of each pair run all
-//! their work inline and the ratios are only meaningful where parallelism
-//! exists (the CI step reports those gates as explicitly skipped when
-//! `nproc` is 1).
+//! 2-core runner; wider machines only widen the margin. On a single-core
+//! host the engine resolves to one shard, so both sides of each pair run
+//! all their work inline and the ratios are only meaningful where
+//! parallelism exists (the CI step reports those gates as explicitly
+//! skipped when `nproc` is 1).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spms_net::{placement, NodeId, Point, Topology, ZoneTable};

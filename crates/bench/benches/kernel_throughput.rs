@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use spms_kernel::{EventQueue, SimRng, SimTime};
 use spms_net::{dijkstra, placement, NodeId, ZoneTable};
 use spms_phy::RadioProfile;
-use spms_routing::{DbfEngine, RouteEntry, RoutingTable, TableLayout};
+use spms_routing::{DbfEngine, RouteEntry, RoutingTable};
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("kernel/event_queue_push_pop_10k", |b| {
@@ -72,8 +72,7 @@ fn bench_dbf(c: &mut Criterion) {
 /// The offer/lookup churn at a typical zone size (45 destinations, k = 2,
 /// repeated replace/improve offers) — the per-offer path of full DBF
 /// rounds (delta rounds run the same block kernel on their route plane,
-/// without the table lookup). Shared verbatim by the AoS and SoA benches so their ratio
-/// isolates the arena layout.
+/// without the table lookup).
 fn churn(table: &mut RoutingTable) -> usize {
     table.clear();
     for round in 0..8u32 {
@@ -90,14 +89,14 @@ fn churn(table: &mut RoutingTable) -> usize {
             }
         }
     }
-    table.total_entries()
+    table.len()
 }
 
 /// The same per-entry churn as [`churn`], delivered the way the DBF inner
 /// loops actually deliver it: one ascending-destination vector per
 /// (round, via), offered through an ascending cursor (`offer_ascending`),
-/// so each destination lookup searches only past the previous hit instead
-/// of the whole arena.
+/// so each lookup of a destination the table does not hold yet searches
+/// only past the previous hit.
 fn churn_ascending(table: &mut RoutingTable) -> usize {
     table.clear();
     for round in 0..8u32 {
@@ -116,30 +115,19 @@ fn churn_ascending(table: &mut RoutingTable) -> usize {
             }
         }
     }
-    table.total_entries()
+    table.len()
 }
 
 fn bench_table_churn(c: &mut Criterion) {
-    // Pinned to the AoS oracle layout: this id is the denominator of the
-    // CI ratio gate `table_offer_soa_churn / table_offer_churn ≤ 0.6`, so
-    // it must keep measuring the original array-of-structs kernel.
-    c.bench_function("routing/table_offer_churn_45_dests", |b| {
-        let mut table = RoutingTable::with_layout(2, TableLayout::Aos);
-        b.iter(|| std::hint::black_box(churn(&mut table)))
-    });
     c.bench_function("routing/table_offer_soa_churn_45_dests", |b| {
-        let mut table = RoutingTable::with_layout(2, TableLayout::Soa);
+        let mut table = RoutingTable::new(2);
         b.iter(|| std::hint::black_box(churn(&mut table)))
     });
 }
 
 fn bench_table_vector_replay(c: &mut Criterion) {
-    c.bench_function("routing/table_offer_ascending_45_dests", |b| {
-        let mut table = RoutingTable::with_layout(2, TableLayout::Aos);
-        b.iter(|| std::hint::black_box(churn_ascending(&mut table)))
-    });
     c.bench_function("routing/table_offer_soa_ascending_45_dests", |b| {
-        let mut table = RoutingTable::with_layout(2, TableLayout::Soa);
+        let mut table = RoutingTable::new(2);
         b.iter(|| std::hint::black_box(churn_ascending(&mut table)))
     });
 }

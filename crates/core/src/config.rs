@@ -339,8 +339,7 @@ pub struct SimConfig {
     pub mobility: Option<MobilityConfig>,
     /// Adversarial node behaviors (None = everyone honest). The adversary
     /// set is drawn from its own master-seed sub-stream, so it is a
-    /// semantic knob like the seed — never affected by shards, workers,
-    /// or layouts.
+    /// semantic knob like the seed — never affected by shards or workers.
     pub adversary: Option<AdversaryConfig>,
     /// Mass join/leave churn process (None = no churn). Cohorts toggle
     /// liveness per epoch, stressing the incremental zone/DBF paths.
@@ -349,18 +348,17 @@ pub struct SimConfig {
     /// up/down windows fired as timed link flips through the same zone
     /// patch and re-route step mobility uses. A semantic knob like
     /// `adversary` — it changes results by design, but never varies with
-    /// shards, workers, or layouts. Node ids the plan names are
-    /// range-checked against the topology when the simulation is built.
+    /// shards or workers. Node ids the plan names are range-checked against
+    /// the topology when the simulation is built.
     pub contact_plan: Option<ContactPlan>,
     /// Hard stop for the run.
     pub horizon: SimTime,
     /// Trace buffer capacity (None = tracing disabled).
     pub trace_capacity: Option<usize>,
-    /// Arena layout for the distributed routing tables (another wall-clock
-    /// knob — results are byte-identical across layouts, proven by the
-    /// layout-differential suites in `spms-routing` and re-checked end to
-    /// end in `tests/integration_determinism.rs`; default
-    /// [`TableLayout::Soa`], with AoS retained as the oracle).
+    /// The routing-table layout. [`TableLayout`] has one variant, so this
+    /// selects nothing and the simulation never reads it; it stays only
+    /// because the `perfbench` harness passes it to
+    /// `DbfEngine::with_table_layout`.
     pub table_layout: TableLayout,
 }
 

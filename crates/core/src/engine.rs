@@ -553,17 +553,12 @@ impl Simulation {
                 // to/from dead nodes at delivery time and protocols fail
                 // over to their alternative routes, the paper's model.
                 self.tables = oracle_tables(&self.zones, self.config.k_routes);
-                for table in &mut self.tables {
-                    table.convert_layout(self.config.table_layout);
-                }
                 self.dbf = None;
             }
             RoutingMode::Distributed => {
                 let shards = self.resolved_shards();
                 let mut dbf = self.dbf.take().unwrap_or_else(|| {
-                    DbfEngine::new(&self.zones, self.config.k_routes)
-                        .with_shards(shards)
-                        .with_table_layout(self.config.table_layout)
+                    DbfEngine::new(&self.zones, self.config.k_routes).with_shards(shards)
                 });
                 // The sharded full rebuild: reset + full-vector rounds
                 // through the shard planner, bit-identical (tables and

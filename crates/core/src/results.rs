@@ -50,7 +50,7 @@ pub struct RoutingCost {
     pub liveness_deltas: u64,
     /// Contact-plan epochs applied (scheduled window boundaries reached).
     /// Counts *plan events*, not rows or threads: byte-identical across
-    /// shard counts, workers, and table layouts.
+    /// shard counts and workers.
     pub contact_epochs: u64,
     /// Scheduled link up-flips applied (window opens after `t = 0`).
     pub contact_links_up: u64,
@@ -90,9 +90,9 @@ impl MessageCounts {
 /// Adversary and churn counters for one run.
 ///
 /// Like every other field of [`RunMetrics`] these are **semantic**
-/// quantities: byte-identical across shard counts, worker pools, and table
-/// layouts (checked by `tests/integration_adversarial.rs`),
-/// and changed only by the seed and the adversary/churn configuration.
+/// quantities: byte-identical across shard counts and worker pools
+/// (checked by `tests/integration_adversarial.rs`), and changed only by
+/// the seed and the adversary/churn configuration.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AdversaryStats {
     /// Nodes running an adversarial [`crate::NodeBehavior`].

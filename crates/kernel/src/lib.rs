@@ -11,8 +11,8 @@
 //!   scheduled at the same instant, so runs are bit-reproducible,
 //! * [`SimRng`] — a seeded xoshiro256\*\* PRNG plus the distributions the
 //!   paper needs (uniform, exponential inter-arrivals, Poisson processes),
-//! * [`stats`] — counters, tallies and histograms used by the measurement
-//!   harness,
+//! * [`stats`] — counters, tallies and confidence intervals used by the
+//!   measurement harness,
 //! * [`trace`] — a bounded event trace for debugging protocol runs.
 //!
 //! # Example

@@ -1,8 +1,9 @@
-//! Measurement primitives: counters, tallies and histograms.
+//! Measurement primitives: counters, tallies and confidence intervals.
 //!
 //! The experiment harness reports the same aggregates the paper plots —
-//! average energy per packet, average end-to-end delay — plus distributional
-//! detail (percentiles) useful when comparing failure and failure-free runs.
+//! average energy per packet, average end-to-end delay — plus their spread
+//! (standard deviation, and a 95% confidence interval across replicated
+//! seeds) useful when comparing failure and failure-free runs.
 
 use std::fmt;
 
@@ -254,112 +255,6 @@ impl fmt::Display for Tally {
     }
 }
 
-/// A fixed-bucket histogram over `f64` observations.
-///
-/// Buckets are uniform over `[lo, hi)` with explicit underflow/overflow
-/// buckets; percentiles are estimated by linear interpolation inside the
-/// containing bucket, which is plenty for reporting delay distributions.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    tally: Tally,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` uniform buckets spanning
-    /// `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`, the bounds are not finite, or `buckets == 0`.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(lo.is_finite() && hi.is_finite() && lo < hi, "bad range");
-        assert!(buckets > 0, "need at least one bucket");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
-            tally: Tally::new(),
-        }
-    }
-
-    /// Records an observation.
-    pub fn record(&mut self, x: f64) {
-        self.tally.record(x);
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let frac = (x - self.lo) / (self.hi - self.lo);
-            let idx = ((frac * self.buckets.len() as f64) as usize).min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Total observations recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.tally.count()
-    }
-
-    /// Summary statistics of everything recorded.
-    #[must_use]
-    pub fn tally(&self) -> &Tally {
-        &self.tally
-    }
-
-    /// Estimates the `q`-quantile (`q` in `[0, 1]`) by interpolating within
-    /// the containing bucket. Returns `None` when empty.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count() == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = q * self.count() as f64;
-        let mut seen = self.underflow as f64;
-        if target <= seen {
-            return Some(self.lo);
-        }
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            let next = seen + c as f64;
-            if target <= next && c > 0 {
-                let within = (target - seen) / c as f64;
-                return Some(self.lo + width * (i as f64 + within));
-            }
-            seen = next;
-        }
-        Some(self.hi)
-    }
-
-    /// Number of observations below the histogram range.
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Number of observations at or above the histogram range.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Bucket counts (for rendering).
-    #[must_use]
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.buckets
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,39 +312,6 @@ mod tests {
         assert_eq!(left.count(), whole.count());
         assert!((left.mean() - whole.mean()).abs() < 1e-9);
         assert!((left.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [0.5, 1.5, 1.6, 9.9, 10.0, -1.0] {
-            h.record(x);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.bucket_counts()[0], 1);
-        assert_eq!(h.bucket_counts()[1], 2);
-        assert_eq!(h.bucket_counts()[9], 1);
-    }
-
-    #[test]
-    fn histogram_quantiles_are_monotone() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for i in 0..1_000 {
-            h.record((i % 100) as f64);
-        }
-        let q10 = h.quantile(0.10).unwrap();
-        let q50 = h.quantile(0.50).unwrap();
-        let q90 = h.quantile(0.90).unwrap();
-        assert!(q10 <= q50 && q50 <= q90);
-        assert!((q50 - 50.0).abs() < 2.0, "median estimate {q50}");
-    }
-
-    #[test]
-    fn histogram_quantile_empty_is_none() {
-        let h = Histogram::new(0.0, 1.0, 4);
-        assert_eq!(h.quantile(0.5), None);
     }
 
     #[test]

@@ -248,7 +248,7 @@ impl Scope {
 }
 
 /// The delta exchange's route plane: one `k`-slot block per scope slot,
-/// best first, in the tables' SoA layout.
+/// best first, in the tables' struct-of-arrays layout.
 #[derive(Clone, Debug, Default)]
 struct Plane {
     /// Live routes per slot (`<= k`).
@@ -566,25 +566,12 @@ impl DbfEngine {
         self.shards
     }
 
-    /// Stores every routing table in `layout` ([`TableLayout::Soa`] planes
-    /// by default). The AoS layout is the differential oracle: the layout
-    /// proptest suites replay identical exchanges through both arenas and
-    /// assert bit-identical tables and [`DbfStats`]. Like the shard count,
-    /// the layout can never change routing results, only wall-clock time.
+    /// Returns the engine unchanged: routing tables have one layout,
+    /// [`TableLayout::Soa`]. Kept only because the `perfbench` harness
+    /// still calls it; nothing in the workspace does.
     #[must_use]
-    pub fn with_table_layout(mut self, layout: TableLayout) -> Self {
-        for table in &mut self.tables {
-            table.convert_layout(layout);
-        }
+    pub fn with_table_layout(self, _layout: TableLayout) -> Self {
         self
-    }
-
-    /// The arena layout the engine's tables are stored in.
-    #[must_use]
-    pub fn table_layout(&self) -> TableLayout {
-        self.tables
-            .first()
-            .map_or_else(TableLayout::default, RoutingTable::layout)
     }
 
     /// The number of route alternatives kept per destination.

@@ -11,8 +11,9 @@
 //!
 //! * [`RoutingTable`] / [`RouteEntry`] — per-destination lists of up to `k`
 //!   next-hop alternatives ordered by cost (the paper's implementation keeps
-//!   the shortest and second-shortest path, `k = 2`), stored in a dense
-//!   arena (sorted destination vector + flat `k`-slot blocks) rather than a
+//!   the shortest and second-shortest path, `k = 2`), stored densely (a
+//!   sorted destination vector plus `k` route slots per destination, kept
+//!   as parallel cost / next-hop / hops planes) rather than in a
 //!   per-entry map,
 //! * [`DbfEngine`] — the distance-vector exchange itself, run in synchronous
 //!   rounds until quiescence, with message/byte accounting so the simulation

@@ -4,7 +4,7 @@
 //!
 //! 1. **Knob matrix** — adversary/churn are *semantic* knobs (they change
 //!    results like a seed does), but under any fixed adversarial setting
-//!    the wall-clock knobs (table layout, DBF shards, sweep workers) still
+//!    the wall-clock knobs (DBF shards, sweep workers) still
 //!    cannot change a single byte of [`spms::RunMetrics`], including the
 //!    [`spms::AdversaryStats`] counters.
 //! 2. **Seeded proptest fuzzer** — random schedules of all five semantic
@@ -21,7 +21,6 @@ use proptest::prelude::*;
 
 use spms::{
     AdversaryConfig, NodeBehavior, ProtocolKind, RoutingMode, RunMetrics, SimConfig, Simulation,
-    TableLayout,
 };
 use spms_kernel::SimTime;
 use spms_net::{
@@ -82,23 +81,20 @@ fn run(config: SimConfig, seed: u64) -> RunMetrics {
 
 #[test]
 fn wall_clock_knobs_cannot_change_adversarial_results() {
-    // The full matrix from the determinism suite, replayed under attack:
-    // 2 table layouts x shards {1, auto, 16} must all produce the
-    // reference bytes, AdversaryStats included.
+    // The shard matrix from the determinism suite, replayed under attack:
+    // shards {1, auto, 16} must all produce the reference bytes,
+    // AdversaryStats included.
     let seed = 61;
     let reference = run(adversarial_config(seed, NodeBehavior::Flooding, 0.25), seed);
     assert!(reference.adversary.adversaries > 0, "roster must be drawn");
     assert!(reference.adversary.packets_dropped > 0, "attack must bite");
     assert!(reference.adversary.bogus_advs > 0, "flooders must flood");
     assert!(reference.adversary.churn_epochs > 0, "churn must fire");
-    for layout in [TableLayout::Soa, TableLayout::Aos] {
-        for shards in [1usize, 0, 16] {
-            let mut config = adversarial_config(seed, NodeBehavior::Flooding, 0.25);
-            config.table_layout = layout;
-            config.dbf_shards = shards;
-            let got = run(config, seed);
-            assert_eq!(got, reference, "layout={layout:?} shards={shards}");
-        }
+    for shards in [1usize, 0, 16] {
+        let mut config = adversarial_config(seed, NodeBehavior::Flooding, 0.25);
+        config.dbf_shards = shards;
+        let got = run(config, seed);
+        assert_eq!(got, reference, "shards={shards}");
     }
 }
 

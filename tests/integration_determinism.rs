@@ -1,9 +1,9 @@
 //! Reproducibility guarantees: a run is a pure function of its config and
-//! seed, and no wall-clock knob (sweep workers, DBF shards, table layout)
-//! can change a byte of its `RunMetrics`. Checked across subsystem
+//! seed, and no wall-clock knob (sweep workers, DBF shards) can change a
+//! byte of its `RunMetrics`. Checked across subsystem
 //! combinations.
 
-use spms::{ProtocolKind, RoutingMode, SimConfig, Simulation, TableLayout};
+use spms::{ProtocolKind, RoutingMode, SimConfig, Simulation};
 use spms_kernel::SimTime;
 use spms_net::{placement, FailureConfig, MobilityConfig};
 use spms_workloads::traffic;
@@ -96,35 +96,6 @@ fn sweep_worker_count_cannot_change_results() {
     for workers in [0usize, 16] {
         let got = try_run_specs(specs.clone(), &SweepConfig::with_workers(workers));
         assert_eq!(got, reference, "workers = {workers}");
-    }
-}
-
-#[test]
-fn table_layout_cannot_change_results() {
-    // The SoA/AoS equality matrix across all three protocols: a
-    // full-featured run (failures + mobility + distributed routing +
-    // tracing) must produce byte-identical RunMetrics whichever arena
-    // layout the routing tables use — the layout is a wall-clock knob,
-    // never a semantic one. This is the end-to-end rung of the oracle chain
-    // the layout-differential suite in `crates/routing/tests/layout.rs`
-    // establishes offer-for-offer.
-    let run = |protocol, layout| {
-        let topo = placement::grid(4, 4, 5.0).unwrap();
-        let plan = traffic::all_to_all(16, 2, SimTime::from_millis(200), 47).unwrap();
-        let mut config = full_featured_config(47);
-        config.protocol = protocol;
-        config.table_layout = layout;
-        Simulation::run_with(config, topo, plan).unwrap()
-    };
-    for protocol in [
-        ProtocolKind::Flooding,
-        ProtocolKind::Spin,
-        ProtocolKind::Spms,
-    ] {
-        let soa = run(protocol, TableLayout::Soa);
-        assert!(soa.events_processed > 0);
-        let aos = run(protocol, TableLayout::Aos);
-        assert_eq!(aos, soa, "{protocol} under aos vs soa");
     }
 }
 

@@ -26,16 +26,6 @@
 //!   they never fail the run, but they show up in stdout and in the
 //!   `$GITHUB_STEP_SUMMARY` scorecard as explicit `skipped` rows — a
 //!   gate that never ran must be visibly absent, not silently green.
-//! * `speedup-curve --input <json> --output <json> [--strict]` — derives
-//!   the sharded-vs-sequential speedup curve from one bench run: every
-//!   `routing/dbf_{delta,full}_{seq,sharded}_<n>` record is grouped by n
-//!   and emitted as a `{n, seq_min_ns, sharded_min_ns, speedup}` row,
-//!   sorted by n. A record whose twin is absent is **not** dropped: the
-//!   row is emitted with explicit `"missing"` fields (a truncated bench
-//!   run must be visible in the artifact, not silently thinner), and
-//!   `--strict` turns any such row into a non-zero exit. CI uploads the
-//!   result as the scaling artifact tracked by the ROADMAP's 10k-node
-//!   target.
 //! * `sweep-diff --a <dir> --b <dir> [--require <token>]...` — the
 //!   sweep-determinism gate: both directories must hold the same set of
 //!   `*.json` figure files (as written by the `repro` bin) with
@@ -463,154 +453,6 @@ fn run_bench_gate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// One point of the sharded-vs-sequential speedup curve: the
-/// `..._seq_<n>` / `..._sharded_<n>` records of one bench family at one
-/// size. Either side may be absent (a truncated or partial bench run):
-/// the point is still emitted, with its missing side explicit.
-#[derive(Debug, PartialEq)]
-struct SpeedupPoint {
-    n: u64,
-    seq_min_ns: Option<u64>,
-    sharded_min_ns: Option<u64>,
-}
-
-impl SpeedupPoint {
-    /// Sequential time over sharded time (> 1 means the threads win), or
-    /// `None` when either twin is missing.
-    fn speedup(&self) -> Option<f64> {
-        match (self.seq_min_ns, self.sharded_min_ns) {
-            (Some(seq), Some(sharded)) => Some(seq as f64 / (sharded as f64).max(1.0)),
-            _ => None,
-        }
-    }
-
-    /// `true` when both twins were measured.
-    fn complete(&self) -> bool {
-        self.seq_min_ns.is_some() && self.sharded_min_ns.is_some()
-    }
-}
-
-/// Groups every `<prefix>_{seq,sharded}_<n>` record by n, sorted by n.
-/// Records without a twin are **kept** as incomplete points — the curve
-/// must show a truncated run as explicitly missing, never as merely
-/// thinner.
-fn speedup_points(records: &[Record], prefix: &str) -> Vec<SpeedupPoint> {
-    let seq_marker = format!("{prefix}_seq_");
-    let sharded_marker = format!("{prefix}_sharded_");
-    let mut by_n: std::collections::BTreeMap<u64, SpeedupPoint> = std::collections::BTreeMap::new();
-    for r in records {
-        if let Some(n) = r.id.strip_prefix(&seq_marker).and_then(|s| s.parse().ok()) {
-            by_n.entry(n)
-                .or_insert(SpeedupPoint {
-                    n,
-                    seq_min_ns: None,
-                    sharded_min_ns: None,
-                })
-                .seq_min_ns = Some(r.min_ns);
-        } else if let Some(n) =
-            r.id.strip_prefix(&sharded_marker)
-                .and_then(|s| s.parse().ok())
-        {
-            by_n.entry(n)
-                .or_insert(SpeedupPoint {
-                    n,
-                    seq_min_ns: None,
-                    sharded_min_ns: None,
-                })
-                .sharded_min_ns = Some(r.min_ns);
-        }
-    }
-    by_n.into_values().collect()
-}
-
-/// Renders the delta and full-rebuild speedup curves as one JSON document.
-/// An unpaired point renders its absent side — and its speedup — as the
-/// literal string `"missing"`.
-fn render_speedup(delta: &[SpeedupPoint], full: &[SpeedupPoint]) -> String {
-    let ns = |v: Option<u64>| v.map_or_else(|| "\"missing\"".into(), |x| x.to_string());
-    let family = |points: &[SpeedupPoint]| {
-        let mut out = String::from("[\n");
-        for (i, p) in points.iter().enumerate() {
-            let speedup = p
-                .speedup()
-                .map_or_else(|| "\"missing\"".into(), |s| format!("{s:.4}"));
-            let _ = writeln!(
-                out,
-                "    {{\"n\":{},\"seq_min_ns\":{},\"sharded_min_ns\":{},\"speedup\":{}}}{}",
-                p.n,
-                ns(p.seq_min_ns),
-                ns(p.sharded_min_ns),
-                speedup,
-                if i + 1 == points.len() { "" } else { "," }
-            );
-        }
-        out.push_str("  ]");
-        out
-    };
-    format!(
-        "{{\n  \"delta\": {},\n  \"full\": {}\n}}\n",
-        family(delta),
-        family(full)
-    )
-}
-
-fn run_speedup_curve(args: &[String]) -> Result<(), String> {
-    let input = arg_value(args, "--input").ok_or("speedup-curve needs --input <json>")?;
-    let output = arg_value(args, "--output").ok_or("speedup-curve needs --output <json>")?;
-    let strict = args.iter().any(|a| a == "--strict");
-    let records = read(&input)?;
-    let delta = speedup_points(&records, "routing/dbf_delta");
-    let full = speedup_points(&records, "routing/dbf_full");
-    if delta.is_empty() && full.is_empty() {
-        return Err(format!(
-            "{input} holds no routing/dbf_{{delta,full}}_{{seq,sharded}}_<n> records"
-        ));
-    }
-    std::fs::write(&output, render_speedup(&delta, &full))
-        .map_err(|e| format!("cannot write {output}: {e}"))?;
-    let mut unpaired = Vec::new();
-    for (name, points) in [("delta", &delta), ("full", &full)] {
-        for p in points {
-            let side = |v: Option<u64>| v.map_or_else(|| "MISSING".into(), |x| format!("{x} ns"));
-            let speedup = p
-                .speedup()
-                .map_or_else(|| "missing".into(), |s| format!("{s:.2}×"));
-            println!(
-                "  {name:>5} n={:<6} seq {:>14}  sharded {:>14}  speedup {speedup}",
-                p.n,
-                side(p.seq_min_ns),
-                side(p.sharded_min_ns),
-            );
-            if !p.complete() {
-                let absent = if p.seq_min_ns.is_none() {
-                    "seq"
-                } else {
-                    "sharded"
-                };
-                unpaired.push(format!("routing/dbf_{name}_{absent}_{}", p.n));
-            }
-        }
-    }
-    if !unpaired.is_empty() {
-        let note = format!(
-            "{} unpaired record(s) in {input} — missing twin(s): {}",
-            unpaired.len(),
-            unpaired.join(", ")
-        );
-        if strict {
-            return Err(format!("{note} (--strict: a truncated bench run fails)"));
-        }
-        eprintln!("xtask: warning: {note}");
-    }
-    println!(
-        "speedup curve ({} delta + {} full points, {} unpaired) written to {output}",
-        delta.len(),
-        full.len(),
-        unpaired.len()
-    );
-    Ok(())
-}
-
 /// Sorted `*.json` file names directly inside `dir`.
 fn json_files(dir: &str) -> Result<Vec<String>, String> {
     let mut names: Vec<String> = std::fs::read_dir(dir)
@@ -683,16 +525,12 @@ fn main() -> ExitCode {
     let result = match args.first().map(String::as_str) {
         Some("collect") => run_collect(&args[1..]),
         Some("bench-gate") => run_bench_gate(&args[1..]),
-        Some("speedup-curve") => run_speedup_curve(&args[1..]),
         Some("sweep-diff") => run_sweep_diff(&args[1..]),
-        _ => Err(
-            "usage: xtask <collect|bench-gate|speedup-curve|sweep-diff> [flags]\n\
-                  \x20 collect       --input <jsonl> --output <json>\n\
-                  \x20 bench-gate    --baseline <json> --current <json> [--threshold 1.25]\n\
-                  \x20 speedup-curve --input <json> --output <json> [--strict]\n\
-                  \x20 sweep-diff    --a <dir> --b <dir> [--require <token>]..."
-                .into(),
-        ),
+        _ => Err("usage: xtask <collect|bench-gate|sweep-diff> [flags]\n\
+                  \x20 collect    --input <jsonl> --output <json>\n\
+                  \x20 bench-gate --baseline <json> --current <json> [--threshold 1.25]\n\
+                  \x20 sweep-diff --a <dir> --b <dir> [--require <token>]..."
+            .into()),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -855,95 +693,6 @@ mod tests {
         ragged.push("routing/dbf_full_sharded_625".into());
         let err = run_bench_gate(&ragged).unwrap_err();
         assert!(err.contains("--skip-ratio-num/--skip-ratio-den"), "{err}");
-    }
-
-    #[test]
-    fn speedup_points_pair_families_by_size() {
-        let records = vec![
-            rec("routing/dbf_delta_seq_1024", 300),
-            rec("routing/dbf_delta_sharded_1024", 200),
-            rec("routing/dbf_delta_seq_225", 90),
-            rec("routing/dbf_delta_sharded_225", 100),
-            rec("routing/dbf_delta_sharded_4096", 999), // no seq twin
-            rec("routing/dbf_full_seq_625", 400),
-            rec("unrelated/bench", 1),
-        ];
-        let delta = speedup_points(&records, "routing/dbf_delta");
-        assert_eq!(
-            delta,
-            vec![
-                SpeedupPoint {
-                    n: 225,
-                    seq_min_ns: Some(90),
-                    sharded_min_ns: Some(100),
-                },
-                SpeedupPoint {
-                    n: 1024,
-                    seq_min_ns: Some(300),
-                    sharded_min_ns: Some(200),
-                },
-                // The unpaired record is kept, its missing twin explicit.
-                SpeedupPoint {
-                    n: 4096,
-                    seq_min_ns: None,
-                    sharded_min_ns: Some(999),
-                },
-            ]
-        );
-        assert!((delta[1].speedup().expect("paired point") - 1.5).abs() < 1e-12);
-        assert_eq!(delta[2].speedup(), None);
-        // The full family holds one seq-only point — present, incomplete.
-        let full = speedup_points(&records, "routing/dbf_full");
-        assert_eq!(full.len(), 1);
-        assert!(!full[0].complete());
-        // The rendered document round-trips through the JSON scanner's
-        // object grammar for complete rows and marks the ragged ones.
-        let json = render_speedup(&delta, &full);
-        assert!(json.contains("\"n\":1024"));
-        assert!(json.contains("\"speedup\":1.5000"));
-        assert!(json.contains("{\"n\":4096,\"seq_min_ns\":\"missing\",\"sharded_min_ns\":999,\"speedup\":\"missing\"}"));
-        assert!(json.contains(
-            "{\"n\":625,\"seq_min_ns\":400,\"sharded_min_ns\":\"missing\",\"speedup\":\"missing\"}"
-        ));
-    }
-
-    #[test]
-    fn ragged_speedup_sets_warn_by_default_and_fail_under_strict() {
-        let complete = "{\"id\":\"routing/dbf_delta_seq_225\",\"min_ns\":90,\"mean_ns\":95,\"samples\":20}\n\
-                        {\"id\":\"routing/dbf_delta_sharded_225\",\"min_ns\":45,\"mean_ns\":50,\"samples\":20}\n";
-        let ragged = format!(
-            "{complete}{{\"id\":\"routing/dbf_full_sharded_625\",\"min_ns\":70,\"mean_ns\":75,\"samples\":20}}\n"
-        );
-        let dir = SweepDir::new(
-            "speedup-strict",
-            &[("complete.jsonl", complete), ("ragged.jsonl", &ragged)],
-        );
-        let curve = |input: &str, strict: bool| {
-            let mut args = vec![
-                "--input".to_string(),
-                format!("{}/{input}", dir.path()),
-                "--output".to_string(),
-                format!("{}/curve-{input}-{strict}.json", dir.path()),
-            ];
-            if strict {
-                args.push("--strict".into());
-            }
-            run_speedup_curve(&args)
-        };
-        // A fully paired set passes even under --strict.
-        assert!(curve("complete.jsonl", false).is_ok());
-        assert!(curve("complete.jsonl", true).is_ok());
-        // A ragged set still emits the curve (with explicit missing rows)
-        // by default, but --strict turns it into a hard failure naming
-        // the absent twin.
-        assert!(curve("ragged.jsonl", false).is_ok());
-        let written =
-            std::fs::read_to_string(format!("{}/curve-ragged.jsonl-false.json", dir.path()))
-                .expect("ragged curve file written");
-        assert!(written.contains("\"missing\""), "{written}");
-        let err = curve("ragged.jsonl", true).unwrap_err();
-        assert!(err.contains("routing/dbf_full_seq_625"), "{err}");
-        assert!(err.contains("--strict"), "{err}");
     }
 
     #[test]
