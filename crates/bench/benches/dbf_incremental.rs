@@ -1,6 +1,6 @@
 //! Steady-state zone re-convergence under mobility at the paper's reference
 //! scale (n = 169, 20 m zones): incremental delta-DBF versus the full
-//! rebuild, both on a one-shard engine.
+//! rebuild.
 //!
 //! The scenario is the routing hot path ROADMAP names: one node moves, the
 //! zone table is rebuilt, and routing must re-converge before data flows.

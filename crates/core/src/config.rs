@@ -299,22 +299,10 @@ pub struct SimConfig {
     /// epoch cost shrinks from O(n²) to O(k) rows. `false` rebuilds the
     /// table all-pairs every epoch — the reference path.
     pub incremental_zones: bool,
-    /// Shard partitions for the DBF exchanges
-    /// ([`spms_routing::DbfEngine::with_shards`]): a heavy round of the
-    /// full rebuild is cut into contiguous receiver ranges of balanced
-    /// load, a heavy epoch's delta re-convergence into contiguous runs of
-    /// destinations; the first piece runs on the simulation's own thread
-    /// and each other piece on a scoped thread spawned for that round or
-    /// exchange and joined before it ends. `1` runs everything inline.
-    /// `0` (the default) resolves to [`spms_kernel::host_parallelism`]; a
-    /// sweep running several simulations at once fills an unset `0` with
-    /// its per-run share of the host instead (host parallelism divided by
-    /// the sweep's workers, at least 1), so sweep workers and DBF threads
-    /// together do not oversubscribe the host.
-    /// The shard count can never change results — tables *and* stats are
-    /// bit-identical for every value (property-tested in `spms-routing`),
-    /// which `tests/integration_determinism.rs` re-checks end to end on
-    /// whole `RunMetrics`.
+    /// DBF shard count. Every DBF exchange runs on the simulation's own
+    /// thread, so this selects nothing and the simulation never reads it;
+    /// it stays only because the `perfbench` harness sets it and passes it
+    /// to `DbfEngine::with_shards`.
     pub dbf_shards: usize,
     /// Per-node battery capacity in µJ (`None` = unlimited, the paper's
     /// measurement mode). When set, a node whose cumulative energy spend
@@ -339,7 +327,7 @@ pub struct SimConfig {
     pub mobility: Option<MobilityConfig>,
     /// Adversarial node behaviors (None = everyone honest). The adversary
     /// set is drawn from its own master-seed sub-stream, so it is a
-    /// semantic knob like the seed — never affected by shards or workers.
+    /// semantic knob like the seed — never affected by sweep workers.
     pub adversary: Option<AdversaryConfig>,
     /// Mass join/leave churn process (None = no churn). Cohorts toggle
     /// liveness per epoch, stressing the incremental zone/DBF paths.
@@ -348,7 +336,7 @@ pub struct SimConfig {
     /// up/down windows fired as timed link flips through the same zone
     /// patch and re-route step mobility uses. A semantic knob like
     /// `adversary` — it changes results by design, but never varies with
-    /// shards or workers. Node ids the plan names are range-checked against
+    /// sweep workers. Node ids the plan names are range-checked against
     /// the topology when the simulation is built.
     pub contact_plan: Option<ContactPlan>,
     /// Hard stop for the run.
@@ -508,9 +496,6 @@ mod tests {
                 assert!(c.validate().is_err(), "{adv_factor} / {dat_factor}");
             }
         }
-        let mut c = SimConfig::paper_defaults(ProtocolKind::Spms, 1);
-        c.dbf_shards = 16;
-        assert!(c.validate().is_ok(), "any shard count is valid (0 = auto)");
     }
 
     #[test]

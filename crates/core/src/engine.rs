@@ -530,11 +530,11 @@ impl Simulation {
 
     /// (Re)builds routing tables from scratch. SPIN and flooding keep empty
     /// tables; SPMS uses the configured mode. In Distributed mode the
-    /// persistent [`DbfEngine`] is reset and fully re-converged through
-    /// the shard planner ([`DbfEngine::rebuild_sharded`], bit-identical
-    /// to the sequential reference rebuild) — the path that
-    /// [`Simulation::reroute`] replaces with a delta re-convergence when
-    /// `config.incremental_routing` is set.
+    /// persistent [`DbfEngine`] is reset and fully re-converged
+    /// ([`DbfEngine::rebuild_sharded`], bit-identical to the sequential
+    /// reference rebuild) — the path that [`Simulation::reroute`] replaces
+    /// with a delta re-convergence when `config.incremental_routing` is
+    /// set.
     fn build_routing(&mut self) {
         if !matches!(
             self.config.protocol,
@@ -556,30 +556,17 @@ impl Simulation {
                 self.dbf = None;
             }
             RoutingMode::Distributed => {
-                let shards = self.resolved_shards();
-                let mut dbf = self.dbf.take().unwrap_or_else(|| {
-                    DbfEngine::new(&self.zones, self.config.k_routes).with_shards(shards)
-                });
-                // The sharded full rebuild: reset + full-vector rounds
-                // through the shard planner, bit-identical (tables and
-                // stats) to the sequential reference rebuild, so metrics
-                // stay byte-comparable whatever the host's core count.
+                let mut dbf = self
+                    .dbf
+                    .take()
+                    .unwrap_or_else(|| DbfEngine::new(&self.zones, self.config.k_routes));
+                // The full rebuild: reset + full-vector rounds,
+                // bit-identical (tables and stats) to the sequential
+                // reference rebuild.
                 let stats = dbf.rebuild_sharded(&self.zones, &self.alive);
                 self.dbf = Some(dbf);
                 self.charge_dbf_run(&stats, false);
             }
-        }
-    }
-
-    /// The shard count the DBF rounds run with: the configured
-    /// `dbf_shards`, with `0` resolving to
-    /// [`spms_kernel::host_parallelism`]: the most threads one DBF round
-    /// or exchange runs on. Purely a wall-clock knob — results are
-    /// bit-identical for every value.
-    fn resolved_shards(&self) -> usize {
-        match self.config.dbf_shards {
-            0 => spms_kernel::host_parallelism(),
-            s => s,
         }
     }
 
@@ -664,8 +651,8 @@ impl Simulation {
         self.pause_until = self.pause_until.max(self.now + converge);
         self.routing_cost.executions += 1;
         self.routing_cost.incremental_executions += u64::from(incremental);
-        // Counts plans, not threads: bit-identical across shard counts, so
-        // same-seed metrics compare byte for byte whatever the host offers.
+        // Kept equal to `incremental_executions` until the figure JSON is
+        // re-baselined without it.
         self.routing_cost.sharded_executions += u64::from(incremental);
         self.routing_cost.batch_windows += u64::from(incremental);
         self.routing_cost.rounds += u64::from(stats.rounds);
@@ -1112,8 +1099,8 @@ impl Simulation {
     /// timestamp lands on the gate, the affected zone rows are patched (or
     /// the table rebuilt, on the reference path), and routing re-converges
     /// through the same [`Simulation::reroute`] step mobility epochs use —
-    /// so DBF sharding and the oracle chain treat a scheduled window
-    /// boundary exactly like a mobility epoch.
+    /// so the DBF and oracle paths treat a scheduled window boundary
+    /// exactly like a mobility epoch.
     fn handle_contact_epoch(&mut self) {
         let Some(epoch) = self.staged_contact.take() else {
             return;
@@ -1493,7 +1480,7 @@ mod tests {
             incremental.routing.incremental_executions, incremental.mobility_epochs,
             "every epoch re-converges incrementally"
         );
-        // The planner and window counters stay in `RunMetrics` at fixed
+        // The shard and window counters stay in `RunMetrics` at fixed
         // relations to the re-convergence count.
         assert_eq!(
             incremental.routing.sharded_executions,

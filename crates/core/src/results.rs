@@ -14,14 +14,12 @@ pub struct RoutingCost {
     /// (scoped to the zones a mobility or failure event touched) rather
     /// than full from-scratch rebuilds.
     pub incremental_executions: u64,
-    /// Delta re-convergences run through the zone-shard planner
-    /// (`SimConfig::dbf_shards`). Deliberately counts *plans*, not
-    /// threads, so same-seed runs stay byte-comparable across machines
-    /// and shard counts. Every DBF execution goes through the one
-    /// range-planned round loop — there is no separate sequential engine —
-    /// so this equals [`RoutingCost::incremental_executions`] by
-    /// construction (asserted in tests). It is kept so that `RunMetrics`
-    /// and fig12's planner note stay byte-identical across versions.
+    /// Delta re-convergences run through the zone-shard planner, which
+    /// no longer exists: every exchange runs on the calling thread, so
+    /// this always equals [`RoutingCost::incremental_executions`]
+    /// (asserted in tests). It is kept so that `RunMetrics` and fig12's
+    /// planner note stay byte-identical until the figure JSON is
+    /// re-baselined.
     pub sharded_executions: u64,
     /// Re-convergence windows. Every epoch and every liveness flip
     /// re-converges on its own, so this always equals
@@ -50,7 +48,7 @@ pub struct RoutingCost {
     pub liveness_deltas: u64,
     /// Contact-plan epochs applied (scheduled window boundaries reached).
     /// Counts *plan events*, not rows or threads: byte-identical across
-    /// shard counts and workers.
+    /// sweep workers.
     pub contact_epochs: u64,
     /// Scheduled link up-flips applied (window opens after `t = 0`).
     pub contact_links_up: u64,
@@ -90,7 +88,7 @@ impl MessageCounts {
 /// Adversary and churn counters for one run.
 ///
 /// Like every other field of [`RunMetrics`] these are **semantic**
-/// quantities: byte-identical across shard counts and worker pools
+/// quantities: byte-identical across sweep worker pools
 /// (checked by `tests/integration_adversarial.rs`), and changed only by
 /// the seed and the adversary/churn configuration.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

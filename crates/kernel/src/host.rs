@@ -1,17 +1,15 @@
-//! Host-machine introspection shared by every auto-sizing knob.
+//! Host-machine introspection for auto-sized worker counts.
 //!
-//! Shard counts, sweep worker counts and bench shard grids all want the
-//! same answer — "how wide is this machine?" — and each used to carry
-//! its own copy of the `available_parallelism()` fallback. One copy
-//! means the auto-resolution cannot drift between subsystems.
+//! A sweep's worker pool wants to know how wide this machine is; one copy
+//! of the `available_parallelism()` fallback keeps every caller on the
+//! same answer.
 
 /// Detected hardware parallelism, falling back to `1` when the host
 /// refuses to say (sandboxes and exotic platforms return an error from
 /// [`std::thread::available_parallelism`]).
 ///
-/// This is the single source of truth for every `0 = auto` knob in the
-/// workspace: `SimConfig::dbf_shards`, `SweepConfig::workers` and the
-/// bench grids all resolve through here.
+/// This is the single source of truth for the workspace's `0 = auto`
+/// knob: `SweepConfig::workers` resolves through here.
 #[must_use]
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)

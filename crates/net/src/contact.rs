@@ -8,8 +8,8 @@
 //! now", and a [`ContactProcess`] walks the plan's window boundaries as a
 //! precomputed timeline of [`ContactEpoch`]s for the simulation scheduler
 //! to fire — each epoch feeding the same zone patch and routing
-//! re-convergence mobility epochs use, so sharding and the oracle chain
-//! apply unchanged.
+//! re-convergence mobility epochs use, so the DBF and oracle paths apply
+//! unchanged.
 //!
 //! # Window semantics
 //!

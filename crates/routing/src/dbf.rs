@@ -15,16 +15,9 @@
 //!   after that, every node whose table changed broadcasts its whole vector
 //!   again. [`DbfEngine::run_to_convergence`] is the same rebuild with
 //!   every node alive. A whole vector couples every destination its sender
-//!   knows, so each round relaxes the previous round's snapshot over
-//!   contiguous receiver id ranges: one range, `0..n`, run inline, unless
-//!   the engine has more than one shard ([`DbfEngine::with_shards`]) and
-//!   the round is heavy enough to pay for threads; then the ranges are cut
-//!   to balance relaxation load, the first runs on the calling thread and
-//!   each other on a scoped thread of its own, all joined before the round
-//!   ends. A range walks the snapshot in sender order, clips each
-//!   sender's zone links to its own ids, relaxes, and flattens its own
-//!   changed nodes into its share of the next snapshot; the shares
-//!   concatenate in id order.
+//!   knows, so each round relaxes the previous round's whole snapshot at
+//!   every receiver in one pass, senders in id order, then flattens the
+//!   changed nodes' news into the next snapshot.
 //! * **Delta** ([`DbfEngine::update_topology`] /
 //!   [`DbfEngine::invalidate_zone`] / [`DbfEngine::apply_zone_delta`]) —
 //!   real distance-vector deployments propagate triggered *deltas*, not
@@ -43,15 +36,11 @@
 //!   (its *dirty* slots), snapshots in ascending maintainer id those whose
 //!   best route is news, and offers them along that adjacency; an inlined
 //!   test turns away the offers the block kernel would reject before
-//!   calling it. A sharded engine cuts a heavy exchange into contiguous
-//!   runs of destinations and runs them the same way, one set of threads
-//!   per exchange. After quiescence each maintainer's table drops its
+//!   calling it. After quiescence each alive maintainer's table drops its
 //!   affected destinations and takes the converged blocks in one in-place
-//!   merge — on the run's thread, inside the run that holds all of the
-//!   maintainer's affected destinations, if one does. [`DbfStats`] are
-//!   integer sums over per-(round, node) entry counts: a node's round-`r`
-//!   message carries its changed routes to every destination still
-//!   converging in round `r`.
+//!   merge. [`DbfStats`] are integer sums over per-(round, node) entry
+//!   counts: a node's round-`r` message carries its changed routes to
+//!   every destination still converging in round `r`.
 //!
 //! Both kinds relax only *news*. A broadcast is counted whole, so
 //! [`DbfStats`] tally every entry it carries, but receivers are offered
@@ -72,12 +61,11 @@
 //! pin the kernel side of it.
 //!
 //! Every receiver relaxes its vectors (full) or offers (delta) in
-//! ascending sender order however the work is cut, and a node's table or
-//! plane slots are only ever touched by the range or run that owns them,
-//! so tables and [`DbfStats`] are bit-identical for every shard count.
-//! Thread count can never change routing results, only wall-clock time.
-//! The sequential full rebuild [`crate::reference_rebuild`] shares no code
-//! with either kind and is the reference both are property-tested
+//! ascending sender order. Every exchange runs on the calling thread: the
+//! paper's zones and fields (at most 225 nodes) keep an exchange small,
+//! and splitting one across threads showed no resolvable gain on a figure
+//! run. The sequential full rebuild [`crate::reference_rebuild`] shares no
+//! code with either kind and is the reference both are property-tested
 //! against.
 //!
 //! The incremental scheme leans on a structural fact of zone routing: a
@@ -92,23 +80,6 @@
 //! the `incremental` proptest suite asserts.
 
 use spms_net::{NodeId, ZoneDelta, ZoneTable};
-
-/// Minimum load before work is cut into pieces that run on threads of
-/// their own; lighter work runs inline, away from a thread spawn. The unit
-/// is (entry, receiver) pairs. A full round's load is its own: each
-/// broadcaster's news entries times its zone links (dead receivers
-/// included, which only a failure-masked rebuild has). A
-/// delta exchange's is Σ `m²` over its alive affected destinations, `m`
-/// being a destination's maintainer count: the pairs of one round in which
-/// every maintainer of every destination speaks. Measured on a 2-vCPU Xeon
-/// VM, a two-shard engine that threads every piece against one that never
-/// does, alternated per exchange over ten sessions (delta exchanges of
-/// 1–24 movers and full rebuilds, 4×4 to 25×25 grids at 7.5–20 m radius):
-/// between 8,000 and 10,000 units the threaded engine took 1.04× the
-/// inline time on delta exchanges and 1.21× on full rounds, between
-/// 10,000 and 12,000 units 0.95× and 0.71×. Purely a scheduling choice:
-/// the executed relaxation is identical either way.
-const SHARD_MIN_LOAD: u64 = 10_000;
 
 use crate::table::{is_news, offer_block_soa, offer_block_soa2, offer_rejected, UNSENT, VACANT};
 use crate::{DbfWireFormat, RouteEntry, RoutingTable, TableLayout};
@@ -233,17 +204,17 @@ impl Scope {
         self.row_slots.clear();
         self.row_slots.resize(slots as usize, (0, 0));
         for di in (0..self.dests.len()).rev() {
-            for slot in self.first[di]..self.first[di + 1] {
-                let x = self.slot_node[slot as usize] as usize;
+            for slot in self.slots(di) {
+                let x = self.slot_node[slot] as usize;
                 self.row[x] -= 1;
-                self.row_slots[self.row[x] as usize] = (slot, di as u32);
+                self.row_slots[self.row[x] as usize] = (slot as u32, di as u32);
             }
         }
     }
 
-    /// The plane slots of `dests[lo..hi]`.
-    fn slots(&self, lo: usize, hi: usize) -> std::ops::Range<usize> {
-        self.first[lo] as usize..self.first[hi] as usize
+    /// The plane slots of `dests[di]`.
+    fn slots(&self, di: usize) -> std::ops::Range<usize> {
+        self.first[di] as usize..self.first[di + 1] as usize
     }
 }
 
@@ -251,6 +222,8 @@ impl Scope {
 /// best first, in the tables' struct-of-arrays layout.
 #[derive(Clone, Debug, Default)]
 struct Plane {
+    /// Route slots per block.
+    k: usize,
     /// Live routes per slot (`<= k`).
     lens: Vec<u32>,
     /// Per-slot change since its maintainer's last broadcast.
@@ -264,6 +237,7 @@ impl Plane {
     /// Empties `slots` blocks of `k` slots. Route slots past a block's
     /// live prefix are never read, so they keep whatever they held.
     fn reset(&mut self, slots: usize, k: usize) {
+        self.k = k;
         self.lens.clear();
         self.lens.resize(slots, 0);
         self.dirty.clear();
@@ -272,66 +246,9 @@ impl Plane {
         self.cost.resize(slots * k, VACANT.cost);
         self.hops.resize(slots * k, VACANT.hops);
     }
-}
 
-/// The plane slots `base..base + lens.len()`, borrowed by one destination
-/// run.
-struct PlaneMut<'a> {
-    base: usize,
-    k: usize,
-    lens: &'a mut [u32],
-    dirty: &'a mut [bool],
-    via: &'a mut [NodeId],
-    cost: &'a mut [f64],
-    hops: &'a mut [u32],
-}
-
-impl<'a> PlaneMut<'a> {
-    fn new(plane: &'a mut Plane, k: usize) -> Self {
-        PlaneMut {
-            base: 0,
-            k,
-            lens: &mut plane.lens,
-            dirty: &mut plane.dirty,
-            via: &mut plane.via,
-            cost: &mut plane.cost,
-            hops: &mut plane.hops,
-        }
-    }
-
-    /// Splits off the first `slots` slots.
-    fn split_at(self, slots: usize) -> (Self, Self) {
-        let k = self.k;
-        let (lens, lens_rest) = self.lens.split_at_mut(slots);
-        let (dirty, dirty_rest) = self.dirty.split_at_mut(slots);
-        let (via, via_rest) = self.via.split_at_mut(slots * k);
-        let (cost, cost_rest) = self.cost.split_at_mut(slots * k);
-        let (hops, hops_rest) = self.hops.split_at_mut(slots * k);
-        (
-            PlaneMut {
-                base: self.base,
-                k,
-                lens,
-                dirty,
-                via,
-                cost,
-                hops,
-            },
-            PlaneMut {
-                base: self.base + slots,
-                k,
-                lens: lens_rest,
-                dirty: dirty_rest,
-                via: via_rest,
-                cost: cost_rest,
-                hops: hops_rest,
-            },
-        )
-    }
-
-    /// Offers `route` to the block at `s` (relative to `base`) with the
-    /// tables' block kernel, behind [`offer_rejected`]; a change sets the
-    /// slot's dirty bit.
+    /// Offers `route` to the block at `s` with the tables' block kernel,
+    /// behind [`offer_rejected`]; a change sets the slot's dirty bit.
     #[inline(always)]
     fn offer(&mut self, s: usize, route: RouteEntry) {
         let k = self.k;
@@ -366,10 +283,11 @@ impl<'a> PlaneMut<'a> {
     }
 }
 
-/// One destination run's reusable buffers. The adjacency and snapshot
-/// are rebuilt for each destination; the counts accumulate over the run.
+/// A delta exchange's reusable per-destination buffers. The adjacency and
+/// snapshot are rebuilt for each destination; the counts accumulate over
+/// the exchange.
 #[derive(Clone, Debug, Default)]
-struct DestRun {
+struct DestBufs {
     /// `local[a]`: alive node `a`'s block index among the current
     /// destination's zone links, or [`NONE`]. All [`NONE`] between
     /// destinations.
@@ -387,14 +305,9 @@ struct DestRun {
     /// blocks whose best changed since their last offer, senders
     /// ascending.
     snap: Vec<(u32, f64, u32)>,
-    /// Entries each maintainer sent per round over the run's
+    /// Entries each maintainer sent per round over the exchange's
     /// destinations: `counts[r * nodes + x]` for exchange id `x`.
     counts: Vec<u32>,
-    /// Snapshot entries offered to receivers (see [`Scratch::relaxed`]).
-    relaxed: u64,
-    /// The tables, by exchange id, of the maintainers whose affected
-    /// destinations all lie in this run, borrowed for a threaded exchange.
-    owned: Vec<(u32, RoutingTable)>,
     /// Write-back buffers.
     row: RowBlocks,
 }
@@ -413,13 +326,7 @@ struct RowBlocks {
 impl RowBlocks {
     /// Trades `table`'s routes to maintainer `x`'s affected destinations
     /// for their converged blocks in `plane`, in one merge.
-    fn write_back(
-        &mut self,
-        scope: &Scope,
-        x: usize,
-        plane: &PlaneMut<'_>,
-        table: &mut RoutingTable,
-    ) {
+    fn write_back(&mut self, scope: &Scope, x: usize, plane: &Plane, table: &mut RoutingTable) {
         let k = plane.k;
         self.dests.clear();
         self.lens.clear();
@@ -427,7 +334,7 @@ impl RowBlocks {
         self.cost.clear();
         self.hops.clear();
         for &(slot, di) in &scope.row_slots[scope.row[x] as usize..scope.row[x + 1] as usize] {
-            let s = slot as usize - plane.base;
+            let s = slot as usize;
             self.dests.push(scope.dests[di as usize]);
             self.lens.push(plane.lens[s]);
             self.via.extend_from_slice(&plane.via[s * k..(s + 1) * k]);
@@ -439,8 +346,7 @@ impl RowBlocks {
 }
 
 /// Reusable buffers for the synchronous exchange, hoisted out of the round
-/// loop so steady-state inline rounds allocate nothing (a threaded round
-/// allocates only its short task list and its threads).
+/// loop so steady-state rounds allocate nothing.
 #[derive(Clone, Debug, Default)]
 struct Scratch {
     /// Full rounds: the nodes that broadcast next — every alive node in
@@ -460,21 +366,6 @@ struct Scratch {
     /// exchange rather than kept between them.
     sent: Vec<(f64, u32)>,
     sent_start: Vec<u32>,
-    /// Threaded full rounds: each receiver range's share of the next
-    /// snapshot's entries.
-    range_entries: Vec<Vec<Entry>>,
-    /// Threaded full rounds: each receiver range's share of the next
-    /// snapshot's senders (ranges relative to its own entry buffer until
-    /// concatenation rebases them).
-    range_from: Vec<Vec<(NodeId, u32, u32)>>,
-    /// The planners' balancing weights: per receiver in a full round (the
-    /// entries addressed to it), per affected destination in a delta
-    /// exchange.
-    load: Vec<u64>,
-    /// Receiver range boundary node ids of a full round, or destination
-    /// run boundary indices into the scope's destinations of a delta
-    /// exchange (`bounds[i]..bounds[i+1]`).
-    bounds: Vec<usize>,
     /// All-alive mask for [`DbfEngine::run_to_convergence`].
     all_alive: Vec<bool>,
     /// Membership bitmap for the affected destination set.
@@ -483,15 +374,85 @@ struct Scratch {
     scope: Scope,
     /// Delta exchanges: the routes to the affected destinations.
     plane: Plane,
-    /// Delta exchanges: one scratch per destination run.
-    runs: Vec<DestRun>,
-    /// Rounds and exchanges handed to [`run_split`] so far; the unit
-    /// tests read it to tell threaded work from inline work.
-    threaded: u64,
+    /// Delta exchanges: the per-destination buffers.
+    dest: DestBufs,
     /// Snapshot entries offered to receivers so far, full rounds and delta
     /// exchanges alike; the unit tests compare it with
     /// [`DbfStats::entries_sent`] to see that only news is relaxed.
     relaxed: u64,
+}
+
+impl Scratch {
+    /// Relaxes every vector of the round's snapshot at its alive zone
+    /// neighbors, flagging each receiver whose table changed. Senders are
+    /// walked in snapshot (= id) order, so every receiver relaxes its
+    /// vectors in ascending sender order.
+    fn relax(&mut self, zones: &ZoneTable, alive: &[bool], tables: &mut [RoutingTable]) {
+        for &(from, start, end) in &self.snap_from {
+            if start == end {
+                continue; // a broadcast with no news
+            }
+            let entries = &self.snap_entries[start as usize..end as usize];
+            for link in zones.links(from) {
+                let to = link.neighbor;
+                if !alive[to.index()] {
+                    continue;
+                }
+                let table = &mut tables[to.index()];
+                // Zone scoping: `to` only maintains destinations in its own
+                // zone. Vectors carry their destinations in ascending id
+                // order, and `to`'s zone links ascend by neighbor id, so one
+                // merge cursor finds each entry's link (`to` is never its own
+                // neighbor, so self-routes find none); an ascending offer
+                // cursor replays them into the table.
+                let zone = zones.links(to);
+                let mut z = 0usize;
+                let mut cursor = 0usize;
+                for &(dest, cost, hops) in entries {
+                    while z < zone.len() && zone[z].neighbor.raw() < dest {
+                        z += 1;
+                    }
+                    if z == zone.len() {
+                        break; // past `to`'s last zone neighbor
+                    }
+                    if zone[z].neighbor.raw() != dest {
+                        continue;
+                    }
+                    let route = RouteEntry {
+                        via: from,
+                        cost: link.weight + cost,
+                        hops: hops + 1,
+                    };
+                    if table.offer_ascending(zone[z].neighbor, route, &mut cursor) {
+                        self.flags[to.index()] = true;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Replaces the snapshot with the news in the vectors of the flagged
+    /// nodes, in id order, records it as sent, and clears their flags.
+    /// Returns whether any node had something to send.
+    fn flatten(&mut self, tables: &[RoutingTable]) -> bool {
+        self.snap_entries.clear();
+        self.snap_from.clear();
+        let mut had = false;
+        for (a, flag) in self.flags.iter_mut().enumerate() {
+            // Only alive nodes are ever flagged. A flagged node sends its
+            // whole vector, empty or not, and gets a range even without news.
+            if !std::mem::take(flag) {
+                continue;
+            }
+            had = true;
+            let start = self.snap_entries.len() as u32;
+            let sent = self.sent_start[a] as usize..self.sent_start[a + 1] as usize;
+            tables[a].append_news(&mut self.snap_entries, &mut self.sent[sent]);
+            self.snap_from
+                .push((NodeId::new(a as u32), start, self.snap_entries.len() as u32));
+        }
+        had
+    }
 }
 
 /// The distributed Bellman-Ford engine: one routing table per node.
@@ -515,19 +476,15 @@ struct Scratch {
 pub struct DbfEngine {
     tables: Vec<RoutingTable>,
     k: usize,
-    /// The most pieces heavy work is cut into — receiver ranges of a full
-    /// round, destination runs of a delta exchange; `1` runs everything
-    /// inline. Bit-identical for every value.
-    shards: usize,
     scratch: Scratch,
 }
 
 impl DbfEngine {
-    /// Creates a one-shard engine with one empty routing table per zone
-    /// node, keeping `k` alternatives per destination. It holds no routes
-    /// until the first rebuild ([`DbfEngine::rebuild_sharded`] or
-    /// [`DbfEngine::run_to_convergence`]), which installs the direct
-    /// routes and runs the rounds.
+    /// Creates an engine with one empty routing table per zone node,
+    /// keeping `k` alternatives per destination. It holds no routes until
+    /// the first rebuild ([`DbfEngine::rebuild_sharded`] or
+    /// [`DbfEngine::run_to_convergence`]), which installs the direct routes
+    /// and runs the rounds.
     ///
     /// # Panics
     ///
@@ -537,33 +494,16 @@ impl DbfEngine {
         DbfEngine {
             tables: (0..zones.len()).map(|_| RoutingTable::new(k)).collect(),
             k,
-            shards: 1,
             scratch: Scratch::default(),
         }
     }
 
-    /// Lets heavy work run on up to `shards` threads: a heavy full round is
-    /// cut into at most `shards` receiver ranges of balanced relaxation
-    /// load, a heavy delta exchange into at most `shards` runs of
-    /// destinations; the first piece runs on the calling thread and each
-    /// other piece on a scoped thread spawned for it. `1` (the default)
-    /// runs everything inline and never spawns a thread. Tables and stats
-    /// are bit-identical for every shard count (property-tested).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
+    /// Returns the engine unchanged: every exchange runs on the calling
+    /// thread. Kept only because the `perfbench` harness still calls it;
+    /// nothing in the workspace does.
     #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "shards must be at least 1");
-        self.shards = shards;
+    pub fn with_shards(self, _shards: usize) -> Self {
         self
-    }
-
-    /// The configured shard count.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Returns the engine unchanged: routing tables have one layout,
@@ -614,10 +554,11 @@ impl DbfEngine {
 
     /// The full rebuild, skipping dead nodes — the paper's "re-execution of
     /// the DBF" after mobility or failure: every table is cleared, direct
-    /// routes are reinstalled, and full-vector rounds run to quiescence
-    /// across the configured shard count. Tables **and** stats are
-    /// bit-identical to [`crate::reference_rebuild`] for every shard count
-    /// (property-tested).
+    /// routes are reinstalled, and full-vector rounds run to quiescence.
+    /// Tables **and** stats are bit-identical to
+    /// [`crate::reference_rebuild`] (property-tested). The engine has no
+    /// shards; the name stays only because the `perfbench` harness calls
+    /// it.
     ///
     /// # Panics
     ///
@@ -839,130 +780,61 @@ impl DbfEngine {
 
     /// Shared tail of the incremental paths. Expects `scratch.scope` laid
     /// out under the **new** zones (and any old-adjacency wipes already
-    /// done): empties every plane block, converges the routes to every
-    /// affected destination on its own plane slots (in destination runs on
-    /// threads of their own when the exchange is heavy and the engine
-    /// sharded), writes the converged blocks back, and sums the runs'
-    /// per-(round, node) entry counts into the stats. The write-back
-    /// replaces each alive maintainer's routes to its affected destinations
-    /// in one merge, so the tables are never wiped separately; no exchange
-    /// step reads those routes from the tables. When runs are threaded, a
-    /// run merges the maintainers whose affected destinations all lie in
-    /// it; the rest merge after the runs are joined.
+    /// done): empties every plane block, converges the routes to each
+    /// alive affected destination on its own plane slots, writes the
+    /// converged blocks back, and turns the per-(round, node) entry counts
+    /// into the stats. The write-back replaces each alive maintainer's
+    /// routes to its affected destinations in one merge, so the tables are
+    /// never wiped separately; no exchange step reads those routes from the
+    /// tables.
     fn reconverge_affected(&mut self, zones: &ZoneTable, alive: &[bool]) -> DbfStats {
         let n = zones.len();
-        let k = self.k;
-        let mut s = std::mem::take(&mut self.scratch);
-        s.plane.reset(s.scope.slot_node.len(), k);
-        plan_runs(alive, &s.scope, self.shards, &mut s.load, &mut s.bounds);
-        let runs = s.bounds.len() - 1;
-        if s.runs.len() < runs {
-            s.runs.resize_with(runs, DestRun::default);
-        }
-        for run in &mut s.runs[..runs] {
-            run.local.resize(n, NONE);
-            run.counts.clear();
-        }
-        let exchange = Exchange {
-            zones,
-            alive,
-            scope: &s.scope,
-            max_rounds: max_rounds(n),
-        };
-        let mut plane = PlaneMut::new(&mut s.plane, k);
-        if runs == 1 {
-            converge_run(
-                &exchange,
-                0..s.scope.dests.len(),
-                &mut plane,
-                &mut s.runs[0],
-            );
-        } else {
-            // A maintainer whose affected destinations all lie in one run
-            // is written back by that run as soon as it has converged: the
-            // run borrows the table until the runs are joined.
-            for (x, &a) in s.scope.nodes.iter().enumerate() {
-                if let Some(r) = owner(&s.scope, &s.bounds, x).filter(|_| alive[a.index()]) {
-                    let table =
-                        std::mem::replace(&mut self.tables[a.index()], RoutingTable::new(k));
-                    s.runs[r].owned.push((x as u32, table));
-                }
-            }
-            s.threaded += 1;
-            let mut tasks = Vec::with_capacity(runs);
-            for (w, run) in s.bounds.windows(2).zip(&mut s.runs) {
-                let (mine, rest) = plane.split_at(s.scope.slots(w[0], w[1]).len());
-                plane = rest;
-                tasks.push((w[0]..w[1], mine, run));
-            }
-            run_split(&mut tasks, |(dests, plane, run)| {
-                converge_run(&exchange, dests.clone(), plane, run);
-                for (x, table) in &mut run.owned {
-                    run.row
-                        .write_back(exchange.scope, *x as usize, plane, table);
-                }
-            });
-            drop(tasks);
-            for run in &mut s.runs[..runs] {
-                for (x, table) in run.owned.drain(..) {
-                    self.tables[s.scope.nodes[x as usize].index()] = table;
-                }
+        let s = &mut self.scratch;
+        s.plane.reset(s.scope.slot_node.len(), self.k);
+        s.dest.local.resize(n, NONE);
+        s.dest.counts.clear();
+        for di in 0..s.scope.dests.len() {
+            // Nobody routes to a dead destination.
+            if alive[s.scope.dests[di].index()] {
+                s.relaxed += converge_dest(zones, alive, &s.scope, di, &mut s.plane, &mut s.dest);
             }
         }
-        // Write back the rest: every other alive maintainer trades its
-        // routes to its affected destinations for the converged blocks.
-        let plane = PlaneMut::new(&mut s.plane, k);
+        // Every alive maintainer trades its routes to its affected
+        // destinations for the converged blocks.
         for (x, &a) in s.scope.nodes.iter().enumerate() {
-            if alive[a.index()] && (runs == 1 || owner(&s.scope, &s.bounds, x).is_none()) {
+            if alive[a.index()] {
                 let table = &mut self.tables[a.index()];
-                s.runs[0].row.write_back(&s.scope, x, &plane, table);
+                s.dest.row.write_back(&s.scope, x, &s.plane, table);
             }
         }
 
-        for run in &mut s.runs[..runs] {
-            s.relaxed += std::mem::take(&mut run.relaxed);
-        }
-        // Sum the runs' counts: a node's round-`r` message carries its
-        // entries for every destination, whichever run converged it.
-        let (head, tail) = s.runs[..runs].split_first_mut().expect("one run");
-        for run in tail {
-            if head.counts.len() < run.counts.len() {
-                head.counts.resize(run.counts.len(), 0);
-            }
-            for (sum, &c) in head.counts.iter_mut().zip(&run.counts) {
-                *sum += c;
-            }
-        }
         let nodes = s.scope.nodes.len();
         let mut stats = DbfStats::new(n);
         // Rounds: one per non-empty snapshot of the longest destination,
         // plus the final silent one.
-        stats.rounds = 1 + head.counts.len().checked_div(nodes).unwrap_or(0) as u32;
-        for (i, &c) in head.counts.iter().enumerate() {
+        stats.rounds = 1 + s.dest.counts.len().checked_div(nodes).unwrap_or(0) as u32;
+        for (i, &c) in s.dest.counts.iter().enumerate() {
             if c > 0 {
                 stats.count(s.scope.nodes[i % nodes], c as usize);
             }
         }
-        self.scratch = s;
         stats
     }
 
     /// The full round loop, run to quiescence from freshly reset tables.
-    /// Each round relaxes the current snapshot over the planned receiver
-    /// ranges, then flattens each range's flagged nodes into the next
-    /// snapshot: inline, straight into the snapshot buffers, for one range;
-    /// on threads of their own, into per-range buffers concatenated in id
-    /// order, for more. A flagged node broadcasts its whole vector, but only
-    /// the entries that are news against its previous broadcast enter the
-    /// snapshot. It starts from an empty snapshot with every alive node
-    /// flagged, so its first pass only flattens round one's broadcasters.
-    /// The exchange quiesces after a round in which no node had anything to
-    /// send (counted: the final silent round).
+    /// Each round relaxes the current snapshot at every receiver, then
+    /// flattens the flagged nodes into the next snapshot. A flagged node
+    /// broadcasts its whole vector, but only the entries that are news
+    /// against its previous broadcast enter the snapshot. It starts from an
+    /// empty snapshot with every alive node flagged, so its first pass only
+    /// flattens round one's broadcasters. The exchange quiesces after a
+    /// round in which no node had anything to send (counted: the final
+    /// silent round).
     fn run_rounds(&mut self, zones: &ZoneTable, alive: &[bool]) -> DbfStats {
         let n = zones.len();
         assert_eq!(alive.len(), n, "alive mask length mismatch");
         let mut stats = DbfStats::new(n);
-        let mut s = std::mem::take(&mut self.scratch);
+        let s = &mut self.scratch;
         s.flags.clear();
         s.flags.extend_from_slice(alive);
         s.snap_entries.clear();
@@ -980,90 +852,14 @@ impl DbfEngine {
         s.sent.resize(total as usize, UNSENT);
         let max_rounds = max_rounds(n);
         for _round in 0..max_rounds {
-            plan_ranges(zones, &s.snap_from, self.shards, &mut s.load, &mut s.bounds);
-            let ranges = s.bounds.len() - 1;
-            let round = Round {
-                zones,
-                alive,
-                entries: &s.snap_entries,
-                from: &s.snap_from,
-            };
             s.relaxed += s.snap_entries.len() as u64;
-            let had = if ranges == 1 {
-                let mut range = RangeTask {
-                    lo: 0,
-                    flags: &mut s.flags,
-                    tables: &mut self.tables,
-                    sent_start: &s.sent_start,
-                    sent: &mut s.sent,
-                };
-                relax_range(&round, &mut range);
-                // Relaxation has read the snapshot: flatten over it.
-                s.snap_entries.clear();
-                s.snap_from.clear();
-                flatten_range(&mut range, &mut s.snap_entries, &mut s.snap_from)
-            } else {
-                s.threaded += 1;
-                if s.range_entries.len() < ranges {
-                    s.range_entries.resize_with(ranges, Vec::new);
-                    s.range_from.resize_with(ranges, Vec::new);
-                }
-                let mut tasks = Vec::with_capacity(ranges);
-                let mut tables = self.tables.as_mut_slice();
-                let mut flags = s.flags.as_mut_slice();
-                let mut sent = s.sent.as_mut_slice();
-                for ((w, entries), from) in s
-                    .bounds
-                    .windows(2)
-                    .zip(&mut s.range_entries)
-                    .zip(&mut s.range_from)
-                {
-                    let len = w[1] - w[0];
-                    let sent_len = (s.sent_start[w[1]] - s.sent_start[w[0]]) as usize;
-                    let (tables_mine, tables_rest) = std::mem::take(&mut tables).split_at_mut(len);
-                    let (flags_mine, flags_rest) = std::mem::take(&mut flags).split_at_mut(len);
-                    let (sent_mine, sent_rest) = std::mem::take(&mut sent).split_at_mut(sent_len);
-                    tables = tables_rest;
-                    flags = flags_rest;
-                    sent = sent_rest;
-                    let range = RangeTask {
-                        lo: w[0],
-                        flags: flags_mine,
-                        tables: tables_mine,
-                        sent_start: &s.sent_start[w[0]..=w[1]],
-                        sent: sent_mine,
-                    };
-                    entries.clear();
-                    from.clear();
-                    tasks.push((range, entries, from, false));
-                }
-                // A range flattens as soon as its own relaxation is done,
-                // while other ranges may still be reading the snapshot.
-                run_split(&mut tasks, |(range, entries, from, had)| {
-                    relax_range(&round, range);
-                    *had = flatten_range(range, entries, from);
-                });
-                let had = tasks.iter().any(|task| task.3);
-                drop(tasks);
-                s.snap_entries.clear();
-                s.snap_from.clear();
-                for (entries, from) in s.range_entries[..ranges].iter().zip(&s.range_from) {
-                    let base = s.snap_entries.len() as u32;
-                    s.snap_entries.extend_from_slice(entries);
-                    s.snap_from
-                        .extend(from.iter().map(|&(f, a, b)| (f, a + base, b + base)));
-                }
-                had
-            };
+            s.relax(zones, alive, &mut self.tables);
             stats.rounds += 1;
-            if !had {
+            if !s.flatten(&self.tables) {
                 s.sent = Vec::new();
-                self.scratch = s;
                 return stats; // quiescent: nobody has updates to send
             }
-            // Every broadcaster sent its whole vector, news or not. All
-            // sums are integers, so the accounting is independent of how
-            // the round was cut.
+            // Every broadcaster sent its whole vector, news or not.
             for &(from, _, _) in &s.snap_from {
                 stats.count(from, self.tables[from.index()].len());
             }
@@ -1078,188 +874,59 @@ fn maintains(zones: &ZoneTable, affected: &[bool], a: NodeId, d: NodeId) -> bool
     affected[d.index()] && zones.link_to(d, a).is_some()
 }
 
-/// The destination run (`bounds[r]..bounds[r + 1]`) holding every affected
-/// destination of maintainer `x`, if one run holds them all.
-fn owner(scope: &Scope, bounds: &[usize], x: usize) -> Option<usize> {
-    let row = &scope.row_slots[scope.row[x] as usize..scope.row[x + 1] as usize];
-    let run = |di: u32| bounds.partition_point(|&b| b <= di as usize) - 1;
-    let first = run(row.first()?.1);
-    (run(row.last()?.1) == first).then_some(first)
-}
-
-/// Cuts the receiver id space `0..n` for one full round into `bounds`
-/// when the engine is sharded. Each sender's id carries the pairs its
-/// broadcast offers, its news entries times its zone links, in place of
-/// the receivers that relax them: that keeps this serial step O(senders)
-/// rather than O(links). A sender's receivers lie near it in id order on a
-/// grid, and anywhere on a field whose ids ignore position; either way a
-/// cut that balances senders balances receivers closely. The weights only
-/// steer the cut: each range relaxes its own receivers exactly.
-fn plan_ranges(
-    zones: &ZoneTable,
-    snap_from: &[(NodeId, u32, u32)],
-    shards: usize,
-    load: &mut Vec<u64>,
-    bounds: &mut Vec<usize>,
-) {
-    let n = zones.len();
-    load.clear();
-    if shards > 1 {
-        load.resize(n, 0);
-        for &(from, start, end) in snap_from {
-            load[from.index()] = u64::from(end - start) * zones.links(from).len() as u64;
-        }
-    }
-    cut(load, n, shards, bounds);
-}
-
-/// Cuts a delta exchange's destinations `0..scope.dests.len()` into
-/// destination runs in `bounds`, weighing each alive destination by `m²`
-/// for its `m` maintainers when the engine is sharded.
-fn plan_runs(
-    alive: &[bool],
-    scope: &Scope,
-    shards: usize,
-    load: &mut Vec<u64>,
-    bounds: &mut Vec<usize>,
-) {
-    load.clear();
-    if shards > 1 {
-        load.extend(scope.dests.iter().enumerate().map(|(di, d)| {
-            let m = scope.slots(di, di + 1).len() as u64;
-            if alive[d.index()] {
-                m * m
-            } else {
-                0
-            }
-        }));
-    }
-    cut(load, scope.dests.len(), shards, bounds);
-}
-
-/// Cuts `0..len` into `bounds` (`bounds[i]..bounds[i + 1]`): one piece,
-/// unless the per-index `load` (empty on a one-shard engine) totals at
-/// least [`SHARD_MIN_LOAD`]; then at most `shards` contiguous pieces of
-/// ≈ equal load.
-fn cut(load: &[u64], len: usize, shards: usize, bounds: &mut Vec<usize>) {
-    bounds.clear();
-    bounds.push(0);
-    let total: u64 = load.iter().sum();
-    if total >= SHARD_MIN_LOAD {
-        let target = total.div_ceil(shards as u64);
-        let mut acc = 0u64;
-        for (i, &l) in load.iter().enumerate() {
-            acc += l;
-            if acc >= target && bounds.len() < shards && i + 1 < len {
-                bounds.push(i + 1);
-                acc = 0;
-            }
-        }
-    }
-    bounds.push(len);
-}
-
-/// Runs `f` once on every task: the first on the calling thread, the
-/// others on whichever thread takes them first from a shared queue, the
-/// caller or one of the scoped threads spawned for them (one per task
-/// past the first). A caller whose spawned threads are slow to start,
-/// say on a busy core, takes their pieces over instead of waiting.
-/// Returns once every task has finished; a panicking task then panics the
-/// caller.
-fn run_split<T: Send>(tasks: &mut [T], f: impl Fn(&mut T) + Sync) {
-    let spawned = tasks.len().saturating_sub(1);
-    let mut queue = tasks.iter_mut();
-    let Some(first) = queue.next() else {
-        return;
-    };
-    // The lock is held only to take a task, never while one runs, so a
-    // panicking task cannot poison it.
-    let queue = std::sync::Mutex::new(queue);
-    let take = || queue.lock().expect("never held by a task").next();
-    let drain = || {
-        while let Some(task) = take() {
-            f(task);
-        }
-    };
-    std::thread::scope(|scope| {
-        for _ in 0..spawned {
-            scope.spawn(drain);
-        }
-        f(first);
-        drain();
-    });
-}
-
-/// The read-only inputs every destination run of a delta exchange shares.
-struct Exchange<'a> {
-    zones: &'a ZoneTable,
-    alive: &'a [bool],
-    scope: &'a Scope,
-    max_rounds: u32,
-}
-
-/// Converges the routes to the alive destinations among
-/// `scope.dests[dests]`, one destination at a time, on the run's plane
-/// slots, counting the entries each maintainer sends per round into
-/// `run.counts`.
-fn converge_run(
-    x: &Exchange<'_>,
-    dests: std::ops::Range<usize>,
-    plane: &mut PlaneMut<'_>,
-    run: &mut DestRun,
-) {
-    for di in dests {
-        if x.alive[x.scope.dests[di].index()] {
-            converge_dest(x, di, plane, run); // nobody routes to a dead destination
-        }
-    }
-}
-
 /// Converges the routes to `d = scope.dests[di]` on its plane blocks —
 /// block `i` holds the routes of `d`'s `i`-th zone neighbor — from empty
 /// blocks: reseeds the surviving direct routes, then runs synchronous
-/// rounds until no block changes.
-fn converge_dest(x: &Exchange<'_>, di: usize, plane: &mut PlaneMut<'_>, run: &mut DestRun) {
-    let d = x.scope.dests[di];
-    let links = x.zones.links(d);
-    let slots = x.scope.slots(di, di + 1);
-    let b = slots.start - plane.base;
+/// rounds until no block changes. Counts the entries each maintainer
+/// sends per round into `bufs.counts`, and returns the snapshot entries
+/// offered to receivers.
+fn converge_dest(
+    zones: &ZoneTable,
+    alive: &[bool],
+    scope: &Scope,
+    di: usize,
+    plane: &mut Plane,
+    bufs: &mut DestBufs,
+) -> u64 {
+    let d = scope.dests[di];
+    let links = zones.links(d);
+    let b = scope.slots(di).start;
     // The local adjacency: each alive maintainer's alive zone neighbors
     // that maintain `d` too, in neighbor id order. Only alive maintainers
     // get a local id, so one load answers both questions. Whether a zone
     // neighbor maintains `d` follows no pattern a branch predictor learns,
     // so every candidate is written and only the hits advance the end.
     for (i, link) in links.iter().enumerate() {
-        if x.alive[link.neighbor.index()] {
-            run.local[link.neighbor.index()] = i as u32;
+        if alive[link.neighbor.index()] {
+            bufs.local[link.neighbor.index()] = i as u32;
         }
     }
-    run.adj_start.clear();
-    run.adj_start.push(0);
+    bufs.adj_start.clear();
+    bufs.adj_start.push(0);
     let mut end = 0usize;
     for link in links {
-        if run.local[link.neighbor.index()] != NONE {
-            let hops = x.zones.links(link.neighbor);
-            if run.adj.len() < end + hops.len() {
-                run.adj.resize(end + hops.len(), (NONE, 0.0));
+        if bufs.local[link.neighbor.index()] != NONE {
+            let hops = zones.links(link.neighbor);
+            if bufs.adj.len() < end + hops.len() {
+                bufs.adj.resize(end + hops.len(), (NONE, 0.0));
             }
             for hop in hops {
-                let j = run.local[hop.neighbor.index()];
-                run.adj[end] = (j, hop.weight);
+                let j = bufs.local[hop.neighbor.index()];
+                bufs.adj[end] = (j, hop.weight);
                 end += usize::from(j != NONE);
             }
         }
-        run.adj_start.push(end as u32);
+        bufs.adj_start.push(end as u32);
     }
     for link in links {
-        run.local[link.neighbor.index()] = NONE;
+        bufs.local[link.neighbor.index()] = NONE;
     }
 
     // Reseed the surviving direct routes. Link weights are symmetric
     // (shared radio profile), so the d→a weight doubles as a's direct cost
     // to d.
     for (i, link) in links.iter().enumerate() {
-        if x.alive[link.neighbor.index()] {
+        if alive[link.neighbor.index()] {
             let direct = RouteEntry {
                 via: d,
                 cost: link.weight,
@@ -1269,10 +936,12 @@ fn converge_dest(x: &Exchange<'_>, di: usize, plane: &mut PlaneMut<'_>, run: &mu
         }
     }
 
-    let nodes = x.scope.nodes.len();
+    let nodes = scope.nodes.len();
     let k = plane.k;
-    run.sent.clear();
-    run.sent.resize(links.len(), UNSENT);
+    let max_rounds = max_rounds(zones.len()) as usize;
+    bufs.sent.clear();
+    bufs.sent.resize(links.len(), UNSENT);
+    let mut relaxed = 0u64;
     let mut round = 0usize;
     loop {
         // Every dirty block broadcasts its best route and is counted; its
@@ -1281,40 +950,39 @@ fn converge_dest(x: &Exchange<'_>, di: usize, plane: &mut PlaneMut<'_>, run: &mu
         // the snapshot: the neighbors have already relaxed that one.
         let row = round * nodes;
         let mut spoke = false;
-        run.snap.clear();
+        bufs.snap.clear();
         for i in 0..links.len() {
             let s = b + i;
             if std::mem::take(&mut plane.dirty[s]) {
                 if !spoke {
                     spoke = true;
-                    if run.counts.len() < row + nodes {
-                        run.counts.resize(row + nodes, 0);
+                    if bufs.counts.len() < row + nodes {
+                        bufs.counts.resize(row + nodes, 0);
                     }
                 }
-                run.counts[row + x.scope.slot_node[slots.start + i] as usize] += 1;
+                bufs.counts[row + scope.slot_node[s] as usize] += 1;
                 let best = (plane.cost[s * k], plane.hops[s * k]);
-                if is_news(best, run.sent[i]) {
-                    run.sent[i] = best;
-                    run.snap.push((i as u32, best.0, best.1));
+                if is_news(best, bufs.sent[i]) {
+                    bufs.sent[i] = best;
+                    bufs.snap.push((i as u32, best.0, best.1));
                 }
             }
         }
         if !spoke {
-            return;
+            return relaxed;
         }
-        run.relaxed += run.snap.len() as u64;
+        relaxed += bufs.snap.len() as u64;
         round += 1;
         assert!(
-            round < x.max_rounds as usize,
-            "DBF failed to converge within {} rounds",
-            x.max_rounds
+            round < max_rounds,
+            "DBF failed to converge within {max_rounds} rounds"
         );
         // Offers reach each block in ascending sender id, the snapshot's
         // order.
-        for &(i, cost, hops) in &run.snap {
+        for &(i, cost, hops) in &bufs.snap {
             let via = links[i as usize].neighbor;
-            let adj = &run.adj
-                [run.adj_start[i as usize] as usize..run.adj_start[i as usize + 1] as usize];
+            let adj = &bufs.adj
+                [bufs.adj_start[i as usize] as usize..bufs.adj_start[i as usize + 1] as usize];
             for &(j, weight) in adj {
                 let route = RouteEntry {
                     via,
@@ -1325,114 +993,6 @@ fn converge_dest(x: &Exchange<'_>, di: usize, plane: &mut PlaneMut<'_>, run: &mu
             }
         }
     }
-}
-
-/// The read-only inputs every receiver range of a full round shares.
-struct Round<'a> {
-    zones: &'a ZoneTable,
-    alive: &'a [bool],
-    /// The round's snapshot entries.
-    entries: &'a [Entry],
-    /// The round's `(sender, start, end)` ranges, in sender order.
-    from: &'a [(NodeId, u32, u32)],
-}
-
-/// One receiver range `lo..lo + flags.len()` of a full round: its
-/// disjoint slices of the per-node state.
-struct RangeTask<'a> {
-    lo: usize,
-    flags: &'a mut [bool],
-    tables: &'a mut [RoutingTable],
-    /// The range's [`Scratch::sent_start`] entries, one past its last node
-    /// included: node `lo + off` owns
-    /// `sent[sent_start[off] - sent_start[0]..sent_start[off + 1] - sent_start[0]]`.
-    sent_start: &'a [u32],
-    sent: &'a mut [(f64, u32)],
-}
-
-/// Relaxes every vector of the round's snapshot at the range's receivers.
-/// Senders are walked in snapshot (= id) order and each sender's zone
-/// links, sorted by neighbor id, are clipped to the range, so every
-/// receiver replays its vectors in exactly the order a single range
-/// delivers them.
-fn relax_range(round: &Round<'_>, t: &mut RangeTask<'_>) {
-    let lo = t.lo;
-    let hi = lo + t.flags.len();
-    for &(from, start, end) in round.from {
-        if start == end {
-            continue; // a broadcast with no news
-        }
-        let entries = &round.entries[start as usize..end as usize];
-        let links = round.zones.links(from);
-        let first = links.partition_point(|l| l.neighbor.index() < lo);
-        let last = first + links[first..].partition_point(|l| l.neighbor.index() < hi);
-        for link in &links[first..last] {
-            let to = link.neighbor;
-            if !round.alive[to.index()] {
-                continue;
-            }
-            let off = to.index() - lo;
-            let table = &mut t.tables[off];
-            // Zone scoping: `to` only maintains destinations in its own
-            // zone. Vectors carry their destinations in ascending id
-            // order, and `to`'s zone links ascend by neighbor id, so one
-            // merge cursor finds each entry's link (`to` is never its own
-            // neighbor, so self-routes find none); an ascending offer
-            // cursor replays them into the table.
-            let zone = round.zones.links(to);
-            let mut z = 0usize;
-            let mut cursor = 0usize;
-            for &(dest, cost, hops) in entries {
-                while z < zone.len() && zone[z].neighbor.raw() < dest {
-                    z += 1;
-                }
-                if z == zone.len() {
-                    break; // past `to`'s last zone neighbor
-                }
-                if zone[z].neighbor.raw() != dest {
-                    continue;
-                }
-                let route = RouteEntry {
-                    via: from,
-                    cost: link.weight + cost,
-                    hops: hops + 1,
-                };
-                if table.offer_ascending(zone[z].neighbor, route, &mut cursor) {
-                    t.flags[off] = true;
-                }
-            }
-        }
-    }
-}
-
-/// Appends the news in the vectors of the range's flagged nodes, in id
-/// order, to `entries` / `from` (the next snapshot or the range's share of
-/// it), records it as sent, and clears their flags. Returns whether any
-/// node had something to send.
-fn flatten_range(
-    t: &mut RangeTask<'_>,
-    entries: &mut Vec<Entry>,
-    from: &mut Vec<(NodeId, u32, u32)>,
-) -> bool {
-    let mut had = false;
-    let base = t.sent_start[0];
-    for off in 0..t.flags.len() {
-        // Only alive nodes are ever flagged. A flagged node sends its
-        // whole vector, empty or not, and gets a range even without news.
-        if !std::mem::take(&mut t.flags[off]) {
-            continue;
-        }
-        had = true;
-        let start = entries.len() as u32;
-        let sent = (t.sent_start[off] - base) as usize..(t.sent_start[off + 1] - base) as usize;
-        t.tables[off].append_news(entries, &mut t.sent[sent]);
-        from.push((
-            NodeId::new((t.lo + off) as u32),
-            start,
-            entries.len() as u32,
-        ));
-    }
-    had
 }
 
 #[cfg(test)]
@@ -1628,132 +1188,35 @@ mod tests {
     }
 
     #[test]
-    fn sharded_delta_matches_sequential_tables_and_stats() {
-        // The same move replayed on engines with 1, 2 and 8 shards must
-        // agree on every stats field, and every table must equal the
-        // reference rebuild's — thread count can never change results.
-        let mut topo = placement::grid(7, 7, 5.0).unwrap();
-        let radio = RadioProfile::mica2();
-        let old_zones = ZoneTable::build(&topo, &radio, 20.0);
-        let moved = NodeId::new(24);
-        topo.move_node(moved, spms_net::Point::new(3.0, 29.0));
-        let new_zones = ZoneTable::build(&topo, &radio, 20.0);
-        let alive = vec![true; new_zones.len()];
-        let (want_tables, _) = reference_rebuild(&new_zones, 2, &alive);
-
-        let mut want = None;
-        for shards in [1usize, 2, 8] {
-            let mut sharded = DbfEngine::new(&old_zones, 2).with_shards(shards);
-            assert_eq!(sharded.shards(), shards);
-            sharded.run_to_convergence(&old_zones);
-            let got = sharded.update_topology(&old_zones, &new_zones, &[moved], &alive);
-            assert!(got.messages > 0);
-            let want = want.get_or_insert_with(|| got.clone());
-            assert_eq!(&got, want, "stats diverged at {shards} shards");
-            assert_tables_match(&sharded, &want_tables, &format!("{shards} shards"));
-        }
-    }
-
-    #[test]
-    fn sharded_kill_and_revive_match_full_rebuild() {
-        let z = zones(6, 6);
-        let mut dbf = DbfEngine::new(&z, 2).with_shards(4);
-        dbf.run_to_convergence(&z);
-        let mut alive = vec![true; z.len()];
-        for flip in [false, true] {
-            alive[14] = flip;
-            dbf.invalidate_zone(&z, &[NodeId::new(14)], &alive);
-            let (want, _) = reference_rebuild(&z, 2, &alive);
-            assert_tables_match(&dbf, &want, &format!("up={flip}"));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "shards must be at least 1")]
-    fn zero_shards_panics() {
-        let z = zones(3, 3);
-        let _ = DbfEngine::new(&z, 2).with_shards(0);
-    }
-
-    #[test]
     fn sharded_full_rebuild_matches_sequential_tables_and_stats() {
-        // The full rebuild must agree with the reference on every table
-        // AND every stats field, dead nodes included, for shard counts
-        // below, at, and above the busy-range count.
-        let z = zones(6, 6);
-        let mut alive = vec![true; z.len()];
-        alive[14] = false;
-        alive[15] = false;
-        let (want_tables, want) = reference_rebuild(&z, 2, &alive);
-        for shards in [1usize, 2, 8, 64] {
-            let mut sharded = DbfEngine::new(&z, 2).with_shards(shards);
-            let got = sharded.rebuild_sharded(&z, &alive);
-            assert_eq!(got, want, "stats diverged at {shards} shards");
-            assert_tables_match(&sharded, &want_tables, &format!("{shards} shards"));
-        }
-    }
-
-    #[test]
-    fn sharded_paths_at_paper_scale_match_sequential() {
-        // At the paper's n = 169 the loads clear SHARD_MIN_LOAD, so this
-        // differential cuts the full rebuild into threaded receiver ranges
-        // and a multi-mover delta re-convergence into threaded destination
-        // runs — not just the inline piece the small-grid tests reach.
-        let mut topo = placement::grid(13, 13, 5.0).unwrap();
-        let radio = RadioProfile::mica2();
-        let old_zones = ZoneTable::build(&topo, &radio, 20.0);
-        let movers: Vec<NodeId> = [15u32, 60, 84, 120, 150]
-            .iter()
-            .map(|&i| NodeId::new(i))
-            .collect();
-        for (j, &m) in movers.iter().enumerate() {
-            let p = topo.position(m);
-            topo.move_node(
-                m,
-                spms_net::Point::new(p.x + 7.5, (j as f64).mul_add(2.5, p.y)),
-            );
-        }
-        let new_zones = ZoneTable::build(&topo, &radio, 20.0);
-        let alive = vec![true; new_zones.len()];
-
-        let (_, full_want) = reference_rebuild(&old_zones, 2, &alive);
-        let (new_tables, _) = reference_rebuild(&new_zones, 2, &alive);
-        let mut one = DbfEngine::new(&old_zones, 2);
-        one.rebuild_sharded(&old_zones, &alive);
-        let delta_want = one.update_topology(&old_zones, &new_zones, &movers, &alive);
-        assert_eq!(one.scratch.threaded, 0, "a one-shard engine never threads");
-
-        for shards in [2usize, 8] {
-            let mut sharded = DbfEngine::new(&old_zones, 2).with_shards(shards);
-            let full_got = sharded.rebuild_sharded(&old_zones, &alive);
-            assert_eq!(full_got, full_want, "full stats diverged at {shards}");
-            let full_threaded = sharded.scratch.threaded;
-            assert!(
-                full_threaded > 0,
-                "{shards} shards: the full rebuild must thread its heavy rounds"
-            );
-            let delta_got = sharded.update_topology(&old_zones, &new_zones, &movers, &alive);
-            assert_eq!(delta_got, delta_want, "delta stats diverged at {shards}");
-            assert_eq!(
-                sharded.scratch.threaded,
-                full_threaded + 1,
-                "{shards} shards: the delta exchange must thread its runs"
-            );
-            assert_tables_match(&sharded, &new_tables, &format!("{shards} shards"));
+        // The full rebuild must agree with the sequential reference on
+        // every table AND every stats field, dead nodes included, up to
+        // the paper's n = 169.
+        for (side, dead) in [(6, &[14usize, 15][..]), (13, &[])] {
+            let z = zones(side, side);
+            let mut alive = vec![true; z.len()];
+            for &d in dead {
+                alive[d] = false;
+            }
+            let (want_tables, want) = reference_rebuild(&z, 2, &alive);
+            let mut dbf = DbfEngine::new(&z, 2);
+            let context = format!("{side}×{side}");
+            assert_eq!(dbf.rebuild_sharded(&z, &alive), want, "{context}");
+            assert_tables_match(&dbf, &want_tables, &context);
         }
     }
 
     #[test]
     fn rebuild_sharded_without_shards_is_the_sequential_rebuild() {
-        // A default (one-shard) engine runs every round inline and lands
-        // on the reference rebuild exactly, stats included.
+        // Every round runs on the calling thread and lands on the reference
+        // rebuild exactly, stats included.
         let z = zones(4, 4);
         let alive = vec![true; z.len()];
         let mut dbf = DbfEngine::new(&z, 2);
         let got = dbf.rebuild_sharded(&z, &alive);
         let (want_tables, want) = reference_rebuild(&z, 2, &alive);
         assert_eq!(got, want);
-        assert_tables_match(&dbf, &want_tables, "one shard");
+        assert_tables_match(&dbf, &want_tables, "one thread");
     }
 
     #[test]
@@ -1764,7 +1227,7 @@ mod tests {
         let mut topo = placement::grid(5, 5, 5.0).unwrap();
         let radio = RadioProfile::mica2();
         let stale = ZoneTable::build(&topo, &radio, 20.0);
-        let mut dbf = DbfEngine::new(&stale, 2).with_shards(4);
+        let mut dbf = DbfEngine::new(&stale, 2);
         let mut alive = vec![true; stale.len()];
         alive[6] = false;
         dbf.rebuild_sharded(&stale, &alive);
@@ -1821,27 +1284,24 @@ mod tests {
         )
     }
 
-    /// One exchange of [`scripted_13x13`]: its stats, the snapshot entries
-    /// it relaxed, and the rounds or exchanges it handed to [`run_split`].
+    /// One exchange of [`scripted_13x13`]: its stats and the snapshot
+    /// entries it relaxed.
     struct Scripted {
         stats: DbfStats,
         relaxed: u64,
-        threaded: u64,
     }
 
-    /// Runs a scripted 13×13, k = 2 sequence on an engine with `shards`
-    /// shards: the full rebuild, the five-mover move below, a kill and
-    /// revive of node 84, and a three-mover in-place zone patch. Returns
-    /// every exchange, then the engine with the final zones and alive
-    /// mask.
-    fn scripted_13x13(shards: usize) -> (Vec<Scripted>, DbfEngine, ZoneTable, Vec<bool>) {
+    /// Runs a scripted 13×13, k = 2 sequence on one engine: the full
+    /// rebuild, the five-mover move below, a kill and revive of node 84,
+    /// and a three-mover in-place zone patch. Returns every exchange, then
+    /// the engine with the final zones and alive mask.
+    fn scripted_13x13() -> (Vec<Scripted>, DbfEngine, ZoneTable, Vec<bool>) {
         fn step(dbf: &mut DbfEngine, run: impl FnOnce(&mut DbfEngine) -> DbfStats) -> Scripted {
-            let (relaxed, threaded) = (dbf.scratch.relaxed, dbf.scratch.threaded);
+            let relaxed = dbf.scratch.relaxed;
             let stats = run(dbf);
             Scripted {
                 stats,
                 relaxed: dbf.scratch.relaxed - relaxed,
-                threaded: dbf.scratch.threaded - threaded,
             }
         }
         let mut topo = placement::grid(13, 13, 5.0).unwrap();
@@ -1860,7 +1320,7 @@ mod tests {
         }
         let new_zones = ZoneTable::build(&topo, &radio, 20.0);
         let mut alive = vec![true; new_zones.len()];
-        let mut dbf = DbfEngine::new(&old_zones, 2).with_shards(shards);
+        let mut dbf = DbfEngine::new(&old_zones, 2);
         let mut got = vec![step(&mut dbf, |dbf| {
             dbf.rebuild_sharded(&old_zones, &alive)
         })];
@@ -1893,26 +1353,21 @@ mod tests {
         // Absolute delta stats of the scripted 13×13 sequence's delta
         // exchanges. The values were recorded from an independent,
         // node-major implementation of the exchange, so they pin the
-        // accounting itself, not just its agreement across shard counts;
-        // the 4-shard engine runs every exchange in threaded destination
-        // runs.
+        // accounting itself, not just its agreement with another path.
         let want = [
             (7, 860, 18_021, 73_804, 6_239_820),
             (7, 720, 6_502, 27_448, 2_642_956),
             (7, 729, 6_839, 28_814, 2_767_864),
             (7, 860, 15_087, 62_068, 5_437_910),
         ];
-        for shards in [1usize, 4] {
-            let (exchanges, dbf, zones, alive) = scripted_13x13(shards);
-            let deltas = &exchanges[1..];
-            let got: Vec<_> = deltas.iter().map(|x| accounting(&x.stats)).collect();
-            assert_eq!(got, want, "{shards} shards");
-            let delta_threaded: u64 = deltas.iter().map(|x| x.threaded).sum();
-            let expected = if shards > 1 { want.len() as u64 } else { 0 };
-            assert_eq!(delta_threaded, expected, "{shards} shards");
-            let (want_tables, _) = reference_rebuild(&zones, 2, &alive);
-            assert_tables_match(&dbf, &want_tables, &format!("{shards} shards"));
-        }
+        let (exchanges, dbf, zones, alive) = scripted_13x13();
+        let got: Vec<_> = exchanges[1..]
+            .iter()
+            .map(|x| accounting(&x.stats))
+            .collect();
+        assert_eq!(got, want);
+        let (want_tables, _) = reference_rebuild(&zones, 2, &alive);
+        assert_tables_match(&dbf, &want_tables, "scripted sequence");
     }
 
     #[test]
@@ -1920,58 +1375,24 @@ mod tests {
         // A re-broadcast best route is counted in the stats but not offered
         // again: in the full rebuild and in every delta exchange of the
         // scripted sequence, fewer entries reach relaxation than the
-        // broadcasts carry, inline and threaded alike.
-        for shards in [1usize, 4] {
-            let (exchanges, ..) = scripted_13x13(shards);
-            for (i, x) in exchanges.iter().enumerate() {
-                assert!(
-                    0 < x.relaxed && x.relaxed < x.stats.entries_sent,
-                    "{shards} shards, exchange {i}: relaxed {} of {} sent",
-                    x.relaxed,
-                    x.stats.entries_sent
-                );
-            }
+        // broadcasts carry.
+        let (exchanges, ..) = scripted_13x13();
+        for (i, x) in exchanges.iter().enumerate() {
+            assert!(
+                0 < x.relaxed && x.relaxed < x.stats.entries_sent,
+                "exchange {i}: relaxed {} of {} sent",
+                x.relaxed,
+                x.stats.entries_sent
+            );
         }
     }
 
     #[test]
-    fn sub_threshold_rounds_stay_inline_and_never_start_the_pool() {
-        // On a 5-node line every full-rebuild round and the delta exchange
-        // are far below SHARD_MIN_LOAD, so even a widely-sharded engine
-        // must keep the whole exchange on the calling thread — no thread
-        // spawned — and still land byte-identical to a one-shard engine
-        // and the reference.
-        let mut topo = placement::grid(5, 1, 5.0).unwrap();
-        let radio = RadioProfile::mica2();
-        let old_zones = ZoneTable::build(&topo, &radio, 20.0);
-        let moved = NodeId::new(2);
-        topo.move_node(moved, spms_net::Point::new(11.0, 4.0));
-        let new_zones = ZoneTable::build(&topo, &radio, 20.0);
-        let alive = vec![true; new_zones.len()];
-
-        let (_, full_want) = reference_rebuild(&old_zones, 2, &alive);
-        let (new_tables, _) = reference_rebuild(&new_zones, 2, &alive);
-        let mut one = DbfEngine::new(&old_zones, 2);
-        one.rebuild_sharded(&old_zones, &alive);
-        let delta_want = one.update_topology(&old_zones, &new_zones, &[moved], &alive);
-
-        let mut sharded = DbfEngine::new(&old_zones, 2).with_shards(8);
-        let full_got = sharded.rebuild_sharded(&old_zones, &alive);
-        assert_eq!(full_got, full_want);
-        let delta_got = sharded.update_topology(&old_zones, &new_zones, &[moved], &alive);
-        assert_eq!(delta_got, delta_want);
-        assert_eq!(
-            sharded.scratch.threaded, 0,
-            "sub-threshold rounds must not spawn threads"
-        );
-        assert_tables_match(&sharded, &new_tables, "8 shards");
-    }
-
-    #[test]
-    fn sharded_epochs_and_clones_match_the_one_shard_replay() {
-        // Ping-pong re-convergence re-enters the exchange many times on
-        // one threaded engine, and a clone carries on from its state: every
-        // step lands where the one-shard replay does.
+    fn epochs_and_clones_match_the_reference() {
+        // Ping-pong re-convergence re-enters the exchange many times on one
+        // engine, and a clone carries on from its state: after every
+        // epoch the tables equal the reference rebuild's, and the clone
+        // and the original report the same stats for the next one.
         let mut topo = placement::grid(13, 13, 5.0).unwrap();
         let radio = RadioProfile::mica2();
         let zones_a = ZoneTable::build(&topo, &radio, 20.0);
@@ -1982,127 +1403,26 @@ mod tests {
         }
         let zones_b = ZoneTable::build(&topo, &radio, 20.0);
         let alive = vec![true; zones_a.len()];
+        let (want_a, _) = reference_rebuild(&zones_a, 2, &alive);
+        let (want_b, _) = reference_rebuild(&zones_b, 2, &alive);
 
-        let mut one = DbfEngine::new(&zones_a, 2);
-        one.rebuild_sharded(&zones_a, &alive);
-        let mut sharded = DbfEngine::new(&zones_a, 2).with_shards(4);
-        sharded.rebuild_sharded(&zones_a, &alive);
-
-        let mut flips = [(&zones_a, &zones_b), (&zones_b, &zones_a)]
+        let mut dbf = DbfEngine::new(&zones_a, 2);
+        dbf.rebuild_sharded(&zones_a, &alive);
+        let mut flips = [(&zones_a, &zones_b, &want_b), (&zones_b, &zones_a, &want_a)]
             .into_iter()
             .cycle();
         for epoch in 0..10 {
-            let (from, to) = flips.next().unwrap();
-            let want = one.update_topology(from, to, &movers, &alive);
-            let got = sharded.update_topology(from, to, &movers, &alive);
-            assert_eq!(got, want, "epoch {epoch}");
+            let (from, to, want) = flips.next().unwrap();
+            dbf.update_topology(from, to, &movers, &alive);
+            assert_tables_match(&dbf, want, &format!("epoch {epoch}"));
         }
 
-        let mut clone = sharded.clone();
-        let (want_a, _) = reference_rebuild(&zones_a, 2, &alive);
+        let mut clone = dbf.clone();
         assert_tables_match(&clone, &want_a, "clone");
-        let before = clone.scratch.threaded;
-        let want = one.update_topology(&zones_a, &zones_b, &movers, &alive);
         let got_clone = clone.update_topology(&zones_a, &zones_b, &movers, &alive);
-        let got_orig = sharded.update_topology(&zones_a, &zones_b, &movers, &alive);
-        assert_eq!(got_clone, want);
-        assert_eq!(got_orig, want);
-        assert!(
-            clone.scratch.threaded > before,
-            "the clone's exchange threads"
-        );
-    }
-
-    #[test]
-    fn threaded_engine_is_send_and_sync() {
-        // The workload sweeps move engines across threads.
-        fn check<T: Send + Sync>(_: &T) {}
-        let z = zones(13, 13);
-        let alive = vec![true; z.len()];
-        let mut dbf = DbfEngine::new(&z, 2).with_shards(4);
-        dbf.rebuild_sharded(&z, &alive);
-        assert!(dbf.scratch.threaded > 0);
-        check(&dbf);
-    }
-
-    #[test]
-    fn run_split_runs_every_task_exactly_once() {
-        for tasks in [0usize, 1, 2, 5] {
-            let mut hits = vec![(0u32, None); tasks];
-            run_split(&mut hits, |(hit, thread)| {
-                *hit += 1;
-                *thread = Some(std::thread::current().id());
-            });
-            assert!(hits.iter().all(|&(hit, _)| hit == 1), "{tasks} tasks");
-            // The first task runs on the caller; the others on whichever
-            // thread takes them first.
-            if let Some(&(_, first)) = hits.first() {
-                assert_eq!(first, Some(std::thread::current().id()));
-            }
-        }
-    }
-
-    #[test]
-    fn run_split_panics_only_after_every_task_finished() {
-        // Spawned task 1 panics; tasks 2 and 3 only finish once it has
-        // started to, so they are still running when it panics. Both must
-        // be done when the panic reaches the caller.
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let panicking = AtomicBool::new(false);
-        let mut tasks: Vec<(usize, bool)> = (0..4).map(|i| (i, false)).collect();
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_split(&mut tasks, |(i, done)| {
-                if *i == 1 {
-                    panicking.store(true, Ordering::SeqCst);
-                    panic!("task 1");
-                }
-                while *i > 1 && !panicking.load(Ordering::SeqCst) {
-                    std::thread::yield_now();
-                }
-                *done = true;
-            });
-        }));
-        assert!(caught.is_err(), "a task's panic reaches the caller");
-        for &(i, done) in &tasks {
-            assert_eq!(done, i != 1, "task {i}");
-        }
-    }
-
-    #[test]
-    fn cut_is_one_piece_below_the_threshold_and_at_most_shards_above() {
-        let mut bounds = Vec::new();
-        // A one-shard engine's planners leave the load empty.
-        cut(&[], 40, 8, &mut bounds);
-        assert_eq!(bounds, [0, 40]);
-        let below = vec![(SHARD_MIN_LOAD - 1) / 10; 10];
-        cut(&below, below.len(), 4, &mut bounds);
-        assert_eq!(bounds, [0, 10]);
-        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
-        for case in 0..500 {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            let len = 1 + (rng % 40) as usize;
-            let shards = 1 + (rng >> 8) as usize % 8;
-            let load: Vec<u64> = (0..len)
-                .map(|i| (rng >> (i % 48)) % (2 * SHARD_MIN_LOAD / len as u64))
-                .collect();
-            cut(&load, len, shards, &mut bounds);
-            let context = format!("case {case}: {load:?} at {shards} shards");
-            assert_eq!((bounds[0], bounds[bounds.len() - 1]), (0, len), "{context}");
-            assert!(bounds.windows(2).all(|w| w[0] < w[1]), "{context}");
-            let total: u64 = load.iter().sum();
-            if total < SHARD_MIN_LOAD {
-                assert_eq!(bounds.len(), 2, "{context}");
-            } else {
-                assert!(bounds.len() - 1 <= shards, "{context}");
-                // A piece closes once it holds its share, unless it would
-                // take the last index.
-                let share = total.div_ceil(shards as u64);
-                if shards > 1 && load[..len - 1].iter().sum::<u64>() >= share {
-                    assert!(bounds.len() > 2, "{context}");
-                }
-            }
-        }
+        let got_orig = dbf.update_topology(&zones_a, &zones_b, &movers, &alive);
+        assert_eq!(got_clone, got_orig);
+        assert!(got_clone.messages > 0);
+        assert_tables_match(&clone, &want_b, "clone after its own epoch");
     }
 }

@@ -10,8 +10,8 @@
 //! [`reference_rebuild`] is the other reference: the sequential full DBF
 //! rebuild, round by round, with its message accounting. It shares no code
 //! with [`crate::DbfEngine`]'s round loop beyond [`RoutingTable`], so every
-//! engine execution — full or delta, at any shard count — is
-//! property-tested against it exactly, tables and [`DbfStats`] alike.
+//! engine execution — full or delta — is property-tested against it
+//! exactly, tables and [`DbfStats`] alike.
 
 use spms_net::{dijkstra_masked, NodeId, ZoneTable};
 
@@ -135,7 +135,7 @@ pub fn oracle_tables_masked(zones: &ZoneTable, k: usize, alive: &[bool]) -> Vec<
 /// let zones = ZoneTable::build(&topo, &RadioProfile::mica2(), 20.0);
 /// let alive = vec![true; zones.len()];
 /// let (tables, stats) = reference_rebuild(&zones, 2, &alive);
-/// let mut dbf = DbfEngine::new(&zones, 2).with_shards(2);
+/// let mut dbf = DbfEngine::new(&zones, 2);
 /// assert_eq!(dbf.rebuild_sharded(&zones, &alive), stats);
 /// assert_eq!(dbf.into_tables(), tables);
 /// ```

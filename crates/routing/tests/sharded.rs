@@ -1,26 +1,19 @@
-//! Differential harness for the DBF round loop across shard counts.
+//! Differential harness for the DBF engine against the sequential
+//! reference rebuild.
 //!
-//! Every property drives engines at 1, 2, 8 and 16 shards — every round
-//! inline, one thread spawned beside the caller, and two beyond-the-host
-//! widths — through random move/kill/revive sequences (with liveness
-//! flips reported late and several events re-converged at once), in both
-//! snapshot modes:
+//! Every property drives one engine through random move/kill/revive
+//! sequences (with liveness flips reported late and several events
+//! re-converged at once), in both exchange kinds:
 //!
 //! * **full** — [`DbfEngine::rebuild_sharded`] must equal the sequential
-//!   [`reference_rebuild`] bit for bit, tables *and* [`DbfStats`];
+//!   [`reference_rebuild`] bit for bit, tables *and* stats;
 //! * **delta** — every re-convergence must land on the reference's tables
-//!   exactly, and every shard count must report byte-identical stats.
-//!
-//! The range planner may only change wall-clock time, never results or
-//! accounting.
+//!   exactly.
 
 use proptest::prelude::*;
 use spms_net::{placement, NodeId, Point, SpatialGrid, ZoneDelta, ZoneTable};
 use spms_phy::RadioProfile;
-use spms_routing::{reference_rebuild, DbfEngine, DbfStats};
-
-/// The shard counts every property runs.
-const SHARDS: [usize; 4] = [1, 2, 8, 16];
+use spms_routing::{reference_rebuild, DbfEngine};
 
 /// One topology event, decoded from raw proptest draws.
 #[derive(Clone, Copy, Debug)]
@@ -51,61 +44,33 @@ fn empty_delta() -> ZoneDelta {
     }
 }
 
-/// One engine per shard count, each entering through a full rebuild that
-/// must already equal the reference byte for byte.
-fn rebuilt_engines(
-    zones: &ZoneTable,
-    k: usize,
-    alive: &[bool],
-) -> Result<Vec<(usize, DbfEngine)>, TestCaseError> {
+/// An engine entering through a full rebuild that must already equal the
+/// reference byte for byte.
+fn rebuilt_engine(zones: &ZoneTable, k: usize, alive: &[bool]) -> Result<DbfEngine, TestCaseError> {
     let (_, want) = reference_rebuild(zones, k, alive);
-    SHARDS
-        .iter()
-        .map(|&shards| {
-            let mut engine = DbfEngine::new(zones, k).with_shards(shards);
-            let got = engine.rebuild_sharded(zones, alive);
-            prop_assert_eq!(&got, &want, "initial rebuild stats at {} shards", shards);
-            Ok((shards, engine))
-        })
-        .collect()
+    let mut engine = DbfEngine::new(zones, k);
+    let got = engine.rebuild_sharded(zones, alive);
+    prop_assert_eq!(&got, &want, "initial rebuild stats");
+    Ok(engine)
 }
 
-/// Asserts every shard count reported the same delta stats.
-fn assert_same_stats(got: &[(usize, DbfStats)], context: &str) -> Result<(), TestCaseError> {
-    let (_, want) = &got[0];
-    for (shards, stats) in &got[1..] {
-        prop_assert_eq!(
-            stats,
-            want,
-            "{}: {} shards reported different stats",
-            context,
-            shards
-        );
-    }
-    Ok(())
-}
-
-/// Asserts every engine equals the from-scratch reference bit for bit.
-fn assert_all_match_reference(
-    engines: &[(usize, DbfEngine)],
+/// Asserts the engine equals the from-scratch reference bit for bit.
+fn assert_matches_reference(
+    engine: &DbfEngine,
     zones: &ZoneTable,
     alive: &[bool],
     context: &str,
 ) -> Result<(), TestCaseError> {
-    let k = engines[0].1.k();
-    let (want, _) = reference_rebuild(zones, k, alive);
-    for (shards, engine) in engines {
-        for (i, want) in want.iter().enumerate() {
-            let node = NodeId::new(i as u32);
-            prop_assert_eq!(
-                engine.table(node),
-                want,
-                "{}: {} shards diverged from the reference at node {}",
-                context,
-                shards,
-                node
-            );
-        }
+    let (want, _) = reference_rebuild(zones, engine.k(), alive);
+    for (i, want) in want.iter().enumerate() {
+        let node = NodeId::new(i as u32);
+        prop_assert_eq!(
+            engine.table(node),
+            want,
+            "{}: diverged from the reference at node {}",
+            context,
+            node
+        );
     }
     Ok(())
 }
@@ -120,11 +85,10 @@ proptest! {
 
     /// Random event sequences grouped into windows: movers relocate as
     /// they come and patch the zone table through one `apply_moves` at the
-    /// window's end; kills and revives stay silent until then. At every
-    /// re-convergence every shard count must land on the reference exactly
-    /// and report the same stats.
+    /// window's end; kills and revives stay silent until then. Every
+    /// re-convergence must land on the reference exactly.
     #[test]
-    fn batched_windows_reach_bit_identical_tables_across_shard_counts(
+    fn batched_windows_reach_the_root_oracle(
         cols in 3usize..7,
         rows in 2usize..5,
         radius in 12.0f64..24.0,
@@ -139,7 +103,7 @@ proptest! {
         let mut grid = SpatialGrid::for_radius(&topo, radius);
         let mut zones = ZoneTable::build_indexed(&topo, &radio, &grid, radius);
         let mut alive = vec![true; n];
-        let mut engines = rebuilt_engines(&zones, k, &alive)?;
+        let mut engine = rebuilt_engine(&zones, k, &alive)?;
 
         // The window: movers relocate now and patch the zones at the
         // flush, liveness flips wait in `silent`, and everything
@@ -179,14 +143,10 @@ proptest! {
             silent.dedup();
             let delta = zones.apply_moves(&topo, &radio, &grid, &movers);
             movers.clear();
-            let stats: Vec<(usize, DbfStats)> = engines
-                .iter_mut()
-                .map(|(s, e)| (*s, e.apply_zone_delta(&zones, &delta, &silent, &alive)))
-                .collect();
+            engine.apply_zone_delta(&zones, &delta, &silent, &alive);
             silent.clear();
             let context = format!("flush after step {step} ({op:?})");
-            assert_same_stats(&stats, &context)?;
-            assert_all_match_reference(&engines, &zones, &alive, &context)?;
+            assert_matches_reference(&engine, &zones, &alive, &context)?;
         }
     }
 
@@ -194,8 +154,7 @@ proptest! {
     /// `old_zones` is the table from the *window start* — several moves
     /// stale — with the deduped union of every changed node since. Out-and-back
     /// moves and movers-meeting-movers are all in range of the random
-    /// walk; every flush must land on the reference exactly at every shard
-    /// count.
+    /// walk; every flush must land on the reference exactly.
     #[test]
     fn window_stale_old_tables_flush_to_the_root_oracle(
         cols in 3usize..7,
@@ -210,7 +169,7 @@ proptest! {
         let radio = RadioProfile::mica2();
         let mut zones = ZoneTable::build(&topo, &radio, radius);
         let mut alive = vec![true; n];
-        let mut engines = rebuilt_engines(&zones, 2, &alive)?;
+        let mut engine = rebuilt_engine(&zones, 2, &alive)?;
 
         // Window state: the zone table as of the window start plus the
         // union of everything that changed since.
@@ -242,15 +201,11 @@ proptest! {
             }
             changed.sort_unstable();
             changed.dedup();
-            let stats: Vec<(usize, DbfStats)> = engines
-                .iter_mut()
-                .map(|(s, e)| (*s, e.update_topology(&window_start, &zones, &changed, &alive)))
-                .collect();
+            engine.update_topology(&window_start, &zones, &changed, &alive);
             changed.clear();
             window_start = zones.clone();
             let context = format!("stale-window flush after step {step} ({op:?})");
-            assert_same_stats(&stats, &context)?;
-            assert_all_match_reference(&engines, &zones, &alive, &context)?;
+            assert_matches_reference(&engine, &zones, &alive, &context)?;
         }
     }
 
@@ -270,7 +225,7 @@ proptest! {
         let grid = SpatialGrid::for_radius(&topo, radius);
         let zones = ZoneTable::build_indexed(&topo, &radio, &grid, radius);
         let mut alive = vec![true; n];
-        let mut engines = rebuilt_engines(&zones, 2, &alive)?;
+        let mut engine = rebuilt_engine(&zones, 2, &alive)?;
 
         let mut silent: Vec<NodeId> = Vec::new();
         for &(kind, node) in &flips {
@@ -280,18 +235,13 @@ proptest! {
         }
         silent.sort_unstable();
         silent.dedup();
-        let delta = empty_delta();
-        let stats: Vec<(usize, DbfStats)> = engines
-            .iter_mut()
-            .map(|(s, e)| (*s, e.apply_zone_delta(&zones, &delta, &silent, &alive)))
-            .collect();
-        assert_same_stats(&stats, "silent flush")?;
-        assert_all_match_reference(&engines, &zones, &alive, "silent flush")?;
+        engine.apply_zone_delta(&zones, &empty_delta(), &silent, &alive);
+        assert_matches_reference(&engine, &zones, &alive, "silent flush")?;
     }
 
     /// The full rebuild against the reference directly: random fields,
-    /// radii, k and liveness masks, rebuilt at every shard count. Tables
-    /// and stats must be bit-identical to [`reference_rebuild`] — and a
+    /// radii, k and liveness masks. Tables and stats must be
+    /// bit-identical to [`reference_rebuild`] — and a
     /// rebuild over an engine converged on another world must scrub every
     /// trace of the stale state.
     #[test]
@@ -314,27 +264,25 @@ proptest! {
         }
 
         let zones = ZoneTable::build(&topo, &radio, radius);
-        let mut engines = rebuilt_engines(&zones, k, &alive)?;
-        assert_all_match_reference(&engines, &zones, &alive, "fresh rebuild")?;
+        let mut engine = rebuilt_engine(&zones, k, &alive)?;
+        assert_matches_reference(&engine, &zones, &alive, "fresh rebuild")?;
 
         // Perturb the world, then rebuild from scratch over the now stale
-        // engines: the rebuild must depend only on its inputs.
+        // engine: the rebuild must depend only on its inputs.
         let moved = NodeId::new(mover as u32 % n as u32);
         let field = topo.field();
         topo.move_node(moved, Point::new(fx * field.width, fy * field.height));
         let new_zones = ZoneTable::build(&topo, &radio, radius);
         let (_, want) = reference_rebuild(&new_zones, k, &alive);
-        for (shards, engine) in &mut engines {
-            let got = engine.rebuild_sharded(&new_zones, &alive);
-            prop_assert_eq!(&got, &want, "stale rebuild stats at {} shards", shards);
-        }
-        assert_all_match_reference(&engines, &new_zones, &alive, "post-move rebuild")?;
+        let got = engine.rebuild_sharded(&new_zones, &alive);
+        prop_assert_eq!(&got, &want, "stale rebuild stats");
+        assert_matches_reference(&engine, &new_zones, &alive, "post-move rebuild")?;
     }
 
-    /// Dropping a sharded engine mid-sequence and rebuilding a fresh one
+    /// Dropping an engine mid-sequence and rebuilding a fresh one
     /// must not leak stale round data into the replacement: at every step
-    /// every engine agrees with the reference, whether it survived from
-    /// the previous step or was just recreated.
+    /// the engine agrees with the reference, whether it survived from the
+    /// previous step or was just recreated.
     #[test]
     fn engine_drop_and_rebuild_mid_sequence_keeps_the_chain_exact(
         cols in 4usize..8,
@@ -346,27 +294,23 @@ proptest! {
         let radio = RadioProfile::mica2();
         let mut zones = ZoneTable::build(&topo, &radio, 20.0);
         let alive = vec![true; n];
-        let mut engines = rebuilt_engines(&zones, 2, &alive)?;
+        let mut engine = rebuilt_engine(&zones, 2, &alive)?;
 
         for (step, &(node, fx, fy, recycle)) in steps.iter().enumerate() {
             let moved = NodeId::new(node as u32 % n as u32);
             let field = topo.field();
             topo.move_node(moved, Point::new(fx * field.width, fy * field.height));
             let new_zones = ZoneTable::build(&topo, &radio, 20.0);
-            let stats: Vec<(usize, DbfStats)> = engines
-                .iter_mut()
-                .map(|(s, e)| (*s, e.update_topology(&zones, &new_zones, &[moved], &alive)))
-                .collect();
+            engine.update_topology(&zones, &new_zones, &[moved], &alive);
             zones = new_zones;
             let context = format!("step {step}");
-            assert_same_stats(&stats, &context)?;
-            assert_all_match_reference(&engines, &zones, &alive, &context)?;
+            assert_matches_reference(&engine, &zones, &alive, &context)?;
             if recycle {
-                // Mid-simulation engine teardown: the replacements start
+                // Mid-simulation engine teardown: the replacement starts
                 // cold from a full rebuild of the current world.
-                engines = rebuilt_engines(&zones, 2, &alive)?;
-                assert_all_match_reference(
-                    &engines,
+                engine = rebuilt_engine(&zones, 2, &alive)?;
+                assert_matches_reference(
+                    &engine,
                     &zones,
                     &alive,
                     &format!("post-recycle at step {step}"),

@@ -164,13 +164,20 @@ where
     text.parse().map_err(|e| format!("bad {what}: {e}"))
 }
 
-/// Parses `--attack-start` milliseconds. Negative and non-finite values
-/// are rejected here, because `SimTime` would silently clamp them to 0.
-fn parse_attack_start(ms: &str) -> Result<SimTime, String> {
-    let ms: f64 = ms.parse().map_err(|e| format!("bad attack start: {e}"))?;
+/// Parses `--attack-start` milliseconds. Negative, non-finite and
+/// out-of-range values are rejected here, because `SimTime` would silently
+/// clamp them to 0 or to its largest value.
+fn parse_attack_start(text: &str) -> Result<SimTime, String> {
+    let ms: f64 = text.parse().map_err(|e| format!("bad attack start: {e}"))?;
     if !ms.is_finite() || ms < 0.0 {
         return Err(format!(
             "bad attack start: {ms} ms (must be finite and non-negative)"
+        ));
+    }
+    if ms * 1e6 >= SimTime::MAX.as_nanos() as f64 {
+        return Err(format!(
+            "bad attack start: {text} ms is beyond the simulation clock's range \
+             (about 1.8e13 ms)"
         ));
     }
     Ok(SimTime::from_millis_f64(ms))
@@ -292,7 +299,7 @@ mod tests {
     fn attack_start_rejects_values_sim_time_would_clamp() {
         assert_eq!(parse_attack_start("0"), Ok(SimTime::ZERO));
         assert_eq!(parse_attack_start("2.5"), Ok(SimTime::from_micros(2500)));
-        for bad in ["-5", "nan", "inf", "-inf", "soon"] {
+        for bad in ["-5", "nan", "inf", "-inf", "soon", "1e30"] {
             let err = parse_attack_start(bad).expect_err(bad);
             assert!(err.starts_with("bad attack start"), "{bad}: {err}");
         }

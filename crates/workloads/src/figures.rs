@@ -842,9 +842,9 @@ fn fig12(scale: &Scale, results: &Runs) -> FigureResult {
                 "{zone_patches} mobility epochs patched the zone table in place \
                  ({zone_rows} rows rebuilt vs a full O(n²) build per epoch)"
             ),
-            // The wording names the batching window the engine no longer
-            // has; it stays so that the figure JSON is byte-identical
-            // across versions.
+            // The wording names the zone-shard planner and the batching
+            // window, both gone from the engine; it stays so that the
+            // figure JSON is byte-identical across versions.
             format!(
                 "{sharded_execs} delta re-convergences ran through the zone-shard \
                  planner over {batch_windows} batching windows \
@@ -1473,8 +1473,8 @@ mod tests {
     fn fig12_notes_surface_the_routing_counters() {
         // The fig12 sweep is where every incremental-routing substrate
         // meets the paper's mobility workload: its notes must surface the
-        // zone-patch, shard-planner and window counters with the values
-        // the runs actually recorded.
+        // zone-patch, `sharded_executions` and window counters with the
+        // values the runs actually recorded.
         let scale = Scale::smoke();
         let sweep = SweepConfig::auto();
         let results = try_run_specs(Sweep::RadiiMobility.specs(&scale, 7), &sweep);
@@ -1485,8 +1485,7 @@ mod tests {
             .collect();
         let epochs: u64 = spms.iter().map(|m| m.mobility_epochs).sum();
         assert!(epochs > 0, "the sweep must exercise mobility");
-        // Every SPMS mobility run re-converges through the shard planner
-        // once per epoch.
+        // Every SPMS mobility run re-converges once per epoch.
         for m in &spms {
             assert_eq!(m.routing.zone_patches, m.mobility_epochs);
             assert_eq!(m.routing.incremental_executions, m.mobility_epochs);

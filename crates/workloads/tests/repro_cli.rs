@@ -63,6 +63,7 @@ fn bad_adversary_churn_and_attack_values_exit_2() {
         ],
         &["fig12", "--attack-start", "-5"],
         &["fig12", "--attack-start", "nan"],
+        &["fig3", "--attack-start", "1e30"],
     ] {
         assert_rejected(args);
     }

@@ -4,9 +4,9 @@
 //!
 //! 1. **Knob matrix** — adversary/churn are *semantic* knobs (they change
 //!    results like a seed does), but under any fixed adversarial setting
-//!    the wall-clock knobs (DBF shards, sweep workers) still
-//!    cannot change a single byte of [`spms::RunMetrics`], including the
-//!    [`spms::AdversaryStats`] counters.
+//!    a rerun and the sweep's worker count still cannot change a single
+//!    byte of [`spms::RunMetrics`], including the [`spms::AdversaryStats`]
+//!    counters.
 //! 2. **Seeded proptest fuzzer** — random schedules of all five semantic
 //!    knobs at once (mobility, failures, churn, adversaries, and a contact
 //!    plan) drive the incremental zone engine against the full-rebuild
@@ -15,7 +15,7 @@
 //! 3. **Minimized fuzz corpus** — fixed schedules distilled from the
 //!    fuzzer, each pinned to a distinct delta-path branch (all five knobs
 //!    firing in one run, full-cohort leave/rejoin, dormant-then-active
-//!    liars, flooding storms under sharded relaxation).
+//!    liars, flooding storms under distributed routing).
 
 use proptest::prelude::*;
 
@@ -81,21 +81,17 @@ fn run(config: SimConfig, seed: u64) -> RunMetrics {
 
 #[test]
 fn wall_clock_knobs_cannot_change_adversarial_results() {
-    // The shard matrix from the determinism suite, replayed under attack:
-    // shards {1, auto, 16} must all produce the reference bytes,
-    // AdversaryStats included.
+    // Under attack a run stays a pure function of its config: a rerun
+    // produces the reference bytes, AdversaryStats included. The sweep's
+    // worker count, the other wall-clock knob, is checked below.
     let seed = 61;
     let reference = run(adversarial_config(seed, NodeBehavior::Flooding, 0.25), seed);
     assert!(reference.adversary.adversaries > 0, "roster must be drawn");
     assert!(reference.adversary.packets_dropped > 0, "attack must bite");
     assert!(reference.adversary.bogus_advs > 0, "flooders must flood");
     assert!(reference.adversary.churn_epochs > 0, "churn must fire");
-    for shards in [1usize, 0, 16] {
-        let mut config = adversarial_config(seed, NodeBehavior::Flooding, 0.25);
-        config.dbf_shards = shards;
-        let got = run(config, seed);
-        assert_eq!(got, reference, "shards={shards}");
-    }
+    let got = run(adversarial_config(seed, NodeBehavior::Flooding, 0.25), seed);
+    assert_eq!(got, reference, "rerun");
 }
 
 #[test]
@@ -264,15 +260,15 @@ fn corpus_dormant_then_active_metadata_liars() {
 }
 
 #[test]
-fn corpus_flooding_storm_under_sharded_relaxation() {
-    // The heaviest composite: flooding attackers at factor 3, churn, and
-    // 16 DBF shards — the branch where adversarial traffic, cohort deltas
-    // and the sharded relaxation planner all meet.
+fn corpus_flooding_storm_under_distributed_routing() {
+    // The heaviest composite: flooding attackers at factor 3, churn,
+    // mobility and failures over distributed routing — the branch where
+    // adversarial traffic, cohort deltas and the DBF delta exchange all
+    // meet.
     let mut config = adversarial_config(41, NodeBehavior::Flooding, 0.3);
     if let Some(adv) = &mut config.adversary {
         adv.attack_factor = 3;
     }
-    config.dbf_shards = 16;
     let m = run(config.clone(), 41);
     assert!(m.adversary.bogus_advs > 0);
     assert_eq!(

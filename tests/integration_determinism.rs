@@ -1,7 +1,6 @@
 //! Reproducibility guarantees: a run is a pure function of its config and
-//! seed, and no wall-clock knob (sweep workers, DBF shards) can change a
-//! byte of its `RunMetrics`. Checked across subsystem
-//! combinations.
+//! seed, and no wall-clock knob (sweep workers) can change a byte of its
+//! `RunMetrics`. Checked across subsystem combinations.
 
 use spms::{ProtocolKind, RoutingMode, SimConfig, Simulation};
 use spms_kernel::SimTime;
@@ -97,73 +96,6 @@ fn sweep_worker_count_cannot_change_results() {
         let got = try_run_specs(specs.clone(), &SweepConfig::with_workers(workers));
         assert_eq!(got, reference, "workers = {workers}");
     }
-}
-
-#[test]
-fn shard_count_cannot_change_results() {
-    // A fig12-style mobility run (distributed routing, incremental zones
-    // and routing, every epoch re-converging through the shard planner;
-    // at 20 m on this 5×5 field its heavy exchanges and rounds, 10,508 to
-    // 14,214 (entry, receiver) pairs, cross SHARD_MIN_LOAD and run on
-    // threads): pinning the delta exchange to one shard, two shards, the
-    // host's available parallelism, and a deliberately excessive count
-    // must produce byte-identical RunMetrics — the shard planner and its
-    // threads are wall-clock knobs, never semantic ones.
-    let run = |shards: usize| {
-        let topo = placement::grid(5, 5, 5.0).unwrap();
-        let plan = traffic::all_to_all(25, 2, SimTime::from_millis(200), 8).unwrap();
-        let mut config = SimConfig::paper_defaults(ProtocolKind::Spms, 8);
-        config.routing_mode = RoutingMode::Distributed;
-        config.mobility = Some(MobilityConfig::new(SimTime::from_millis(150), 0.1).unwrap());
-        config.dbf_shards = shards;
-        Simulation::run_with(config, topo, plan).unwrap()
-    };
-    let single = run(1);
-    assert!(single.mobility_epochs > 0, "epochs must fire");
-    assert_eq!(
-        single.routing.sharded_executions,
-        single.routing.incremental_executions
-    );
-    let two = run(2); // the smallest count that spawns a thread
-    let auto = run(0); // resolves to host_parallelism
-    let wide = run(16); // more shards than the host has cores
-    assert_eq!(single, two, "1 shard vs 2 shards");
-    assert_eq!(single, auto, "1 shard vs host_parallelism");
-    assert_eq!(single, wide, "1 shard vs 16 shards");
-}
-
-#[test]
-fn shard_count_cannot_change_full_rebuild_results() {
-    // The non-incremental twin of `shard_count_cannot_change_results`:
-    // with incremental routing off, every mobility epoch re-executes the
-    // FULL rebuild, which now routes through `DbfEngine::rebuild_sharded`
-    // and threads its heavy rounds (10,054 to 14,214 pairs on this field,
-    // above SHARD_MIN_LOAD). Same-seed runs at 1 shard, 2 shards,
-    // the host's available parallelism, and a deliberately excessive
-    // count must still produce byte-identical RunMetrics — the sharded
-    // full rebuild is bit-identical to the sequential reference rebuild,
-    // stats included.
-    let run = |shards: usize| {
-        let topo = placement::grid(5, 5, 5.0).unwrap();
-        let plan = traffic::all_to_all(25, 2, SimTime::from_millis(200), 8).unwrap();
-        let mut config = SimConfig::paper_defaults(ProtocolKind::Spms, 8);
-        config.routing_mode = RoutingMode::Distributed;
-        config.mobility = Some(MobilityConfig::new(SimTime::from_millis(150), 0.1).unwrap());
-        config.incremental_routing = false;
-        config.dbf_shards = shards;
-        Simulation::run_with(config, topo, plan).unwrap()
-    };
-    let single = run(1);
-    assert!(single.mobility_epochs > 0, "epochs must fire");
-    assert_eq!(
-        single.routing.executions,
-        1 + single.mobility_epochs,
-        "every epoch re-executes the full rebuild"
-    );
-    assert_eq!(single.routing.incremental_executions, 0);
-    assert_eq!(single, run(2), "1 shard vs 2 shards");
-    assert_eq!(single, run(0), "1 shard vs host_parallelism");
-    assert_eq!(single, run(16), "1 shard vs 16 shards");
 }
 
 #[test]

@@ -20,12 +20,6 @@
 //!   markdown table (gate, baseline, current, bound, pass/fail). Exits
 //!   non-zero (failing the CI job) on any regression, missing bench, or
 //!   ratio breach.
-//!   Gates a runner cannot execute (the sharded/sequential ratios on a
-//!   single-core machine) are declared with `--skip-ratio-num <id>
-//!   --skip-ratio-den <id>` pairs (plus an optional `--skip-reason`):
-//!   they never fail the run, but they show up in stdout and in the
-//!   `$GITHUB_STEP_SUMMARY` scorecard as explicit `skipped` rows — a
-//!   gate that never ran must be visibly absent, not silently green.
 //! * `sweep-diff --a <dir> --b <dir> [--require <token>]...` — the
 //!   sweep-determinism gate: both directories must hold the same set of
 //!   `*.json` figure files (as written by the `repro` bin) with
@@ -180,16 +174,6 @@ impl RatioVerdict {
     }
 }
 
-/// A ratio gate the runner declared it cannot execute (e.g. the
-/// sharded/sequential gates on a single-core machine). Never failing,
-/// but always reported: the scorecard shows an explicit `skipped` row.
-#[derive(Debug, PartialEq)]
-struct SkippedRatio {
-    num: String,
-    den: String,
-    reason: String,
-}
-
 /// Evaluates one ratio constraint. Never fails early: a missing bench is a
 /// failed verdict (`ratio: None`), so every gate in a run is always
 /// evaluated and reported before the command exits non-zero.
@@ -238,7 +222,6 @@ fn markdown_summary(
     current: &[Record],
     threshold: f64,
     ratios: &[RatioVerdict],
-    skipped: &[SkippedRatio],
 ) -> String {
     let min_of = |records: &[Record], id: &str| {
         records
@@ -274,13 +257,6 @@ fn markdown_summary(
             r.den,
             r.max,
             if r.pass() { "✅" } else { "❌" }
-        );
-    }
-    for s in skipped {
-        let _ = writeln!(
-            out,
-            "| `{}` / `{}` | — | not run | — | ⏭️ skipped ({}) |",
-            s.num, s.den, s.reason
         );
     }
     out
@@ -395,36 +371,9 @@ fn run_bench_gate(args: &[String]) -> Result<(), String> {
         }
         ratios.push(verdict);
     }
-    // Declared-skipped ratio gates: reported (stdout + scorecard), never
-    // failed. A ragged pair list is an error — a skip declaration that
-    // silently dropped a gate would defeat its whole purpose.
-    let skip_nums = arg_values(args, "--skip-ratio-num");
-    let skip_dens = arg_values(args, "--skip-ratio-den");
-    if skip_nums.len() != skip_dens.len() {
-        return Err(format!(
-            "skipped ratio gates need matching --skip-ratio-num/--skip-ratio-den pairs \
-             (got {}/{})",
-            skip_nums.len(),
-            skip_dens.len()
-        ));
-    }
-    let skip_reason =
-        arg_value(args, "--skip-reason").unwrap_or_else(|| "not runnable on this runner".into());
-    let skipped: Vec<SkippedRatio> = skip_nums
-        .into_iter()
-        .zip(skip_dens)
-        .map(|(num, den)| SkippedRatio {
-            num,
-            den,
-            reason: skip_reason.clone(),
-        })
-        .collect();
-    for s in &skipped {
-        println!("  ratio SKIPPED      {} / {} ({})", s.num, s.den, s.reason);
-    }
     // On GitHub runners, mirror the full scorecard into the job summary.
     if let Ok(summary_path) = std::env::var("GITHUB_STEP_SUMMARY") {
-        let table = markdown_summary(&verdicts, &baseline, &current, threshold, &ratios, &skipped);
+        let table = markdown_summary(&verdicts, &baseline, &current, threshold, &ratios);
         use std::io::Write as _;
         std::fs::OpenOptions::new()
             .create(true)
@@ -445,10 +394,9 @@ fn run_bench_gate(args: &[String]) -> Result<(), String> {
         ));
     }
     println!(
-        "all {} tracked benches and {} ratio gates within budget ({} ratio gates skipped)",
+        "all {} tracked benches and {} ratio gates within budget",
         verdicts.len(),
-        ratios.len(),
-        skipped.len()
+        ratios.len()
     );
     Ok(())
 }
@@ -626,7 +574,7 @@ mod tests {
         let current = vec![rec("delta", 70), rec("full", 260)];
         assert!(check_ratio(&current, "delta", "full", 0.35).pass());
         assert!(!check_ratio(&current, "delta", "full", 0.25).pass());
-        // A missing bench is a failed verdict, never a skipped one.
+        // A missing bench is a failed verdict, never a passing one.
         let absent = check_ratio(&current, "absent", "full", 0.35);
         assert_eq!(absent.ratio, None);
         assert!(!absent.pass());
@@ -641,58 +589,12 @@ mod tests {
             check_ratio(&current, "soa", "aos", 0.6),
             check_ratio(&current, "soa", "absent", 0.6),
         ];
-        let skipped = vec![SkippedRatio {
-            num: "sharded".into(),
-            den: "seq".into(),
-            reason: "single-core runner".into(),
-        }];
-        let md = markdown_summary(&verdicts, &baseline, &current, 1.25, &ratios, &skipped);
-        // One row per absolute gate and per ratio gate, pass or fail —
-        // and one explicit row per declared-skipped gate, so a gate that
-        // never ran cannot read as passing.
+        let md = markdown_summary(&verdicts, &baseline, &current, 1.25, &ratios);
+        // One row per absolute gate and per ratio gate, pass or fail.
         assert!(md.contains("| `a` | 100 ns | 130 ns (1.30× base) | ≤ 1.25× base | ❌ |"));
         assert!(md.contains("| `gone` | 100 ns | missing | ≤ 1.25× base | ❌ |"));
         assert!(md.contains("| `soa` / `aos` | — | 0.430× | ≤ 0.60× | ✅ |"));
         assert!(md.contains("| `soa` / `absent` | — | missing | ≤ 0.60× | ❌ |"));
-        assert!(md
-            .contains("| `sharded` / `seq` | — | not run | — | ⏭️ skipped (single-core runner) |"));
-    }
-
-    #[test]
-    fn skipped_ratio_gates_never_fail_but_ragged_pairs_do() {
-        let dir = SweepDir::new(
-            "skip-gate",
-            &[(
-                "bench.json",
-                "[{\"id\":\"a\",\"min_ns\":100,\"mean_ns\":110,\"samples\":20}]",
-            )],
-        );
-        let bench = format!("{}/bench.json", dir.path());
-        let base: Vec<String> = [
-            "--baseline",
-            &bench,
-            "--current",
-            &bench,
-            "--skip-ratio-num",
-            "routing/dbf_delta_sharded_625",
-            "--skip-ratio-den",
-            "routing/dbf_delta_seq_625",
-            "--skip-reason",
-            "single-core runner",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect();
-        // The skipped gate is reported, not evaluated: the run passes even
-        // though neither bench exists in the results.
-        assert!(run_bench_gate(&base).is_ok());
-        // A ragged declaration is an error — a silently dropped skip row
-        // would defeat the whole point of declaring it.
-        let mut ragged = base;
-        ragged.push("--skip-ratio-num".into());
-        ragged.push("routing/dbf_full_sharded_625".into());
-        let err = run_bench_gate(&ragged).unwrap_err();
-        assert!(err.contains("--skip-ratio-num/--skip-ratio-den"), "{err}");
     }
 
     #[test]
