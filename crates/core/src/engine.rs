@@ -560,9 +560,9 @@ impl Simulation {
                     .dbf
                     .take()
                     .unwrap_or_else(|| DbfEngine::new(&self.zones, self.config.k_routes));
-                // The full rebuild: reset + full-vector rounds,
-                // bit-identical (tables and stats) to the sequential
-                // reference rebuild.
+                // The full rebuild: every destination re-converged from
+                // cleared tables, bit-identical (tables and stats) to the
+                // sequential reference rebuild.
                 let stats = dbf.rebuild_sharded(&self.zones, &self.alive);
                 self.dbf = Some(dbf);
                 self.charge_dbf_run(&stats, false);

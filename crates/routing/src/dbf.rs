@@ -7,66 +7,94 @@
 //! `O(n·e)` convergence bound and argues zone sizes (5–50 nodes) keep it
 //! affordable — our stats let experiments verify that claim directly.
 //!
-//! Exchanges come in two kinds:
+//! # One exchange
 //!
-//! * **Full** ([`DbfEngine::rebuild_sharded`]) — the paper's
-//!   "re-execution of the DBF": every table is cleared, direct routes are
-//!   reinstalled, and every node broadcasts its whole vector in round one;
-//!   after that, every node whose table changed broadcasts its whole vector
-//!   again. [`DbfEngine::run_to_convergence`] is the same rebuild with
-//!   every node alive. A whole vector couples every destination its sender
-//!   knows, so each round relaxes the previous round's whole snapshot at
-//!   every receiver in one pass, senders in id order, then flattens the
-//!   changed nodes' news into the next snapshot.
+//! Every exchange converges a set of *scoped* destinations from empty route
+//! blocks. An entry for destination `d` only ever lands in a route to `d`,
+//! so destinations never interact, and the exchange converges them one at
+//! a time. While it runs, the routes to the scoped destinations live in a
+//! dense *route plane* rather than in the tables: each destination owns a
+//! contiguous run of `k`-slot blocks, one per zone link of it in link
+//! order, destinations in id order. A destination's rounds run over a local
+//! adjacency built once for it — each alive maintainer's alive zone
+//! neighbors that maintain the destination too — so no offer leaves its
+//! scope. Its direct routes are seeded first; then each round counts the
+//! destination's changed blocks (its *dirty* slots), snapshots in ascending
+//! maintainer id those whose best route is news, and offers them along that
+//! adjacency; an inlined test turns away the offers the block kernel would
+//! reject before calling it. After quiescence each alive maintainer's table
+//! drops its scoped destinations and takes the converged blocks in one
+//! in-place merge.
+//!
+//! # Two accountings
+//!
+//! The two kinds of exchange differ in what they scope and in what their
+//! broadcasts carry, and only [`DbfStats`] see the second. Both derive
+//! their stats from the per-(round, maintainer) counts of dirty blocks.
+//! The exchange's rounds count from 0, its round 0 broadcasting the direct
+//! routes; full rounds count from 1, so full round `r` carries the news of
+//! exchange round `r − 1`.
+//!
 //! * **Delta** ([`DbfEngine::update_topology`] /
 //!   [`DbfEngine::invalidate_zone`] / [`DbfEngine::apply_zone_delta`]) —
 //!   real distance-vector deployments propagate triggered *deltas*, not
-//!   full vectors. A topology event invalidates only the destinations it
-//!   can actually affect, reseeds their direct routes, and re-converges
-//!   with vectors that carry only the changed entries. A delta entry for
-//!   destination `d` only ever lands in a route to `d`, so destinations
-//!   never interact, and the exchange converges them one at a time. While
-//!   it runs, the routes to the affected destinations live in a dense
-//!   *route plane* rather than in the tables: each destination owns a
-//!   contiguous run of `k`-slot blocks, one per zone link of it in link
-//!   order, destinations in id order. A destination's rounds run over a
-//!   local adjacency built once per exchange — each alive maintainer's
-//!   alive zone neighbors that maintain the destination too — so no offer
-//!   leaves its scope. A round counts the destination's changed blocks
-//!   (its *dirty* slots), snapshots in ascending maintainer id those whose
-//!   best route is news, and offers them along that adjacency; an inlined
-//!   test turns away the offers the block kernel would reject before
-//!   calling it. After quiescence each alive maintainer's table drops its
-//!   affected destinations and takes the converged blocks in one in-place
-//!   merge. [`DbfStats`] are integer sums over per-(round, node) entry
-//!   counts: a node's round-`r` message carries its changed routes to
-//!   every destination still converging in round `r`.
+//!   full vectors. A topology event scopes only the destinations it can
+//!   actually affect and wipes their routes at their old maintainers. A
+//!   node's round-`r` message carries its changed routes to every
+//!   destination still converging in round `r`, so it carries one entry per
+//!   dirty block.
+//! * **Full** ([`DbfEngine::rebuild_sharded`], and
+//!   [`DbfEngine::run_to_convergence`] through it) — the paper's
+//!   "re-execution of the DBF": every table is cleared and every
+//!   destination scoped, and every message carries its sender's whole
+//!   table. In full round 1 every alive node broadcasts, empty table or
+//!   not; in full round `r ≥ 2` every node with at least one dirty block in
+//!   exchange round `r − 1` does. A whole table holds a route to each of
+//!   the node's alive zone neighbors, a count fixed from the reset to
+//!   quiescence. With `R` non-empty exchange rounds, the rebuild takes
+//!   `1 + max(R, 1)` full rounds, the last one silent, when any node is
+//!   alive, and one silent round when none is.
 //!
-//! Both kinds relax only *news*. A broadcast is counted whole, so
-//! [`DbfStats`] tally every entry it carries, but receivers are offered
-//! only the entries whose best `(cost, hops)` differs from what that
-//! sender broadcast earlier in the same exchange: a flagged node of a full
-//! round puts only its changed entries into the snapshot, and a dirty
-//! block of a delta round whose best is unchanged since its last snapshot
-//! offers nothing. RIP's triggered updates skip the same waste, carrying
-//! only the routes whose route-change flag is set (RFC 2453, §3.10.1).
-//! This is exact because every exchange starts from reset tables or from
-//! empty plane blocks: each sender's best only improves, so each offer a
-//! receiver gets from one sender improves on the previous one, and an
-//! offer the receiver has already relaxed can neither enter its block nor
-//! move it. That needs a transitive route order: every two route costs
-//! either within the tables' tie window (`COST_EPS`) of each other or
+//! The full accounting is exact: tables and stats equal those of the
+//! whole-vector round loop of [`crate::reference_rebuild`], bit for bit.
+//! That loop starts from the direct routes; in each round every flagged
+//! node broadcasts its whole vector, and every receiver relaxes the
+//! entries for destinations in its own zone and is flagged if its table
+//! changed. Round for round, the two offer the same routes:
+//!
+//! * A flagged node's entry for `d` is news only if its block for `d`
+//!   changed in the round before, so a full round offers exactly what
+//!   the matching round of the exchange snapshots, and flags exactly the
+//!   nodes with a dirty block in the next one.
+//! * Both offer to each block in ascending sender order.
+//! * Zone scoping produces the same (sender, receiver, destination)
+//!   triples as the per-destination adjacency: the sender and the
+//!   receiver are zone neighbors, both maintain `d`, and both are alive.
+//! * Both start with the direct routes in empty blocks, and both use the
+//!   same block kernel.
+//!
+//! # News only
+//!
+//! Receivers are offered only *news*. A broadcast is counted whole, but a
+//! dirty block whose best `(cost, hops)` is bit-identical to the one it
+//! offered earlier in the same exchange offers nothing. RIP's triggered
+//! updates skip the same waste, carrying only the routes whose route-change
+//! flag is set (RFC 2453, §3.10.1). This is exact because every exchange
+//! starts from empty plane blocks: each sender's best only improves, so
+//! each offer a receiver gets from one sender improves on the previous one,
+//! and an offer the receiver has already relaxed can neither enter its
+//! block nor move it. That needs a transitive route order: every two route
+//! costs either within the tables' tie window (`COST_EPS`) of each other or
 //! more than twice the window apart. The Dijkstra oracle and DBF already
 //! rely on the same precondition to agree; the `table` module's proptests
 //! pin the kernel side of it.
 //!
-//! Every receiver relaxes its vectors (full) or offers (delta) in
-//! ascending sender order. Every exchange runs on the calling thread: the
-//! paper's zones and fields (at most 225 nodes) keep an exchange small,
-//! and splitting one across threads showed no resolvable gain on a figure
-//! run. The sequential full rebuild [`crate::reference_rebuild`] shares no
-//! code with either kind and is the reference both are property-tested
-//! against.
+//! Every exchange runs on the calling thread: the paper's zones and fields
+//! (at most 225 nodes) keep an exchange small, and splitting one across
+//! threads showed no resolvable gain on a figure run.
+//! [`crate::reference_rebuild`] shares no code with the exchange beyond
+//! [`RoutingTable`] and is the reference both accountings are
+//! property-tested against.
 //!
 //! The incremental scheme leans on a structural fact of zone routing: a
 //! node only maintains destinations inside its own zone, and every relay on
@@ -118,9 +146,6 @@ impl DbfStats {
     }
 }
 
-/// One full-round snapshot entry: `(destination id, best cost, best hops)`.
-type Entry = (u32, f64, u32);
-
 /// The local id of a node outside the set being numbered.
 const NONE: u32 = u32::MAX;
 
@@ -131,11 +156,11 @@ fn max_rounds(n: usize) -> u32 {
     (n as u32).max(8) + 4
 }
 
-/// A delta exchange's affected destinations and route-plane layout, fixed
-/// for the exchange.
+/// An exchange's scoped destinations and route-plane layout, fixed for the
+/// exchange.
 #[derive(Clone, Debug, Default)]
 struct Scope {
-    /// The affected destinations, in id order.
+    /// The scoped destinations, in id order.
     dests: Vec<NodeId>,
     /// `dests[di]` owns the plane slots `first[di]..first[di + 1]`: one
     /// per zone link of it, in link (= neighbor id) order.
@@ -146,7 +171,7 @@ struct Scope {
     /// The exchange id of each slot's maintainer.
     slot_node: Vec<u32>,
     /// Maintainer `nodes[x]` holds `row_slots[row[x]..row[x + 1]]`, as
-    /// `(slot, affected-destination index)` pairs, destinations ascending.
+    /// `(slot, scoped-destination index)` pairs, destinations ascending.
     row: Vec<u32>,
     row_slots: Vec<(u32, u32)>,
     /// `local[a]`: node `a`'s exchange id while [`Scope::lay_out`] runs,
@@ -218,8 +243,8 @@ impl Scope {
     }
 }
 
-/// The delta exchange's route plane: one `k`-slot block per scope slot,
-/// best first, in the tables' struct-of-arrays layout.
+/// The exchange's route plane: one `k`-slot block per scope slot, best
+/// first, in the tables' struct-of-arrays layout.
 #[derive(Clone, Debug, Default)]
 struct Plane {
     /// Route slots per block.
@@ -283,7 +308,7 @@ impl Plane {
     }
 }
 
-/// A delta exchange's reusable per-destination buffers. The adjacency and
+/// An exchange's reusable per-destination buffers. The adjacency and
 /// snapshot are rebuilt for each destination; the counts accumulate over
 /// the exchange.
 #[derive(Clone, Debug, Default)]
@@ -305,14 +330,15 @@ struct DestBufs {
     /// blocks whose best changed since their last offer, senders
     /// ascending.
     snap: Vec<(u32, f64, u32)>,
-    /// Entries each maintainer sent per round over the exchange's
-    /// destinations: `counts[r * nodes + x]` for exchange id `x`.
+    /// Dirty blocks each maintainer broadcast per round over the exchange's
+    /// destinations: `counts[r * nodes + x]` for exchange id `x`. Grown
+    /// one round at a time, so it holds exactly the non-empty rounds.
     counts: Vec<u32>,
     /// Write-back buffers.
     row: RowBlocks,
 }
 
-/// One maintainer's affected destinations and converged blocks, gathered
+/// One maintainer's scoped destinations and converged blocks, gathered
 /// from the plane for [`RoutingTable::splice`].
 #[derive(Clone, Debug, Default)]
 struct RowBlocks {
@@ -324,8 +350,8 @@ struct RowBlocks {
 }
 
 impl RowBlocks {
-    /// Trades `table`'s routes to maintainer `x`'s affected destinations
-    /// for their converged blocks in `plane`, in one merge.
+    /// Trades `table`'s routes to maintainer `x`'s scoped destinations for
+    /// their converged blocks in `plane`, in one merge.
     fn write_back(&mut self, scope: &Scope, x: usize, plane: &Plane, table: &mut RoutingTable) {
         let k = plane.k;
         self.dests.clear();
@@ -345,113 +371,34 @@ impl RowBlocks {
     }
 }
 
-/// Reusable buffers for the synchronous exchange, hoisted out of the round
-/// loop so steady-state rounds allocate nothing.
+/// Reusable buffers for the exchange, hoisted out of it so steady-state
+/// exchanges allocate nothing.
 #[derive(Clone, Debug, Default)]
 struct Scratch {
-    /// Full rounds: the nodes that broadcast next — every alive node in
-    /// the first round, then every node whose table changed.
-    flags: Vec<bool>,
-    /// Full rounds: the round's snapshot, every broadcast entry that is
-    /// news, flattened.
-    snap_entries: Vec<Entry>,
-    /// Full rounds: `(sender, start, end)` ranges into `snap_entries`, one
-    /// per broadcaster (empty when it had no news), in sender order.
-    snap_from: Vec<(NodeId, u32, u32)>,
-    /// Full rounds: the best `(cost, hops)` each node last broadcast per
-    /// destination, [`UNSENT`] before its first broadcast; node `a`'s
-    /// entries are `sent[sent_start[a]..sent_start[a + 1]]`, aligned with
-    /// its table's positions (fixed from the reset to quiescence). As
-    /// large as all tables together, so it is released after each full
-    /// exchange rather than kept between them.
-    sent: Vec<(f64, u32)>,
-    sent_start: Vec<u32>,
     /// All-alive mask for [`DbfEngine::run_to_convergence`].
     all_alive: Vec<bool>,
-    /// Membership bitmap for the affected destination set.
+    /// Membership bitmap for the scoped destination set.
     affected: Vec<bool>,
-    /// Delta exchanges: the affected destinations and plane layout.
+    /// The scoped destinations and plane layout.
     scope: Scope,
-    /// Delta exchanges: the routes to the affected destinations.
+    /// The routes to the scoped destinations.
     plane: Plane,
-    /// Delta exchanges: the per-destination buffers.
+    /// The per-destination buffers.
     dest: DestBufs,
-    /// Snapshot entries offered to receivers so far, full rounds and delta
-    /// exchanges alike; the unit tests compare it with
-    /// [`DbfStats::entries_sent`] to see that only news is relaxed.
+    /// Snapshot entries offered to receivers so far; the unit tests compare
+    /// it with [`DbfStats::entries_sent`] to see that only news is relaxed.
     relaxed: u64,
 }
 
 impl Scratch {
-    /// Relaxes every vector of the round's snapshot at its alive zone
-    /// neighbors, flagging each receiver whose table changed. Senders are
-    /// walked in snapshot (= id) order, so every receiver relaxes its
-    /// vectors in ascending sender order.
-    fn relax(&mut self, zones: &ZoneTable, alive: &[bool], tables: &mut [RoutingTable]) {
-        for &(from, start, end) in &self.snap_from {
-            if start == end {
-                continue; // a broadcast with no news
-            }
-            let entries = &self.snap_entries[start as usize..end as usize];
-            for link in zones.links(from) {
-                let to = link.neighbor;
-                if !alive[to.index()] {
-                    continue;
-                }
-                let table = &mut tables[to.index()];
-                // Zone scoping: `to` only maintains destinations in its own
-                // zone. Vectors carry their destinations in ascending id
-                // order, and `to`'s zone links ascend by neighbor id, so one
-                // merge cursor finds each entry's link (`to` is never its own
-                // neighbor, so self-routes find none); an ascending offer
-                // cursor replays them into the table.
-                let zone = zones.links(to);
-                let mut z = 0usize;
-                let mut cursor = 0usize;
-                for &(dest, cost, hops) in entries {
-                    while z < zone.len() && zone[z].neighbor.raw() < dest {
-                        z += 1;
-                    }
-                    if z == zone.len() {
-                        break; // past `to`'s last zone neighbor
-                    }
-                    if zone[z].neighbor.raw() != dest {
-                        continue;
-                    }
-                    let route = RouteEntry {
-                        via: from,
-                        cost: link.weight + cost,
-                        hops: hops + 1,
-                    };
-                    if table.offer_ascending(zone[z].neighbor, route, &mut cursor) {
-                        self.flags[to.index()] = true;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Replaces the snapshot with the news in the vectors of the flagged
-    /// nodes, in id order, records it as sent, and clears their flags.
-    /// Returns whether any node had something to send.
-    fn flatten(&mut self, tables: &[RoutingTable]) -> bool {
-        self.snap_entries.clear();
-        self.snap_from.clear();
-        let mut had = false;
-        for (a, flag) in self.flags.iter_mut().enumerate() {
-            // Only alive nodes are ever flagged. A flagged node sends its
-            // whole vector, empty or not, and gets a range even without news.
-            if !std::mem::take(flag) {
-                continue;
-            }
-            had = true;
-            let start = self.snap_entries.len() as u32;
-            let sent = self.sent_start[a] as usize..self.sent_start[a + 1] as usize;
-            tables[a].append_news(&mut self.snap_entries, &mut self.sent[sent]);
-            self.snap_from
-                .push((NodeId::new(a as u32), start, self.snap_entries.len() as u32));
-        }
-        had
+    /// The exchange's non-empty rounds: those in which some block was
+    /// dirty.
+    fn rounds_spoken(&self) -> usize {
+        self.dest
+            .counts
+            .len()
+            .checked_div(self.scope.nodes.len())
+            .unwrap_or(0)
     }
 }
 
@@ -520,45 +467,13 @@ impl DbfEngine {
         self.k
     }
 
-    /// Clears every table and reinstalls the direct routes between alive
-    /// zone neighbors — the starting point of a full rebuild.
-    fn reset(&mut self, zones: &ZoneTable, alive: &[bool]) {
-        assert_eq!(alive.len(), zones.len(), "alive mask length mismatch");
-        for table in &mut self.tables {
-            table.clear();
-        }
-        for a in 0..zones.len() {
-            if !alive[a] {
-                continue;
-            }
-            let node = NodeId::new(a as u32);
-            // Zone links arrive in neighbor-id order, so the direct seeds
-            // replay through one ascending cursor per table.
-            let mut cursor = 0usize;
-            for link in zones.links(node) {
-                if !alive[link.neighbor.index()] {
-                    continue;
-                }
-                self.tables[a].offer_ascending(
-                    link.neighbor,
-                    RouteEntry {
-                        via: link.neighbor,
-                        cost: link.weight,
-                        hops: 1,
-                    },
-                    &mut cursor,
-                );
-            }
-        }
-    }
-
     /// The full rebuild, skipping dead nodes — the paper's "re-execution of
-    /// the DBF" after mobility or failure: every table is cleared, direct
-    /// routes are reinstalled, and full-vector rounds run to quiescence.
-    /// Tables **and** stats are bit-identical to
-    /// [`crate::reference_rebuild`] (property-tested). The engine has no
-    /// shards; the name stays only because the `perfbench` harness calls
-    /// it.
+    /// the DBF" after mobility or failure: every table is cleared and every
+    /// destination re-converged from its direct routes, accounted as
+    /// whole-vector rounds (see the module docs). Tables **and** stats are
+    /// bit-identical to [`crate::reference_rebuild`] (property-tested). The
+    /// engine has no shards; the name stays only because the `perfbench`
+    /// harness calls it.
     ///
     /// # Panics
     ///
@@ -567,8 +482,42 @@ impl DbfEngine {
     /// negative-cost or bookkeeping bug, as positive-weight DBF always
     /// converges).
     pub fn rebuild_sharded(&mut self, zones: &ZoneTable, alive: &[bool]) -> DbfStats {
-        self.reset(zones, alive);
-        self.run_rounds(zones, alive)
+        let n = zones.len();
+        assert_eq!(alive.len(), n, "alive mask length mismatch");
+        for table in &mut self.tables {
+            table.clear();
+        }
+        let mut affected = std::mem::take(&mut self.scratch.affected);
+        affected.clear();
+        affected.resize(n, true);
+        self.scratch.scope.lay_out(zones, &affected);
+        self.scratch.affected = affected;
+        self.converge(zones, alive);
+
+        let s = &self.scratch;
+        let mut stats = DbfStats::new(n);
+        stats.rounds = 1;
+        if !alive.contains(&true) {
+            return stats; // one silent round
+        }
+        stats.rounds += s.rounds_spoken().max(1) as u32;
+        // Every message carries its sender's whole table. In the first
+        // round every alive node broadcasts ...
+        for (a, table) in self.tables.iter().enumerate() {
+            if alive[a] {
+                stats.count(NodeId::new(a as u32), table.len());
+            }
+        }
+        // ... and in round `r ≥ 2` every node with a dirty block in
+        // exchange round `r − 1`.
+        let nodes = s.scope.nodes.len();
+        for (i, &c) in s.dest.counts.iter().enumerate().skip(nodes) {
+            if c > 0 {
+                let a = s.scope.nodes[i % nodes];
+                stats.count(a, self.tables[a.index()].len());
+            }
+        }
+        stats
     }
 
     /// The routing table of `node`.
@@ -590,11 +539,10 @@ impl DbfEngine {
         self.tables
     }
 
-    /// The full rebuild with every node alive: resets every table to its
-    /// direct routes first, whatever it held, then runs full-vector rounds
-    /// until quiescence, round one having every node broadcast its whole
-    /// vector. The reset is what makes news-only relaxation exact (see the
-    /// module docs).
+    /// The full rebuild with every node alive: clears every table first,
+    /// whatever it held, then re-converges every destination, accounted as
+    /// whole-vector rounds in which round one has every node broadcast its
+    /// whole table (see the module docs).
     ///
     /// # Panics
     ///
@@ -778,41 +726,17 @@ impl DbfEngine {
         self.reconverge_affected(zones, alive)
     }
 
-    /// Shared tail of the incremental paths. Expects `scratch.scope` laid
-    /// out under the **new** zones (and any old-adjacency wipes already
-    /// done): empties every plane block, converges the routes to each
-    /// alive affected destination on its own plane slots, writes the
-    /// converged blocks back, and turns the per-(round, node) entry counts
-    /// into the stats. The write-back replaces each alive maintainer's
-    /// routes to its affected destinations in one merge, so the tables are
-    /// never wiped separately; no exchange step reads those routes from the
-    /// tables.
+    /// Shared tail of the incremental paths: converges the scoped
+    /// destinations and turns the per-(round, node) dirty counts into the
+    /// delta stats, one entry per dirty block.
     fn reconverge_affected(&mut self, zones: &ZoneTable, alive: &[bool]) -> DbfStats {
-        let n = zones.len();
-        let s = &mut self.scratch;
-        s.plane.reset(s.scope.slot_node.len(), self.k);
-        s.dest.local.resize(n, NONE);
-        s.dest.counts.clear();
-        for di in 0..s.scope.dests.len() {
-            // Nobody routes to a dead destination.
-            if alive[s.scope.dests[di].index()] {
-                s.relaxed += converge_dest(zones, alive, &s.scope, di, &mut s.plane, &mut s.dest);
-            }
-        }
-        // Every alive maintainer trades its routes to its affected
-        // destinations for the converged blocks.
-        for (x, &a) in s.scope.nodes.iter().enumerate() {
-            if alive[a.index()] {
-                let table = &mut self.tables[a.index()];
-                s.dest.row.write_back(&s.scope, x, &s.plane, table);
-            }
-        }
-
+        self.converge(zones, alive);
+        let s = &self.scratch;
         let nodes = s.scope.nodes.len();
-        let mut stats = DbfStats::new(n);
+        let mut stats = DbfStats::new(zones.len());
         // Rounds: one per non-empty snapshot of the longest destination,
         // plus the final silent one.
-        stats.rounds = 1 + s.dest.counts.len().checked_div(nodes).unwrap_or(0) as u32;
+        stats.rounds = 1 + s.rounds_spoken() as u32;
         for (i, &c) in s.dest.counts.iter().enumerate() {
             if c > 0 {
                 stats.count(s.scope.nodes[i % nodes], c as usize);
@@ -821,50 +745,33 @@ impl DbfEngine {
         stats
     }
 
-    /// The full round loop, run to quiescence from freshly reset tables.
-    /// Each round relaxes the current snapshot at every receiver, then
-    /// flattens the flagged nodes into the next snapshot. A flagged node
-    /// broadcasts its whole vector, but only the entries that are news
-    /// against its previous broadcast enter the snapshot. It starts from an
-    /// empty snapshot with every alive node flagged, so its first pass only
-    /// flattens round one's broadcasters. The exchange quiesces after a
-    /// round in which no node had anything to send (counted: the final
-    /// silent round).
-    fn run_rounds(&mut self, zones: &ZoneTable, alive: &[bool]) -> DbfStats {
-        let n = zones.len();
-        assert_eq!(alive.len(), n, "alive mask length mismatch");
-        let mut stats = DbfStats::new(n);
+    /// The exchange every execution runs. Expects `scratch.scope` laid out
+    /// under the current zones (and, for a delta exchange, any
+    /// old-adjacency wipes already done): empties every plane block,
+    /// converges the routes to each alive scoped destination on its own
+    /// plane slots, and writes the converged blocks back. The write-back
+    /// replaces each alive maintainer's routes to its scoped destinations
+    /// in one merge, so the tables are never wiped separately; no exchange
+    /// step reads those routes from the tables.
+    fn converge(&mut self, zones: &ZoneTable, alive: &[bool]) {
         let s = &mut self.scratch;
-        s.flags.clear();
-        s.flags.extend_from_slice(alive);
-        s.snap_entries.clear();
-        s.snap_from.clear();
-        // Relaxation never adds a destination to a reset table, so every
-        // table keeps its positions until quiescence.
-        s.sent_start.clear();
-        s.sent_start.push(0);
-        let mut total = 0u32;
-        for table in &self.tables {
-            total += table.len() as u32;
-            s.sent_start.push(total);
-        }
-        s.sent.clear();
-        s.sent.resize(total as usize, UNSENT);
-        let max_rounds = max_rounds(n);
-        for _round in 0..max_rounds {
-            s.relaxed += s.snap_entries.len() as u64;
-            s.relax(zones, alive, &mut self.tables);
-            stats.rounds += 1;
-            if !s.flatten(&self.tables) {
-                s.sent = Vec::new();
-                return stats; // quiescent: nobody has updates to send
-            }
-            // Every broadcaster sent its whole vector, news or not.
-            for &(from, _, _) in &s.snap_from {
-                stats.count(from, self.tables[from.index()].len());
+        s.plane.reset(s.scope.slot_node.len(), self.k);
+        s.dest.local.resize(zones.len(), NONE);
+        s.dest.counts.clear();
+        for di in 0..s.scope.dests.len() {
+            // Nobody routes to a dead destination.
+            if alive[s.scope.dests[di].index()] {
+                s.relaxed += converge_dest(zones, alive, &s.scope, di, &mut s.plane, &mut s.dest);
             }
         }
-        panic!("DBF failed to converge within {max_rounds} rounds");
+        // Every alive maintainer trades its routes to its scoped
+        // destinations for the converged blocks.
+        for (x, &a) in s.scope.nodes.iter().enumerate() {
+            if alive[a.index()] {
+                let table = &mut self.tables[a.index()];
+                s.dest.row.write_back(&s.scope, x, &s.plane, table);
+            }
+        }
     }
 }
 
@@ -1187,22 +1094,30 @@ mod tests {
         assert_tables_match(&dbf, &want, "zone delta");
     }
 
+    /// Asserts a fresh engine's full rebuild over `alive` equals the
+    /// reference rebuild, tables and stats.
+    fn assert_rebuild_matches(z: &ZoneTable, k: usize, alive: &[bool], context: &str) {
+        let (want_tables, want) = reference_rebuild(z, k, alive);
+        let mut dbf = DbfEngine::new(z, k);
+        assert_eq!(dbf.rebuild_sharded(z, alive), want, "{context}");
+        assert_tables_match(&dbf, &want_tables, context);
+    }
+
     #[test]
     fn sharded_full_rebuild_matches_sequential_tables_and_stats() {
         // The full rebuild must agree with the sequential reference on
         // every table AND every stats field, dead nodes included, up to
-        // the paper's n = 169.
-        for (side, dead) in [(6, &[14usize, 15][..]), (13, &[])] {
-            let z = zones(side, side);
-            let mut alive = vec![true; z.len()];
-            for &d in dead {
-                alive[d] = false;
+        // the paper's n = 169, for the k = 2 block kernel and the generic
+        // one (k = 1, 3).
+        for k in [1, 2, 3] {
+            for (side, dead) in [(6, &[14usize, 15][..]), (13, &[])] {
+                let z = zones(side, side);
+                let mut alive = vec![true; z.len()];
+                for &d in dead {
+                    alive[d] = false;
+                }
+                assert_rebuild_matches(&z, k, &alive, &format!("k = {k}, {side}×{side}"));
             }
-            let (want_tables, want) = reference_rebuild(&z, 2, &alive);
-            let mut dbf = DbfEngine::new(&z, 2);
-            let context = format!("{side}×{side}");
-            assert_eq!(dbf.rebuild_sharded(&z, &alive), want, "{context}");
-            assert_tables_match(&dbf, &want_tables, &context);
         }
     }
 
@@ -1217,6 +1132,31 @@ mod tests {
         let (want_tables, want) = reference_rebuild(&z, 2, &alive);
         assert_eq!(got, want);
         assert_tables_match(&dbf, &want_tables, "one thread");
+    }
+
+    #[test]
+    fn full_rebuild_edge_cases_match_the_reference() {
+        let z = zones(13, 1);
+        let n = z.len();
+        // Nobody alive: one silent round, no messages.
+        let dead = vec![false; n];
+        let (_, want) = reference_rebuild(&z, 2, &dead);
+        assert_eq!((want.rounds, want.messages), (1, 0));
+        assert_rebuild_matches(&z, 2, &dead, "all dead");
+        // One node alive: it broadcasts its empty table once.
+        let mut one = vec![false; n];
+        one[6] = true;
+        let (_, want) = reference_rebuild(&z, 2, &one);
+        assert_eq!((want.rounds, want.messages, want.entries_sent), (2, 1, 0));
+        assert_rebuild_matches(&z, 2, &one, "one alive");
+        // Node 0 alive among live nodes, but with every zone neighbor
+        // dead: it still broadcasts its empty table in round one.
+        let mut cut_off = vec![true; n];
+        for link in z.links(NodeId::new(0)) {
+            cut_off[link.neighbor.index()] = false;
+        }
+        assert!(cut_off[0] && cut_off.iter().filter(|&&a| a).count() > 2);
+        assert_rebuild_matches(&z, 2, &cut_off, "isolated alive node");
     }
 
     #[test]
@@ -1240,7 +1180,7 @@ mod tests {
         assert_eq!(got, want);
         assert_tables_match(&dbf, &want_tables, "stale rebuild");
         // And the engine is cleanly converged: nothing left to say.
-        assert!(dbf.scratch.flags.iter().all(|&flag| !flag));
+        assert!(!dbf.scratch.plane.dirty.contains(&true));
     }
 
     #[test]
@@ -1350,21 +1290,20 @@ mod tests {
 
     #[test]
     fn delta_accounting_matches_recorded_values() {
-        // Absolute delta stats of the scripted 13×13 sequence's delta
-        // exchanges. The values were recorded from an independent,
-        // node-major implementation of the exchange, so they pin the
-        // accounting itself, not just its agreement with another path.
+        // Absolute stats of every exchange of the scripted 13×13 sequence.
+        // The values were recorded from independent, node-major
+        // implementations of the exchange — the full rebuild's from a
+        // whole-vector round loop — so they pin each accounting itself,
+        // not just its agreement with another path.
         let want = [
+            (6, 845, 30_700, 124_490, 10_457_160),
             (7, 860, 18_021, 73_804, 6_239_820),
             (7, 720, 6_502, 27_448, 2_642_956),
             (7, 729, 6_839, 28_814, 2_767_864),
             (7, 860, 15_087, 62_068, 5_437_910),
         ];
         let (exchanges, dbf, zones, alive) = scripted_13x13();
-        let got: Vec<_> = exchanges[1..]
-            .iter()
-            .map(|x| accounting(&x.stats))
-            .collect();
+        let got: Vec<_> = exchanges.iter().map(|x| accounting(&x.stats)).collect();
         assert_eq!(got, want);
         let (want_tables, _) = reference_rebuild(&zones, 2, &alive);
         assert_tables_match(&dbf, &want_tables, "scripted sequence");

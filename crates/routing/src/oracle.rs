@@ -8,10 +8,12 @@
 //! experiments where simulating the message exchange changes nothing.
 //!
 //! [`reference_rebuild`] is the other reference: the sequential full DBF
-//! rebuild, round by round, with its message accounting. It shares no code
-//! with [`crate::DbfEngine`]'s round loop beyond [`RoutingTable`], so every
-//! engine execution — full or delta — is property-tested against it
-//! exactly, tables and [`DbfStats`] alike.
+//! rebuild, round by round over whole vectors, with its message
+//! accounting — the crate's only whole-vector round loop. It shares no code
+//! with [`crate::DbfEngine`]'s per-destination exchange beyond
+//! [`RoutingTable`], so every engine execution is property-tested against
+//! it exactly: a full rebuild's tables and [`DbfStats`] alike, a delta
+//! exchange's tables.
 
 use spms_net::{dijkstra_masked, NodeId, ZoneTable};
 
@@ -114,7 +116,9 @@ pub fn oracle_tables_masked(zones: &ZoneTable, k: usize, alive: &[bool]) -> Vec<
 /// [`DbfWireFormat::default`].
 ///
 /// This is the reference [`crate::DbfEngine::rebuild_sharded`] must equal
-/// bit for bit, stats included, and the fixpoint every incremental
+/// bit for bit, stats included, although the engine converges one
+/// destination at a time and derives these whole-vector stats from its
+/// per-destination rounds; it is also the fixpoint every incremental
 /// re-convergence must reach.
 ///
 /// # Panics
@@ -179,8 +183,8 @@ pub fn reference_rebuild(
         ..DbfStats::default()
     };
     let mut pending = alive.to_vec();
-    let mut snap_entries: Vec<(NodeId, f64, u32)> = Vec::new();
-    let mut snap_from: Vec<(NodeId, u32, u32)> = Vec::new();
+    let mut vectors: Vec<(NodeId, f64, u32)> = Vec::new();
+    let mut senders: Vec<(NodeId, u32, u32)> = Vec::new();
     // Positive weights: path costs strictly increase with hops, so
     // convergence takes at most diameter+2 rounds; n+4 is a safe bound.
     let max_rounds = (n as u32).max(8) + 4;
@@ -191,19 +195,19 @@ pub fn reference_rebuild(
             return (tables, stats); // quiescent: nobody has updates to send
         }
         // Snapshot the vectors of every broadcasting node into a flat arena.
-        snap_entries.clear();
-        snap_from.clear();
+        vectors.clear();
+        senders.clear();
         for i in 0..n {
             if !(pending[i] && alive[i]) {
                 continue;
             }
-            let start = snap_entries.len() as u32;
-            tables[i].append_vector(&mut snap_entries);
-            snap_from.push((NodeId::new(i as u32), start, snap_entries.len() as u32));
+            let start = vectors.len() as u32;
+            tables[i].append_vector(&mut vectors);
+            senders.push((NodeId::new(i as u32), start, vectors.len() as u32));
         }
         let mut next_pending = vec![false; n];
-        for &(from, start, end) in &snap_from {
-            let entries = &snap_entries[start as usize..end as usize];
+        for &(from, start, end) in &senders {
+            let entries = &vectors[start as usize..end as usize];
             stats.messages += 1;
             stats.entries_sent += entries.len() as u64;
             let bytes = u64::from(wire.message_bytes(entries.len()));

@@ -101,8 +101,8 @@ pub enum TableLayout {
 /// The k-slot block merge behind [`RoutingTable::offer`] and
 /// [`RoutingTable::offer_ascending`], on one destination's `k`-slot block
 /// of the three planes; `len` is the block's live prefix. Returns
-/// `(changed, new_len)`. The delta DBF exchange runs it on its own route
-/// plane, too.
+/// `(changed, new_len)`. The DBF exchange runs it on its own route plane,
+/// too.
 ///
 /// An offer through a next hop the block already holds replaces that
 /// route, unless the two are indistinguishable under the epsilon rule
@@ -549,7 +549,7 @@ impl RoutingTable {
     }
 
     /// Appends `(dest, best_cost, best_hops)` for every destination to
-    /// `out` — the whole-table flattening the DBF snapshot loops use to
+    /// `out` — the whole-table flattening the reference rebuild uses to
     /// build full distance vectors. The destination is stored as any type
     /// built from its raw id (`NodeId` or a bare `u32`). Walks the cost and
     /// hops planes directly (stride `k`) without materializing
@@ -562,30 +562,6 @@ impl RoutingTable {
                 .enumerate()
                 .map(|(p, &d)| (D::from(d.raw()), self.cost[p * k], self.hops[p * k])),
         );
-    }
-
-    /// [`RoutingTable::append_vector`] restricted to news: appends
-    /// `(dest, best_cost, best_hops)` only for the destinations whose best
-    /// [`is_news`] against `sent[p]`, the best last broadcast for table
-    /// row `p`, and records it there.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `sent` has one entry per destination.
-    pub(crate) fn append_news(&self, out: &mut Vec<(u32, f64, u32)>, sent: &mut [(f64, u32)]) {
-        assert_eq!(
-            sent.len(),
-            self.dests.len(),
-            "one sent route per destination"
-        );
-        let k = self.k;
-        for (p, sent) in sent.iter_mut().enumerate() {
-            let best = (self.cost[p * k], self.hops[p * k]);
-            if is_news(best, *sent) {
-                *sent = best;
-                out.push((self.dests[p].raw(), best.0, best.1));
-            }
-        }
     }
 
     /// Number of destinations.

@@ -34,6 +34,10 @@
 //!   Exits non-zero on any missing file, content difference, or absent
 //!   required token.
 //!
+//! Every subcommand takes only `--flag value` pairs and knows its own
+//! flags: any other argument, or a flag without a value, exits non-zero
+//! naming it, so a misspelt option cannot silently weaken a gate.
+//!
 //! The workspace is offline (no serde), so records are read with a tiny
 //! scanner that understands exactly the flat objects the reporter emits.
 
@@ -273,24 +277,56 @@ fn read(path: &str) -> Result<Vec<Record>, String> {
     Ok(records)
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
+/// A subcommand's `--flag value` pairs, in command-line order.
+struct Flags(Vec<(String, String)>);
 
-/// All values of a repeatable flag, in order.
-fn arg_values(args: &[String], flag: &str) -> Vec<String> {
-    args.iter()
-        .enumerate()
-        .filter(|(_, a)| *a == flag)
-        .filter_map(|(i, _)| args.get(i + 1).cloned())
-        .collect()
+impl Flags {
+    /// Parses `args` as `--flag value` pairs naming only `known` flags. Any
+    /// other argument, or a flag followed by no value or by another flag,
+    /// is an error naming it.
+    fn parse(command: &str, args: &[String], known: &[&str]) -> Result<Self, String> {
+        let mut pairs = Vec::new();
+        let mut rest = args.iter();
+        while let Some(flag) = rest.next() {
+            if !known.contains(&flag.as_str()) {
+                return Err(format!(
+                    "{command}: unknown flag {flag} (it takes {})",
+                    known.join(", ")
+                ));
+            }
+            match rest.next() {
+                Some(value) if !value.starts_with("--") => {
+                    pairs.push((flag.clone(), value.clone()));
+                }
+                _ => return Err(format!("{command}: flag {flag} needs a value")),
+            }
+        }
+        Ok(Flags(pairs))
+    }
+
+    /// The first value of `flag`.
+    fn value(&self, flag: &str) -> Option<String> {
+        self.values(flag).into_iter().next()
+    }
+
+    /// All values of a repeatable flag, in order.
+    fn values(&self, flag: &str) -> Vec<String> {
+        self.0
+            .iter()
+            .filter(|(f, _)| f == flag)
+            .map(|(_, v)| v.clone())
+            .collect()
+    }
 }
 
 fn run_collect(args: &[String]) -> Result<(), String> {
-    let input = arg_value(args, "--input").ok_or("collect needs --input <jsonl>")?;
-    let output = arg_value(args, "--output").ok_or("collect needs --output <json>")?;
+    let flags = Flags::parse("collect", args, &["--input", "--output"])?;
+    let input = flags
+        .value("--input")
+        .ok_or("collect needs --input <jsonl>")?;
+    let output = flags
+        .value("--output")
+        .ok_or("collect needs --output <json>")?;
     let records = read(&input)?;
     std::fs::write(&output, render(&records)).map_err(|e| format!("cannot write {output}: {e}"))?;
     println!("collected {} bench records into {output}", records.len());
@@ -298,10 +334,25 @@ fn run_collect(args: &[String]) -> Result<(), String> {
 }
 
 fn run_bench_gate(args: &[String]) -> Result<(), String> {
-    let baseline_path =
-        arg_value(args, "--baseline").ok_or("bench-gate needs --baseline <json>")?;
-    let current_path = arg_value(args, "--current").ok_or("bench-gate needs --current <json>")?;
-    let threshold: f64 = match arg_value(args, "--threshold") {
+    let flags = Flags::parse(
+        "bench-gate",
+        args,
+        &[
+            "--baseline",
+            "--current",
+            "--threshold",
+            "--ratio-num",
+            "--ratio-den",
+            "--ratio-max",
+        ],
+    )?;
+    let baseline_path = flags
+        .value("--baseline")
+        .ok_or("bench-gate needs --baseline <json>")?;
+    let current_path = flags
+        .value("--current")
+        .ok_or("bench-gate needs --current <json>")?;
+    let threshold: f64 = match flags.value("--threshold") {
         Some(t) => t.parse().map_err(|e| format!("bad --threshold {t}: {e}"))?,
         None => 1.25,
     };
@@ -335,9 +386,9 @@ fn run_bench_gate(args: &[String]) -> Result<(), String> {
     // Ratio checks are repeatable: the i-th --ratio-num / --ratio-den /
     // --ratio-max form one constraint. A ragged specification must not
     // silently disable the hardware-independent gate.
-    let nums = arg_values(args, "--ratio-num");
-    let dens = arg_values(args, "--ratio-den");
-    let maxes = arg_values(args, "--ratio-max");
+    let nums = flags.values("--ratio-num");
+    let dens = flags.values("--ratio-den");
+    let maxes = flags.values("--ratio-max");
     if nums.len() != dens.len() || nums.len() != maxes.len() {
         return Err(format!(
             "ratio checks need matching --ratio-num/--ratio-den/--ratio-max triples \
@@ -418,9 +469,10 @@ fn json_files(dir: &str) -> Result<Vec<String>, String> {
 }
 
 fn run_sweep_diff(args: &[String]) -> Result<(), String> {
-    let dir_a = arg_value(args, "--a").ok_or("sweep-diff needs --a <dir>")?;
-    let dir_b = arg_value(args, "--b").ok_or("sweep-diff needs --b <dir>")?;
-    let required = arg_values(args, "--require");
+    let flags = Flags::parse("sweep-diff", args, &["--a", "--b", "--require"])?;
+    let dir_a = flags.value("--a").ok_or("sweep-diff needs --a <dir>")?;
+    let dir_b = flags.value("--b").ok_or("sweep-diff needs --b <dir>")?;
+    let required = flags.values("--require");
     let names_a = json_files(&dir_a)?;
     let names_b = json_files(&dir_b)?;
     if names_a != names_b {
@@ -477,6 +529,7 @@ fn main() -> ExitCode {
         _ => Err("usage: xtask <collect|bench-gate|sweep-diff> [flags]\n\
                   \x20 collect    --input <jsonl> --output <json>\n\
                   \x20 bench-gate --baseline <json> --current <json> [--threshold 1.25]\n\
+                  \x20            [--ratio-num <id> --ratio-den <id> --ratio-max <f>]...\n\
                   \x20 sweep-diff --a <dir> --b <dir> [--require <token>]..."
             .into()),
     };
@@ -632,10 +685,49 @@ mod tests {
         .iter()
         .map(ToString::to_string)
         .collect();
-        assert_eq!(arg_values(&args, "--ratio-num"), ["a", "c"]);
-        assert_eq!(arg_values(&args, "--ratio-den"), ["b", "d"]);
-        assert_eq!(arg_values(&args, "--ratio-max"), ["0.35", "0.5"]);
-        assert!(arg_values(&args, "--absent").is_empty());
+        let known = ["--ratio-num", "--ratio-den", "--ratio-max", "--absent"];
+        let flags = Flags::parse("bench-gate", &args, &known).expect("known flags parse");
+        assert_eq!(flags.values("--ratio-num"), ["a", "c"]);
+        assert_eq!(flags.values("--ratio-den"), ["b", "d"]);
+        assert_eq!(flags.values("--ratio-max"), ["0.35", "0.5"]);
+        assert_eq!(flags.value("--ratio-max").as_deref(), Some("0.35"));
+        assert!(flags.values("--absent").is_empty());
+    }
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(ToString::to_string).collect()
+    }
+
+    #[test]
+    fn unknown_or_valueless_flags_are_rejected_by_name() {
+        // A misspelt ratio bound must not drop its gate silently.
+        let err = run_bench_gate(&strings(&[
+            "--baseline",
+            "BENCH_baseline.json",
+            "--current",
+            "BENCH_baseline.json",
+            "--ratio-num",
+            "a",
+            "--ratio-den",
+            "b",
+            "--ratio-maxx",
+            "0.3",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("unknown flag --ratio-maxx"), "{err}");
+        let err = run_bench_gate(&strings(&["--baseline", "b.json", "--threshold"])).unwrap_err();
+        assert!(err.contains("flag --threshold needs a value"), "{err}");
+        let err = run_bench_gate(&strings(&["--threshold", "--baseline", "b.json"])).unwrap_err();
+        assert!(err.contains("flag --threshold needs a value"), "{err}");
+        let err = run_sweep_diff(&strings(&["--a", "x", "--b", "y", "--requre", "x"])).unwrap_err();
+        assert!(err.contains("unknown flag --requre"), "{err}");
+        let err = run_sweep_diff(&strings(&["--a", "x", "stray"])).unwrap_err();
+        assert!(err.contains("unknown flag stray"), "{err}");
+        let err =
+            run_collect(&strings(&["--input", "in.jsonl", "--ouput", "out.json"])).unwrap_err();
+        assert!(err.contains("unknown flag --ouput"), "{err}");
+        let err = run_collect(&strings(&["--input"])).unwrap_err();
+        assert!(err.contains("flag --input needs a value"), "{err}");
     }
 
     #[test]
