@@ -1,13 +1,13 @@
 //! Microbenchmarks of the simulation substrates: event queue, PRNG,
-//! zone construction, Dijkstra oracle and distributed Bellman-Ford
-//! convergence. These bound how large a sensor field the simulator can
-//! handle.
+//! zone construction, Dijkstra oracle, oracle routing tables and
+//! distributed Bellman-Ford convergence. These bound how large a sensor
+//! field the simulator can handle.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spms_kernel::{EventQueue, SimRng, SimTime};
 use spms_net::{dijkstra, placement, NodeId, ZoneTable};
 use spms_phy::RadioProfile;
-use spms_routing::{DbfEngine, RouteEntry, RoutingTable};
+use spms_routing::{oracle_tables, DbfEngine, RouteEntry, RoutingTable};
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("kernel/event_queue_push_pop_10k", |b| {
@@ -66,6 +66,17 @@ fn bench_dbf(c: &mut Criterion) {
     let alive = vec![true; zones.len()];
     c.bench_function("routing/dbf_convergence_169_nodes", |b| {
         b.iter(|| std::hint::black_box(dbf.rebuild_sharded(&zones, &alive)))
+    });
+}
+
+/// Oracle-mode routing set-up on the inputs of
+/// `routing/dbf_convergence_169_nodes`, so one run compares the oracle
+/// tables with the exchange whose fixpoint they stand in for.
+fn bench_oracle(c: &mut Criterion) {
+    let topo = placement::grid(13, 13, 5.0).unwrap();
+    let zones = ZoneTable::build(&topo, &RadioProfile::mica2(), 20.0);
+    c.bench_function("routing/oracle_tables_169_nodes", |b| {
+        b.iter(|| std::hint::black_box(oracle_tables(&zones, 2)))
     });
 }
 
@@ -139,6 +150,7 @@ criterion_group!(
     bench_zones,
     bench_dijkstra,
     bench_dbf,
+    bench_oracle,
     bench_table_churn,
     bench_table_vector_replay
 );

@@ -5,11 +5,28 @@
 //! the zone graph). It is also used by tests and by the "oracle routing"
 //! fast path for failure-free static experiments where simulating the DBF
 //! message exchange adds runtime without changing results.
+//!
+//! The search itself is [`ZoneSearch`]; [`dijkstra`] and
+//! [`dijkstra_masked`] are dense, one-destination views of it.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::{NodeId, ZoneTable};
+
+/// The tie window on path costs (mW): two costs within `COST_EPS` of each
+/// other are equal, and the tie breaks toward fewer hops, then the smaller
+/// next-hop id. Floating-point sums of the same link weights can differ in
+/// the last bit depending on the path.
+///
+/// The window makes route order transitive only when near-tie costs
+/// cluster: every two costs are either within `COST_EPS` of each other or
+/// more than `2·COST_EPS` apart. Costs chained in smaller steps can tie `a`
+/// with `b` and `b` with `c` while `a` beats `c`. [`ZoneSearch`] and the
+/// routing tables of `spms-routing` break ties with this one window, so
+/// the Dijkstra oracle and the distributed exchange pick the same routes;
+/// their costs agree to within the window.
+pub const COST_EPS: f64 = 1e-12;
 
 /// Cost of the best path from a node to a destination.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -22,11 +39,32 @@ pub struct PathCost {
     pub next_hop: NodeId,
 }
 
-#[derive(PartialEq)]
+/// The local id of a node the current search has not numbered.
+const NONE: u32 = u32::MAX;
+
+/// A numbered node's best path toward the destination so far: `next` is
+/// the local id of its first hop, [`NONE`] while it is unreached.
+#[derive(Clone, Copy, Debug)]
+struct Label {
+    cost: f64,
+    hops: u32,
+    next: u32,
+}
+
+/// The label of a node no path has reached yet. Its infinite cost loses to
+/// every finite candidate.
+const UNREACHED: Label = Label {
+    cost: f64::INFINITY,
+    hops: u32::MAX,
+    next: NONE,
+};
+
+#[derive(Clone, Debug, PartialEq)]
 struct HeapEntry {
     cost: f64,
     hops: u32,
-    node: NodeId,
+    /// Local id.
+    node: u32,
 }
 
 impl Eq for HeapEntry {}
@@ -50,18 +88,166 @@ impl Ord for HeapEntry {
     }
 }
 
+/// Dijkstra toward one destination at a time, over the destination's zone,
+/// with its buffers reused from one destination to the next.
+///
+/// [`ZoneSearch::run`] finds, for every node in `dest`'s zone, the cheapest
+/// path **to** `dest` whose intermediate nodes also have `dest` in their
+/// zone. The constraint mirrors the protocol: a node only maintains routes
+/// for destinations inside its own zone, so a usable relay must know the
+/// destination too. Zone membership is symmetric (one radio profile, one
+/// radius), so those relays are exactly `dest`'s zone neighbors: the search
+/// numbers `dest` and its alive zone neighbors with local ids, in ascending
+/// node id, and runs on those. Testing whether a node may relay is one load
+/// of its local id, and a search allocates nothing once the buffers have
+/// grown to the largest zone.
+///
+/// Ties between equal-cost paths (within [`COST_EPS`]) break toward fewer
+/// hops, then the smaller first hop. Local ids ascend with node ids, so
+/// they break every tie exactly as node ids would.
+///
+/// # Example
+///
+/// ```
+/// use spms_net::{placement, NodeId, ZoneSearch, ZoneTable};
+/// use spms_phy::RadioProfile;
+///
+/// let topo = placement::grid(5, 1, 5.0).unwrap();
+/// let zones = ZoneTable::build(&topo, &RadioProfile::mica2(), 20.0);
+/// let mut search = ZoneSearch::default();
+/// search.run(&zones, NodeId::new(0), &[true; 5]);
+/// // The node 4 hops away pays four 5 m hops at the cheapest level.
+/// let (cost, hops) = search.distance(NodeId::new(4)).unwrap();
+/// assert_eq!(hops, 4);
+/// assert!((cost - 4.0 * 0.0125).abs() < 1e-12);
+/// assert_eq!(search.distance(NodeId::new(0)), Some((0.0, 0)));
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct ZoneSearch {
+    /// `local[a]`: node `a`'s local id in the current search, or [`NONE`].
+    local: Vec<u32>,
+    /// The numbered nodes, by local id.
+    nodes: Vec<NodeId>,
+    /// Each numbered node's best path so far, by local id.
+    labels: Vec<Label>,
+    heap: BinaryHeap<HeapEntry>,
+}
+
+impl ZoneSearch {
+    /// Searches the cheapest paths to `dest` from every node in its zone.
+    /// Dead nodes are skipped as sources and relays, and a dead `dest`
+    /// yields no paths at all — the centralized counterpart of the masked
+    /// distributed exchange. The results replace those of the previous
+    /// search; read them with [`ZoneSearch::distance`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask length does not match the zone table.
+    pub fn run(&mut self, zones: &ZoneTable, dest: NodeId, alive: &[bool]) {
+        let n = zones.len();
+        assert_eq!(alive.len(), n, "alive mask length mismatch");
+        for u in &self.nodes {
+            self.local[u.index()] = NONE;
+        }
+        self.local.resize(n, NONE);
+        self.nodes.clear();
+        self.labels.clear();
+        self.heap.clear();
+        if !alive[dest.index()] {
+            return;
+        }
+        // Number `dest` and its alive zone neighbors in ascending id; the
+        // links arrive in neighbor id order, so `dest` slots in at its rank.
+        let links = zones.links(dest);
+        let rank = links.partition_point(|l| l.neighbor < dest);
+        let members = links[..rank].iter().map(|l| l.neighbor);
+        let members = members
+            .chain(std::iter::once(dest))
+            .chain(links[rank..].iter().map(|l| l.neighbor));
+        for u in members {
+            if alive[u.index()] {
+                self.local[u.index()] = self.nodes.len() as u32;
+                self.nodes.push(u);
+            }
+        }
+        self.labels.resize(self.nodes.len(), UNREACHED);
+
+        // Work outward from the destination over symmetric links. When a
+        // node u is relaxed from a settled node v, u's first hop is v —
+        // the destination itself for its direct neighbors.
+        let d = self.local[dest.index()];
+        self.labels[d as usize] = Label {
+            cost: 0.0,
+            hops: 0,
+            next: d,
+        };
+        self.heap.push(HeapEntry {
+            cost: 0.0,
+            hops: 0,
+            node: d,
+        });
+        while let Some(HeapEntry { cost, hops, node }) = self.heap.pop() {
+            if cost > self.labels[node as usize].cost + COST_EPS {
+                continue; // stale entry
+            }
+            for link in zones.links(self.nodes[node as usize]) {
+                // Relay constraint: only `dest` and the alive nodes with
+                // `dest` in their zone are numbered.
+                let u = self.local[link.neighbor.index()];
+                if u == NONE {
+                    continue;
+                }
+                let cand_cost = cost + link.weight;
+                let cand_hops = hops + 1;
+                let cur = &mut self.labels[u as usize];
+                let better = cand_cost < cur.cost - COST_EPS
+                    || ((cand_cost - cur.cost).abs() <= COST_EPS
+                        && (cand_hops, node) < (cur.hops, cur.next));
+                if better {
+                    *cur = Label {
+                        cost: cand_cost,
+                        hops: cand_hops,
+                        next: node,
+                    };
+                    self.heap.push(HeapEntry {
+                        cost: cand_cost,
+                        hops: cand_hops,
+                        node: u,
+                    });
+                }
+            }
+        }
+    }
+
+    /// The cheapest path the last [`ZoneSearch::run`] found from `node` to
+    /// its destination, as `(cost, hops)`: `(0.0, 0)` for the destination
+    /// itself, `None` for a node with no path (dead, outside the zone, or
+    /// partitioned within it).
+    #[inline]
+    #[must_use]
+    pub fn distance(&self, node: NodeId) -> Option<(f64, u32)> {
+        match self.local.get(node.index()) {
+            Some(&u) if u != NONE => {
+                let label = self.labels[u as usize];
+                (label.next != NONE).then_some((label.cost, label.hops))
+            }
+            _ => None,
+        }
+    }
+}
+
 /// Computes, for every node in `dest`'s zone, the cheapest path **to**
 /// `dest` constrained to intermediate nodes that also have `dest` in their
-/// zone.
+/// zone — one [`ZoneSearch`], laid out densely.
 ///
-/// The constraint mirrors the protocol: a node only maintains routes for
-/// destinations inside its own zone, so a usable relay must know the
-/// destination too. Returns a dense vector indexed by node: `None` for nodes
-/// with no path (outside the zone, or partitioned within it).
+/// Returns a dense vector indexed by node: `None` for nodes with no path
+/// (outside the zone, or partitioned within it) and for `dest` itself.
 ///
 /// Ties between equal-cost paths break toward fewer hops, then the smaller
 /// node id — the same rule the distributed implementation uses, so the two
-/// agree exactly.
+/// choose the same routes. Their costs agree to within [`COST_EPS`], not
+/// always bit for bit: where paths tie within the window, the two can keep
+/// different ones, whose sums of link weights differ in the last bits.
 ///
 /// # Example
 ///
@@ -91,74 +277,20 @@ pub fn dijkstra(zones: &ZoneTable, dest: NodeId) -> Vec<Option<PathCost>> {
 /// Panics if the mask length does not match the zone table.
 #[must_use]
 pub fn dijkstra_masked(zones: &ZoneTable, dest: NodeId, alive: &[bool]) -> Vec<Option<PathCost>> {
-    let n = zones.len();
-    assert_eq!(alive.len(), n, "alive mask length mismatch");
-    let mut best: Vec<Option<PathCost>> = vec![None; n];
-    if !alive[dest.index()] {
-        return best;
-    }
-    let mut heap = BinaryHeap::new();
-
-    // Work outward from the destination over symmetric links. `next_hop`
-    // for a node u is the neighbor v that u forwards to; when we relax
-    // u ← v (v already settled), u's next hop is v — unless v IS the
-    // destination, in which case the hop is direct.
-    best[dest.index()] = Some(PathCost {
-        cost: 0.0,
-        hops: 0,
-        next_hop: dest,
-    });
-    heap.push(HeapEntry {
-        cost: 0.0,
-        hops: 0,
-        node: dest,
-    });
-
-    while let Some(HeapEntry { cost, hops, node }) = heap.pop() {
-        let settled = best[node.index()].expect("pushed implies set");
-        if cost > settled.cost + 1e-12 {
-            continue; // stale entry
-        }
-        for link in zones.links(node) {
-            let u = link.neighbor;
-            if !alive[u.index()] {
-                continue;
-            }
-            // Relay constraint: u must have dest in its zone (or be dest's
-            // direct neighbor, which the same predicate covers since node
-            // iterates outward from dest).
-            if u != dest && !zones.in_zone(u, dest) {
-                continue;
-            }
-            let cand_cost = cost + link.weight;
-            let cand_hops = hops + 1;
-            let cand = PathCost {
-                cost: cand_cost,
-                hops: cand_hops,
-                next_hop: node,
-            };
-            let better = match best[u.index()] {
-                None => true,
-                Some(cur) => {
-                    cand_cost < cur.cost - 1e-12
-                        || ((cand_cost - cur.cost).abs() <= 1e-12
-                            && (cand_hops, node) < (cur.hops, cur.next_hop))
-                }
-            };
-            if better {
-                best[u.index()] = Some(cand);
-                heap.push(HeapEntry {
-                    cost: cand_cost,
-                    hops: cand_hops,
-                    node: u,
-                });
-            }
+    let mut search = ZoneSearch::default();
+    search.run(zones, dest, alive);
+    let mut best = vec![None; zones.len()];
+    for (&u, label) in search.nodes.iter().zip(&search.labels) {
+        // The destination's self-entry is an artifact of the search;
+        // callers want per-source routes only.
+        if u != dest && label.next != NONE {
+            best[u.index()] = Some(PathCost {
+                cost: label.cost,
+                hops: label.hops,
+                next_hop: search.nodes[label.next as usize],
+            });
         }
     }
-
-    // The destination's self-entry is an artifact of the search; callers
-    // want per-source routes only.
-    best[dest.index()] = None;
     best
 }
 

@@ -30,8 +30,9 @@
 //! * [`ChurnProcess`] — epoch-based mass join/leave cohorts (the
 //!   heavy-churn stress regime for the incremental zone/DBF paths),
 //! * [`FailureProcess`] — the transient-failure injection schedule,
-//! * [`dijkstra`] — a centralized shortest-path oracle used to verify the
-//!   distributed Bellman-Ford implementation.
+//! * [`ZoneSearch`] / [`dijkstra`] — a centralized shortest-path oracle
+//!   used to verify the distributed Bellman-Ford implementation, with the
+//!   route tie window [`COST_EPS`] it shares with the routing tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +52,7 @@ mod zone;
 pub use churn::{ChurnConfig, ChurnEpoch, ChurnProcess};
 pub use contact::{ContactEpoch, ContactPlan, ContactProcess, ContactWindow, LinkFlip, LinkGate};
 pub use failure::{FailureConfig, FailureEvent, FailureProcess};
-pub use graph::{dijkstra, dijkstra_masked, PathCost};
+pub use graph::{dijkstra, dijkstra_masked, PathCost, ZoneSearch, COST_EPS};
 pub use mobility::{MobilityConfig, MobilityEpoch, MobilityProcess};
 pub use node::NodeId;
 pub use point::Point;

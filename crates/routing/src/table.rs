@@ -22,7 +22,7 @@
 
 use std::iter::repeat_n;
 
-use spms_net::NodeId;
+use spms_net::{NodeId, COST_EPS};
 
 /// One route alternative: reach the destination through neighbor `via` at
 /// total cost `cost` over `hops` hops.
@@ -44,20 +44,6 @@ pub(crate) const VACANT: RouteEntry = RouteEntry {
     hops: u32::MAX,
 };
 
-/// Costs within this distance are ties (floating-point sums of identical
-/// link weights can differ by an ULP depending on the path); ties break
-/// toward fewer hops, then the smaller neighbor id — the same rule as the
-/// Dijkstra oracle.
-///
-/// The tie window makes route order transitive only when near-tie costs
-/// cluster: every two route costs are either within `COST_EPS` of each
-/// other or more than `2·COST_EPS` apart. Costs chained in smaller steps
-/// can tie `a` with `b` and `b` with `c` while `a` beats `c`. Two results
-/// rely on that precondition: the Dijkstra oracle and DBF agree exactly,
-/// and a DBF exchange may skip re-offering a route it already offered
-/// (the news-only rule, stated in the `dbf` module docs).
-const COST_EPS: f64 = 1e-12;
-
 /// The best `(cost, hops)` a DBF sender has not broadcast yet: no real
 /// route carries it, so [`is_news`] holds for every first broadcast.
 pub(crate) const UNSENT: (f64, u32) = (VACANT.cost, VACANT.hops);
@@ -72,8 +58,15 @@ pub(crate) fn is_news(best: (f64, u32), sent: (f64, u32)) -> bool {
 }
 
 /// The strict route order on the planes: `true` when the route `(cost,
-/// hops, via)` orders strictly before `entry` — cost (with the epsilon tie
-/// window), then hops, then neighbor id. Total on distinct-via entries.
+/// hops, via)` orders strictly before `entry` — cost (with the
+/// [`COST_EPS`] tie window the Dijkstra oracle breaks ties with, too),
+/// then hops, then neighbor id. Total on distinct-via entries.
+///
+/// The window makes this order transitive only when near-tie costs
+/// cluster (see [`COST_EPS`]). Two results rely on that precondition: the
+/// Dijkstra oracle and DBF pick the same routes, with costs equal to
+/// within the window, and a DBF exchange may skip re-offering a route it
+/// already offered (the news-only rule, stated in the `dbf` module docs).
 #[inline(always)]
 fn plane_less(cost: f64, hops: u32, via: NodeId, entry: &RouteEntry) -> bool {
     let d = cost - entry.cost;
@@ -301,6 +294,34 @@ pub(crate) fn offer_rejected(via: &[NodeId], cost: &[f64], len: usize, entry: &R
     rejected
 }
 
+/// Offers `entry` to one `k`-slot block (`len` its live prefix) with the
+/// block kernel — [`offer_block_soa2`] when `k == 2`, [`offer_block_soa`]
+/// otherwise — behind [`offer_rejected`], which turns most losing offers
+/// away before the kernel runs. Returns `(changed, new_len)`, exactly what
+/// the kernel alone would.
+#[inline(always)]
+fn offer_block(
+    via: &mut [NodeId],
+    cost: &mut [f64],
+    hops: &mut [u32],
+    len: usize,
+    entry: RouteEntry,
+) -> (bool, usize) {
+    if via.len() == 2 {
+        // A fixed-length view lets the compiler unroll both passes.
+        let (via, cost, hops) = (&mut via[..2], &mut cost[..2], &mut hops[..2]);
+        if offer_rejected(via, cost, len, &entry) {
+            return (false, len);
+        }
+        offer_block_soa2(via, cost, hops, len, entry)
+    } else {
+        if offer_rejected(via, cost, len, &entry) {
+            return (false, len);
+        }
+        offer_block_soa(via, cost, hops, len, entry)
+    }
+}
+
 /// A node's routing table: for each in-zone destination, up to `k` route
 /// alternatives sorted best-first.
 ///
@@ -361,6 +382,17 @@ impl RoutingTable {
             slot_of: Vec::new(),
             k,
         }
+    }
+
+    /// Reserves room for `rows` more destination rows and destination ids
+    /// below `ids`.
+    pub(crate) fn reserve(&mut self, rows: usize, ids: usize) {
+        self.dests.reserve(rows);
+        self.lens.reserve(rows);
+        self.via.reserve(rows * self.k);
+        self.cost.reserve(rows * self.k);
+        self.hops.reserve(rows * self.k);
+        self.slot_of.reserve(ids.saturating_sub(self.slot_of.len()));
     }
 
     /// The configured number of alternatives.
@@ -495,6 +527,46 @@ impl RoutingTable {
         };
         self.lens[pos] = new_len as u32;
         changed
+    }
+
+    /// Appends a row for `dest`, which must order after every destination
+    /// the table holds (debug-asserted), keeping the best `k` of `routes`:
+    /// each is offered in turn to the new block through [`offer_block`],
+    /// the kernel [`RoutingTable::offer`] runs. No routes, no row. A table
+    /// built destination by destination in ascending id order never
+    /// searches for a row or shifts one.
+    pub(crate) fn push_row(&mut self, dest: NodeId, routes: impl IntoIterator<Item = RouteEntry>) {
+        debug_assert!(
+            self.dests.last().is_none_or(|&last| last < dest),
+            "rows must be appended in ascending destination order"
+        );
+        let k = self.k;
+        let base = self.via.len();
+        self.via.resize(base + k, VACANT.via);
+        self.cost.resize(base + k, VACANT.cost);
+        self.hops.resize(base + k, VACANT.hops);
+        let (via, cost, hops) = (
+            &mut self.via[base..],
+            &mut self.cost[base..],
+            &mut self.hops[base..],
+        );
+        let mut len = 0;
+        for route in routes {
+            len = offer_block(via, cost, hops, len, route).1;
+        }
+        if len == 0 {
+            self.via.truncate(base);
+            self.cost.truncate(base);
+            self.hops.truncate(base);
+            return;
+        }
+        self.dests.push(dest);
+        self.lens.push(len as u32);
+        let i = dest.index();
+        if self.slot_of.len() <= i {
+            self.slot_of.resize(i + 1, 0);
+        }
+        self.slot_of[i] = self.dests.len() as u32;
     }
 
     /// The best route to `dest`, if any.
@@ -1211,6 +1283,36 @@ mod tests {
                     proptest::prop_assert_eq!(bits(&c), bits(&cost));
                     proptest::prop_assert_eq!(&h, &hops);
                 }
+            }
+        }
+
+        /// `push_row` builds, destination by destination, the rows that
+        /// offering the same routes one by one builds: same kernel, same
+        /// order, with costs in and around the tie window and NaN.
+        #[test]
+        fn push_row_builds_what_offers_build(
+            k in 1usize..4,
+            rows in proptest::prop::collection::vec(
+                proptest::prop::collection::vec((0u32..6, 0..OFFSETS.len(), 1u32..4), 0..8),
+                1..6,
+            ),
+        ) {
+            let mut pushed = RoutingTable::new(k);
+            let mut offered = RoutingTable::new(k);
+            for (d, row) in rows.iter().enumerate() {
+                let dest = NodeId::new(3 * d as u32);
+                let routes = row.iter().map(|&(v, off, h)| e(v, 1.0 + OFFSETS[off], h));
+                pushed.push_row(dest, routes.clone());
+                for route in routes {
+                    offered.offer(dest, route);
+                }
+            }
+            // `Debug` renders every cost bit and NaN alike; the lookups
+            // check the destination index.
+            proptest::prop_assert_eq!(format!("{pushed:?}"), format!("{offered:?}"));
+            for d in offered.destinations() {
+                let (a, b) = (pushed.best(d), offered.best(d));
+                proptest::prop_assert_eq!(a.map(|r| r.via), b.map(|r| r.via));
             }
         }
     }
