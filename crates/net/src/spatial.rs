@@ -16,7 +16,7 @@
 //!
 //! The grid is a plain acceleration structure: it holds node ids bucketed
 //! by position and nothing else. [`ZoneTable::build_indexed`] and
-//! [`ZoneTable::apply_moves`] consume it; the simulation engine keeps it in
+//! [`ZoneTable::patch`] consume it; the simulation engine keeps it in
 //! sync with mobility by calling [`SpatialGrid::move_node`] for every
 //! relocation (see [`MobilityProcess::apply_indexed`]).
 //!
@@ -25,7 +25,7 @@
 //! query is independent of insertion history.
 //!
 //! [`ZoneTable::build_indexed`]: crate::ZoneTable::build_indexed
-//! [`ZoneTable::apply_moves`]: crate::ZoneTable::apply_moves
+//! [`ZoneTable::patch`]: crate::ZoneTable::patch
 //! [`MobilityProcess::apply_indexed`]: crate::MobilityProcess::apply_indexed
 //!
 //! # Example

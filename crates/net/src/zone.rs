@@ -25,7 +25,7 @@ pub struct ZoneLink {
 /// A *zone* is "the region that the node can reach by transmitting at the
 /// maximum power level" — here parameterized by the experiment's
 /// transmission radius, which selects that maximum level from the radio's
-/// table. The table is rebuilt whenever nodes move.
+/// table. The table is patched whenever nodes move or links flip.
 ///
 /// # Example
 ///
@@ -54,38 +54,89 @@ pub struct ZoneTable {
     level_counts: Vec<Vec<u32>>,
 }
 
-/// One relocated node plus its zone neighbors *before* the move.
+/// One changed node plus its zone neighbors *before* the change.
 ///
-/// The routing layer needs the pre-move adjacency to retire state the new
-/// zone table can no longer justify: the moved node and its old neighbors
-/// may still hold routes to each other, and nothing in the patched table
-/// names that stale pairing.
+/// A node is *changed* when it moved or when one of its links flipped
+/// under the [`LinkGate`]. The routing layer needs the pre-change
+/// adjacency to retire state the new zone table can no longer justify: the
+/// changed node and its old neighbors may still hold routes to each other,
+/// and nothing in the new table names that stale pairing.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MovedZone {
-    /// The relocated node.
+    /// The changed node.
     pub node: NodeId,
-    /// Its zone neighbors before the move, in id order.
+    /// Its zone neighbors before the change, in id order.
     pub old_neighbors: Vec<NodeId>,
 }
 
-/// The result of an incremental zone patch ([`ZoneTable::apply_moves`]):
-/// which rows changed and the pre-move adjacency of each relocated node.
-#[derive(Clone, Debug, PartialEq)]
+/// A zone change as the routing layer sees it: which rows the change can
+/// touch and the pre-change adjacency of each changed node.
+///
+/// [`ZoneTable::patch`] returns one for an in-place patch, and
+/// [`ZoneDelta::between`] builds the same one from the tables before and
+/// after the change; both name the rows by one rule. The default delta
+/// names nothing: a change that leaves every zone row as it was, such as a
+/// liveness flip.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ZoneDelta {
-    /// One record per relocated node, in the order they were reported.
+    /// One record per changed node, in the order they were reported.
     pub moves: Vec<MovedZone>,
-    /// Every node whose links row and density counts were rebuilt — the
-    /// moved nodes plus everyone inside either their old or new zones — in
-    /// ascending id order. This is exactly the `changed` set the routing
-    /// layer's incremental re-convergence needs.
+    /// The changed nodes and every node linked to one of them before or
+    /// after the change, in ascending id order. A row changes only when
+    /// one of its links does, and a link changes only when an endpoint is
+    /// a changed node, so no other row can differ. Every route to a
+    /// destination runs through its zone neighbors, so these are also
+    /// exactly the destinations the routing layer must re-converge.
     pub changed_nodes: Vec<NodeId>,
 }
 
 impl ZoneDelta {
-    /// Number of zone rows the patch rebuilt (out of `n` in the table).
+    /// The delta of a change to the nodes in `changed`, given the whole
+    /// table before (`old`) and after (`new`) it: the delta
+    /// [`ZoneTable::patch`] returns for the same change. The all-pairs
+    /// reference path, which rebuilds the table at every change, builds
+    /// its delta here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tables disagree on the node count.
+    #[must_use]
+    pub fn between(old: &ZoneTable, new: &ZoneTable, changed: &[NodeId]) -> Self {
+        assert_eq!(old.len(), new.len(), "zone table length mismatch");
+        let moves = changed.iter().map(|&c| old.moved_zone(c)).collect();
+        expand(moves, new)
+    }
+
+    /// Number of zone rows the change can touch (out of `n` in the table).
     #[must_use]
     pub fn rows_patched(&self) -> usize {
         self.changed_nodes.len()
+    }
+}
+
+/// Names the rows a change touches: each changed node of `moves` and every
+/// node linked to one of them before (its recorded old neighbors) or after
+/// (its row in `new`, which must already hold the changed rows' new state)
+/// the change. The one rule behind [`ZoneTable::patch`] and
+/// [`ZoneDelta::between`].
+fn expand(moves: Vec<MovedZone>, new: &ZoneTable) -> ZoneDelta {
+    let mut hit = vec![false; new.len()];
+    for mv in &moves {
+        hit[mv.node.index()] = true;
+        for &a in &mv.old_neighbors {
+            hit[a.index()] = true;
+        }
+        for link in new.links(mv.node) {
+            hit[link.neighbor.index()] = true;
+        }
+    }
+    let changed_nodes = (0..hit.len())
+        .filter(|&i| hit[i])
+        .map(|i| NodeId::new(i as u32))
+        .collect();
+    ZoneDelta {
+        moves,
+        changed_nodes,
     }
 }
 
@@ -103,7 +154,7 @@ impl ZoneDelta {
 /// neighbor vanishes from both the links row and the density counts — for
 /// this node, it might as well be out of radio range. `None` means every
 /// link is up (the classic geometry-only table).
-#[allow(clippy::too_many_arguments)] // private kernel shared by all four build paths
+#[allow(clippy::too_many_arguments)] // private kernel shared by every build and patch path
 fn compute_row(
     topology: &Topology,
     radio: &RadioProfile,
@@ -284,21 +335,8 @@ impl ZoneTable {
         }
     }
 
-    /// Patches the table in place after the nodes in `moved` relocated,
-    /// rebuilding **only** the affected rows: each moved node plus every
-    /// node inside either its old zone (read from this table before the
-    /// patch) or its new zone (queried from the grid). Everything else is
-    /// untouched — a single-node move costs O(k²) row work instead of the
-    /// O(n²) full build — and the result is bit-identical to a from-scratch
-    /// [`ZoneTable::build`] of the new topology (property-tested).
-    ///
-    /// `topology` and `grid` must already reflect the **new** positions
-    /// (see [`MobilityProcess::apply_indexed`]); this table still holds the
-    /// pre-move state, which is how the old zones are recovered. Returns
-    /// the [`ZoneDelta`] naming every rebuilt row, ready to feed the
-    /// routing layer's incremental re-convergence.
-    ///
-    /// [`MobilityProcess::apply_indexed`]: crate::MobilityProcess::apply_indexed
+    /// Patches the table in place after the nodes in `moved` relocated:
+    /// [`ZoneTable::patch`] with every link up.
     ///
     /// # Panics
     ///
@@ -310,158 +348,92 @@ impl ZoneTable {
         grid: &SpatialGrid,
         moved: &[NodeId],
     ) -> ZoneDelta {
-        self.apply_moves_gated(topology, radio, grid, None, moved)
+        self.patch(topology, radio, grid, None, moved)
     }
 
-    /// [`ZoneTable::apply_moves`] under a [`LinkGate`]: the rebuilt rows
-    /// honor the gate, so a patched table stays bit-identical to
-    /// [`ZoneTable::build_gated`] of the new topology under the same gate.
-    /// The gate must be the one the table was last built/patched with —
-    /// gate *changes* go through [`ZoneTable::apply_link_flips`] instead.
+    /// Patches the table in place after a change to the nodes in
+    /// `changed`, re-deriving **only** the rows the change can touch, and
+    /// returns the [`ZoneDelta`] naming them, ready to feed the routing
+    /// layer's incremental re-convergence.
+    ///
+    /// `changed` must name every node that moved and both endpoints of
+    /// every link that flipped under `gate` since the table was last built
+    /// or patched. `topology`, `grid` and `gate` must already reflect the
+    /// **new** state (see [`MobilityProcess::apply_indexed`]); this table
+    /// still holds the old one. The patch records the changed nodes' rows,
+    /// re-derives them, then re-derives once the row of every node linked
+    /// to a changed node before or after the change. Everything else is
+    /// untouched — a single-node move costs O(k²) row work instead of the
+    /// O(n²) full build — and the result is bit-identical to a
+    /// from-scratch [`ZoneTable::build_gated`] of the new state
+    /// (property-tested).
+    ///
+    /// [`MobilityProcess::apply_indexed`]: crate::MobilityProcess::apply_indexed
     ///
     /// # Panics
     ///
     /// Panics if the table, topology, and grid disagree on the node count.
-    pub fn apply_moves_gated(
+    pub fn patch(
         &mut self,
         topology: &Topology,
         radio: &RadioProfile,
         grid: &SpatialGrid,
         gate: Option<&LinkGate>,
-        moved: &[NodeId],
+        changed: &[NodeId],
     ) -> ZoneDelta {
         let n = self.links.len();
         assert_eq!(topology.len(), n, "table/topology length mismatch");
         assert_eq!(grid.len(), n, "table/grid length mismatch");
-        let mut affected = vec![false; n];
-        let mut moves = Vec::with_capacity(moved.len());
+        let moves = changed.iter().map(|&c| self.moved_zone(c)).collect();
+        let mut fresh = vec![false; n];
         let mut candidates = Vec::new();
-        for &m in moved {
-            affected[m.index()] = true;
-            // The old zone, by symmetry: the nodes whose rows mention `m`
-            // are exactly the nodes `m`'s stale row mentions.
-            let old_neighbors: Vec<NodeId> =
-                self.links[m.index()].iter().map(|l| l.neighbor).collect();
-            for &a in &old_neighbors {
-                affected[a.index()] = true;
-            }
-            // The new zone: everyone within the radius of the new position
-            // (a candidate superset is fine — rebuilding an untouched row
-            // reproduces it exactly, so over-approximation costs only
-            // time, and the distance filter keeps the set tight). A
-            // gated-down neighbor is adjacent under neither the old nor the
-            // new table, so its row cannot have changed: skip it, keeping
-            // `changed_nodes` aligned with what the routing layer's
-            // old/new-adjacency expansion would name.
-            let pm = topology.position(m);
-            grid.candidates_within(pm, self.zone_radius_m, &mut candidates);
-            for &b in &candidates {
-                if gate.is_some_and(|g| !g.is_up(m, b)) {
-                    continue;
-                }
-                if topology.position(b).within(pm, self.zone_radius_m) {
-                    affected[b.index()] = true;
-                }
-            }
-            moves.push(MovedZone {
-                node: m,
-                old_neighbors,
-            });
+        for &c in changed {
+            self.derive_row(topology, radio, grid, gate, c, &mut candidates);
+            fresh[c.index()] = true;
         }
-        // Old rows are all captured; now rebuild every affected row from
-        // the grid, exactly as `build_indexed` would.
-        let mut changed_nodes = Vec::new();
-        for (i, &hit) in affected.iter().enumerate() {
-            if !hit {
-                continue;
+        let delta = expand(moves, self);
+        for &a in &delta.changed_nodes {
+            if !fresh[a.index()] {
+                self.derive_row(topology, radio, grid, gate, a, &mut candidates);
             }
-            let a = NodeId::new(i as u32);
-            grid.candidates_within(topology.position(a), self.zone_radius_m, &mut candidates);
-            let mut row = std::mem::take(&mut self.links[i]);
-            compute_row(
-                topology,
-                radio,
-                self.zone_radius_m,
-                gate,
-                a,
-                &candidates,
-                &mut row,
-                &mut self.level_counts[i],
-            );
-            self.links[i] = row;
-            changed_nodes.push(a);
         }
-        ZoneDelta {
-            moves,
-            changed_nodes,
+        delta
+    }
+
+    /// `node`'s record before a change: its current zone neighbors.
+    fn moved_zone(&self, node: NodeId) -> MovedZone {
+        MovedZone {
+            node,
+            old_neighbors: self.links[node.index()]
+                .iter()
+                .map(|l| l.neighbor)
+                .collect(),
         }
     }
 
-    /// Patches the table in place after the scheduled-connectivity gate
-    /// flipped the links touching `endpoints` (sorted, distinct, and
-    /// containing **both** ends of every flipped link), rebuilding **only**
-    /// the endpoint rows — a link flip changes exactly the edge between its
-    /// endpoints, so no other row or density count can differ.
-    /// `gate` must already reflect the **new** link states; the result is
-    /// bit-identical to a from-scratch [`ZoneTable::build_gated`] under the
-    /// new gate (property-tested).
-    ///
-    /// The returned [`ZoneDelta`] mirrors what a mobility patch would
-    /// produce for the same adjacency change: one [`MovedZone`] per
-    /// endpoint carrying its pre-flip neighbors (the stale pairs routing
-    /// must retire — for a down-flip that names the lost partner), and
-    /// `changed_nodes` = endpoints ∪ their pre-flip ∪ post-flip neighbors —
-    /// exactly the set the reference path's old/new-adjacency expansion
-    /// names, which is what keeps the incremental and full-rebuild oracles
-    /// byte-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table, topology, and grid disagree on the node count.
-    pub fn apply_link_flips(
+    /// Re-derives `node`'s row and density counts from the grid, exactly as
+    /// [`ZoneTable::build_indexed_gated`] does.
+    fn derive_row(
         &mut self,
         topology: &Topology,
         radio: &RadioProfile,
         grid: &SpatialGrid,
-        gate: &LinkGate,
-        endpoints: &[NodeId],
-    ) -> ZoneDelta {
-        let n = self.links.len();
-        assert_eq!(topology.len(), n, "table/topology length mismatch");
-        assert_eq!(grid.len(), n, "table/grid length mismatch");
-        let mut moves = Vec::with_capacity(endpoints.len());
-        let mut changed_nodes: Vec<NodeId> = Vec::new();
-        let mut candidates = Vec::new();
-        for &e in endpoints {
-            let old_neighbors: Vec<NodeId> =
-                self.links[e.index()].iter().map(|l| l.neighbor).collect();
-            changed_nodes.extend(old_neighbors.iter().copied());
-            grid.candidates_within(topology.position(e), self.zone_radius_m, &mut candidates);
-            let mut row = std::mem::take(&mut self.links[e.index()]);
-            compute_row(
-                topology,
-                radio,
-                self.zone_radius_m,
-                Some(gate),
-                e,
-                &candidates,
-                &mut row,
-                &mut self.level_counts[e.index()],
-            );
-            changed_nodes.extend(row.iter().map(|l| l.neighbor));
-            self.links[e.index()] = row;
-            changed_nodes.push(e);
-            moves.push(MovedZone {
-                node: e,
-                old_neighbors,
-            });
-        }
-        changed_nodes.sort_unstable();
-        changed_nodes.dedup();
-        ZoneDelta {
-            moves,
-            changed_nodes,
-        }
+        gate: Option<&LinkGate>,
+        node: NodeId,
+        candidates: &mut Vec<NodeId>,
+    ) {
+        let i = node.index();
+        grid.candidates_within(topology.position(node), self.zone_radius_m, candidates);
+        compute_row(
+            topology,
+            radio,
+            self.zone_radius_m,
+            gate,
+            node,
+            candidates,
+            &mut self.links[i],
+            &mut self.level_counts[i],
+        );
     }
 
     /// The configured zone (transmission) radius in metres.
@@ -496,8 +468,7 @@ impl ZoneTable {
 
     /// Looks up the link from `node` to `neighbor`, if the latter is a zone
     /// neighbor. Links are stored in neighbor-id order, so this is a binary
-    /// search — it sits on the DBF `receive` hot path, where every vector
-    /// entry triggers a zone-membership check.
+    /// search.
     #[must_use]
     pub fn link_to(&self, node: NodeId, neighbor: NodeId) -> Option<&ZoneLink> {
         let row = &self.links[node.index()];
@@ -757,7 +728,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_link_flips_matches_the_gated_rebuild() {
+    fn link_flips_patch_to_the_gated_rebuild() {
         let topo = placement::grid(5, 5, 5.0).unwrap();
         let radio = RadioProfile::mica2();
         let grid = SpatialGrid::for_radius(&topo, 20.0);
@@ -770,11 +741,13 @@ mod tests {
         // the endpoints, their old and new neighborhoods, and carries the
         // pre-flip rows as move records.
         gate.set(a, b, false);
-        let delta = zones.apply_link_flips(&topo, &radio, &grid, &gate, &[a, b]);
+        let before = zones.clone();
+        let delta = zones.patch(&topo, &radio, &grid, Some(&gate), &[a, b]);
         assert_eq!(
             zones,
             ZoneTable::build_gated(&topo, &radio, 20.0, Some(&gate))
         );
+        assert_eq!(delta, ZoneDelta::between(&before, &zones, &[a, b]));
         assert!(delta.changed_nodes.contains(&a));
         assert!(delta.changed_nodes.contains(&b));
         assert!(delta.changed_nodes.windows(2).all(|w| w[0] < w[1]));
@@ -785,7 +758,7 @@ mod tests {
 
         // Up-flip restores the ungated table exactly.
         gate.set(a, b, true);
-        zones.apply_link_flips(&topo, &radio, &grid, &gate, &[a, b]);
+        zones.patch(&topo, &radio, &grid, Some(&gate), &[a, b]);
         assert_eq!(zones, ZoneTable::build(&topo, &radio, 20.0));
     }
 
@@ -804,7 +777,7 @@ mod tests {
         let mut zones = ZoneTable::build_indexed_gated(&topo, &radio, &grid, 20.0, Some(&gate));
         topo.move_node(mover, crate::Point::new(16.0, 11.0));
         grid.move_node(mover, topo.position(mover));
-        let delta = zones.apply_moves_gated(&topo, &radio, &grid, Some(&gate), &[mover]);
+        let delta = zones.patch(&topo, &radio, &grid, Some(&gate), &[mover]);
         assert_eq!(
             zones,
             ZoneTable::build_gated(&topo, &radio, 20.0, Some(&gate))

@@ -1,7 +1,7 @@
 //! Property-based equivalence of incremental zone maintenance against the
 //! all-pairs reference build.
 //!
-//! Three claims, each asserted with `ZoneTable`'s derived `PartialEq` so
+//! Four claims, each asserted with `ZoneTable`'s derived `PartialEq` so
 //! the match is **bit-identical** (same rows, same order, same link
 //! weights, same density counts — even the floating-point distances):
 //!
@@ -12,6 +12,10 @@
 //!    after *every* epoch, not just the last.
 //! 3. The `ZoneDelta` a patch returns names every row that differs from
 //!    the pre-move table (nothing outside `changed_nodes` changed).
+//! 4. `ZoneTable::patch` across epochs of moves *and* link flips under a
+//!    gate, with zone radii on both sides of the radio's reach, equals the
+//!    gated reference build, and its delta equals `ZoneDelta::between`
+//!    the tables before and after the epoch.
 //!
 //! The move generator deliberately produces repeated moves of the same
 //! node, moves across grid-cell boundaries, and moves that empty or fill
@@ -19,7 +23,10 @@
 //! three constantly); targeted deterministic tests below pin each case.
 
 use proptest::prelude::*;
-use spms_net::{placement, MobilityEpoch, MobilityProcess, NodeId, Point, SpatialGrid, ZoneTable};
+use spms_net::{
+    placement, LinkGate, MobilityEpoch, MobilityProcess, NodeId, Point, SpatialGrid, ZoneDelta,
+    ZoneTable,
+};
 use spms_phy::RadioProfile;
 
 /// Applies one epoch of `moves` to topology + grid and patches `zones`,
@@ -123,6 +130,76 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    /// Random epochs of moves and link flips (1–3 events each) under a
+    /// gate, on MICA2 or on a radio that reaches only 12 m, with zone radii
+    /// on both sides of the radio's reach: after every epoch the patched
+    /// table equals a from-scratch gated build, and the patch's delta
+    /// equals `ZoneDelta::between` the tables before and after it — the
+    /// delta the all-pairs reference path builds.
+    #[test]
+    fn move_and_flip_epochs_patch_to_the_gated_reference(
+        cols in 2usize..8,
+        rows in 2usize..5,
+        radius in 6.0f64..30.0,
+        short_reach in any::<bool>(),
+        raw_epochs in prop::collection::vec(
+            prop::collection::vec(
+                (any::<bool>(), 0u16..64, 0u16..64, 0.0f64..1.0, 0.0f64..1.0),
+                1..4,
+            ),
+            1..8,
+        ),
+    ) {
+        let mut topo = placement::grid(cols, rows, 5.0).unwrap();
+        let n = topo.len() as u32;
+        let radio = if short_reach {
+            RadioProfile::new(vec![1.0, 0.5], vec![12.0, 6.0]).unwrap()
+        } else {
+            RadioProfile::mica2()
+        };
+        let mut grid = SpatialGrid::for_radius(&topo, radius);
+        let mut gate = LinkGate::all_up();
+        let mut zones = ZoneTable::build_indexed_gated(&topo, &radio, &grid, radius, Some(&gate));
+        let field = topo.field();
+
+        for (step, raw) in raw_epochs.iter().enumerate() {
+            // A flip names both endpoints, a move its node, as the engine
+            // reports them.
+            let mut changed = Vec::new();
+            for &(flip, a, b, fx, fy) in raw {
+                let a = NodeId::new(u32::from(a) % n);
+                if flip {
+                    let b = NodeId::new(u32::from(b) % n);
+                    if a != b {
+                        gate.set(a, b, !gate.is_up(a, b));
+                        changed.extend([a, b]);
+                    }
+                } else {
+                    topo.move_node(a, Point::new(fx * field.width, fy * field.height));
+                    grid.move_node(a, topo.position(a));
+                    changed.push(a);
+                }
+            }
+            changed.sort_unstable();
+            changed.dedup();
+
+            let before = zones.clone();
+            let delta = zones.patch(&topo, &radio, &grid, Some(&gate), &changed);
+            prop_assert_eq!(
+                &zones,
+                &ZoneTable::build_gated(&topo, &radio, radius, Some(&gate)),
+                "step {}: patched table diverged from the gated reference build",
+                step
+            );
+            prop_assert_eq!(
+                &delta,
+                &ZoneDelta::between(&before, &zones, &changed),
+                "step {}: patch and reference deltas differ",
+                step
+            );
         }
     }
 

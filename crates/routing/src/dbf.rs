@@ -35,14 +35,12 @@
 //! routes; full rounds count from 1, so full round `r` carries the news of
 //! exchange round `r − 1`.
 //!
-//! * **Delta** ([`DbfEngine::update_topology`] /
-//!   [`DbfEngine::invalidate_zone`] / [`DbfEngine::apply_zone_delta`]) —
-//!   real distance-vector deployments propagate triggered *deltas*, not
-//!   full vectors. A topology event scopes only the destinations it can
-//!   actually affect and wipes their routes at their old maintainers. A
-//!   node's round-`r` message carries its changed routes to every
-//!   destination still converging in round `r`, so it carries one entry per
-//!   dirty block.
+//! * **Delta** ([`DbfEngine::apply_zone_delta`]) — real distance-vector
+//!   deployments propagate triggered *deltas*, not full vectors. A
+//!   topology event scopes only the destinations it can actually affect
+//!   and wipes their routes at their old maintainers. A node's round-`r`
+//!   message carries its changed routes to every destination still
+//!   converging in round `r`, so it carries one entry per dirty block.
 //! * **Full** ([`DbfEngine::rebuild_sharded`], and
 //!   [`DbfEngine::run_to_convergence`] through it) — the paper's
 //!   "re-execution of the DBF": every table is cleared and every
@@ -100,9 +98,13 @@
 //! node only maintains destinations inside its own zone, and every relay on
 //! a path toward destination `d` must itself maintain `d` — so every route
 //! to `d` stays within `d`'s direct zone neighborhood. A node event (move,
-//! failure, repair) can therefore only disturb routes to the destinations
-//! adjacent to it (under the old or new zone table), and those routes only
-//! live at those destinations' direct neighbors. Wiping and reseeding that
+//! link flip, failure, repair) can therefore only disturb routes to the
+//! destinations adjacent to it (under the old or new zone table), and those
+//! routes only live at those destinations' direct neighbors. Every zone
+//! change reaches the engine as one [`ZoneDelta`], whose `changed_nodes`
+//! `spms-net` names by one rule for the in-place patch and the all-pairs
+//! reference alike; a liveness flip changes no zone row and reaches it as
+//! the default delta plus the flipped nodes. Wiping and reseeding that
 //! bounded set, then re-running the exchange restricted to it, provably
 //! reaches the same fixpoint as a from-scratch rebuild — bit-for-bit, which
 //! the `incremental` proptest suite asserts.
@@ -557,107 +559,22 @@ impl DbfEngine {
         stats
     }
 
-    /// Incrementally re-converges after a node liveness event (failure or
-    /// repair) without touching zones the event cannot reach. `changed`
-    /// names the nodes whose liveness flipped; `alive` is the new mask.
-    /// Equivalent to [`DbfEngine::update_topology`] with identical old and
-    /// new zone tables.
-    pub fn invalidate_zone(
-        &mut self,
-        zones: &ZoneTable,
-        changed: &[NodeId],
-        alive: &[bool],
-    ) -> DbfStats {
-        self.update_topology(zones, zones, changed, alive)
-    }
-
-    /// Incrementally re-converges after a topology change: `changed` names
-    /// the nodes that moved (or whose liveness flipped), `old_zones` /
-    /// `new_zones` are the zone tables before and after the event, and
-    /// `alive` is the current liveness mask.
+    /// Incrementally re-converges after a topology change; the engine's
+    /// only incremental entry. `delta` names the zone change, as
+    /// [`ZoneTable::patch`] returns it or [`ZoneDelta::between`] builds it
+    /// from the tables before and after, and `zones` is the table after
+    /// it. `also_changed` names the nodes whose liveness flipped since the
+    /// last convergence, which changes no zone row: a liveness flip alone
+    /// passes [`ZoneDelta::default`]. `alive` is the current mask.
     ///
-    /// Only the destinations a changed node is adjacent to (under either
-    /// zone table) can have gained, lost, or re-priced routes — every route
-    /// to a destination runs through that destination's direct neighbors.
-    /// Those destinations are invalidated at their maintainers, direct
-    /// routes are reseeded, and the delta exchange re-converges just that
-    /// slice of the network. Tables end bit-identical to a from-scratch
-    /// [`crate::reference_rebuild`] (property-tested), at a fraction of the
-    /// cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the zone tables or the alive mask disagree on the node
-    /// count, or if the exchange fails to converge within the same bound as
-    /// the full rebuild.
-    pub fn update_topology(
-        &mut self,
-        old_zones: &ZoneTable,
-        new_zones: &ZoneTable,
-        changed: &[NodeId],
-        alive: &[bool],
-    ) -> DbfStats {
-        let n = new_zones.len();
-        assert_eq!(old_zones.len(), n, "zone table length mismatch");
-        assert_eq!(alive.len(), n, "alive mask length mismatch");
-
-        // Affected destinations: each changed node and everything adjacent
-        // to it before or after the event.
-        let mut affected = std::mem::take(&mut self.scratch.affected);
-        affected.clear();
-        affected.resize(n, false);
-        for &c in changed {
-            affected[c.index()] = true;
-            for link in old_zones.links(c) {
-                affected[link.neighbor.index()] = true;
-            }
-            for link in new_zones.links(c) {
-                affected[link.neighbor.index()] = true;
-            }
-        }
-        self.scratch.scope.lay_out(new_zones, &affected);
-
-        // A changed node that is down holds no routes at all.
-        for &c in changed {
-            if !alive[c.index()] {
-                self.tables[c.index()].clear();
-            }
-        }
-
-        // Old maintainers may hold routes the new adjacency no longer
-        // justifies: wipe the affected destinations at their *old* zone
-        // neighbors, unless the write-back replaces those routes anyway —
-        // that is, unless they are new zone neighbors too (both link lists
-        // ascend by neighbor id, so one cursor walks them together).
-        for &d in &self.scratch.scope.dests {
-            let new_links = new_zones.links(d);
-            let mut j = 0;
-            for link in old_zones.links(d) {
-                let a = link.neighbor;
-                while j < new_links.len() && new_links[j].neighbor < a {
-                    j += 1;
-                }
-                let maintains = new_links.get(j).is_some_and(|l| l.neighbor == a);
-                if alive[a.index()] && !maintains {
-                    self.tables[a.index()].remove_dest(d);
-                }
-            }
-        }
-        self.scratch.affected = affected;
-
-        self.reconverge_affected(new_zones, alive)
-    }
-
-    /// Incrementally re-converges after an **in-place** zone patch
-    /// ([`ZoneTable::apply_moves`]): the old zone table no longer exists,
-    /// so the pre-move adjacency needed to retire stale routes comes from
-    /// the [`ZoneDelta`] instead. `also_changed` names nodes whose
-    /// liveness flipped since the last convergence without a zone change
-    /// (their zones are invalidated under the current — unchanged — table,
-    /// as [`DbfEngine::invalidate_zone`] would); `alive` is the current
-    /// mask. Tables end bit-identical to a from-scratch rebuild under the
-    /// patched zones (property-tested alongside
-    /// [`DbfEngine::update_topology`]).
+    /// Only the delta's `changed_nodes` and the flipped nodes' zones can
+    /// have gained, lost, or re-priced routes — every route to a
+    /// destination runs through that destination's direct neighbors. Those
+    /// destinations are invalidated at their maintainers, direct routes are
+    /// reseeded, and the delta exchange re-converges just that slice of the
+    /// network. Tables end bit-identical to a from-scratch
+    /// [`crate::reference_rebuild`] under `zones` (property-tested), at a
+    /// fraction of the cost.
     ///
     /// # Panics
     ///
@@ -674,10 +591,8 @@ impl DbfEngine {
         let n = zones.len();
         assert_eq!(alive.len(), n, "alive mask length mismatch");
 
-        // Affected destinations: the patch already rebuilt the rows of
-        // every moved node and everyone inside its old or new zone —
-        // `changed_nodes` is exactly that set. Liveness flips add their
-        // own (unchanged) zones.
+        // Affected destinations: the rows the zone change touched, plus
+        // each flipped node and its (unchanged) zone.
         let mut affected = std::mem::take(&mut self.scratch.affected);
         affected.clear();
         affected.resize(n, false);
@@ -704,12 +619,12 @@ impl DbfEngine {
             }
         }
 
-        // The old-adjacency wipe `update_topology` reads from `old_zones`:
-        // for non-moved pairs the old and new maintainer sets coincide
-        // (their mutual distances did not change), so the only stale state
-        // the new table cannot name is between a moved node and its
-        // pre-move neighbors — exactly what the delta recorded. Pairs the
-        // write-back replaces are skipped.
+        // Old maintainers may hold routes the new adjacency no longer
+        // justifies. A link is lost only when an endpoint is a changed
+        // node, so each stale pairing is between a changed node and one of
+        // its pre-change neighbors — exactly what the delta recorded. Each
+        // side's route to the other goes, unless the write-back replaces
+        // it.
         for mv in &delta.moves {
             let m = mv.node;
             for &a in &mv.old_neighbors {
@@ -723,19 +638,13 @@ impl DbfEngine {
         }
         self.scratch.affected = affected;
 
-        self.reconverge_affected(zones, alive)
-    }
-
-    /// Shared tail of the incremental paths: converges the scoped
-    /// destinations and turns the per-(round, node) dirty counts into the
-    /// delta stats, one entry per dirty block.
-    fn reconverge_affected(&mut self, zones: &ZoneTable, alive: &[bool]) -> DbfStats {
         self.converge(zones, alive);
         let s = &self.scratch;
         let nodes = s.scope.nodes.len();
-        let mut stats = DbfStats::new(zones.len());
+        let mut stats = DbfStats::new(n);
         // Rounds: one per non-empty snapshot of the longest destination,
-        // plus the final silent one.
+        // plus the final silent one. Each message carries one entry per
+        // dirty block.
         stats.rounds = 1 + s.rounds_spoken() as u32;
         for (i, &c) in s.dest.counts.iter().enumerate() {
             if c > 0 {
@@ -746,10 +655,10 @@ impl DbfEngine {
     }
 
     /// The exchange every execution runs. Expects `scratch.scope` laid out
-    /// under the current zones (and, for a delta exchange, any
-    /// old-adjacency wipes already done): empties every plane block,
-    /// converges the routes to each alive scoped destination on its own
-    /// plane slots, and writes the converged blocks back. The write-back
+    /// under the current zones (and, for a delta exchange, the stale
+    /// pairings already wiped): empties every plane block, converges the
+    /// routes to each alive scoped destination on its own plane slots, and
+    /// writes the converged blocks back. The write-back
     /// replaces each alive maintainer's routes to its scoped destinations
     /// in one merge, so the tables are never wiped separately; no exchange
     /// step reads those routes from the tables.
@@ -1018,7 +927,7 @@ mod tests {
         // "Invalidate" a node that did not actually change: the wipe and
         // reseed re-derive the same tables and the exchange stays local.
         let alive = vec![true; z.len()];
-        let stats = dbf.invalidate_zone(&z, &[NodeId::new(5)], &alive);
+        let stats = dbf.apply_zone_delta(&z, &ZoneDelta::default(), &[NodeId::new(5)], &alive);
         let (want, _) = reference_rebuild(&z, 2, &alive);
         assert_tables_match(&dbf, &want, "no-op invalidation");
         // Far cheaper than the full rebuild's all-nodes rounds.
@@ -1033,12 +942,12 @@ mod tests {
         let mut alive = vec![true; z.len()];
 
         alive[12] = false; // kill the center
-        dbf.invalidate_zone(&z, &[NodeId::new(12)], &alive);
+        dbf.apply_zone_delta(&z, &ZoneDelta::default(), &[NodeId::new(12)], &alive);
         let (want, _) = reference_rebuild(&z, 2, &alive);
         assert_tables_match(&dbf, &want, "dead");
 
         alive[12] = true; // and bring it back
-        dbf.invalidate_zone(&z, &[NodeId::new(12)], &alive);
+        dbf.apply_zone_delta(&z, &ZoneDelta::default(), &[NodeId::new(12)], &alive);
         let (want, _) = reference_rebuild(&z, 2, &alive);
         assert_tables_match(&dbf, &want, "back");
     }
@@ -1055,7 +964,8 @@ mod tests {
         topo.move_node(moved, spms_net::Point::new(19.0, 17.0));
         let new_zones = ZoneTable::build(&topo, &radio, 20.0);
         let alive = vec![true; new_zones.len()];
-        let stats = dbf.update_topology(&old_zones, &new_zones, &[moved], &alive);
+        let delta = ZoneDelta::between(&old_zones, &new_zones, &[moved]);
+        let stats = dbf.apply_zone_delta(&new_zones, &delta, &[], &alive);
         assert!(stats.messages > 0);
         assert!(stats.bytes_total > 0);
         assert_eq!(
@@ -1195,16 +1105,17 @@ mod tests {
         topo.move_node(moved, spms_net::Point::new(30.0, 30.0));
         let new_zones = ZoneTable::build(&topo, &radio, 20.0);
         let alive = vec![true; new_zones.len()];
-        let delta = dbf.update_topology(&old_zones, &new_zones, &[moved], &alive);
+        let delta = ZoneDelta::between(&old_zones, &new_zones, &[moved]);
+        let stats = dbf.apply_zone_delta(&new_zones, &delta, &[], &alive);
 
         let (_, full_stats) = reference_rebuild(&new_zones, 2, &alive);
         assert!(
-            delta.entries_sent < full_stats.entries_sent / 2,
+            stats.entries_sent < full_stats.entries_sent / 2,
             "delta {} vs full {}",
-            delta.entries_sent,
+            stats.entries_sent,
             full_stats.entries_sent
         );
-        assert!(delta.bytes_total < full_stats.bytes_total);
+        assert!(stats.bytes_total < full_stats.bytes_total);
     }
 
     /// `(rounds, messages, entries_sent, bytes_total, Σ i·per_node_bytes[i])`.
@@ -1265,12 +1176,18 @@ mod tests {
             dbf.rebuild_sharded(&old_zones, &alive)
         })];
         got.push(step(&mut dbf, |dbf| {
-            dbf.update_topology(&old_zones, &new_zones, &movers, &alive)
+            let delta = ZoneDelta::between(&old_zones, &new_zones, &movers);
+            dbf.apply_zone_delta(&new_zones, &delta, &[], &alive)
         }));
         for up in [false, true] {
             alive[84] = up;
             got.push(step(&mut dbf, |dbf| {
-                dbf.invalidate_zone(&new_zones, &[NodeId::new(84)], &alive)
+                dbf.apply_zone_delta(
+                    &new_zones,
+                    &ZoneDelta::default(),
+                    &[NodeId::new(84)],
+                    &alive,
+                )
             }));
         }
         let mut grid = spms_net::SpatialGrid::build(&topo, 20.0);
@@ -1352,14 +1269,15 @@ mod tests {
             .cycle();
         for epoch in 0..10 {
             let (from, to, want) = flips.next().unwrap();
-            dbf.update_topology(from, to, &movers, &alive);
+            dbf.apply_zone_delta(to, &ZoneDelta::between(from, to, &movers), &[], &alive);
             assert_tables_match(&dbf, want, &format!("epoch {epoch}"));
         }
 
         let mut clone = dbf.clone();
         assert_tables_match(&clone, &want_a, "clone");
-        let got_clone = clone.update_topology(&zones_a, &zones_b, &movers, &alive);
-        let got_orig = dbf.update_topology(&zones_a, &zones_b, &movers, &alive);
+        let delta = ZoneDelta::between(&zones_a, &zones_b, &movers);
+        let got_clone = clone.apply_zone_delta(&zones_b, &delta, &[], &alive);
+        let got_orig = dbf.apply_zone_delta(&zones_b, &delta, &[], &alive);
         assert_eq!(got_clone, got_orig);
         assert!(got_clone.messages > 0);
         assert_tables_match(&clone, &want_b, "clone after its own epoch");

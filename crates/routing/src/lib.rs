@@ -19,11 +19,12 @@
 //!   rounds until quiescence, with message/byte accounting so the simulation
 //!   can charge the routing-table-formation energy the paper includes in its
 //!   mobility results (Figure 12). Besides the full rebuild it supports
-//!   *incremental delta re-convergence* ([`DbfEngine::update_topology`] /
-//!   [`DbfEngine::invalidate_zone`]): a topology event invalidates only the
-//!   destinations it can reach and the exchange propagates only the changed
-//!   entries, reaching the exact same fixpoint as a from-scratch rebuild at
-//!   a fraction of the cost,
+//!   *incremental delta re-convergence* through one entry,
+//!   [`DbfEngine::apply_zone_delta`]: every topology change arrives as a
+//!   [`spms_net::ZoneDelta`] (the default one plus the flipped nodes for a
+//!   liveness flip), invalidates only the destinations it can reach, and
+//!   the exchange propagates only the changed entries, reaching the exact
+//!   same fixpoint as a from-scratch rebuild at a fraction of the cost,
 //! * [`oracle_tables`] / [`oracle_tables_masked`] — centralized construction
 //!   of the same tables from the Dijkstra oracle, used to cross-check the
 //!   distributed algorithm and as a fast path for static failure-free

@@ -1,17 +1,21 @@
-//! Property-based equivalence of the incremental delta-DBF against the
+//! Property-based equivalence of the DBF engine against the sequential
 //! full-rebuild reference oracle.
 //!
-//! An incremental engine survives an arbitrary sequence of topology events
-//! (node moves, failures, repairs), re-converging only the affected zones
-//! after each one. After every event its tables must be **exactly** equal
-//! to the from-scratch [`reference_rebuild`] — the delta exchange
-//! restricted to the invalidated destinations replays the same relaxation
-//! the full rebuild would, so even the floating-point sums agree bit for
-//! bit. A centralized Dijkstra cross-check (with tolerance)
-//! guards against both distributed paths drifting together.
+//! An engine survives an arbitrary sequence of topology events (node moves,
+//! failures, repairs), re-converging only the affected zones after each
+//! one — or after several at once, with liveness flips reported late. Every
+//! zone change reaches it as one `ZoneDelta`: patched in place by
+//! `ZoneTable::patch`, or taken with `ZoneDelta::between` two whole tables.
+//! After every event its tables must be **exactly** equal to the
+//! from-scratch [`reference_rebuild`] — the delta exchange restricted to the
+//! invalidated destinations replays the same relaxation the full rebuild
+//! would, so even the floating-point sums agree bit for bit — and every
+//! full rebuild must equal it in its stats too. A centralized Dijkstra
+//! cross-check (with tolerance) guards against both distributed paths
+//! drifting together.
 
 use proptest::prelude::*;
-use spms_net::{placement, NodeId, Point, SpatialGrid, Topology, ZoneTable};
+use spms_net::{placement, NodeId, Point, SpatialGrid, Topology, ZoneDelta, ZoneTable};
 use spms_phy::RadioProfile;
 use spms_routing::{oracle_tables_masked, reference_rebuild, DbfEngine};
 
@@ -38,6 +42,16 @@ fn decode_ops(raw: &[(u8, u16, f64, f64)], n: usize) -> Vec<Op> {
 
 fn build_zones(topo: &Topology, radius: f64) -> ZoneTable {
     ZoneTable::build(topo, &RadioProfile::mica2(), radius)
+}
+
+/// An engine entering through a full rebuild that must already equal the
+/// reference byte for byte.
+fn rebuilt_engine(zones: &ZoneTable, k: usize, alive: &[bool]) -> Result<DbfEngine, TestCaseError> {
+    let (_, want) = reference_rebuild(zones, k, alive);
+    let mut engine = DbfEngine::new(zones, k);
+    let got = engine.rebuild_sharded(zones, alive);
+    prop_assert_eq!(&got, &want, "initial rebuild stats");
+    Ok(engine)
 }
 
 /// Asserts exact table equality between the incremental engine and a
@@ -120,31 +134,29 @@ proptest! {
                     topo.move_node(NodeId::new(node as u32), dest);
                     let new_zones = build_zones(&topo, radius);
                     let old_zones = std::mem::replace(&mut zones, new_zones);
-                    dbf.update_topology(
-                        &old_zones,
-                        &zones,
-                        &[NodeId::new(node as u32)],
-                        &alive,
-                    );
+                    let delta =
+                        ZoneDelta::between(&old_zones, &zones, &[NodeId::new(node as u32)]);
+                    dbf.apply_zone_delta(&zones, &delta, &[], &alive);
                 }
                 Op::Kill(node) => {
                     // Killing a dead node is a (legal) no-op invalidation.
                     alive[node] = false;
-                    dbf.invalidate_zone(&zones, &[NodeId::new(node as u32)], &alive);
+                    let flipped = [NodeId::new(node as u32)];
+                    dbf.apply_zone_delta(&zones, &ZoneDelta::default(), &flipped, &alive);
                 }
                 Op::Revive(node) => {
                     alive[node] = true;
-                    dbf.invalidate_zone(&zones, &[NodeId::new(node as u32)], &alive);
+                    let flipped = [NodeId::new(node as u32)];
+                    dbf.apply_zone_delta(&zones, &ZoneDelta::default(), &flipped, &alive);
                 }
             }
             assert_matches_reference(&dbf, &zones, &alive, &context)?;
         }
     }
 
-    /// Liveness flips that are *not* reported when they happen (the
-    /// simulation rides out failures on alternative routes) but are folded
-    /// into the `changed` set of the next topology update still land on the
-    /// from-scratch rebuild, even batched together with a move.
+    /// Liveness flips that are *not* reported when they happen but are
+    /// folded into the `changed` set of the next topology update still land
+    /// on the from-scratch rebuild, even batched together with a move.
     #[test]
     fn batched_liveness_flips_reported_at_next_update_match_rebuild(
         cols in 3usize..7,
@@ -174,7 +186,8 @@ proptest! {
                     let mut changed = vec![NodeId::new(node as u32)];
                     changed.append(&mut unreported);
                     changed.dedup();
-                    dbf.update_topology(&old_zones, &zones, &changed, &alive);
+                    let delta = ZoneDelta::between(&old_zones, &zones, &changed);
+                    dbf.apply_zone_delta(&zones, &delta, &[], &alive);
                     assert_matches_reference(
                         &dbf,
                         &zones,
@@ -195,7 +208,7 @@ proptest! {
         }
         if !unreported.is_empty() {
             unreported.dedup();
-            dbf.invalidate_zone(&zones, &unreported, &alive);
+            dbf.apply_zone_delta(&zones, &ZoneDelta::default(), &unreported, &alive);
             assert_matches_reference(&dbf, &zones, &alive, "final flush")?;
         }
     }
@@ -264,7 +277,7 @@ proptest! {
         }
         if !unreported.is_empty() {
             unreported.dedup();
-            dbf.invalidate_zone(&zones, &unreported, &alive);
+            dbf.apply_zone_delta(&zones, &ZoneDelta::default(), &unreported, &alive);
             assert_matches_reference(&dbf, &zones, &alive, "final flush")?;
         }
     }
@@ -272,9 +285,9 @@ proptest! {
     /// Heavy churn: whole cohorts leave or rejoin at once (the mass
     /// join/leave mode of the adversarial-churn subsystem). Each epoch
     /// flips a cohort-sized slice of the mask and invalidates it in ONE
-    /// call — exactly how the simulation engine queues one liveness delta
-    /// per churn cohort — and after every epoch the tables equal a
-    /// from-scratch masked rebuild.
+    /// call — exactly how the simulation engine re-converges one churn
+    /// cohort — and after every epoch the tables equal a from-scratch
+    /// masked rebuild.
     #[test]
     fn cohort_kill_revive_matches_rebuild(
         cols in 3usize..7,
@@ -302,7 +315,7 @@ proptest! {
             for &c in &cohort {
                 alive[c.index()] = !kill;
             }
-            dbf.invalidate_zone(&zones, &cohort, &alive);
+            dbf.apply_zone_delta(&zones, &ZoneDelta::default(), &cohort, &alive);
             assert_matches_reference(
                 &dbf,
                 &zones,
@@ -331,7 +344,8 @@ proptest! {
         topo.move_node(moved, Point::new(fx * field.width, fy * field.height));
         let new_zones = build_zones(&topo, 20.0);
         let alive = vec![true; n];
-        let stats = dbf.update_topology(&old_zones, &new_zones, &[moved], &alive);
+        let delta = ZoneDelta::between(&old_zones, &new_zones, &[moved]);
+        let stats = dbf.apply_zone_delta(&new_zones, &delta, &[], &alive);
         prop_assert_eq!(stats.per_node_bytes.iter().sum::<u64>(), stats.bytes_total);
         prop_assert!(stats.entries_sent >= stats.messages);
         prop_assert!(stats.rounds >= 1);
@@ -354,7 +368,7 @@ fn full_cohort_leave_then_rejoin_matches_rebuild() -> Result<(), TestCaseError> 
     dbf.run_to_convergence(&zones);
 
     let dead = vec![false; n];
-    dbf.invalidate_zone(&zones, &everyone, &dead);
+    dbf.apply_zone_delta(&zones, &ZoneDelta::default(), &everyone, &dead);
     assert_matches_reference(&dbf, &zones, &dead, "empty field")?;
     for node in &everyone {
         assert_eq!(
@@ -365,7 +379,251 @@ fn full_cohort_leave_then_rejoin_matches_rebuild() -> Result<(), TestCaseError> 
     }
 
     let alive = vec![true; n];
-    dbf.invalidate_zone(&zones, &everyone, &alive);
+    dbf.apply_zone_delta(&zones, &ZoneDelta::default(), &everyone, &alive);
     assert_matches_reference(&dbf, &zones, &alive, "full rejoin")?;
     Ok(())
+}
+
+proptest! {
+    // Fixed seed + bounded case count keeps this suite deterministic in CI.
+    #![proptest_config(ProptestConfig {
+        cases: 16,
+        rng_seed: 0x0000_D8F1_2004,
+        ..ProptestConfig::default()
+    })]
+
+    /// Random event sequences grouped into windows: movers relocate as
+    /// they come and patch the zone table through one `apply_moves` at the
+    /// window's end; kills and revives stay silent until then. Every
+    /// re-convergence must land on the reference exactly.
+    #[test]
+    fn multi_event_patches_match_the_reference(
+        cols in 3usize..7,
+        rows in 2usize..5,
+        radius in 12.0f64..24.0,
+        k in 1usize..4,
+        window in 1usize..4,
+        raw_ops in prop::collection::vec((0u8..6, 0u16..64, 0.0f64..1.0, 0.0f64..1.0), 2..10),
+    ) {
+        let mut topo = placement::grid(cols, rows, 5.0).unwrap();
+        let n = topo.len();
+        let ops = decode_ops(&raw_ops, n);
+        let radio = RadioProfile::mica2();
+        let mut grid = SpatialGrid::for_radius(&topo, radius);
+        let mut zones = ZoneTable::build_indexed(&topo, &radio, &grid, radius);
+        let mut alive = vec![true; n];
+        let mut engine = rebuilt_engine(&zones, k, &alive)?;
+
+        // The window: movers relocate now and patch the zones at the
+        // flush, liveness flips wait in `silent`, and everything
+        // re-converges at once.
+        let mut movers: Vec<NodeId> = Vec::new();
+        let mut silent: Vec<NodeId> = Vec::new();
+
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                Op::Move(node, fx, fy) => {
+                    let field = topo.field();
+                    let moved = NodeId::new(node as u32);
+                    topo.move_node(moved, Point::new(fx * field.width, fy * field.height));
+                    grid.move_node(moved, topo.position(moved));
+                    movers.push(moved);
+                }
+                Op::Kill(node) => {
+                    alive[node] = false;
+                    silent.push(NodeId::new(node as u32));
+                }
+                Op::Revive(node) => {
+                    alive[node] = true;
+                    silent.push(NodeId::new(node as u32));
+                }
+            }
+            let window_full = (step + 1) % window == 0;
+            let last = step + 1 == ops.len();
+            if !(window_full || last) {
+                continue;
+            }
+            if movers.is_empty() && silent.is_empty() {
+                continue; // nothing happened since the last flush
+            }
+            movers.sort_unstable();
+            movers.dedup();
+            silent.sort_unstable();
+            silent.dedup();
+            let delta = zones.apply_moves(&topo, &radio, &grid, &movers);
+            movers.clear();
+            engine.apply_zone_delta(&zones, &delta, &silent, &alive);
+            silent.clear();
+            let context = format!("flush after step {step} ({op:?})");
+            assert_matches_reference(&engine, &zones, &alive, &context)?;
+        }
+    }
+
+    /// One delta across several events: `ZoneDelta::between` the table
+    /// from the *window start* — several moves stale — and the current one,
+    /// over the deduped union of every changed node since. Out-and-back
+    /// moves and movers-meeting-movers are all in range of the random
+    /// walk; every flush must land on the reference exactly.
+    #[test]
+    fn deltas_across_several_events_match_the_reference(
+        cols in 3usize..7,
+        rows in 2usize..5,
+        radius in 12.0f64..24.0,
+        window in 2usize..5,
+        raw_ops in prop::collection::vec((0u8..6, 0u16..64, 0.0f64..1.0, 0.0f64..1.0), 3..12),
+    ) {
+        let mut topo = placement::grid(cols, rows, 5.0).unwrap();
+        let n = topo.len();
+        let ops = decode_ops(&raw_ops, n);
+        let mut zones = build_zones(&topo, radius);
+        let mut alive = vec![true; n];
+        let mut engine = rebuilt_engine(&zones, 2, &alive)?;
+
+        // Window state: the zone table as of the window start plus the
+        // union of everything that changed since.
+        let mut window_start = zones.clone();
+        let mut changed: Vec<NodeId> = Vec::new();
+
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                Op::Move(node, fx, fy) => {
+                    let field = topo.field();
+                    let moved = NodeId::new(node as u32);
+                    topo.move_node(moved, Point::new(fx * field.width, fy * field.height));
+                    zones = build_zones(&topo, radius);
+                    changed.push(moved);
+                }
+                Op::Kill(node) => {
+                    alive[node] = false;
+                    changed.push(NodeId::new(node as u32));
+                }
+                Op::Revive(node) => {
+                    alive[node] = true;
+                    changed.push(NodeId::new(node as u32));
+                }
+            }
+            let window_full = (step + 1) % window == 0;
+            let last = step + 1 == ops.len();
+            if !(window_full || last) || changed.is_empty() {
+                continue;
+            }
+            changed.sort_unstable();
+            changed.dedup();
+            let delta = ZoneDelta::between(&window_start, &zones, &changed);
+            engine.apply_zone_delta(&zones, &delta, &[], &alive);
+            changed.clear();
+            window_start = zones.clone();
+            let context = format!("stale-window flush after step {step} ({op:?})");
+            assert_matches_reference(&engine, &zones, &alive, &context)?;
+        }
+    }
+
+    /// Liveness flips alone (only kills/revives, no moves) re-converge
+    /// through the default delta and `also_changed`, and still land on the
+    /// reference.
+    #[test]
+    fn liveness_flips_alone_reconverge_through_the_default_delta(
+        cols in 3usize..7,
+        rows in 2usize..5,
+        radius in 12.0f64..24.0,
+        flips in prop::collection::vec((0u8..2, 0u16..64), 1..6),
+    ) {
+        let topo = placement::grid(cols, rows, 5.0).unwrap();
+        let n = topo.len();
+        let radio = RadioProfile::mica2();
+        let grid = SpatialGrid::for_radius(&topo, radius);
+        let zones = ZoneTable::build_indexed(&topo, &radio, &grid, radius);
+        let mut alive = vec![true; n];
+        let mut engine = rebuilt_engine(&zones, 2, &alive)?;
+
+        let mut silent: Vec<NodeId> = Vec::new();
+        for &(kind, node) in &flips {
+            let node = node as usize % n;
+            alive[node] = kind == 1;
+            silent.push(NodeId::new(node as u32));
+        }
+        silent.sort_unstable();
+        silent.dedup();
+        engine.apply_zone_delta(&zones, &ZoneDelta::default(), &silent, &alive);
+        assert_matches_reference(&engine, &zones, &alive, "silent flush")?;
+    }
+
+    /// The full rebuild against the reference directly: random fields,
+    /// radii, k and liveness masks. Tables and stats must be
+    /// bit-identical to [`reference_rebuild`] — and a
+    /// rebuild over an engine converged on another world must scrub every
+    /// trace of the stale state.
+    #[test]
+    fn full_rebuild_matches_the_reference_tables_and_stats(
+        cols in 3usize..8,
+        rows in 2usize..6,
+        radius in 12.0f64..24.0,
+        k in 1usize..4,
+        dead in prop::collection::vec(0u16..64, 0..5),
+        mover in 0u16..64,
+        fx in 0.0f64..1.0,
+        fy in 0.0f64..1.0,
+    ) {
+        let mut topo = placement::grid(cols, rows, 5.0).unwrap();
+        let n = topo.len();
+        let mut alive = vec![true; n];
+        for d in &dead {
+            alive[*d as usize % n] = false;
+        }
+
+        let zones = build_zones(&topo, radius);
+        let mut engine = rebuilt_engine(&zones, k, &alive)?;
+        assert_matches_reference(&engine, &zones, &alive, "fresh rebuild")?;
+
+        // Perturb the world, then rebuild from scratch over the now stale
+        // engine: the rebuild must depend only on its inputs.
+        let moved = NodeId::new(mover as u32 % n as u32);
+        let field = topo.field();
+        topo.move_node(moved, Point::new(fx * field.width, fy * field.height));
+        let new_zones = build_zones(&topo, radius);
+        let (_, want) = reference_rebuild(&new_zones, k, &alive);
+        let got = engine.rebuild_sharded(&new_zones, &alive);
+        prop_assert_eq!(&got, &want, "stale rebuild stats");
+        assert_matches_reference(&engine, &new_zones, &alive, "post-move rebuild")?;
+    }
+
+    /// Dropping an engine mid-sequence and rebuilding a fresh one
+    /// must not leak stale round data into the replacement: at every step
+    /// the engine agrees with the reference, whether it survived from the
+    /// previous step or was just recreated.
+    #[test]
+    fn engine_drop_and_rebuild_mid_sequence_keeps_the_chain_exact(
+        cols in 4usize..8,
+        rows in 3usize..6,
+        steps in prop::collection::vec((0u16..64, 0.0f64..1.0, 0.0f64..1.0, any::<bool>()), 3..8),
+    ) {
+        let mut topo = placement::grid(cols, rows, 5.0).unwrap();
+        let n = topo.len();
+        let mut zones = build_zones(&topo, 20.0);
+        let alive = vec![true; n];
+        let mut engine = rebuilt_engine(&zones, 2, &alive)?;
+
+        for (step, &(node, fx, fy, recycle)) in steps.iter().enumerate() {
+            let moved = NodeId::new(node as u32 % n as u32);
+            let field = topo.field();
+            topo.move_node(moved, Point::new(fx * field.width, fy * field.height));
+            let new_zones = build_zones(&topo, 20.0);
+            let delta = ZoneDelta::between(&zones, &new_zones, &[moved]);
+            engine.apply_zone_delta(&new_zones, &delta, &[], &alive);
+            zones = new_zones;
+            let context = format!("step {step}");
+            assert_matches_reference(&engine, &zones, &alive, &context)?;
+            if recycle {
+                // Mid-simulation engine teardown: the replacement starts
+                // cold from a full rebuild of the current world.
+                engine = rebuilt_engine(&zones, 2, &alive)?;
+                assert_matches_reference(
+                    &engine,
+                    &zones,
+                    &alive,
+                    &format!("post-recycle at step {step}"),
+                )?;
+            }
+        }
+    }
 }
