@@ -1,9 +1,11 @@
 //! Microbenchmark of the failure hooks: one `on_failed` + `on_repaired`
 //! flip of an SPMS node that holds N delivered items and still waits on
 //! 4. The hooks' cost contract is that the work follows the unresolved
-//! items, not the held ones, so the CI ratio gate holds
+//! items, not the held ones: the node keeps a negotiation entry only for
+//! the 4 it waits on (an item's entry goes when the node stores it), and
+//! the hooks walk those entries. The CI ratio gate holds
 //! `core/failure_flip_1690 / core/failure_flip_400` at ≤ 1.5. 1,690 is
-//! the most items a node tracks at paper scale.
+//! the most items a node holds at paper scale.
 //!
 //! One sample times a batch of flips, long enough (≥ 50 µs) for the
 //! timer to resolve it.

@@ -76,8 +76,8 @@ enum IzState {
 }
 
 /// Per-item inter-zone destination state. An entry is only created for an
-/// item the base node has registered as unresolved, and once the item is
-/// held only `paths` is read again.
+/// item the base node keeps a pending negotiation for, and once the item
+/// is held only `paths` is read again.
 #[derive(Clone, Debug)]
 struct IzEntry {
     /// Border paths from the source (each starts with the source id),
@@ -486,7 +486,7 @@ impl Protocol for SpmsIzNode {
         self.inner.on_failed();
         // Inter-zone timers, like base ones, exist only for unresolved items.
         for meta in self.inner.unresolved() {
-            let Some(entry) = self.iz.get_mut(meta) else {
+            let Some(entry) = self.iz.get_mut(&meta) else {
                 continue;
             };
             entry.adv_gen += 1;
@@ -504,8 +504,6 @@ impl Protocol for SpmsIzNode {
         let pending: Vec<MetaId> = self
             .inner
             .unresolved()
-            .iter()
-            .copied()
             .filter(|&meta| {
                 self.iz
                     .get(&meta)
@@ -1123,10 +1121,10 @@ mod tests {
         })]
         /// Random local ADV, direct and remote bordercast query, DATA,
         /// timer, fail and repair steps at the far end of the line: after
-        /// each, the base node's `unresolved` is "interest heard and not
-        /// held" and covers every base and inter-zone entry of an unheld
-        /// item, repair REQs of each kind leave in `MetaId` order, and no
-        /// timer armed before the last failure fires.
+        /// each, the base node's pending entries are exactly "interest
+        /// heard and not held" and cover every inter-zone entry of an
+        /// unheld item, repair REQs of each kind leave in `MetaId` order,
+        /// and no timer armed before the last failure fires.
         #[test]
         fn failure_hooks_walk_exactly_the_unresolved_items(
             steps in prop::collection::vec((0u8..7, 0u32..30, 0u32..64), 1..80)
@@ -1198,13 +1196,12 @@ mod tests {
                 };
                 armed.extend(armed_timers(&actions));
                 ever.extend(armed_timers(&actions));
-                let unresolved = n.inner.unresolved();
+                let unresolved: BTreeSet<MetaId> = n.inner.unresolved().collect();
                 let model: BTreeSet<MetaId> = wanted.difference(&held).copied().collect();
-                prop_assert_eq!(unresolved, &model);
-                prop_assert_eq!(&n.inner.unheld_entries(), unresolved);
+                prop_assert_eq!(&unresolved, &model);
                 let unheld_iz: BTreeSet<MetaId> =
                     n.iz.keys().copied().filter(|&m| !n.has_data(m)).collect();
-                prop_assert!(unheld_iz.is_subset(unresolved), "{unheld_iz:?} ⊄ {unresolved:?}");
+                prop_assert!(unheld_iz.is_subset(&unresolved), "{unheld_iz:?} ⊄ {unresolved:?}");
                 let mut probe = n.clone();
                 for &(m, k, g) in &stale {
                     let fired = collect(|out| probe.on_timer(&v, m, k, g, out));

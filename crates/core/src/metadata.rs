@@ -65,54 +65,44 @@ impl fmt::Display for MetaId {
     }
 }
 
-/// The dense layout of a node's per-item state, shared by [`DataStore`]
-/// and `ItemMap`: source-major rows of `stride` slots, one row per source
-/// the node has touched, allocated on first touch. Slot `i` of a row is
-/// found with two loads and no search.
+/// The dense layout of a [`DataStore`]: source-major rows of `stride`
+/// 64-bit words, one row per source the node has touched, allocated on
+/// first touch. Word `i` of a row is found with two loads and no search.
 #[derive(Clone, Default)]
-struct Rows<S> {
+struct Rows {
     /// `row_of[s]` is one plus the row of source `s`, or zero when the
     /// node has not touched `s`. It reaches only as far as the highest
     /// source touched.
     row_of: Vec<u32>,
     /// Rows allocated so far.
     count: usize,
-    /// Slots per row. It covers the largest slot index used and at least
+    /// Words per row. It covers the largest word index used and at least
     /// doubles when it grows (a relayout), so relayouts stay amortised and
-    /// a row holds at most twice the slots that index needs.
+    /// a row holds at most twice the words that index needs.
     stride: usize,
-    /// `count × stride` slots, row after row.
-    slots: Vec<S>,
+    /// `count × stride` words, row after row.
+    words: Vec<u64>,
 }
 
-impl<S: Default> Rows<S> {
-    fn slot(&self, source: NodeId, i: usize) -> Option<usize> {
+impl Rows {
+    /// Word `i` of `source`'s row, if the node touched `source`.
+    fn get(&self, source: NodeId, i: usize) -> Option<u64> {
         let row = *self.row_of.get(source.index())? as usize;
-        (row != 0 && i < self.stride).then(|| (row - 1) * self.stride + i)
+        (row != 0 && i < self.stride).then(|| self.words[(row - 1) * self.stride + i])
     }
 
-    /// Slot `i` of `source`'s row, if the node touched `source`.
-    fn get(&self, source: NodeId, i: usize) -> Option<&S> {
-        self.slot(source, i).map(|k| &self.slots[k])
-    }
-
-    /// As [`Rows::get`], for update.
-    fn get_mut(&mut self, source: NodeId, i: usize) -> Option<&mut S> {
-        self.slot(source, i).map(|k| &mut self.slots[k])
-    }
-
-    /// Slot `i` of `source`'s row, allocating the row on first touch and
+    /// Word `i` of `source`'s row, allocating the row on first touch and
     /// relaying every row out when `i` is past the stride.
-    fn get_or_alloc(&mut self, source: NodeId, i: usize) -> &mut S {
+    fn get_or_alloc(&mut self, source: NodeId, i: usize) -> &mut u64 {
         if i >= self.stride {
             let stride = (i + 1).max(2 * self.stride);
             let mut wide = Vec::with_capacity(self.count * stride);
-            let mut narrow = std::mem::take(&mut self.slots).into_iter();
+            let mut narrow = std::mem::take(&mut self.words).into_iter();
             for _ in 0..self.count {
                 wide.extend(narrow.by_ref().take(self.stride));
-                wide.resize_with(wide.len() + stride - self.stride, S::default);
+                wide.resize(wide.len() + stride - self.stride, 0);
             }
-            self.slots = wide;
+            self.words = wide;
             self.stride = stride;
         }
         let s = source.index();
@@ -122,14 +112,14 @@ impl<S: Default> Rows<S> {
         if self.row_of[s] == 0 {
             self.count += 1;
             self.row_of[s] = u32::try_from(self.count).expect("one row per source id");
-            self.slots.resize_with(self.count * self.stride, S::default);
+            self.words.resize(self.count * self.stride, 0);
         }
         let row = self.row_of[s] as usize - 1;
-        &mut self.slots[row * self.stride + i]
+        &mut self.words[row * self.stride + i]
     }
 
     /// The rows with their source, in source order.
-    fn iter(&self) -> impl Iterator<Item = (NodeId, &[S])> + '_ {
+    fn iter(&self) -> impl Iterator<Item = (NodeId, &[u64])> + '_ {
         let stride = self.stride;
         self.row_of
             .iter()
@@ -137,7 +127,7 @@ impl<S: Default> Rows<S> {
             .filter(|&(_, &row)| row != 0)
             .map(move |(s, &row)| {
                 let start = (row as usize - 1) * stride;
-                (NodeId::new(s as u32), &self.slots[start..start + stride])
+                (NodeId::new(s as u32), &self.words[start..start + stride])
             })
     }
 }
@@ -173,7 +163,7 @@ impl<S: Default> Rows<S> {
 pub struct DataStore {
     /// Bit `seq % 64` of word `seq / 64` of a row is set when the store
     /// holds item `seq` of the row's source.
-    rows: Rows<u64>,
+    rows: Rows,
     len: usize,
 }
 
@@ -237,64 +227,6 @@ impl Eq for DataStore {}
 impl fmt::Debug for DataStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_set().entries(self.iter()).finish()
-    }
-}
-
-/// Per-item state of one node, keyed by `MetaId`.
-///
-/// Layout: source-major rows as in [`DataStore`], of `Option<T>` slots
-/// indexed by sequence number; the slots per row cover the largest
-/// sequence number inserted and at least double when they no longer do.
-/// Memory is one `u32` per source id up to the highest source touched,
-/// plus one row per touched source of at most twice the slots the largest
-/// sequence number of any source needs. Entries are never removed, and
-/// iteration is in `MetaId` order.
-#[derive(Clone)]
-pub(crate) struct ItemMap<T> {
-    rows: Rows<Option<T>>,
-}
-
-impl<T> Default for ItemMap<T> {
-    fn default() -> Self {
-        ItemMap {
-            rows: Rows::default(),
-        }
-    }
-}
-
-impl<T> ItemMap<T> {
-    /// The entry of `meta`, if any.
-    pub(crate) fn get(&self, meta: MetaId) -> Option<&T> {
-        self.rows.get(meta.source(), meta.seq() as usize)?.as_ref()
-    }
-
-    /// The entry of `meta`, if any, for update.
-    pub(crate) fn get_mut(&mut self, meta: MetaId) -> Option<&mut T> {
-        self.rows
-            .get_mut(meta.source(), meta.seq() as usize)?
-            .as_mut()
-    }
-
-    /// The entry of `meta`, created by `make` if it has none.
-    pub(crate) fn get_or_insert_with(&mut self, meta: MetaId, make: impl FnOnce() -> T) -> &mut T {
-        self.rows
-            .get_or_alloc(meta.source(), meta.seq() as usize)
-            .get_or_insert_with(make)
-    }
-
-    /// Iterates over the entries in `MetaId` order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (MetaId, &T)> + '_ {
-        self.rows.iter().flat_map(|(source, slots)| {
-            slots.iter().enumerate().filter_map(move |(seq, slot)| {
-                Some((MetaId::new(source, seq as u32), slot.as_ref()?))
-            })
-        })
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for ItemMap<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -383,7 +315,7 @@ impl Wanting {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeSet;
 
     #[test]
     fn meta_id_roundtrips() {
@@ -429,19 +361,14 @@ mod tests {
         // The items `single_source(NodeId::new(224), 1_000, …)` generates.
         let items = (0..1_000).map(|seq| MetaId::new(NodeId::new(224), seq));
         let mut store = DataStore::new();
-        let mut entries = ItemMap::default();
         for meta in items {
             assert!(store.insert(meta));
-            entries.get_or_insert_with(meta, || meta.seq());
         }
-        assert_eq!((store.rows.count, entries.rows.count), (1, 1));
+        assert_eq!(store.rows.count, 1);
         assert_eq!(store.len(), 1_000);
-        assert_eq!(entries.iter().count(), 1_000);
-        // Each row has at most twice the slots the largest seq needs.
-        assert_eq!(store.rows.slots.len(), store.rows.stride);
+        // The row has at most twice the words the largest seq needs.
+        assert_eq!(store.rows.words.len(), store.rows.stride);
         assert!(store.rows.stride < 2 * 1_000_usize.div_ceil(64));
-        assert_eq!(entries.rows.slots.len(), entries.rows.stride);
-        assert!(entries.rows.stride < 2 * 1_000);
     }
 
     #[test]
@@ -515,48 +442,29 @@ mod tests {
         })]
         /// Random inserts and lookups over sources 0..300 and sequence
         /// numbers 0..200 (those past 64 force stride relayouts) agree with
-        /// `BTreeSet`/`BTreeMap`: length, membership, values, and iteration
-        /// in `MetaId` order. A third of the operations pick an item
-        /// already inserted, and a third another item of its source.
+        /// a `BTreeSet`: length, membership, and iteration in `MetaId`
+        /// order. A third of the operations pick an item already inserted,
+        /// and a third another item of its source.
         #[test]
         fn dense_layout_matches_ordered_models(
             ops in prop::collection::vec((0u8..3, 0u32..300, 0u32..200, any::<u32>()), 1..300)
         ) {
             let mut store = DataStore::new();
-            let mut map = ItemMap::default();
-            let (mut set_model, mut map_model) = (BTreeSet::<MetaId>::new(), BTreeMap::new());
+            let mut model = BTreeSet::<MetaId>::new();
             for (op, source, seq, value) in ops {
-                let held = set_model.iter().nth(value as usize % (set_model.len() + 1));
+                let held = model.iter().nth(value as usize % (model.len() + 1));
                 let meta = match (value % 3, held) {
                     (0, Some(&held)) => held,
                     (1, Some(&held)) => MetaId::new(held.source(), seq),
                     _ => MetaId::new(NodeId::new(source), seq),
                 };
-                match op {
-                    0 => {
-                        prop_assert_eq!(store.insert(meta), set_model.insert(meta));
-                        let got = *map.get_or_insert_with(meta, || value);
-                        prop_assert_eq!(got, *map_model.entry(meta).or_insert(value));
-                    }
-                    1 => {
-                        prop_assert_eq!(store.contains(meta), set_model.contains(&meta));
-                        prop_assert_eq!(map.get(meta), map_model.get(&meta));
-                    }
-                    _ => {
-                        let got = map.get_mut(meta).map(|v| {
-                            *v ^= value;
-                            *v
-                        });
-                        let want = map_model.get_mut(&meta).map(|v| {
-                            *v ^= value;
-                            *v
-                        });
-                        prop_assert_eq!(got, want);
-                    }
+                if op == 0 {
+                    prop_assert_eq!(store.insert(meta), model.insert(meta));
+                } else {
+                    prop_assert_eq!(store.contains(meta), model.contains(&meta));
                 }
-                prop_assert_eq!(store.len(), set_model.len());
-                prop_assert!(store.iter().eq(set_model.iter().copied()));
-                prop_assert!(map.iter().map(|(m, &v)| (m, v)).eq(map_model.iter().map(|(&m, &v)| (m, v))));
+                prop_assert_eq!(store.len(), model.len());
+                prop_assert!(store.iter().eq(model.iter().copied()));
             }
         }
     }

@@ -193,7 +193,10 @@ pub trait Protocol {
     /// survives — failures are transient).
     ///
     /// Cost contract: the work grows with the node's unresolved items (the
-    /// ones it wants but does not hold), not with the items it holds.
+    /// ones it wants but does not hold), not with the items it holds. The
+    /// SPIN and SPMS nodes keep negotiation state for the unresolved items
+    /// only, dropping an item's entry when they store it, so the hooks
+    /// walk every entry they have.
     fn on_failed(&mut self);
 
     /// The node recovered; it may resume pending exchanges.

@@ -25,16 +25,14 @@
 //! retry timer re-requests round-robin from known advertisers. The ablation
 //! bench compares the two.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
-use crate::metadata::ItemMap;
 use crate::{Action, DataStore, MetaId, NodeView, Packet, Payload, Protocol, TimerKind};
 
-/// Per-item negotiation state. Once the node holds the item only
-/// `advertised` is read again.
+/// Negotiation state of one item the node wants and does not hold. It
+/// lives from the first wanted ADV until the node stores the item.
 #[derive(Clone, Debug, Default)]
 struct SpinEntry {
-    advertised: bool,
     /// Advertisers heard so far, in arrival order (deduplicated).
     advertisers: Vec<spms_net::NodeId>,
     /// Index of the next advertiser to try on retry.
@@ -49,16 +47,56 @@ struct SpinEntry {
     abandoned: bool,
 }
 
+impl SpinEntry {
+    /// Sends a REQ to `to`; in the suppressed variant also arms the
+    /// retry/suppression timer (pure SPIN-PP has no timers).
+    fn request_from(
+        &mut self,
+        suppression: bool,
+        view: &NodeView<'_>,
+        meta: MetaId,
+        to: spms_net::NodeId,
+        out: &mut Vec<Action>,
+    ) {
+        // SPIN transmits everything at the zone power level, including REQs
+        // (it has no routing tables to pick anything lower).
+        let frame = crate::OutFrame {
+            to: crate::Addressee::Unicast(to),
+            level: view.zones.adv_level(),
+            packet: Packet {
+                meta,
+                from: view.node,
+                payload: Payload::Req {
+                    origin: view.node,
+                    target: to,
+                    path: vec![view.node],
+                },
+            },
+        };
+        self.attempts += 1;
+        out.push(Action::Send(frame));
+        if suppression {
+            self.req_outstanding = true;
+            self.dat_gen += 1;
+            out.push(Action::SetTimer {
+                meta,
+                kind: TimerKind::DataWait,
+                gen: self.dat_gen,
+                after: view.timeouts.dat,
+            });
+        }
+    }
+}
+
 /// SPIN protocol state for one node.
 #[derive(Clone, Debug)]
 pub struct SpinNode {
     store: DataStore,
-    entries: ItemMap<SpinEntry>,
-    /// Items this node wants but does not hold: exactly the keys of
-    /// `entries` missing from `store` (an unheld item only gets an entry
-    /// from a wanted ADV). The failure hooks walk this set instead of
-    /// every entry.
-    unresolved: BTreeSet<MetaId>,
+    /// Negotiation state of the items this node wants and does not hold,
+    /// in `MetaId` order: an entry is created by the first wanted ADV and
+    /// dropped when the node stores the item, so memory follows the items
+    /// in flight. The failure hooks walk these entries.
+    pending: BTreeMap<MetaId, SpinEntry>,
     suppression: bool,
     max_attempts: u32,
     /// SPIN-BC mode: answer the first REQ with a zone-wide DATA broadcast
@@ -74,12 +112,17 @@ impl SpinNode {
     ///
     /// `suppression` enables the REQ suppression window; `max_attempts`
     /// bounds autonomous retries (new ADVs always revive an item).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_attempts == 0`: a node must be allowed the REQ that
+    /// a fresh ADV triggers.
     #[must_use]
     pub fn new(suppression: bool, max_attempts: u32) -> Self {
+        assert!(max_attempts > 0, "max_attempts must be at least 1");
         SpinNode {
             store: DataStore::new(),
-            entries: ItemMap::default(),
-            unresolved: BTreeSet::new(),
+            pending: BTreeMap::new(),
             suppression,
             max_attempts,
             broadcast_data: false,
@@ -99,61 +142,14 @@ impl SpinNode {
     pub fn items_held(&self) -> usize {
         self.store.len()
     }
-
-    fn advertise_once(&mut self, view: &NodeView<'_>, meta: MetaId, out: &mut Vec<Action>) {
-        let entry = self.entries.get_or_insert_with(meta, SpinEntry::default);
-        if !entry.advertised {
-            entry.advertised = true;
-            out.push(Action::Send(view.adv_frame(meta)));
-        }
-    }
-
-    /// Sends a REQ to `to`; in the suppressed variant also arms the
-    /// retry/suppression timer (pure SPIN-PP has no timers).
-    fn request_from(
-        &mut self,
-        view: &NodeView<'_>,
-        meta: MetaId,
-        to: spms_net::NodeId,
-        out: &mut Vec<Action>,
-    ) {
-        let suppression = self.suppression;
-        let entry = self.entries.get_mut(meta).expect("entry exists");
-        // SPIN transmits everything at the zone power level, including REQs
-        // (it has no routing tables to pick anything lower).
-        let frame = crate::OutFrame {
-            to: crate::Addressee::Unicast(to),
-            level: view.zones.adv_level(),
-            packet: Packet {
-                meta,
-                from: view.node,
-                payload: Payload::Req {
-                    origin: view.node,
-                    target: to,
-                    path: vec![view.node],
-                },
-            },
-        };
-        entry.attempts += 1;
-        out.push(Action::Send(frame));
-        if suppression {
-            entry.req_outstanding = true;
-            entry.dat_gen += 1;
-            out.push(Action::SetTimer {
-                meta,
-                kind: TimerKind::DataWait,
-                gen: entry.dat_gen,
-                after: view.timeouts.dat,
-            });
-        }
-    }
 }
 
 impl Protocol for SpinNode {
     fn on_generate(&mut self, view: &NodeView<'_>, meta: MetaId, out: &mut Vec<Action>) {
+        // An item is stored once, so it is advertised once.
         if self.store.insert(meta) {
-            self.unresolved.remove(&meta);
-            self.advertise_once(view, meta, out);
+            self.pending.remove(&meta);
+            out.push(Action::Send(view.adv_frame(meta)));
         }
     }
 
@@ -170,10 +166,7 @@ impl Protocol for SpinNode {
                 if self.store.contains(meta) || !interested {
                     return;
                 }
-                let entry = self.entries.get_or_insert_with(meta, || {
-                    self.unresolved.insert(meta);
-                    SpinEntry::default()
-                });
+                let entry = self.pending.entry(meta).or_default();
                 // Each holder advertises once, so a repeated ADV from the
                 // same node only occurs after its repair; either way, one
                 // REQ per advertiser suffices in pure SPIN.
@@ -186,7 +179,7 @@ impl Protocol for SpinNode {
                     // A fresh ADV revives an abandoned item.
                     entry.abandoned = false;
                     entry.attempts = entry.attempts.min(self.max_attempts - 1);
-                    self.request_from(view, meta, packet.from, out);
+                    entry.request_from(self.suppression, view, meta, packet.from, out);
                 }
             }
             Payload::Req { origin, .. } => {
@@ -227,13 +220,13 @@ impl Protocol for SpinNode {
             }
             Payload::Data { .. } => {
                 if self.store.insert(meta) {
-                    // Holding the item settles it; its retry timer is
-                    // ignored from now on.
-                    self.unresolved.remove(&meta);
+                    // Holding the item ends its negotiation; the holder
+                    // re-advertises it once.
+                    self.pending.remove(&meta);
                     if interested {
                         out.push(Action::Delivered { meta });
                     }
-                    self.advertise_once(view, meta, out);
+                    out.push(Action::Send(view.adv_frame(meta)));
                 } else {
                     out.push(Action::Duplicate { meta });
                 }
@@ -255,11 +248,12 @@ impl Protocol for SpinNode {
         if kind != TimerKind::DataWait {
             return;
         }
-        let Some(entry) = self.entries.get_mut(meta) else {
+        // A held item has no entry: its negotiation is over.
+        let Some(entry) = self.pending.get_mut(&meta) else {
             return;
         };
-        if entry.dat_gen != gen || self.store.contains(meta) {
-            return; // stale or already satisfied
+        if entry.dat_gen != gen {
+            return; // stale
         }
         entry.req_outstanding = false;
         if entry.attempts >= self.max_attempts {
@@ -275,34 +269,27 @@ impl Protocol for SpinNode {
         }
         entry.next_advertiser = (entry.next_advertiser + 1) % entry.advertisers.len();
         let to = entry.advertisers[entry.next_advertiser];
-        self.request_from(view, meta, to, out);
+        entry.request_from(self.suppression, view, meta, to, out);
     }
 
     fn on_failed(&mut self) {
         // Transient failure: the data store survives; in-flight negotiation
         // is invalidated (timers become stale, outstanding REQs forgotten).
-        // Only unresolved items negotiate.
-        for meta in &self.unresolved {
-            let entry = self.entries.get_mut(*meta).expect("unresolved entry");
+        for entry in self.pending.values_mut() {
             entry.dat_gen += 1;
             entry.req_outstanding = false;
         }
     }
 
     fn on_repaired(&mut self, view: &NodeView<'_>, out: &mut Vec<Action>) {
-        // Resume pending items that already know an advertiser.
-        let pending: Vec<(MetaId, spms_net::NodeId)> = self
-            .unresolved
-            .iter()
-            .filter_map(|&meta| {
-                let entry = self.entries.get(meta).expect("unresolved entry");
-                let n = entry.advertisers.len();
-                (!entry.abandoned && n > 0)
-                    .then(|| (meta, entry.advertisers[entry.next_advertiser % n]))
-            })
-            .collect();
-        for (meta, to) in pending {
-            self.request_from(view, meta, to, out);
+        // Resume pending items that already know an advertiser, in
+        // `MetaId` order.
+        for (&meta, entry) in &mut self.pending {
+            let n = entry.advertisers.len();
+            if !entry.abandoned && n > 0 {
+                let to = entry.advertisers[entry.next_advertiser % n];
+                entry.request_from(self.suppression, view, meta, to, out);
+            }
         }
     }
 
@@ -324,6 +311,7 @@ mod tests {
     use spms_net::{placement, NodeId, ZoneTable};
     use spms_phy::RadioProfile;
     use spms_routing::RoutingTable;
+    use std::collections::BTreeSet;
 
     fn fixture() -> (ZoneTable, RoutingTable) {
         let topo = placement::grid(3, 1, 5.0).unwrap();
@@ -561,6 +549,51 @@ mod tests {
             if f.packet.kind() == PacketKind::Req)));
     }
 
+    #[test]
+    #[should_panic(expected = "max_attempts must be at least 1")]
+    fn zero_attempt_budget_is_rejected() {
+        let _ = SpinNode::new(true, 0);
+    }
+
+    /// A node that heard two ADVs for each of 40 items and then stored it
+    /// keeps no entry for them, and the τDAT timers it armed before the
+    /// DATA fire silently after it (the suppressed variant arms them; pure
+    /// SPIN-PP arms none).
+    #[test]
+    fn stored_items_keep_no_negotiation_state() {
+        let (zones, routing) = fixture();
+        let v = view(&zones, &routing, 1);
+        for suppression in [true, false] {
+            let mut n = SpinNode::new(suppression, 4);
+            let mut actions = Vec::new();
+            for seq in 0..40 {
+                let meta = MetaId::new(NodeId::new(0), seq);
+                for from in [0, 2].map(NodeId::new) {
+                    let adv = Packet {
+                        meta,
+                        from,
+                        payload: Payload::Adv,
+                    };
+                    n.on_packet(&v, &adv, true, &mut actions);
+                }
+                let data = Packet {
+                    meta,
+                    ..data_from(0, 1)
+                };
+                let got = collect(|out| n.on_packet(&v, &data, true, out));
+                assert!(got.contains(&Action::Delivered { meta }));
+            }
+            assert_eq!(n.items_held(), 40);
+            assert!(n.pending.is_empty(), "{} entries left", n.pending.len());
+            let armed: Vec<_> = armed_timers(&actions).collect();
+            assert_eq!(armed.len(), if suppression { 40 } else { 0 });
+            for (m, k, g) in armed {
+                let fired = collect(|out| n.on_timer(&v, m, k, g, out));
+                assert!(fired.is_empty(), "{m} {k:?} gen {g} fired: {fired:?}");
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig {
             cases: 64,
@@ -568,10 +601,10 @@ mod tests {
             ..ProptestConfig::default()
         })]
         /// Random ADV/DATA/timer/fail/repair steps at the middle node, with
-        /// and without REQ suppression: after each, `unresolved` is
-        /// "interest heard and not held", covers every entry of an unheld
-        /// item, repair REQs leave in `MetaId` order, and no timer armed
-        /// before the last failure fires.
+        /// and without REQ suppression: after each, the pending entries are
+        /// exactly "interest heard and not held", repair REQs leave in
+        /// `MetaId` order, and no timer armed before the last failure
+        /// fires.
         #[test]
         fn failure_hooks_walk_exactly_the_unresolved_items(
             suppression in any::<bool>(),
@@ -642,10 +675,8 @@ mod tests {
                 armed.extend(armed_timers(&actions));
                 ever.extend(armed_timers(&actions));
                 let model: BTreeSet<MetaId> = wanted.difference(&held).copied().collect();
-                prop_assert_eq!(&n.unresolved, &model);
-                let unheld: BTreeSet<MetaId> =
-                    n.entries.iter().map(|(m, _)| m).filter(|&m| !n.store.contains(m)).collect();
-                prop_assert_eq!(&unheld, &n.unresolved);
+                let pending: BTreeSet<MetaId> = n.pending.keys().copied().collect();
+                prop_assert_eq!(pending, model);
                 let mut probe = n.clone();
                 for &(m, k, g) in &stale {
                     let fired = collect(|out| probe.on_timer(&v, m, k, g, out));

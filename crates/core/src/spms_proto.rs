@@ -32,12 +32,11 @@
 //! the received request"). With `serve_from_cache`, a relay already holding
 //! the data answers instead of forwarding.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 use spms_net::NodeId;
 use spms_routing::RouteEntry;
 
-use crate::metadata::ItemMap;
 use crate::protocol::is_next_hop;
 use crate::{
     Action, Addressee, DataStore, MetaId, NodeView, OutFrame, Packet, Payload, Protocol, TimerKind,
@@ -60,12 +59,11 @@ enum MetaState {
     GivenUp,
 }
 
-/// Per-item destination state. Once the node holds the item only
-/// `advertised` and `originators` are read again; the negotiation fields
-/// matter while the item is unresolved.
+/// Negotiation state of one item the node wants and does not hold. It
+/// lives from the first wanted ADV (or SPMS-IZ's remote query) until the
+/// node stores the item.
 #[derive(Clone, Debug)]
 struct SpmsEntry {
-    advertised: bool,
     state: MetaState,
     /// Originator stack, closest-first: `[0]` is the PRONE, `[1]` the
     /// SCONE, … All are zone neighbors (we heard their ADV directly).
@@ -83,7 +81,6 @@ struct SpmsEntry {
 impl SpmsEntry {
     fn new() -> Self {
         SpmsEntry {
-            advertised: false,
             state: MetaState::Fresh,
             originators: Vec::new(),
             ladder_idx: 0,
@@ -92,125 +89,6 @@ impl SpmsEntry {
             adv_gen: 0,
             dat_gen: 0,
         }
-    }
-}
-
-/// Tunables lifted from [`crate::SimConfig`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpmsParams {
-    /// Originator stack depth: PRONE plus this many SCONEs.
-    pub scones_kept: usize,
-    /// Retry budget before abandoning until the next ADV.
-    pub max_attempts: u32,
-    /// Cache data at pure relays (paper §6 future work).
-    pub relay_caching: bool,
-    /// Relays holding the data answer REQs instead of forwarding.
-    pub serve_from_cache: bool,
-}
-
-impl Default for SpmsParams {
-    fn default() -> Self {
-        SpmsParams {
-            scones_kept: 1,
-            max_attempts: 4,
-            relay_caching: false,
-            serve_from_cache: false,
-        }
-    }
-}
-
-/// SPMS protocol state for one node.
-#[derive(Clone, Debug)]
-pub struct SpmsNode {
-    store: DataStore,
-    entries: ItemMap<SpmsEntry>,
-    /// Items this node wants but does not hold: exactly the keys of
-    /// `entries` missing from `store`, since an entry for an unheld item
-    /// is only ever created once interest in it is known. Timers are only
-    /// armed for these items, so the failure hooks walk this set instead
-    /// of every entry.
-    unresolved: BTreeSet<MetaId>,
-    params: SpmsParams,
-}
-
-impl SpmsNode {
-    /// Creates a node.
-    #[must_use]
-    pub fn new(params: SpmsParams) -> Self {
-        SpmsNode {
-            store: DataStore::new(),
-            entries: ItemMap::default(),
-            unresolved: BTreeSet::new(),
-            params,
-        }
-    }
-
-    /// Number of data items held.
-    #[must_use]
-    pub fn items_held(&self) -> usize {
-        self.store.len()
-    }
-
-    /// The current PRONE for `meta`, if any (visible for tests/examples).
-    #[must_use]
-    pub fn prone(&self, meta: MetaId) -> Option<NodeId> {
-        self.entries.get(meta)?.originators.first().copied()
-    }
-
-    /// The current SCONE for `meta`, if any.
-    #[must_use]
-    pub fn scone(&self, meta: MetaId) -> Option<NodeId> {
-        self.entries.get(meta)?.originators.get(1).copied()
-    }
-
-    /// Items this node wants but does not hold, in `MetaId` order.
-    pub(crate) fn unresolved(&self) -> &BTreeSet<MetaId> {
-        &self.unresolved
-    }
-
-    /// The entry of an item this node wants but does not hold; creating it
-    /// registers the item as unresolved.
-    fn wanted_entry(&mut self, meta: MetaId) -> &mut SpmsEntry {
-        debug_assert!(!self.store.contains(meta), "{meta} is already held");
-        self.entries.get_or_insert_with(meta, || {
-            self.unresolved.insert(meta);
-            SpmsEntry::new()
-        })
-    }
-
-    fn advertise_once(&mut self, view: &NodeView<'_>, meta: MetaId, out: &mut Vec<Action>) {
-        let entry = self.entries.get_or_insert_with(meta, SpmsEntry::new);
-        if !entry.advertised {
-            entry.advertised = true;
-            out.push(Action::Send(view.adv_frame(meta)));
-        }
-    }
-
-    /// Stacks advertiser `from`, not on the originator stack yet, whose
-    /// best route is `from_route`; returns `true` if `from` became the new
-    /// PRONE.
-    ///
-    /// §3.4: "If the destination node receives an ADV packet from a closer
-    /// node, then it sets the PRONE to be the closer node and the SCONE to
-    /// be the PRONE from the earlier stage." Keeping the stack sorted by
-    /// route cost generalizes that rule to deeper stacks.
-    fn stack_originator(
-        entry: &mut SpmsEntry,
-        view: &NodeView<'_>,
-        from: NodeId,
-        from_route: Option<RouteEntry>,
-        cap: usize,
-    ) -> bool {
-        let cost = |n: NodeId| view.route_cost(n).unwrap_or(f64::INFINITY);
-        let c_new = from_route.map_or(f64::INFINITY, |r| r.cost);
-        let pos = entry
-            .originators
-            .iter()
-            .position(|&o| c_new < cost(o))
-            .unwrap_or(entry.originators.len());
-        entry.originators.insert(pos, from);
-        entry.originators.truncate(cap + 1);
-        pos == 0
     }
 
     /// Sends a REQ to `target` (multi-hop via the routing table when
@@ -261,19 +139,129 @@ impl SpmsNode {
                 },
             }
         };
-        let entry = self.entries.get_mut(meta).expect("entry exists");
-        entry.state = MetaState::WaitingData;
-        entry.last_was_multihop = multihop;
-        entry.attempts += 1;
-        entry.dat_gen += 1;
+        self.state = MetaState::WaitingData;
+        self.last_was_multihop = multihop;
+        self.attempts += 1;
+        self.dat_gen += 1;
         out.push(Action::Send(frame));
         out.push(Action::SetTimer {
             meta,
             kind: TimerKind::DataWait,
-            gen: entry.dat_gen,
+            gen: self.dat_gen,
             after: view.timeouts.dat,
         });
         true
+    }
+}
+
+/// Tunables lifted from [`crate::SimConfig`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SpmsParams {
+    /// Originator stack depth: PRONE plus this many SCONEs.
+    pub scones_kept: usize,
+    /// Retry budget before abandoning until the next ADV.
+    pub max_attempts: u32,
+    /// Cache data at pure relays (paper §6 future work).
+    pub relay_caching: bool,
+    /// Relays holding the data answer REQs instead of forwarding.
+    pub serve_from_cache: bool,
+}
+
+impl Default for SpmsParams {
+    fn default() -> Self {
+        SpmsParams {
+            scones_kept: 1,
+            max_attempts: 4,
+            relay_caching: false,
+            serve_from_cache: false,
+        }
+    }
+}
+
+/// SPMS protocol state for one node.
+#[derive(Clone, Debug)]
+pub struct SpmsNode {
+    store: DataStore,
+    /// Negotiation state of the items this node wants and does not hold,
+    /// in `MetaId` order: an entry is created once interest in an unheld
+    /// item is known and dropped when the node stores the item, so memory
+    /// follows the items in flight. Timers are only armed for these items,
+    /// and the failure hooks walk these entries.
+    pending: BTreeMap<MetaId, SpmsEntry>,
+    params: SpmsParams,
+}
+
+impl SpmsNode {
+    /// Creates a node.
+    #[must_use]
+    pub fn new(params: SpmsParams) -> Self {
+        SpmsNode {
+            store: DataStore::new(),
+            pending: BTreeMap::new(),
+            params,
+        }
+    }
+
+    /// Number of data items held.
+    #[must_use]
+    pub fn items_held(&self) -> usize {
+        self.store.len()
+    }
+
+    /// The current PRONE for `meta`, if any (visible for tests/examples).
+    ///
+    /// `None` once the node stores the item: its negotiation is over and
+    /// its originator stack is gone.
+    #[must_use]
+    pub fn prone(&self, meta: MetaId) -> Option<NodeId> {
+        self.pending.get(&meta)?.originators.first().copied()
+    }
+
+    /// The current SCONE for `meta`, if any.
+    ///
+    /// `None` once the node stores the item, as for [`SpmsNode::prone`].
+    #[must_use]
+    pub fn scone(&self, meta: MetaId) -> Option<NodeId> {
+        self.pending.get(&meta)?.originators.get(1).copied()
+    }
+
+    /// Items this node wants but does not hold, in `MetaId` order.
+    pub(crate) fn unresolved(&self) -> impl Iterator<Item = MetaId> + '_ {
+        self.pending.keys().copied()
+    }
+
+    /// The entry of an item this node wants but does not hold, created on
+    /// first use.
+    fn wanted_entry(&mut self, meta: MetaId) -> &mut SpmsEntry {
+        debug_assert!(!self.store.contains(meta), "{meta} is already held");
+        self.pending.entry(meta).or_insert_with(SpmsEntry::new)
+    }
+
+    /// Stacks advertiser `from`, not on the originator stack yet, whose
+    /// best route is `from_route`; returns `true` if `from` became the new
+    /// PRONE.
+    ///
+    /// §3.4: "If the destination node receives an ADV packet from a closer
+    /// node, then it sets the PRONE to be the closer node and the SCONE to
+    /// be the PRONE from the earlier stage." Keeping the stack sorted by
+    /// route cost generalizes that rule to deeper stacks.
+    fn stack_originator(
+        entry: &mut SpmsEntry,
+        view: &NodeView<'_>,
+        from: NodeId,
+        from_route: Option<RouteEntry>,
+        cap: usize,
+    ) -> bool {
+        let cost = |n: NodeId| view.route_cost(n).unwrap_or(f64::INFINITY);
+        let c_new = from_route.map_or(f64::INFINITY, |r| r.cost);
+        let pos = entry
+            .originators
+            .iter()
+            .position(|&o| c_new < cost(o))
+            .unwrap_or(entry.originators.len());
+        entry.originators.insert(pos, from);
+        entry.originators.truncate(cap + 1);
+        pos == 0
     }
 
     /// Marks this node interested in `meta` without requiring an ADV — the
@@ -324,15 +312,16 @@ impl SpmsNode {
             out.push(Action::Duplicate { meta });
             return;
         }
-        // Holding the item settles it (timers for held items are ignored);
-        // an item that was unresolved here was wanted whatever `interested`
+        // Holding the item ends its negotiation (timers for held items are
+        // ignored); an item pending here was wanted whatever `interested`
         // says.
-        if self.unresolved.remove(&meta) || interested {
+        if self.pending.remove(&meta).is_some() || interested {
             out.push(Action::Delivered { meta });
         }
         // "The SPMS protocol requires a node to advertise its own data as
-        // well as all received data once amongst its neighbors."
-        self.advertise_once(view, meta, out);
+        // well as all received data once amongst its neighbors": an item
+        // is stored once, so it is advertised once.
+        out.push(Action::Send(view.adv_frame(meta)));
     }
 
     /// Handles an ADV for an item this node wants but lacks.
@@ -365,7 +354,7 @@ impl SpmsNode {
                 if next_hop {
                     // Adjacent advertiser: request immediately (§3.3 case I,
                     // node B; and node C once B re-advertises).
-                    self.send_req(view, meta, from, false, out);
+                    entry.send_req(view, meta, from, false, out);
                 } else {
                     // Non-adjacent: wait for a closer relay's ADV.
                     entry.state = MetaState::WaitingAdv;
@@ -384,7 +373,7 @@ impl SpmsNode {
                     // (§3.3 case I, node C).
                     entry.adv_gen += 1;
                     entry.ladder_idx = 0;
-                    self.send_req(view, meta, from, false, out);
+                    entry.send_req(view, meta, from, false, out);
                 } else if new_prone {
                     // Closer but still not adjacent: restart τADV (§3.5:
                     // "C on receiving the ADV packet from r1 resets its
@@ -408,9 +397,10 @@ impl SpmsNode {
 
 impl Protocol for SpmsNode {
     fn on_generate(&mut self, view: &NodeView<'_>, meta: MetaId, out: &mut Vec<Action>) {
+        // An item is stored once, so it is advertised once.
         if self.store.insert(meta) {
-            self.unresolved.remove(&meta);
-            self.advertise_once(view, meta, out);
+            self.pending.remove(&meta);
+            out.push(Action::Send(view.adv_frame(meta)));
         }
     }
 
@@ -526,10 +516,8 @@ impl Protocol for SpmsNode {
         gen: u32,
         out: &mut Vec<Action>,
     ) {
-        if self.store.contains(meta) {
-            return;
-        }
-        let Some(entry) = self.entries.get_mut(meta) else {
+        // A held item has no entry: its negotiation is over.
+        let Some(entry) = self.pending.get_mut(&meta) else {
             return;
         };
         match kind {
@@ -544,9 +532,8 @@ impl Protocol for SpmsNode {
                     return;
                 };
                 entry.ladder_idx = 0;
-                if !self.send_req(view, meta, target, true, out) {
+                if !entry.send_req(view, meta, target, true, out) {
                     // No route at all: give up until the next ADV.
-                    let entry = self.entries.get_mut(meta).expect("entry");
                     entry.state = MetaState::GivenUp;
                     out.push(Action::Abandoned { meta });
                 }
@@ -585,8 +572,7 @@ impl Protocol for SpmsNode {
                         }
                     }
                 };
-                if !self.send_req(view, meta, target, multihop, out) {
-                    let entry = self.entries.get_mut(meta).expect("entry");
+                if !entry.send_req(view, meta, target, multihop, out) {
                     entry.state = MetaState::GivenUp;
                     out.push(Action::Abandoned { meta });
                 }
@@ -597,9 +583,8 @@ impl Protocol for SpmsNode {
     fn on_failed(&mut self) {
         // Transient failure: cached data survives; every timer and
         // outstanding exchange is invalidated. Timers exist only for
-        // unresolved items.
-        for meta in &self.unresolved {
-            let entry = self.entries.get_mut(*meta).expect("unresolved entry");
+        // pending items.
+        for entry in self.pending.values_mut() {
             entry.adv_gen += 1;
             entry.dat_gen += 1;
             if matches!(entry.state, MetaState::WaitingAdv | MetaState::WaitingData) {
@@ -609,26 +594,16 @@ impl Protocol for SpmsNode {
     }
 
     fn on_repaired(&mut self, view: &NodeView<'_>, out: &mut Vec<Action>) {
-        // Resume items with a known originator by re-entering the ladder.
-        let pending: Vec<(MetaId, NodeId)> = self
-            .unresolved
-            .iter()
-            .filter_map(|&meta| {
-                let entry = self.entries.get(meta).expect("unresolved entry");
-                match (entry.state, entry.originators.first()) {
-                    (MetaState::Fresh, Some(&prone)) => Some((meta, prone)),
-                    _ => None,
-                }
-            })
-            .collect();
-        for (meta, target) in pending {
-            {
-                let entry = self.entries.get_mut(meta).expect("entry");
-                entry.attempts = 0;
-                entry.ladder_idx = 0;
-            }
+        // Resume items with a known originator by re-entering the ladder,
+        // in `MetaId` order.
+        for (&meta, entry) in &mut self.pending {
+            let (MetaState::Fresh, Some(&target)) = (entry.state, entry.originators.first()) else {
+                continue;
+            };
+            entry.attempts = 0;
+            entry.ladder_idx = 0;
             let multihop = !view.is_next_hop_neighbor(target);
-            self.send_req(view, meta, target, multihop, out);
+            entry.send_req(view, meta, target, multihop, out);
         }
     }
 
@@ -637,18 +612,6 @@ impl Protocol for SpmsNode {
 
     fn has_data(&self, meta: MetaId) -> bool {
         self.store.contains(meta)
-    }
-}
-
-#[cfg(test)]
-impl SpmsNode {
-    /// Items with an entry that this node does not hold.
-    pub(crate) fn unheld_entries(&self) -> BTreeSet<MetaId> {
-        self.entries
-            .iter()
-            .map(|(m, _)| m)
-            .filter(|&m| !self.store.contains(m))
-            .collect()
     }
 }
 
@@ -665,6 +628,7 @@ mod tests {
     use spms_net::{placement, ZoneTable};
     use spms_phy::RadioProfile;
     use spms_routing::{oracle_tables, RoutingTable};
+    use std::collections::BTreeSet;
 
     /// 5-node line, 5 m spacing, 20 m zones: everyone is in everyone's
     /// zone; shortest paths go hop by hop.
@@ -1170,9 +1134,9 @@ mod tests {
             ..ProptestConfig::default()
         })]
         /// Random ADV/DATA/timer/fail/repair steps at node 3 of the line:
-        /// after each, `unresolved` is "interest heard and not held", covers
-        /// every entry of an unheld item, repair REQs leave in `MetaId`
-        /// order, and no timer armed before the last failure fires.
+        /// after each, the pending entries are exactly "interest heard and
+        /// not held", repair REQs leave in `MetaId` order, and no timer
+        /// armed before the last failure fires.
         #[test]
         fn failure_hooks_walk_exactly_the_unresolved_items(
             steps in prop::collection::vec((0u8..6, 0u32..ITEMS, 0u32..64), 1..80)
@@ -1226,8 +1190,7 @@ mod tests {
                 armed.extend(armed_timers(&actions));
                 ever.extend(armed_timers(&actions));
                 let model: BTreeSet<MetaId> = wanted.difference(&held).copied().collect();
-                prop_assert_eq!(n.unresolved(), &model);
-                prop_assert_eq!(&n.unheld_entries(), n.unresolved());
+                prop_assert_eq!(n.unresolved().collect::<BTreeSet<_>>(), model);
                 let mut probe = n.clone();
                 for &(m, k, g) in &stale {
                     let fired = collect(|out| probe.on_timer(&v, m, k, g, out));
@@ -1238,6 +1201,75 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A node that negotiated and stored items keeps no entry for them,
+    /// and every timer it armed before the DATA, τADV and τDAT alike, fires
+    /// silently after it. Even items wait on τADV for node 0's ADV (15 m
+    /// away) when the DATA arrives, odd ones on τDAT after node 2's. A
+    /// caching relay drops its entry when it caches the item it forwards.
+    #[test]
+    fn stored_items_keep_no_negotiation_state() {
+        let (zones, tables) = fixture();
+        let v = view(&zones, &tables[3], 3);
+        let mut n = SpmsNode::new(SpmsParams::default());
+        let mut armed = Vec::new();
+        for seq in 0..40 {
+            let m = MetaId::new(NodeId::new(0), seq);
+            armed.extend(collect(|out| n.on_packet(&v, &adv_for(m, 0), true, out)));
+            if seq % 2 == 1 {
+                armed.extend(collect(|out| n.on_packet(&v, &adv_for(m, 2), true, out)));
+            }
+            let got = collect(|out| n.on_packet(&v, &data_for(m, 2, 3), true, out));
+            assert!(got.contains(&Action::Delivered { meta: m }));
+        }
+        assert_eq!(n.items_held(), 40);
+        assert!(n.pending.is_empty(), "{} entries left", n.pending.len());
+        let armed: Vec<_> = armed_timers(&armed).collect();
+        let count = |kind| armed.iter().filter(|t| t.1 == kind).count();
+        assert_eq!(
+            (count(TimerKind::AdvWait), count(TimerKind::DataWait)),
+            (40, 20)
+        );
+        for (m, k, g) in armed {
+            let fired = collect(|out| n.on_timer(&v, m, k, g, out));
+            assert!(fired.is_empty(), "{m} {k:?} gen {g} fired: {fired:?}");
+        }
+
+        let mut relay = SpmsNode::new(SpmsParams {
+            relay_caching: true,
+            ..SpmsParams::default()
+        });
+        let v = view(&zones, &tables[2], 2);
+        relay.on_packet(&v, &adv_from(0), true, &mut Vec::new());
+        assert_eq!(relay.unresolved().collect::<Vec<_>>(), [meta()]);
+        let through = Packet {
+            meta: meta(),
+            from: NodeId::new(1),
+            payload: Payload::Data {
+                dest: NodeId::new(4),
+                route: vec![NodeId::new(3), NodeId::new(4)],
+            },
+        };
+        relay.on_packet(&v, &through, true, &mut Vec::new());
+        assert!(relay.has_data(meta()));
+        assert!(relay.pending.is_empty());
+    }
+
+    #[test]
+    fn prone_and_scone_end_with_the_negotiation() {
+        let (zones, tables) = fixture();
+        let v = view(&zones, &tables[3], 3);
+        let mut n = SpmsNode::new(SpmsParams::default());
+        n.on_packet(&v, &adv_from(1), true, &mut Vec::new());
+        n.on_packet(&v, &adv_from(2), true, &mut Vec::new());
+        assert_eq!(
+            (n.prone(meta()), n.scone(meta())),
+            (Some(NodeId::new(2)), Some(NodeId::new(1)))
+        );
+        n.on_packet(&v, &data_for(meta(), 2, 3), true, &mut Vec::new());
+        assert!(n.has_data(meta()));
+        assert_eq!((n.prone(meta()), n.scone(meta())), (None, None));
     }
 
     #[test]
